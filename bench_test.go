@@ -339,8 +339,8 @@ func BenchmarkTraceGenerationSharded(b *testing.B) {
 			var pkts int64
 			for i := 0; i < b.N; i++ {
 				n := int64(0)
-				sum, err := trace.StreamParallel(benchTraceConfig(), workers, func(trace.Record) error {
-					n++
+				sum, err := trace.StreamParallelBlocksCtx(context.Background(), benchTraceConfig(), workers, func(blk *trace.Block) error {
+					n += int64(blk.Len())
 					return nil
 				})
 				if err != nil {
@@ -474,42 +474,6 @@ func BenchmarkFlowMeasurement(b *testing.B) {
 	b.ReportMetric(float64(len(recs)), "pkts/op")
 }
 
-// BenchmarkIntervalSplitter measures the one-pass interval pipeline: both
-// flow definitions assembled simultaneously while the rate series bins in
-// the same sweep — the per-trace inner loop of the experiment suite.
-func BenchmarkIntervalSplitter(b *testing.B) {
-	recs, _, err := trace.GenerateAll(benchTraceConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const intervalSec = 10.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		binner, err := timeseries.NewBinner(intervalSec, 0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := flow.NewIntervalSplitter(
-			[]flow.Definition{flow.By5Tuple, flow.ByPrefix24},
-			intervalSec, flow.DefaultTimeout,
-			func(iv flow.IntervalSet) error { binner.Reset(); return nil },
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := range recs {
-			if err := s.Add(recs[j]); err != nil {
-				b.Fatal(err)
-			}
-			binner.Add(recs[j].Time-s.Origin(), recs[j].Bits())
-		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(recs)), "pkts/op")
-}
-
 // blockify packs a record slice into SoA blocks of the given size.
 func blockify(recs []trace.Record, size int) []*trace.Block {
 	var out []*trace.Block
@@ -573,68 +537,6 @@ func BenchmarkAssemblerBlock(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(recs)), "pkts/op")
 	})
-}
-
-// BenchmarkIntervalSplitterBlocks is BenchmarkIntervalSplitter on the batch
-// path: pre-packed blocks through IntervalSplitter.AddBlock and
-// Binner.AddBlock — the per-trace inner loop of the experiment suite as the
-// scheduler actually runs it.
-func BenchmarkIntervalSplitterBlocks(b *testing.B) {
-	recs, _, err := trace.GenerateAll(benchTraceConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const intervalSec = 10.0
-	blocks := blockify(recs, trace.BlockSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// One binner over the whole trace: the batch binning work is the
-		// same as the per-interval scheduler's, without simulating its
-		// per-interval Reinit here.
-		binner, err := timeseries.NewBinner(30, 0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := flow.NewIntervalSplitter(
-			[]flow.Definition{flow.By5Tuple, flow.ByPrefix24},
-			intervalSec, flow.DefaultTimeout,
-			func(iv flow.IntervalSet) error { return nil },
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, blk := range blocks {
-			if err := s.AddBlock(blk); err != nil {
-				b.Fatal(err)
-			}
-			binner.AddBlock(blk)
-		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(recs)), "pkts/op")
-}
-
-// BenchmarkTraceStreaming exercises the generator through the iterator face
-// used by the suite workers (no trace materialisation).
-func BenchmarkTraceStreaming(b *testing.B) {
-	var pkts int64
-	for i := 0; i < b.N; i++ {
-		n := 0
-		sum, err := trace.Stream(benchTraceConfig(), func(trace.Record) error {
-			n++
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if int64(n) != sum.Packets {
-			b.Fatalf("streamed %d packets, summary says %d", n, sum.Packets)
-		}
-		pkts += sum.Packets
-	}
-	b.ReportMetric(float64(pkts)/float64(b.N), "pkts/op")
 }
 
 func BenchmarkRateBinning(b *testing.B) {

@@ -113,7 +113,7 @@ func main() {
 	}
 }
 
-// measure runs the §III splitter incrementally like flow.Measure but checks
+// measure runs the §III flow measurement incrementally like flow.Measure but checks
 // for cancellation every batch of records.
 func measure(ctx context.Context, recs []trace.Record, def flow.Definition, timeout float64) (flow.Result, error) {
 	m, err := flow.NewMeasurer([]flow.Definition{def}, timeout)

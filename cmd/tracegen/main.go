@@ -158,9 +158,9 @@ func main() {
 		*out, sum.Packets, sum.Flows, sum.AvgRateBps/1e6, sum.Duration)
 }
 
-// generateAll materialises the trace like trace.GenerateAllParallel —
-// bit-identical output at any worker count — but honours ctx cancellation
-// between blocks.
+// generateAll materialises the trace like trace.GenerateAll — bit-identical
+// output at any worker count — but synthesises it on workers and honours
+// ctx cancellation between blocks.
 func generateAll(ctx context.Context, cfg trace.Config, workers int) ([]trace.Record, trace.Summary, error) {
 	recs := make([]trace.Record, 0, int(cfg.Duration*cfg.Lambda*8))
 	sum, err := trace.StreamParallelBlocksCtx(ctx, cfg, workers, func(blk *trace.Block) error {

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,7 +16,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/flow"
@@ -43,7 +43,7 @@ type Options struct {
 	// identical at any worker count. 0 means GOMAXPROCS; 1 is sequential.
 	Workers int
 	// GenWorkers sizes each trace producer's packet-synthesis pool
-	// (trace.StreamParallel): phase 1 of the generator stays a cheap serial
+	// (trace.StreamParallelBlocksCtx): phase 1 of the generator stays a cheap serial
 	// RNG pass, while packet synthesis shards across GenWorkers timeline
 	// segments feeding the interval partitioner in order — so with
 	// measurement already parallel, the remaining serial critical path of a
@@ -244,8 +244,8 @@ func suiteConfig(spec trace.TraceSpec) trace.Config {
 // however long the traces are.
 const intervalStreamBuffer = 4096
 
-// errAborted marks work skipped because an earlier failure already doomed
-// the measurement pass; it never surfaces when a real error exists.
+// errAborted is the cancellation cause of a measurement pass doomed by an
+// earlier failure; work it cuts short never surfaces as the pass's error.
 var errAborted = fmt.Errorf("aborted after earlier measurement failure")
 
 // traceResult is one trace's contribution to the suite measurement,
@@ -302,9 +302,9 @@ func (r *Runner) measureSuite() error {
 	if r.measured {
 		return nil
 	}
-	ctx := r.opts.Context
-	if ctx == nil {
-		ctx = context.Background()
+	parent := r.opts.Context
+	if parent == nil {
+		parent = context.Background()
 	}
 	var budget membudget.Reserver
 	if r.opts.MemBudgetBytes > 0 {
@@ -363,13 +363,13 @@ func (r *Runner) measureSuite() error {
 	prodErrs := make([]error, len(r.specs))
 	taskErrs := make([]error, len(r.specs))
 	var taskErrMu sync.Mutex
-	var aborted atomic.Bool
-	// Cancellation folds into the pass's existing abort machinery: producers
-	// and workers already check aborted between units, and the blocking
-	// points inside a unit (generator sends, partitioner sends, budget
-	// reservations) watch ctx directly.
-	stopWatch := context.AfterFunc(ctx, func() { aborted.Store(true) })
-	defer stopWatch()
+	// One context carries both the caller's cancellation and the pass's own
+	// abort: the first failure cancels it with errAborted as its cause.
+	// Producers and workers check it between units, and the blocking points
+	// inside a unit (generator sends, partitioner sends, budget
+	// reservations) watch it directly.
+	ctx, abort := context.WithCancelCause(parent)
+	defer abort(nil)
 
 	recordTaskErr := func(ti int, err error) {
 		taskErrMu.Lock()
@@ -377,7 +377,7 @@ func (r *Runner) measureSuite() error {
 			taskErrs[ti] = err
 		}
 		taskErrMu.Unlock()
-		aborted.Store(true)
+		abort(errAborted)
 	}
 
 	var taskWG sync.WaitGroup
@@ -408,7 +408,7 @@ func (r *Runner) measureSuite() error {
 						}
 						<-inflight
 					}()
-					if aborted.Load() {
+					if ctx.Err() != nil {
 						// Still drain the stream: its producer may be blocked
 						// mid-send on the buffer.
 						for range tk.stream.Blocks() {
@@ -433,18 +433,16 @@ func (r *Runner) measureSuite() error {
 				if !r.ownsTrace(ti) {
 					continue // another shard's trace: its slots stay empty
 				}
-				// One failure aborts the traces not yet started (indices are
-				// dispatched in order, so the first error by index is always
-				// a real one, never this sentinel).
-				if aborted.Load() {
-					prodErrs[ti] = errAborted
+				// One failure (or the caller's cancellation) skips the
+				// traces not yet started.
+				if ctx.Err() != nil {
 					continue
 				}
-				summary, err := r.produceTrace(ctx, ti, r.specs[ti], budget, tasks, inflight, &aborted, results[ti])
+				summary, err := r.produceTrace(ctx, ti, r.specs[ti], budget, tasks, inflight, results[ti])
 				results[ti].summary = summary
 				if err != nil {
 					prodErrs[ti] = err
-					aborted.Store(true)
+					abort(errAborted)
 				}
 			}
 		}()
@@ -457,11 +455,15 @@ func (r *Runner) measureSuite() error {
 	close(tasks)
 	taskWG.Wait()
 
+	// Work cut short by the pass's own abort is fallout, not a failure: the
+	// error that caused the abort is reported instead. A caller's
+	// cancellation has its own cause, so it is still reported.
+	aborted := context.Cause(ctx) == errAborted
 	var firstErr error
 	var firstName string
 	for ti := range r.specs {
 		for _, err := range []error{prodErrs[ti], taskErrs[ti]} {
-			if err == nil || err == errAborted {
+			if err == nil || errors.Is(err, errAborted) || (aborted && errors.Is(err, context.Canceled)) {
 				continue
 			}
 			if firstErr == nil {
@@ -475,7 +477,7 @@ func (r *Runner) measureSuite() error {
 	// Cancellation can abort the pass between per-trace error slots (e.g.
 	// after every started trace finished); never report a cancelled pass as
 	// a clean one.
-	if err := ctx.Err(); err != nil {
+	if err := parent.Err(); err != nil {
 		return fmt.Errorf("experiments: measurement pass cancelled: %w", err)
 	}
 	for ti, tr := range results {
@@ -506,7 +508,7 @@ func (r *Runner) measureSuite() error {
 // sub-stream as a task the moment it opens. It blocks when its current
 // interval's buffer fills, so generation never outruns measurement by more
 // than the buffer.
-func (r *Runner) produceTrace(ctx context.Context, ti int, spec trace.TraceSpec, budget membudget.Reserver, tasks chan<- intervalTask, inflight chan struct{}, aborted *atomic.Bool, tr *traceResult) (sum trace.Summary, err error) {
+func (r *Runner) produceTrace(ctx context.Context, ti int, spec trace.TraceSpec, budget membudget.Reserver, tasks chan<- intervalTask, inflight chan struct{}, tr *traceResult) (sum trace.Summary, err error) {
 	cfg := suiteConfig(spec)
 	var part *flow.IntervalPartitioner
 	// A panic anywhere in this producer (generator, partitioner, a faulty
@@ -526,8 +528,8 @@ func (r *Runner) produceTrace(ctx context.Context, ti int, spec trace.TraceSpec,
 		func(is *flow.IntervalStream) error {
 			// Bail out between intervals once the pass is doomed, instead
 			// of generating the rest of a long trace nobody will read.
-			if aborted.Load() {
-				return errAborted
+			if ctx.Err() != nil {
+				return context.Cause(ctx)
 			}
 			inflight <- struct{}{}
 			tasks <- intervalTask{ti: ti, stream: is}

@@ -344,27 +344,39 @@ type IntervalResult struct {
 // the intervals they overlap"). Flow Start/End times are relative to the
 // interval start, matching the per-interval analysis of §VI.
 //
-// It is a one-pass wrapper over IntervalSplitter: no window is copied and no
-// record is visited twice. Empty intervals between packets are still emitted
-// so interval indices align with wall-clock position (a dead link is data,
-// not a gap).
+// It is one pass of an IntervalClock over one Measurer: no window is copied
+// and no record is visited twice. Empty intervals between packets are still
+// emitted so interval indices align with wall-clock position (a dead link is
+// data, not a gap).
 func MeasureIntervals(recs []trace.Record, def Definition, intervalSec, timeout float64) ([]IntervalResult, error) {
-	var out []IntervalResult
-	s, err := NewIntervalSplitter([]Definition{def}, intervalSec, timeout, func(iv IntervalSet) error {
-		out = append(out, IntervalResult{Index: iv.Index, Start: iv.Start, Result: iv.Results[0]})
-		return nil
-	})
+	clock, err := NewIntervalClock(intervalSec)
 	if err != nil {
 		return nil, err
 	}
-	for i := range recs {
-		if err := s.Add(recs[i]); err != nil {
+	m, err := NewMeasurer([]Definition{def}, timeout)
+	if err != nil {
+		return nil, err
+	}
+	var out []IntervalResult
+	closeTo := func(idx int) {
+		for clock.Index() < idx {
+			out = append(out, IntervalResult{Index: clock.Index(), Start: clock.Origin(), Result: m.Flush()[0]})
+			clock.Advance()
+			m.Reset()
+		}
+	}
+	for _, rec := range recs {
+		idx, err := clock.Place(rec.Time)
+		if err != nil {
+			return nil, err
+		}
+		closeTo(idx)
+		rec.Time -= clock.Origin()
+		if err := m.Add(rec); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.Close(); err != nil {
-		return nil, err
-	}
+	closeTo(clock.Total())
 	return out, nil
 }
 

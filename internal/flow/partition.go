@@ -10,11 +10,10 @@ import (
 )
 
 // IntervalStream is one analysis interval's sub-stream of a partitioned
-// record stream, carried as SoA blocks. Record times are rebased to the
+// packet stream, carried as SoA blocks. Packet times are rebased to the
 // interval start. The stream is produced concurrently with consumption: the
-// partitioner keeps sending blocks while a consumer drains Blocks (or the
-// record-at-a-time Records view), and closes the stream at the interval
-// boundary.
+// partitioner keeps sending blocks while a consumer drains Blocks, and
+// closes the stream at the interval boundary.
 type IntervalStream struct {
 	Index  int
 	Start  float64
@@ -81,37 +80,7 @@ func (is *IntervalStream) Blocks() iter.Seq[*trace.Block] {
 	}
 }
 
-// Records returns the interval's packets in time order, interval-local —
-// the record-at-a-time view over the block stream. Same single-use,
-// no-retention and panic-safe drain contract as Blocks (records are
-// values; copying fields is fine).
-func (is *IntervalStream) Records() iter.Seq[trace.Record] {
-	return func(yield func(trace.Record) bool) {
-		var cur *trace.Block
-		defer func() {
-			if cur != nil {
-				is.put(cur)
-			}
-			for b := range is.blocks {
-				is.put(b)
-			}
-		}()
-		for blk := range is.blocks {
-			cur = blk
-			n := blk.Len()
-			for i := 0; i < n; i++ {
-				if !yield(blk.Record(i)) {
-					return
-				}
-			}
-			cur = nil
-			is.put(blk)
-		}
-	}
-}
-
-// IntervalPartitioner is the splitter's partition mode: instead of feeding
-// flow assemblers inline, it splits a time-ordered record stream at analysis
+// IntervalPartitioner splits a time-ordered packet stream at analysis
 // interval boundaries into interval-local sub-streams and hands each one to
 // the handoff callback the moment the interval opens. Intervals are
 // independent after the boundary split, so a scheduler can measure many of a
@@ -119,16 +88,16 @@ func (is *IntervalStream) Records() iter.Seq[trace.Record] {
 // producer keeps generating — the intra-trace sharding that takes the suite
 // past one worker per trace.
 //
-// Interval accounting matches IntervalSplitter exactly: empty intervals
-// between packets are emitted (immediately-closed streams), and with a
-// declared duration every interval up to ⌈duration/intervalSec⌉ exists even
-// if the trace goes quiet early. Records travel in SoA blocks to amortise
-// the channel synchronisation (and so consumers measure columns, not
-// records), and a sub-stream holds at most ~buffer records in flight, so a
-// slow consumer back-pressures the producer instead of letting memory grow
-// with the trace.
+// Intervals are accounted by an IntervalClock, exactly as MeasureIntervals
+// and flowd's Pipeline account them: empty intervals between packets are
+// emitted (immediately-closed streams), and with a declared duration every
+// interval up to ⌈duration/intervalSec⌉ exists even if the trace goes quiet
+// early. Packets travel in SoA blocks to amortise the channel
+// synchronisation (and so consumers measure columns, not records), and a
+// sub-stream holds at most ~buffer packets in flight, so a slow consumer
+// back-pressures the producer instead of letting memory grow with the trace.
 type IntervalPartitioner struct {
-	clock     intervalClock
+	clock     IntervalClock
 	buffer    int // per-stream in-flight bound, in records
 	blockSize int // records per emitted block
 	handoff   func(*IntervalStream) error
@@ -159,16 +128,16 @@ type IntervalPartitioner struct {
 // NewIntervalPartitioner builds a partitioner over intervals of intervalSec.
 // duration, when positive, declares the trace length so trailing empty
 // intervals are emitted and out-of-range packets rejected (0 derives the end
-// from the last packet, like a splitter without SetDuration). handoff
-// receives each interval's stream as it opens and must not block
-// indefinitely: records only flow into a stream after its handoff returns.
+// from the last packet). handoff receives each interval's stream as it opens
+// and must not block indefinitely: packets only flow into a stream after its
+// handoff returns.
 func NewIntervalPartitioner(intervalSec, duration float64, buffer int, handoff func(*IntervalStream) error) (*IntervalPartitioner, error) {
-	clock, err := newIntervalClock(intervalSec)
+	clock, err := NewIntervalClock(intervalSec)
 	if err != nil {
 		return nil, err
 	}
 	if duration != 0 {
-		if err := clock.setDuration(duration); err != nil {
+		if err := clock.SetDuration(duration); err != nil {
 			return nil, err
 		}
 	}
@@ -189,7 +158,7 @@ func NewIntervalPartitioner(intervalSec, duration float64, buffer int, handoff f
 // SetBlockSize overrides how many records each emitted block carries
 // (default trace.BlockSize). The partitioned measurement is byte-identical
 // at any size — the knob exists for that determinism test and for tuning.
-// Must be called before the first Add.
+// Must be called before the first packet.
 func (p *IntervalPartitioner) SetBlockSize(n int) error {
 	if n < 1 {
 		return fmt.Errorf("flow: block size must be >= 1, got %d", n)
@@ -250,8 +219,8 @@ func (p *IntervalPartitioner) open() error {
 		cap = 1
 	}
 	s := &IntervalStream{
-		Index:      p.clock.cur,
-		Start:      p.clock.origin(),
+		Index:      p.clock.Index(),
+		Start:      p.clock.Origin(),
 		blocks:     make(chan *trace.Block, cap),
 		budget:     p.budget,
 		blockBytes: p.blockBytes,
@@ -280,7 +249,7 @@ func (p *IntervalPartitioner) ship(blk *trace.Block) error {
 		return nil
 	case <-p.done:
 		p.dropPendBlock(blk)
-		return fmt.Errorf("flow: partition of interval %d cancelled: %w", p.clock.cur, p.ctx.Err())
+		return fmt.Errorf("flow: partition of interval %d cancelled: %w", p.clock.Index(), p.ctx.Err())
 	}
 }
 
@@ -312,7 +281,7 @@ func (p *IntervalPartitioner) takePend() (bool, error) {
 				ctx = context.Background()
 			}
 			if err := p.budget.Reserve(ctx, p.blockBytes); err != nil {
-				return false, fmt.Errorf("flow: partition of interval %d: %w", p.clock.cur, err)
+				return false, fmt.Errorf("flow: partition of interval %d: %w", p.clock.Index(), err)
 			}
 		}
 	}
@@ -352,70 +321,24 @@ func (p *IntervalPartitioner) advance() error {
 		p.cur = nil
 		return err
 	}
-	p.clock.cur++
+	p.clock.Advance()
 	return p.open()
-}
-
-// append adds one rebased packet to the pending block, shipping it when
-// full. In shed mode a packet landing in a shed interval is dropped and
-// counted.
-func (p *IntervalPartitioner) append(t float64, size uint16, src, dst uint64) error {
-	if p.curShed {
-		p.shedRecords++
-		return nil
-	}
-	ok, err := p.takePend()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		p.shedRecords++
-		return nil
-	}
-	p.pend.Append(t, size, src, dst)
-	if p.pend.Len() >= p.blockSize {
-		blk := p.pend
-		p.pend = nil
-		return p.ship(blk)
-	}
-	return nil
-}
-
-// Add routes one packet into its interval's sub-stream, opening (and closing)
-// intervals as boundaries pass. Packets must arrive in non-decreasing time
-// order with non-negative timestamps. Add blocks when the interval's buffer
-// is full until the consumer catches up.
-func (p *IntervalPartitioner) Add(rec trace.Record) error {
-	idx, err := p.clock.place(rec.Time)
-	if err != nil {
-		return err
-	}
-	if p.cur == nil {
-		if err := p.open(); err != nil {
-			return err
-		}
-	}
-	for p.clock.cur < idx {
-		if err := p.advance(); err != nil {
-			return err
-		}
-	}
-	src, dst := rec.Hdr.Packed()
-	return p.append(rec.Time-p.clock.origin(), rec.Hdr.TotalLen, src, dst)
 }
 
 // AddBlock routes a whole SoA block, splitting it at interval boundaries:
 // each same-interval run is copied into the interval's pending block with
 // times rebased during the copy. The passed block is not retained (the
-// producer may recycle it after AddBlock returns). On success, semantics
-// match per-record Add exactly; on a validation error the valid prefix of
-// the failing run is dropped rather than forwarded (the stream is
-// aborting — its current interval is torn down by Abort either way).
+// producer may recycle it after AddBlock returns). Packets must arrive in
+// non-decreasing time order with finite non-negative times; on a
+// validation error the failing run is dropped rather than forwarded (the
+// stream is aborting — its current interval is torn down by Abort either
+// way). AddBlock blocks when the interval's buffer is full until the
+// consumer catches up.
 func (p *IntervalPartitioner) AddBlock(blk *trace.Block) error {
 	n := blk.Len()
 	j := 0
 	for j < n {
-		idx, k, err := p.clock.placeRun(blk.Times, j)
+		idx, k, err := p.clock.PlaceRun(blk.Times, j)
 		if err != nil {
 			return err
 		}
@@ -424,12 +347,12 @@ func (p *IntervalPartitioner) AddBlock(blk *trace.Block) error {
 				return err
 			}
 		}
-		for p.clock.cur < idx {
+		for p.clock.Index() < idx {
 			if err := p.advance(); err != nil {
 				return err
 			}
 		}
-		origin := p.clock.origin()
+		origin := p.clock.Origin()
 		for i := j; i < k; {
 			if p.curShed {
 				p.shedRecords += int64(k - i)
@@ -470,7 +393,7 @@ func (p *IntervalPartitioner) Close() error {
 	if p.closed {
 		return nil
 	}
-	total := p.clock.total()
+	total := p.clock.Total()
 	if total == 0 {
 		p.closed = true
 		return nil
@@ -481,7 +404,7 @@ func (p *IntervalPartitioner) Close() error {
 			return err
 		}
 	}
-	for p.clock.cur < total-1 {
+	for p.clock.Index() < total-1 {
 		if err := p.advance(); err != nil {
 			p.Abort()
 			return err
@@ -525,26 +448,4 @@ func (p *IntervalPartitioner) Abort() {
 		p.pend = nil
 	}
 	p.closed = true
-}
-
-// MeasureStream assembles one interval-local record stream (times already
-// rebased, non-decreasing) into flows under several definitions at once —
-// the per-record face of the per-interval measurement unit. The stream is
-// always drained to completion, even after an error, so a concurrent
-// producer is never left blocked; the first error is returned after the
-// drain. Results are index-aligned with defs.
-func MeasureStream(recs iter.Seq[trace.Record], defs []Definition, timeout float64) ([]Result, error) {
-	m, firstErr := NewMeasurer(defs, timeout)
-	for rec := range recs {
-		if firstErr != nil {
-			continue
-		}
-		if err := m.Add(rec); err != nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return m.Flush(), nil
 }

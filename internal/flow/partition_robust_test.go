@@ -10,14 +10,14 @@ import (
 	"repro/internal/trace"
 )
 
-// feedRecords pushes n records at 1 s spacing into the partitioner.
+// feedRecords pushes n records at 1 s spacing into the partitioner, one
+// record per block.
 func feedRecords(p *IntervalPartitioner, n int) error {
-	for i := 0; i < n; i++ {
-		if err := p.Add(rec(float64(i), 1, 1, 1000, 100)); err != nil {
-			return err
-		}
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		recs[i] = rec(float64(i), 1, 1, 1000, 100)
 	}
-	return nil
+	return partitionBlocks(p, recs, 1)
 }
 
 // drainCounts collects each handed-off stream and returns a drain function
@@ -91,7 +91,7 @@ func TestPartitionerSettersRejectedAfterFirstPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(rec(0, 1, 1, 1000, 100)); err != nil {
+	if err := partitionBlocks(p, []trace.Record{rec(0, 1, 1, 1000, 100)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SetContext(context.Background()); err == nil {
@@ -230,50 +230,42 @@ func TestPartitionerShedModeAccountsDrops(t *testing.T) {
 	}
 }
 
-// A consumer panicking out of Blocks/Records must not leak the in-hand
-// block, the undrained remainder, or their budget reservations — the
-// deferred drain runs on the unwind.
+// A consumer panicking out of Blocks must not leak the in-hand block, the
+// undrained remainder, or their budget reservations — the deferred drain
+// runs on the unwind.
 func TestIntervalStreamIteratorsPanicSafe(t *testing.T) {
-	for _, mode := range []string{"blocks", "records"} {
-		t.Run(mode, func(t *testing.T) {
-			base := trace.LiveBlocks()
-			budget, err := membudget.New(1 << 20)
-			if err != nil {
+	t.Run("blocks", func(t *testing.T) {
+		base := trace.LiveBlocks()
+		budget, err := membudget.New(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := trace.BlockCost(trace.BlockSize)
+		is := &IntervalStream{blocks: make(chan *trace.Block, 4), budget: budget, blockBytes: bytes}
+		for i := 0; i < 3; i++ {
+			blk := trace.GetBlock()
+			blk.Append(float64(i), 1, 1, 1)
+			if err := budget.Reserve(context.Background(), bytes); err != nil {
 				t.Fatal(err)
 			}
-			bytes := trace.BlockCost(trace.BlockSize)
-			is := &IntervalStream{blocks: make(chan *trace.Block, 4), budget: budget, blockBytes: bytes}
-			for i := 0; i < 3; i++ {
-				blk := trace.GetBlock()
-				blk.Append(float64(i), 1, 1, 1)
-				if err := budget.Reserve(context.Background(), bytes); err != nil {
-					t.Fatal(err)
-				}
-				is.blocks <- blk
-			}
-			close(is.blocks)
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatal("consumer panic did not propagate")
-					}
-				}()
-				if mode == "blocks" {
-					for range is.Blocks() {
-						panic("consumer exploded")
-					}
-				} else {
-					for range is.Records() {
-						panic("consumer exploded")
-					}
+			is.blocks <- blk
+		}
+		close(is.blocks)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("consumer panic did not propagate")
 				}
 			}()
-			if got := trace.LiveBlocks(); got != base {
-				t.Fatalf("leaked %d pool blocks across consumer panic", got-base)
+			for range is.Blocks() {
+				panic("consumer exploded")
 			}
-			if budget.Used() != 0 {
-				t.Fatalf("leaked %d budget bytes across consumer panic", budget.Used())
-			}
-		})
-	}
+		}()
+		if got := trace.LiveBlocks(); got != base {
+			t.Fatalf("leaked %d pool blocks across consumer panic", got-base)
+		}
+		if budget.Used() != 0 {
+			t.Fatalf("leaked %d budget bytes across consumer panic", budget.Used())
+		}
+	})
 }

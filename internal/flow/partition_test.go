@@ -7,22 +7,53 @@ import (
 	"repro/internal/trace"
 )
 
-// partitionMeasure runs recs through a partitioner, measuring each
-// interval's stream under def in a goroutine (a stream only closes when the
-// next interval opens, so the handoff must not wait on its own interval),
-// and harvests the results in handoff order after Close.
-func partitionMeasure(t *testing.T, recs []trace.Record, def Definition, intervalSec, duration float64) []IntervalResult {
+// partitionBlocks routes recs through p in blocks of n records.
+func partitionBlocks(p *IntervalPartitioner, recs []trace.Record, n int) error {
+	blk := trace.GetBlock()
+	defer trace.PutBlock(blk)
+	for i, r := range recs {
+		blk.AppendRecord(r)
+		if blk.Len() == n || i == len(recs)-1 {
+			if err := p.AddBlock(blk); err != nil {
+				return err
+			}
+			blk.Reset()
+		}
+	}
+	return nil
+}
+
+// measureStream drains one interval's stream into a measurer over defs,
+// draining to the end even after an error so the producer never blocks.
+func measureStream(is *IntervalStream, defs []Definition) ([]Result, error) {
+	m, err := NewMeasurer(defs, DefaultTimeout)
+	for blk := range is.Blocks() {
+		if err == nil {
+			err = m.AddBlock(blk)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m.Flush(), nil
+}
+
+// partitionMeasure runs recs through a partitioner in blocks of blockLen,
+// measuring each interval's stream under defs in a goroutine (a stream only
+// closes when the next interval opens, so the handoff must not wait on its
+// own interval), and harvests the results in handoff order after Close.
+func partitionMeasure(t *testing.T, recs []trace.Record, defs []Definition, intervalSec float64, blockLen int) [][]Result {
 	t.Helper()
-	var pending []chan IntervalResult
-	p, err := NewIntervalPartitioner(intervalSec, duration, 16, func(is *IntervalStream) error {
-		res := make(chan IntervalResult, 1)
+	var pending []chan []Result
+	p, err := NewIntervalPartitioner(intervalSec, 0, 16, func(is *IntervalStream) error {
+		res := make(chan []Result, 1)
 		go func() {
-			results, err := MeasureStream(is.Records(), []Definition{def}, DefaultTimeout)
+			results, err := measureStream(is, defs)
 			if err != nil {
 				t.Error(err)
-				results = []Result{{}}
+				results = make([]Result, len(defs))
 			}
-			res <- IntervalResult{Index: is.Index, Start: is.Start, Result: results[0]}
+			res <- results
 		}()
 		pending = append(pending, res)
 		return nil
@@ -30,23 +61,22 @@ func partitionMeasure(t *testing.T, recs []trace.Record, def Definition, interva
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		if err := p.Add(recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := partitionBlocks(p, recs, blockLen); err != nil {
+		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out := make([]IntervalResult, 0, len(pending))
+	out := make([][]Result, 0, len(pending))
 	for _, res := range pending {
 		out = append(out, <-res)
 	}
 	return out
 }
 
-// The partition mode must account intervals exactly like the splitter: same
-// interval count, same flows, same rebased times, for a realistic stream.
+// The partitioner must account intervals exactly like MeasureIntervals:
+// same interval count, same flows, same rebased times, for a realistic
+// stream fed in blocks that straddle interval boundaries.
 func TestIntervalPartitionerMatchesMeasureIntervals(t *testing.T) {
 	recs := syntheticRecs(t)
 	const intervalSec = 10.0
@@ -55,16 +85,38 @@ func TestIntervalPartitionerMatchesMeasureIntervals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := partitionMeasure(t, recs, def, intervalSec, 0)
+		for _, blockLen := range []int{1, 17, trace.BlockSize} {
+			got := partitionMeasure(t, recs, []Definition{def}, intervalSec, blockLen)
+			if len(got) != len(want) {
+				t.Fatalf("%s/%d: %d intervals, want %d", def, blockLen, len(got), len(want))
+			}
+			for i := range want {
+				if !sameResults(got[i][0], want[i].Result) {
+					t.Fatalf("%s/%d: interval %d flows differ from MeasureIntervals", def, blockLen, i)
+				}
+			}
+		}
+	}
+}
+
+// One partitioned pass measured under both definitions at once must equal
+// two independent single-definition passes.
+func TestIntervalPartitionerMultiDefinition(t *testing.T) {
+	recs := syntheticRecs(t)
+	const intervalSec = 10.0
+	defs := []Definition{By5Tuple, ByPrefix24}
+	got := partitionMeasure(t, recs, defs, intervalSec, trace.BlockSize)
+	for di, def := range defs {
+		want, err := MeasureIntervals(recs, def, intervalSec, DefaultTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d intervals, want %d", def, len(got), len(want))
 		}
 		for i := range want {
-			if got[i].Index != want[i].Index || got[i].Start != want[i].Start {
-				t.Fatalf("%s: interval %d header mismatch", def, i)
-			}
-			if !sameResults(got[i].Result, want[i].Result) {
-				t.Fatalf("%s: interval %d flows differ from splitter path", def, i)
+			if !sameResults(got[i][di], want[i].Result) {
+				t.Fatalf("%s: interval %d differs between multi- and single-def pass", def, i)
 			}
 		}
 	}
@@ -86,7 +138,7 @@ func TestIntervalPartitionerConcurrentConsumers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := MeasureStream(is.Records(), []Definition{By5Tuple}, DefaultTimeout)
+			res, err := measureStream(is, []Definition{By5Tuple})
 			if err != nil {
 				t.Error(err)
 				return
@@ -98,10 +150,8 @@ func TestIntervalPartitionerConcurrentConsumers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		if err := p.Add(recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := partitionBlocks(p, recs, 64); err != nil {
+		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -127,8 +177,8 @@ func TestIntervalPartitionerTrailingQuietIntervals(t *testing.T) {
 		indices = append(indices, is.Index)
 		go func() {
 			n := 0
-			for range is.Records() {
-				n++
+			for blk := range is.Blocks() {
+				n += blk.Len()
 			}
 			counts <- [2]int{is.Index, n}
 		}()
@@ -137,10 +187,8 @@ func TestIntervalPartitionerTrailingQuietIntervals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		if err := p.Add(recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := partitionBlocks(p, recs, 1); err != nil {
+		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -170,7 +218,7 @@ func TestIntervalPartitionerTrailingQuietIntervals(t *testing.T) {
 func TestIntervalPartitionerRejectsNegativeTime(t *testing.T) {
 	p, err := NewIntervalPartitioner(10, 0, 4, func(is *IntervalStream) error {
 		go func() {
-			for range is.Records() {
+			for range is.Blocks() {
 			}
 		}()
 		return nil
@@ -178,7 +226,7 @@ func TestIntervalPartitionerRejectsNegativeTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(rec(-1, 1, 1, 1000, 100)); err == nil {
+	if err := partitionBlocks(p, []trace.Record{rec(-1, 1, 1, 1000, 100)}, 1); err == nil {
 		t.Fatal("negative-time packet should be rejected")
 	}
 	p.Abort()
@@ -191,8 +239,8 @@ func TestIntervalPartitionerAbort(t *testing.T) {
 	p, err := NewIntervalPartitioner(10, 0, 4, func(is *IntervalStream) error {
 		go func() {
 			n := 0
-			for range is.Records() {
-				n++
+			for blk := range is.Blocks() {
+				n += blk.Len()
 			}
 			drained <- n
 		}()
@@ -201,7 +249,7 @@ func TestIntervalPartitionerAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add(rec(1, 1, 1, 1000, 100)); err != nil {
+	if err := partitionBlocks(p, []trace.Record{rec(1, 1, 1, 1000, 100)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	p.Abort()
@@ -210,27 +258,6 @@ func TestIntervalPartitionerAbort(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal("Close after Abort should be a no-op, got", err)
-	}
-}
-
-// MeasureStream must honour its always-drain contract even when assembler
-// construction fails — otherwise a concurrent producer blocks forever on
-// the undrained stream.
-func TestMeasureStreamDrainsOnBadDefinition(t *testing.T) {
-	consumed := 0
-	seq := func(yield func(trace.Record) bool) {
-		for i := 0; i < 5; i++ {
-			consumed++
-			if !yield(rec(float64(i), 1, 1, 1000, 100)) {
-				return
-			}
-		}
-	}
-	if _, err := MeasureStream(seq, []Definition{Definition(99)}, DefaultTimeout); err == nil {
-		t.Fatal("unknown definition should be rejected")
-	}
-	if consumed != 5 {
-		t.Fatalf("stream drained %d of 5 records on the error path", consumed)
 	}
 }
 
@@ -244,22 +271,17 @@ func TestIntervalClockFloatRobustTotal(t *testing.T) {
 	}{
 		{7, 0.3}, {14, 0.3}, {28, 0.3}, {61, 0.3}, {79, 120}, {3, 0.1},
 	} {
-		var count int
-		s, err := NewIntervalSplitter([]Definition{By5Tuple}, tc.ivl, DefaultTimeout,
-			func(IntervalSet) error { count++; return nil })
+		c, err := NewIntervalClock(tc.ivl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.SetDuration(float64(tc.n) * tc.ivl); err != nil {
+		if err := c.SetDuration(float64(tc.n) * tc.ivl); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Add(rec(tc.ivl/2, 1, 1, 1000, 100)); err != nil {
+		if _, err := c.Place(tc.ivl / 2); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if count != tc.n {
+		if count := c.Total(); count != tc.n {
 			t.Fatalf("duration %d×%g emitted %d intervals, want %d", tc.n, tc.ivl, count, tc.n)
 		}
 	}

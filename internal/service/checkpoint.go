@@ -41,9 +41,10 @@ func (p *Pipeline) Snapshot() []snapshot.Section {
 	}
 
 	var st snapshot.Enc
-	st.I64(int64(p.cur))
-	st.Bool(p.started)
-	st.F64(p.lastTime)
+	cs := p.clock.State()
+	st.I64(int64(cs.Cur))
+	st.Bool(cs.Started)
+	st.F64(cs.LastTime)
 	st.I64(p.pktsCur)
 	st.F64(p.detMu)
 	st.F64(p.detSigma)
@@ -202,8 +203,7 @@ func (p *Pipeline) Restore(secs []snapshot.Section) error {
 
 	st := snapshot.NewDec(sectionByType(secs, secState))
 	cur := st.I64()
-	started := st.Bool()
-	lastTime := st.F64()
+	clock := flow.ClockState{Cur: int(cur), Started: st.Bool(), LastTime: st.F64()}
 	pktsCur := st.I64()
 	detMu, detSigma := st.F64(), st.F64()
 	predNext := st.F64()
@@ -249,9 +249,9 @@ func (p *Pipeline) Restore(secs []snapshot.Section) error {
 	if err := p.meas.RestoreStates(states); err != nil {
 		return fail(err)
 	}
-	p.cur = int(cur)
-	p.started = started
-	p.lastTime = lastTime
+	if err := p.clock.Restore(clock); err != nil {
+		return fail(fmt.Errorf("service: checkpoint state section: %w: %w", err, snapshot.ErrCorrupt))
+	}
 	p.pktsCur = pktsCur
 	p.detMu, p.detSigma = detMu, detSigma
 	p.predNext, p.predHas = predNext, predHas
@@ -263,9 +263,7 @@ func (p *Pipeline) resetAll() {
 	p.meas.Reset()
 	p.bin.Reinit(p.cfg.IntervalSec, p.cfg.Delta)
 	p.means.RestoreValues(nil)
-	p.cur = 0
-	p.started = false
-	p.lastTime = 0
+	p.clock.Restore(flow.ClockState{})
 	p.pktsCur = 0
 	p.detMu, p.detSigma = 0, 0
 	p.predNext, p.predHas = 0, false

@@ -108,10 +108,8 @@ type Pipeline struct {
 	// built once — the incremental-refit fast path.
 	kernels [3]*core.AvgVarKernel
 
-	cur      int // index of the interval currently being fed
-	started  bool
-	lastTime float64
-	pktsCur  int64 // packets in the current interval
+	clock   flow.IntervalClock
+	pktsCur int64 // packets in the current interval
 
 	means *timeseries.Window // per-interval mean rates (prediction history)
 
@@ -129,8 +127,9 @@ type Pipeline struct {
 // NewPipeline validates the configuration and builds the resident state.
 func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
-	if !(cfg.IntervalSec > 0) {
-		return nil, fmt.Errorf("service: interval must be > 0, got %g", cfg.IntervalSec)
+	clock, err := flow.NewIntervalClock(cfg.IntervalSec)
+	if err != nil {
+		return nil, err
 	}
 	if !(cfg.Delta > 0) || cfg.Delta > cfg.IntervalSec {
 		return nil, fmt.Errorf("service: delta must be in (0, interval], got %g", cfg.Delta)
@@ -141,8 +140,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.PredictOrder < 1 || cfg.PredictOrder > cfg.Window-2 {
 		return nil, fmt.Errorf("service: predictor order %d does not fit window %d", cfg.PredictOrder, cfg.Window)
 	}
-	p := &Pipeline{cfg: cfg, pop: &core.FlowPop{}}
-	var err error
+	p := &Pipeline{cfg: cfg, pop: &core.FlowPop{}, clock: clock}
 	if p.meas, err = flow.NewMeasurer(cfg.Defs, cfg.Timeout); err != nil {
 		return nil, err
 	}
@@ -161,67 +159,43 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 }
 
 // StreamTime returns the last packet time consumed (stream seconds).
-func (p *Pipeline) StreamTime() float64 { return p.lastTime }
+func (p *Pipeline) StreamTime() float64 { return p.clock.LastTime() }
 
 // Interval returns the index of the interval currently being fed.
-func (p *Pipeline) Interval() int { return p.cur }
+func (p *Pipeline) Interval() int { return p.clock.Index() }
 
 // ActiveFlows returns the in-progress flow count under Defs[0] — the
 // occupancy the soak test bounds.
 func (p *Pipeline) ActiveFlows() int { return p.meas.ActiveFlows(0) }
 
-// runEnd scans times[j:] for the end of the run of packets landing in
-// interval idx — the boundary-splitting inner loop.
-//
-//repro:hotpath
-func runEnd(times []float64, j int, intervalSec float64, idx int) int {
-	k := j + 1
-	for k < len(times) && int(times[k]/intervalSec) == idx {
-		k++
-	}
-	return k
-}
-
-// rebase fills dst with times[lo:hi] shifted by -origin.
-//
-//repro:hotpath
-func rebase(dst, times []float64, lo, hi int, origin float64) {
-	for i := lo; i < hi; i++ {
-		dst[i-lo] = times[i] - origin
-	}
-}
-
 // AddBlock consumes one absolute-time SoA block, closing analysis intervals
 // as the stream crosses their boundaries (empty intervals are emitted too —
-// a silent link is data). The block is read, never retained.
+// a silent link is data). Every packet is placed by the interval clock, so
+// a time that is negative, NaN, +Inf or earlier than its predecessor fails
+// the call. The block is read, never retained.
 func (p *Pipeline) AddBlock(blk *trace.Block) error {
 	n := blk.Len()
 	j := 0
 	for j < n {
-		t := blk.Times[j]
-		if t < 0 {
-			return fmt.Errorf("service: packet time %g is negative", t)
+		idx, k, err := p.clock.PlaceRun(blk.Times, j)
+		if err != nil {
+			return err
 		}
-		if p.started && t < p.lastTime {
-			return fmt.Errorf("service: packet out of order: %g after %g", t, p.lastTime)
-		}
-		idx := int(t / p.cfg.IntervalSec)
-		for p.cur < idx {
+		for p.clock.Index() < idx {
 			if err := p.closeInterval(false); err != nil {
 				return err
 			}
 		}
-		k := runEnd(blk.Times, j, p.cfg.IntervalSec, idx)
-		p.started = true
-		p.lastTime = blk.Times[k-1]
 		p.pktsCur += int64(k - j)
 		sub := blk.Slice(j, k)
-		if origin := p.origin(); origin != 0 {
+		if origin := p.clock.Origin(); origin != 0 {
 			if cap(p.rebased) < k-j {
 				p.rebased = make([]float64, k-j)
 			}
 			p.rebased = p.rebased[:k-j]
-			rebase(p.rebased, blk.Times, j, k, origin)
+			for i, t := range sub.Times {
+				p.rebased[i] = t - origin
+			}
 			sub.Times = p.rebased
 		}
 		if err := p.meas.AddBlock(&sub); err != nil {
@@ -233,13 +207,11 @@ func (p *Pipeline) AddBlock(blk *trace.Block) error {
 	return nil
 }
 
-func (p *Pipeline) origin() float64 { return float64(p.cur) * p.cfg.IntervalSec }
-
 // Drain flushes the in-progress interval as a partial report (SIGTERM
 // semantics: in-flight state is surfaced, not dropped). A pipeline that has
 // consumed nothing since the last boundary emits nothing.
 func (p *Pipeline) Drain() error {
-	if !p.started || p.pktsCur == 0 {
+	if p.pktsCur == 0 {
 		return nil
 	}
 	return p.closeInterval(true)
@@ -254,8 +226,8 @@ func (p *Pipeline) closeInterval(partial bool) error {
 	series.Subtract(results[0].Discarded)
 
 	rep := Report{
-		Index:     p.cur,
-		Start:     p.origin(),
+		Index:     p.clock.Index(),
+		Start:     p.clock.Origin(),
 		Partial:   partial,
 		Flows:     len(results[0].Flows),
 		Discarded: len(results[0].Discarded),
@@ -320,7 +292,7 @@ func (p *Pipeline) closeInterval(partial bool) error {
 
 	// Re-arm for the next interval before reporting, so a reporting error
 	// (or panic) never leaves a half-closed interval behind.
-	p.cur++
+	p.clock.Advance()
 	p.pktsCur = 0
 	p.meas.Reset()
 	if err := p.bin.Reinit(p.cfg.IntervalSec, p.cfg.Delta); err != nil {

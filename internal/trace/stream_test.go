@@ -1,13 +1,14 @@
 package trace
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dist"
 )
 
-// The streaming faces (Stream, Records) must yield exactly the packets and
-// summary that GenerateAll materialises.
+// The streaming faces (the serial block producer, Records) must yield
+// exactly the packets and summary that GenerateAll materialises.
 func TestStreamMatchesGenerateAll(t *testing.T) {
 	cfg := smallConfig(31, dist.Constant{V: 2})
 	want, wantSum, err := GenerateAll(cfg)
@@ -19,8 +20,10 @@ func TestStreamMatchesGenerateAll(t *testing.T) {
 	}
 
 	var streamed []Record
-	sum, err := Stream(cfg, func(r Record) error {
-		streamed = append(streamed, r)
+	sum, err := StreamParallelBlocksCtx(context.Background(), cfg, 1, func(blk *Block) error {
+		for i := 0; i < blk.Len(); i++ {
+			streamed = append(streamed, blk.Record(i))
+		}
 		return nil
 	})
 	if err != nil {

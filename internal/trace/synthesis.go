@@ -18,13 +18,13 @@ import (
 // packet in O(1) via the shot inverse), and a merger forwards the segments'
 // bounded block streams in timeline order. Packets of different flows are
 // ordered by (time, flow admission index), which matches the serial
-// generator's emission order, so the merged stream is bit-identical to
-// Stream's at any worker count.
+// generator's emission order, so the merged stream is bit-identical to the
+// serial generator's at any worker count.
 //
 // Packets leave synthesis packed into struct-of-arrays Blocks (times, wire
 // lengths, packed header words in parallel columns): the measurement
-// pipeline consumes the columns directly, and the record-at-a-time faces
-// reconstruct Records losslessly from them.
+// pipeline consumes the columns directly, and Block.Record reconstructs
+// Records losslessly from them.
 
 // synthSegmentBlocks bounds each in-flight segment's buffered blocks, so a
 // fast worker back-pressures on the merger instead of materialising its
@@ -120,20 +120,41 @@ func (sg *segment) synthesize(pl *player, warmup float64, skip *atomic.Bool, onP
 	blk = nil
 }
 
-// StreamBlocks generates cfg's trace with the serial generator, handing the
-// packets to fn in time order packed into blocks of up to BlockSize records
-// — the batch-columnar face of Stream. The block passed to fn is reused
-// after fn returns, so fn must copy out anything it keeps. On fn error the
-// stream aborts like Stream's.
-func StreamBlocks(cfg Config, fn func(*Block) error) (Summary, error) {
-	return StreamBlocksCtx(context.Background(), cfg, fn)
+// StreamParallelBlocksCtx generates cfg's trace and hands every packet to fn
+// in time order, from one goroutine, packed into SoA blocks of up to
+// BlockSize packets that are recycled after fn returns (fn must copy out
+// anything it keeps). It is the one block producer of the package: workers
+// <= 1 runs the serial generator, more synthesise the packets with a pool of
+// workers over timeline shards, and the packet stream is bit-identical at
+// any worker count. Phase 1 (the serial RNG pass over the arrival process)
+// runs concurrently with synthesis and costs a few draws per flow, so the
+// speedup approaches the worker count on generation-bound traces. Memory
+// stays bounded: segments hand off through an in-flight cap and
+// per-segment bounded buffers, so a slow fn back-pressures generation just
+// like the serial path.
+//
+// On fn error the stream aborts and returns the error with a running
+// summary snapshot, whose Duration, AvgRateBps and FlowRate are not yet
+// finalised; the failing block counts as delivered. Generation already in
+// flight is drained, not delivered. When ctx is cancelled the dispatcher
+// stops sealing segments, workers short-circuit their replay at the next
+// block boundary, every in-flight block drains back to the pool, and the
+// call returns the wrapped context error with a summary of the packets
+// delivered before the cut. Worker and dispatcher panics are recovered at
+// the goroutine boundary and surface the same way, as wrapped errors — the
+// pipeline never dies mid-run and never leaks a pooled block or a goroutine
+// on any unwind path.
+func StreamParallelBlocksCtx(ctx context.Context, cfg Config, workers int, fn func(*Block) error) (Summary, error) {
+	if workers <= 1 {
+		return streamSerial(ctx, cfg, fn)
+	}
+	return streamParallelCore(ctx, cfg, workers, fn)
 }
 
-// StreamBlocksCtx is StreamBlocks under a cancellation context: the stream
-// aborts between blocks when ctx is cancelled, returning the wrapped
-// context error with a running summary snapshot, exactly as an fn error
-// would. A nil-cancel context behaves like StreamBlocks.
-func StreamBlocksCtx(ctx context.Context, cfg Config, fn func(*Block) error) (Summary, error) {
+// streamSerial is StreamParallelBlocksCtx on the serial generator: the
+// stream aborts between blocks when ctx is cancelled, exactly as an fn
+// error would.
+func streamSerial(ctx context.Context, cfg Config, fn func(*Block) error) (Summary, error) {
 	g, err := NewGenerator(cfg)
 	if err != nil {
 		return Summary{}, err
@@ -167,49 +188,11 @@ func StreamBlocksCtx(ctx context.Context, cfg Config, fn func(*Block) error) (Su
 	return g.Stats(), nil
 }
 
-// StreamParallelBlocks generates cfg's trace like StreamBlocks — fn sees
-// every packet in time order, from one goroutine, in SoA blocks that are
-// recycled after fn returns, and the packet stream is bit-identical to
-// Stream's — but synthesises the packets with a pool of workers over
-// timeline shards. Phase 1 (the serial RNG pass over the arrival process)
-// runs concurrently with synthesis and costs a few draws per flow, so the
-// speedup approaches the worker count on generation-bound traces. workers
-// <= 1 falls back to the serial generator. Memory stays bounded: segments
-// hand off through an in-flight cap and per-segment bounded buffers, so a
-// slow fn back-pressures generation just like the serial path.
-//
-// On fn error the stream aborts and returns the error with a running summary
-// snapshot, like Stream; generation already in flight is drained, not
-// delivered.
-func StreamParallelBlocks(cfg Config, workers int, fn func(*Block) error) (Summary, error) {
-	return StreamParallelBlocksCtx(context.Background(), cfg, workers, fn)
-}
-
-// StreamParallelBlocksCtx is StreamParallelBlocks under a cancellation
-// context: when ctx is cancelled the dispatcher stops sealing segments,
-// workers short-circuit their replay at the next block boundary, every
-// in-flight block drains back to the pool, and the call returns the wrapped
-// context error with a summary of the packets delivered before the cut.
-// Worker and dispatcher panics are recovered at the goroutine boundary and
-// surface the same way, as wrapped errors — the pipeline never dies mid-run
-// and never leaks a pooled block or a goroutine on any unwind path.
-func StreamParallelBlocksCtx(ctx context.Context, cfg Config, workers int, fn func(*Block) error) (Summary, error) {
-	if workers <= 1 {
-		return StreamBlocksCtx(ctx, cfg, fn)
-	}
-	return streamParallelCore(ctx, cfg, workers, func(blk *Block) (int, error) {
-		// The whole block was delivered to fn even when fn errors, so it
-		// counts — matching the serial StreamBlocks fallback, whose
-		// generator stats include every packet of the failing block.
-		return blk.Len(), fn(blk)
-	})
-}
-
-// streamParallelCore is the sharded synthesis engine. fn reports how many
-// of the block's packets it consumed before failing (all of them on
-// success), so the summary snapshot returned with an error counts exactly
-// the packets delivered.
-func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*Block) (int, error)) (Summary, error) {
+// streamParallelCore is the sharded synthesis engine. The summary snapshot
+// returned with an error counts every packet of every block handed to fn,
+// the failing block included — matching the serial path, whose generator
+// stats include every packet of the failing block.
+func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*Block) error) (Summary, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return Summary{}, err
@@ -385,9 +368,9 @@ func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*B
 				}
 			}
 			if firstErr == nil {
-				n, err := fn(blk)
-				sum.Packets += int64(n)
-				for _, s := range blk.Sizes[:n] {
+				err := fn(blk)
+				sum.Packets += int64(blk.Len())
+				for _, s := range blk.Sizes {
 					sum.Bytes += int64(s)
 				}
 				if err != nil {
@@ -427,23 +410,4 @@ func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*B
 		sum.FlowRate = float64(sum.Flows) / c.Duration
 	}
 	return sum, nil
-}
-
-// StreamParallel is the record-at-a-time face of the sharded synthesis: fn
-// sees every packet in time order as a Record reconstructed from the block
-// columns, bit-identical to Stream's at any worker count. On fn error the
-// summary snapshot counts the records delivered up to and including the
-// failing one, like Stream's.
-func StreamParallel(cfg Config, workers int, fn func(Record) error) (Summary, error) {
-	if workers <= 1 {
-		return Stream(cfg, fn)
-	}
-	return streamParallelCore(context.Background(), cfg, workers, func(blk *Block) (int, error) {
-		for i := 0; i < blk.Len(); i++ {
-			if err := fn(blk.Record(i)); err != nil {
-				return i + 1, err
-			}
-		}
-		return blk.Len(), nil
-	})
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -8,16 +9,21 @@ import (
 	"repro/internal/dist"
 )
 
-// collectParallel drains StreamParallel into a slice.
+// collectParallel drains StreamParallelBlocksCtx into a record slice.
 func collectParallel(t *testing.T, cfg Config, workers int) ([]Record, Summary) {
 	t.Helper()
 	var recs []Record
-	sum, err := StreamParallel(cfg, workers, func(r Record) error {
-		recs = append(recs, r)
+	sum, err := StreamParallelBlocksCtx(context.Background(), cfg, workers, func(blk *Block) error {
+		for i := 0; i < blk.Len(); i++ {
+			recs = append(recs, blk.Record(i))
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if int64(len(recs)) != sum.Packets {
+		t.Fatalf("workers=%d: streamed %d packets, summary says %d", workers, len(recs), sum.Packets)
 	}
 	return recs, sum
 }
@@ -94,58 +100,54 @@ func TestStreamParallelManySegments(t *testing.T) {
 	}
 }
 
-// workers <= 1 must take the serial path; invalid configs must be rejected
-// before any goroutine spawns; the materialising wrapper must agree with
-// GenerateAll.
+// workers <= 1 must take the serial path and agree with GenerateAll;
+// invalid configs must be rejected before any goroutine spawns.
 func TestStreamParallelFallbackAndValidation(t *testing.T) {
 	cfg := smallConfig(31, dist.Constant{V: 1})
 	want, wantSum, err := GenerateAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := collectParallel(t, cfg, 1)
-	if len(got) != len(want) {
-		t.Fatalf("workers=1: %d records, want %d", len(got), len(want))
-	}
-	all, allSum, err := GenerateAllParallel(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(want) || allSum != wantSum {
-		t.Fatalf("GenerateAllParallel: %d records %+v, want %d %+v", len(all), allSum, len(want), wantSum)
-	}
-	for i := range want {
-		if all[i] != want[i] {
-			t.Fatalf("GenerateAllParallel record %d differs", i)
+	for _, workers := range []int{0, 1} {
+		got, gotSum := collectParallel(t, cfg, workers)
+		if len(got) != len(want) || gotSum != wantSum {
+			t.Fatalf("workers=%d: %d records %+v, want %d %+v", workers, len(got), gotSum, len(want), wantSum)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: record %d differs", workers, i)
+			}
 		}
 	}
-	if _, err := StreamParallel(Config{}, 4, func(Record) error { return nil }); err == nil {
-		t.Fatal("invalid config should be rejected")
-	}
-	if _, _, err := GenerateAllParallel(Config{}, 4); err == nil {
-		t.Fatal("invalid config should be rejected by the wrapper too")
+	for _, workers := range []int{1, 4} {
+		if _, err := StreamParallelBlocksCtx(context.Background(), Config{}, workers, func(*Block) error { return nil }); err == nil {
+			t.Fatalf("workers=%d: invalid config should be rejected", workers)
+		}
 	}
 }
 
 // An fn error must abort the stream promptly, surface the error, and leave
 // no goroutine stuck (the drain discipline); the summary snapshot counts the
-// records delivered up to and including the failing one.
+// packets of the blocks delivered up to and including the failing one.
 func TestStreamParallelAbortsOnError(t *testing.T) {
 	cfg := smallConfig(32, dist.Constant{V: 1})
 	boom := fmt.Errorf("boom")
-	n := 0
-	sum, err := StreamParallel(cfg, 4, func(Record) error {
-		n++
-		if n == 100 {
-			return boom
+	for _, workers := range []int{1, 4} {
+		var blocks, delivered int64
+		sum, err := StreamParallelBlocksCtx(context.Background(), cfg, workers, func(blk *Block) error {
+			blocks++
+			delivered += int64(blk.Len())
+			if blocks == 3 {
+				return boom
+			}
+			return nil
+		})
+		if err != boom {
+			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
 		}
-		return nil
-	})
-	if err != boom {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if sum.Packets != 100 {
-		t.Fatalf("summary snapshot counted %d packets, want 100", sum.Packets)
+		if sum.Packets != delivered {
+			t.Fatalf("workers=%d: summary snapshot counted %d packets, want %d", workers, sum.Packets, delivered)
+		}
 	}
 }
 

@@ -180,8 +180,8 @@ func (c *Config) withDefaults() (Config, error) {
 // (phase 1) makes every random draw in admission order, and a pull-based
 // player (phase 2) turns the resulting flow programs into packets with no
 // RNG at all, fast-forwarding every flow past the warm-up so discarded
-// packets are never synthesised. StreamParallel runs the same two phases
-// with the synthesis sharded across workers; Checkpoints replays any
+// packets are never synthesised. StreamParallelBlocksCtx runs the same two
+// phases with the synthesis sharded across workers; Checkpoints replays any
 // sub-window of it from the nearest checkpoint. All three produce
 // bit-identical packet streams.
 type Generator struct {
@@ -269,32 +269,10 @@ func (g *Generator) Records() iter.Seq[Record] {
 	}
 }
 
-// Stream generates cfg's trace and hands every packet to fn in time order
-// without materialising the trace: memory stays O(active flows) however long
-// the trace is. On success it returns the final summary. fn's first error
-// aborts the stream and is returned along with the running summary snapshot,
-// whose Duration, AvgRateBps and FlowRate are not yet finalised (they are
-// only computed once the trace drains).
-func Stream(cfg Config, fn func(Record) error) (Summary, error) {
-	g, err := NewGenerator(cfg)
-	if err != nil {
-		return Summary{}, err
-	}
-	for {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		if err := fn(r); err != nil {
-			return g.Stats(), err
-		}
-	}
-	return g.Stats(), nil
-}
-
 // GenerateAll materialises the whole trace in memory. Intended for tests and
 // single-interval reference figures (an interval at the default scale is a
-// few hundred thousand records). Long traces should use Stream or Records.
+// few hundred thousand records). Long traces should use
+// StreamParallelBlocksCtx or Records.
 func GenerateAll(cfg Config) ([]Record, Summary, error) {
 	// Validate (via NewGenerator) before sizing the slice: an invalid
 	// Duration or Lambda would turn the capacity estimate negative.
@@ -315,21 +293,6 @@ func GenerateAll(cfg Config) ([]Record, Summary, error) {
 		recs = append(recs, r)
 	}
 	return recs, g.Stats(), nil
-}
-
-// GenerateAllParallel is GenerateAll with packet synthesis sharded across
-// the given worker pool (see StreamParallel); the records are bit-identical
-// to GenerateAll's at any worker count.
-func GenerateAllParallel(cfg Config, workers int) ([]Record, Summary, error) {
-	recs := make([]Record, 0, capacityEstimate(cfg.Duration*cfg.Lambda*8))
-	sum, err := StreamParallel(cfg, workers, func(r Record) error {
-		recs = append(recs, r)
-		return nil
-	})
-	if err != nil {
-		return nil, Summary{}, err
-	}
-	return recs, sum, nil
 }
 
 // MergeSorted merges two time-ordered record slices into one, preserving
