@@ -407,42 +407,6 @@ func BenchmarkWindowReplayDeepOffset(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreReplay replays the same deep 5 s window as
-// BenchmarkWindowReplayDeepOffset, but from a columnar store file: a binary
-// search of the segment directory plus a column scan, with no generator
-// work at all. Its ns/op against that benchmark's "checkpointed" variant is
-// the store-vs-regeneration headline (acceptance floor: 5× faster).
-func BenchmarkStoreReplay(b *testing.B) {
-	cfg := benchTraceConfig()
-	cfg.Duration = 300
-	lo, hi := cfg.Duration-10, cfg.Duration-5
-	path := filepath.Join(b.TempDir(), "bench.fstore")
-	if _, err := store.Generate(context.Background(), path, cfg, 30, store.Options{}); err != nil {
-		b.Fatal(err)
-	}
-	r, err := store.Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	w, err := r.Window(lo, hi)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		n = 0
-		if err := w.Replay(func(trace.Record) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if n == 0 {
-			b.Fatal("window empty")
-		}
-	}
-	b.ReportMetric(float64(n), "pkts/op")
-}
-
 // BenchmarkStoreWrite measures synthesising a trace straight into the store
 // format — segment frames plus checkpoint footer — per full-trace write.
 func BenchmarkStoreWrite(b *testing.B) {

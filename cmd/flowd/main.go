@@ -88,7 +88,13 @@ func main() {
 		fatal(fmt.Errorf("-max-restarts must be >= 1, got %d", *maxRestarts))
 	}
 
-	src, err := buildSource(*source, *in, *epoch, *epochs, *lambda, *b, *seed, *genWork)
+	// SIGINT/SIGTERM drain: the link flushes the partial interval, writes a
+	// final checkpoint, and the supervisor reports a clean stop (exit 0).
+	// A signal during the pcap sidecar build aborts it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	src, err := buildSource(ctx, *source, *in, *epoch, *epochs, *lambda, *b, *seed, *genWork)
 	if err != nil {
 		fatal(err)
 	}
@@ -153,11 +159,6 @@ func main() {
 		},
 	}
 
-	// SIGINT/SIGTERM drain: the link flushes the partial interval, writes a
-	// final checkpoint, and the supervisor reports a clean stop (exit 0).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	err = sup.Run(ctx, link.Run)
 	st := link.Stats()
 	fmt.Fprintf(os.Stderr, "flowd: %d blocks / %d packets measured, %d shed; %d checkpoints, %d restores, %d fresh starts\n",
@@ -169,7 +170,7 @@ func main() {
 
 // buildSource wires the ingest stream: looped synthetic epochs or a looped
 // pcap replay.
-func buildSource(kind, in string, epoch float64, epochs int64, lambda, b float64, seed int64, genWork int) (service.BlockSource, error) {
+func buildSource(ctx context.Context, kind, in string, epoch float64, epochs int64, lambda, b float64, seed int64, genWork int) (service.BlockSource, error) {
 	switch kind {
 	case "synthetic":
 		if !(lambda > 0) {
@@ -202,7 +203,7 @@ func buildSource(kind, in string, epoch float64, epochs int64, lambda, b float64
 		if in == "" {
 			return nil, fmt.Errorf("-in is required with -source pcap")
 		}
-		side, err := ensurePcapStore(in)
+		side, err := ensurePcapStore(ctx, in)
 		if err != nil {
 			return nil, err
 		}
@@ -211,10 +212,6 @@ func buildSource(kind, in string, epoch float64, epochs int64, lambda, b float64
 		r, err := tracestore.Open(side)
 		if err != nil {
 			return nil, err
-		}
-		if r.Packets() == 0 {
-			r.Close()
-			return nil, fmt.Errorf("empty trace %s", in)
 		}
 		// The replay loop length must cover the trace; grow a too-short
 		// -epoch to the trace length instead of refusing to start.
@@ -228,10 +225,11 @@ func buildSource(kind, in string, epoch float64, epochs int64, lambda, b float64
 	}
 }
 
-// ensurePcapStore converts a pcap into its columnar sidecar <in>.fstore once;
+// ensurePcapStore streams a pcap into its columnar sidecar <in>.fstore once;
 // later runs (and supervisor restarts) reuse the sidecar while it is newer
-// than the pcap, skipping the parse and replaying out-of-core.
-func ensurePcapStore(in string) (string, error) {
+// than the pcap, skipping the parse and replaying out-of-core. A capture
+// that fails to decode leaves no sidecar behind.
+func ensurePcapStore(ctx context.Context, in string) (string, error) {
 	side := in + ".fstore"
 	pst, err := os.Stat(in)
 	if err != nil {
@@ -245,40 +243,21 @@ func ensurePcapStore(in string) (string, error) {
 		return "", err
 	}
 	defer f.Close()
-	recs, err := trace.ReadPcap(f)
-	if err != nil {
-		return "", err
-	}
-	if len(recs) == 0 {
-		return "", fmt.Errorf("empty trace %s", in)
-	}
-	last := recs[len(recs)-1].Time
-	w, err := tracestore.Create(side, tracestore.Meta{Duration: math.Ceil(last)}, tracestore.Options{})
+	// The meta frame precedes the packets, so it cannot carry the trace
+	// length; flowd always sets ReplaySource.Duration instead.
+	w, err := tracestore.Create(side, tracestore.Meta{}, tracestore.Options{})
 	if err != nil {
 		return "", err
 	}
 	defer w.Abort()
-	var sum trace.Summary
-	blk := trace.GetBlock()
-	defer trace.PutBlock(blk)
-	for _, rec := range recs {
-		if blk.Len() == trace.BlockSize {
-			if err := w.AddBlock(blk); err != nil {
-				return "", err
-			}
-			blk.Reset()
-		}
-		src, dst := rec.Hdr.Packed()
-		blk.Append(rec.Time, rec.Hdr.TotalLen, src, dst)
-		sum.Packets++
-		sum.Bytes += int64(rec.Hdr.TotalLen)
+	sum, err := trace.StreamPcap(ctx, f, w.AddBlock)
+	if err != nil {
+		return "", err
 	}
-	if blk.Len() > 0 {
-		if err := w.AddBlock(blk); err != nil {
-			return "", err
-		}
+	if sum.Packets == 0 {
+		return "", fmt.Errorf("empty trace %s", in)
 	}
-	sum.Duration = math.Ceil(last)
+	sum.Duration = math.Ceil(sum.Duration)
 	if err := w.Close(sum); err != nil {
 		return "", err
 	}

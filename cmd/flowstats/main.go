@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -47,8 +48,8 @@ func main() {
 		fatal(err)
 	}
 
-	// SIGINT/SIGTERM abort the analysis cleanly between phases and at
-	// record-batch boundaries inside the measurement loop.
+	// SIGINT/SIGTERM abort the analysis cleanly at the next block boundary
+	// of either pass over the capture.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -57,26 +58,39 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	recs, err := trace.ReadPcap(f)
+	// The binner needs the trace length up front: a first pass over the
+	// capture finds the last packet time, a second measures. Both stream,
+	// so memory is independent of the capture length.
+	first, err := trace.StreamPcap(ctx, f, func(*trace.Block) error { return nil })
 	if err != nil {
 		fatal(err)
 	}
-	if len(recs) == 0 {
+	duration := first.Duration
+	if first.Packets == 0 {
 		fatal(fmt.Errorf("empty trace"))
-	}
-	duration := recs[len(recs)-1].Time
-	if duration <= 0 {
+	} else if duration <= 0 {
 		fatal(fmt.Errorf("trace too short"))
 	}
-
-	res, err := measure(ctx, recs, def, *timeout)
+	m, err := flow.NewMeasurer([]flow.Definition{def}, *timeout)
 	if err != nil {
 		fatal(err)
 	}
-	series, err := timeseries.Bin(recs, duration, *delta)
+	bin, err := timeseries.NewBinner(duration, *delta)
 	if err != nil {
 		fatal(err)
 	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		fatal(err)
+	}
+	sum, err := trace.StreamPcap(ctx, f, func(blk *trace.Block) error {
+		bin.AddBlock(blk)
+		return m.AddBlock(blk)
+	})
+	if err != nil {
+		fatal(err)
+	}
+	res := m.Flush()[0]
+	series := bin.Series()
 	series.Subtract(res.Discarded)
 	in2, err := core.InputFromFlows(res.Flows, duration)
 	if err != nil {
@@ -84,7 +98,7 @@ func main() {
 	}
 
 	fmt.Printf("trace: %d packets over %.1f s; definition: %s; timeout %.0f s\n",
-		len(recs), duration, def, *timeout)
+		sum.Packets, duration, def, *timeout)
 	fmt.Printf("flows: %d kept, %d single-packet discarded\n", len(res.Flows), len(res.Discarded))
 	fmt.Printf("model inputs: λ=%.2f flows/s  E[S]=%.1f kbit  E[S²/D]=%.4g bit²/s\n",
 		in2.Lambda, in2.MeanS/1e3, in2.MeanS2OverD)
@@ -111,26 +125,6 @@ func main() {
 			fmt.Println("fitted shot exponent clamped to 0 (measured σ² below the Theorem 3 bound)")
 		}
 	}
-}
-
-// measure runs the §III flow measurement incrementally like flow.Measure but checks
-// for cancellation every batch of records.
-func measure(ctx context.Context, recs []trace.Record, def flow.Definition, timeout float64) (flow.Result, error) {
-	m, err := flow.NewMeasurer([]flow.Definition{def}, timeout)
-	if err != nil {
-		return flow.Result{}, err
-	}
-	for i := range recs {
-		if i&8191 == 0 {
-			if err := ctx.Err(); err != nil {
-				return flow.Result{}, fmt.Errorf("interrupted: %w", err)
-			}
-		}
-		if err := m.Add(recs[i]); err != nil {
-			return flow.Result{}, err
-		}
-	}
-	return m.Flush()[0], nil
 }
 
 func parseDef(s string) (flow.Definition, error) {

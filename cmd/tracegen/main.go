@@ -137,42 +137,27 @@ func main() {
 		return
 	}
 
-	recs, sum, err := generateAll(ctx, cfg, *genWork)
-	if err != nil {
-		fatal(err)
-	}
 	f, err := os.Create(*out)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	if err := trace.WritePcap(f, recs); err != nil {
-		os.Remove(*out)
-		fatal(err)
+	var sum trace.Summary
+	pw, err := trace.NewPcapWriter(f)
+	if err == nil {
+		sum, err = trace.StreamParallelBlocksCtx(ctx, cfg, *genWork, pw.AddBlock)
 	}
-	if err := f.Close(); err != nil {
+	if err == nil {
+		err = pw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(*out)
 		fatal(err)
 	}
 	fmt.Printf("wrote %s: %d packets, %d flows, %.2f Mb/s over %.0f s\n",
 		*out, sum.Packets, sum.Flows, sum.AvgRateBps/1e6, sum.Duration)
-}
-
-// generateAll materialises the trace like trace.GenerateAll — bit-identical
-// output at any worker count — but synthesises it on workers and honours
-// ctx cancellation between blocks.
-func generateAll(ctx context.Context, cfg trace.Config, workers int) ([]trace.Record, trace.Summary, error) {
-	recs := make([]trace.Record, 0, int(cfg.Duration*cfg.Lambda*8))
-	sum, err := trace.StreamParallelBlocksCtx(ctx, cfg, workers, func(blk *trace.Block) error {
-		for i := 0; i < blk.Len(); i++ {
-			recs = append(recs, blk.Record(i))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, trace.Summary{}, err
-	}
-	return recs, sum, nil
 }
 
 func fatal(err error) {

@@ -7,9 +7,7 @@ import (
 	"math"
 	"os"
 	"sort"
-	"sync/atomic"
 
-	"repro/internal/netpkt"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
@@ -52,12 +50,12 @@ func (b *fileBacking) view(off, n int64, scratch *[]byte) ([]byte, error) {
 func (b *fileBacking) close() error { return b.f.Close() }
 
 // Reader serves one store file: metadata, the stored summary, packet-exact
-// block streaming, bit-identical window replay, and (when the file carries a
-// footer) the out-of-core checkpoint index. A Reader is immutable after Open
-// and safe for concurrent use; every Stream/Replay drives its own iterator
-// state. Blocks and records handed out by a zero-copy reader alias the
-// read-only mapping — consumers must copy, never mutate (which every block
-// consumer in this codebase already does: blocks are borrowed by contract).
+// block streaming, and (when the file carries a footer) the out-of-core
+// checkpoint index. A Reader is immutable after Open and safe for concurrent
+// use; every Stream drives its own iterator state. Blocks handed out by a
+// zero-copy reader alias the read-only mapping — consumers must copy, never
+// mutate (which every block consumer in this codebase already does: blocks
+// are borrowed by contract).
 type Reader struct {
 	b         backing
 	meta      Meta
@@ -67,11 +65,6 @@ type Reader struct {
 	footer    *footerIndex
 	footerBuf []byte // retains the footer frame for non-mmap backings
 	zeroCopy  bool   // mmap backing on a little-endian host
-	// segOK[i] is set once segment i's frame CRC has validated; the backing
-	// is immutable for the reader's lifetime, so later Stream/Window passes
-	// over the same segment skip the checksum (which would otherwise
-	// dominate a deep-window replay touching a sliver of a large segment).
-	segOK []atomic.Bool
 }
 
 // Open maps (or, where mmap is unavailable, opens for pread) a store file.
@@ -117,18 +110,12 @@ func open(path string, forceReadAt bool) (*Reader, error) {
 	}
 	fastErr := r.openFast()
 	if fastErr == nil {
-		r.segOK = make([]atomic.Bool, len(r.segs))
 		return r, nil
 	}
 	scanErr := r.scan()
 	if scanErr != nil {
 		b.close()
 		return nil, fmt.Errorf("store: %s unreadable: %w (tail: %v)", path, scanErr, fastErr)
-	}
-	// The forward scan CRC-validated every frame it kept.
-	r.segOK = make([]atomic.Bool, len(r.segs))
-	for i := range r.segOK {
-		r.segOK[i].Store(true)
 	}
 	return r, fmt.Errorf("store: %s recovered as valid prefix (%d segments, %d packets): %w",
 		path, len(r.segs), r.packets, fastErr)
@@ -177,29 +164,9 @@ func (r *Reader) frameAt(off int64, scratch *[]byte) (typ uint32, payload []byte
 	return typ, payload, off + int64(n), nil
 }
 
-// frameNoCRC re-reads a frame whose bytes a prior load already CRC-validated:
-// header fields are trusted (bounds re-checked against the file size) and
-// the payload checksum is skipped. The backing is immutable for the
-// reader's lifetime, so one validation per segment covers every subsequent
-// Stream/Window pass — a deep-window replay would otherwise re-checksum a
-// whole segment to read a sliver of it.
-func (r *Reader) frameNoCRC(off int64, scratch *[]byte) (typ uint32, payload []byte, err error) {
-	hdr, err := r.b.view(off, snapshot.FrameHeaderSize, scratch)
-	if err != nil {
-		return 0, nil, err
-	}
-	typ = binary.LittleEndian.Uint32(hdr[4:])
-	plen := int64(binary.LittleEndian.Uint32(hdr[16:]))
-	if plen > snapshot.MaxSectionBytes || off+snapshot.FrameHeaderSize+plen+snapshot.FrameTrailerSize > r.b.size() {
-		return 0, nil, fmt.Errorf("store: frame at offset %d no longer fits the file: %w", off, snapshot.ErrCorrupt)
-	}
-	payload, err = r.b.view(off+snapshot.FrameHeaderSize, plen, scratch)
-	return typ, payload, err
-}
-
 // openFast is the O(1)-ish happy path: locate the trailer through the tail
 // pointer, load the directory, the meta frame and (when present) the footer.
-// Segment payloads are not touched — their CRCs validate lazily on access.
+// Segment payloads are not touched — their CRCs validate on each read.
 func (r *Reader) openFast() error {
 	sz := r.b.size()
 	if sz < int64(len(fileMagic))+tailLen {
@@ -409,7 +376,7 @@ func (r *Reader) Checkpoints(cfg trace.Config) (*trace.Checkpoints, error) {
 	return trace.NewCheckpointsFromIndex(cfg, r.footer)
 }
 
-// segIter is the per-iteration state of one Stream or Replay pass: the frame
+// segIter is the per-iteration state of one Stream pass: the frame
 // scratch (ReadAt backing) and the decode buffers (non-zero-copy paths). One
 // segment's columns are resident at a time — the O(segment) memory bound.
 type segIter struct {
@@ -426,14 +393,7 @@ type segIter struct {
 // otherwise. The frame CRC is validated on every load.
 func (r *Reader) loadSeg(i int, it *segIter) (n int, err error) {
 	sm := r.segs[i]
-	var typ uint32
-	var payload []byte
-	checked := r.segOK[i].Load()
-	if checked {
-		typ, payload, err = r.frameNoCRC(sm.off, &it.scratch)
-	} else {
-		typ, payload, _, err = r.frameAt(sm.off, &it.scratch)
-	}
+	typ, payload, _, err := r.frameAt(sm.off, &it.scratch)
 	if err != nil {
 		return 0, err
 	}
@@ -447,9 +407,6 @@ func (r *Reader) loadSeg(i int, it *segIter) (n int, err error) {
 	if count != sm.count || int64(len(payload)) != segPrefixLen+pad+count*bytesPerPacket {
 		return 0, fmt.Errorf("store: segment %d holds %d packets in %d payload bytes, directory says %d: %w",
 			i, count, len(payload), sm.count, snapshot.ErrCorrupt)
-	}
-	if !checked {
-		r.segOK[i].Store(true)
 	}
 	n = int(count)
 	cols := payload[segPrefixLen+pad:]
@@ -524,57 +481,6 @@ func (r *Reader) Stream(ctx context.Context, start int64, fn func(blk *trace.Blo
 				return err
 			}
 			lo = hi
-		}
-	}
-	return nil
-}
-
-// Window returns a replayable view over rebased times [lo, hi).
-func (r *Reader) Window(lo, hi float64) (Window, error) {
-	if lo < 0 || !(hi > lo) {
-		return Window{}, fmt.Errorf("store: window bounds must satisfy 0 <= lo < hi, got [%g, %g)", lo, hi)
-	}
-	return Window{r: r, Lo: lo, Hi: hi}, nil
-}
-
-// Window is a half-open time window over a stored trace. Unlike
-// trace.Window — which re-synthesises its packets from programs — a store
-// window is a binary search of the segment directory plus a column scan, so
-// replay cost is O(window packets) with no generator work at all, and the
-// records are bit-identical to trace.Window's: stored times are the exact
-// rebased times the generator emitted, and the per-record rebasing below is
-// the identical float64 subtraction trace.Window performs.
-type Window struct {
-	r      *Reader
-	Lo, Hi float64
-}
-
-// Replay streams the window's records (times rebased to Lo) through fn.
-func (w Window) Replay(fn func(trace.Record) error) error {
-	r := w.r
-	i := sort.Search(len(r.segs), func(x int) bool { return r.segs[x].tLast >= w.Lo })
-	var it segIter
-	for ; i < len(r.segs); i++ {
-		if r.segs[i].tFirst >= w.Hi {
-			return nil
-		}
-		n, err := r.loadSeg(i, &it)
-		if err != nil {
-			return err
-		}
-		k := sort.SearchFloat64s(it.times, w.Lo)
-		for ; k < n; k++ {
-			t := it.times[k]
-			if t >= w.Hi {
-				return nil
-			}
-			rec := trace.Record{
-				Time: t - w.Lo,
-				Hdr:  netpkt.HeaderFromPacked(it.srcs[k], it.dsts[k], it.sizes[k]),
-			}
-			if err := fn(rec); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

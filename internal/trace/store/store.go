@@ -11,19 +11,18 @@
 // words), Sizes (uint16) — padded so the 8-byte columns land on an 8-byte
 // file offset. A Reader therefore serves blocks by pointing straight into an
 // mmap of the file (zero-copy; a plain os.ReadAt decode path is the fallback
-// for hosts without a usable mmap), and a time window is a binary search of
-// the segment directory plus a column scan — no re-synthesis at all. The
+// for hosts without a usable mmap), and resuming at a packet offset is a
+// binary search of the segment directory — no re-synthesis at all. The
 // optional footer is the trace's checkpoint index (start-sorted FlowProgram
 // deltas plus active-flow lists every CheckpointEvery seconds) in a compact
 // varint encoding; it implements trace.ProgramIndex, so Checkpoints replay
 // streams programs from disk instead of holding ~100 B per flow resident.
 //
 // Determinism contract: stored times are exactly the generated rebased times
-// (t − warmup), so Reader.Window emits Times[i] − lo — the identical float
-// operation trace.Window performs — and replay from a store written at any
-// segment size or worker count is bit-identical to serial generation. That,
-// plus the packet-exact Stream cursor, is what lets the measurement suite
-// shard one trace set across processes and merge byte-identical output.
+// (t − warmup), so Reader.Stream replays the generator's packet stream bit
+// for bit, whatever segment size or worker count the store was written at.
+// That, plus the packet-exact Stream cursor, is what lets the measurement
+// suite shard one trace set across processes and merge byte-identical output.
 package store
 
 import (
@@ -90,7 +89,9 @@ type Meta struct {
 	// non-synthetic sources, e.g. pcap conversions).
 	Seed int64
 	// Duration is the trace length in seconds (rebased times lie in
-	// [0, Duration)).
+	// [0, Duration)). It is 0 for pcap imports: the meta frame is written
+	// before the last packet is known, so the trailer's Summary.Duration is
+	// the authoritative length there.
 	Duration float64
 	// Warmup is the generator warm-up that was cut before rebasing.
 	Warmup float64

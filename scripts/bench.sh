@@ -93,7 +93,7 @@ fi
 
 out="${1:-BENCH_$(date +%Y%m%d).json}"
 benchtime="${2:-3x}"
-pattern='BenchmarkTable1TraceSuite$|BenchmarkMeasureSuiteWorkers|BenchmarkLongTraceWorkers|BenchmarkAssemblerBlock|BenchmarkTraceGeneration|BenchmarkTraceGenerationSharded|BenchmarkWindowReplayDeepOffset|BenchmarkStoreReplay$|BenchmarkStoreWrite$|BenchmarkFlowMeasurement|BenchmarkRateBinning|BenchmarkModelAveragedVariance$|BenchmarkAveragedVarianceBatch$|BenchmarkLSTBatch$|BenchmarkModelSuite$|BenchmarkProgramsPhase1|BenchmarkServiceIngest'
+pattern='BenchmarkTable1TraceSuite$|BenchmarkMeasureSuiteWorkers|BenchmarkLongTraceWorkers|BenchmarkAssemblerBlock|BenchmarkTraceGeneration|BenchmarkTraceGenerationSharded|BenchmarkWindowReplayDeepOffset|BenchmarkStoreWrite$|BenchmarkFlowMeasurement|BenchmarkRateBinning|BenchmarkModelAveragedVariance$|BenchmarkAveragedVarianceBatch$|BenchmarkLSTBatch$|BenchmarkModelSuite$|BenchmarkProgramsPhase1|BenchmarkServiceIngest'
 # Per-benchmark -benchtime overrides (NAME_REGEX=BENCHTIME), run as
 # separate passes so benchmarks whose per-op cost is wildly below the
 # suite's get a sane iteration count: the sampler sub-benchmarks are
