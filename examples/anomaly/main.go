@@ -54,10 +54,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := range flood {
-		flood[i].Time += floodStart
-	}
-	recs = trace.MergeSorted(recs, flood)
 
 	// Fit the model on the clean first interval.
 	var clean []trace.Record
@@ -90,11 +86,20 @@ func main() {
 	fmt.Printf("model band (z=4): [%.2f, %.2f] Mb/s around mean %.2f Mb/s\n",
 		lo/1e6, hi/1e6, det.Mu/1e6)
 
-	// Scan the whole trace (both intervals).
-	series, err := timeseries.Bin(recs, cfg.Duration, delta)
+	// Scan the whole trace (both intervals) with the flood overlaid: bins
+	// sum integer bit counts, exact in float64, so the two streams need no
+	// merge.
+	binner, err := timeseries.NewBinner(cfg.Duration, delta)
 	if err != nil {
 		log.Fatal(err)
 	}
+	for _, r := range recs {
+		binner.AddRecord(r)
+	}
+	for _, r := range flood {
+		binner.Add(r.Time+floodStart, r.Bits())
+	}
+	series := binner.Series()
 	events := det.Scan(series)
 	if len(events) == 0 {
 		fmt.Println("no anomalies detected — unexpected, the flood should trip the band")

@@ -68,14 +68,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pkts, err := gen.Packets(gcfg, 1500)
+	binner, err := timeseries.NewBinner(cfg.Duration, delta)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pktSeries, err := timeseries.Bin(pkts, cfg.Duration, delta)
-	if err != nil {
+	if err := gen.Packets(gcfg, 1500, func(blk *trace.Block) error {
+		binner.AddBlock(blk)
+		return nil
+	}); err != nil {
 		log.Fatal(err)
 	}
+	pktSeries := binner.Series()
 
 	// The naive generator: same flows, constant rate S/D.
 	naive := gcfg

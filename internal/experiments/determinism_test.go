@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/flow"
 	"repro/internal/trace"
 	"repro/internal/trace/store"
 )
@@ -61,9 +63,8 @@ func generateSuiteStores(t *testing.T, o Options) string {
 
 // Suite-from-store is the out-of-core measurement path: stored blocks carry
 // the generator's exact rebased times, so the suite output — and the
-// reference figures, which then replay through the store's checkpoint
-// footer instead of a resident program index — must be byte-identical to
-// the synthesis pass.
+// reference figures that replay the reference window, which a store-backed
+// runner synthesises — must be byte-identical to the synthesis pass.
 func TestSuiteFromStoreMatchesSynthesis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping suite measurement in -short mode")
@@ -76,7 +77,7 @@ func TestSuiteFromStoreMatchesSynthesis(t *testing.T) {
 		t.Fatal("suite-from-store output differs from suite-from-synthesis")
 	}
 
-	// Reference-interval figures: footer-backed replay vs in-memory index.
+	// Reference-window figures: store-backed runner vs synthesising runner.
 	rs, err := NewRunner(o)
 	if err != nil {
 		t.Fatal(err)
@@ -86,18 +87,68 @@ func TestSuiteFromStoreMatchesSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fromStore, fromMem bytes.Buffer
-	if err := rs.Fig1(&fromStore); err != nil {
-		t.Fatal(err)
+	render := func(r *Runner) string {
+		var buf bytes.Buffer
+		if err := r.AblationDelta(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.AblationLRD(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	if rs.refStore == nil {
-		t.Fatal("store-backed runner did not replay the reference window through the footer")
+	if render(rs) != render(rm) {
+		t.Fatal("store-backed reference figures differ from the synthesising runner's")
 	}
-	if err := rm.Fig1(&fromMem); err != nil {
-		t.Fatal(err)
+}
+
+// The reference window is exactly the interval the suite measured: its
+// replayed packets, measured whole under each definition, give the flows
+// and discarded packets RefInterval returns — for a synthesising runner and
+// for a store-backed one, which measures from the store but replays the
+// window from the generator.
+func TestRefIntervalMatchesSuiteMeasurement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping suite measurement in -short mode")
 	}
-	if fromStore.String() != fromMem.String() {
-		t.Fatal("footer-backed reference replay differs from the in-memory index")
+	// Two intervals in trace 0, so a window running past interval 0 would
+	// measure packets the suite split off.
+	synth := tinyOptions()
+	synth.Suite.IntervalsPerHour = 1
+	stored := synth
+	stored.StoreDir = generateSuiteStores(t, stored)
+	for name, o := range map[string]Options{"synthesis": synth, "store": stored} {
+		r, err := NewRunner(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := r.Specs()[0].Intervals; n < 2 {
+			t.Fatalf("%s: trace 0 has %d intervals, want >= 2", name, n)
+		}
+		win, res5, resP, err := r.RefInterval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := slices.Collect(win.Records())
+		if len(recs) == 0 {
+			t.Fatalf("%s: reference window is empty", name)
+		}
+		for _, c := range []struct {
+			def  flow.Definition
+			want flow.Result
+		}{{flow.By5Tuple, res5}, {flow.ByPrefix24, resP}} {
+			got, err := flow.Measure(recs, c.def, flow.DefaultTimeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(c.want.Flows) == 0 {
+				t.Fatalf("%s/%s: suite kept no reference flows", name, c.def)
+			}
+			if !slices.Equal(got.Flows, c.want.Flows) || !slices.Equal(got.Discarded, c.want.Discarded) {
+				t.Fatalf("%s/%s: window measures %d flows / %d discarded, suite %d / %d",
+					name, c.def, len(got.Flows), len(got.Discarded), len(c.want.Flows), len(c.want.Discarded))
+			}
+		}
 	}
 }
 

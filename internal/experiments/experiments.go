@@ -67,10 +67,9 @@ type Options struct {
 	// StoreDir, when set, points the measurement pass at pre-generated trace
 	// stores: each suite trace streams from <StoreDir>/<name>.fstore
 	// (written by `tracegen -store` with the same suite geometry) instead of
-	// being re-synthesised, and reference windows replay through the store's
-	// checkpoint footer — no resident program index. Output is byte-identical
-	// to the synthesis path: stored blocks carry the exact rebased times the
-	// generator emitted.
+	// being re-synthesised; the one reference interval is still synthesised
+	// (see RefInterval). Output is byte-identical to the synthesis path:
+	// stored blocks carry the exact rebased times the generator emitted.
 	StoreDir string
 	// ShardIndex/ShardCount split the suite across processes: this runner
 	// measures only traces ti with ti % ShardCount == ShardIndex
@@ -164,27 +163,12 @@ type Runner struct {
 	refRes5  flow.Result
 	refResP  flow.Result
 	measured bool
-	// refCk is the reference trace's shared replay index: every reference
-	// window regenerates from the nearest checkpoint in O(window + active
-	// flows) instead of replaying the trace prefix, and all windows of the
-	// trace share the one phase-1 pass the index holds.
-	refCk *trace.Checkpoints
-	// refStore keeps the reference trace's store reader open while refCk
-	// replays through its footer (the index aliases the file mapping).
-	refStore *store.Reader
 }
 
-// Close releases what the runner may hold open — currently the reference
-// trace's store reader (store-backed passes only). Windows handed out by
-// RefInterval die with it. Safe on a runner that never measured.
-func (r *Runner) Close() error {
-	if r.refStore == nil {
-		return nil
-	}
-	err := r.refStore.Close()
-	r.refStore, r.refCk = nil, nil
-	return err
-}
+// Close returns nil: the runner holds nothing open (every trace streams,
+// and reference windows replay from the generator). It is kept for
+// callers that defer it after NewRunner.
+func (r *Runner) Close() error { return nil }
 
 // NewRunner builds the scaled suite.
 func NewRunner(opts Options) (*Runner, error) {
@@ -302,10 +286,7 @@ func (r *Runner) measureSuite() error {
 	if r.measured {
 		return nil
 	}
-	parent := r.opts.Context
-	if parent == nil {
-		parent = context.Background()
-	}
+	parent := r.context()
 	var budget membudget.Reserver
 	if r.opts.MemBudgetBytes > 0 {
 		b, err := membudget.New(r.opts.MemBudgetBytes)
@@ -579,6 +560,15 @@ func (r *Runner) produceTrace(ctx context.Context, ti int, spec trace.TraceSpec,
 	return sum, nil
 }
 
+// context returns the caller's bound on the runner's passes (Options.Context,
+// or Background when unset).
+func (r *Runner) context() context.Context {
+	if r.opts.Context == nil {
+		return context.Background()
+	}
+	return r.opts.Context
+}
+
 // ownsTrace reports whether this runner's shard measures trace ti.
 func (r *Runner) ownsTrace(ti int) bool {
 	return r.opts.ShardCount <= 1 || ti%r.opts.ShardCount == r.opts.ShardIndex
@@ -744,39 +734,14 @@ func (r *Runner) Stats(def flow.Definition) ([]IntervalStat, error) {
 // interval 0): a replayable window over its packets plus both flow
 // measurements. The window regenerates the packets deterministically on
 // demand, so no per-interval record buffer outlives the measurement pass.
-// Windows come from a shared per-trace checkpoint index, so replay cost is
-// O(window + active flows) wherever the reference interval sits — a deep
-// reference interval is as cheap as interval 0 — and repeated RefInterval
-// calls reuse one phase-1 pass.
+// The interval sits at the trace start, where a plain window replays in
+// O(window), so every call — store-backed runners included — synthesises
+// just that one interval.
 func (r *Runner) RefInterval() (trace.Window, flow.Result, flow.Result, error) {
 	if err := r.measureSuite(); err != nil {
 		return trace.Window{}, flow.Result{}, flow.Result{}, err
 	}
-	if r.refCk == nil {
-		cfg0 := suiteConfig(r.specs[0])
-		if r.opts.StoreDir != "" {
-			// The store footer streams programs from disk: the reference
-			// trace's checkpoint index costs no resident []FlowProgram. A
-			// store without a footer falls back to the in-memory index.
-			if sr, err := store.Open(r.storePath(r.specs[0])); err == nil {
-				if ck, cerr := sr.Checkpoints(cfg0); cerr == nil {
-					r.refCk, r.refStore = ck, sr
-				} else {
-					sr.Close()
-				}
-			}
-		}
-		if r.refCk == nil {
-			// One checkpoint per analysis interval: reference windows are
-			// interval-aligned, so replay carry-over stays minimal.
-			ck, err := trace.NewCheckpoints(cfg0, r.specs[0].IntervalSec)
-			if err != nil {
-				return trace.Window{}, flow.Result{}, flow.Result{}, err
-			}
-			r.refCk = ck
-		}
-	}
-	win, err := r.refCk.Window(0, r.specs[0].IntervalSec)
+	win, err := trace.NewWindow(suiteConfig(r.specs[0]), 0, r.specs[0].IntervalSec)
 	if err != nil {
 		return trace.Window{}, flow.Result{}, flow.Result{}, err
 	}

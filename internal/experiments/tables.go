@@ -44,25 +44,30 @@ type PredictionSetup struct {
 
 // predictionTrace generates the prediction experiment's trace: one long
 // analysis window at a mid-utilisation operating point (the paper uses one
-// 30-minute trace from Table I).
+// 30-minute trace from Table I), streamed once through the flow measurer
+// and the rate binner.
 func (r *Runner) predictionTrace(duration float64, seed int64) (*PredictionSetup, error) {
 	spec := r.specs[4] // trace-5: 136 Mb/s on the OC-12, the paper's mid class
 	cfg := spec.Config()
 	cfg.Duration = duration
 	cfg.Warmup = 60
 	cfg.Seed = seed
-	recs, _, err := trace.GenerateAll(cfg)
+	m, err := flow.NewMeasurer([]flow.Definition{flow.By5Tuple}, flow.DefaultTimeout)
+	if err != nil {
+		return nil, err
+	}
+	binner, err := timeseries.NewBinner(duration, r.opts.Delta)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: prediction trace: %w", err)
 	}
-	res, err := flow.Measure(recs, flow.By5Tuple, flow.DefaultTimeout)
-	if err != nil {
-		return nil, err
+	if _, err := trace.StreamParallelBlocksCtx(r.context(), cfg, r.opts.GenWorkers, func(blk *trace.Block) error {
+		binner.AddBlock(blk)
+		return m.AddBlock(blk)
+	}); err != nil {
+		return nil, fmt.Errorf("experiments: prediction trace: %w", err)
 	}
-	series, err := timeseries.Bin(recs, duration, r.opts.Delta)
-	if err != nil {
-		return nil, err
-	}
+	res := m.Flush()[0]
+	series := binner.Series()
 	series.Subtract(res.Discarded)
 	return &PredictionSetup{Duration: duration, Series: series, Flows: res.Flows}, nil
 }

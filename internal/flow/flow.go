@@ -311,8 +311,9 @@ func (a *Assembler) Flush() Result {
 	return out
 }
 
-// measureByDef runs recs through the assembler of one definition.
-func measureByDef(recs []trace.Record, def Definition, timeout float64) (Result, error) {
+// Measure groups recs (time-ordered) into flows under the given definition
+// with the given timeout (use DefaultTimeout for the paper's 60 s).
+func Measure(recs []trace.Record, def Definition, timeout float64) (Result, error) {
 	a, err := NewAssembler(def, timeout)
 	if err != nil {
 		return Result{}, err
@@ -325,12 +326,6 @@ func measureByDef(recs []trace.Record, def Definition, timeout float64) (Result,
 	return a.Flush(), nil
 }
 
-// Measure groups recs (time-ordered) into flows under the given definition
-// with the given timeout (use DefaultTimeout for the paper's 60 s).
-func Measure(recs []trace.Record, def Definition, timeout float64) (Result, error) {
-	return measureByDef(recs, def, timeout)
-}
-
 // IntervalResult is the measurement of one analysis interval.
 type IntervalResult struct {
 	Index int
@@ -338,88 +333,66 @@ type IntervalResult struct {
 	Result
 }
 
-// MeasureIntervals divides recs into consecutive intervals of intervalSec
-// and measures each independently, splitting flows at boundaries exactly as
-// the paper does ("flows that belong to 30 minutes intervals are split over
-// the intervals they overlap"). Flow Start/End times are relative to the
-// interval start, matching the per-interval analysis of §VI.
+// MeasureIntervals divides the block stream feed delivers (feed calls sink
+// once per block, in time order) into consecutive intervals of intervalSec
+// and measures each independently under every definition in defs,
+// splitting flows at boundaries exactly as the paper does ("flows that
+// belong to 30 minutes intervals are split over the intervals they
+// overlap"). out[di] holds the intervals under defs[di]. Flow Start/End
+// times are relative to the interval start, matching the per-interval
+// analysis of §VI.
 //
-// It is one pass of an IntervalClock over one Measurer: no window is copied
-// and no record is visited twice. Empty intervals between packets are still
-// emitted so interval indices align with wall-clock position (a dead link is
-// data, not a gap).
-func MeasureIntervals(recs []trace.Record, def Definition, intervalSec, timeout float64) ([]IntervalResult, error) {
+// It is one pass of an IntervalClock over one Measurer, the loop of flowd's
+// Pipeline.AddBlock: no window is copied, no packet is visited twice, and
+// the borrowed blocks are only read (rebased times go to a scratch column),
+// so read-only store blocks can feed it. Empty intervals between packets
+// are still emitted so interval indices align with wall-clock position (a
+// dead link is data, not a gap).
+func MeasureIntervals(feed func(sink func(*trace.Block) error) error, defs []Definition, intervalSec, timeout float64) ([][]IntervalResult, error) {
 	clock, err := NewIntervalClock(intervalSec)
 	if err != nil {
 		return nil, err
 	}
-	m, err := NewMeasurer([]Definition{def}, timeout)
+	m, err := NewMeasurer(defs, timeout)
 	if err != nil {
 		return nil, err
 	}
-	var out []IntervalResult
+	out := make([][]IntervalResult, len(defs))
 	closeTo := func(idx int) {
 		for clock.Index() < idx {
-			out = append(out, IntervalResult{Index: clock.Index(), Start: clock.Origin(), Result: m.Flush()[0]})
+			for di, res := range m.Flush() {
+				out[di] = append(out[di], IntervalResult{Index: clock.Index(), Start: clock.Origin(), Result: res})
+			}
 			clock.Advance()
 			m.Reset()
 		}
 	}
-	for _, rec := range recs {
-		idx, err := clock.Place(rec.Time)
-		if err != nil {
-			return nil, err
+	var rebased []float64
+	err = feed(func(blk *trace.Block) error {
+		for j, n := 0, blk.Len(); j < n; {
+			idx, k, err := clock.PlaceRun(blk.Times, j)
+			if err != nil {
+				return err
+			}
+			closeTo(idx)
+			sub := blk.Slice(j, k)
+			if origin := clock.Origin(); origin != 0 {
+				rebased = append(rebased[:0], sub.Times...)
+				for i := range rebased {
+					rebased[i] -= origin
+				}
+				sub.Times = rebased
+			}
+			if err := m.AddBlock(&sub); err != nil {
+				return err
+			}
+			j = k
 		}
-		closeTo(idx)
-		rec.Time -= clock.Origin()
-		if err := m.Add(rec); err != nil {
-			return nil, err
-		}
-	}
-	closeTo(clock.Total())
-	return out, nil
-}
-
-// MeasureSpanning measures flows without boundary splitting (one assembler
-// across the whole trace) and assigns each flow to the interval containing
-// its start. This is the ablation counterpart of MeasureIntervals used to
-// quantify the splitting artefact the paper argues is marginal (§III, §VI).
-func MeasureSpanning(recs []trace.Record, def Definition, intervalSec, timeout float64) ([]IntervalResult, error) {
-	if !(intervalSec > 0) {
-		return nil, fmt.Errorf("flow: interval must be > 0, got %g", intervalSec)
-	}
-	whole, err := measureByDef(recs, def, timeout)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	maxIdx := 0
-	if len(recs) > 0 {
-		maxIdx = int(recs[len(recs)-1].Time / intervalSec)
-	}
-	out := make([]IntervalResult, maxIdx+1)
-	for i := range out {
-		out[i] = IntervalResult{Index: i, Start: float64(i) * intervalSec}
-	}
-	assign := func(t float64) int {
-		idx := int(t / intervalSec)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx > maxIdx {
-			idx = maxIdx
-		}
-		return idx
-	}
-	for _, f := range whole.Flows {
-		idx := assign(f.Start)
-		f.Start -= out[idx].Start
-		f.End -= out[idx].Start
-		out[idx].Flows = append(out[idx].Flows, f)
-	}
-	for _, d := range whole.Discarded {
-		idx := assign(d.Time)
-		d.Time -= out[idx].Start
-		out[idx].Discarded = append(out[idx].Discarded, d)
-	}
+	closeTo(clock.Total())
 	return out, nil
 }

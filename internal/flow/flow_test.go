@@ -268,7 +268,7 @@ func TestMeasureIntervalsSplitsAtBoundaries(t *testing.T) {
 	for ts := 50.0; ts <= 130; ts += 5 {
 		recs = append(recs, rec(ts, 1, 1, 1000, 100))
 	}
-	ivs, err := MeasureIntervals(recs, By5Tuple, 60, DefaultTimeout)
+	ivs, err := measureRecIntervals(recs, By5Tuple, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,17 +285,13 @@ func TestMeasureIntervalsSplitsAtBoundaries(t *testing.T) {
 		}
 	}
 	// Total split-flow count exceeds the unsplit count by the number of
-	// boundaries crossed (2).
-	span, err := MeasureSpanning(recs, By5Tuple, 60, DefaultTimeout)
+	// boundaries crossed (2): the whole-trace measurement sees one flow.
+	whole, err := Measure(recs, By5Tuple, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total int
-	for _, iv := range span {
-		total += len(iv.Flows)
-	}
-	if total != 1 {
-		t.Fatalf("spanning flows = %d, want 1", total)
+	if len(whole.Flows) != 1 {
+		t.Fatalf("unsplit flows = %d, want 1", len(whole.Flows))
 	}
 }
 
@@ -305,7 +301,7 @@ func TestMeasureIntervalsEmptyGap(t *testing.T) {
 		// nothing in interval 1 (60..120)
 		rec(130, 2, 2, 2, 100), rec(131, 2, 2, 2, 100),
 	}
-	ivs, err := MeasureIntervals(recs, By5Tuple, 60, DefaultTimeout)
+	ivs, err := measureRecIntervals(recs, By5Tuple, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,11 +317,14 @@ func TestMeasureIntervalsEmptyGap(t *testing.T) {
 }
 
 func TestMeasureIntervalsValidation(t *testing.T) {
-	if _, err := MeasureIntervals(nil, By5Tuple, 0, 60); err == nil {
+	if _, err := measureRecIntervals(nil, By5Tuple, 0); err == nil {
 		t.Fatal("zero interval should be rejected")
 	}
-	if _, err := MeasureSpanning(nil, By5Tuple, -1, 60); err == nil {
+	if _, err := measureRecIntervals(nil, By5Tuple, -1); err == nil {
 		t.Fatal("negative interval should be rejected")
+	}
+	if _, err := MeasureIntervals(recordFeed(nil, 1), nil, 60, DefaultTimeout); err == nil {
+		t.Fatal("empty definition list should be rejected")
 	}
 	if _, err := Measure(nil, Definition(99), 60); err == nil {
 		t.Fatal("unknown definition should be rejected")

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dist"
@@ -30,7 +31,7 @@ func bruteIntervals(t *testing.T, recs []trace.Record, def Definition, intervalS
 		for k := range window {
 			window[k].Time -= lo
 		}
-		res, err := measureByDef(window, def, timeout)
+		res, err := Measure(window, def, timeout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,29 +83,67 @@ func sameResults(a, b Result) bool {
 	return true
 }
 
+// measureRecIntervals runs MeasureIntervals over recs, fed in full blocks,
+// under the one definition def.
+func measureRecIntervals(recs []trace.Record, def Definition, intervalSec float64) ([]IntervalResult, error) {
+	out, err := MeasureIntervals(recordFeed(recs, trace.BlockSize), []Definition{def}, intervalSec, DefaultTimeout)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 // The one-pass MeasureIntervals must agree with the window-copy reference
-// for every definition, per interval, flow by flow.
+// for every definition, per interval, flow by flow — measuring all
+// definitions in one pass, at block lengths that straddle boundaries.
 func TestMeasureIntervalsMatchesBruteForce(t *testing.T) {
 	recs := syntheticRecs(t)
 	const intervalSec = 10.0
-	for _, def := range []Definition{By5Tuple, ByPrefix24, ByPrefix16} {
-		want := bruteIntervals(t, recs, def, intervalSec, DefaultTimeout)
-		got, err := MeasureIntervals(recs, def, intervalSec, DefaultTimeout)
+	defs := []Definition{By5Tuple, ByPrefix24, ByPrefix16}
+	for _, blockLen := range []int{1, 17, trace.BlockSize} {
+		all, err := MeasureIntervals(recordFeed(recs, blockLen), defs, intervalSec, DefaultTimeout)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d intervals, want %d", def, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Index != want[i].Index || got[i].Start != want[i].Start {
-				t.Fatalf("%s: interval %d header mismatch: %+v vs %+v",
-					def, i, got[i], want[i])
+		for di, def := range defs {
+			want := bruteIntervals(t, recs, def, intervalSec, DefaultTimeout)
+			got := all[di]
+			if len(got) != len(want) {
+				t.Fatalf("%s/%d: %d intervals, want %d", def, blockLen, len(got), len(want))
 			}
-			if !sameResults(got[i].Result, want[i].Result) {
-				t.Fatalf("%s: interval %d flows differ", def, i)
+			for i := range want {
+				if got[i].Index != want[i].Index || got[i].Start != want[i].Start {
+					t.Fatalf("%s/%d: interval %d header mismatch: %+v vs %+v",
+						def, blockLen, i, got[i], want[i])
+				}
+				if !sameResults(got[i].Result, want[i].Result) {
+					t.Fatalf("%s/%d: interval %d flows differ", def, blockLen, i)
+				}
 			}
 		}
+	}
+}
+
+// MeasureIntervals only reads the blocks it borrows: a feed's block must
+// come back with its original (not interval-rebased) times.
+func TestMeasureIntervalsLeavesBlocksUnwritten(t *testing.T) {
+	recs := syntheticRecs(t)
+	feed := func(sink func(*trace.Block) error) error {
+		return recordFeed(recs, trace.BlockSize)(func(blk *trace.Block) error {
+			before := append([]float64(nil), blk.Times...)
+			if err := sink(blk); err != nil {
+				return err
+			}
+			for j, tm := range blk.Times {
+				if tm != before[j] {
+					return fmt.Errorf("block time %d rewritten: %g -> %g", j, before[j], tm)
+				}
+			}
+			return nil
+		})
+	}
+	if _, err := MeasureIntervals(feed, []Definition{By5Tuple}, 10, DefaultTimeout); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -116,7 +155,7 @@ func TestMeasureIntervalsEmptyIntervals(t *testing.T) {
 		rec(31.0, 2, 2, 2000, 100),
 		rec(31.5, 2, 2, 2000, 100),
 	}
-	out, err := MeasureIntervals(recs, By5Tuple, 10, DefaultTimeout)
+	out, err := measureRecIntervals(recs, By5Tuple, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +248,7 @@ func TestIntervalClockRejectsNegativeTime(t *testing.T) {
 	if _, _, err := c.PlaceRun([]float64{1, -0.5}, 0); err == nil {
 		t.Fatal("negative time inside a run should be rejected")
 	}
-	if _, err := MeasureIntervals([]trace.Record{rec(-0.5, 1, 1, 1000, 100)}, By5Tuple, 10, DefaultTimeout); err == nil {
+	if _, err := measureRecIntervals([]trace.Record{rec(-0.5, 1, 1, 1000, 100)}, By5Tuple, 10); err == nil {
 		t.Fatal("MeasureIntervals accepted a negative-time packet")
 	}
 }
@@ -249,7 +288,7 @@ func TestIntervalClockValidation(t *testing.T) {
 	if _, err := NewIntervalClock(0); err == nil {
 		t.Fatal("zero interval should be rejected")
 	}
-	if _, err := MeasureIntervals(nil, Definition(99), 10, DefaultTimeout); err == nil {
+	if _, err := measureRecIntervals(nil, Definition(99), 10); err == nil {
 		t.Fatal("unknown definition should be rejected")
 	}
 	c, err := NewIntervalClock(10)

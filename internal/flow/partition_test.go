@@ -7,20 +7,29 @@ import (
 	"repro/internal/trace"
 )
 
+// recordFeed packs recs into one pooled block, handing it to sink every n
+// records and once more for the remainder: the block feed MeasureIntervals
+// and the partitioner consume.
+func recordFeed(recs []trace.Record, n int) func(sink func(*trace.Block) error) error {
+	return func(sink func(*trace.Block) error) error {
+		blk := trace.GetBlock()
+		defer trace.PutBlock(blk)
+		for i, r := range recs {
+			blk.AppendRecord(r)
+			if blk.Len() == n || i == len(recs)-1 {
+				if err := sink(blk); err != nil {
+					return err
+				}
+				blk.Reset()
+			}
+		}
+		return nil
+	}
+}
+
 // partitionBlocks routes recs through p in blocks of n records.
 func partitionBlocks(p *IntervalPartitioner, recs []trace.Record, n int) error {
-	blk := trace.GetBlock()
-	defer trace.PutBlock(blk)
-	for i, r := range recs {
-		blk.AppendRecord(r)
-		if blk.Len() == n || i == len(recs)-1 {
-			if err := p.AddBlock(blk); err != nil {
-				return err
-			}
-			blk.Reset()
-		}
-	}
-	return nil
+	return recordFeed(recs, n)(p.AddBlock)
 }
 
 // measureStream drains one interval's stream into a measurer over defs,
@@ -81,7 +90,7 @@ func TestIntervalPartitionerMatchesMeasureIntervals(t *testing.T) {
 	recs := syntheticRecs(t)
 	const intervalSec = 10.0
 	for _, def := range []Definition{By5Tuple, ByPrefix24} {
-		want, err := MeasureIntervals(recs, def, intervalSec, DefaultTimeout)
+		want, err := measureRecIntervals(recs, def, intervalSec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +116,7 @@ func TestIntervalPartitionerMultiDefinition(t *testing.T) {
 	defs := []Definition{By5Tuple, ByPrefix24}
 	got := partitionMeasure(t, recs, defs, intervalSec, trace.BlockSize)
 	for di, def := range defs {
-		want, err := MeasureIntervals(recs, def, intervalSec, DefaultTimeout)
+		want, err := measureRecIntervals(recs, def, intervalSec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +137,7 @@ func TestIntervalPartitionerConcurrentConsumers(t *testing.T) {
 	recs := syntheticRecs(t)
 	const intervalSec = 10.0
 	const duration = 40.0
-	want, err := MeasureIntervals(recs, By5Tuple, intervalSec, DefaultTimeout)
+	want, err := measureRecIntervals(recs, By5Tuple, intervalSec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,9 @@ func FluidSeries(cfg Config, delta float64) (timeseries.Series, error) {
 // FluidSeries, with each flow's bytes chopped into pktBytes-sized packets
 // paced on the shot's inverse cumulative curve. The shot must be a
 // core.PowerShot (the family §V-D fits); general shots would need numeric
-// inversion. Records are returned in timestamp order.
+// inversion. Packets reach fn in timestamp order as pooled blocks that fn
+// borrows until it returns (trace.PlayPrograms' contract); an fn error
+// stops generation and is returned.
 //
 // Generation rides the trace package's shared program player: each arrival
 // becomes a compact trace.FlowProgram pulled on demand, and the player
@@ -135,21 +137,21 @@ func FluidSeries(cfg Config, delta float64) (timeseries.Series, error) {
 // event buffer and no final sort; working memory is O(concurrently active
 // flows). Warm-up flows fast-forward to their first in-window packet in
 // O(1) instead of generating-and-discarding their early packets.
-func Packets(cfg Config, pktBytes int) ([]trace.Record, error) {
+func Packets(cfg Config, pktBytes int, fn func(*trace.Block) error) error {
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return err
 	}
 	ps, ok := cfg.Shot.(core.PowerShot)
 	if !ok {
-		return nil, fmt.Errorf("gen: packet generation requires a PowerShot, got %T", cfg.Shot)
+		return fmt.Errorf("gen: packet generation requires a PowerShot, got %T", cfg.Shot)
 	}
 	if pktBytes < 40 {
-		return nil, fmt.Errorf("gen: pktBytes must be >= 40, got %d", pktBytes)
+		return fmt.Errorf("gen: pktBytes must be >= 40, got %d", pktBytes)
 	}
 	r := rng.New(cfg.Seed)
 	pp, err := dist.NewPoissonProcess(cfg.Lambda, r)
 	if err != nil {
-		return nil, fmt.Errorf("gen: %w", err)
+		return fmt.Errorf("gen: %w", err)
 	}
 	horizon := cfg.Warmup + cfg.Duration
 	invBp1 := 1 / (ps.B + 1)
@@ -182,16 +184,9 @@ func Packets(cfg Config, pktBytes int) ([]trace.Record, error) {
 			}, true
 		}
 	}
-	est := int(cfg.Lambda * cfg.Duration * 8)
-	if est < 0 || est > 1<<22 {
-		est = 1 << 22
-	}
-	recs := make([]trace.Record, 0, est)
-	trace.PlayPrograms(cfg.Warmup, horizon, est, next, func(rec trace.Record) bool {
-		recs = append(recs, rec)
-		return true
-	})
-	return recs, nil
+	// ~8 packets per flow sizes the player's bucket grid (which caps it).
+	est := int(math.Min(cfg.Lambda*cfg.Duration*8, math.MaxInt32))
+	return trace.PlayPrograms(cfg.Warmup, horizon, est, next, fn)
 }
 
 // synthHeader builds a distinct 5-tuple per generated flow.

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,20 @@ import (
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
+	"repro/internal/trace"
 )
+
+// packetRecords collects every packet Packets streams, in order.
+func packetRecords(cfg Config, pktBytes int) ([]trace.Record, error) {
+	var recs []trace.Record
+	err := Packets(cfg, pktBytes, func(blk *trace.Block) error {
+		for j := range blk.Len() {
+			recs = append(recs, blk.Record(j))
+		}
+		return nil
+	})
+	return recs, err
+}
 
 // testPopulation draws a reproducible flow population in bits/seconds.
 func testPopulation(n int, seed int64) []core.FlowSample {
@@ -52,7 +66,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := FluidSeries(good, 100); err == nil {
 		t.Fatal("delta > duration should be rejected")
 	}
-	if _, err := Packets(good, 10); err == nil {
+	if _, err := packetRecords(good, 10); err == nil {
 		t.Fatal("tiny pktBytes should be rejected")
 	}
 	fs, err := core.NewFuncShot("flat", func(u float64) float64 { return 1 })
@@ -60,7 +74,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	good.Shot = fs
-	if _, err := Packets(good, 1500); err == nil {
+	if _, err := packetRecords(good, 1500); err == nil {
 		t.Fatal("non-power shot for packets should be rejected")
 	}
 }
@@ -142,7 +156,7 @@ func TestFluidSeriesBitConservation(t *testing.T) {
 func TestPacketsMatchFluid(t *testing.T) {
 	m := testModel(t, core.Triangular, 80)
 	cfg := FromModel(m, 200, 20, 6)
-	recs, err := Packets(cfg, 500)
+	recs, err := packetRecords(cfg, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +195,11 @@ func TestPacketsMatchFluid(t *testing.T) {
 func TestPacketsDeterministic(t *testing.T) {
 	m := testModel(t, core.Rectangular, 30)
 	cfg := FromModel(m, 50, 0, 7)
-	a, err := Packets(cfg, 1500)
+	a, err := packetRecords(cfg, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Packets(cfg, 1500)
+	b, err := packetRecords(cfg, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,5 +234,47 @@ func TestWarmupMakesStartStationary(t *testing.T) {
 	}
 	if math.Abs(head(warmS)-m.Mean())/m.Mean() > 0.25 {
 		t.Fatalf("warm head %g far from model mean %g", head(warmS), m.Mean())
+	}
+}
+
+// Packets streams through one pooled block: every block but the last is
+// full, an fn error stops generation and comes back unchanged, and the
+// block returns to the pool either way.
+func TestPacketsStreamsBlocks(t *testing.T) {
+	m := testModel(t, core.Triangular, 80)
+	cfg := FromModel(m, 60, 10, 3)
+	base := trace.LiveBlocks()
+	var lens []int
+	err := Packets(cfg, 500, func(blk *trace.Block) error {
+		if live := trace.LiveBlocks(); live != base+1 {
+			t.Fatalf("%d blocks live inside fn, want %d", live, base+1)
+		}
+		lens = append(lens, blk.Len())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lens) < 3 {
+		t.Fatalf("only %d blocks streamed", len(lens))
+	}
+	for i, n := range lens {
+		if n == 0 || (i < len(lens)-1 && n != trace.BlockSize) {
+			t.Fatalf("block %d of %d holds %d packets", i, len(lens), n)
+		}
+	}
+	stop := errors.New("stop")
+	calls := 0
+	err = Packets(cfg, 500, func(*trace.Block) error {
+		if calls++; calls == 2 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || calls != 2 {
+		t.Fatalf("fn error: got %v after %d calls, want %v after 2", err, calls, stop)
+	}
+	if live := trace.LiveBlocks(); live != base {
+		t.Fatalf("%d blocks live after Packets, want %d", live, base)
 	}
 }

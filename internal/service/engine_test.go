@@ -80,12 +80,12 @@ func TestIntervalEnginesRejectNonFiniteTimes(t *testing.T) {
 			return p.AddBlock(blk)
 		},
 		"measure-intervals": func(times []float64) error {
-			recs := make([]trace.Record, len(times))
-			for i, tm := range times {
-				recs[i] = trace.Record{Time: tm}
-				recs[i].Hdr.TotalLen = 100
+			feed := func(sink func(*trace.Block) error) error {
+				blk := timesBlock(times)
+				defer trace.PutBlock(blk)
+				return sink(blk)
 			}
-			_, err := flow.MeasureIntervals(recs, flow.By5Tuple, tInterval, flow.DefaultTimeout)
+			_, err := flow.MeasureIntervals(feed, []flow.Definition{flow.By5Tuple}, tInterval, flow.DefaultTimeout)
 			return err
 		},
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -35,13 +36,13 @@ func TestCheckpointWindowMatchesPrefixReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ref.Materialize()
+		want := slices.Collect(ref.Records())
 		ckw, err := ck.Window(lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for replay := 0; replay < 2; replay++ {
-			got := ckw.Materialize()
+			got := slices.Collect(ckw.Records())
 			if len(got) != len(want) {
 				t.Fatalf("window [%g,%g) replay %d: %d records, want %d", lo, hi, replay, len(got), len(want))
 			}
@@ -71,12 +72,12 @@ func TestCheckpointWindowRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ref.Materialize()
+			want := slices.Collect(ref.Records())
 			ckw, err := ck.Window(lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := ckw.Materialize()
+			got := slices.Collect(ckw.Records())
 			if len(got) != len(want) {
 				t.Fatalf("seed %d window [%g,%g): %d records, want %d", seed, lo, hi, len(got), len(want))
 			}
@@ -107,7 +108,7 @@ func TestCheckpointWindowEarlyBreak(t *testing.T) {
 			break
 		}
 	}
-	if full := w.Materialize(); len(full) < 3 {
+	if full := slices.Collect(w.Records()); len(full) < 3 {
 		t.Fatalf("replay after early break saw %d records, want >= 3", len(full))
 	}
 }

@@ -515,15 +515,30 @@ func (f *pullFeed) admitThrough(b int, pl *player) {
 // consumed on demand — memory stays O(concurrently active flows) however
 // many programs the sequence holds. estEvents sizes the bucket grid (a
 // mis-estimate costs constants, never correctness: the grid refines itself
-// on hot buckets). emit returning false stops the replay. This is the face
-// external packet generators (e.g. the §VII-C model-driven generator in
-// gen) ride so they share the trace pipeline's player instead of
-// materialising and sorting.
-func PlayPrograms(lo, hi float64, estEvents int, next func() (FlowProgram, bool), emit func(Record) bool) {
+// on hot buckets). Packets travel to fn in one pooled block, handed over
+// each time it fills and once more for the last partial block; fn borrows
+// the block until it returns, and its error stops the replay and is
+// returned. This is the face external packet generators (e.g. the §VII-C
+// model-driven generator in gen) ride so they share the trace pipeline's
+// player instead of materialising and sorting.
+func PlayPrograms(lo, hi float64, estEvents int, next func() (FlowProgram, bool), fn func(*Block) error) error {
 	var pl player
 	pl.initPlayer(lo, hi, estEvents, &pullFeed{next: next})
+	blk := GetBlock()
+	defer PutBlock(blk)
+	var err error
 	pl.play(func(t float64, pkt int, hdr netpkt.Header) bool {
-		hdr.TotalLen = uint16(pkt)
-		return emit(Record{Time: t - lo, Hdr: hdr})
+		src, dst := hdr.Packed()
+		blk.Append(t-lo, uint16(pkt), src, dst)
+		if blk.Len() < BlockSize {
+			return true
+		}
+		err = fn(blk)
+		blk.Reset()
+		return err == nil
 	})
+	if err == nil && blk.Len() > 0 {
+		err = fn(blk)
+	}
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -128,7 +129,7 @@ func TestWindowReplayBitIdentical(t *testing.T) {
 				got = append(got, rec)
 			}
 		}
-		mustEqualRecords(t, "window", got, ref.Materialize())
+		mustEqualRecords(t, "window", got, slices.Collect(ref.Records()))
 	}
 }
 
@@ -168,7 +169,7 @@ func TestFooterCheckpointsDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustEqualRecords(t, "checkpoint window", wo.Materialize(), wm.Materialize())
+		mustEqualRecords(t, "checkpoint window", slices.Collect(wo.Records()), slices.Collect(wm.Records()))
 	}
 }
 

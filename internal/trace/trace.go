@@ -294,22 +294,3 @@ func GenerateAll(cfg Config) ([]Record, Summary, error) {
 	}
 	return recs, g.Stats(), nil
 }
-
-// MergeSorted merges two time-ordered record slices into one, preserving
-// order. Used to overlay e.g. a flood anomaly on a baseline trace.
-func MergeSorted(a, b []Record) []Record {
-	out := make([]Record, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Time <= b[j].Time {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}

@@ -275,29 +275,6 @@ func TestGeneratorPrefixConcentration(t *testing.T) {
 	}
 }
 
-func TestMergeSorted(t *testing.T) {
-	mk := func(times ...float64) []Record {
-		out := make([]Record, len(times))
-		for i, tt := range times {
-			out[i] = Record{Time: tt}
-		}
-		return out
-	}
-	got := MergeSorted(mk(1, 3, 5), mk(2, 4, 6))
-	want := []float64{1, 2, 3, 4, 5, 6}
-	for i, w := range want {
-		if got[i].Time != w {
-			t.Fatalf("merged[%d] = %g, want %g", i, got[i].Time, w)
-		}
-	}
-	if len(MergeSorted(nil, nil)) != 0 {
-		t.Fatal("merge of empties should be empty")
-	}
-	if got := MergeSorted(mk(1), nil); len(got) != 1 || got[0].Time != 1 {
-		t.Fatal("merge with empty lost records")
-	}
-}
-
 func TestRecordBits(t *testing.T) {
 	r := Record{Hdr: netpkt.Header{TotalLen: 1500}}
 	if r.Bits() != 12000 {

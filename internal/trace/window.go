@@ -29,10 +29,15 @@ type Window struct {
 // NewWindow validates cfg and the bounds and returns a replayable window
 // over [lo, hi) of cfg's trace.
 func NewWindow(cfg Config, lo, hi float64) (Window, error) {
-	// Validate once via a throwaway generator so Records cannot fail later:
-	// regeneration uses the exact cfg accepted here.
-	if _, err := NewGenerator(cfg); err != nil {
+	// Validate exactly what NewGenerator validates, so Records cannot fail
+	// later (regeneration uses the exact cfg accepted here), without sizing
+	// a whole-trace player nobody replays.
+	c, err := cfg.withDefaults()
+	if err != nil {
 		return Window{}, err
+	}
+	if _, err := newProgramSource(c); err != nil {
+		return Window{}, fmt.Errorf("trace: %w", err)
 	}
 	if lo < 0 || !(hi > lo) {
 		return Window{}, fmt.Errorf("trace: window bounds must satisfy 0 <= lo < hi, got [%g, %g)", lo, hi)
@@ -74,14 +79,4 @@ func (w Window) Records() iter.Seq[Record] {
 			}
 		}
 	}
-}
-
-// Materialize collects the window's records into a slice (tests and small
-// reference windows; large windows should stream via Records).
-func (w Window) Materialize() []Record {
-	var out []Record
-	for rec := range w.Records() {
-		out = append(out, rec)
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -51,7 +53,7 @@ func TestWindowMatchesFullTrace(t *testing.T) {
 		t.Fatalf("window duration %g, want %g", w.Duration(), hi-lo)
 	}
 	for replay := 0; replay < 2; replay++ {
-		got := w.Materialize()
+		got := slices.Collect(w.Records())
 		if len(got) != len(want) {
 			t.Fatalf("replay %d: %d records, want %d", replay, len(got), len(want))
 		}
@@ -81,7 +83,7 @@ func TestWindowReplayAfterEarlyBreak(t *testing.T) {
 			break
 		}
 	}
-	full := w.Materialize()
+	full := slices.Collect(w.Records())
 	if len(full) < 3 {
 		t.Fatalf("replay after early break saw %d records, want >= 3", len(full))
 	}
@@ -99,5 +101,12 @@ func TestWindowValidation(t *testing.T) {
 	bad.Duration = 0
 	if _, err := NewWindow(bad, 0, 5); err == nil {
 		t.Fatal("invalid config should be rejected")
+	}
+	// Config defaulting accepts an infinite Lambda; the arrival process
+	// does not, and neither may the window.
+	bad = cfg
+	bad.Lambda = math.Inf(1)
+	if _, err := NewWindow(bad, 0, 5); err == nil {
+		t.Fatal("infinite Lambda should be rejected")
 	}
 }
