@@ -602,28 +602,6 @@ func BenchmarkAveragedVarianceBatch(b *testing.B) {
 	b.ReportMetric(float64(len(deltas)), "deltas/op")
 }
 
-// BenchmarkLSTBatch is the transform-sweep face: eight θ points against one
-// population pass (the dimensioning searches probe the transform like this).
-func BenchmarkLSTBatch(b *testing.B) {
-	in := benchModelInput(b)
-	m, err := in.Model(core.Parabolic)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mu := m.Mean()
-	thetas := make([]float64, 8)
-	for i := range thetas {
-		thetas[i] = float64(i+1) / (4 * mu)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.LSTBatch(thetas); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(thetas)), "thetas/op")
-}
-
 // BenchmarkModelSuite mirrors the per-interval model work of the Table I
 // measurement pass: columnar input assembly into a pooled population, the
 // three shot-shape eq.(7) kernels, and the §V-D exponent fit.

@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -49,14 +50,14 @@ func main() {
 	if *out == "" {
 		fatal(fmt.Errorf("-o is required"))
 	}
-	if *duration < 0 {
-		fatal(fmt.Errorf("-duration must be >= 0 (0 = suite mode), got %g", *duration))
+	if !nonNegative(*duration) {
+		fatal(fmt.Errorf("-duration must be finite and >= 0 (0 = suite mode), got %g", *duration))
 	}
 	if *duration > 0 && !(*lambda > 0) {
 		fatal(fmt.Errorf("-lambda must be > 0 in custom mode, got %g", *lambda))
 	}
-	if *b < 0 {
-		fatal(fmt.Errorf("-b must be >= 0 (0 rect, 1 tri, 2 parabolic), got %g", *b))
+	if !nonNegative(*b) {
+		fatal(fmt.Errorf("-b must be finite and >= 0 (0 rect, 1 tri, 2 parabolic), got %g", *b))
 	}
 	if !(*link > 0) {
 		fatal(fmt.Errorf("-link must be > 0 bit/s, got %g", *link))
@@ -70,8 +71,8 @@ func main() {
 	if *maxIvl < 1 {
 		fatal(fmt.Errorf("-maxivl must be >= 1 interval, got %d", *maxIvl))
 	}
-	if *warmup < 0 {
-		fatal(fmt.Errorf("-warmup must be >= 0 seconds, got %g", *warmup))
+	if !nonNegative(*warmup) {
+		fatal(fmt.Errorf("-warmup must be finite and >= 0 seconds, got %g", *warmup))
 	}
 	if *genWork < 0 {
 		fatal(fmt.Errorf("-genworkers must be >= 0 (<= 1 = serial generator), got %d", *genWork))
@@ -114,8 +115,8 @@ func main() {
 		cfg.Warmup = *warmup
 	}
 
-	if *ckptEvr < 0 {
-		fatal(fmt.Errorf("-ckpt-every must be >= 0 seconds, got %g", *ckptEvr))
+	if !nonNegative(*ckptEvr) {
+		fatal(fmt.Errorf("-ckpt-every must be finite and >= 0 seconds, got %g", *ckptEvr))
 	}
 
 	// SIGINT/SIGTERM abort the run cleanly: generation stops at the next
@@ -159,6 +160,9 @@ func main() {
 	fmt.Printf("wrote %s: %d packets, %d flows, %.2f Mb/s over %.0f s\n",
 		*out, sum.Packets, sum.Flows, sum.AvgRateBps/1e6, sum.Duration)
 }
+
+// nonNegative reports whether x is finite and >= 0; NaN fails it.
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tracegen:", err)

@@ -44,11 +44,9 @@ var Analyzer = &framework.Analyzer{
 // against. They are allowed transcendentals and exact comparisons; kernel
 // files are not.
 var OracleFiles = map[string]bool{
-	"shot.go":   true, // scalar shot family: rate/size/duration closed forms
-	"specfn.go": true, // special functions (incomplete gamma family)
-	"model.go":  true, // scalar model faces kept as oracles for the batch kernels
-	"fit.go":    true, // offline fitting, not on the per-flow path
-	"tail.go":   true, // Chernoff tail search driving the scalar LST
+	"shot.go":   true, // scalar shot family: Rate/Cumulative closed forms and the non-integer-b CrossCov quadrature
+	"specfn.go": true, // special functions (incomplete gamma family) the kernels call once per flow
+	"model.go":  true, // generic-shot quadrature fallbacks and Cumulant's per-order constant
 }
 
 var bannedMathFuncs = map[string]bool{

@@ -40,7 +40,7 @@ func TestModelReducesToMGInf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := m.Mean(), r*q.MeanN(); math.Abs(got-want)/want > 1e-12 {
+	if got, want := m.Mean(), r*q.Load(); math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("mean: model %g vs r·ρ %g", got, want)
 	}
 	if got, want := m.Variance(), q.ConstantRateVariance(r); math.Abs(got-want)/want > 1e-12 {

@@ -32,15 +32,6 @@ func FitPowerB(measuredVariance, lambda, meanS2OverD float64) (b float64, ok boo
 	return (zeta - 1) + math.Sqrt(zeta*(zeta-1)), true, nil
 }
 
-// FitShot runs FitPowerB on model inputs and returns the fitted shot.
-func FitShot(measuredVariance float64, in Input) (PowerShot, bool, error) {
-	b, ok, err := FitPowerB(measuredVariance, in.Lambda, in.MeanS2OverD)
-	if err != nil {
-		return PowerShot{}, false, err
-	}
-	return PowerShot{B: b}, ok, nil
-}
-
 // MeanFromParams returns E[R] = λ·E[S] from the two parameters alone
 // (Corollary 1) — what an online estimator tracks without storing flows.
 func MeanFromParams(lambda, meanS float64) float64 { return lambda * meanS }

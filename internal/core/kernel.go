@@ -6,10 +6,11 @@ import (
 )
 
 // Coefficient-cached kernels for the integer-b power-shot model math. The
-// scalar closed forms in shot.go (avgVarCrossInt, lstIntegral, IntegralXK)
-// re-derive the same Pascal-row/monomial structure on every call — nested
-// powi/binomial loops per flow, per Δ or θ, per shot shape. For a fixed
-// (b, Δ) or (b, θ) all of that collapses to a handful of constants:
+// scalar closed forms (avgVarCrossInt, lstIntegral, IntegralXK, kept in
+// kernel_test.go as the oracles) re-derive the same Pascal-row/monomial
+// structure on every call — nested powi/binomial loops per flow, per Δ or
+// θ, per shot shape. For a fixed (b, Δ) or (b, θ) all of that collapses to
+// a handful of constants:
 //
 //   - eq.(7): ∫₀^{min(Δ,d)} (1-τ/Δ)·CrossCov(s,d,τ) dτ with x(t) = a·t^b and
 //     a = s(b+1)/d^{b+1} is, after expanding (d-τ)^q binomially,
@@ -24,8 +25,7 @@ import (
 //
 // The kernels precompute those constants once and evaluate per flow with a
 // branchy Horner pass over FlowPop columns — no powi, binomial or math.Pow
-// in the inner loop. The scalar paths remain as oracles; kernel_test.go pins
-// the batched-vs-scalar divergence.
+// in the inner loop. kernel_test.go pins the batched-vs-scalar divergence.
 
 // AvgVarKernel caches the eq.(7) per-flow integral coefficients for one
 // (integer shot exponent b, averaging interval Δ) pair. A kernel is
@@ -83,11 +83,9 @@ func NewAvgVarKernel(b int, delta float64) (*AvgVarKernel, error) {
 	return k, nil
 }
 
-// Delta returns the kernel's averaging interval.
-func (k *AvgVarKernel) Delta() float64 { return k.delta }
-
-// crossInt is the cached-coefficient equivalent of avgVarCrossInt for one
-// flow, taking the precomputed s² and 1/d columns.
+// crossInt is the cached-coefficient equivalent of the scalar avgVarCrossInt
+// oracle (kernel_test.go) for one flow, taking the precomputed s² and 1/d
+// columns.
 //
 //repro:hotpath
 func (k *AvgVarKernel) crossInt(s2, d, invd float64) float64 {
@@ -173,7 +171,8 @@ func (k lstKernel) root(s, d float64) float64 {
 	}
 }
 
-// oneMinusExp is the cached equivalent of lstIntegral for one flow.
+// oneMinusExp is the cached equivalent of the scalar lstIntegral oracle
+// (kernel_test.go) for one flow.
 //
 //repro:hotpath
 func (k lstKernel) oneMinusExp(s, d, invd float64) float64 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -172,37 +173,6 @@ func TestLSTKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestLSTBatchBitIdentical(t *testing.T) {
-	flows := testFlows(250, 32)
-	thetas := []float64{0, 1e-9, 1e-7, 1e-6, 3e-6, 1e-5}
-	for _, shot := range []Shot{Rectangular, Triangular, Parabolic, PowerShot{B: 0.5}} {
-		m, err := NewModel(80, shot, flows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := m.LSTBatch(thetas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, theta := range thetas {
-			v, err := m.LST(theta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if batch[i] != v {
-				t.Fatalf("%s theta=%g: batch %g != scalar face %g", shot.Name(), theta, batch[i], v)
-			}
-		}
-	}
-	m, err := NewModel(80, Triangular, flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.LSTBatch([]float64{1e-6, -1}); err == nil {
-		t.Fatal("negative theta must error")
-	}
-}
-
 // Cumulant's hoisted powi loop must track the per-flow IntegralXK oracle.
 func TestCumulantMatchesIntegralXKOracle(t *testing.T) {
 	flows := testFlows(200, 33)
@@ -332,4 +302,78 @@ func TestKernelPopulationSweep(t *testing.T) {
 				trial, b, theta, gotLST, wantLST, rel)
 		}
 	}
+}
+
+// The scalar closed forms below are the per-flow oracles the kernels are
+// pinned against; production evaluates them only through the kernels.
+
+// IntegralXK returns ∫₀^D x(t)^k dt = s^k·(b+1)^k / (d^(k-1)·(kb+1)),
+// needed for moments of order k (Corollary 3): the k-th cumulant of the
+// total rate is λ·E[∫X^k].
+func (p PowerShot) IntegralXK(s, d float64, k int) (float64, error) {
+	if k < 1 {
+		return 0, fmt.Errorf("core: moment order must be >= 1, got %d", k)
+	}
+	if d <= 0 {
+		return 0, nil
+	}
+	kk := float64(k)
+	return math.Pow(s, kk) * math.Pow(p.B+1, kk) / (math.Pow(d, kk-1) * (kk*p.B + 1)), nil
+}
+
+// avgVarCrossInt returns ∫₀^{min(Δ,d)} (1 - τ/Δ)·CrossCov(s,d,τ) dτ in
+// closed form for integer b (the integrand is a polynomial in τ):
+// expanding (d-τ)^q binomially inside CrossCov's Σ_j C(b,j)τ^{b-j}(d-τ)^q/q
+// reduces the integral to monomials. It lets AveragedVariance evaluate the
+// eq.(7) smoothing with one pass over the flow population instead of one
+// pass per quadrature point. Callers must hold closedFormB's ok — the
+// applicability depends only on the exponent, not on the flow.
+func (p PowerShot) avgVarCrossInt(s, d, delta float64) float64 {
+	b := int(p.B)
+	if d <= 0 || delta <= 0 {
+		return 0
+	}
+	m := delta
+	if d < m {
+		m = d
+	}
+	a := s * (p.B + 1) / powi(d, b+1)
+	var total float64
+	for j := 0; j <= b; j++ {
+		pj := b - j    // τ exponent of the CrossCov term
+		q := b + j + 1 // (d-τ) exponent
+		var inner float64
+		sign := 1.0
+		for k := 0; k <= q; k++ {
+			mk1 := powi(m, pj+k+1)
+			inner += sign * binomial(q, k) * powi(d, q-k) *
+				(mk1/float64(pj+k+1) - mk1*m/(float64(pj+k+2)*delta))
+			sign = -sign
+		}
+		total += binomial(b, j) / float64(q) * inner
+	}
+	return a * a * total
+}
+
+// lstIntegral returns ∫₀^D (1 - e^{-θ·x(t)}) dt — the per-flow LST
+// integrand of Theorem 1 — in closed form for integer-b power shots.
+// Substituting u = θ·a·t^b reduces the integral to
+//
+//	(1/b)·(θa)^{-1/b} · ∫₀^{θaD^b} u^{1/b-1}(1 - e^{-u}) du,
+//
+// the incomplete-gamma-family integral gammaLower1mExp evaluates; b = 0 is
+// the elementary constant-rate case via expm1 (exact even when θS/D
+// underflows the e^{-y} ≈ 1 regime). Callers must hold closedFormB's ok.
+func (p PowerShot) lstIntegral(s, d, theta float64) float64 {
+	if d <= 0 || s <= 0 || theta <= 0 {
+		return 0
+	}
+	b := int(p.B)
+	if b == 0 {
+		return d * -math.Expm1(-theta*s/d)
+	}
+	a := s * (p.B + 1) / powi(d, b+1)
+	x := theta * a * powi(d, b)
+	inv := 1 / p.B
+	return inv * math.Pow(theta*a, -inv) * gammaLower1mExp(inv, x)
 }

@@ -171,12 +171,6 @@ func (in Input) Model(shot Shot) (*Model, error) {
 	return NewModel(in.Lambda, shot, in.Samples)
 }
 
-// MeanS returns E[S] in bits.
-func (m *Model) MeanS() float64 { return m.meanS }
-
-// MeanS2OverD returns E[S²/D] in bits²/s.
-func (m *Model) MeanS2OverD() float64 { return m.meanS2oD }
-
 // Mean returns E[R(t)] = λ·E[S] (Corollary 1). Note it is independent of
 // the shot shape and of the duration distribution.
 func (m *Model) Mean() float64 { return m.Lambda * m.meanS }
@@ -260,7 +254,7 @@ func (m *Model) AveragedVariance(delta float64) (float64, error) {
 	// branch-partitioned Horner pass over the population, against one pass
 	// per quadrature point below. This is the hottest loop of the
 	// experiment suite — every interval evaluates it for three shot shapes.
-	// The scalar closed form avgVarCrossInt stays as the test oracle.
+	// kernel_test.go's scalar closed form avgVarCrossInt is its oracle.
 	if ps, ok := m.Shot.(PowerShot); ok && ps.closedFormB() {
 		b := int(ps.B)
 		var k *AvgVarKernel
@@ -359,7 +353,7 @@ func (m *Model) LST(theta float64) (float64, error) {
 	// gamma in closed form, with the θ-only constants hoisted into a kernel
 	// — gammaLower1mExp is the only per-flow transcendental (the same
 	// treatment that removed the quadrature from AveragedVariance). Other
-	// shots keep Simpson. The scalar lstIntegral stays as the test oracle.
+	// shots keep Simpson. kernel_test.go's scalar lstIntegral is the oracle.
 	if ps, ok := m.Shot.(PowerShot); ok && ps.closedFormB() {
 		k := newLSTKernel(int(ps.B), theta)
 		for i := 0; i < n; i++ {
@@ -377,59 +371,10 @@ func (m *Model) LST(theta float64) (float64, error) {
 	return math.Exp(-m.Lambda * sum / float64(n)), nil
 }
 
-// LSTBatch evaluates the LST at many θ with one pass over the flow
-// population (closed-form shots; other shots fall back to per-θ
-// quadrature). Results are bit-identical to calling LST per θ. The
-// dimensioning searches that probe many transform points ride this face.
-func (m *Model) LSTBatch(thetas []float64) ([]float64, error) {
-	out := make([]float64, len(thetas))
-	if len(thetas) == 0 {
-		return out, nil
-	}
-	pop := m.population()
-	n := pop.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("core: LST needs a non-empty flow population")
-	}
-	ps, ok := m.Shot.(PowerShot)
-	if !ok || !ps.closedFormB() {
-		for i, theta := range thetas {
-			v, err := m.LST(theta)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	ks := make([]lstKernel, len(thetas))
-	for i, theta := range thetas {
-		if theta < 0 {
-			return nil, fmt.Errorf("core: LST requires theta >= 0, got %g", theta)
-		}
-		ks[i] = newLSTKernel(int(ps.B), theta)
-	}
-	sums := make([]float64, len(thetas))
-	for i := 0; i < n; i++ {
-		s, d, u := pop.S[i], pop.D[i], pop.InvD[i]
-		for kj := range ks {
-			sums[kj] += ks[kj].oneMinusExp(s, d, u)
-		}
-	}
-	for i, theta := range thetas {
-		if theta == 0 {
-			out[i] = 1
-			continue
-		}
-		out[i] = math.Exp(-m.Lambda * sums[i] / float64(n))
-	}
-	return out, nil
-}
-
 // Cumulant returns the k-th cumulant of R(t), κ_k = λ·E[∫₀^D X(u)^k du]
 // (Campbell's theorem; Corollary 3 in LST form). κ₁ is the mean, κ₂ the
-// variance, κ₃ drives the skewness. The shot must be a PowerShot or a
-// FuncShot; other shots are integrated numerically through Rate.
+// variance, κ₃ drives the skewness. PowerShots take the closed form; other
+// shots are integrated numerically through Rate.
 func (m *Model) Cumulant(k int) (float64, error) {
 	if k < 1 {
 		return 0, fmt.Errorf("core: cumulant order must be >= 1, got %d", k)
@@ -443,8 +388,8 @@ func (m *Model) Cumulant(k int) (float64, error) {
 	if ps, ok := m.Shot.(PowerShot); ok {
 		// ∫X^k = s^k·(b+1)^k / (d^{k-1}·(kb+1)): the (b+1)^k/(kb+1) factor
 		// is flow-independent, and the flow powers are small-integer, so the
-		// loop is pure powi — no math.Pow per flow (IntegralXK stays as the
-		// scalar oracle).
+		// loop is pure powi — no math.Pow per flow (kernel_test.go's
+		// IntegralXK is the scalar oracle).
 		kk := float64(k)
 		c := math.Pow(ps.B+1, kk) / (kk*ps.B + 1)
 		for i := 0; i < n; i++ {
@@ -461,55 +406,6 @@ func (m *Model) Cumulant(k int) (float64, error) {
 		}
 	}
 	return m.Lambda * sum / float64(n), nil
-}
-
-// Skewness returns κ₃/κ₂^(3/2) of the total rate, a check on how far the
-// Gaussian approximation of §V-E can be trusted (it decays as 1/√λ).
-func (m *Model) Skewness() (float64, error) {
-	k2, err := m.Cumulant(2)
-	if err != nil {
-		return 0, err
-	}
-	if k2 <= 0 {
-		return 0, fmt.Errorf("core: non-positive variance")
-	}
-	k3, err := m.Cumulant(3)
-	if err != nil {
-		return 0, err
-	}
-	return k3 / math.Pow(k2, 1.5), nil
-}
-
-// SpectralDensity returns the power spectral density Γ(ω) of the centred
-// total rate at angular frequency ω (rad/s): Γ(ω) = λ/(2π)·E[|X̂(ω)|²]
-// where X̂ is the Fourier transform of the shot (§V-B). The transform is
-// evaluated by quadrature per flow sample.
-func (m *Model) SpectralDensity(omega float64) float64 {
-	pop := m.population()
-	n := pop.Len()
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		s, d := pop.S[i], pop.D[i]
-		re := simpson(func(t float64) float64 { return m.Shot.Rate(s, d, t) * math.Cos(omega*t) }, 0, d, 256)
-		im := simpson(func(t float64) float64 { return m.Shot.Rate(s, d, t) * math.Sin(omega*t) }, 0, d, 256)
-		sum += re*re + im*im
-	}
-	return m.Lambda / (2 * math.Pi) * sum / float64(n)
-}
-
-// GaussianPDF returns the Gaussian approximation of the stationary density
-// of R(t) at rate x (§V-E), justified by the large number of flows
-// simultaneously active on a backbone link.
-func (m *Model) GaussianPDF(x float64) float64 {
-	mu, sigma := m.Mean(), m.StdDev()
-	if sigma == 0 {
-		return 0
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-z*z/2) / (sigma * math.Sqrt(2*math.Pi))
 }
 
 // ExceedProb returns P(R > capacity) under the Gaussian approximation: the

@@ -94,20 +94,6 @@ func (p PowerShot) IntegralX2(s, d float64) float64 {
 	return p.VarianceFactor() * s * s / d
 }
 
-// IntegralXK returns ∫₀^D x(t)^k dt = s^k·(b+1)^k / (d^(k-1)·(kb+1)),
-// needed for moments of order k (Corollary 3): the k-th cumulant of the
-// total rate is λ·E[∫X^k].
-func (p PowerShot) IntegralXK(s, d float64, k int) (float64, error) {
-	if k < 1 {
-		return 0, fmt.Errorf("core: moment order must be >= 1, got %d", k)
-	}
-	if d <= 0 {
-		return 0, nil
-	}
-	kk := float64(k)
-	return math.Pow(s, kk) * math.Pow(p.B+1, kk) / (math.Pow(d, kk-1) * (kk*p.B + 1)), nil
-}
-
 // CrossCov returns ∫₀^{D-τ} x(t)·x(t+τ) dt. For integer b it uses the
 // closed-form binomial expansion; otherwise composite Simpson quadrature.
 func (p PowerShot) CrossCov(s, d, tau float64) float64 {
@@ -123,18 +109,6 @@ func (p PowerShot) Cumulative(s, d, t float64) float64 {
 		return s
 	}
 	return s * math.Pow(t/d, p.B+1)
-}
-
-// InverseCumulative returns the offset at which the flow has transmitted c
-// bits: d·(c/s)^(1/(b+1)). The packet generator paces packets with it.
-func (p PowerShot) InverseCumulative(s, d, c float64) float64 {
-	if c <= 0 || s <= 0 || d <= 0 {
-		return 0
-	}
-	if c >= s {
-		return d
-	}
-	return d * math.Pow(c/s, 1/(p.B+1))
 }
 
 // crossCovN is CrossCov with an explicit quadrature resolution for the
@@ -184,65 +158,8 @@ func powi(x float64, n int) float64 {
 	return r
 }
 
-// avgVarCrossInt returns ∫₀^{min(Δ,d)} (1 - τ/Δ)·CrossCov(s,d,τ) dτ in
-// closed form for integer b (the integrand is a polynomial in τ):
-// expanding (d-τ)^q binomially inside CrossCov's Σ_j C(b,j)τ^{b-j}(d-τ)^q/q
-// reduces the integral to monomials. It lets AveragedVariance evaluate the
-// eq.(7) smoothing with one pass over the flow population instead of one
-// pass per quadrature point. Callers must hold closedFormB's ok — the
-// applicability depends only on the exponent, not on the flow.
-func (p PowerShot) avgVarCrossInt(s, d, delta float64) float64 {
-	b := int(p.B)
-	if d <= 0 || delta <= 0 {
-		return 0
-	}
-	m := delta
-	if d < m {
-		m = d
-	}
-	a := s * (p.B + 1) / powi(d, b+1)
-	var total float64
-	for j := 0; j <= b; j++ {
-		pj := b - j    // τ exponent of the CrossCov term
-		q := b + j + 1 // (d-τ) exponent
-		var inner float64
-		sign := 1.0
-		for k := 0; k <= q; k++ {
-			mk1 := powi(m, pj+k+1)
-			inner += sign * binomial(q, k) * powi(d, q-k) *
-				(mk1/float64(pj+k+1) - mk1*m/(float64(pj+k+2)*delta))
-			sign = -sign
-		}
-		total += binomial(b, j) / float64(q) * inner
-	}
-	return a * a * total
-}
-
-// lstIntegral returns ∫₀^D (1 - e^{-θ·x(t)}) dt — the per-flow LST
-// integrand of Theorem 1 — in closed form for integer-b power shots.
-// Substituting u = θ·a·t^b reduces the integral to
-//
-//	(1/b)·(θa)^{-1/b} · ∫₀^{θaD^b} u^{1/b-1}(1 - e^{-u}) du,
-//
-// the incomplete-gamma-family integral gammaLower1mExp evaluates; b = 0 is
-// the elementary constant-rate case via expm1 (exact even when θS/D
-// underflows the e^{-y} ≈ 1 regime). Callers must hold closedFormB's ok.
-func (p PowerShot) lstIntegral(s, d, theta float64) float64 {
-	if d <= 0 || s <= 0 || theta <= 0 {
-		return 0
-	}
-	b := int(p.B)
-	if b == 0 {
-		return d * -math.Expm1(-theta*s/d)
-	}
-	a := s * (p.B + 1) / powi(d, b+1)
-	x := theta * a * powi(d, b)
-	inv := 1 / p.B
-	return inv * math.Pow(theta*a, -inv) * gammaLower1mExp(inv, x)
-}
-
 // closedFormB reports whether the shot exponent is a small non-negative
-// integer for which avgVarCrossInt's expansion is well-conditioned: the
+// integer for which the eq.(7) binomial expansion is well-conditioned: the
 // alternating binomial sum loses precision as b grows (catastrophic
 // cancellation among C(2b+1,k) terms), so exponents above 10 — far beyond
 // the paper's b ∈ {0,1,2} — take the quadrature path instead, keeping the
@@ -264,75 +181,6 @@ func binomial(n, k int) float64 {
 		c = c * float64(n-i) / float64(i+1)
 	}
 	return c
-}
-
-// FuncShot is a measurement-driven shot built from an arbitrary shape
-// function φ(u) ≥ 0 on [0,1] (§V-D suggests log, square-root, exponential
-// alternatives). The flow rate is x(t) = (S/D)·φ(t/D)/∫₀¹φ, which satisfies
-// the size constraint for any φ.
-type FuncShot struct {
-	ShapeName string
-	Phi       func(u float64) float64
-	norm      float64 // ∫₀¹ φ
-	norm2     float64 // ∫₀¹ φ²
-}
-
-// NewFuncShot validates φ and precomputes its normalisation integrals.
-func NewFuncShot(name string, phi func(float64) float64) (*FuncShot, error) {
-	if phi == nil {
-		return nil, fmt.Errorf("core: nil shape function")
-	}
-	norm := simpson(phi, 0, 1, 1024)
-	if !(norm > 0) || math.IsInf(norm, 0) || math.IsNaN(norm) {
-		return nil, fmt.Errorf("core: shape function must have positive finite integral, got %g", norm)
-	}
-	norm2 := simpson(func(u float64) float64 { v := phi(u); return v * v }, 0, 1, 1024)
-	return &FuncShot{ShapeName: name, Phi: phi, norm: norm, norm2: norm2}, nil
-}
-
-// Name identifies the shape.
-func (f *FuncShot) Name() string { return f.ShapeName }
-
-// Rate returns (s/d)·φ(t/d)/∫φ.
-func (f *FuncShot) Rate(s, d, t float64) float64 {
-	if t < 0 || t > d || d <= 0 {
-		return 0
-	}
-	return s / d * f.Phi(t/d) / f.norm
-}
-
-// IntegralX2 returns (s²/d)·∫φ²/(∫φ)².
-func (f *FuncShot) IntegralX2(s, d float64) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return s * s / d * f.norm2 / (f.norm * f.norm)
-}
-
-// Cumulative integrates the normalised shape numerically: s·∫₀^{t/d}φ/∫φ.
-func (f *FuncShot) Cumulative(s, d, t float64) float64 {
-	if t <= 0 || d <= 0 {
-		return 0
-	}
-	if t >= d {
-		return s
-	}
-	return s * simpson(f.Phi, 0, t/d, 256) / f.norm
-}
-
-// CrossCov integrates numerically over the normalised shape.
-func (f *FuncShot) CrossCov(s, d, tau float64) float64 {
-	if tau < 0 {
-		tau = -tau
-	}
-	if d <= 0 || tau >= d {
-		return 0
-	}
-	u0 := tau / d
-	g := func(u float64) float64 { return f.Phi(u) * f.Phi(u+u0) }
-	// ∫₀^{d-τ} x(t)x(t+τ)dt = (s/(d·∫φ))² · d·∫₀^{1-u0} φ(u)φ(u+u0) du.
-	scale := s / (d * f.norm)
-	return scale * scale * d * simpson(g, 0, 1-u0, 512)
 }
 
 // simpson integrates f over [a, b] with n subintervals (n rounded up to

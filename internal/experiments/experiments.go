@@ -194,9 +194,6 @@ func NewRunner(opts Options) (*Runner, error) {
 // Specs exposes the scaled Table I suite.
 func (r *Runner) Specs() []trace.TraceSpec { return r.specs }
 
-// Delta returns the rate averaging interval.
-func (r *Runner) Delta() float64 { return r.opts.Delta }
-
 // linkBps returns the scaled link capacity of the suite.
 func (r *Runner) linkBps() float64 {
 	if r.opts.Suite.LinkBps != 0 {

@@ -37,8 +37,8 @@ func TestRunnerSpecs(t *testing.T) {
 	if len(r.Specs()) != 7 {
 		t.Fatalf("suite has %d traces, want 7", len(r.Specs()))
 	}
-	if r.Delta() != 0.2 {
-		t.Fatalf("default delta = %g, want 0.2", r.Delta())
+	if r.opts.Delta != 0.2 {
+		t.Fatalf("default delta = %g, want 0.2", r.opts.Delta)
 	}
 }
 

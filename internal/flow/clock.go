@@ -104,16 +104,6 @@ func (c *IntervalClock) reject(t float64) error {
 	}
 }
 
-// Place validates one packet time and returns the index of its interval.
-func (c *IntervalClock) Place(t float64) (int, error) {
-	if !c.valid(t) {
-		return 0, c.reject(t)
-	}
-	c.started = true
-	c.lastTime = t
-	return c.index(t), nil
-}
-
 // PlaceRun validates times[j:] packet by packet and returns the interval
 // of times[j] and the end k of its run: times[j:k] all fall in interval
 // idx, and times[k] (if any) is in a later one and not yet placed. This is

@@ -198,7 +198,7 @@ func TestIntervalClockTrailingQuietIntervals(t *testing.T) {
 			}
 		}
 		for _, tm := range []float64{0.5, 1.0, 12.0, 12.5} {
-			idx, err := c.Place(tm)
+			idx, err := place(&c, tm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestIntervalClockRejectsNegativeTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Place(-0.5); err == nil {
+	if _, err := place(&c, -0.5); err == nil {
 		t.Fatal("negative-time packet should be rejected")
 	}
 	if _, _, err := c.PlaceRun([]float64{1, -0.5}, 0); err == nil {
@@ -266,13 +266,13 @@ func TestIntervalClockDurationValidation(t *testing.T) {
 	}
 	// Packets genuinely beyond the declared duration break the interval
 	// count invariant and must be rejected...
-	if _, err := c.Place(31); err == nil {
+	if _, err := place(&c, 31); err == nil {
 		t.Fatal("packet beyond the duration should be rejected")
 	}
 	// ...but the rounding sliver at the boundary itself (a generator's
 	// absolute−warmup subtraction can round a final packet to exactly the
 	// duration) folds into the last interval instead of aborting the trace.
-	idx, err := c.Place(30)
+	idx, err := place(&c, 30)
 	if err != nil {
 		t.Fatalf("boundary-sliver packet rejected: %v", err)
 	}
@@ -295,10 +295,10 @@ func TestIntervalClockValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Place(5); err != nil {
+	if _, err := place(&c, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Place(4); err == nil {
+	if _, err := place(&c, 4); err == nil {
 		t.Fatal("out-of-order packet should be rejected")
 	}
 	if err := c.Restore(ClockState{Cur: -1}); err == nil {
@@ -336,4 +336,10 @@ func TestIntervalClockPlaceRun(t *testing.T) {
 			t.Fatalf("runs %v, want %v", got, want)
 		}
 	}
+}
+
+// place feeds one packet time through PlaceRun and returns its interval.
+func place(c *IntervalClock, t float64) (int, error) {
+	idx, _, err := c.PlaceRun([]float64{t}, 0)
+	return idx, err
 }

@@ -287,7 +287,7 @@ func TestIntervalClockFloatRobustTotal(t *testing.T) {
 		if err := c.SetDuration(float64(tc.n) * tc.ivl); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Place(tc.ivl / 2); err != nil {
+		if _, err := place(&c, tc.ivl/2); err != nil {
 			t.Fatal(err)
 		}
 		if count := c.Total(); count != tc.n {

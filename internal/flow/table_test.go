@@ -92,13 +92,14 @@ func newRefAssembler(def Definition, timeout float64) *refAssembler {
 	var keyFn func(netpkt.Header) any
 	switch def {
 	case By5Tuple:
-		keyFn = func(h netpkt.Header) any { return h.Key5Tuple() }
+		// The 5-tuple: the header without its per-packet fields.
+		keyFn = func(h netpkt.Header) any { h.TotalLen, h.TTL = 0, 0; return h }
 	case ByPrefix24:
-		keyFn = func(h netpkt.Header) any { return h.KeyPrefix() }
+		keyFn = func(h netpkt.Header) any { return h.DstIP.Uint32() &^ 0xFF }
 	case ByPrefix16:
-		keyFn = func(h netpkt.Header) any { return h.DstIP.PrefixN(16) }
+		keyFn = func(h netpkt.Header) any { return h.DstIP.Uint32() &^ 0xFFFF }
 	case ByPrefix8:
-		keyFn = func(h netpkt.Header) any { return h.DstIP.PrefixN(8) }
+		keyFn = func(h netpkt.Header) any { return h.DstIP.Uint32() &^ 0xFFFFFF }
 	}
 	return &refAssembler{keyFn: keyFn, timeout: timeout, active: map[any]*flowState{}}
 }

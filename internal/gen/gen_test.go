@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netpkt"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
 	"repro/internal/trace"
@@ -17,7 +18,7 @@ func packetRecords(cfg Config, pktBytes int) ([]trace.Record, error) {
 	var recs []trace.Record
 	err := Packets(cfg, pktBytes, func(blk *trace.Block) error {
 		for j := range blk.Len() {
-			recs = append(recs, blk.Record(j))
+			recs = append(recs, blockRecord(blk, j))
 		}
 		return nil
 	})
@@ -69,11 +70,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := packetRecords(good, 10); err == nil {
 		t.Fatal("tiny pktBytes should be rejected")
 	}
-	fs, err := core.NewFuncShot("flat", func(u float64) float64 { return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	good.Shot = fs
+	// Rectangular's shape under a type that is not a PowerShot.
+	good.Shot = struct{ core.PowerShot }{core.Rectangular}
 	if _, err := packetRecords(good, 1500); err == nil {
 		t.Fatal("non-power shot for packets should be rejected")
 	}
@@ -277,4 +275,9 @@ func TestPacketsStreamsBlocks(t *testing.T) {
 	if live := trace.LiveBlocks(); live != base {
 		t.Fatalf("%d blocks live after Packets, want %d", live, base)
 	}
+}
+
+// blockRecord reconstructs packet i of blk as a Record.
+func blockRecord(blk *trace.Block, i int) trace.Record {
+	return trace.Record{Time: blk.Times[i], Hdr: netpkt.HeaderFromPacked(blk.Srcs[i], blk.Dsts[i], blk.Sizes[i])}
 }

@@ -1,8 +1,8 @@
-// Package linalg provides the small dense linear-algebra kernels the traffic
-// predictor needs: a symmetric-Toeplitz solver (Levinson-Durbin recursion)
-// for the Wiener-Hopf normal equations of the paper's §VII-B (eq. 8), and a
-// general Gaussian-elimination solver used as a cross-check and for
-// non-Toeplitz systems.
+// Package linalg provides the linear-algebra kernel the traffic predictor
+// needs: a symmetric-Toeplitz solver (Levinson-Durbin recursion) for the
+// Wiener-Hopf normal equations of the paper's §VII-B (eq. 8).
+// linalg_test.go cross-checks it against a general Gaussian-elimination
+// solver.
 package linalg
 
 import (
@@ -79,92 +79,4 @@ func SolveToeplitz(r, b []float64) ([]float64, error) {
 		}
 	}
 	return x, nil
-}
-
-// SolveDense solves the general linear system A x = b by Gaussian
-// elimination with partial pivoting. A is row-major and is not modified.
-func SolveDense(a [][]float64, b []float64) ([]float64, error) {
-	n := len(b)
-	if len(a) != n {
-		return nil, fmt.Errorf("linalg: dense dimension mismatch: %d rows, %d rhs", len(a), n)
-	}
-	// Working copies.
-	m := make([][]float64, n)
-	for i := range m {
-		if len(a[i]) != n {
-			return nil, fmt.Errorf("linalg: row %d has %d columns, want %d", i, len(a[i]), n)
-		}
-		m[i] = append([]float64(nil), a[i]...)
-	}
-	x := append([]float64(nil), b...)
-
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(m[piv][col]) < 1e-13 {
-			return nil, ErrSingular
-		}
-		m[col], m[piv] = m[piv], m[col]
-		x[col], x[piv] = x[piv], x[col]
-
-		inv := 1 / m[col][col]
-		for r := col + 1; r < n; r++ {
-			factor := m[r][col] * inv
-			if factor == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				m[r][c] -= factor * m[col][c]
-			}
-			x[r] -= factor * x[col]
-		}
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for c := i + 1; c < n; c++ {
-			s -= m[i][c] * x[c]
-		}
-		x[i] = s / m[i][i]
-	}
-	return x, nil
-}
-
-// ToeplitzMatrix expands the first-column r into the full symmetric Toeplitz
-// matrix T[i][j] = r[|i-j|]. Used by tests and by SolveDense fall-backs.
-func ToeplitzMatrix(r []float64) [][]float64 {
-	n := len(r)
-	t := make([][]float64, n)
-	for i := range t {
-		t[i] = make([]float64, n)
-		for j := range t[i] {
-			d := i - j
-			if d < 0 {
-				d = -d
-			}
-			t[i][j] = r[d]
-		}
-	}
-	return t
-}
-
-// MatVec returns A x for a row-major dense matrix.
-func MatVec(a [][]float64, x []float64) ([]float64, error) {
-	out := make([]float64, len(a))
-	for i, row := range a {
-		if len(row) != len(x) {
-			return nil, fmt.Errorf("linalg: matvec row %d has %d columns, want %d", i, len(row), len(x))
-		}
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -196,4 +197,95 @@ func TestMatVec(t *testing.T) {
 	if _, err := MatVec([][]float64{{1, 2, 3}}, []float64{1}); err == nil {
 		t.Fatal("mismatched matvec should error")
 	}
+}
+
+// SolveDense, ToeplitzMatrix and MatVec are the dense reference the
+// Levinson solver is checked against.
+
+// SolveDense solves the general linear system A x = b by Gaussian
+// elimination with partial pivoting. A is row-major and is not modified.
+func SolveDense(a [][]float64, b []float64) ([]float64, error) {
+	n := len(b)
+	if len(a) != n {
+		return nil, fmt.Errorf("linalg: dense dimension mismatch: %d rows, %d rhs", len(a), n)
+	}
+	// Working copies.
+	m := make([][]float64, n)
+	for i := range m {
+		if len(a[i]) != n {
+			return nil, fmt.Errorf("linalg: row %d has %d columns, want %d", i, len(a[i]), n)
+		}
+		m[i] = append([]float64(nil), a[i]...)
+	}
+	x := append([]float64(nil), b...)
+
+	for col := 0; col < n; col++ {
+		// Partial pivot.
+		piv := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
+				piv = r
+			}
+		}
+		if math.Abs(m[piv][col]) < 1e-13 {
+			return nil, ErrSingular
+		}
+		m[col], m[piv] = m[piv], m[col]
+		x[col], x[piv] = x[piv], x[col]
+
+		inv := 1 / m[col][col]
+		for r := col + 1; r < n; r++ {
+			factor := m[r][col] * inv
+			if factor == 0 {
+				continue
+			}
+			for c := col; c < n; c++ {
+				m[r][c] -= factor * m[col][c]
+			}
+			x[r] -= factor * x[col]
+		}
+	}
+	// Back substitution.
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for c := i + 1; c < n; c++ {
+			s -= m[i][c] * x[c]
+		}
+		x[i] = s / m[i][i]
+	}
+	return x, nil
+}
+
+// ToeplitzMatrix expands the first-column r into the full symmetric Toeplitz
+// matrix T[i][j] = r[|i-j|].
+func ToeplitzMatrix(r []float64) [][]float64 {
+	n := len(r)
+	t := make([][]float64, n)
+	for i := range t {
+		t[i] = make([]float64, n)
+		for j := range t[i] {
+			d := i - j
+			if d < 0 {
+				d = -d
+			}
+			t[i][j] = r[d]
+		}
+	}
+	return t
+}
+
+// MatVec returns A x for a row-major dense matrix.
+func MatVec(a [][]float64, x []float64) ([]float64, error) {
+	out := make([]float64, len(a))
+	for i, row := range a {
+		if len(row) != len(x) {
+			return nil, fmt.Errorf("linalg: matvec row %d has %d columns, want %d", i, len(row), len(x))
+		}
+		var s float64
+		for j, v := range row {
+			s += v * x[j]
+		}
+		out[i] = s
+	}
+	return out, nil
 }

@@ -54,33 +54,6 @@ func (q *Queue) StationaryPMF(n int) float64 {
 	return math.Exp(logP)
 }
 
-// StationaryCDF returns P(N ≤ n).
-func (q *Queue) StationaryCDF(n int) float64 {
-	if n < 0 {
-		return 0
-	}
-	var sum float64
-	for k := 0; k <= n; k++ {
-		sum += q.StationaryPMF(k)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
-// MeanN and VarN are both ρ for a Poisson marginal.
-func (q *Queue) MeanN() float64 { return q.Load() }
-
-// VarN returns the variance of the active-flow count.
-func (q *Queue) VarN() float64 { return q.Load() }
-
-// PGF returns E[z^N] = exp(ρ(z-1)), the probability generating function
-// used in the proof of Theorem 1 (eq. 3 of the paper).
-func (q *Queue) PGF(z float64) float64 {
-	return math.Exp(q.Load() * (z - 1))
-}
-
 // ConstantRateVariance returns the variance of the total rate under the [3]
 // baseline where every flow transmits at the same constant rate r:
 // R(t) = r·N(t), so Var(R) = r²·ρ. With r chosen to match the mean

@@ -32,9 +32,6 @@ func TestLoad(t *testing.T) {
 	if q.Load() != 20 {
 		t.Fatalf("load = %g, want 20", q.Load())
 	}
-	if q.MeanN() != 20 || q.VarN() != 20 {
-		t.Fatal("Poisson marginal: mean and variance must equal the load")
-	}
 }
 
 func TestStationaryPMFSumsToOne(t *testing.T) {
@@ -76,42 +73,6 @@ func TestStationaryPMFLargeLoad(t *testing.T) {
 	want := 1 / math.Sqrt(2*math.Pi*10000)
 	if math.Abs(p-want)/want > 0.01 {
 		t.Fatalf("P(N=ρ) = %g, want ≈ %g", p, want)
-	}
-}
-
-func TestStationaryCDF(t *testing.T) {
-	e, _ := dist.NewExponential(1)
-	q, _ := New(5, e)
-	if q.StationaryCDF(-1) != 0 {
-		t.Fatal("CDF below 0 must be 0")
-	}
-	if got := q.StationaryCDF(200); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("CDF at large n = %g, want 1", got)
-	}
-	prev := -1.0
-	for n := 0; n < 20; n++ {
-		c := q.StationaryCDF(n)
-		if c < prev {
-			t.Fatalf("CDF decreasing at %d", n)
-		}
-		prev = c
-	}
-}
-
-func TestPGF(t *testing.T) {
-	e, _ := dist.NewExponential(2) // mean 0.5
-	q, _ := New(8, e)              // ρ = 4
-	if got := q.PGF(1); got != 1 {
-		t.Fatalf("PGF(1) = %g, want 1", got)
-	}
-	if got, want := q.PGF(0), math.Exp(-4.0); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("PGF(0) = %g, want P(N=0) = %g", got, want)
-	}
-	// Derivative at 1 is the mean: finite difference check.
-	h := 1e-6
-	deriv := (q.PGF(1+h) - q.PGF(1-h)) / (2 * h)
-	if math.Abs(deriv-4) > 1e-4 {
-		t.Fatalf("PGF'(1) = %g, want 4", deriv)
 	}
 }
 

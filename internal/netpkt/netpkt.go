@@ -55,26 +55,6 @@ func AddrFromUint32(v uint32) IPv4Addr {
 	return a
 }
 
-// Prefix24 returns the /24 prefix of the address (last octet zeroed).
-func (a IPv4Addr) Prefix24() IPv4Addr {
-	a[3] = 0
-	return a
-}
-
-// PrefixN returns the address masked to the first n bits (0 ≤ n ≤ 32).
-// The paper suggests routable-prefix aggregation (e.g. /8, /16) as an
-// extension of the /24 flow definition.
-func (a IPv4Addr) PrefixN(n int) IPv4Addr {
-	if n <= 0 {
-		return IPv4Addr{}
-	}
-	if n >= 32 {
-		return a
-	}
-	v := a.Uint32() &^ (1<<(32-uint(n)) - 1)
-	return AddrFromUint32(v)
-}
-
 // Header is the decoded view of a 44-byte packet record.
 type Header struct {
 	SrcIP    IPv4Addr
@@ -89,51 +69,6 @@ type Header struct {
 	// TTL is kept because anomaly detection (e.g. DoS fingerprinting) can
 	// use its distribution.
 	TTL uint8
-}
-
-// FlowKey is the paper's first flow definition: the 5-tuple
-// (src IP, dst IP, src port, dst port, protocol). Comparable, so it can key
-// a map directly.
-type FlowKey struct {
-	SrcIP    IPv4Addr
-	DstIP    IPv4Addr
-	SrcPort  uint16
-	DstPort  uint16
-	Protocol uint8
-}
-
-// String formats the key in the usual a:p -> b:q/proto notation.
-func (k FlowKey) String() string {
-	return fmt.Sprintf("%s:%d->%s:%d/%d", k.SrcIP, k.SrcPort, k.DstIP, k.DstPort, k.Protocol)
-}
-
-// PrefixKey is the paper's second flow definition: the destination /24
-// address prefix.
-type PrefixKey struct {
-	DstPrefix IPv4Addr
-}
-
-// String formats the key as CIDR.
-func (k PrefixKey) String() string { return k.DstPrefix.String() + "/24" }
-
-// Key5Tuple returns the 5-tuple flow key for a decoded header. The value
-// receiver is deliberate: flow assembly calls this through an opaque
-// function value on its per-packet path, and a pointer receiver would force
-// every packet record to escape to the heap there.
-func (h Header) Key5Tuple() FlowKey {
-	return FlowKey{
-		SrcIP:    h.SrcIP,
-		DstIP:    h.DstIP,
-		SrcPort:  h.SrcPort,
-		DstPort:  h.DstPort,
-		Protocol: h.Protocol,
-	}
-}
-
-// KeyPrefix returns the destination /24 prefix key for a decoded header
-// (value receiver for the same escape reason as Key5Tuple).
-func (h Header) KeyPrefix() PrefixKey {
-	return PrefixKey{DstPrefix: h.DstIP.Prefix24()}
 }
 
 // Packed-column layout: the batch-columnar measurement path carries each
@@ -254,21 +189,4 @@ func ipChecksum(b []byte) uint16 {
 		sum = (sum >> 16) + (sum & 0xffff)
 	}
 	return ^uint16(sum)
-}
-
-// ValidateChecksum reports whether the IPv4 header checksum in an encoded
-// record is correct. Used by tests and by the pcap importer to reject
-// corrupt records.
-func ValidateChecksum(buf []byte) bool {
-	if len(buf) < ipv4HeaderLen {
-		return false
-	}
-	var sum uint32
-	for i := 0; i < ipv4HeaderLen; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(buf[i : i+2]))
-	}
-	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
-	}
-	return uint16(sum) == 0xffff
 }

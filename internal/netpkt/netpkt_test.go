@@ -69,11 +69,13 @@ func TestMarshalChecksumValid(t *testing.T) {
 	if _, err := h.Marshal(buf); err != nil {
 		t.Fatal(err)
 	}
-	if !ValidateChecksum(buf) {
+	// The Internet checksum over a header that carries a valid checksum
+	// folds to zero.
+	if ipChecksum(buf[:ipv4HeaderLen]) != 0 {
 		t.Fatal("marshalled header has invalid IPv4 checksum")
 	}
 	buf[15] ^= 0xff // corrupt a source-address byte
-	if ValidateChecksum(buf) {
+	if ipChecksum(buf[:ipv4HeaderLen]) == 0 {
 		t.Fatal("corrupted header passed checksum validation")
 	}
 }
@@ -154,73 +156,36 @@ func TestAddrHelpers(t *testing.T) {
 	if got := AddrFromUint32(a.Uint32()); got != a {
 		t.Fatalf("uint32 round trip: %v", got)
 	}
-	if got := a.Prefix24(); got != (IPv4Addr{192, 168, 34, 0}) {
-		t.Fatalf("Prefix24 = %v", got)
-	}
-}
-
-func TestPrefixN(t *testing.T) {
-	a := IPv4Addr{10, 20, 30, 40}
-	cases := []struct {
-		n    int
-		want IPv4Addr
-	}{
-		{0, IPv4Addr{0, 0, 0, 0}},
-		{8, IPv4Addr{10, 0, 0, 0}},
-		{16, IPv4Addr{10, 20, 0, 0}},
-		{24, IPv4Addr{10, 20, 30, 0}},
-		{32, a},
-		{-1, IPv4Addr{0, 0, 0, 0}},
-		{40, a},
-	}
-	for _, c := range cases {
-		if got := a.PrefixN(c.n); got != c.want {
-			t.Fatalf("PrefixN(%d) = %v, want %v", c.n, got, c.want)
-		}
-	}
 }
 
 func TestFlowKeys(t *testing.T) {
 	h := sampleHeader()
-	k := h.Key5Tuple()
-	if k.SrcIP != h.SrcIP || k.DstPort != h.DstPort || k.Protocol != ProtoTCP {
-		t.Fatalf("5-tuple key mismatch: %+v", k)
+	src, dst := h.Packed()
+	// The 5-tuple is (src, dst &^ PackedTTLMask); the /24 prefix is the top
+	// 24 bits of the packed destination address.
+	key := func(h Header) [2]uint64 {
+		s, d := h.Packed()
+		return [2]uint64{s, d &^ PackedTTLMask}
 	}
-	p := h.KeyPrefix()
-	if p.DstPrefix != (IPv4Addr{192, 168, 7, 0}) {
-		t.Fatalf("prefix key = %v", p.DstPrefix)
+	k := key(h)
+	if got := HeaderFromPacked(src, dst, h.TotalLen); got.SrcIP != h.SrcIP || got.DstPort != h.DstPort || got.Protocol != ProtoTCP {
+		t.Fatalf("5-tuple key mismatch: %+v", got)
+	}
+	if p := AddrFromUint32(uint32(dst>>PackedAddrShift) &^ 0xFF); p != (IPv4Addr{192, 168, 7, 0}) {
+		t.Fatalf("prefix key = %v", p)
 	}
 	// Two packets of the same TCP connection map to the same key; the
 	// reverse direction maps to a different key (unidirectional flows, as
 	// on a monitored backbone link).
 	h2 := h
 	h2.TotalLen = 40
-	if h2.Key5Tuple() != k {
+	h2.TTL++
+	if key(h2) != k {
 		t.Fatal("same flow produced different keys")
 	}
 	rev := Header{SrcIP: h.DstIP, DstIP: h.SrcIP, SrcPort: h.DstPort, DstPort: h.SrcPort, Protocol: ProtoTCP}
-	if rev.Key5Tuple() == k {
+	if key(rev) == k {
 		t.Fatal("reverse direction must be a distinct flow")
-	}
-}
-
-func TestKeyStrings(t *testing.T) {
-	h := sampleHeader()
-	if s := h.Key5Tuple().String(); s != "10.1.2.3:443->192.168.7.9:51234/6" {
-		t.Fatalf("FlowKey.String = %q", s)
-	}
-	if s := h.KeyPrefix().String(); s != "192.168.7.0/24" {
-		t.Fatalf("PrefixKey.String = %q", s)
-	}
-}
-
-func TestFlowKeyIsMapKey(t *testing.T) {
-	m := map[FlowKey]int{}
-	h := sampleHeader()
-	m[h.Key5Tuple()]++
-	m[h.Key5Tuple()]++
-	if m[h.Key5Tuple()] != 2 {
-		t.Fatal("FlowKey not usable as map key")
 	}
 }
 
@@ -274,11 +239,15 @@ func TestPackedRoundTrip(t *testing.T) {
 			t.Fatalf("header %d: round trip %+v != %+v", i, got, h)
 		}
 		// dst IP occupies the top 32 bits: prefix masking on the packed word
-		// must agree with PrefixN on the address.
-		for _, n := range []int{8, 16, 24} {
+		// must agree with masking the address's octets.
+		for n, want := range map[int]IPv4Addr{
+			8:  {h.DstIP[0]},
+			16: {h.DstIP[0], h.DstIP[1]},
+			24: {h.DstIP[0], h.DstIP[1], h.DstIP[2]},
+		} {
 			masked := (dst >> PackedAddrShift) &^ (1<<uint(32-n) - 1)
-			if want := uint64(h.DstIP.PrefixN(n).Uint32()); masked != want {
-				t.Fatalf("header %d: packed /%d prefix %x != PrefixN %x", i, n, masked, want)
+			if masked != uint64(want.Uint32()) {
+				t.Fatalf("header %d: packed /%d prefix %x != %v", i, n, masked, want)
 			}
 		}
 		// TTL must be outside the 5-tuple key material.

@@ -65,7 +65,7 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			return // malformed header rejected: fine
 		}
-		bound := r.SnapLen()
+		bound := r.snaplen
 		if bound == 0 || bound > MaxSnapLen {
 			bound = MaxSnapLen
 		}
@@ -78,7 +78,7 @@ func FuzzReader(f *testing.F) {
 				return
 			}
 			if uint32(len(p.Data)) > bound {
-				t.Fatalf("packet data %d bytes exceeds bound %d (snaplen %d)", len(p.Data), bound, r.SnapLen())
+				t.Fatalf("packet data %d bytes exceeds bound %d (snaplen %d)", len(p.Data), bound, r.snaplen)
 			}
 		}
 	})

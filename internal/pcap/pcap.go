@@ -185,12 +185,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 // LinkType returns the capture's link-layer type.
 func (r *Reader) LinkType() uint32 { return r.linkType }
 
-// SnapLen returns the capture's snap length.
-func (r *Reader) SnapLen() uint32 { return r.snaplen }
-
-// Nanosecond reports whether timestamps carry nanosecond resolution.
-func (r *Reader) Nanosecond() bool { return r.nano }
-
 // ReadPacket reads the next record. It returns io.EOF at a clean end of
 // stream and io.ErrUnexpectedEOF if the stream ends mid-record.
 func (r *Reader) ReadPacket() (Packet, error) {

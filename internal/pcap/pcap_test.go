@@ -109,8 +109,8 @@ func TestHeaderFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SnapLen() != 44 || r.LinkType() != LinkTypeRaw || r.Nanosecond() {
-		t.Fatalf("header fields: snap=%d link=%d nano=%v", r.SnapLen(), r.LinkType(), r.Nanosecond())
+	if r.snaplen != 44 || r.LinkType() != LinkTypeRaw || r.nano {
+		t.Fatalf("header fields: snap=%d link=%d nano=%v", r.snaplen, r.LinkType(), r.nano)
 	}
 }
 

@@ -49,77 +49,15 @@ func FromACF(rho []float64, m int) (*Predictor, error) {
 // Order returns M.
 func (p *Predictor) Order() int { return len(p.Coef) }
 
-// Predict returns R̂ for the next sample given the history, most recent
-// sample last. At least Order samples are required.
-func (p *Predictor) Predict(history []float64) (float64, error) {
-	m := len(p.Coef)
-	if len(history) < m {
-		return 0, fmt.Errorf("predict: need %d history samples, have %d", m, len(history))
-	}
-	var sum float64
-	n := len(history)
-	for i, a := range p.Coef {
-		sum += a * history[n-1-i]
-	}
-	return sum, nil
-}
-
-// Evaluate runs one-step-ahead prediction across series and returns the
-// paper's error metric: √E[(R̂-R)²] / E[R] (Table II reports it in percent).
-// The first Order samples seed the history and are not scored.
-func (p *Predictor) Evaluate(series []float64) (float64, error) {
-	m := len(p.Coef)
-	if len(series) < m+2 {
-		return 0, fmt.Errorf("predict: series of %d too short for order %d", len(series), m)
-	}
-	var se float64
-	count := 0
-	for k := m; k < len(series); k++ {
-		hat, err := p.Predict(series[:k])
-		if err != nil {
-			return 0, err
-		}
-		d := hat - series[k]
-		se += d * d
-		count++
-	}
-	mean := stats.Mean(series)
-	if mean == 0 {
-		return 0, fmt.Errorf("predict: zero-mean series")
-	}
-	return math.Sqrt(se/float64(count)) / mean, nil
-}
-
-// PredictSeries returns the one-step-ahead predictions aligned with series:
-// out[k] is the prediction of series[k] from its past (NaN for the first
-// Order samples). This generates the paper's Figure 14 overlay.
-func (p *Predictor) PredictSeries(series []float64) []float64 {
-	m := len(p.Coef)
-	out := make([]float64, len(series))
-	for k := range out {
-		if k < m {
-			out[k] = math.NaN()
-			continue
-		}
-		v, err := p.Predict(series[:k])
-		if err != nil {
-			out[k] = math.NaN()
-			continue
-		}
-		out[k] = v
-	}
-	return out
-}
-
 // Centered wraps a Predictor to operate on deviations from a level μ:
 //
 //	R̂_k = μ + Σ a_i · (R_{k-1-i} - μ)
 //
-// For a stationary process with mean μ this is the exact LMMSE predictor;
-// the raw Predictor is the paper's literal formulation, and the two
+// For a stationary process with mean μ this is the exact LMMSE predictor.
+// Level 0 gives the paper's literal (raw) formulation, and the two
 // coincide when Σa_i ≈ 1 (strongly correlated samples, e.g. Δ ≪ flow
 // durations). On sparsely correlated samples the raw form is biased by
-// (1-Σa_i)·μ, so the experiment harness uses Centered.
+// (1-Σa_i)·μ, so the experiment harness centres on the training mean.
 type Centered struct {
 	P     *Predictor
 	Level float64
@@ -139,7 +77,9 @@ func (c *Centered) Predict(history []float64) (float64, error) {
 	return c.Level + sum, nil
 }
 
-// Evaluate mirrors Predictor.Evaluate with the centred prediction.
+// Evaluate runs one-step-ahead prediction across series and returns the
+// paper's error metric: √E[(R̂-R)²] / E[R] (Table II reports it in percent).
+// The first Order samples seed the history and are not scored.
 func (c *Centered) Evaluate(series []float64) (float64, error) {
 	m := c.P.Order()
 	if len(series) < m+2 {
@@ -163,7 +103,9 @@ func (c *Centered) Evaluate(series []float64) (float64, error) {
 	return math.Sqrt(se/float64(count)) / math.Abs(mean), nil
 }
 
-// PredictSeries mirrors Predictor.PredictSeries with the centred prediction.
+// PredictSeries returns the one-step-ahead predictions aligned with series:
+// out[k] is the prediction of series[k] from its past (NaN for the first
+// Order samples). This generates the paper's Figure 14 overlay.
 func (c *Centered) PredictSeries(series []float64) []float64 {
 	m := c.P.Order()
 	out := make([]float64, len(series))

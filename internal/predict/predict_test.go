@@ -53,8 +53,11 @@ func TestAR1OptimalPredictorIsPhi(t *testing.T) {
 	}
 }
 
+// raw is the paper's literal predictor: Centered at level 0.
+func raw(coef ...float64) *Centered { return &Centered{P: &Predictor{Coef: coef}} }
+
 func TestPredictUsesRecentHistory(t *testing.T) {
-	p := &Predictor{Coef: []float64{0.5, 0.25}}
+	p := raw(0.5, 0.25)
 	// R̂ = 0.5·last + 0.25·second-to-last.
 	got, err := p.Predict([]float64{9, 9, 4, 8})
 	if err != nil {
@@ -71,7 +74,7 @@ func TestPredictUsesRecentHistory(t *testing.T) {
 func TestEvaluateOnPredictableSeries(t *testing.T) {
 	// A deterministic geometric decay x_k = 0.9·x_{k-1} is perfectly
 	// predicted by the order-1 predictor with coefficient 0.9.
-	p := &Predictor{Coef: []float64{0.9}}
+	p := raw(0.9)
 	xs := make([]float64, 200)
 	xs[0] = 40
 	for i := 1; i < len(xs); i++ {
@@ -98,7 +101,7 @@ func TestEvaluateErrorMetric(t *testing.T) {
 	for i := range xs {
 		xs[i] = 42
 	}
-	p := &Predictor{Coef: []float64{1}}
+	p := raw(1)
 	e, err := p.Evaluate(xs)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +110,7 @@ func TestEvaluateErrorMetric(t *testing.T) {
 		t.Fatalf("error on constant series = %g, want 0", e)
 	}
 	// A predictor that always predicts 0 has error σ-ish/mean.
-	pz := &Predictor{Coef: []float64{0}}
+	pz := raw(0)
 	e, err = pz.Evaluate(xs)
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +132,11 @@ func TestEvaluateOnNoisyAR1(t *testing.T) {
 		centred[i] = x - 100
 	}
 	rho := stats.AutoCorrelation(centred, 5)
-	p, err := FromACF(rho, 2)
+	fit, err := FromACF(rho, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := &Centered{P: fit}
 	// Evaluate on the centred series shifted up to avoid the zero-mean
 	// guard while keeping the predictor's assumptions (an MA predictor is
 	// scale-free but not shift-free; the paper's rate series has a large
@@ -154,7 +158,7 @@ func TestEvaluateOnNoisyAR1(t *testing.T) {
 }
 
 func TestPredictSeriesAlignment(t *testing.T) {
-	p := &Predictor{Coef: []float64{1, 0}}
+	p := raw(1, 0)
 	xs := []float64{1, 2, 3, 4}
 	out := p.PredictSeries(xs)
 	if !math.IsNaN(out[0]) || !math.IsNaN(out[1]) {
@@ -261,7 +265,7 @@ func TestCenteredRemovesLevelBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := p.Evaluate(xs)
+	rawErr, err := (&Centered{P: p}).Evaluate(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +274,8 @@ func TestCenteredRemovesLevelBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(cent < raw/5) {
-		t.Fatalf("centred error %g should be far below raw %g", cent, raw)
+	if !(cent < rawErr/5) {
+		t.Fatalf("centred error %g should be far below raw %g", cent, rawErr)
 	}
 	if cent > 0.015 {
 		t.Fatalf("centred error %g, want ≈ 0.01 (noise floor)", cent)

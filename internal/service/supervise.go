@@ -38,8 +38,8 @@ func (e *permanentError) Is(target error) bool {
 	return target == ErrPermanent
 }
 
-// MarkPermanent wraps err so the supervisor (and Retry) treats it as not
-// worth retrying. A nil err stays nil.
+// MarkPermanent wraps err so the supervisor treats it as not worth
+// retrying. A nil err stays nil.
 func MarkPermanent(err error) error {
 	if err == nil {
 		return nil
@@ -308,33 +308,4 @@ func (s *Supervisor) emit(ev Event) {
 	if s.OnEvent != nil {
 		s.OnEvent(ev)
 	}
-}
-
-// Retry runs op up to attempts times under the taxonomy: transient errors
-// back off and retry, cancellation and permanent errors return immediately.
-// The ingest-side counterpart of Run for operations with a natural end.
-func Retry(ctx context.Context, attempts int, b *Backoff, op func(context.Context) error) error {
-	if attempts < 1 {
-		return MarkPermanent(fmt.Errorf("service: retry needs >= 1 attempt, got %d", attempts))
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = op(ctx)
-		switch Classify(err) {
-		case Canceled:
-			if err == nil || ctx.Err() != nil {
-				return err
-			}
-			return err
-		case Permanent:
-			return err
-		}
-		if i == attempts-1 {
-			break
-		}
-		if serr := sleepCtx(ctx, b.Next()); serr != nil {
-			return serr
-		}
-	}
-	return fmt.Errorf("service: giving up after %d attempts: %w", attempts, err)
 }

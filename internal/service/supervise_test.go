@@ -261,42 +261,3 @@ func TestSupervisorHealthyRunResetsBackoff(t *testing.T) {
 		t.Fatalf("post-healthy delay %v did not reset to base", last)
 	}
 }
-
-func TestRetry(t *testing.T) {
-	mkBackoff := func() *Backoff {
-		b, err := NewBackoff(time.Nanosecond, time.Nanosecond, 1, "retry")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	attempts := 0
-	err := Retry(context.Background(), 5, mkBackoff(), func(context.Context) error {
-		if attempts++; attempts < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || attempts != 3 {
-		t.Fatalf("Retry = %v after %d attempts", err, attempts)
-	}
-
-	attempts = 0
-	err = Retry(context.Background(), 3, mkBackoff(), func(context.Context) error {
-		attempts++
-		return errors.New("always")
-	})
-	if err == nil || attempts != 3 {
-		t.Fatalf("exhausted Retry = %v after %d attempts", err, attempts)
-	}
-
-	attempts = 0
-	cause := MarkPermanent(errors.New("bad"))
-	err = Retry(context.Background(), 5, mkBackoff(), func(context.Context) error {
-		attempts++
-		return cause
-	})
-	if attempts != 1 || !errors.Is(err, ErrPermanent) {
-		t.Fatalf("permanent Retry = %v after %d attempts", err, attempts)
-	}
-}

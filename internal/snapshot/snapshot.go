@@ -238,9 +238,6 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // generations lists the sequence numbers of present checkpoint files,
 // ascending. Unparseable names are ignored (they are not ours).
 func (s *Store) generations() ([]uint64, error) {

@@ -37,9 +37,3 @@ func (e *EWMA) Add(x float64) {
 
 // Value returns the current estimate (0 before any observation).
 func (e *EWMA) Value() float64 { return e.value }
-
-// N returns the number of observations seen.
-func (e *EWMA) N() int64 { return e.n }
-
-// Alpha returns the estimator gain.
-func (e *EWMA) Alpha() float64 { return e.alpha }

@@ -33,9 +33,6 @@ func TestEWMAUpdateRule(t *testing.T) {
 	if e.Value() != 7 {
 		t.Fatalf("value = %g, want 7", e.Value())
 	}
-	if e.N() != 2 {
-		t.Fatalf("n = %d, want 2", e.N())
-	}
 }
 
 func TestEWMAConvergesToStationaryMean(t *testing.T) {

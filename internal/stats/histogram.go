@@ -39,9 +39,6 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
@@ -54,17 +51,6 @@ func (h *Histogram) Fraction(i int) float64 {
 		return 0
 	}
 	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
 }
 
 // String renders the histogram as an ASCII bar chart, one bin per line, for

@@ -16,8 +16,8 @@ func TestHistogramBinning(t *testing.T) {
 	if h.Counts[0] != 1 || h.Counts[9] != 1 || h.Counts[5] != 1 {
 		t.Fatalf("counts = %v", h.Counts)
 	}
-	if h.Total() != 3 {
-		t.Fatalf("total = %d, want 3", h.Total())
+	if got := h.Fraction(5); got != 1.0/3 {
+		t.Fatalf("fraction of bin 5 = %g, want 1/3", got)
 	}
 }
 
@@ -52,17 +52,6 @@ func TestHistogramBinCenter(t *testing.T) {
 	}
 	if got := h.BinCenter(9); got != 9.5 {
 		t.Fatalf("BinCenter(9) = %g, want 9.5", got)
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	h, _ := NewHistogram(0, 10, 10)
-	for i := 0; i < 5; i++ {
-		h.Add(7.2)
-	}
-	h.Add(1)
-	if got := h.Mode(); got != 7.5 {
-		t.Fatalf("Mode = %g, want 7.5", got)
 	}
 }
 

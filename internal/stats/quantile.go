@@ -5,24 +5,6 @@ import (
 	"sort"
 )
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics (type-7 estimator, the common
-// default). The input need not be sorted; it is not modified.
-// It returns ErrEmpty for empty input and an error for q outside [0,1].
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, errQuantileRange
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return quantileSorted(s, q), nil
-}
-
-var errQuantileRange = errorf("stats: quantile out of [0,1]")
-
 // quantileSorted computes the type-7 quantile on already-sorted data.
 func quantileSorted(s []float64, q float64) float64 {
 	n := len(s)
@@ -105,11 +87,3 @@ func NormalQuantile(q float64) float64 {
 func NormalCDF(z float64) float64 {
 	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
 }
-
-// errorf is a tiny helper to build sentinel errors without importing fmt in
-// hot paths.
-type constError string
-
-func (e constError) Error() string { return string(e) }
-
-func errorf(s string) error { return constError(s) }

@@ -8,37 +8,26 @@ import (
 	"testing/quick"
 )
 
+// The type-7 estimator behind QQExponential's sample quantiles.
 func TestQuantileBasics(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
+		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.1, 1.4},
 	}
 	for _, c := range cases {
-		got, err := Quantile(xs, c.q)
-		if err != nil {
-			t.Fatal(err)
+		if got := quantileSorted(xs, c.q); !almostEqual(got, c.want, 1e-12) {
+			t.Fatalf("quantileSorted(%g) = %g, want %g", c.q, got, c.want)
 		}
-		if !almostEqual(got, c.want, 1e-12) {
-			t.Fatalf("Quantile(%g) = %g, want %g", c.q, got, c.want)
-		}
+	}
+	if got := quantileSorted([]float64{7}, 0.3); got != 7 {
+		t.Fatalf("single-sample quantile = %g, want 7", got)
 	}
 }
 
-func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Fatalf("empty err = %v, want ErrEmpty", err)
-	}
-	if _, err := Quantile([]float64{1}, 1.5); err == nil {
-		t.Fatal("expected error for q > 1")
-	}
-	if _, err := Quantile([]float64{1}, math.NaN()); err == nil {
-		t.Fatal("expected error for NaN q")
-	}
-}
-
+// QQExponential sorts a copy: the caller's series keeps its order.
 func TestQuantileDoesNotMutateInput(t *testing.T) {
 	xs := []float64{5, 1, 3}
-	if _, err := Quantile(xs, 0.5); err != nil {
+	if _, err := QQExponential(xs, 10); err != nil {
 		t.Fatal(err)
 	}
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
@@ -57,16 +46,9 @@ func TestQuantileMonotone(t *testing.T) {
 		if qa > qb {
 			qa, qb = qb, qa
 		}
-		va, err := Quantile(xs, qa)
-		if err != nil {
-			return false
-		}
-		vb, err := Quantile(xs, qb)
-		if err != nil {
-			return false
-		}
-		min, max, _ := MinMax(xs)
-		return va <= vb+1e-9 && va >= min-1e-9 && vb <= max+1e-9
+		sort.Float64s(xs)
+		va, vb := quantileSorted(xs, qa), quantileSorted(xs, qb)
+		return va <= vb+1e-9 && va >= xs[0]-1e-9 && vb <= xs[len(xs)-1]+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

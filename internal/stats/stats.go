@@ -78,24 +78,6 @@ func CoV(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// MinMax returns the smallest and largest values in xs.
-// It returns ErrEmpty if xs is empty.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
 // Moments accumulates count, mean and variance in a single streaming pass
 // using Welford's algorithm. The zero value is ready to use. It backs the
 // paper's three-parameter estimation (λ, E[S], E[S²/D]) without keeping the
@@ -130,28 +112,3 @@ func (m *Moments) Variance() float64 {
 
 // StdDev returns the running sample standard deviation.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// CoV returns the running coefficient of variation (0 if the mean is 0).
-func (m *Moments) CoV() float64 {
-	if m.mean == 0 {
-		return 0
-	}
-	return m.StdDev() / m.mean
-}
-
-// Merge combines another accumulator into m (parallel Welford merge), so
-// per-interval statistics can be folded into per-trace statistics.
-func (m *Moments) Merge(o Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = o
-		return
-	}
-	n := m.n + o.n
-	d := o.mean - m.mean
-	m.m2 += o.m2 + d*d*float64(m.n)*float64(o.n)/float64(n)
-	m.mean += d * float64(o.n) / float64(n)
-	m.n = n
-}

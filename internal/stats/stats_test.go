@@ -78,19 +78,6 @@ func TestCoVZeroMean(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 7, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = (%g,%g), want (-1,7)", min, max)
-	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Fatalf("MinMax(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
 // Property: Welford online moments agree with the batch formulas.
 func TestMomentsMatchesBatch(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -107,48 +94,6 @@ func TestMomentsMatchesBatch(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: merging two accumulators equals accumulating the concatenation.
-func TestMomentsMergeEquivalence(t *testing.T) {
-	f := func(rawA, rawB []float64) bool {
-		a, b := sanitize(rawA), sanitize(rawB)
-		var ma, mb, mAll Moments
-		for _, x := range a {
-			ma.Add(x)
-			mAll.Add(x)
-		}
-		for _, x := range b {
-			mb.Add(x)
-			mAll.Add(x)
-		}
-		ma.Merge(mb)
-		if ma.N() != mAll.N() {
-			return false
-		}
-		if ma.N() == 0 {
-			return true
-		}
-		return almostEqual(ma.Mean(), mAll.Mean(), 1e-6*(1+math.Abs(mAll.Mean()))) &&
-			almostEqual(ma.Variance(), mAll.Variance(), 1e-5*(1+mAll.Variance()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMomentsMergeEmpty(t *testing.T) {
-	var a, b Moments
-	a.Add(1)
-	a.Add(3)
-	a.Merge(b) // merging empty must be a no-op
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Fatalf("merge empty changed state: n=%d mean=%g", a.N(), a.Mean())
-	}
-	b.Merge(a) // merging into empty must copy
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Fatalf("merge into empty: n=%d mean=%g", b.N(), b.Mean())
 	}
 }
 

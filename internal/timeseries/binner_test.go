@@ -58,11 +58,13 @@ func TestBinnerMatchesBinAndResets(t *testing.T) {
 		t.Fatal("Series must snapshot, not alias, the binner's storage")
 	}
 
-	b.Reset()
+	if err := b.Reinit(1, 0.1); err != nil {
+		t.Fatal(err)
+	}
 	empty := b.Series()
 	for k, v := range empty.Rate {
 		if v != 0 {
-			t.Fatalf("bin %d nonzero after Reset: %g", k, v)
+			t.Fatalf("bin %d nonzero after Reinit: %g", k, v)
 		}
 	}
 	b.Add(0.25, 800) // 800 bits in bin 2 of a 0.1 s grid -> 8000 bit/s

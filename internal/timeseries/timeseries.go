@@ -8,7 +8,6 @@ package timeseries
 import (
 	"fmt"
 	"iter"
-	"math"
 
 	"repro/internal/flow"
 	"repro/internal/stats"
@@ -96,14 +95,9 @@ func (b *Binner) AddBlock(blk *trace.Block) {
 	}
 }
 
-// Reset clears the bins for the next window.
-func (b *Binner) Reset() {
-	clear(b.bits)
-}
-
 // Series snapshots the accumulated volumes as a rate series. The returned
-// series owns its storage, so the binner can be Reset and reused (and the
-// series mutated, e.g. by Subtract) independently.
+// series owns its storage, so the binner can be re-initialised and reused
+// (and the series mutated, e.g. by Subtract) independently.
 func (b *Binner) Series() Series {
 	rate := make([]float64, len(b.bits))
 	for k, v := range b.bits {
@@ -195,35 +189,4 @@ func (s Series) Downsample(k int) (Series, error) {
 		out[i] = sum / float64(k)
 	}
 	return Series{Delta: s.Delta * float64(k), Rate: out}, nil
-}
-
-// ActiveFlowSeries counts, for each bin of length delta over [0, duration),
-// the number of flows active at the bin's start (a flow is active at t when
-// Start ≤ t < End). This is the N(t) process of the M/G/∞ view (§V-A),
-// used by the paper's second family of predictors.
-func ActiveFlowSeries(flows []flow.Flow, duration, delta float64) (Series, error) {
-	if !(delta > 0) || !(duration > 0) {
-		return Series{}, fmt.Errorf("timeseries: need positive delta and duration")
-	}
-	n := int(duration / delta)
-	if n == 0 {
-		return Series{}, fmt.Errorf("timeseries: duration %g shorter than delta %g", duration, delta)
-	}
-	counts := make([]float64, n)
-	for _, f := range flows {
-		// First bin whose start t = kΔ satisfies t ≥ f.Start.
-		lo := int(math.Ceil(f.Start / delta))
-		// Last bin whose start is strictly before f.End.
-		hi := int(f.End / delta)
-		if float64(hi)*delta >= f.End {
-			hi--
-		}
-		if lo < 0 {
-			lo = 0
-		}
-		for k := lo; k <= hi && k < n; k++ {
-			counts[k]++
-		}
-	}
-	return Series{Delta: delta, Rate: counts}, nil
 }

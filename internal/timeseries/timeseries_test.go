@@ -217,28 +217,6 @@ func TestDownsampleConservesMean(t *testing.T) {
 	}
 }
 
-func TestActiveFlowSeries(t *testing.T) {
-	flows := []flow.Flow{
-		{Start: 0, End: 1.0},
-		{Start: 0.5, End: 2.0},
-	}
-	s, err := ActiveFlowSeries(flows, 3, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bin starts at t=0,0.5,1.0,1.5,2.0,2.5; a flow is active on the
-	// half-open [Start, End), so flow 1 is gone at t=1.0 and flow 2 at 2.0.
-	want := []float64{1, 2, 1, 1, 0, 0}
-	for i, w := range want {
-		if s.Rate[i] != w {
-			t.Fatalf("N(t) at bin %d = %g, want %g (series %v)", i, s.Rate[i], w, s.Rate)
-		}
-	}
-	if _, err := ActiveFlowSeries(nil, 0, 1); err == nil {
-		t.Fatal("invalid dims should be rejected")
-	}
-}
-
 // Averaging over longer Δ smooths the measured rate (paper §V-F): variance
 // decreases with Δ on a synthetic trace.
 func TestVarianceDecreasesWithDelta(t *testing.T) {

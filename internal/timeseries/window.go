@@ -35,20 +35,6 @@ func (w *Window) Push(v float64) {
 	w.head = (w.head + 1) % len(w.buf)
 }
 
-// Len returns the number of samples held.
-func (w *Window) Len() int { return w.n }
-
-// Cap returns the window's capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
-// At returns the i-th sample, 0 being the oldest held.
-func (w *Window) At(i int) float64 {
-	if i < 0 || i >= w.n {
-		panic(fmt.Sprintf("timeseries: window index %d out of range [0,%d)", i, w.n))
-	}
-	return w.buf[(w.head+i)%len(w.buf)]
-}
-
 // AppendValues appends the held samples, oldest to newest, to dst and
 // returns it — the allocation-free read the refit loop uses each interval.
 func (w *Window) AppendValues(dst []float64) []float64 {

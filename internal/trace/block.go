@@ -3,8 +3,6 @@ package trace
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/netpkt"
 )
 
 // Block is a struct-of-arrays batch of packet records: the batch-columnar
@@ -13,7 +11,8 @@ import (
 // netpkt.Packed — so flow-key derivation, rate binning and interval
 // splitting are tight loops over plain integer/float columns instead of
 // per-record virtual calls over 44-byte headers. The packing is lossless:
-// Record(i) reconstructs the exact Record an AppendRecord stored.
+// netpkt.HeaderFromPacked reconstructs the exact header an AppendRecord
+// stored.
 //
 // Invariant: all four columns always have equal length.
 type Block struct {
@@ -72,15 +71,6 @@ func (b *Block) AppendRebased(src *Block, lo, hi int, offset float64) {
 	b.Sizes = append(b.Sizes, src.Sizes[lo:hi]...)
 	b.Srcs = append(b.Srcs, src.Srcs[lo:hi]...)
 	b.Dsts = append(b.Dsts, src.Dsts[lo:hi]...)
-}
-
-// Record reconstructs packet i as a Record (the record-at-a-time view kept
-// for consumers outside the batch path).
-func (b *Block) Record(i int) Record {
-	return Record{
-		Time: b.Times[i],
-		Hdr:  netpkt.HeaderFromPacked(b.Srcs[i], b.Dsts[i], b.Sizes[i]),
-	}
 }
 
 // Slice returns a view over packets [lo, hi) sharing the block's storage.

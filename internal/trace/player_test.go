@@ -15,6 +15,15 @@ type playerEmission struct {
 	index uint32 // recovered via SrcPort, which the test sets to the flow index
 }
 
+// PacketSize returns the wire size in bytes of packet k (0-based): full MTU
+// except for a final partial packet.
+func (p *FlowProgram) PacketSize(k int) int {
+	if remaining := p.SizeB - k*p.PktBytes; remaining < p.PktBytes {
+		return remaining
+	}
+	return p.PktBytes
+}
+
 // bruteForce computes the exact expected emission sequence of a program
 // population over [lo, hi): every packet time from the closed-form pacing,
 // filtered to the window, sorted by the canonical (time, index) order.

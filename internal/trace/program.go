@@ -58,15 +58,6 @@ func (p *FlowProgram) NumPackets() int {
 	return (p.SizeB + p.PktBytes - 1) / p.PktBytes
 }
 
-// PacketSize returns the wire size in bytes of packet k (0-based): full MTU
-// except for a final partial packet.
-func (p *FlowProgram) PacketSize(k int) int {
-	if remaining := p.SizeB - k*p.PktBytes; remaining < p.PktBytes {
-		return remaining
-	}
-	return p.PktBytes
-}
-
 // powFrac computes frac^e for frac in [0, 1], e > 0, via the exp∘log
 // identity — about twice as fast as math.Pow, whose generality (negative
 // bases, integer exponents, ±Inf) the pacing never needs. Packet-time

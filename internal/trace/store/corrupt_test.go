@@ -115,9 +115,9 @@ func TestTruncationAtEveryFrameBoundary(t *testing.T) {
 				whole = i + 1 // the midpoint of a tiny payload can land past the frame
 			}
 			wantSegs, wantPackets := prefixPackets(frames, whole)
-			if r.Segments() != wantSegs || r.Packets() != wantPackets {
+			if len(r.segs) != wantSegs || r.Packets() != wantPackets {
 				t.Fatalf("%s frame %d: prefix has %d segments / %d packets, want %d / %d",
-					cut.name, i, r.Segments(), r.Packets(), wantSegs, wantPackets)
+					cut.name, i, len(r.segs), r.Packets(), wantSegs, wantPackets)
 			}
 			mustEqualRecords(t, "torn prefix", streamRecords(t, r, 0), ref[:wantPackets])
 			r.Close()
@@ -138,8 +138,8 @@ func TestTruncationOfTailOnly(t *testing.T) {
 	}
 	defer r.Close()
 	wantSegs, wantPackets := prefixPackets(frames, len(frames))
-	if r.Segments() != wantSegs || r.Packets() != wantPackets {
-		t.Fatalf("recovered %d segments / %d packets, want %d / %d", r.Segments(), r.Packets(), wantSegs, wantPackets)
+	if len(r.segs) != wantSegs || r.Packets() != wantPackets {
+		t.Fatalf("recovered %d segments / %d packets, want %d / %d", len(r.segs), r.Packets(), wantSegs, wantPackets)
 	}
 	if !r.HasFooter() {
 		t.Fatal("footer lost though its frame is intact")
@@ -178,7 +178,7 @@ func TestColumnRunBitFlip(t *testing.T) {
 	var got []trace.Record
 	serr := r.Stream(context.Background(), 0, func(blk *trace.Block) error {
 		for i := 0; i < blk.Len(); i++ {
-			got = append(got, blk.Record(i))
+			got = append(got, blockRecord(blk, i))
 		}
 		return nil
 	})

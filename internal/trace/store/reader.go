@@ -334,9 +334,6 @@ func (r *Reader) Summary() trace.Summary { return r.sum }
 // Packets returns the total packets across all readable segments.
 func (r *Reader) Packets() int64 { return r.packets }
 
-// Segments returns the number of readable segments.
-func (r *Reader) Segments() int { return len(r.segs) }
-
 // LastTime returns the rebased time of the final stored packet (0 for an
 // empty store) — the directory's tLast, no segment read needed.
 func (r *Reader) LastTime() float64 {
@@ -345,9 +342,6 @@ func (r *Reader) LastTime() float64 {
 	}
 	return r.segs[len(r.segs)-1].tLast
 }
-
-// ZeroCopy reports whether blocks are served straight from the mapping.
-func (r *Reader) ZeroCopy() bool { return r.zeroCopy }
 
 // HasFooter reports whether the store carries a checkpoint footer.
 func (r *Reader) HasFooter() bool { return r.footer != nil }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/membudget"
+	"repro/internal/netpkt"
 	"repro/internal/trace"
 )
 
@@ -44,7 +45,7 @@ func streamRecords(t *testing.T, r *Reader, start int64) []trace.Record {
 	var recs []trace.Record
 	err := r.Stream(context.Background(), start, func(blk *trace.Block) error {
 		for i := 0; i < blk.Len(); i++ {
-			recs = append(recs, blk.Record(i))
+			recs = append(recs, blockRecord(blk, i))
 		}
 		return nil
 	})
@@ -207,7 +208,7 @@ func TestReadAtFallbackMatchesMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rf.Close()
-	if rf.ZeroCopy() {
+	if rf.zeroCopy {
 		t.Fatal("ReadAt reader claims zero-copy")
 	}
 	mustEqualRecords(t, "fallback stream", streamRecords(t, rf, 0), streamRecords(t, rm, 0))
@@ -271,8 +272,8 @@ func TestEmptyStore(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
-	if r.Packets() != 0 || r.Segments() != 0 {
-		t.Fatalf("empty store reports %d packets in %d segments", r.Packets(), r.Segments())
+	if r.Packets() != 0 || len(r.segs) != 0 {
+		t.Fatalf("empty store reports %d packets in %d segments", r.Packets(), len(r.segs))
 	}
 	if got := streamRecords(t, r, 0); len(got) != 0 {
 		t.Fatalf("empty store streamed %d records", len(got))
@@ -280,4 +281,9 @@ func TestEmptyStore(t *testing.T) {
 	if got := streamRecords(t, r, 3); len(got) != 0 {
 		t.Fatalf("empty store streamed %d records from offset 3", len(got))
 	}
+}
+
+// blockRecord reconstructs packet i of blk as a Record.
+func blockRecord(blk *trace.Block, i int) trace.Record {
+	return trace.Record{Time: blk.Times[i], Hdr: netpkt.HeaderFromPacked(blk.Srcs[i], blk.Dsts[i], blk.Sizes[i])}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/netpkt"
 )
 
 // The streaming faces (the serial block producer, Records) must yield
@@ -22,7 +23,7 @@ func TestStreamMatchesGenerateAll(t *testing.T) {
 	var streamed []Record
 	sum, err := StreamParallelBlocksCtx(context.Background(), cfg, 1, func(blk *Block) error {
 		for i := 0; i < blk.Len(); i++ {
-			streamed = append(streamed, blk.Record(i))
+			streamed = append(streamed, blockRecord(blk, i))
 		}
 		return nil
 	})
@@ -86,4 +87,9 @@ func TestRecordsEarlyBreakResumes(t *testing.T) {
 	if !ok || next != want[5] {
 		t.Fatalf("generator did not resume at packet 5: %+v", next)
 	}
+}
+
+// blockRecord reconstructs packet i of blk as a Record.
+func blockRecord(blk *Block, i int) Record {
+	return Record{Time: blk.Times[i], Hdr: netpkt.HeaderFromPacked(blk.Srcs[i], blk.Dsts[i], blk.Sizes[i])}
 }

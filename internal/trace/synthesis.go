@@ -23,8 +23,8 @@ import (
 //
 // Packets leave synthesis packed into struct-of-arrays Blocks (times, wire
 // lengths, packed header words in parallel columns): the measurement
-// pipeline consumes the columns directly, and Block.Record reconstructs
-// Records losslessly from them.
+// pipeline consumes the columns directly, and netpkt.HeaderFromPacked
+// reconstructs the headers losslessly from them.
 
 // synthSegmentBlocks bounds each in-flight segment's buffered blocks, so a
 // fast worker back-pressures on the merger instead of materialising its

@@ -15,7 +15,7 @@ func collectParallel(t *testing.T, cfg Config, workers int) ([]Record, Summary) 
 	var recs []Record
 	sum, err := StreamParallelBlocksCtx(context.Background(), cfg, workers, func(blk *Block) error {
 		for i := 0; i < blk.Len(); i++ {
-			recs = append(recs, blk.Record(i))
+			recs = append(recs, blockRecord(blk, i))
 		}
 		return nil
 	})

@@ -24,6 +24,7 @@ package trace
 import (
 	"fmt"
 	"iter"
+	"math"
 
 	"repro/internal/dist"
 	"repro/internal/netpkt"
@@ -103,13 +104,17 @@ type Config struct {
 	Seed int64
 }
 
+// withDefaults fills the zero-valued optional fields and validates the
+// rest. Every float field must be finite: a NaN fails each comparison, so
+// the checks are written to reject it, and an infinite duration, rate or
+// warm-up would never finish.
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
-	if !(out.Duration > 0) {
-		return out, fmt.Errorf("trace: Duration must be > 0, got %g", out.Duration)
+	if !(out.Duration > 0) || math.IsInf(out.Duration, 0) {
+		return out, fmt.Errorf("trace: Duration must be finite and > 0, got %g", out.Duration)
 	}
-	if !(out.Lambda > 0) {
-		return out, fmt.Errorf("trace: Lambda must be > 0, got %g", out.Lambda)
+	if !(out.Lambda > 0) || math.IsInf(out.Lambda, 0) {
+		return out, fmt.Errorf("trace: Lambda must be finite and > 0, got %g", out.Lambda)
 	}
 	if out.SizeBytes == nil || out.RateBps == nil || out.ShotB == nil {
 		return out, fmt.Errorf("trace: SizeBytes, RateBps and ShotB samplers are required")
@@ -134,19 +139,19 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.FlowsPerSession == 0 {
 		out.FlowsPerSession = 8
 	}
-	if out.FlowsPerSession < 1 {
-		return out, fmt.Errorf("trace: FlowsPerSession must be >= 1, got %g", out.FlowsPerSession)
+	if !(out.FlowsPerSession >= 1) || math.IsInf(out.FlowsPerSession, 0) {
+		return out, fmt.Errorf("trace: FlowsPerSession must be finite and >= 1, got %g", out.FlowsPerSession)
 	}
 	if out.SessionFlowGapSec == 0 {
 		out.SessionFlowGapSec = 1
 	}
-	if out.SessionFlowGapSec < 0 {
-		return out, fmt.Errorf("trace: SessionFlowGapSec must be >= 0, got %g", out.SessionFlowGapSec)
+	if !(out.SessionFlowGapSec >= 0) || math.IsInf(out.SessionFlowGapSec, 0) {
+		return out, fmt.Errorf("trace: SessionFlowGapSec must be finite and >= 0, got %g", out.SessionFlowGapSec)
 	}
 	if out.PopularFraction == 0 {
 		out.PopularFraction = 0.45
 	}
-	if out.PopularFraction < 0 || out.PopularFraction > 1 {
+	if !(out.PopularFraction >= 0 && out.PopularFraction <= 1) {
 		return out, fmt.Errorf("trace: PopularFraction must be in [0,1], got %g", out.PopularFraction)
 	}
 	if out.PopularPrefixes == 0 {
@@ -155,14 +160,17 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.PopularPrefixes < 1 || out.PopularPrefixes >= out.Prefixes {
 		return out, fmt.Errorf("trace: PopularPrefixes must be in [1, Prefixes), got %d", out.PopularPrefixes)
 	}
-	if out.UDPFraction < 0 || out.UDPFraction > 1 {
+	if !(out.UDPFraction >= 0 && out.UDPFraction <= 1) {
 		return out, fmt.Errorf("trace: UDPFraction must be in [0,1], got %g", out.UDPFraction)
 	}
 	if out.MinDuration == 0 {
 		out.MinDuration = 0.01
 	}
-	if out.Warmup < 0 {
-		return out, fmt.Errorf("trace: Warmup must be >= 0, got %g", out.Warmup)
+	if !(out.MinDuration >= 0) || math.IsInf(out.MinDuration, 0) {
+		return out, fmt.Errorf("trace: MinDuration must be finite and >= 0, got %g", out.MinDuration)
+	}
+	if !(out.Warmup >= 0) || math.IsInf(out.Warmup, 0) {
+		return out, fmt.Errorf("trace: Warmup must be finite and >= 0, got %g", out.Warmup)
 	}
 	return out, nil
 }

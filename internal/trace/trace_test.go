@@ -42,6 +42,33 @@ func TestConfigValidation(t *testing.T) {
 		{Duration: 10, Lambda: 5, SizeBytes: size, RateBps: rate, ShotB: dist.Constant{V: 1}, UDPFraction: 1.5},
 		{Duration: 10, Lambda: 5, SizeBytes: size, RateBps: rate, ShotB: dist.Constant{V: 1}, Prefixes: -1},
 	}
+	// Non-finite values: NaN fails every comparison and an infinite
+	// duration, rate or warm-up never finishes, so each field rejects them.
+	good := Config{Duration: 10, Lambda: 5, SizeBytes: size, RateBps: rate, ShotB: dist.Constant{V: 1}}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, set := range []func(*Config){
+		func(c *Config) { c.Duration = nan },
+		func(c *Config) { c.Duration = inf },
+		func(c *Config) { c.Lambda = nan },
+		func(c *Config) { c.Lambda = inf },
+		func(c *Config) { c.Warmup = nan },
+		func(c *Config) { c.Warmup = inf },
+		func(c *Config) { c.FlowsPerSession = nan },
+		func(c *Config) { c.FlowsPerSession = inf },
+		func(c *Config) { c.SessionFlowGapSec = nan },
+		func(c *Config) { c.SessionFlowGapSec = inf },
+		func(c *Config) { c.PopularFraction = nan },
+		func(c *Config) { c.UDPFraction = nan },
+		func(c *Config) { c.MinDuration = nan },
+		func(c *Config) { c.MinDuration = inf },
+	} {
+		cfg := good
+		set(&cfg)
+		bad = append(bad, cfg)
+	}
+	if _, err := NewGenerator(good); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
 	for i, cfg := range bad {
 		if _, err := NewGenerator(cfg); err == nil {
 			t.Fatalf("config %d should be rejected", i)
@@ -163,10 +190,10 @@ func TestGeneratorFlowByteConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total int64
-	perFlow := map[netpkt.FlowKey]int64{}
+	perFlow := map[netpkt.Header]int64{}
 	for _, r := range recs {
 		total += int64(r.Hdr.TotalLen)
-		perFlow[r.Hdr.Key5Tuple()] += int64(r.Hdr.TotalLen)
+		perFlow[key5(r.Hdr)] += int64(r.Hdr.TotalLen)
 	}
 	if total != s.Bytes {
 		t.Fatalf("sum of packet sizes %d != summary bytes %d", total, s.Bytes)
@@ -212,9 +239,9 @@ func TestShotExponentControlsPacing(t *testing.T) {
 	}
 	frontBytes := func(recs []Record) float64 {
 		// Bytes sent in the first half of one flow's active period.
-		byFlow := map[netpkt.FlowKey][]Record{}
+		byFlow := map[netpkt.Header][]Record{}
 		for _, r := range recs {
-			k := r.Hdr.Key5Tuple()
+			k := key5(r.Hdr)
 			byFlow[k] = append(byFlow[k], r)
 		}
 		var frac []float64
@@ -257,11 +284,11 @@ func TestGeneratorPrefixConcentration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := map[netpkt.FlowKey]bool{}
-	prefixes := map[netpkt.PrefixKey]bool{}
+	flows := map[netpkt.Header]bool{}
+	prefixes := map[uint32]bool{}
 	for _, r := range recs {
-		flows[r.Hdr.Key5Tuple()] = true
-		prefixes[r.Hdr.KeyPrefix()] = true
+		flows[key5(r.Hdr)] = true
+		prefixes[r.Hdr.DstIP.Uint32()>>8] = true
 	}
 	if len(prefixes) >= len(flows) {
 		t.Fatalf("prefix aggregation did not reduce flow count: %d prefixes, %d flows",
@@ -280,4 +307,11 @@ func TestRecordBits(t *testing.T) {
 	if r.Bits() != 12000 {
 		t.Fatalf("Bits = %g, want 12000", r.Bits())
 	}
+}
+
+// key5 is a header's 5-tuple flow key: the header with its per-packet
+// fields cleared.
+func key5(h netpkt.Header) netpkt.Header {
+	h.TotalLen, h.TTL = 0, 0
+	return h
 }

@@ -45,9 +45,6 @@ func NewWindow(cfg Config, lo, hi float64) (Window, error) {
 	return Window{Lo: lo, Hi: hi, cfg: cfg}, nil
 }
 
-// Duration returns the window length Hi - Lo.
-func (w Window) Duration() float64 { return w.Hi - w.Lo }
-
 // Records returns the window's packets in time order, with times rebased to
 // Lo (so they lie in [0, Duration)). Each call regenerates the trace from
 // its seed and yields identical records; generation stops as soon as the

@@ -49,9 +49,6 @@ func TestWindowMatchesFullTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Duration() != hi-lo {
-		t.Fatalf("window duration %g, want %g", w.Duration(), hi-lo)
-	}
 	for replay := 0; replay < 2; replay++ {
 		got := slices.Collect(w.Records())
 		if len(got) != len(want) {
@@ -102,8 +99,7 @@ func TestWindowValidation(t *testing.T) {
 	if _, err := NewWindow(bad, 0, 5); err == nil {
 		t.Fatal("invalid config should be rejected")
 	}
-	// Config defaulting accepts an infinite Lambda; the arrival process
-	// does not, and neither may the window.
+	// An infinite Lambda would never finish the arrival process.
 	bad = cfg
 	bad.Lambda = math.Inf(1)
 	if _, err := NewWindow(bad, 0, 5); err == nil {
