@@ -1,7 +1,9 @@
 // Command experiments regenerates the tables and figures of "A flow-based
 // model for Internet backbone traffic" (Barakat et al., IMC 2002) on the
-// scaled synthetic trace suite. See DESIGN.md §4 for the experiment index
-// and EXPERIMENTS.md for paper-vs-measured results.
+// scaled synthetic trace suite. `experiments -list` prints the experiment
+// ids; each is named after the paper artefact it regenerates (table1 =
+// Table I, fig9 = Figure 9, appA = §VII-A), and ablation-* ids are checks
+// beyond the paper.
 //
 // Usage:
 //

@@ -9,5 +9,6 @@
 // research artefact: cmd/ holds the user-facing binaries, examples/ the
 // runnable API tours, and bench_test.go (this package) the benchmark
 // harness that regenerates every table and figure of the paper. See
-// README.md for the map and DESIGN.md for the architecture.
+// README.md for the map and its "Pipeline architecture" section for the
+// architecture.
 package repro

@@ -62,9 +62,9 @@ func main() {
 
 	// 2. What-if: a new application doubles every flow's size at the same
 	// flow rate (durations double too).
-	bigger := make([]core.FlowSample, len(m.Flows))
-	for i, f := range m.Flows {
-		bigger[i] = core.FlowSample{S: 2 * f.S, D: 2 * f.D}
+	bigger := &core.FlowPop{}
+	for i, s := range m.Pop.S {
+		bigger.Append(2*s, 2*m.Pop.D[i])
 	}
 	m2, err := core.NewModel(m.Lambda, m.Shot, bigger)
 	if err != nil {
@@ -81,7 +81,7 @@ func main() {
 	fmt.Println("\ngrowth — flow arrival rate scaled (same flow mix):")
 	fmt.Printf("  %6s %12s %10s %16s\n", "λ×", "mean(Mb/s)", "CoV(%)", "C(1%)/mean")
 	for _, k := range []float64{1, 4, 16} {
-		mk, err := core.NewModel(m.Lambda*k, m.Shot, m.Flows)
+		mk, err := m.WithLambda(m.Lambda * k)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -45,8 +45,7 @@ var Analyzer = &framework.Analyzer{
 // files are not.
 var OracleFiles = map[string]bool{
 	"shot.go":   true, // scalar shot family: Rate/Cumulative closed forms and the non-integer-b CrossCov quadrature
-	"specfn.go": true, // special functions (incomplete gamma family) the kernels call once per flow
-	"model.go":  true, // generic-shot quadrature fallbacks and Cumulant's per-order constant
+	"specfn.go": true, // gammaLowerExpM1, the log-MGF special function the Chernoff kernel calls once per flow
 }
 
 var bannedMathFuncs = map[string]bool{

@@ -107,10 +107,10 @@ func TestDirectionString(t *testing.T) {
 
 func TestFromModelBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	flows := make([]core.FlowSample, 800)
-	for i := range flows {
+	flows := &core.FlowPop{}
+	for range 800 {
 		s := 1e5 * math.Exp(rng.NormFloat64())
-		flows[i] = core.FlowSample{S: s, D: 0.5 + 2*rng.Float64()}
+		flows.Append(s, 0.5+2*rng.Float64())
 	}
 	m, err := core.NewModel(200, core.Triangular, flows)
 	if err != nil {

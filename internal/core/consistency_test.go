@@ -28,9 +28,9 @@ func TestModelReducesToMGInf(t *testing.T) {
 		r      = 1e5 // constant flow rate, bit/s
 		d      = 2.5 // constant duration
 	)
-	flows := make([]core.FlowSample, 100)
-	for i := range flows {
-		flows[i] = core.FlowSample{S: r * d, D: d}
+	flows := &core.FlowPop{}
+	for range 100 {
+		flows.Append(r*d, d)
 	}
 	m, err := core.NewModel(lambda, core.Rectangular, flows)
 	if err != nil {
@@ -68,10 +68,10 @@ func TestModelReducesToMGInf(t *testing.T) {
 // Khintchine at τ=0). Check with a coarse quadrature on a light model.
 func TestSpectralDensityIntegratesToVariance(t *testing.T) {
 	rng := rng.New(6)
-	flows := make([]core.FlowSample, 40)
-	for i := range flows {
+	flows := &core.FlowPop{}
+	for range 40 {
 		s := 1e5 * (0.5 + rng.Float64())
-		flows[i] = core.FlowSample{S: s, D: 1 + rng.Float64()}
+		flows.Append(s, 1+rng.Float64())
 	}
 	m, err := core.NewModel(25, core.Triangular, flows)
 	if err != nil {
@@ -148,15 +148,15 @@ func TestFlowMeasurementConservesPackets(t *testing.T) {
 	}
 }
 
-// The LST of Theorem 1 and the Gaussian approximation of §V-E must agree
+// The cumulants of Theorem 1 and the Gaussian approximation of §V-E must agree
 // on the exceedance scale when λ is large (many concurrent flows): compare
 // the Gaussian P(R > μ+2σ) ≈ 2.3% with the skewness-corrected expectation.
 func TestGaussianApproxSanity(t *testing.T) {
 	rng := rng.New(7)
-	flows := make([]core.FlowSample, 500)
-	for i := range flows {
+	flows := &core.FlowPop{}
+	for range 500 {
 		s := 5e4 * math.Exp(0.5*rng.Norm())
-		flows[i] = core.FlowSample{S: s, D: 0.5 + rng.Float64()}
+		flows.Append(s, 0.5+rng.Float64())
 	}
 	m, err := core.NewModel(2000, core.Triangular, flows) // heavy multiplexing
 	if err != nil {

@@ -75,23 +75,28 @@ func FitPowerBAveraged(measuredVariance, delta float64, in Input, maxSamples int
 	if !(delta > 0) {
 		return 0, false, fmt.Errorf("core: averaging interval must be > 0, got %g", delta)
 	}
-	samples := in.Samples
+	pop := in.Pop
+	n := pop.Len()
+	if n == 0 {
+		return 0, false, fmt.Errorf("core: fit needs a non-empty flow population")
+	}
+	// The eq. (7) quadrature runs over every stride-th flow: all of them
+	// unless maxSamples caps the subsample.
+	stride, count := 1, n
 	// scale corrects the first-order subsampling bias: CrossCov for a power
 	// shot factors as (S²/D)·g_b(τ/D), and E[S²/D] is heavy-tailed, so a
 	// subsample can easily miss the few giant flows that carry most of it.
 	// Rescaling by the full-population E[S²/D] restores the level; only the
 	// (mild) shape dependence on the D-mix remains subject to noise.
 	scale := 1.0
-	if maxSamples > 0 && len(samples) > maxSamples {
-		stride := len(samples) / maxSamples
-		sub := make([]FlowSample, 0, maxSamples)
+	if maxSamples > 0 && n > maxSamples {
+		stride = n / maxSamples
+		count = (n + stride - 1) / stride
 		var subS2oD float64
-		for i := 0; i < len(samples); i += stride {
-			sub = append(sub, samples[i])
-			subS2oD += samples[i].S * samples[i].S / samples[i].D
+		for i := 0; i < n; i += stride {
+			subS2oD += pop.S2[i] / pop.D[i]
 		}
-		samples = sub
-		subS2oD /= float64(len(sub))
+		subS2oD /= float64(count)
 		if subS2oD > 0 && in.MeanS2OverD > 0 {
 			scale = in.MeanS2OverD / subS2oD
 		}
@@ -100,39 +105,27 @@ func FitPowerBAveraged(measuredVariance, delta float64, in Input, maxSamples int
 	// integrand is near-linear in τ for Δ ≪ D and the bisection only needs
 	// ~1e-2 accuracy in b, so 16 outer and 64 inner Simpson points suffice
 	// (validated against the full-resolution path in the tests).
-	avgVar := func(b float64) (float64, error) {
+	avgVar := func(b float64) float64 {
 		p := PowerShot{B: b}
 		f := func(tau float64) float64 {
 			var sum float64
-			for _, fs := range samples {
-				sum += p.crossCovN(fs.S, fs.D, tau, 64)
+			for i := 0; i < n; i += stride {
+				sum += p.crossCovN(pop.S[i], pop.D[i], tau, 64)
 			}
-			return (1 - tau/delta) * in.Lambda * sum / float64(len(samples))
+			return (1 - tau/delta) * in.Lambda * sum / float64(count)
 		}
-		return scale * 2 / delta * simpson(f, 0, delta, 16), nil
+		return scale * 2 / delta * simpson(f, 0, delta, 16)
 	}
 	lo, hi := 0.0, maxFitB
-	vLo, err := avgVar(lo)
-	if err != nil {
-		return 0, false, err
-	}
-	if measuredVariance <= vLo {
+	if measuredVariance <= avgVar(lo) {
 		return 0, false, nil
 	}
-	vHi, err := avgVar(hi)
-	if err != nil {
-		return 0, false, err
-	}
-	if measuredVariance >= vHi {
+	if measuredVariance >= avgVar(hi) {
 		return maxFitB, false, nil
 	}
 	for i := 0; i < 60 && hi-lo > 1e-4; i++ {
 		mid := (lo + hi) / 2
-		v, err := avgVar(mid)
-		if err != nil {
-			return 0, false, err
-		}
-		if v < measuredVariance {
+		if avgVar(mid) < measuredVariance {
 			lo = mid
 		} else {
 			hi = mid

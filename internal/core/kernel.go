@@ -6,11 +6,10 @@ import (
 )
 
 // Coefficient-cached kernels for the integer-b power-shot model math. The
-// scalar closed forms (avgVarCrossInt, lstIntegral, IntegralXK, kept in
-// kernel_test.go as the oracles) re-derive the same Pascal-row/monomial
-// structure on every call — nested powi/binomial loops per flow, per Δ or
-// θ, per shot shape. For a fixed (b, Δ) or (b, θ) all of that collapses to
-// a handful of constants:
+// scalar closed forms (avgVarCrossInt, kept in kernel_test.go as the
+// oracle) re-derive the same Pascal-row/monomial structure on every call —
+// nested powi/binomial loops per flow, per Δ or θ, per shot shape. For a
+// fixed (b, Δ) or (b, θ) all of that collapses to a handful of constants:
 //
 //   - eq.(7): ∫₀^{min(Δ,d)} (1-τ/Δ)·CrossCov(s,d,τ) dτ with x(t) = a·t^b and
 //     a = s(b+1)/d^{b+1} is, after expanding (d-τ)^q binomially,
@@ -19,13 +18,13 @@ import (
 //     because every d-power in the m = d branch cancels against a², while in
 //     the m = Δ branch the surviving powers of d collect into one polynomial
 //     in 1/d with Δ-dependent coefficients.
-//   - Theorem 1 LST / log-MGF: substituting u = θ·a·t^b reduces the per-flow
-//     integral to one special-function call with argument x = θ(b+1)·s/d and
-//     a θ-only prefactor.
+//   - the log-MGF of Theorem 1 (θ = -s): substituting u = θ·a·t^b reduces
+//     the per-flow integral to one special-function call with argument
+//     x = θ(b+1)·s/d and a θ-only prefactor.
 //
 // The kernels precompute those constants once and evaluate per flow with a
 // branchy Horner pass over FlowPop columns — no powi, binomial or math.Pow
-// in the inner loop. kernel_test.go pins the batched-vs-scalar divergence.
+// in the inner loop. kernel_test.go pins the kernel-vs-scalar divergence.
 
 // AvgVarKernel caches the eq.(7) per-flow integral coefficients for one
 // (integer shot exponent b, averaging interval Δ) pair. A kernel is
@@ -116,38 +115,21 @@ func (k *AvgVarKernel) AveragedVariance(lambda float64, pop *FlowPop) (float64, 
 	return 2 / k.delta * lambda * sum / float64(n), nil
 }
 
-// avgVarSumMulti accumulates every kernel's population sum in one pass over
-// the columns (flows outer, kernels inner), so a Δ-sweep or a shot-shape
-// sweep reads the population once. Accumulation order per kernel matches
-// the single-kernel pass exactly, so batched results are bit-identical to
-// repeated AveragedVariance calls.
-//
-//repro:hotpath
-func avgVarSumMulti(ks []*AvgVarKernel, pop *FlowPop, sums []float64) {
-	s2c, dc, uc := pop.S2, pop.D, pop.InvD
-	for i := range s2c {
-		s2, d, u := s2c[i], dc[i], uc[i]
-		for kj, k := range ks {
-			sums[kj] += k.crossInt(s2, d, u)
-		}
-	}
-}
-
-// lstKernel caches the θ-dependent constants of the Theorem 1 LST integrand
-// ∫₀^D (1-e^{-θx(t)})dt and its MGF mirror ∫₀^D (e^{θx(t)}-1)dt for one
-// (integer b, θ) pair: the special-function argument is x = θ(b+1)·s/d for
-// every b, and the prefactor (1/b)·(θ(b+1))^{-1/b} is flow-independent, so
-// gammaLower1mExp / gammaLowerExpM1 is the only per-flow transcendental
-// (plus one math.Pow for b ≥ 3, where d^{b+1}/s has no cheap root).
-type lstKernel struct {
+// mgfKernel caches the θ-dependent constants of the Theorem 1 transform's
+// log-MGF integrand ∫₀^D (e^{θx(t)}-1)dt for one (integer b, θ) pair: the
+// special-function argument is x = θ(b+1)·s/d for every b, and the
+// prefactor (1/b)·(θ(b+1))^{-1/b} is flow-independent, so gammaLowerExpM1
+// is the only per-flow transcendental (plus one math.Pow for b ≥ 3, where
+// d^{b+1}/s has no cheap root).
+type mgfKernel struct {
 	b   int
 	tb1 float64 // θ·(b+1)
 	inv float64 // 1/b (b ≥ 1)
 	c   float64 // (1/b)·(θ(b+1))^{-1/b} (b ≥ 1)
 }
 
-func newLSTKernel(b int, theta float64) lstKernel {
-	k := lstKernel{b: b, tb1: theta * float64(b+1)}
+func newMGFKernel(b int, theta float64) mgfKernel {
+	k := mgfKernel{b: b, tb1: theta * float64(b+1)}
 	if b >= 1 {
 		k.inv = 1 / float64(b)
 		k.c = k.inv * math.Pow(k.tb1, -k.inv) //repro:transcendental-ok one-time kernel construction per (b, θ), hoisted off the per-flow path by design
@@ -159,7 +141,7 @@ func newLSTKernel(b int, theta float64) lstKernel {
 // prefactor, with cheap forms for the paper's b = 1, 2.
 //
 //repro:hotpath
-func (k lstKernel) root(s, d float64) float64 {
+func (k mgfKernel) root(s, d float64) float64 {
 	switch k.b {
 	case 1:
 		return d * d / s
@@ -171,25 +153,12 @@ func (k lstKernel) root(s, d float64) float64 {
 	}
 }
 
-// oneMinusExp is the cached equivalent of the scalar lstIntegral oracle
-// (kernel_test.go) for one flow.
+// expM1 returns one flow's log-MGF integral ∫₀^D (e^{θx(t)}-1)dt, +Inf when
+// the integral overflows (the Chernoff search treats that as "past the
+// turn").
 //
 //repro:hotpath
-func (k lstKernel) oneMinusExp(s, d, invd float64) float64 {
-	if !(d > 0) || !(s > 0) || !(k.tb1 > 0) {
-		return 0
-	}
-	if k.b == 0 {
-		return d * -math.Expm1(-k.tb1*s*invd)
-	}
-	return k.c * k.root(s, d) * gammaLower1mExp(k.inv, k.tb1*s*invd)
-}
-
-// expM1 is the log-MGF mirror: ∫₀^D (e^{θx(t)}-1)dt, +Inf when the integral
-// overflows (the Chernoff search treats that as "past the turn").
-//
-//repro:hotpath
-func (k lstKernel) expM1(s, d, invd float64) float64 {
+func (k mgfKernel) expM1(s, d, invd float64) float64 {
 	if !(d > 0) || !(s > 0) || !(k.tb1 > 0) {
 		return 0
 	}

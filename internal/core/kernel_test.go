@@ -8,12 +8,12 @@ import (
 	"repro/internal/dist/rng"
 )
 
-// Batched-vs-scalar differentials for the coefficient-cached kernels, the
+// Kernel-vs-scalar differentials for the coefficient-cached kernels, the
 // model-math counterpart of the flow.Measurer map-reference tests: the
-// scalar closed forms (avgVarCrossInt, lstIntegral, IntegralXK, Simpson
-// LogMGF) are the oracles, and the kernels must track them over adversarial
-// (s, d, Δ, θ) — branch edges d ≪ Δ and d ≫ Δ, the d ≈ Δ crossover, every
-// b ∈ {0..10}, and subnormal-adjacent arguments.
+// scalar closed forms (avgVarCrossInt, IntegralXK, Simpson LogMGF) are the
+// oracles, and the kernels must track them over adversarial (s, d, Δ, θ) —
+// branch edges d ≪ Δ and d ≫ Δ, the d ≈ Δ crossover, every b ∈ {0..10},
+// and subnormal-adjacent arguments.
 
 // avgVarTol is the allowed kernel-vs-scalar divergence for eq.(7) at shot
 // exponent b. Through b = 5 the two agree to 1e-12. Above that the bound
@@ -105,71 +105,42 @@ func TestAvgVarKernelSurvivesScalarUnderflow(t *testing.T) {
 	}
 }
 
-func TestAveragedVarianceBatchBitIdentical(t *testing.T) {
+// Model.AveragedVariance builds its (b, Δ) kernel per call, and the
+// experiment runner and flowd evaluate prebuilt kernels straight over their
+// pooled populations: the two faces must agree bit for bit at every Δ,
+// repeated Δs included, so moving a caller between them moves no output.
+func TestAveragedVarianceMatchesSuiteKernel(t *testing.T) {
 	flows := testFlows(300, 31)
 	deltas := []float64{0.01, 0.05, 0.2, 0.2, 1, 5, 40}
-	for _, b := range []float64{0, 1, 2, 7} {
-		m, err := NewModel(120, PowerShot{B: b}, flows)
+	for _, b := range []int{0, 1, 2, 7} {
+		m, err := NewModel(120, PowerShot{B: float64(b)}, flows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := m.AveragedVarianceBatch(deltas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, delta := range deltas {
-			v, err := m.AveragedVariance(delta)
+		for _, delta := range deltas {
+			k, err := NewAvgVarKernel(b, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if batch[i] != v {
-				t.Fatalf("b=%g delta=%g: batch %g != scalar face %g", b, delta, batch[i], v)
+			want, err := k.AveragedVariance(m.Lambda, flows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.AveragedVariance(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("b=%d delta=%g: model face %g != kernel %g", b, delta, got, want)
 			}
 		}
 	}
-	// Non-closed-form shots take the quadrature fallback and must agree too.
-	m, err := NewModel(120, PowerShot{B: 1.5}, flows)
+	m, err := NewModel(120, Triangular, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := m.AveragedVarianceBatch(deltas[:3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, delta := range deltas[:3] {
-		v, err := m.AveragedVariance(delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch[i] != v {
-			t.Fatalf("quadrature fallback: batch %g != scalar %g at delta=%g", batch[i], v, delta)
-		}
-	}
-	if _, err := m.AveragedVarianceBatch([]float64{0.2, -1}); err == nil {
+	if _, err := m.AveragedVariance(-1); err == nil {
 		t.Fatal("negative delta must error")
-	}
-}
-
-func TestLSTKernelMatchesScalar(t *testing.T) {
-	// Subnormal-adjacent θ·s products on both ends, plus ordinary scales.
-	thetas := []float64{1e-300, 1e-12, 1e-6, 1e-3, 1, 1e3}
-	sizes := []float64{1e-150, 1e-3, 1, 1.7e4, 1e150}
-	durations := []float64{1e-6, 0.01, 0.5, 1, 3, 1e3, 1e9}
-	for b := 0; b <= 10; b++ {
-		ps := PowerShot{B: float64(b)}
-		for _, theta := range thetas {
-			k := newLSTKernel(b, theta)
-			for _, s := range sizes {
-				for _, d := range durations {
-					want := ps.lstIntegral(s, d, theta)
-					got := k.oneMinusExp(s, d, 1/d)
-					if rel := relDiff(got, want); rel > 1e-12 {
-						t.Errorf("b=%d s=%g d=%g theta=%g: kernel %g vs scalar %g (rel %g)",
-							b, s, d, theta, got, want, rel)
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -188,14 +159,14 @@ func TestCumulantMatchesIntegralXKOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			var sum float64
-			for _, f := range flows {
-				v, err := ps.IntegralXK(f.S, f.D, k)
+			for i, s := range flows.S {
+				v, err := ps.IntegralXK(s, flows.D[i], k)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sum += v
 			}
-			want := m.Lambda * sum / float64(len(flows))
+			want := m.Lambda * sum / float64(flows.Len())
 			if rel := relDiff(got, want); rel > 1e-12 {
 				t.Errorf("b=%g k=%d: cumulant %g vs oracle %g (rel %g)", b, k, got, want, rel)
 			}
@@ -220,13 +191,13 @@ func TestLogMGFClosedFormMatchesQuadrature(t *testing.T) {
 				t.Fatal(err)
 			}
 			var sum float64
-			for _, f := range flows {
-				s, d := f.S, f.D
+			for i, s := range flows.S {
+				d := flows.D[i]
 				sum += simpson(func(u float64) float64 {
 					return math.Expm1(theta * ps.Rate(s, d, u))
 				}, 0, d, 4096)
 			}
-			want := m.Lambda * sum / float64(len(flows))
+			want := m.Lambda * sum / float64(flows.Len())
 			if rel := relDiff(got, want); rel > 1e-8 {
 				t.Errorf("b=%g theta=%g: closed form %g vs quadrature %g (rel %g)", b, theta, got, want, rel)
 			}
@@ -260,11 +231,11 @@ func TestKernelPopulationSweep(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 20; trial++ {
 		n := 50 + r.Intn(200)
-		flows := make([]FlowSample, n)
-		for i := range flows {
+		flows := &FlowPop{}
+		for range n {
 			s := 1e4 * math.Exp(1.5*r.Norm())
 			d := 0.05 * math.Exp(2*r.Norm()) // straddles Δ = 0.2 heavily
-			flows[i] = FlowSample{S: s, D: d}
+			flows.Append(s, d)
 		}
 		b := r.Intn(11)
 		delta := 0.2 * math.Exp(r.Norm())
@@ -279,33 +250,20 @@ func TestKernelPopulationSweep(t *testing.T) {
 		}
 		ps := PowerShot{B: float64(b)}
 		var sum float64
-		for _, f := range flows {
-			sum += ps.avgVarCrossInt(f.S, f.D, delta)
+		for i, s := range flows.S {
+			sum += ps.avgVarCrossInt(s, flows.D[i], delta)
 		}
 		want := 2 / delta * lambda * sum / float64(n)
 		if rel := relDiff(got, want); rel > avgVarTol(b) {
 			t.Errorf("trial %d b=%d delta=%g: kernel face %g vs scalar sum %g (rel %g)",
 				trial, b, delta, got, want, rel)
 		}
-		theta := math.Exp(-20 + 10*r.Norm())
-		gotLST, err := m.LST(theta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum = 0
-		for _, f := range flows {
-			sum += ps.lstIntegral(f.S, f.D, theta)
-		}
-		wantLST := math.Exp(-lambda * sum / float64(n))
-		if rel := relDiff(gotLST, wantLST); rel > 1e-12 {
-			t.Errorf("trial %d b=%d theta=%g: LST face %g vs scalar sum %g (rel %g)",
-				trial, b, theta, gotLST, wantLST, rel)
-		}
 	}
 }
 
-// The scalar closed forms below are the per-flow oracles the kernels are
-// pinned against; production evaluates them only through the kernels.
+// The scalar closed forms below are the per-flow oracles the kernels and the
+// Cumulant oracle are pinned against; production evaluates eq. (7) only
+// through the kernels.
 
 // IntegralXK returns ∫₀^D x(t)^k dt = s^k·(b+1)^k / (d^(k-1)·(kb+1)),
 // needed for moments of order k (Corollary 3): the k-th cumulant of the
@@ -353,27 +311,4 @@ func (p PowerShot) avgVarCrossInt(s, d, delta float64) float64 {
 		total += binomial(b, j) / float64(q) * inner
 	}
 	return a * a * total
-}
-
-// lstIntegral returns ∫₀^D (1 - e^{-θ·x(t)}) dt — the per-flow LST
-// integrand of Theorem 1 — in closed form for integer-b power shots.
-// Substituting u = θ·a·t^b reduces the integral to
-//
-//	(1/b)·(θa)^{-1/b} · ∫₀^{θaD^b} u^{1/b-1}(1 - e^{-u}) du,
-//
-// the incomplete-gamma-family integral gammaLower1mExp evaluates; b = 0 is
-// the elementary constant-rate case via expm1 (exact even when θS/D
-// underflows the e^{-y} ≈ 1 regime). Callers must hold closedFormB's ok.
-func (p PowerShot) lstIntegral(s, d, theta float64) float64 {
-	if d <= 0 || s <= 0 || theta <= 0 {
-		return 0
-	}
-	b := int(p.B)
-	if b == 0 {
-		return d * -math.Expm1(-theta*s/d)
-	}
-	a := s * (p.B + 1) / powi(d, b+1)
-	x := theta * a * powi(d, b)
-	inv := 1 / p.B
-	return inv * math.Pow(theta*a, -inv) * gammaLower1mExp(inv, x)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,15 +13,24 @@ import (
 
 // testFlows draws a reproducible flow population: heavy-ish sizes, durations
 // from an independent rate.
-func testFlows(n int, seed int64) []FlowSample {
+func testFlows(n int, seed int64) *FlowPop {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]FlowSample, n)
-	for i := range out {
+	p := &FlowPop{}
+	for range n {
 		s := 1e4 * math.Exp(rng.NormFloat64()) // lognormal sizes, bits
 		r := 2e4 * math.Exp(0.5*rng.NormFloat64())
-		out[i] = FlowSample{S: s, D: s / r}
+		p.Append(s, s/r)
 	}
-	return out
+	return p
+}
+
+// popOf builds a population from (s, d) pairs.
+func popOf(sd ...float64) *FlowPop {
+	p := &FlowPop{}
+	for i := 0; i+1 < len(sd); i += 2 {
+		p.Append(sd[i], sd[i+1])
+	}
+	return p
 }
 
 func TestNewModelValidation(t *testing.T) {
@@ -32,21 +42,27 @@ func TestNewModelValidation(t *testing.T) {
 		t.Fatal("nil shot should be rejected")
 	}
 	if _, err := NewModel(10, Triangular, nil); err == nil {
-		t.Fatal("empty flows should be rejected")
+		t.Fatal("nil population should be rejected")
 	}
-	if _, err := NewModel(10, Triangular, []FlowSample{{S: -1, D: 1}}); err == nil {
+	if _, err := NewModel(10, Triangular, &FlowPop{}); err == nil {
+		t.Fatal("empty population should be rejected")
+	}
+	if _, err := NewModel(10, Triangular, popOf(1, 1, -1, 1)); err == nil {
 		t.Fatal("negative size should be rejected")
 	}
-	if _, err := NewModel(10, Triangular, []FlowSample{{S: 1, D: 0}}); err == nil {
+	if _, err := NewModel(10, Triangular, popOf(1, 1, 1, 0)); err == nil {
 		t.Fatal("zero duration should be rejected")
+	}
+	if _, err := NewModel(10, Triangular, popOf(1, math.NaN())); err == nil {
+		t.Fatal("NaN duration should be rejected")
 	}
 }
 
 func TestMeanIsLambdaES(t *testing.T) {
 	fl := testFlows(1000, 2)
 	var sum float64
-	for _, f := range fl {
-		sum += f.S
+	for _, s := range fl.S {
+		sum += s
 	}
 	m, err := NewModel(50, Parabolic, fl)
 	if err != nil {
@@ -69,8 +85,8 @@ func TestMeanIsLambdaES(t *testing.T) {
 func TestVarianceFactorsAcrossShapes(t *testing.T) {
 	fl := testFlows(2000, 3)
 	lb := 0.0
-	for _, f := range fl {
-		lb += f.S * f.S / f.D
+	for i, s := range fl.S {
+		lb += s * s / fl.D[i]
 	}
 	lb = 40 * lb / 2000 // λ·E[S²/D]
 	for _, c := range []struct {
@@ -151,12 +167,7 @@ func TestAutoCovarianceAtZeroIsVariance(t *testing.T) {
 
 func TestAutoCovarianceDecaysAndVanishes(t *testing.T) {
 	fl := testFlows(500, 5)
-	var maxD float64
-	for _, f := range fl {
-		if f.D > maxD {
-			maxD = f.D
-		}
-	}
+	maxD := slices.Max(fl.D)
 	m, err := NewModel(30, Parabolic, fl)
 	if err != nil {
 		t.Fatal(err)
@@ -210,42 +221,6 @@ func TestAveragedVarianceProperties(t *testing.T) {
 	}
 }
 
-func TestLSTProperties(t *testing.T) {
-	m, err := NewModel(20, Triangular, testFlows(200, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := m.LST(0)
-	if err != nil || one != 1 {
-		t.Fatalf("LST(0) = %g, %v; want 1", one, err)
-	}
-	if _, err := m.LST(-1); err == nil {
-		t.Fatal("negative theta should be rejected")
-	}
-	// Monotone decreasing in θ, bounded in (0, 1].
-	prev := 1.0
-	for _, theta := range []float64{1e-9, 1e-8, 1e-7, 1e-6} {
-		v, err := m.LST(theta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v <= 0 || v > prev {
-			t.Fatalf("LST not decreasing in (0,1]: LST(%g) = %g after %g", theta, v, prev)
-		}
-		prev = v
-	}
-	// -d/dθ log LST at 0 equals the mean (Theorem 1 ⇒ Corollary 1).
-	h := 1e-9 / m.Mean() * 1e3 // scale step to the rate magnitude
-	lo, err := m.LST(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deriv := -(math.Log(lo)) / h
-	if !almostRel(deriv, m.Mean(), 1e-3) {
-		t.Fatalf("LST derivative %g, want mean %g", deriv, m.Mean())
-	}
-}
-
 func TestCumulantsMatchMoments(t *testing.T) {
 	m, err := NewModel(15, Parabolic, testFlows(300, 9))
 	if err != nil {
@@ -278,7 +253,8 @@ func TestCumulantsMatchMoments(t *testing.T) {
 }
 
 // NewModel rejects an empty population, but a hand-built Model can carry
-// one; LST and Cumulant must return an error rather than the NaN their
+// one; the closed-form and quadrature paths of AveragedVariance and the
+// Cumulant oracle must return an error rather than the NaN their
 // divide-by-len would produce (mirrors the Cumulant(0) rejection above).
 func TestEmptyPopulationRejected(t *testing.T) {
 	fs, err := NewFuncShot("flat", func(u float64) float64 { return 1 })
@@ -287,17 +263,12 @@ func TestEmptyPopulationRejected(t *testing.T) {
 	}
 	for _, shot := range []Shot{Parabolic, fs} {
 		m := &Model{Lambda: 10, Shot: shot}
-		if v, err := m.LST(0.5); err == nil {
-			t.Fatalf("%s: LST on empty population = %g, want error", shot.Name(), v)
+		if v, err := m.AveragedVariance(0.2); err == nil {
+			t.Fatalf("%s: AveragedVariance on empty population = %g, want error", shot.Name(), v)
 		}
 		if v, err := m.Cumulant(2); err == nil {
 			t.Fatalf("%s: Cumulant on empty population = %g, want error", shot.Name(), v)
 		}
-	}
-	// θ = 0 stays exact without touching the population.
-	m := &Model{Lambda: 10, Shot: Parabolic}
-	if one, err := m.LST(0); err != nil || one != 1 {
-		t.Fatalf("LST(0) = %g, %v; want 1", one, err)
 	}
 }
 
@@ -309,17 +280,17 @@ func TestEmptyPopulationMomentFaces(t *testing.T) {
 	if _, err := m.AveragedVariance(0.2); err == nil {
 		t.Fatal("AveragedVariance on empty population should error, not NaN")
 	}
-	if _, err := m.AveragedVarianceBatch([]float64{0.05, 0.2}); err == nil {
-		t.Fatal("AveragedVarianceBatch on empty population should error")
-	}
-	if out, err := m.AveragedVarianceBatch(nil); err != nil || len(out) != 0 {
-		t.Fatalf("empty Δ batch: %v, %v; want empty slice", out, err)
-	}
 	if _, err := m.LogMGF(1e-6); err == nil {
 		t.Fatal("LogMGF on empty population should error")
 	}
 	if v := m.Variance(); v != 0 {
 		t.Fatalf("Variance on empty population = %g, want 0", v)
+	}
+	if v := m.Mean(); v != 0 {
+		t.Fatalf("Mean on empty population = %g, want 0", v)
+	}
+	if v := m.VarianceLowerBound(); v != 0 {
+		t.Fatalf("VarianceLowerBound on empty population = %g, want 0", v)
 	}
 	if v := m.CoV(); v != 0 {
 		t.Fatalf("CoV on empty population = %g, want 0", v)
@@ -401,8 +372,8 @@ func TestInputFromFlowsPopMatchesAllocating(t *testing.T) {
 		t.Fatalf("pooled moments (%g, %g, %g) != allocating (%g, %g, %g)",
 			got.Lambda, got.MeanS, got.MeanS2OverD, ref.Lambda, ref.MeanS, ref.MeanS2OverD)
 	}
-	if got.Pop != pop || got.Pop.Len() != len(ref.Samples) {
-		t.Fatalf("pooled input does not carry the pool (len %d vs %d)", got.Pop.Len(), len(ref.Samples))
+	if got.Pop != pop || got.Pop.Len() != ref.Pop.Len() {
+		t.Fatalf("pooled input does not carry the pool (len %d vs %d)", got.Pop.Len(), ref.Pop.Len())
 	}
 	// Reuse with a different interval: the pool must reset completely.
 	again, err := InputFromFlowsPop(pop, flows[1:3], 30)
@@ -466,6 +437,40 @@ func TestCumulantFuncShotNumericPath(t *testing.T) {
 	}
 }
 
+// Cumulant's closed form (IntegralXK) must match quadrature of x(t)^k, so
+// the oracle the moment faces are checked against is itself pinned to the
+// integral truth.
+func TestCumulantClosedFormMatchesQuadrature(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	flows := &FlowPop{}
+	for range 40 {
+		flows.Append(1e4+rng.Float64()*1e6, 0.1+rng.Float64()*10)
+	}
+	for _, b := range []float64{0, 1, 2, 4} {
+		m, err := NewModel(80, PowerShot{B: b}, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= 4; k++ {
+			got, err := m.Cumulant(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			for i, s := range flows.S {
+				d := flows.D[i]
+				sum += simpson(func(u float64) float64 {
+					return math.Pow(m.Shot.Rate(s, d, u), float64(k))
+				}, 0, d, 4096)
+			}
+			want := m.Lambda * sum / float64(flows.Len())
+			if math.Abs(got-want) > 1e-5*math.Abs(want) {
+				t.Fatalf("b=%g k=%d: closed form %v, quadrature %v", b, k, got, want)
+			}
+		}
+	}
+}
+
 func TestSpectralDensity(t *testing.T) {
 	fl := testFlows(100, 11)
 	m, err := NewModel(15, Rectangular, fl)
@@ -474,10 +479,10 @@ func TestSpectralDensity(t *testing.T) {
 	}
 	// Γ(0) = λ/(2π)·E[S²] because X̂(0) = ∫x = S.
 	var s2 float64
-	for _, f := range fl {
-		s2 += f.S * f.S
+	for _, s := range fl.S {
+		s2 += s * s
 	}
-	want := 15 / (2 * math.Pi) * s2 / float64(len(fl))
+	want := 15 / (2 * math.Pi) * s2 / float64(fl.Len())
 	if got := m.SpectralDensity(0); !almostRel(got, want, 1e-3) {
 		t.Fatalf("Γ(0) = %g, want λE[S²]/2π = %g", got, want)
 	}
@@ -555,8 +560,8 @@ func TestInputFromFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(in.Samples) != 2 {
-		t.Fatalf("samples = %d, want 2", len(in.Samples))
+	if in.Pop.Len() != 2 {
+		t.Fatalf("population = %d, want 2", in.Pop.Len())
 	}
 	if !almostRel(in.Lambda, 2.0/60, 1e-12) {
 		t.Fatalf("λ = %g, want 1/30", in.Lambda)
@@ -590,7 +595,7 @@ func TestFitPowerBRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok, err := FitPowerB(m.Variance(), m.Lambda, m.meanS2oD)
+		got, ok, err := FitPowerB(m.Variance(), m.Lambda, m.Pop.MeanS2OverD())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -622,8 +627,93 @@ func TestFitPowerBClampsBelowBound(t *testing.T) {
 	}
 }
 
-// Skewness and SpectralDensity are model identities the consistency tests
-// check the cumulant and auto-covariance faces against.
+// FitPowerBAveraged reads the population columns, so an input from the
+// pooled builder must fit the same exponent as one from the allocating
+// builder — on the full population and on a strided subsample.
+func TestFitPowerBAveragedPooledInput(t *testing.T) {
+	fl := testFlows(200, 21)
+	flows := make([]flow.Flow, fl.Len())
+	for i, s := range fl.S {
+		flows[i] = flow.Flow{End: fl.D[i], Bytes: int64(s/8) + 1, Packets: 2}
+	}
+	ref, err := InputFromFlows(flows, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := InputFromFlowsPop(&FlowPop{}, flows, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ref.Model(Triangular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const delta = 0.2
+	v, err := m.AveragedVariance(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxSamples := range []int{0, 50} {
+		want, okW, err := FitPowerBAveraged(v, delta, ref, maxSamples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, okG, err := FitPowerBAveraged(v, delta, pooled, maxSamples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || okG != okW {
+			t.Fatalf("maxSamples %d: pooled fit (%.4f, %v) != allocating fit (%.4f, %v)",
+				maxSamples, got, okG, want, okW)
+		}
+		if maxSamples == 0 && (!okW || math.Abs(want-1) > 0.05) {
+			t.Fatalf("fit of a triangular model's σ_Δ² = (%.4f, %v), want ≈ 1", want, okW)
+		}
+	}
+	if _, _, err := FitPowerBAveraged(v, delta, Input{Lambda: ref.Lambda, MeanS2OverD: ref.MeanS2OverD}, 0); err == nil {
+		t.Fatal("an input without a population should be rejected")
+	}
+}
+
+// Cumulant, Skewness and SpectralDensity are model identities the tests
+// check the moment and auto-covariance faces against.
+
+// Cumulant returns the k-th cumulant of R(t), κ_k = λ·E[∫₀^D X(u)^k du]
+// (Campbell's theorem; Corollary 3 in LST form): κ₁ is the Mean, κ₂ the
+// Variance, κ₃ drives the skewness. PowerShots take the closed form; other
+// shots are integrated numerically through Rate.
+func (m *Model) Cumulant(k int) (float64, error) {
+	if k < 1 {
+		return 0, fmt.Errorf("core: cumulant order must be >= 1, got %d", k)
+	}
+	pop := m.Pop
+	n := pop.Len()
+	if n == 0 {
+		return 0, fmt.Errorf("core: cumulant needs a non-empty flow population")
+	}
+	var sum float64
+	if ps, ok := m.Shot.(PowerShot); ok {
+		// ∫X^k = s^k·(b+1)^k / (d^{k-1}·(kb+1)): the (b+1)^k/(kb+1) factor
+		// is flow-independent, and the flow powers are small-integer, so the
+		// loop is pure powi (kernel_test.go's IntegralXK is the per-flow
+		// form).
+		kk := float64(k)
+		c := math.Pow(ps.B+1, kk) / (kk*ps.B + 1)
+		for i := 0; i < n; i++ {
+			sum += powi(pop.S[i], k) * powi(pop.InvD[i], k-1)
+		}
+		sum *= c
+	} else {
+		for i := 0; i < n; i++ {
+			s, d := pop.S[i], pop.D[i]
+			g := func(u float64) float64 {
+				return math.Pow(m.Shot.Rate(s, d, u), float64(k))
+			}
+			sum += simpson(g, 0, d, 256)
+		}
+	}
+	return m.Lambda * sum / float64(n), nil
+}
 
 // Skewness returns κ₃/κ₂^(3/2) of the total rate, a check on how far the
 // Gaussian approximation of §V-E can be trusted (it decays as 1/√λ).
@@ -647,7 +737,7 @@ func (m *Model) Skewness() (float64, error) {
 // where X̂ is the Fourier transform of the shot (§V-B). The transform is
 // evaluated by quadrature per flow sample.
 func (m *Model) SpectralDensity(omega float64) float64 {
-	pop := m.population()
+	pop := m.Pop
 	n := pop.Len()
 	if n == 0 {
 		return 0

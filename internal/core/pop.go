@@ -2,17 +2,21 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/flow"
 )
 
-// FlowPop is a columnar (structure-of-arrays) flow population: the same
-// (S, D) samples a []FlowSample holds, laid out as per-field columns plus
-// the derived power columns every integer-b kernel consumes — s² feeds the
-// variance and eq.(7) kernels, 1/d feeds the Horner evaluation of the
-// eq.(7) polynomial and the LST/log-MGF argument x = θ(b+1)·s/d. The
-// derived columns are shot-shape independent, so the three paper shapes
-// (b = 0, 1, 2) evaluated per interval share one population build.
+// FlowPop is the model's flow population in columnar (structure-of-arrays)
+// form: each flow's size S and duration D, plus the derived columns every
+// integer-b kernel consumes — s² feeds the variance and eq.(7) kernels, 1/d
+// feeds the Horner evaluation of the eq.(7) polynomial and the log-MGF
+// argument x = θ(b+1)·s/d. The derived columns are shot-shape independent,
+// so the three paper shapes (b = 0, 1, 2) evaluated per interval share one
+// population build. The running sums behind MeanS and MeanS2OverD are
+// kept as flows are appended, so the model's first two moments cost no
+// population pass; fill a FlowPop only through Append, which keeps the
+// columns and the sums consistent.
 //
 // A FlowPop is append-only between Resets and safe for concurrent reads;
 // the experiment runner pools one per measurement worker so an interval's
@@ -46,9 +50,9 @@ func (p *FlowPop) Reset() {
 	p.sumS2oD = 0
 }
 
-// Append adds one flow to every column. The caller has validated s > 0 and
-// d > 0 (NewModel and the InputFromFlows builders do); Append itself stays
-// branch-free so population builds vectorise.
+// Append adds one flow to every column. Append itself stays branch-free so
+// population builds vectorise: InputFromFlowsPop validates s > 0 and d > 0
+// as it appends, and NewModel checks hand-built populations.
 func (p *FlowPop) Append(s, d float64) {
 	p.S = append(p.S, s)
 	p.D = append(p.D, d)
@@ -74,25 +78,13 @@ func (p *FlowPop) MeanS2OverD() float64 {
 	return p.sumS2oD / float64(len(p.S))
 }
 
-// newFlowPop builds a population from validated samples.
-func newFlowPop(flows []FlowSample) *FlowPop {
-	p := &FlowPop{
-		S:    make([]float64, 0, len(flows)),
-		D:    make([]float64, 0, len(flows)),
-		S2:   make([]float64, 0, len(flows)),
-		InvD: make([]float64, 0, len(flows)),
-	}
-	for _, f := range flows {
-		p.Append(f.S, f.D)
-	}
-	return p
-}
-
-// InputFromFlowsPop is the columnar, pooled variant of InputFromFlows: it
-// resets pop, fills its columns from the measured flows and returns an
-// Input carrying the population (Samples stays nil — the pooled path never
-// materialises a []FlowSample). The moment sums use the exact arithmetic of
-// InputFromFlows, so both builders produce bit-identical model inputs.
+// InputFromFlowsPop derives model inputs from measured flows over an
+// interval of the given length (seconds) into a caller-owned population: it
+// resets pop, fills its columns and returns an Input carrying it, so a
+// worker that pools one FlowPop pays no population allocation per interval.
+// Flows with zero duration are skipped (the measurement pipeline has
+// already discarded single-packet flows, but a defensive filter keeps the
+// estimator total).
 func InputFromFlowsPop(pop *FlowPop, flows []flow.Flow, intervalSec float64) (Input, error) {
 	if pop == nil {
 		return Input{}, fmt.Errorf("core: nil flow population")
@@ -101,6 +93,11 @@ func InputFromFlowsPop(pop *FlowPop, flows []flow.Flow, intervalSec float64) (In
 		return Input{}, fmt.Errorf("core: interval must be > 0, got %g", intervalSec)
 	}
 	pop.Reset()
+	// len(flows) bounds the population: size every column once.
+	pop.S = slices.Grow(pop.S, len(flows))
+	pop.D = slices.Grow(pop.D, len(flows))
+	pop.S2 = slices.Grow(pop.S2, len(flows))
+	pop.InvD = slices.Grow(pop.InvD, len(flows))
 	for _, f := range flows {
 		d := f.Duration()
 		if !(d > 0) {

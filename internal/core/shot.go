@@ -4,10 +4,12 @@
 //
 // Flows arrive as a Poisson process of rate λ; flow n carries S_n bits over
 // a duration D_n with a flow rate function ("shot") X_n(t-T_n), and the
-// total rate is R(t) = Σ_n X_n(t-T_n). The model computes the moments, the
-// distribution approximation, the auto-covariance and the spectral density
-// of R(t) from three measurable inputs: λ, E[S] and E[S²/D], plus a choice
-// of shot shape.
+// total rate is R(t) = Σ_n X_n(t-T_n). The model computes the mean and
+// variance of R(t) from three measurable inputs, λ, E[S] and E[S²/D], plus
+// a choice of shot shape; the auto-covariance (Theorem 2), the Δ-averaged
+// variance of eq. (7) and the Chernoff tail bound average over the measured
+// (S, D) flow population. Link dimensioning uses the Gaussian approximation
+// (§V-E) or the tail bound.
 package core
 
 import (
@@ -47,14 +49,6 @@ var (
 	Triangular  = PowerShot{B: 1}
 	Parabolic   = PowerShot{B: 2}
 )
-
-// NewPowerShot validates b ≥ 0 and returns the shot.
-func NewPowerShot(b float64) (PowerShot, error) {
-	if !(b >= 0) || math.IsInf(b, 0) {
-		return PowerShot{}, fmt.Errorf("core: power shot exponent must be finite and >= 0, got %g", b)
-	}
-	return PowerShot{B: b}, nil
-}
 
 // Name identifies the shape.
 func (p PowerShot) Name() string {

@@ -19,17 +19,6 @@ func almostRel(a, b, rel float64) bool {
 	return math.Abs(a-b) <= rel*den
 }
 
-func TestNewPowerShotValidation(t *testing.T) {
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := NewPowerShot(bad); err == nil {
-			t.Fatalf("NewPowerShot(%g) should fail", bad)
-		}
-	}
-	if _, err := NewPowerShot(2.7); err != nil {
-		t.Fatalf("valid b rejected: %v", err)
-	}
-}
-
 func TestVarianceFactorKnownValues(t *testing.T) {
 	cases := []struct{ b, want float64 }{
 		{0, 1},          // rectangular: the Theorem 3 lower bound

@@ -2,99 +2,13 @@ package core
 
 import "math"
 
-// Special functions backing the closed-form LST of power shots. Only what
-// the model needs is implemented: the regularized lower incomplete gamma
-// P(a, x) and the partial integral ∫₀^x u^{a-1}(1-e^{-u}) du that the LST
-// integrand reduces to.
-
-// gammaP returns the regularized lower incomplete gamma function
-// P(a, x) = γ(a, x)/Γ(a) for a > 0, x >= 0, by the classic pairing of the
-// series expansion (x < a+1) with the Lentz continued fraction for the
-// complement (x >= a+1); both converge to ~1e-15 in tens of iterations for
-// the a ∈ [0.1, 1] range the shot family produces.
-func gammaP(a, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	lg, _ := math.Lgamma(a)
-	if x < a+1 {
-		// Series: γ(a,x) = e^{-x} x^a Σ_{n>=0} x^n / (a(a+1)...(a+n)).
-		ap := a
-		term := 1 / a
-		sum := term
-		for i := 0; i < 500; i++ {
-			ap++
-			term *= x / ap
-			sum += term
-			if math.Abs(term) < math.Abs(sum)*1e-16 {
-				break
-			}
-		}
-		return sum * math.Exp(-x+a*math.Log(x)-lg)
-	}
-	// Continued fraction for Q(a,x) = 1 - P(a,x) (modified Lentz).
-	const tiny = 1e-300
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i < 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-16 {
-			break
-		}
-	}
-	return 1 - math.Exp(-x+a*math.Log(x)-lg)*h
-}
-
-// gammaLower1mExp returns G(a, x) = ∫₀^x u^{a-1}·(1 - e^{-u}) du for a > 0,
-// x >= 0 — the reduced LST integrand. The naive x^a/a - γ(a,x) cancels
-// catastrophically as x → 0 (both terms ≈ x^a/a while G ~ x^{a+1}/(a+1)),
-// so small x uses the alternating series
-//
-//	G(a, x) = x^a · Σ_{n>=1} (-1)^{n+1} x^n / (n!·(a+n)),
-//
-// whose terms decay immediately for x < 1 and carry no cancellation beyond
-// the alternation itself.
-func gammaLower1mExp(a, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x < 1 {
-		term := 1.0 // x^n/n! running factor, n = 0
-		sum := 0.0
-		for n := 1; n < 200; n++ {
-			term *= x / float64(n)
-			contrib := term / (a + float64(n))
-			if n%2 == 0 {
-				contrib = -contrib
-			}
-			sum += contrib
-			if math.Abs(contrib) < math.Abs(sum)*1e-16 {
-				break
-			}
-		}
-		return math.Pow(x, a) * sum
-	}
-	return math.Pow(x, a)/a - math.Gamma(a)*gammaP(a, x)
-}
+// The special function behind the closed-form log-MGF of power shots (the
+// Chernoff bound of tail.go): the partial integral ∫₀^x u^{a-1}(e^u-1) du
+// that the per-flow integrand reduces to.
 
 // gammaLowerExpM1 returns H(a, x) = ∫₀^x u^{a-1}·(e^u - 1) du for a > 0,
-// x >= 0 — the reduced log-MGF integrand, the e^{+u} mirror of
-// gammaLower1mExp. Expanding e^u - 1 termwise gives the everywhere-positive
-// series
+// x >= 0 — the reduced log-MGF integrand. Expanding e^u - 1 termwise gives
+// the everywhere-positive series
 //
 //	H(a, x) = x^a · Σ_{n>=1} x^n / (n!·(a+n)),
 //

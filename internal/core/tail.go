@@ -32,14 +32,14 @@ func (m *Model) LogMGF(theta float64) (float64, error) {
 	if theta == 0 {
 		return 0, nil
 	}
-	pop := m.population()
+	pop := m.Pop
 	n := pop.Len()
 	if n == 0 {
 		return 0, fmt.Errorf("core: log-MGF needs a non-empty flow population")
 	}
 	var sum float64
 	if ps, ok := m.Shot.(PowerShot); ok && ps.closedFormB() {
-		k := newLSTKernel(int(ps.B), theta)
+		k := newMGFKernel(int(ps.B), theta)
 		for i := 0; i < n; i++ {
 			sum += k.expM1(pop.S[i], pop.D[i], pop.InvD[i])
 			if math.IsInf(sum, 0) {

@@ -168,10 +168,10 @@ func (r *Runner) AblationBaseline(w io.Writer) error {
 		return err
 	}
 	var sumD float64
-	for _, f := range in.Samples {
-		sumD += f.D
+	for _, d := range in.Pop.D {
+		sumD += d
 	}
-	meanD := sumD / float64(len(in.Samples))
+	meanD := sumD / float64(in.Pop.Len())
 	meanRate := in.MeanS / meanD
 	e, err := dist.NewExponential(1 / meanD)
 	if err != nil {
@@ -232,24 +232,18 @@ func (r *Runner) AblationDelta(w io.Writer) error {
 	fmt.Fprintf(w, "instantaneous model σ: %.3f Mb/s\n", math.Sqrt(v0)/1e6)
 	fmt.Fprintf(w, "%10s %16s %16s\n", "Δ(ms)", "model σ_Δ/σ", "measured σ_Δ/σ_50ms")
 	meas50 := math.Sqrt(base.Variance())
-	// One population pass for the whole Δ-sweep: the batch face shares the
-	// columns across the per-Δ kernels (bit-identical to per-Δ calls).
-	ks := []int{1, 2, 4, 8, 16, 40, 100}
-	deltas := make([]float64, len(ks))
-	for i, k := range ks {
-		deltas[i] = 0.05 * float64(k)
-	}
-	mvs, err := m.AveragedVarianceBatch(deltas)
-	if err != nil {
-		return err
-	}
-	for i, k := range ks {
+	for _, k := range []int{1, 2, 4, 8, 16, 40, 100} {
+		delta := 0.05 * float64(k)
+		mv, err := m.AveragedVariance(delta)
+		if err != nil {
+			return err
+		}
 		down, err := base.Downsample(k)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%10.0f %16.4f %16.4f\n",
-			deltas[i]*1e3, math.Sqrt(mvs[i]/v0), math.Sqrt(down.Variance())/meas50)
+			delta*1e3, math.Sqrt(mv/v0), math.Sqrt(down.Variance())/meas50)
 	}
 	fmt.Fprintln(w, "both decay with Δ; the model's eq. (7) anticipates the measured smoothing")
 	return nil

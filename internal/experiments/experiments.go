@@ -2,8 +2,9 @@
 // evaluation (Barakat et al., IMC 2002) on the synthetic trace suite. Each
 // experiment is a method on Runner that writes the table's rows or the
 // figure's data series to an io.Writer; cmd/experiments exposes them by id
-// and bench_test.go wraps them as benchmarks. DESIGN.md §4 maps experiment
-// ids to paper artefacts.
+// and bench_test.go wraps them as benchmarks. Experiment ids name the paper
+// artefact they regenerate (table1 = Table I, fig9 = Figure 9, appA =
+// §VII-A); `experiments -list` prints them.
 package experiments
 
 import (

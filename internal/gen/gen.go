@@ -28,8 +28,8 @@ type Config struct {
 	Lambda float64
 	// Shot is the flow rate function to transmit with.
 	Shot core.Shot
-	// Flows is the empirical (S, D) population to bootstrap from.
-	Flows []core.FlowSample
+	// Pop is the empirical (S, D) population to bootstrap from.
+	Pop *core.FlowPop
 	// Duration of the generated window in seconds.
 	Duration float64
 	// Warmup runs the arrival process this long before the window so the
@@ -45,28 +45,31 @@ func FromModel(m *core.Model, duration, warmup float64, seed int64) Config {
 	return Config{
 		Lambda:   m.Lambda,
 		Shot:     m.Shot,
-		Flows:    m.Flows,
+		Pop:      m.Pop,
 		Duration: duration,
 		Warmup:   warmup,
 		Seed:     seed,
 	}
 }
 
+// validate rejects a config the generation loops cannot finish: a NaN or
+// infinite Lambda, Duration or Warmup would spin the arrival loop forever or
+// size the rate series past any allocation.
 func (c *Config) validate() error {
-	if !(c.Lambda > 0) {
-		return fmt.Errorf("gen: Lambda must be > 0, got %g", c.Lambda)
+	if !(c.Lambda > 0) || math.IsInf(c.Lambda, 0) {
+		return fmt.Errorf("gen: Lambda must be finite and > 0, got %g", c.Lambda)
 	}
 	if c.Shot == nil {
 		return fmt.Errorf("gen: nil Shot")
 	}
-	if len(c.Flows) == 0 {
+	if c.Pop.Len() == 0 {
 		return fmt.Errorf("gen: empty flow population")
 	}
-	if !(c.Duration > 0) {
-		return fmt.Errorf("gen: Duration must be > 0, got %g", c.Duration)
+	if !(c.Duration > 0) || math.IsInf(c.Duration, 0) {
+		return fmt.Errorf("gen: Duration must be finite and > 0, got %g", c.Duration)
 	}
-	if c.Warmup < 0 {
-		return fmt.Errorf("gen: Warmup must be >= 0, got %g", c.Warmup)
+	if !(c.Warmup >= 0) || math.IsInf(c.Warmup, 0) {
+		return fmt.Errorf("gen: Warmup must be finite and >= 0, got %g", c.Warmup)
 	}
 	return nil
 }
@@ -96,9 +99,10 @@ func FluidSeries(cfg Config, delta float64) (timeseries.Series, error) {
 		if t >= horizon {
 			break
 		}
-		fs := cfg.Flows[r.Intn(len(cfg.Flows))]
+		i := r.Intn(cfg.Pop.Len())
+		s, d := cfg.Pop.S[i], cfg.Pop.D[i]
 		start := t - cfg.Warmup // window-relative arrival
-		end := start + fs.D
+		end := start + d
 		if end <= 0 {
 			continue
 		}
@@ -110,9 +114,9 @@ func FluidSeries(cfg Config, delta float64) (timeseries.Series, error) {
 		if hi > n {
 			hi = n
 		}
-		prev := cfg.Shot.Cumulative(fs.S, fs.D, float64(lo)*delta-start)
+		prev := cfg.Shot.Cumulative(s, d, float64(lo)*delta-start)
 		for k := lo; k < hi; k++ {
-			cum := cfg.Shot.Cumulative(fs.S, fs.D, float64(k+1)*delta-start)
+			cum := cfg.Shot.Cumulative(s, d, float64(k+1)*delta-start)
 			bits[k] += cum - prev
 			prev = cum
 		}
@@ -164,19 +168,20 @@ func Packets(cfg Config, pktBytes int, fn func(*trace.Block) error) error {
 			if t >= horizon {
 				return trace.FlowProgram{}, false
 			}
-			fs := cfg.Flows[r.Intn(len(cfg.Flows))]
-			if (t-cfg.Warmup)+fs.D <= 0 {
+			i := r.Intn(cfg.Pop.Len())
+			s, d := cfg.Pop.S[i], cfg.Pop.D[i]
+			if (t-cfg.Warmup)+d <= 0 {
 				continue // entirely inside the warm-up
 			}
 			flowID++
-			sizeBytes := int(fs.S / 8)
+			sizeBytes := int(s / 8)
 			if sizeBytes < 40 {
 				sizeBytes = 40
 			}
 			return trace.FlowProgram{
 				Index:    flowID,
 				Start:    t,
-				Duration: fs.D,
+				Duration: d,
 				SizeB:    sizeBytes,
 				InvBp1:   invBp1,
 				PktBytes: pktBytes,

@@ -26,15 +26,15 @@ func packetRecords(cfg Config, pktBytes int) ([]trace.Record, error) {
 }
 
 // testPopulation draws a reproducible flow population in bits/seconds.
-func testPopulation(n int, seed int64) []core.FlowSample {
+func testPopulation(n int, seed int64) *core.FlowPop {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]core.FlowSample, n)
-	for i := range out {
+	p := &core.FlowPop{}
+	for range n {
 		s := 5e4 * math.Exp(rng.NormFloat64())
 		r := 5e4 * math.Exp(0.4*rng.NormFloat64())
-		out[i] = core.FlowSample{S: s, D: s / r}
+		p.Append(s, s/r)
 	}
-	return out
+	return p
 }
 
 func testModel(t *testing.T, shot core.Shot, lambda float64) *core.Model {
@@ -48,19 +48,34 @@ func testModel(t *testing.T, shot core.Shot, lambda float64) *core.Model {
 
 func TestConfigValidation(t *testing.T) {
 	pop := testPopulation(10, 2)
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
 		{},
 		{Lambda: 1},
 		{Lambda: 1, Shot: core.Triangular},
-		{Lambda: 1, Shot: core.Triangular, Flows: pop},
-		{Lambda: 1, Shot: core.Triangular, Flows: pop, Duration: 10, Warmup: -1},
+		{Lambda: 1, Shot: core.Triangular, Pop: &core.FlowPop{}},
+		{Lambda: 1, Shot: core.Triangular, Pop: pop},
+		{Lambda: 1, Shot: core.Triangular, Pop: pop, Duration: 10, Warmup: -1},
+		// Non-finite times and rates used to spin the arrival loop or
+		// overflow the series allocation; validate must stop them first.
+		{Lambda: 1, Shot: core.Triangular, Pop: pop, Duration: 10, Warmup: nan},
+		{Lambda: 1, Shot: core.Triangular, Pop: pop, Duration: 10, Warmup: inf},
+		{Lambda: 1, Shot: core.Triangular, Pop: pop, Duration: inf},
+		{Lambda: inf, Shot: core.Triangular, Pop: pop, Duration: 10},
+		{Lambda: nan, Shot: core.Triangular, Pop: pop, Duration: 10},
 	}
 	for i, cfg := range bad {
-		if _, err := FluidSeries(cfg, 0.1); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Fatalf("config %d should be rejected", i)
 		}
+		if _, err := FluidSeries(cfg, 0.1); err == nil {
+			t.Fatalf("config %d: FluidSeries should reject it", i)
+		}
+		if _, err := packetRecords(cfg, 1500); err == nil {
+			t.Fatalf("config %d: Packets should reject it", i)
+		}
 	}
-	good := Config{Lambda: 1, Shot: core.Triangular, Flows: pop, Duration: 10}
+	good := Config{Lambda: 1, Shot: core.Triangular, Pop: pop, Duration: 10}
 	if _, err := FluidSeries(good, 0); err == nil {
 		t.Fatal("zero delta should be rejected")
 	}
@@ -106,7 +121,7 @@ func TestFluidSeriesMatchesModelMoments(t *testing.T) {
 // the paper's argument for adding the shot to traffic generators.
 func TestShotShapeCarriesVariance(t *testing.T) {
 	pop := testPopulation(3000, 3)
-	base := Config{Lambda: 120, Flows: pop, Duration: 300, Warmup: 30, Seed: 4}
+	base := Config{Lambda: 120, Pop: pop, Duration: 300, Warmup: 30, Seed: 4}
 	rectCfg, parCfg := base, base
 	rectCfg.Shot = core.Rectangular
 	parCfg.Shot = core.Parabolic
@@ -131,8 +146,9 @@ func TestShotShapeCarriesVariance(t *testing.T) {
 func TestFluidSeriesBitConservation(t *testing.T) {
 	// Without warm-up and with flows fully inside the window, total bits
 	// in the series equal the sum of arrived flow sizes.
-	pop := []core.FlowSample{{S: 1e5, D: 0.5}}
-	cfg := Config{Lambda: 5, Shot: core.Triangular, Flows: pop, Duration: 100, Seed: 5}
+	pop := &core.FlowPop{}
+	pop.Append(1e5, 0.5)
+	cfg := Config{Lambda: 5, Shot: core.Triangular, Pop: pop, Duration: 100, Seed: 5}
 	series, err := FluidSeries(cfg, 0.05)
 	if err != nil {
 		t.Fatal(err)

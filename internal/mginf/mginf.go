@@ -5,9 +5,9 @@
 // This is the special case of the paper's model with rectangular shots of
 // height 1 (§IV) and the flow-count model of Ben Fredj et al. [3], which the
 // paper cites as "a very particular case of our model where all flows would
-// have exactly the same rate". It serves two purposes here: the analytic
-// distribution of N(t) used inside Theorem 1's proof, and the constant-rate
-// baseline whose variance under-estimation the ablation benches quantify.
+// have exactly the same rate". It serves as the constant-rate baseline
+// whose variance under-estimation the ablation experiment quantifies, and
+// its simulated occupancy is an independent check on the model's moments.
 package mginf
 
 import (
@@ -41,18 +41,6 @@ func New(lambda float64, service dist.Sampler) (*Queue, error) {
 
 // Load returns ρ = λ·E[D], the mean number of flows in progress.
 func (q *Queue) Load() float64 { return q.Lambda * q.ServiceTime.Mean() }
-
-// StationaryPMF returns P(N = n) in the stationary regime: N(t) is Poisson
-// with mean ρ = λE[D], for any service distribution (insensitivity).
-func (q *Queue) StationaryPMF(n int) float64 {
-	if n < 0 {
-		return 0
-	}
-	rho := q.Load()
-	// Compute in log space to survive large ρ.
-	logP := float64(n)*math.Log(rho) - rho - lgamma(float64(n)+1)
-	return math.Exp(logP)
-}
 
 // ConstantRateVariance returns the variance of the total rate under the [3]
 // baseline where every flow transmits at the same constant rate r:
@@ -106,10 +94,4 @@ func (q *Queue) Simulate(horizon, sampleEvery float64, r *rng.Rand) ([]float64, 
 		}
 	}
 	return samples, nil
-}
-
-// lgamma returns log Γ(x) discarding the sign (x > 0 here).
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
 }

@@ -34,48 +34,6 @@ func TestLoad(t *testing.T) {
 	}
 }
 
-func TestStationaryPMFSumsToOne(t *testing.T) {
-	e, _ := dist.NewExponential(1)
-	q, _ := New(7, e)
-	var sum float64
-	for n := 0; n < 100; n++ {
-		p := q.StationaryPMF(n)
-		if p < 0 {
-			t.Fatalf("negative pmf at %d", n)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("pmf sums to %g", sum)
-	}
-	if q.StationaryPMF(-1) != 0 {
-		t.Fatal("pmf at negative count must be 0")
-	}
-}
-
-func TestStationaryPMFKnownValues(t *testing.T) {
-	e, _ := dist.NewExponential(1)
-	q, _ := New(3, e) // ρ = 3
-	if got, want := q.StationaryPMF(0), math.Exp(-3); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("P(N=0) = %g, want %g", got, want)
-	}
-	if got, want := q.StationaryPMF(3), math.Exp(-3)*27.0/6.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("P(N=3) = %g, want %g", got, want)
-	}
-}
-
-func TestStationaryPMFLargeLoad(t *testing.T) {
-	// Log-space evaluation must survive backbone-scale loads (ρ ≈ 10⁴).
-	e, _ := dist.NewExponential(1)
-	q, _ := New(10000, e)
-	p := q.StationaryPMF(10000)
-	// Poisson(ρ) at its mode ≈ 1/√(2πρ).
-	want := 1 / math.Sqrt(2*math.Pi*10000)
-	if math.Abs(p-want)/want > 0.01 {
-		t.Fatalf("P(N=ρ) = %g, want ≈ %g", p, want)
-	}
-}
-
 func TestConstantRateVariance(t *testing.T) {
 	e, _ := dist.NewExponential(0.5) // mean 2
 	q, _ := New(10, e)               // ρ = 20

@@ -172,10 +172,10 @@ func TestPredictSeriesAlignment(t *testing.T) {
 
 func TestModelACF(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	flows := make([]core.FlowSample, 500)
-	for i := range flows {
+	flows := &core.FlowPop{}
+	for range 500 {
 		s := 1e5 * math.Exp(rng.NormFloat64())
-		flows[i] = core.FlowSample{S: s, D: 1 + 3*rng.Float64()}
+		flows.Append(s, 1+3*rng.Float64())
 	}
 	m, err := core.NewModel(50, core.Triangular, flows)
 	if err != nil {

@@ -13,8 +13,9 @@ import (
 // Utilisation *fractions* are preserved exactly, and the number of analysis
 // intervals per trace is proportional to each paper trace's length, so the
 // three utilisation clusters of Figures 9-13 appear with the same relative
-// weights. See DESIGN.md §2 for why CoV statistics are invariant to this
-// rescaling (they depend on λ and the per-flow law, not on absolute scale).
+// weights. Measured-vs-model CoV comparisons survive this rescaling: the
+// model's CoV, √(λ·K(b)·E[S²/D])/(λ·E[S]), depends only on λ and the
+// per-flow (S, D) law, never on the link's absolute capacity.
 
 // PaperLinkBps is the OC-12 line rate of the monitored links.
 const PaperLinkBps = 622e6
