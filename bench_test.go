@@ -449,7 +449,8 @@ func blockify(recs []trace.Record, size int) []*trace.Block {
 		}
 		blk := &trace.Block{}
 		for _, rec := range recs[i:end] {
-			blk.AppendRecord(rec)
+			src, dst := rec.Hdr.Packed()
+			blk.Append(rec.Time, rec.Hdr.TotalLen, src, dst)
 		}
 		out = append(out, blk)
 	}

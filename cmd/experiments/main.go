@@ -24,11 +24,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/timeseries"
 	"repro/internal/trace"
 )
 
@@ -44,7 +46,7 @@ func main() {
 		predSec = flag.Float64("predsec", 1800, "prediction trace length for table2/fig14")
 		seed    = flag.Int64("seed", 0, "suite seed offset")
 		workers = flag.Int("workers", 0, "interval measurement workers, shared across traces (0 = GOMAXPROCS); output is identical at any count")
-		genWork = flag.Int("genworkers", 1, "packet-synthesis workers per trace producer (<= 1 = serial generator); output is identical at any count")
+		genWork = flag.Int("genworkers", 1, "packet-synthesis workers per trace producer (<= 1 = serial); output is identical at any count")
 		quiet   = flag.Bool("quiet", false, "summaries only, no per-point output")
 		budget  = flag.Int64("membudget", 0, "cap resident bytes of in-flight measurement blocks (0 = unlimited); producers block when it fills")
 		shed    = flag.Bool("shed", false, "with -membudget: drop intervals under memory pressure instead of blocking the producer (drops are reported)")
@@ -59,8 +61,8 @@ func main() {
 	// Validate before any work so a typo'd invocation fails in milliseconds
 	// with an actionable message, not after minutes of generation.
 	checkPositive := func(name string, v float64) {
-		if !(v > 0) {
-			fatal(fmt.Errorf("-%s must be > 0, got %g", name, v))
+		if !(v > 0) || math.IsInf(v, 1) {
+			fatal(fmt.Errorf("-%s must be finite and > 0, got %g", name, v))
 		}
 	}
 	checkPositive("link", *link)
@@ -68,6 +70,14 @@ func main() {
 	checkPositive("perhour", *perHour)
 	checkPositive("delta", *delta)
 	checkPositive("predsec", *predSec)
+	// Every interval and the prediction trace are binned at Δ.
+	checkBins := func(name string, v float64) {
+		if v / *delta > timeseries.MaxBins {
+			fatal(fmt.Errorf("-%s %g over -delta %g needs more than %d rate bins", name, v, *delta, timeseries.MaxBins))
+		}
+	}
+	checkBins("interval", *ivl)
+	checkBins("predsec", *predSec)
 	if *maxIvl < 0 {
 		fatal(fmt.Errorf("-maxivl must be >= 0 (0 = paper-proportional), got %d", *maxIvl))
 	}
@@ -75,7 +85,7 @@ func main() {
 		fatal(fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers))
 	}
 	if *genWork < 0 {
-		fatal(fmt.Errorf("-genworkers must be >= 0 (<= 1 = serial generator), got %d", *genWork))
+		fatal(fmt.Errorf("-genworkers must be >= 0 (<= 1 = serial), got %d", *genWork))
 	}
 	if *budget < 0 {
 		fatal(fmt.Errorf("-membudget must be >= 0 bytes (0 = unlimited), got %d", *budget))

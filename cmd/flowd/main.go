@@ -31,6 +31,7 @@ import (
 	"repro/internal/membudget"
 	"repro/internal/service"
 	"repro/internal/snapshot"
+	"repro/internal/timeseries"
 	"repro/internal/trace"
 	tracestore "repro/internal/trace/store"
 )
@@ -66,14 +67,17 @@ func main() {
 		quiet = flag.Bool("quiet", false, "suppress per-interval reports")
 	)
 	flag.Parse()
-	if !(*interval > 0) {
-		fatal(fmt.Errorf("-interval must be > 0 seconds, got %g", *interval))
+	if !(*interval > 0) || math.IsInf(*interval, 1) {
+		fatal(fmt.Errorf("-interval must be finite and > 0 seconds, got %g", *interval))
 	}
 	if !(*delta > 0) || *delta > *interval {
 		fatal(fmt.Errorf("-delta must be in (0, interval], got %g", *delta))
 	}
-	if !(*epoch > 0) {
-		fatal(fmt.Errorf("-epoch must be > 0 seconds, got %g", *epoch))
+	if *interval / *delta > timeseries.MaxBins {
+		fatal(fmt.Errorf("-interval %g over -delta %g needs more than %d rate bins", *interval, *delta, timeseries.MaxBins))
+	}
+	if !(*epoch > 0) || math.IsInf(*epoch, 1) {
+		fatal(fmt.Errorf("-epoch must be finite and > 0 seconds, got %g", *epoch))
 	}
 	if *epochs < 0 {
 		fatal(fmt.Errorf("-epochs must be >= 0 (0 = unbounded), got %d", *epochs))
@@ -173,11 +177,11 @@ func main() {
 func buildSource(ctx context.Context, kind, in string, epoch float64, epochs int64, lambda, b float64, seed int64, genWork int) (service.BlockSource, error) {
 	switch kind {
 	case "synthetic":
-		if !(lambda > 0) {
-			return nil, fmt.Errorf("-lambda must be > 0, got %g", lambda)
+		if !(lambda > 0) || math.IsInf(lambda, 1) {
+			return nil, fmt.Errorf("-lambda must be finite and > 0, got %g", lambda)
 		}
-		if b < 0 {
-			return nil, fmt.Errorf("-b must be >= 0, got %g", b)
+		if !(b >= 0) || math.IsInf(b, 1) {
+			return nil, fmt.Errorf("-b must be finite and >= 0, got %g", b)
 		}
 		size, err := trace.FlowSizeDist()
 		if err != nil {

@@ -42,7 +42,7 @@ func main() {
 		maxIvl   = flag.Int("maxivl", 2, "suite mode: intervals to generate")
 		seed     = flag.Int64("seed", 1, "random seed")
 		warmup   = flag.Float64("warmup", 60, "stationarity warm-up in seconds")
-		genWork  = flag.Int("genworkers", 1, "packet-synthesis workers (<= 1 = serial generator); output is identical at any count")
+		genWork  = flag.Int("genworkers", 1, "packet-synthesis workers (<= 1 = serial); output is identical at any count")
 		useStore = flag.Bool("store", false, "write a columnar trace store (.fstore) instead of a pcap; the file bytes are identical at any -genworkers")
 		ckptEvr  = flag.Float64("ckpt-every", 0, "store mode: seconds between footer checkpoints (0 = the analysis interval in suite mode, no footer in custom mode)")
 	)
@@ -75,7 +75,7 @@ func main() {
 		fatal(fmt.Errorf("-warmup must be finite and >= 0 seconds, got %g", *warmup))
 	}
 	if *genWork < 0 {
-		fatal(fmt.Errorf("-genworkers must be >= 0 (<= 1 = serial generator), got %d", *genWork))
+		fatal(fmt.Errorf("-genworkers must be >= 0 (<= 1 = serial), got %d", *genWork))
 	}
 
 	var cfg trace.Config

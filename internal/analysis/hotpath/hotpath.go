@@ -1,7 +1,7 @@
 // Package hotpath enforces the zero-allocation contract of functions
 // annotated //repro:hotpath — the per-packet and per-flow faces
 // (Assembler.AddBlock, Binner.AddBlock, the kernel evaluation loops, the
-// batched sampler faces, player stepping) whose steady-state allocation
+// batched sampler faces, the player's play loop) whose steady-state allocation
 // counts the benchmarks pin at zero.
 //
 // The check has two halves:

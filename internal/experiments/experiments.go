@@ -44,13 +44,13 @@ type Options struct {
 	// identical at any worker count. 0 means GOMAXPROCS; 1 is sequential.
 	Workers int
 	// GenWorkers sizes each trace producer's packet-synthesis pool
-	// (trace.StreamParallelBlocksCtx): phase 1 of the generator stays a cheap serial
-	// RNG pass, while packet synthesis shards across GenWorkers timeline
-	// segments feeding the interval partitioner in order — so with
+	// (trace.StreamParallelBlocksCtx): phase 1 of synthesis stays a cheap
+	// serial RNG pass, while packet synthesis shards across GenWorkers
+	// timeline segments feeding the interval partitioner in order — so with
 	// measurement already parallel, the remaining serial critical path of a
-	// long trace parallelises too. The packet stream is bit-identical at
-	// any count, so output never depends on it. <= 1 means the serial
-	// generator; each producer spawns its own pool, so total generation
+	// long trace parallelises too. The packet stream is bit-identical at any
+	// count, so output never depends on it. <= 1 means one serial player per
+	// producer; each producer spawns its own pool, so total generation
 	// goroutines scale with producers × GenWorkers.
 	GenWorkers int
 	// Quiet suppresses per-point output, keeping only summaries (used by
@@ -537,9 +537,9 @@ func (r *Runner) produceTrace(ctx context.Context, ti int, spec trace.TraceSpec,
 	// The generation workers synthesise timeline shards concurrently and
 	// feed the partitioner one merged, time-ordered, bit-identical block
 	// stream — the partitioner cannot tell it apart from the serial
-	// generator's. A pre-generated store replays the identical stream
-	// (stored blocks carry the exact rebased times the generator emitted),
-	// so the source choice never changes the science.
+	// stream. A pre-generated store replays the identical stream (stored
+	// blocks carry the exact rebased times synthesis emitted), so the source
+	// choice never changes the science.
 	if r.opts.StoreDir != "" {
 		sum, err = r.streamStored(ctx, spec, cfg, sink)
 	} else {

@@ -15,7 +15,8 @@ func recordFeed(recs []trace.Record, n int) func(sink func(*trace.Block) error) 
 		blk := trace.GetBlock()
 		defer trace.PutBlock(blk)
 		for i, r := range recs {
-			blk.AppendRecord(r)
+			src, dst := r.Hdr.Packed()
+			blk.Append(r.Time, r.Hdr.TotalLen, src, dst)
 			if blk.Len() == n || i == len(recs)-1 {
 				if err := sink(blk); err != nil {
 					return err

@@ -270,7 +270,8 @@ func TestMeasurerBlockSizesAgree(t *testing.T) {
 			}
 			blk := &trace.Block{}
 			for _, rec := range recs[i:end] {
-				blk.AppendRecord(rec)
+				src, dst := rec.Hdr.Packed()
+				blk.Append(rec.Time, rec.Hdr.TotalLen, src, dst)
 			}
 			if err := m.AddBlock(blk); err != nil {
 				t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/netpkt"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
 	"repro/internal/trace"
@@ -18,7 +17,7 @@ func packetRecords(cfg Config, pktBytes int) ([]trace.Record, error) {
 	var recs []trace.Record
 	err := Packets(cfg, pktBytes, func(blk *trace.Block) error {
 		for j := range blk.Len() {
-			recs = append(recs, blockRecord(blk, j))
+			recs = append(recs, blk.Record(j))
 		}
 		return nil
 	})
@@ -291,9 +290,4 @@ func TestPacketsStreamsBlocks(t *testing.T) {
 	if live := trace.LiveBlocks(); live != base {
 		t.Fatalf("%d blocks live after Packets, want %d", live, base)
 	}
-}
-
-// blockRecord reconstructs packet i of blk as a Record.
-func blockRecord(blk *trace.Block, i int) trace.Record {
-	return trace.Record{Time: blk.Times[i], Hdr: netpkt.HeaderFromPacked(blk.Srcs[i], blk.Dsts[i], blk.Sizes[i])}
 }

@@ -29,7 +29,8 @@ func rechunk(recs []trace.Record, n int) []*trace.Block {
 	for i := 0; i < len(recs); i += n {
 		blk := trace.GetBlock()
 		for _, r := range recs[i:min(i+n, len(recs))] {
-			blk.AppendRecord(r)
+			src, dst := r.Hdr.Packed()
+			blk.Append(r.Time, r.Hdr.TotalLen, src, dst)
 		}
 		out = append(out, blk)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -395,6 +396,10 @@ func TestSyntheticSourceRejectsBadConfig(t *testing.T) {
 	noDur := &SyntheticSource{Base: trace.Config{}}
 	if err := noDur.Stream(context.Background(), Cursor{}, nil); !errors.Is(err, ErrPermanent) {
 		t.Fatalf("zero duration: %v", err)
+	}
+	infDur := &SyntheticSource{Base: trace.Config{Duration: math.Inf(1)}}
+	if err := infDur.Stream(context.Background(), Cursor{}, nil); !errors.Is(err, ErrPermanent) {
+		t.Fatalf("infinite duration: %v", err)
 	}
 	mut := &SyntheticSource{Base: testBase(1), Epochs: 1, Mutate: func(_ int64, cfg *trace.Config) {
 		cfg.Seed++

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/trace"
 	"repro/internal/trace/store"
@@ -47,8 +48,8 @@ type SyntheticSource struct {
 
 // Stream implements BlockSource.
 func (s *SyntheticSource) Stream(ctx context.Context, cur Cursor, fn func(int64, *trace.Block) error) error {
-	if !(s.Base.Duration > 0) {
-		return MarkPermanent(fmt.Errorf("service: synthetic source needs a positive epoch duration, got %g", s.Base.Duration))
+	if !(s.Base.Duration > 0) || math.IsInf(s.Base.Duration, 1) {
+		return MarkPermanent(fmt.Errorf("service: synthetic source needs a finite positive epoch duration, got %g", s.Base.Duration))
 	}
 	for epoch := cur.Epoch; s.Epochs == 0 || epoch < s.Epochs; epoch++ {
 		cfg := s.Base
@@ -77,7 +78,7 @@ func (s *SyntheticSource) Stream(ctx context.Context, cur Cursor, fn func(int64,
 			}
 			seen += n
 			sub := blk.Slice(lo, blk.Len())
-			// Shift into absolute stream time. The generator's blocks are
+			// Shift into absolute stream time. The stream's blocks are
 			// recycled after this call returns, so in-place mutation is safe.
 			for i := range sub.Times {
 				sub.Times[i] += offset

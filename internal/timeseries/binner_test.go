@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/netpkt"
@@ -22,6 +23,14 @@ func TestBinnerMatchesBinAndResets(t *testing.T) {
 	}
 	if _, err := NewBinner(0.5, 1); err == nil {
 		t.Fatal("duration < delta should be rejected")
+	}
+	// Non-finite bounds and bin counts past MaxBins must fail cleanly, not
+	// wrap the int conversion or attempt the allocation.
+	inf := math.Inf(1)
+	for _, c := range [][2]float64{{inf, 0.2}, {10, inf}, {math.NaN(), 0.2}, {10, math.NaN()}, {1e15, 0.2}, {0.2 * (MaxBins + 2), 0.2}} {
+		if _, err := NewBinner(c[0], c[1]); err == nil {
+			t.Fatalf("NewBinner(%g, %g) should be rejected", c[0], c[1])
+		}
 	}
 
 	recs := []trace.Record{

@@ -8,6 +8,7 @@ package timeseries
 import (
 	"fmt"
 	"iter"
+	"math"
 
 	"repro/internal/flow"
 	"repro/internal/stats"
@@ -31,6 +32,11 @@ type Binner struct {
 	bits     []float64
 }
 
+// MaxBins caps the bins of one Binner window at the int32 range: a
+// duration/delta quotient past it (a 1e15 s window at 200 ms) is a
+// configuration error, not an allocation to attempt.
+const MaxBins = math.MaxInt32
+
 // NewBinner prepares bins of length delta across [0, duration).
 func NewBinner(duration, delta float64) (*Binner, error) {
 	b := &Binner{}
@@ -45,13 +51,19 @@ func NewBinner(duration, delta float64) (*Binner, error) {
 // enough — the per-worker scratch path of the measurement scheduler, which
 // bins thousands of intervals without reallocating.
 func (b *Binner) Reinit(duration, delta float64) error {
-	if !(delta > 0) {
-		return fmt.Errorf("timeseries: delta must be > 0, got %g", delta)
+	if !(delta > 0) || math.IsInf(delta, 0) {
+		return fmt.Errorf("timeseries: delta must be finite and > 0, got %g", delta)
 	}
-	if !(duration > 0) {
-		return fmt.Errorf("timeseries: duration must be > 0, got %g", duration)
+	if !(duration > 0) || math.IsInf(duration, 0) {
+		return fmt.Errorf("timeseries: duration must be finite and > 0, got %g", duration)
 	}
-	n := int(duration / delta)
+	// Checked in float space: the int conversion of an oversized quotient
+	// is undefined.
+	bins := duration / delta
+	if bins > MaxBins {
+		return fmt.Errorf("timeseries: duration %g over delta %g needs %g bins, more than %d", duration, delta, bins, MaxBins)
+	}
+	n := int(bins)
 	if n == 0 {
 		return fmt.Errorf("timeseries: duration %g shorter than delta %g", duration, delta)
 	}

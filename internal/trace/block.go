@@ -3,6 +3,8 @@ package trace
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/netpkt"
 )
 
 // Block is a struct-of-arrays batch of packet records: the batch-columnar
@@ -11,8 +13,7 @@ import (
 // netpkt.Packed — so flow-key derivation, rate binning and interval
 // splitting are tight loops over plain integer/float columns instead of
 // per-record virtual calls over 44-byte headers. The packing is lossless:
-// netpkt.HeaderFromPacked reconstructs the exact header an AppendRecord
-// stored.
+// Record reconstructs the exact header an Append of Header.Packed stored.
 //
 // Invariant: all four columns always have equal length.
 type Block struct {
@@ -51,10 +52,9 @@ func (b *Block) Append(t float64, size uint16, src, dst uint64) {
 	b.Dsts = append(b.Dsts, dst)
 }
 
-// AppendRecord packs one record into the block.
-func (b *Block) AppendRecord(r Record) {
-	src, dst := r.Hdr.Packed()
-	b.Append(r.Time, r.Hdr.TotalLen, src, dst)
+// Record unpacks packet i into a Record.
+func (b *Block) Record(i int) Record {
+	return Record{Time: b.Times[i], Hdr: netpkt.HeaderFromPacked(b.Srcs[i], b.Dsts[i], b.Sizes[i])}
 }
 
 // AppendRebased appends src's packets [lo, hi) with their times shifted by

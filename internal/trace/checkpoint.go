@@ -172,7 +172,7 @@ func (c *Checkpoints) Window(lo, hi float64) (Window, error) {
 // flows from the checkpoint at or before lo plus the binary-searched run of
 // fresh arrivals in [b_j, hi), each fast-forwarded in O(1) to its first
 // packet at or after lo. Emission order is (time, flow admission index),
-// identical to the serial generator's; times are rebased to lo. Returns
+// identical to the serial stream's; times are rebased to lo. Returns
 // false when the consumer stopped early.
 func (c *Checkpoints) replay(lo, hi float64, yield func(Record) bool) bool {
 	warmup := c.cfg.Warmup

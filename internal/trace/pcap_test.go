@@ -87,7 +87,7 @@ func streamRecords(data []byte) ([]trace.Record, trace.Summary, error) {
 	var recs []trace.Record
 	sum, err := trace.StreamPcap(context.Background(), bytes.NewReader(data), func(blk *trace.Block) error {
 		for i := 0; i < blk.Len(); i++ {
-			recs = append(recs, blockRecord(blk, i))
+			recs = append(recs, blk.Record(i))
 		}
 		return nil
 	})
@@ -408,9 +408,4 @@ func FuzzStreamPcap(f *testing.F) {
 			t.Fatalf("%d blocks live after return, want %d", live, base)
 		}
 	})
-}
-
-// blockRecord reconstructs packet i of blk as a Record.
-func blockRecord(blk *trace.Block, i int) trace.Record {
-	return trace.Record{Time: blk.Times[i], Hdr: netpkt.HeaderFromPacked(blk.Srcs[i], blk.Dsts[i], blk.Sizes[i])}
 }

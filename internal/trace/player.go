@@ -9,9 +9,9 @@ import (
 // This file is the shared RNG-free event loop of phase 2: the player turns
 // flow programs into packets over a window [lo, hi) of the generator clock,
 // in the canonical (time, flow admission index) emission order every
-// synthesis path shares. The serial generator, the sharded segment workers
-// and checkpointed window replay all drive the same player, so their packet
-// streams are bit-identical by construction.
+// synthesis path shares. The serial block stream, the sharded segment
+// workers and checkpointed window replay all drive the same player, so their
+// packet streams are bit-identical by construction.
 //
 // Pending packets live in a bucket (calendar) queue rather than a binary
 // heap: the window is cut into uniform time buckets sized for a handful of
@@ -318,7 +318,7 @@ func (f *sliceFeed) admitThrough(b int, pl *player) {
 	}
 }
 
-// sourceFeed feeds from the live phase-1 pass (the serial generator). The
+// sourceFeed feeds from the live phase-1 pass (the serial stream). The
 // arrival process guarantees every member flow of a future session starts
 // at or after the arrival clock, so once the clock's bucket passes b every
 // program for bucket b has been generated — and because the bucket queue
@@ -346,9 +346,9 @@ func (f *sourceFeed) admitThrough(b int, pl *player) {
 
 // player emits the packets of a program population with time in [lo, hi),
 // in (time, index) order. Admission is lazy through the feed (or eager via
-// admit before the first step); each admitted flow fast-forwards in O(1) to
-// its first packet at or after lo via the closed-form shot inverse — packets
-// before the window (a warm-up, a segment's past) are never synthesised.
+// admit before play); each admitted flow fast-forwards in O(1) to its first
+// packet at or after lo via the closed-form shot inverse — packets before
+// the window (a warm-up, a segment's past) are never synthesised.
 type player struct {
 	lo, hi float64
 	q      bucketQueue
@@ -423,53 +423,66 @@ func (pl *player) advance() bool {
 	return false
 }
 
-// step returns the next packet: its generator-clock time, wire size, and
-// flow header. ok is false once the window is exhausted.
-//
-//repro:hotpath
-func (pl *player) step() (t float64, pkt int, hdr netpkt.Header, ok bool) {
-	for {
-		ev, have := pl.q.pop()
-		if !have {
-			if !pl.advance() {
-				return 0, 0, netpkt.Header{}, false
-			}
-			continue
-		}
-		prog := &pl.progs[ev.prog]
-		pkt = prog.PktBytes
-		if rem := prog.SizeB - int(ev.sentB); rem < pkt {
-			pkt = rem
-		}
-		hdr = prog.Hdr
-		t = ev.time
-		if next := int(ev.sentB) + pkt; next < prog.SizeB {
-			if nt := prog.Start + prog.offsetAt(next); nt < pl.hi {
-				pl.q.push(pkEvent{time: nt, sentB: int64(next), index: ev.index, prog: ev.prog})
-				return t, pkt, hdr, true
-			}
-		}
-		// Flow finished (or its next packet is past the window): recycle its
-		// arena slot.
-		pl.free = append(pl.free, ev.prog)
-		return t, pkt, hdr, true
-	}
-}
-
-// play drives step to exhaustion, handing each packet to emit; emit
+// play drains the window, handing each packet — its generator-clock time,
+// wire size and flow header — to emit in (time, index) order; emit
 // returning false stops early.
 //
 //repro:hotpath
 func (pl *player) play(emit func(t float64, pkt int, hdr netpkt.Header) bool) {
 	for {
-		t, pkt, hdr, ok := pl.step()
-		if !ok {
-			return
+		ev, have := pl.q.pop()
+		if !have {
+			if !pl.advance() {
+				return
+			}
+			continue
 		}
-		if !emit(t, pkt, hdr) {
+		prog := &pl.progs[ev.prog]
+		pkt := prog.PktBytes
+		if rem := prog.SizeB - int(ev.sentB); rem < pkt {
+			pkt = rem
+		}
+		hdr := prog.Hdr
+		live := false
+		if next := int(ev.sentB) + pkt; next < prog.SizeB {
+			if nt := prog.Start + prog.offsetAt(next); nt < pl.hi {
+				pl.q.push(pkEvent{time: nt, sentB: int64(next), index: ev.index, prog: ev.prog})
+				live = true
+			}
+		}
+		if !live {
+			// Flow finished (or its next packet is past the window): recycle
+			// its arena slot.
+			pl.free = append(pl.free, ev.prog)
+		}
+		if !emit(ev.time, pkt, hdr) {
 			return
 		}
 	}
+}
+
+// playBlocks drives play into one pooled block, packing each packet with
+// its time rebased by -offset. The block goes to fn each time it fills and
+// once more for the last partial block; fn borrows it until it returns, and
+// its error stops the replay and is returned.
+func (pl *player) playBlocks(offset float64, fn func(*Block) error) error {
+	blk := GetBlock()
+	defer PutBlock(blk)
+	var err error
+	pl.play(func(t float64, pkt int, hdr netpkt.Header) bool {
+		src, dst := hdr.Packed()
+		blk.Append(t-offset, uint16(pkt), src, dst)
+		if blk.Len() < BlockSize {
+			return true
+		}
+		err = fn(blk)
+		blk.Reset()
+		return err == nil
+	})
+	if err == nil && blk.Len() > 0 {
+		err = fn(blk)
+	}
+	return err
 }
 
 // estimateEvents guesses the pending-emission count for a span of trace, to
@@ -482,7 +495,7 @@ func estimateEvents(duration, lambda float64) int {
 // pullFeed adapts a pull callback supplying Start-ordered flow programs to
 // the player's bucket-by-bucket admission: because the supply is ordered, a
 // bucket is complete the moment the next pending program starts past it —
-// the same seal invariant the trace generator's arrival clock provides.
+// the same seal invariant sourceFeed's arrival clock provides.
 type pullFeed struct {
 	next    func() (FlowProgram, bool)
 	pending FlowProgram
@@ -524,21 +537,5 @@ func (f *pullFeed) admitThrough(b int, pl *player) {
 func PlayPrograms(lo, hi float64, estEvents int, next func() (FlowProgram, bool), fn func(*Block) error) error {
 	var pl player
 	pl.initPlayer(lo, hi, estEvents, &pullFeed{next: next})
-	blk := GetBlock()
-	defer PutBlock(blk)
-	var err error
-	pl.play(func(t float64, pkt int, hdr netpkt.Header) bool {
-		src, dst := hdr.Packed()
-		blk.Append(t-lo, uint16(pkt), src, dst)
-		if blk.Len() < BlockSize {
-			return true
-		}
-		err = fn(blk)
-		blk.Reset()
-		return err == nil
-	})
-	if err == nil && blk.Len() > 0 {
-		err = fn(blk)
-	}
-	return err
+	return pl.playBlocks(lo, fn)
 }

@@ -178,7 +178,7 @@ func TestColumnRunBitFlip(t *testing.T) {
 	var got []trace.Record
 	serr := r.Stream(context.Background(), 0, func(blk *trace.Block) error {
 		for i := 0; i < blk.Len(); i++ {
-			got = append(got, blockRecord(blk, i))
+			got = append(got, blk.Record(i))
 		}
 		return nil
 	})

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/membudget"
-	"repro/internal/netpkt"
 	"repro/internal/trace"
 )
 
@@ -45,7 +44,7 @@ func streamRecords(t *testing.T, r *Reader, start int64) []trace.Record {
 	var recs []trace.Record
 	err := r.Stream(context.Background(), start, func(blk *trace.Block) error {
 		for i := 0; i < blk.Len(); i++ {
-			recs = append(recs, blockRecord(blk, i))
+			recs = append(recs, blk.Record(i))
 		}
 		return nil
 	})
@@ -281,9 +280,4 @@ func TestEmptyStore(t *testing.T) {
 	if got := streamRecords(t, r, 3); len(got) != 0 {
 		t.Fatalf("empty store streamed %d records from offset 3", len(got))
 	}
-}
-
-// blockRecord reconstructs packet i of blk as a Record.
-func blockRecord(blk *trace.Block, i int) trace.Record {
-	return trace.Record{Time: blk.Times[i], Hdr: netpkt.HeaderFromPacked(blk.Srcs[i], blk.Dsts[i], blk.Sizes[i])}
 }

@@ -26,7 +26,7 @@ type Options struct {
 	// the writer like any other stage holding blocks.
 	Budget membudget.Reserver
 	// Workers is the synthesis worker count Generate shards packet work
-	// across (<= 1 runs the serial generator, like StreamParallelBlocksCtx).
+	// across (<= 1 runs the serial stream, like StreamParallelBlocksCtx).
 	// The written bytes are identical at any worker count.
 	Workers int
 }

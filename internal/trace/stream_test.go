@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/netpkt"
 )
 
-// The streaming faces (the serial block producer, Records) must yield
-// exactly the packets and summary that GenerateAll materialises.
+// The serial block stream must yield exactly the packets and summary that
+// GenerateAll materialises.
 func TestStreamMatchesGenerateAll(t *testing.T) {
 	cfg := smallConfig(31, dist.Constant{V: 2})
 	want, wantSum, err := GenerateAll(cfg)
@@ -23,7 +22,7 @@ func TestStreamMatchesGenerateAll(t *testing.T) {
 	var streamed []Record
 	sum, err := StreamParallelBlocksCtx(context.Background(), cfg, 1, func(blk *Block) error {
 		for i := 0; i < blk.Len(); i++ {
-			streamed = append(streamed, blockRecord(blk, i))
+			streamed = append(streamed, blk.Record(i))
 		}
 		return nil
 	})
@@ -41,55 +40,4 @@ func TestStreamMatchesGenerateAll(t *testing.T) {
 	if sum != wantSum {
 		t.Fatalf("Stream summary %+v, want %+v", sum, wantSum)
 	}
-
-	g, err := NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	for r := range g.Records() {
-		if r != want[i] {
-			t.Fatalf("Records packet %d differs", i)
-		}
-		i++
-	}
-	if i != len(want) {
-		t.Fatalf("Records yielded %d packets, want %d", i, len(want))
-	}
-	if g.Stats() != wantSum {
-		t.Fatalf("Records summary %+v, want %+v", g.Stats(), wantSum)
-	}
-}
-
-// Breaking out of Records must leave the generator resumable from the next
-// packet.
-func TestRecordsEarlyBreakResumes(t *testing.T) {
-	cfg := smallConfig(32, dist.Constant{V: 1})
-	want, _, err := GenerateAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) < 10 {
-		t.Fatalf("trace too short for the test: %d packets", len(want))
-	}
-	g, err := NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for range g.Records() {
-		n++
-		if n == 5 {
-			break
-		}
-	}
-	next, ok := g.Next()
-	if !ok || next != want[5] {
-		t.Fatalf("generator did not resume at packet 5: %+v", next)
-	}
-}
-
-// blockRecord reconstructs packet i of blk as a Record.
-func blockRecord(blk *Block, i int) Record {
-	return Record{Time: blk.Times[i], Hdr: netpkt.HeaderFromPacked(blk.Srcs[i], blk.Dsts[i], blk.Sizes[i])}
 }

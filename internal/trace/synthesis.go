@@ -17,9 +17,9 @@ import (
 // per-segment player (jumping each flow straight to its first in-segment
 // packet in O(1) via the shot inverse), and a merger forwards the segments'
 // bounded block streams in timeline order. Packets of different flows are
-// ordered by (time, flow admission index), which matches the serial
-// generator's emission order, so the merged stream is bit-identical to the
-// serial generator's at any worker count.
+// ordered by (time, flow admission index), the one emission order of the
+// player, so the merged stream is bit-identical to the serial stream's at
+// any worker count.
 //
 // Packets leave synthesis packed into struct-of-arrays Blocks (times, wire
 // lengths, packed header words in parallel columns): the measurement
@@ -124,14 +124,14 @@ func (sg *segment) synthesize(pl *player, warmup float64, skip *atomic.Bool, onP
 // in time order, from one goroutine, packed into SoA blocks of up to
 // BlockSize packets that are recycled after fn returns (fn must copy out
 // anything it keeps). It is the one block producer of the package: workers
-// <= 1 runs the serial generator, more synthesise the packets with a pool of
-// workers over timeline shards, and the packet stream is bit-identical at
-// any worker count. Phase 1 (the serial RNG pass over the arrival process)
-// runs concurrently with synthesis and costs a few draws per flow, so the
-// speedup approaches the worker count on generation-bound traces. Memory
-// stays bounded: segments hand off through an in-flight cap and
-// per-segment bounded buffers, so a slow fn back-pressures generation just
-// like the serial path.
+// <= 1 plays one player straight into blocks, more synthesise the packets
+// with a pool of workers over timeline shards, and the packet stream is
+// bit-identical at any worker count. Phase 1 (the serial RNG pass over the
+// arrival process) runs concurrently with synthesis and costs a few draws
+// per flow, so the speedup approaches the worker count on generation-bound
+// traces. Memory stays bounded: segments hand off through an in-flight cap
+// and per-segment bounded buffers, so a slow fn back-pressures generation
+// just like the serial path.
 //
 // On fn error the stream aborts and returns the error with a running
 // summary snapshot, whose Duration, AvgRateBps and FlowRate are not yet
@@ -151,47 +151,63 @@ func StreamParallelBlocksCtx(ctx context.Context, cfg Config, workers int, fn fu
 	return streamParallelCore(ctx, cfg, workers, fn)
 }
 
-// streamSerial is StreamParallelBlocksCtx on the serial generator: the
-// stream aborts between blocks when ctx is cancelled, exactly as an fn
-// error would.
+// streamSerial is StreamParallelBlocksCtx at one worker: one player over
+// the emitted timeline, fed by the live phase-1 pass, packs straight into
+// pooled blocks. The stream aborts between blocks when ctx is cancelled,
+// exactly as an fn error would.
 func streamSerial(ctx context.Context, cfg Config, fn func(*Block) error) (Summary, error) {
-	g, err := NewGenerator(cfg)
+	c, err := cfg.withDefaults()
 	if err != nil {
 		return Summary{}, err
 	}
-	blk := GetBlock()
-	defer PutBlock(blk)
-	for {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		blk.AppendRecord(r)
-		if blk.Len() == BlockSize {
-			if err := ctx.Err(); err != nil {
-				return g.Stats(), fmt.Errorf("trace: generation cancelled: %w", err)
-			}
-			if err := fn(blk); err != nil {
-				return g.Stats(), err
-			}
-			blk.Reset()
-		}
+	src, err := newProgramSource(c)
+	if err != nil {
+		return Summary{}, fmt.Errorf("trace: %w", err)
 	}
-	if blk.Len() > 0 {
+	horizon := c.Warmup + c.Duration
+	// The player's window is the emitted part of the timeline: flows are
+	// fast-forwarded past the warm-up in O(1) (closed-form shot inverse), so
+	// warm-up packets cost nothing at all. Flow truncation at the horizon is
+	// the window's upper bound, exactly like a capture stopping.
+	var pl player
+	pl.initPlayer(c.Warmup, horizon, estimateEvents(c.Duration, c.Lambda), newSourceFeed(src, horizon, &pl))
+	var sum Summary
+	err = pl.playBlocks(c.Warmup, func(blk *Block) error {
 		if err := ctx.Err(); err != nil {
-			return g.Stats(), fmt.Errorf("trace: generation cancelled: %w", err)
+			return fmt.Errorf("trace: generation cancelled: %w", err)
 		}
-		if err := fn(blk); err != nil {
-			return g.Stats(), err
-		}
-	}
-	return g.Stats(), nil
+		sum.addBlock(blk)
+		return fn(blk)
+	})
+	return sum.finish(c, src, err)
 }
 
-// streamParallelCore is the sharded synthesis engine. The summary snapshot
-// returned with an error counts every packet of every block handed to fn,
-// the failing block included — matching the serial path, whose generator
-// stats include every packet of the failing block.
+// addBlock counts a block delivered to the consumer.
+func (s *Summary) addBlock(blk *Block) {
+	s.Packets += int64(blk.Len())
+	for _, n := range blk.Sizes {
+		s.Bytes += int64(n)
+	}
+}
+
+// finish completes a synthesis pass's summary from the packets delivered
+// and the phase-1 flow counters. The derived Duration, AvgRateBps and
+// FlowRate are filled only when the pass ran to the horizon (err == nil).
+func (s Summary) finish(c Config, src *programSource, err error) (Summary, error) {
+	s.Flows = src.flows
+	s.OnePktFlows = src.onePkt
+	if err != nil {
+		return s, err
+	}
+	s.Duration = c.Duration
+	s.AvgRateBps = float64(s.Bytes) * 8 / c.Duration
+	s.FlowRate = float64(s.Flows) / c.Duration
+	return s, nil
+}
+
+// streamParallelCore is the sharded synthesis engine. Its summary counts
+// the blocks handed to fn and finishes through Summary.finish, exactly like
+// the serial path.
 func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*Block) error) (Summary, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -368,12 +384,8 @@ func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*B
 				}
 			}
 			if firstErr == nil {
-				err := fn(blk)
-				sum.Packets += int64(blk.Len())
-				for _, s := range blk.Sizes {
-					sum.Bytes += int64(s)
-				}
-				if err != nil {
+				sum.addBlock(blk)
+				if err := fn(blk); err != nil {
 					firstErr = err
 					aborted.Store(true)
 				}
@@ -386,8 +398,6 @@ func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*B
 	}
 	workerWG.Wait()
 
-	sum.Flows = src.flows
-	sum.OnePktFlows = src.onePkt
 	if firstErr == nil {
 		// A recovered worker/dispatcher panic is only authoritative once
 		// every goroutine has unwound (workerWG above); fn never saw the
@@ -401,13 +411,5 @@ func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*B
 			firstErr = fmt.Errorf("trace: generation cancelled: %w", err)
 		}
 	}
-	if firstErr != nil {
-		return sum, firstErr
-	}
-	sum.Duration = c.Duration
-	if c.Duration > 0 {
-		sum.AvgRateBps = float64(sum.Bytes) * 8 / c.Duration
-		sum.FlowRate = float64(sum.Flows) / c.Duration
-	}
-	return sum, nil
+	return sum.finish(c, src, firstErr)
 }

@@ -2,7 +2,11 @@ package trace
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -15,7 +19,7 @@ func collectParallel(t *testing.T, cfg Config, workers int) ([]Record, Summary) 
 	var recs []Record
 	sum, err := StreamParallelBlocksCtx(context.Background(), cfg, workers, func(blk *Block) error {
 		for i := 0; i < blk.Len(); i++ {
-			recs = append(recs, blockRecord(blk, i))
+			recs = append(recs, blk.Record(i))
 		}
 		return nil
 	})
@@ -28,7 +32,7 @@ func collectParallel(t *testing.T, cfg Config, workers int) ([]Record, Summary) 
 	return recs, sum
 }
 
-// The sharded synthesiser must reproduce the serial generator bit for bit —
+// The sharded synthesiser must reproduce the serial stream bit for bit —
 // same records, same order, same summary — at any worker count, on configs
 // with warm-up carry-over, mixed shot exponents and session clustering.
 func TestStreamParallelMatchesSerial(t *testing.T) {
@@ -48,7 +52,7 @@ func TestStreamParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(want) == 0 {
-				t.Fatal("serial generator produced no packets")
+				t.Fatal("serial stream produced no packets")
 			}
 			for _, workers := range []int{2, 3, 16} {
 				got, gotSum := collectParallel(t, cfg, workers)
@@ -216,5 +220,90 @@ func TestFirstPacketNotBefore(t *testing.T) {
 			check(p, math.Nextafter(pt, math.Inf(1)))
 			check(p, math.Nextafter(pt, math.Inf(-1)))
 		}
+	}
+}
+
+// Cancelling inside fn must return a summary of exactly the packets fn
+// received: the serial and sharded paths count per delivered block.
+func TestStreamCancelSummaryCountsDelivered(t *testing.T) {
+	cfg := smallConfig(33, dist.Constant{V: 1})
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var pkts, bytes int64
+		sum, err := StreamParallelBlocksCtx(ctx, cfg, workers, func(blk *Block) error {
+			pkts += int64(blk.Len())
+			for _, n := range blk.Sizes {
+				bytes += int64(n)
+			}
+			cancel()
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if pkts == 0 {
+			t.Fatalf("workers=%d: no block delivered before the cut", workers)
+		}
+		if sum.Packets != pkts || sum.Bytes != bytes {
+			t.Fatalf("workers=%d: summary %d packets / %d bytes, fn received %d / %d",
+				workers, sum.Packets, sum.Bytes, pkts, bytes)
+		}
+	}
+}
+
+// packetDigest folds one packet's columns into an FNV-1a hash.
+func packetDigest(h hash.Hash64, t float64, size uint16, src, dst uint64) {
+	var buf [26]byte
+	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(t))
+	binary.LittleEndian.PutUint16(buf[8:], size)
+	binary.LittleEndian.PutUint64(buf[10:], src)
+	binary.LittleEndian.PutUint64(buf[18:], dst)
+	h.Write(buf[:])
+}
+
+// The serial block stream and GenerateAll must keep reproducing pinned
+// packet bits: an FNV-1a digest over every column of every packet, plus the
+// summary counts. This is the in-package guard that GenerateAll, which
+// rides the serial stream, cannot give against itself.
+func TestSerialStreamDigest(t *testing.T) {
+	cases := []struct {
+		name                  string
+		cfg                   Config
+		digest                uint64
+		packets, bytes, flows int64
+	}{
+		{"constant-b", smallConfig(51, dist.Constant{V: 2}), 0x157b42688855b112, 11864, 15972837, 2506},
+		{"uniform-b", smallConfig(52, dist.Uniform{Lo: 0.5, Hi: 2.5}), 0x5185bfd868e4d722, 12039, 16222267, 2520},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h := fnv.New64a()
+			sum, err := StreamParallelBlocksCtx(context.Background(), c.cfg, 1, func(blk *Block) error {
+				for i := range blk.Len() {
+					packetDigest(h, blk.Times[i], blk.Sizes[i], blk.Srcs[i], blk.Dsts[i])
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Sum64() != c.digest || sum.Packets != c.packets || sum.Bytes != c.bytes || sum.Flows != c.flows {
+				t.Errorf("stream: digest %#x, %d packets, %d bytes, %d flows; want %#x, %d, %d, %d",
+					h.Sum64(), sum.Packets, sum.Bytes, sum.Flows, c.digest, c.packets, c.bytes, c.flows)
+			}
+			recs, rsum, err := GenerateAll(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Reset()
+			for _, r := range recs {
+				src, dst := r.Hdr.Packed()
+				packetDigest(h, r.Time, r.Hdr.TotalLen, src, dst)
+			}
+			if h.Sum64() != c.digest || rsum != sum {
+				t.Errorf("GenerateAll: digest %#x, summary %+v; want %#x, %+v", h.Sum64(), rsum, c.digest, sum)
+			}
+		})
 	}
 }

@@ -16,14 +16,28 @@
 //     prefix aggregation (the paper's second flow definition) merges many
 //     5-tuple flows, as observed on real backbones.
 //
-// Packets are produced in global timestamp order with bounded memory using
-// a calendar-queue player over compact flow programs, so arbitrarily long
-// traces stream in O(active flows) space.
+// Flow arrivals follow a Poisson cluster (session) process: sessions arrive
+// Poisson at rate Lambda/FlowsPerSession, and each session emits a geometric
+// number of flows to one destination prefix, spaced by exponential gaps. The
+// superposition of many concurrent sessions keeps the aggregate flow
+// arrival process close to Poisson (the paper's Figures 3-4 observation),
+// while the session structure gives the /24-prefix definition its finite,
+// aggregated flows.
+//
+// Synthesis runs in two phases. Phase 1 (programSource) makes every random
+// draw in admission order and emits compact flow programs; phase 2 (the
+// player) turns them into packets with no RNG at all, in global timestamp
+// order, through a calendar queue, so arbitrarily long traces stream in
+// O(active flows) space. Packets leave phase 2 only as pooled Blocks:
+// StreamParallelBlocksCtx plays them serially or sharded across workers,
+// Checkpoints replays any sub-window from the nearest checkpoint, and
+// GenerateAll and Window unpack the serial stream into Records. Every path
+// yields the same bits.
 package trace
 
 import (
+	"context"
 	"fmt"
-	"iter"
 	"math"
 
 	"repro/internal/dist"
@@ -175,32 +189,8 @@ func (c *Config) withDefaults() (Config, error) {
 	return out, nil
 }
 
-// Generator produces the packets of one synthetic trace in time order.
-// Flow arrivals follow a Poisson cluster (session) process: sessions arrive
-// Poisson at rate Lambda/FlowsPerSession, and each session emits a
-// geometric number of flows to one destination prefix, spaced by
-// exponential gaps. The superposition of many concurrent sessions keeps the
-// aggregate flow arrival process close to Poisson (the paper's Figures 3-4
-// observation), while the session structure gives the /24-prefix definition
-// its finite, aggregated flows.
-//
-// The generator is the serial face of the two-phase design: a programSource
-// (phase 1) makes every random draw in admission order, and a pull-based
-// player (phase 2) turns the resulting flow programs into packets with no
-// RNG at all, fast-forwarding every flow past the warm-up so discarded
-// packets are never synthesised. StreamParallelBlocksCtx runs the same two
-// phases with the synthesis sharded across workers; Checkpoints replays any
-// sub-window of it from the nearest checkpoint. All three produce
-// bit-identical packet streams.
-type Generator struct {
-	cfg   Config
-	src   *programSource
-	pl    player
-	stats Summary
-}
-
-// Summary aggregates what the generator produced; the per-trace rows of the
-// paper's Table I are derived from it.
+// Summary aggregates what one synthesis pass produced; the per-trace rows of
+// the paper's Table I are derived from it.
 type Summary struct {
 	Flows       int64
 	Packets     int64
@@ -211,94 +201,21 @@ type Summary struct {
 	OnePktFlows int64   // flows emitted as a single packet (discarded by the pipeline)
 }
 
-// NewGenerator validates cfg and returns a ready generator.
-func NewGenerator(cfg Config) (*Generator, error) {
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	src, err := newProgramSource(c)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	g := &Generator{cfg: c, src: src}
-	horizon := c.Warmup + c.Duration
-	// The player's window is the emitted part of the timeline: flows are
-	// fast-forwarded past the warm-up in O(1) (closed-form shot inverse), so
-	// warm-up packets — generated-and-discarded by the pre-player design —
-	// cost nothing at all. Flow truncation at the horizon is the window's
-	// upper bound, exactly like a capture stopping.
-	g.pl.initPlayer(c.Warmup, horizon, estimateEvents(c.Duration, c.Lambda),
-		newSourceFeed(src, horizon, &g.pl))
-	return g, nil
-}
-
-// Next returns the next packet in time order. ok is false once the trace
-// horizon is reached. Record times are relative to the end of the warm-up
-// period, i.e. they lie in [0, Duration).
-func (g *Generator) Next() (rec Record, ok bool) {
-	t, pkt, hdr, ok := g.pl.step()
-	if !ok {
-		// The player drained its feed to the horizon, so the phase-1 flow
-		// counters are final; snapshot the derived rates (idempotent).
-		g.stats.Duration = g.cfg.Duration
-		if g.cfg.Duration > 0 {
-			g.stats.AvgRateBps = float64(g.stats.Bytes) * 8 / g.cfg.Duration
-			g.stats.FlowRate = float64(g.src.flows) / g.cfg.Duration
-		}
-		return Record{}, false
-	}
-	hdr.TotalLen = uint16(pkt)
-	g.stats.Packets++
-	g.stats.Bytes += int64(pkt)
-	return Record{Time: t - g.cfg.Warmup, Hdr: hdr}, true
-}
-
-// Stats returns the running summary; final once Next has returned ok=false.
-func (g *Generator) Stats() Summary {
-	s := g.stats
-	s.Flows = g.src.flows
-	s.OnePktFlows = g.src.onePkt
-	return s
-}
-
-// Records returns a single-use iterator over the remaining packets of the
-// trace, in time order. It is the range-over-func face of Next: ranging to
-// completion drains the generator and finalises Stats. Breaking early leaves
-// the generator resumable.
-func (g *Generator) Records() iter.Seq[Record] {
-	return func(yield func(Record) bool) {
-		for {
-			r, ok := g.Next()
-			if !ok || !yield(r) {
-				return
-			}
-		}
-	}
-}
-
-// GenerateAll materialises the whole trace in memory. Intended for tests and
+// GenerateAll materialises the whole trace in memory: the serial block
+// stream unpacked into records. Intended for tests, examples and
 // single-interval reference figures (an interval at the default scale is a
-// few hundred thousand records). Long traces should use
-// StreamParallelBlocksCtx or Records.
+// few hundred thousand records); long traces should consume
+// StreamParallelBlocksCtx's blocks directly.
 func GenerateAll(cfg Config) ([]Record, Summary, error) {
-	// Validate (via NewGenerator) before sizing the slice: an invalid
-	// Duration or Lambda would turn the capacity estimate negative.
-	g, err := NewGenerator(cfg)
+	var recs []Record
+	sum, err := streamSerial(context.Background(), cfg, func(blk *Block) error {
+		for i := range blk.Len() {
+			recs = append(recs, blk.Record(i))
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, Summary{}, err
 	}
-	// ~8 packets per flow at the default mix; clamped so a huge (or
-	// overflowing) Duration·Lambda product cannot turn into a bogus
-	// allocation — append growth covers anything beyond the clamp.
-	est := capacityEstimate(cfg.Duration * cfg.Lambda * 8)
-	recs := make([]Record, 0, est)
-	for {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, r)
-	}
-	return recs, g.Stats(), nil
+	return recs, sum, nil
 }

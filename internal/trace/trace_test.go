@@ -66,28 +66,23 @@ func TestConfigValidation(t *testing.T) {
 		set(&cfg)
 		bad = append(bad, cfg)
 	}
-	if _, err := NewGenerator(good); err != nil {
+	if _, _, err := GenerateAll(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	for i, cfg := range bad {
-		if _, err := NewGenerator(cfg); err == nil {
+		if _, _, err := GenerateAll(cfg); err == nil {
 			t.Fatalf("config %d should be rejected", i)
 		}
 	}
 }
 
 func TestGeneratorTimeOrdered(t *testing.T) {
-	g, err := NewGenerator(smallConfig(1, dist.Constant{V: 1}))
+	recs, _, err := GenerateAll(smallConfig(1, dist.Constant{V: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := -1.0
-	n := 0
-	for {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
+	for n, r := range recs {
 		if r.Time < prev {
 			t.Fatalf("packet %d out of order: %g < %g", n, r.Time, prev)
 		}
@@ -95,9 +90,8 @@ func TestGeneratorTimeOrdered(t *testing.T) {
 			t.Fatalf("packet %d outside trace horizon: t=%g", n, r.Time)
 		}
 		prev = r.Time
-		n++
 	}
-	if n == 0 {
+	if len(recs) == 0 {
 		t.Fatal("generator produced no packets")
 	}
 }

@@ -66,7 +66,7 @@ func TestWindowMatchesFullTrace(t *testing.T) {
 }
 
 // Breaking out of a window iteration early must leave later replays intact
-// (each call builds a fresh generator).
+// (each call plays a fresh stream).
 func TestWindowReplayAfterEarlyBreak(t *testing.T) {
 	cfg := windowTestConfig(t)
 	w, err := NewWindow(cfg, 0, 5)
