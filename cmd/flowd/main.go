@@ -4,10 +4,10 @@
 // sliding-window interval series, incremental model refits off the kernel
 // caches, online anomaly detection and one-step rate prediction — and
 // survives faults: panics and transient ingest failures restart under
-// seeded exponential backoff behind a restart-intensity circuit breaker,
-// periodic checkpoints bound the loss of a crash to one checkpoint window,
-// and SIGINT/SIGTERM drain the partial interval, write a final checkpoint
-// and exit 0.
+// seeded exponential backoff behind a restart-intensity circuit breaker, a
+// checkpoint at every interval close means a restart re-ingests at most the
+// interval that was open, and SIGINT/SIGTERM drain the partial interval and
+// exit 0.
 //
 // Usage:
 //
@@ -52,8 +52,7 @@ func main() {
 		window   = flag.Int("window", 32, "interval means kept for the online predictor")
 		timeout  = flag.Float64("timeout", flow.DefaultTimeout, "flow timeout in seconds")
 
-		ckptDir   = flag.String("ckpt", "", "checkpoint directory (empty = no checkpointing: a crash loses all state)")
-		ckptEvery = flag.Float64("ckpt-every", 0, "stream seconds between checkpoints (0 = one per analysis interval)")
+		ckptDir = flag.String("ckpt", "", "checkpoint directory, written at every interval close (empty = no checkpointing: a crash loses all state)")
 
 		budgetBytes = flag.Int64("membudget", 0, "ingest-queue memory budget in bytes (0 = unlimited)")
 		shed        = flag.Bool("shed", false, "drop ingest blocks (with exact accounting) instead of blocking when the budget is full")
@@ -92,9 +91,9 @@ func main() {
 		fatal(fmt.Errorf("-max-restarts must be >= 1, got %d", *maxRestarts))
 	}
 
-	// SIGINT/SIGTERM drain: the link flushes the partial interval, writes a
-	// final checkpoint, and the supervisor reports a clean stop (exit 0).
-	// A signal during the pcap sidecar build aborts it.
+	// SIGINT/SIGTERM drain: the link flushes the partial interval (the next
+	// run re-measures it from the last checkpoint) and the supervisor reports
+	// a clean stop (exit 0). A signal during the pcap sidecar build aborts it.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -122,9 +121,8 @@ func main() {
 			Window:      *window,
 			Timeout:     *timeout,
 		},
-		Store:           store,
-		CheckpointEvery: *ckptEvery,
-		Shed:            *shed,
+		Store: store,
+		Shed:  *shed,
 	}
 	if !*quiet {
 		cfg.Pipeline.OnInterval = printReport

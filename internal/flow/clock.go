@@ -14,7 +14,9 @@ import (
 // all of them account intervals identically.
 //
 // The clock only places packets; its owner advances it (Advance) once it
-// has closed the current interval.
+// has closed the current interval. Nothing measured inside an interval
+// outlives it, so the clock's only resumable position is an interval
+// boundary (ResumeAt).
 type IntervalClock struct {
 	intervalSec float64
 	duration    float64 // 0 = derive the trace end from the last packet
@@ -22,13 +24,6 @@ type IntervalClock struct {
 	cur         int     // index of the interval currently being fed
 	started     bool
 	lastTime    float64
-}
-
-// ClockState is an IntervalClock's resumable position, for checkpoints.
-type ClockState struct {
-	Cur      int
-	Started  bool
-	LastTime float64
 }
 
 // NewIntervalClock builds a clock over intervals of intervalSec.
@@ -139,9 +134,6 @@ func (c *IntervalClock) Origin() float64 { return float64(c.cur) * c.intervalSec
 // the current one.
 func (c *IntervalClock) Advance() { c.cur++ }
 
-// LastTime returns the last packet time placed (0 before the first).
-func (c *IntervalClock) LastTime() float64 { return c.lastTime }
-
 // Total returns how many intervals the stream has once it is closed: every
 // interval within the declared duration, or — when no duration was
 // declared — through the interval containing the last packet.
@@ -155,17 +147,10 @@ func (c *IntervalClock) Total() int {
 	return c.cur + 1
 }
 
-// State returns the clock's resumable position.
-func (c *IntervalClock) State() ClockState {
-	return ClockState{Cur: c.cur, Started: c.started, LastTime: c.lastTime}
-}
-
-// Restore moves the clock to a position State captured, keeping its
-// interval geometry. A position no valid stream can reach is rejected.
-func (c *IntervalClock) Restore(s ClockState) error {
-	if s.Cur < 0 || !(s.LastTime >= 0) || math.IsInf(s.LastTime, 1) {
-		return fmt.Errorf("flow: invalid clock state %+v", s)
-	}
-	c.cur, c.started, c.lastTime = s.Cur, s.Started, s.LastTime
-	return nil
+// ResumeAt moves the clock to the start of interval i (i >= 0), keeping its
+// interval geometry, as if no packet had been placed yet: the next packet
+// is the first of interval i or of a later one. A checkpoint resumes here,
+// since the only position it records is an interval boundary.
+func (c *IntervalClock) ResumeAt(i int) {
+	c.cur, c.started, c.lastTime = i, false, 0
 }

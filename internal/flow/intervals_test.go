@@ -301,8 +301,15 @@ func TestIntervalClockValidation(t *testing.T) {
 	if _, err := place(&c, 4); err == nil {
 		t.Fatal("out-of-order packet should be rejected")
 	}
-	if err := c.Restore(ClockState{Cur: -1}); err == nil {
-		t.Fatal("negative interval index restored")
+	// ResumeAt re-arms the clock at an interval boundary: the index and
+	// origin move there and the time-order check starts over.
+	c.ResumeAt(2)
+	if c.Index() != 2 || c.Origin() != 20 {
+		t.Fatalf("resumed at index %d origin %g, want 2 and 20", c.Index(), c.Origin())
+	}
+	c.ResumeAt(0)
+	if idx, err := place(&c, 4); err != nil || idx != 0 {
+		t.Fatalf("first packet after ResumeAt: interval %d, err %v", idx, err)
 	}
 }
 
@@ -322,8 +329,8 @@ func TestIntervalClockPlaceRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		got = append(got, run{idx, k})
-		if k < len(times) && c.LastTime() != times[k-1] {
-			t.Fatalf("run ending at %d placed %g", k, c.LastTime())
+		if k < len(times) && c.lastTime != times[k-1] {
+			t.Fatalf("run ending at %d placed %g", k, c.lastTime)
 		}
 		j = k
 	}

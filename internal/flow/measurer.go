@@ -141,3 +141,7 @@ func (m *Measurer) Flush() []Result {
 	}
 	return out
 }
+
+// ActiveFlows returns the in-progress flow count of the i-th definition's
+// assembler — the occupancy a service's memory bound watches.
+func (m *Measurer) ActiveFlows(i int) int { return m.asm[i].ActiveFlows() }

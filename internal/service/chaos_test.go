@@ -56,11 +56,13 @@ func goldenReports(t *testing.T, seed, epochs int64) []Report {
 }
 
 // verifyContinuity checks the chaos contract: every golden interval ends up
-// reported bit-identically to the uninterrupted run, gap-free. Re-emissions
-// of the post-checkpoint replay window must equal the golden report too. A
-// shutdown drain may additionally flush a prefix of an interval as a
-// Partial report — that interval must still be re-covered in full later, so
-// partial flushes are checked for consistency but don't count as coverage.
+// reported bit-identically to the uninterrupted run, gap-free. A restart
+// resumes at the newest checkpoint's interval boundary, so an interval
+// reported again after a crash (its checkpoint not yet written, or torn)
+// must equal the golden report too. A shutdown drain may additionally flush
+// a prefix of an interval as a Partial report — the restart re-measures
+// that interval in full, so partial flushes are checked for consistency but
+// don't count as coverage.
 func verifyContinuity(t *testing.T, golden, got []Report) {
 	t.Helper()
 	seen := make(map[int]bool)
@@ -101,8 +103,8 @@ func TestChaosSupervisedRestartsKeepContinuity(t *testing.T) {
 
 	// Crash schedule over a cumulative block counter that keeps counting
 	// across restarts, so each fault fires exactly once. The full stream is
-	// ~24 blocks; restarts replay at most one checkpoint window, so all
-	// three points are reached before the final clean pass.
+	// ~24 blocks; restarts replay at most the interval that was open, so
+	// all three points are reached before the final clean pass.
 	var blocksSeen atomic.Int64
 	crashes := map[int64]string{4: "error", 9: "panic", 15: "error"}
 	src := &hookSource{
@@ -271,9 +273,66 @@ func newestCheckpoint(t *testing.T, dir string) string {
 	return filepath.Join(dir, names[len(names)-1])
 }
 
+// SIGTERM across a restart: a link cancelled mid-interval drains that
+// interval as a partial report and writes no checkpoint, so a new link on
+// the same store resumes at the interval's first packet and reports it in
+// full — every interval bit-identical to the uninterrupted run.
+func TestChaosCancelMidIntervalRestartKeepsContinuity(t *testing.T) {
+	baseBlocks, baseGoroutines := trace.LiveBlocks(), runtime.NumGoroutine()
+	const epochs = 3
+	golden := goldenReports(t, 47, epochs)
+	store, err := snapshot.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocksSeen := 0 // the producer goroutine alone counts
+	src := &hookSource{
+		inner: &SyntheticSource{Base: testBase(47), Epochs: epochs},
+		hook: func(int64, *trace.Block) error {
+			if blocksSeen++; blocksSeen == 10 {
+				cancel()
+			}
+			return nil
+		},
+	}
+	var reps1 []Report
+	link1, err := NewLink(LinkConfig{Name: "term", Source: src, Pipeline: testPipeCfg(&reps1), Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := link1.Run(ctx); Classify(err) != Canceled {
+		t.Fatalf("cancelled run ended with %v", err)
+	}
+	if len(reps1) == 0 || !reps1[len(reps1)-1].Partial {
+		t.Fatalf("cancellation did not land inside an interval: %d reports", len(reps1))
+	}
+
+	var reps2 []Report
+	link2, err := NewLink(LinkConfig{
+		Name:     "restart",
+		Source:   &SyntheticSource{Base: testBase(47), Epochs: epochs},
+		Pipeline: testPipeCfg(&reps2),
+		Store:    store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := link2.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := link2.Stats(); st.Restores != 1 || st.FreshStarts != 0 {
+		t.Fatalf("restart stats: %+v", st)
+	}
+	verifyContinuity(t, golden, append(append([]Report(nil), reps1...), reps2...))
+	checkNoLeaks(t, baseBlocks, baseGoroutines)
+}
+
 // kill -9 mid-write: a torn tail on the newest checkpoint must fall back to
 // the previous generation, and the restarted link re-covers the lost window
-// bit-identically — at most one checkpoint window of re-work, zero loss.
+// bit-identically — at most one interval more of re-work, zero loss.
 func TestChaosTornCheckpointFallsBackOneGeneration(t *testing.T) {
 	baseBlocks, baseGoroutines := trace.LiveBlocks(), runtime.NumGoroutine()
 	const epochs = 3

@@ -217,7 +217,6 @@ func TestPipelineMatchesSuiteEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defs := []flow.Definition{flow.By5Tuple, flow.ByPrefix24}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, n := range []int{1, 17, trace.BlockSize} {
 		t.Run(fmt.Sprintf("block=%d", n), func(t *testing.T) {
@@ -225,9 +224,7 @@ func TestPipelineMatchesSuiteEngine(t *testing.T) {
 			defer putAll(blocks)
 
 			var reps []Report
-			pcfg := testPipeCfg(&reps)
-			pcfg.Defs = defs
-			p, err := NewPipeline(pcfg)
+			p, err := NewPipeline(testPipeCfg(&reps))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +232,7 @@ func TestPipelineMatchesSuiteEngine(t *testing.T) {
 			if err := p.Drain(); err != nil {
 				t.Fatal(err)
 			}
-			suite, err := suiteEngine(blocks, cfg.Duration, defs)
+			suite, err := suiteEngine(blocks, cfg.Duration, pipelineDefs)
 			if err != nil {
 				t.Fatal(err)
 			}

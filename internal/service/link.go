@@ -20,21 +20,21 @@ type LinkConfig struct {
 	// Pipeline sizes the resident measurement state.
 	Pipeline PipelineConfig
 	// Store persists checkpoints (nil = no checkpointing: a restart loses
-	// all resident state).
+	// all resident state). The link writes one at every interval close —
+	// the carried state plus the cursor of the open interval's first packet
+	// — and one at the end of a bounded source, so a restart re-ingests at
+	// most the interval that was open.
 	Store *snapshot.Store
-	// CheckpointEvery is the stream-time between periodic checkpoints in
-	// seconds (default: one analysis interval). A crash loses at most this
-	// much re-ingestable stream — the declared loss window.
-	CheckpointEvery float64
 	// Budget bounds the resident bytes of queued ingest blocks (nil =
 	// unlimited). Producers block when it fills (backpressure)…
 	Budget membudget.Reserver
 	// …unless Shed is set, in which case blocks that do not fit are dropped
 	// with exact accounting instead of stalling the source.
 	Shed bool
-	// QueueLen is the ingest queue depth in blocks (default 4).
-	QueueLen int
 }
+
+// queueLen is the ingest queue depth in blocks.
+const queueLen = 4
 
 // LinkStats are a link's ingest counters, readable while it runs.
 type LinkStats struct {
@@ -49,9 +49,10 @@ type LinkStats struct {
 
 // Link runs one supervised ingest-measure pipeline attempt per Run call:
 // restore from the last checkpoint, stream blocks through the pipeline with
-// budget-bounded queueing, checkpoint periodically, and on cancellation
-// drain — flush the partial interval and write a final checkpoint. Run is
-// the function handed to Supervisor.Run.
+// budget-bounded queueing, checkpoint at every interval close, and on
+// cancellation drain — flush the partial interval, which the next run
+// re-measures from the last checkpoint. Run is the function handed to
+// Supervisor.Run.
 type Link struct {
 	cfg LinkConfig
 
@@ -71,18 +72,6 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 	}
 	if cfg.Shed && cfg.Budget == nil {
 		return nil, fmt.Errorf("service: link %q sheds without a budget", cfg.Name)
-	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = cfg.Pipeline.IntervalSec
-	}
-	if !(cfg.CheckpointEvery > 0) {
-		return nil, fmt.Errorf("service: link %q checkpoint period must be > 0, got %g", cfg.Name, cfg.CheckpointEvery)
-	}
-	if cfg.QueueLen == 0 {
-		cfg.QueueLen = 4
-	}
-	if cfg.QueueLen < 1 {
-		return nil, fmt.Errorf("service: link %q queue length must be >= 1, got %d", cfg.Name, cfg.QueueLen)
 	}
 	return &Link{cfg: cfg}, nil
 }
@@ -109,6 +98,7 @@ func (l *Link) release(cost int64) {
 // item is one owned, budget-charged block in the ingest queue.
 type item struct {
 	epoch int64
+	pos   int64 // packets of the epoch the source delivered before blk, shed ones included
 	blk   *trace.Block
 	cost  int64
 }
@@ -165,9 +155,10 @@ func (l *Link) Run(ctx context.Context) error {
 	ictx, icancel := context.WithCancel(ctx)
 	defer icancel()
 
-	ch := make(chan item, l.cfg.QueueLen)
+	ch := make(chan item, queueLen)
 	producerDone := make(chan struct{})
 	var prodErr error
+	end := cur // the source position after its last block; the producer's until it is done
 
 	go func() {
 		defer func() {
@@ -182,6 +173,11 @@ func (l *Link) Run(ctx context.Context) error {
 			if n == 0 {
 				return nil
 			}
+			if epoch != end.Epoch {
+				end = Cursor{Epoch: epoch}
+			}
+			pos := end.Packets
+			end.Packets += int64(n)
 			cost := trace.BlockCost(n)
 			if l.cfg.Budget != nil {
 				if l.cfg.Shed {
@@ -201,7 +197,7 @@ func (l *Link) Run(ctx context.Context) error {
 			ob := trace.GetBlock()
 			ob.AppendRebased(blk, 0, n, 0)
 			select {
-			case ch <- item{epoch: epoch, blk: ob, cost: cost}:
+			case ch <- item{epoch: epoch, pos: pos, blk: ob, cost: cost}:
 				return nil
 			case <-ictx.Done():
 				trace.PutBlock(ob)
@@ -231,8 +227,6 @@ func (l *Link) Run(ctx context.Context) error {
 		<-producerDone
 	}()
 
-	epoch, pkts := cur.Epoch, cur.Packets
-	lastCkpt := p.StreamTime()
 	for it := range ch {
 		held, heldCost = it.blk, it.cost
 		err := p.AddBlock(it.blk)
@@ -243,33 +237,28 @@ func (l *Link) Run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if it.epoch != epoch {
-			epoch, pkts = it.epoch, 0
-		}
-		pkts += int64(n)
-		cur = Cursor{Epoch: epoch, Packets: pkts}
-		l.blocks.Add(1)
-		l.packets.Add(int64(n))
-		if l.cfg.Store != nil && p.StreamTime()-lastCkpt >= l.cfg.CheckpointEvery {
-			if err := l.checkpoint(p, cur); err != nil {
+		if p.opened >= 0 {
+			if err := l.checkpoint(p, Cursor{Epoch: it.epoch, Packets: it.pos + int64(p.opened)}); err != nil {
 				return err
 			}
-			lastCkpt = p.StreamTime()
 		}
+		l.blocks.Add(1)
+		l.packets.Add(int64(n))
 	}
 	<-producerDone
 
 	// The producer stopped. A clean end (source exhausted) or a
-	// cancellation drains: flush the partial interval, write the final
-	// checkpoint, and report the stop as clean.
-	if Classify(prodErr) == Canceled {
-		if err := p.Drain(); err != nil && Classify(err) != Canceled {
-			return err
-		}
-		if err := l.checkpoint(p, cur); err != nil {
-			return err
-		}
+	// cancellation drains: flush the partial interval and report the stop
+	// as clean. Only the exhausted source checkpoints its end, so a re-run
+	// emits nothing; a cancelled run resumes at the last boundary.
+	if Classify(prodErr) != Canceled {
 		return prodErr
+	}
+	if err := p.Drain(); err != nil && Classify(err) != Canceled {
+		return err
+	}
+	if prodErr == nil {
+		return l.checkpoint(p, end)
 	}
 	return prodErr
 }

@@ -20,42 +20,33 @@ type PipelineConfig struct {
 	// Delta is the rate averaging interval Δ. Required.
 	Delta float64
 	// Window is how many per-interval mean rates the predictor keeps
-	// (default 32) — the sliding-window bound on series memory.
+	// (default 32, at least predictOrder+2) — the sliding-window bound on
+	// series memory.
 	Window int
-	// Defs are the flow definitions measured simultaneously (default
-	// 5-tuple + /24 prefix; Defs[0] drives the model refit).
-	Defs []flow.Definition
 	// Timeout is the flow-termination timeout (default the paper's 60 s).
 	Timeout float64
-	// Z is the anomaly band half-width in standard deviations (default 3).
-	Z float64
-	// MinRun debounces anomaly events (default 3 consecutive bins).
-	MinRun int
-	// PredictOrder is the AR predictor order (default 2).
-	PredictOrder int
 	// OnInterval observes every closed interval, in order. Its error aborts
 	// the stream (and is classified by the supervisor like any other).
 	OnInterval func(Report) error
 }
 
+// The fixed parts of the online evaluation.
+const (
+	anomalyZ      = 3 // anomaly band half-width in standard deviations
+	anomalyMinRun = 3 // consecutive out-of-band bins that make one event
+	predictOrder  = 2 // AR order of the one-step rate predictor
+)
+
+// pipelineDefs are the flow definitions measured side by side: the 5-tuple
+// (which drives the model refit) and the /24 destination prefix.
+var pipelineDefs = []flow.Definition{flow.By5Tuple, flow.ByPrefix24}
+
 func (c PipelineConfig) withDefaults() PipelineConfig {
 	if c.Window == 0 {
 		c.Window = 32
 	}
-	if len(c.Defs) == 0 {
-		c.Defs = []flow.Definition{flow.By5Tuple, flow.ByPrefix24}
-	}
 	if c.Timeout == 0 {
 		c.Timeout = flow.DefaultTimeout
-	}
-	if c.Z == 0 {
-		c.Z = 3
-	}
-	if c.MinRun == 0 {
-		c.MinRun = 3
-	}
-	if c.PredictOrder == 0 {
-		c.PredictOrder = 2
 	}
 	return c
 }
@@ -68,8 +59,8 @@ type Report struct {
 	Start   float64 // interval start in stream seconds
 	Partial bool    // a drain flushed this interval before its boundary
 
-	Flows     int // kept flows under Defs[0]
-	Discarded int // single-packet flows under Defs[0]
+	Flows     int // kept flows under the 5-tuple definition
+	Discarded int // single-packet flows under the 5-tuple definition
 	Packets   int64
 
 	MeasMean float64 // bit/s
@@ -96,9 +87,11 @@ type Report struct {
 // Pipeline is the resident per-link measurement state of the daemon: a
 // multi-definition flow measurer, a rate binner, the eq.(7) kernel caches,
 // a sliding window of interval means, and the carried-over anomaly band and
-// predictor. It consumes absolute-time blocks, closes analysis intervals as
-// the stream crosses their boundaries, and snapshots/restores its complete
-// state for crash-safe resumption.
+// predictor. It consumes absolute-time blocks and closes analysis intervals
+// as the stream crosses their boundaries. Only the window, the band and the
+// prediction cross a boundary — flows are split there and rates are binned
+// per interval — so that is all a checkpoint holds (Snapshot), and a
+// restored pipeline re-measures the open interval from its first packet.
 type Pipeline struct {
 	cfg  PipelineConfig
 	meas *flow.Measurer
@@ -110,6 +103,10 @@ type Pipeline struct {
 
 	clock   flow.IntervalClock
 	pktsCur int64 // packets in the current interval
+	// opened is the in-block offset of the packet that opened the current
+	// interval during the last AddBlock, -1 when that call closed none: the
+	// resume point a boundary checkpoint pairs with the state.
+	opened int
 
 	means *timeseries.Window // per-interval mean rates (prediction history)
 
@@ -134,14 +131,11 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if !(cfg.Delta > 0) || cfg.Delta > cfg.IntervalSec {
 		return nil, fmt.Errorf("service: delta must be in (0, interval], got %g", cfg.Delta)
 	}
-	if cfg.Window < 2 {
-		return nil, fmt.Errorf("service: window must be >= 2 intervals, got %d", cfg.Window)
+	if cfg.Window < predictOrder+2 {
+		return nil, fmt.Errorf("service: window must be >= %d intervals, got %d", predictOrder+2, cfg.Window)
 	}
-	if cfg.PredictOrder < 1 || cfg.PredictOrder > cfg.Window-2 {
-		return nil, fmt.Errorf("service: predictor order %d does not fit window %d", cfg.PredictOrder, cfg.Window)
-	}
-	p := &Pipeline{cfg: cfg, pop: &core.FlowPop{}, clock: clock}
-	if p.meas, err = flow.NewMeasurer(cfg.Defs, cfg.Timeout); err != nil {
+	p := &Pipeline{cfg: cfg, pop: &core.FlowPop{}, clock: clock, opened: -1}
+	if p.meas, err = flow.NewMeasurer(pipelineDefs, cfg.Timeout); err != nil {
 		return nil, err
 	}
 	if p.bin, err = timeseries.NewBinner(cfg.IntervalSec, cfg.Delta); err != nil {
@@ -158,22 +152,23 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	return p, nil
 }
 
-// StreamTime returns the last packet time consumed (stream seconds).
-func (p *Pipeline) StreamTime() float64 { return p.clock.LastTime() }
-
 // Interval returns the index of the interval currently being fed.
 func (p *Pipeline) Interval() int { return p.clock.Index() }
 
-// ActiveFlows returns the in-progress flow count under Defs[0] — the
-// occupancy the soak test bounds.
+// ActiveFlows returns the in-progress 5-tuple flow count — the occupancy
+// the soak test bounds.
 func (p *Pipeline) ActiveFlows() int { return p.meas.ActiveFlows(0) }
 
 // AddBlock consumes one absolute-time SoA block, closing analysis intervals
 // as the stream crosses their boundaries (empty intervals are emitted too —
 // a silent link is data). Every packet is placed by the interval clock, so
 // a time that is negative, NaN, +Inf or earlier than its predecessor fails
-// the call. The block is read, never retained.
+// the call. So does a packet before the open interval, which only a source
+// resumed at the wrong position delivers; that error is permanent, since a
+// restart would resume at the same position. The block is read, never
+// retained.
 func (p *Pipeline) AddBlock(blk *trace.Block) error {
+	p.opened = -1
 	n := blk.Len()
 	j := 0
 	for j < n {
@@ -181,10 +176,15 @@ func (p *Pipeline) AddBlock(blk *trace.Block) error {
 		if err != nil {
 			return err
 		}
+		if cur := p.clock.Index(); idx < cur {
+			return MarkPermanent(fmt.Errorf("service: packet time %g falls in interval %d, before the open interval %d",
+				blk.Times[j], idx, cur))
+		}
 		for p.clock.Index() < idx {
 			if err := p.closeInterval(false); err != nil {
 				return err
 			}
+			p.opened = j
 		}
 		p.pktsCur += int64(k - j)
 		sub := blk.Slice(j, k)
@@ -262,7 +262,7 @@ func (p *Pipeline) closeInterval(partial bool) error {
 
 	// Anomaly scan against the band fitted on the previous interval.
 	if p.detSigma > 0 {
-		det := anomaly.Detector{Mu: p.detMu, Sigma: p.detSigma, Z: p.cfg.Z, MinRun: p.cfg.MinRun}
+		det := anomaly.Detector{Mu: p.detMu, Sigma: p.detSigma, Z: anomalyZ, MinRun: anomalyMinRun}
 		rep.Anomalies = det.Scan(series)
 	}
 
@@ -273,9 +273,9 @@ func (p *Pipeline) closeInterval(partial bool) error {
 	p.means.Push(rep.MeasMean)
 	p.predHas = false
 	p.hist = p.means.AppendValues(p.hist[:0])
-	if m := p.cfg.PredictOrder; len(p.hist) >= m+2 {
-		rho := predict.MeasuredACF(p.hist, m)
-		if pr, err := predict.FromACF(rho, m); err == nil {
+	if len(p.hist) >= predictOrder+2 {
+		rho := predict.MeasuredACF(p.hist, predictOrder)
+		if pr, err := predict.FromACF(rho, predictOrder); err == nil {
 			var level float64
 			for _, v := range p.hist {
 				level += v

@@ -117,7 +117,7 @@ func TestPipelineConfigValidation(t *testing.T) {
 		{IntervalSec: 2, Delta: 0},
 		{IntervalSec: 2, Delta: 3}, // delta > interval
 		{IntervalSec: 2, Delta: 0.1, Window: 1},
-		{IntervalSec: 2, Delta: 0.1, Window: 8, PredictOrder: 7}, // > window-2
+		{IntervalSec: 2, Delta: 0.1, Window: predictOrder + 1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewPipeline(cfg); err == nil {
@@ -179,73 +179,87 @@ func TestPipelineStreamReports(t *testing.T) {
 	if last := reps[len(reps)-1]; !last.HasPrediction {
 		t.Fatalf("no prediction with %d intervals of history", len(reps)-1)
 	}
-	if p.StreamTime() <= 0 || p.Interval() != wantIntervals {
-		t.Fatalf("stream clock %g, interval %d", p.StreamTime(), p.Interval())
+	if p.Interval() != wantIntervals {
+		t.Fatalf("clock at interval %d after the drain, want %d", p.Interval(), wantIntervals)
 	}
 }
 
-// The tentpole differential: snapshotting mid-stream, round-tripping the
-// checkpoint through the on-disk frame codec, and restoring into a fresh
-// pipeline must be observationally invisible — the restored pipeline emits
-// exactly the reports the uninterrupted one does, at every cut point.
+// Cutting the stream at any interval boundary must be observationally
+// invisible: checkpoint right after the AddBlock that closed an interval,
+// round-trip the checkpoint through the on-disk frame codec, restore it into
+// a fresh pipeline and feed that from the open interval's first packet —
+// the restored pipeline emits exactly the uninterrupted run's remaining
+// reports and ends in the same state. Between boundaries the checkpoint
+// does not move: nothing measured inside an interval is persisted.
 func TestPipelineSnapshotDifferential(t *testing.T) {
 	blocks := ownedBlocks(t, &SyntheticSource{Base: testBase(11), Epochs: 2})
 	defer putAll(blocks)
 
+	type cut struct {
+		secs          []snapshot.Section
+		block, offset int // the open interval starts at blocks[block].Times[offset]
+		reported      int // reports emitted before the cut
+	}
 	var golden []Report
 	pg, err := NewPipeline(testPipeCfg(&golden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedAll(t, pg, blocks)
+	var cuts []cut
+	last := pg.Snapshot()
+	for bi, b := range blocks {
+		if err := pg.AddBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		if pg.opened < 0 {
+			if !reflect.DeepEqual(pg.Snapshot(), last) {
+				t.Fatalf("block %d closed no interval but moved the checkpoint", bi)
+			}
+			continue
+		}
+		last = pg.Snapshot()
+		var buf bytes.Buffer
+		if err := snapshot.Encode(&buf, uint64(bi), last); err != nil {
+			t.Fatal(err)
+		}
+		secs, _, err := snapshot.Decode(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts = append(cuts, cut{secs, bi, pg.opened, len(golden)})
+	}
 	if err := pg.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	if want := len(golden) - 1; len(cuts) != want {
+		t.Fatalf("%d boundary cuts over %d intervals, want %d", len(cuts), len(golden), want)
+	}
 
-	cuts := []int{1, len(blocks) / 3, len(blocks) / 2, len(blocks) - 1}
-	for _, cut := range cuts {
-		var bReps, cReps []Report
-		pb, err := NewPipeline(testPipeCfg(&bReps))
+	for _, c := range cuts {
+		var reps []Report
+		pc, err := NewPipeline(testPipeCfg(&reps))
 		if err != nil {
 			t.Fatal(err)
 		}
-		feedAll(t, pb, blocks[:cut])
-		nPrefix := len(bReps)
-
-		// Round-trip the checkpoint through the durable frame format, not
-		// just the in-memory sections.
-		var buf bytes.Buffer
-		if err := snapshot.Encode(&buf, 7, pb.Snapshot()); err != nil {
+		if err := pc.Restore(c.secs); err != nil {
+			t.Fatalf("cut before interval %d: restore: %v", c.reported, err)
+		}
+		if pc.Interval() != c.reported {
+			t.Fatalf("restored at interval %d, want %d", pc.Interval(), c.reported)
+		}
+		rest := blocks[c.block].Slice(c.offset, blocks[c.block].Len())
+		if err := pc.AddBlock(&rest); err != nil {
 			t.Fatal(err)
 		}
-		secs, seq, err := snapshot.Decode(buf.Bytes())
-		if err != nil || seq != 7 {
-			t.Fatalf("decode: seq %d err %v", seq, err)
-		}
-		pc, err := NewPipeline(testPipeCfg(&cReps))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pc.Restore(secs); err != nil {
-			t.Fatalf("cut %d: restore: %v", cut, err)
-		}
-
-		feedAll(t, pb, blocks[cut:])
-		feedAll(t, pc, blocks[cut:])
-		if err := pb.Drain(); err != nil {
-			t.Fatal(err)
-		}
+		feedAll(t, pc, blocks[c.block+1:])
 		if err := pc.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(bReps[nPrefix:], cReps) {
-			t.Fatalf("cut %d: restored pipeline reports diverge from the uninterrupted run", cut)
+		if !reflect.DeepEqual(reps, golden[c.reported:]) {
+			t.Fatalf("cut before interval %d: restored pipeline reports diverge from the uninterrupted run", c.reported)
 		}
-		if !reflect.DeepEqual(bReps, golden) {
-			t.Fatalf("cut %d: snapshotting perturbed the live pipeline", cut)
-		}
-		if !reflect.DeepEqual(pb.Snapshot(), pc.Snapshot()) {
-			t.Fatalf("cut %d: final states differ between live and restored pipelines", cut)
+		if !reflect.DeepEqual(pg.Snapshot(), pc.Snapshot()) {
+			t.Fatalf("cut before interval %d: final states differ between live and restored pipelines", c.reported)
 		}
 	}
 }
@@ -271,7 +285,7 @@ func TestPipelineRestoreRejectsMismatchedConfig(t *testing.T) {
 	if err := pb.Restore(secs); err == nil {
 		t.Fatal("checkpoint from a different geometry restored silently")
 	}
-	if pb.Interval() != 0 || pb.StreamTime() != 0 || pb.ActiveFlows() != 0 {
+	if pb.Interval() != 0 || pb.ActiveFlows() != 0 {
 		t.Fatal("failed restore left state behind")
 	}
 	// The rejected pipeline must still work as a fresh one.
@@ -639,6 +653,66 @@ func TestLinkShedAccountingIsExact(t *testing.T) {
 	checkNoLeaks(t, baseBlocks, baseGoroutines)
 }
 
+// alternateBudget sheds every other block — deterministic partial shedding.
+type alternateBudget struct{ calls int }
+
+func (*alternateBudget) Reserve(context.Context, int64) error { return nil }
+func (b *alternateBudget) TryReserve(int64) bool              { b.calls++; return b.calls%2 == 0 }
+func (*alternateBudget) Release(int64)                        {}
+
+// Shed packets still advance the source, so checkpoint cursors count them:
+// a link stopped mid-stream resumes at the boundary it checkpointed, and a
+// finished stream re-runs to nothing, instead of replaying packets of an
+// interval it already closed.
+func TestLinkShedCursorCountsShedPackets(t *testing.T) {
+	store, err := snapshot.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ctx context.Context, epochs int64, cfg PipelineConfig) *Link {
+		link, err := NewLink(LinkConfig{
+			Name:     "shed-ckpt",
+			Source:   &SyntheticSource{Base: testBase(71), Epochs: epochs},
+			Pipeline: cfg,
+			Store:    store,
+			Budget:   &alternateBudget{},
+			Shed:     true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := link.Run(ctx); err != nil && Classify(err) != Canceled {
+			t.Fatalf("run ended with %v", err)
+		}
+		return link
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var reps1 []Report
+	cfg := testPipeCfg(&reps1)
+	inner := cfg.OnInterval
+	cfg.OnInterval = func(r Report) error {
+		if len(reps1) == 1 {
+			cancel()
+		}
+		return inner(r)
+	}
+	if st := run(ctx, 0, cfg).Stats(); st.ShedPackets == 0 {
+		t.Fatalf("the first run shed nothing: %+v", st)
+	}
+	var reps2 []Report
+	run(context.Background(), 3, testPipeCfg(&reps2))
+	if drained := reps1[len(reps1)-1]; len(reps2) == 0 || reps2[0].Index != drained.Index {
+		t.Fatalf("resumed at %+v, want the drained interval %d", reps2, drained.Index)
+	}
+	var reps3 []Report
+	run(context.Background(), 3, testPipeCfg(&reps3))
+	if len(reps3) != 0 {
+		t.Fatalf("re-run of a finished stream emitted %d reports", len(reps3))
+	}
+}
+
 func TestLinkCancellationDrainsAndCheckpoints(t *testing.T) {
 	baseBlocks, baseGoroutines := trace.LiveBlocks(), runtime.NumGoroutine()
 	store, err := snapshot.OpenStore(t.TempDir())
@@ -675,10 +749,14 @@ func TestLinkCancellationDrainsAndCheckpoints(t *testing.T) {
 	if len(reps) < 3 {
 		t.Fatalf("only %d reports before cancellation", len(reps))
 	}
-	if st := link.Stats(); st.Checkpoints < 1 {
-		t.Fatalf("no final checkpoint on drain: %+v", st)
+	if last := reps[len(reps)-1]; !last.Partial {
+		t.Fatalf("cancellation drained no partial interval: %+v", last)
 	}
-	// The final checkpoint must be loadable and carry a usable cursor.
+	if st := link.Stats(); st.Checkpoints < 3 {
+		t.Fatalf("%d checkpoints over %d interval closes: %+v", st.Checkpoints, len(reps)-1, st)
+	}
+	// The drain writes no checkpoint: the newest one is the boundary that
+	// opened the drained interval, with a usable cursor.
 	secs, _, err := store.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -689,7 +767,10 @@ func TestLinkCancellationDrainsAndCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := p.Restore(secs); err != nil {
-		t.Fatalf("final checkpoint does not restore: %v", err)
+		t.Fatalf("newest checkpoint does not restore: %v", err)
+	}
+	if drained := reps[len(reps)-1].Index; p.Interval() != drained {
+		t.Fatalf("newest checkpoint resumes at interval %d, want the drained interval %d", p.Interval(), drained)
 	}
 	cur, err := DecodeCursor(secs)
 	if err != nil || (cur == Cursor{}) {

@@ -71,12 +71,11 @@ func TestSoakChurnyNonstationaryIngest(t *testing.T) {
 		},
 	}
 	link, err := NewLink(LinkConfig{
-		Name:            "soak",
-		Source:          src,
-		Pipeline:        cfg,
-		Store:           store,
-		CheckpointEvery: 4 * tInterval,
-		Budget:          budget,
+		Name:     "soak",
+		Source:   src,
+		Pipeline: cfg,
+		Store:    store,
+		Budget:   budget,
 	})
 	if err != nil {
 		t.Fatal(err)

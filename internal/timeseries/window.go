@@ -4,8 +4,9 @@ import "fmt"
 
 // This file holds the sliding-window state of the online service mode: a
 // fixed-capacity window over per-interval scalars (the predictor's rate
-// history) and the snapshot/restore face of the Binner, so a long-running
-// pipeline keeps bounded series memory and can checkpoint what it holds.
+// history), so a long-running pipeline keeps bounded series memory. The
+// window is the one series a checkpoint carries: the rate bins of an open
+// interval are never persisted, since a restart re-measures that interval.
 
 // Window is a fixed-capacity sliding window over float64 samples: Push
 // appends and evicts the oldest sample once full, so memory is bounded by
@@ -60,38 +61,5 @@ func (w *Window) RestoreValues(vs []float64) error {
 	}
 	w.head = 0
 	w.n = copy(w.buf, vs)
-	return nil
-}
-
-// BinnerState is a Binner checkpoint: the window geometry and the
-// accumulated per-bin volumes.
-type BinnerState struct {
-	Duration float64
-	Delta    float64
-	Bits     []float64
-}
-
-// State captures the binner's resumable state (the bins are copied; the
-// binner keeps accumulating).
-func (b *Binner) State() BinnerState {
-	return BinnerState{
-		Duration: b.duration,
-		Delta:    b.delta,
-		Bits:     append([]float64(nil), b.bits...),
-	}
-}
-
-// RestoreState re-targets the binner to the snapshot's geometry and adopts
-// its accumulated volumes. An inconsistent snapshot (bin count not matching
-// the geometry) is rejected and leaves the binner freshly re-initialised.
-func (b *Binner) RestoreState(st BinnerState) error {
-	if err := b.Reinit(st.Duration, st.Delta); err != nil {
-		return err
-	}
-	if len(st.Bits) != len(b.bits) {
-		return fmt.Errorf("timeseries: snapshot has %d bins, geometry (%g/%g) implies %d",
-			len(st.Bits), st.Duration, st.Delta, len(b.bits))
-	}
-	copy(b.bits, st.Bits)
 	return nil
 }

@@ -64,39 +64,3 @@ func TestWindowRestore(t *testing.T) {
 		t.Fatal("NewWindow accepted capacity 0")
 	}
 }
-
-func TestBinnerStateRoundTrip(t *testing.T) {
-	live, err := NewBinner(2.0, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		live.Add(float64(i)*0.2, 800)
-	}
-	st := live.State()
-
-	restored, err := NewBinner(1.0, 0.5) // different geometry, re-targeted by restore
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	// Same subsequent additions must yield identical series.
-	live.Add(1.9, 400)
-	restored.Add(1.9, 400)
-	if !reflect.DeepEqual(live.Series(), restored.Series()) {
-		t.Fatal("binner series diverged after restore")
-	}
-
-	bad := st
-	bad.Bits = st.Bits[:len(st.Bits)-1]
-	if err := restored.RestoreState(bad); err == nil {
-		t.Fatal("RestoreState accepted a bin-count mismatch")
-	}
-	bad = st
-	bad.Delta = -1
-	if err := restored.RestoreState(bad); err == nil {
-		t.Fatal("RestoreState accepted a negative delta")
-	}
-}

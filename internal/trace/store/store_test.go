@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/membudget"
 	"repro/internal/trace"
 )
 
@@ -218,41 +217,6 @@ func TestReadAtFallbackMatchesMmap(t *testing.T) {
 	mustEqualRecords(t, "fallback resume", streamRecords(t, rf, n/2), streamRecords(t, rm, n/2))
 	if rf.HasFooter() != rm.HasFooter() {
 		t.Fatal("footer presence differs between backings")
-	}
-}
-
-// The writer's resident segment buffer is charged against the budget for its
-// lifetime and released on Close and on Abort.
-func TestWriterBudgetAccounting(t *testing.T) {
-	b, err := membudget.New(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testCfg(16)
-	path := filepath.Join(t.TempDir(), "t.fstore")
-	if _, err := Generate(context.Background(), path, cfg, 0, Options{SegmentPackets: 4096, Budget: b}); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Used(); got != 0 {
-		t.Fatalf("budget holds %d bytes after Close", got)
-	}
-	if b.Peak() == 0 {
-		t.Fatal("writer never charged the budget")
-	}
-
-	w, err := Create(filepath.Join(t.TempDir(), "a.fstore"), Meta{Duration: 1}, Options{SegmentPackets: 128, Budget: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk := trace.GetBlock()
-	blk.Append(0.5, 100, 1, 2)
-	if err := w.AddBlock(blk); err != nil {
-		t.Fatal(err)
-	}
-	trace.PutBlock(blk)
-	w.Abort()
-	if got := b.Used(); got != 0 {
-		t.Fatalf("budget holds %d bytes after Abort", got)
 	}
 }
 

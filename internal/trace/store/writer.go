@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/membudget"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
@@ -20,11 +19,6 @@ type Options struct {
 	// SegmentPackets is the packet count one segment frame holds (the last
 	// segment may be short). Default DefaultSegmentPackets.
 	SegmentPackets int
-	// Budget, when non-nil, is charged for the writer's resident segment
-	// buffer (columns + encode scratch) for the lifetime of the writer —
-	// the store path's only resident state, so a budgeted pipeline accounts
-	// the writer like any other stage holding blocks.
-	Budget membudget.Reserver
 	// Workers is the synthesis worker count Generate shards packet work
 	// across (<= 1 runs the serial stream, like StreamParallelBlocksCtx).
 	// The written bytes are identical at any worker count.
@@ -44,8 +38,6 @@ type Writer struct {
 	off    int64  // absolute file offset of the next byte
 	seq    uint64 // frame ordinal
 	meta   Meta
-	budget membudget.Reserver
-	charge int64
 	err    error
 	closed bool
 
@@ -73,23 +65,13 @@ func Create(path string, meta Meta, opts Options) (*Writer, error) {
 		return nil, fmt.Errorf("store: SegmentPackets must be >= 1, got %d", segCap)
 	}
 	meta.SegmentPackets = segCap
-	// Columns plus the encode scratch the flush serialises them into.
-	charge := int64(segCap)*bytesPerPacket*2 + 512
-	if opts.Budget != nil {
-		if err := opts.Budget.Reserve(context.Background(), charge); err != nil {
-			return nil, err
-		}
-	}
 	f, err := os.OpenFile(path+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		if opts.Budget != nil {
-			opts.Budget.Release(charge)
-		}
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	w := &Writer{
 		f: f, bw: bufio.NewWriterSize(f, 1<<16), path: path,
-		meta: meta, budget: opts.Budget, charge: charge,
+		meta:   meta,
 		segCap: segCap,
 		times:  make([]float64, 0, segCap),
 		srcs:   make([]uint64, 0, segCap),
@@ -113,18 +95,10 @@ func (w *Writer) fail(err error) {
 	if w.err == nil {
 		w.err = fmt.Errorf("store: writing %s: %w", w.path, err)
 	}
-	w.release()
 	if w.f != nil {
 		w.f.Close()
 		os.Remove(w.path + ".tmp")
 		w.f = nil
-	}
-}
-
-func (w *Writer) release() {
-	if w.budget != nil {
-		w.budget.Release(w.charge)
-		w.budget = nil
 	}
 }
 
@@ -299,7 +273,6 @@ func (w *Writer) Close(sum trace.Summary) error {
 		d.Close()
 	}
 	w.closed = true
-	w.release()
 	return nil
 }
 
