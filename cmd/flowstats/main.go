@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flow"
-	"repro/internal/timeseries"
 	"repro/internal/trace"
 )
 
@@ -58,9 +57,10 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	// The binner needs the trace length up front: a first pass over the
-	// capture finds the last packet time, a second measures. Both stream,
-	// so memory is independent of the capture length.
+	// The meter's rate bins need the trace length up front: a first pass
+	// over the capture finds the last packet time, a second measures the
+	// whole capture as one interval. Both stream, so memory is independent
+	// of the capture length.
 	first, err := trace.StreamPcap(ctx, f, func(*trace.Block) error { return nil })
 	if err != nil {
 		fatal(err)
@@ -71,28 +71,19 @@ func main() {
 	} else if duration <= 0 {
 		fatal(fmt.Errorf("trace too short"))
 	}
-	m, err := flow.NewMeasurer([]flow.Definition{def}, *timeout)
-	if err != nil {
-		fatal(err)
-	}
-	bin, err := timeseries.NewBinner(duration, *delta)
+	meter, err := core.NewMeter([]flow.Definition{def}, *timeout, duration, *delta)
 	if err != nil {
 		fatal(err)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		fatal(err)
 	}
-	sum, err := trace.StreamPcap(ctx, f, func(blk *trace.Block) error {
-		bin.AddBlock(blk)
-		return m.AddBlock(blk)
-	})
+	sum, err := trace.StreamPcap(ctx, f, meter.AddBlock)
 	if err != nil {
 		fatal(err)
 	}
-	res := m.Flush()[0]
-	series := bin.Series()
-	series.Subtract(res.Discarded)
-	in2, err := core.InputFromFlows(res.Flows, duration)
+	res := meter.Flush()[0]
+	iv, err := meter.Eval(res)
 	if err != nil {
 		fatal(err)
 	}
@@ -101,26 +92,25 @@ func main() {
 		sum.Packets, duration, def, *timeout)
 	fmt.Printf("flows: %d kept, %d single-packet discarded\n", len(res.Flows), len(res.Discarded))
 	fmt.Printf("model inputs: λ=%.2f flows/s  E[S]=%.1f kbit  E[S²/D]=%.4g bit²/s\n",
-		in2.Lambda, in2.MeanS/1e3, in2.MeanS2OverD)
+		iv.Lambda, iv.MeanS/1e3, iv.MeanS2OverD)
 	fmt.Printf("measured rate (Δ=%.0f ms): mean %.3f Mb/s, σ %.3f Mb/s, CoV %.2f%%\n",
-		*delta*1e3, series.Mean()/1e6, math.Sqrt(series.Variance())/1e6, series.CoV()*100)
+		*delta*1e3, iv.MeasMean/1e6, math.Sqrt(iv.MeasVar)/1e6, iv.MeasCoV*100)
 
 	fmt.Printf("%-22s %10s %10s\n", "shot", "model CoV", "σ_Δ CoV")
-	for _, shot := range []core.PowerShot{core.Rectangular, core.Triangular, core.Parabolic} {
-		m, err := in2.Model(shot)
+	for b, shot := range []core.PowerShot{core.Rectangular, core.Triangular, core.Parabolic} {
+		m, err := iv.Model(shot)
 		if err != nil {
 			fatal(err)
 		}
-		vDelta, err := m.AveragedVariance(*delta)
+		sigma, err := meter.SigmaDelta(iv, b)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%-22s %9.2f%% %9.2f%%\n",
-			shot.Name(), m.CoV()*100, math.Sqrt(vDelta)/m.Mean()*100)
+		fmt.Printf("%-22s %9.2f%% %9.2f%%\n", shot.Name(), m.CoV()*100, sigma/m.Mean()*100)
 	}
-	if b, ok, err := core.FitPowerB(series.Variance(), in2.Lambda, in2.MeanS2OverD); err == nil {
-		if ok {
-			fmt.Printf("fitted shot exponent b̂ = %.2f (§V-D)\n", b)
+	if iv.FitErr == nil {
+		if iv.FitOK {
+			fmt.Printf("fitted shot exponent b̂ = %.2f (§V-D)\n", iv.FittedB)
 		} else {
 			fmt.Println("fitted shot exponent clamped to 0 (measured σ² below the Theorem 3 bound)")
 		}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,19 +30,19 @@ func main() {
 	}
 	cfg := specs[0].Config()
 	cfg.Warmup = 60
-	recs, _, err := trace.GenerateAll(cfg)
+	// Measure the trace's 5-tuple flows as one interval, streaming.
+	meter, err := core.NewMeter([]flow.Definition{flow.By5Tuple}, flow.DefaultTimeout, cfg.Duration, 0.2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := flow.Measure(recs, flow.By5Tuple, flow.DefaultTimeout)
+	if _, err := trace.StreamParallelBlocksCtx(context.Background(), cfg, 1, meter.AddBlock); err != nil {
+		log.Fatal(err)
+	}
+	iv, err := meter.Eval(meter.Flush()[0])
 	if err != nil {
 		log.Fatal(err)
 	}
-	in, err := core.InputFromFlows(res.Flows, cfg.Duration)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, err := in.Model(core.Parabolic)
+	m, err := iv.Model(core.Parabolic)
 	if err != nil {
 		log.Fatal(err)
 	}

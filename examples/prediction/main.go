@@ -7,13 +7,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/predict"
-	"repro/internal/timeseries"
 	"repro/internal/trace"
 )
 
@@ -26,19 +26,19 @@ func main() {
 	cfg := specs[4].Config()
 	cfg.Duration = 900
 	cfg.Warmup = 60
-	recs, _, err := trace.GenerateAll(cfg)
+	meter, err := core.NewMeter([]flow.Definition{flow.By5Tuple}, flow.DefaultTimeout, cfg.Duration, 0.2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := flow.Measure(recs, flow.By5Tuple, flow.DefaultTimeout)
+	if _, err := trace.StreamParallelBlocksCtx(context.Background(), cfg, 1, meter.AddBlock); err != nil {
+		log.Fatal(err)
+	}
+	res := meter.Flush()[0]
+	iv, err := meter.Eval(res)
 	if err != nil {
 		log.Fatal(err)
 	}
-	series, err := timeseries.Bin(recs, cfg.Duration, 0.2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	series.Subtract(res.Discarded)
+	series := iv.Series
 
 	fmt.Printf("trace: %.0f s at %.2f Mb/s mean\n", cfg.Duration, series.Mean()/1e6)
 	fmt.Printf("%8s | %8s %10s | %8s %10s\n",

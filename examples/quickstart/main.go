@@ -10,13 +10,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/flow"
-	"repro/internal/timeseries"
 	"repro/internal/trace"
 )
 
@@ -28,46 +27,39 @@ func main() {
 	}
 	cfg := specs[4].Config() // trace-5: the paper's mid-utilisation class
 	cfg.Warmup = 60
-	recs, _, err := trace.GenerateAll(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
 
-	// The §III measurement pipeline: 5-tuple flows, 60 s timeout,
-	// single-packet flows discarded.
-	res, err := flow.Measure(recs, flow.By5Tuple, flow.DefaultTimeout)
+	// The §III measurement pipeline (5-tuple flows, 60 s timeout,
+	// single-packet flows discarded) and the measured total rate, averaged
+	// over Δ = 200 ms windows, in one streaming pass over the trace.
+	meter, err := core.NewMeter([]flow.Definition{flow.By5Tuple}, flow.DefaultTimeout, cfg.Duration, 0.2)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// The measured total rate, averaged over Δ = 200 ms windows.
-	const delta = 0.2
-	series, err := timeseries.Bin(recs, cfg.Duration, delta)
-	if err != nil {
+	if _, err := trace.StreamParallelBlocksCtx(context.Background(), cfg, 1, meter.AddBlock); err != nil {
 		log.Fatal(err)
 	}
-	series.Subtract(res.Discarded)
 
 	// The model needs three parameters, all measured from flows.
-	in, err := core.InputFromFlows(res.Flows, cfg.Duration)
+	res := meter.Flush()[0]
+	iv, err := meter.Eval(res)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := in.Model(core.Parabolic) // b=2 fits 5-tuple flows best (§VI)
+	m, err := iv.Model(core.Parabolic) // b=2 fits 5-tuple flows best (§VI)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sigmaDelta2, err := m.AveragedVariance(delta) // eq. (7)
+	sigmaDelta, err := meter.SigmaDelta(iv, 2) // eq. (7)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("flows: %d (λ=%.1f/s, E[S]=%.1f kbit, E[S²/D]=%.3g bit²/s)\n",
-		len(res.Flows), in.Lambda, in.MeanS/1e3, in.MeanS2OverD)
+		len(res.Flows), iv.Lambda, iv.MeanS/1e3, iv.MeanS2OverD)
 	fmt.Printf("measured: mean %.2f Mb/s, CoV %.2f%%\n",
-		series.Mean()/1e6, series.CoV()*100)
+		iv.MeasMean/1e6, iv.MeasCoV*100)
 	fmt.Printf("model:    mean %.2f Mb/s, CoV %.2f%%  (parabolic shots, Δ-averaged)\n",
-		m.Mean()/1e6, math.Sqrt(sigmaDelta2)/m.Mean()*100)
+		m.Mean()/1e6, sigmaDelta/m.Mean()*100)
 
 	// The dimensioning rule of §V-E: capacity for <1% congestion.
 	c, err := m.Bandwidth(0.01)

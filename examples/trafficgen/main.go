@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,35 +28,30 @@ func main() {
 	}
 	cfg := specs[2].Config() // the busiest trace
 	cfg.Warmup = 60
-	recs, _, err := trace.GenerateAll(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := flow.Measure(recs, flow.By5Tuple, flow.DefaultTimeout)
-	if err != nil {
-		log.Fatal(err)
-	}
 	const delta = 0.2
-	orig, err := timeseries.Bin(recs, cfg.Duration, delta)
+	meter, err := core.NewMeter([]flow.Definition{flow.By5Tuple}, flow.DefaultTimeout, cfg.Duration, delta)
 	if err != nil {
 		log.Fatal(err)
 	}
-	orig.Subtract(res.Discarded)
-	in, err := core.InputFromFlows(res.Flows, cfg.Duration)
+	if _, err := trace.StreamParallelBlocksCtx(context.Background(), cfg, 1, meter.AddBlock); err != nil {
+		log.Fatal(err)
+	}
+	iv, err := meter.Eval(meter.Flush()[0])
 	if err != nil {
 		log.Fatal(err)
 	}
+	orig := iv.Series
 
 	// Fit the shot exponent to the measured variance, correcting for the
 	// Δ-averaging of the measurement (eq. 7).
-	bHat, ok, err := core.FitPowerBAveraged(orig.Variance(), delta, in, 3000)
+	bHat, ok, err := core.FitPowerBAveraged(iv.MeasVar, delta, iv.Input, 3000)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if !ok {
 		fmt.Println("note: fitted b clamped to the feasible range")
 	}
-	m, err := in.Model(core.PowerShot{B: bHat})
+	m, err := iv.Model(core.PowerShot{B: bHat})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,9 +28,9 @@ import (
 
 // AvgVarKernel caches the eq.(7) per-flow integral coefficients for one
 // (integer shot exponent b, averaging interval Δ) pair. A kernel is
-// immutable after construction and safe to share across goroutines; the
-// experiment runner builds the b ∈ {0,1,2} kernels once and reuses them for
-// every interval of the suite.
+// immutable after construction and safe to share across goroutines; a
+// Meter builds the b ∈ {0,1,2} kernels once and reuses them for every
+// interval it evaluates.
 type AvgVarKernel struct {
 	b     int
 	delta float64

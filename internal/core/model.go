@@ -158,9 +158,8 @@ func (m *Model) AveragedVariance(delta float64) (float64, error) {
 	// integer exponent) evaluate through a (b, Δ) coefficient kernel: one
 	// branch-partitioned Horner pass over the population, against one pass
 	// per quadrature point below. kernel_test.go's scalar closed form
-	// avgVarCrossInt is its oracle. Callers that evaluate every interval at
-	// one Δ (the experiment runner, flowd) build their kernels once and
-	// call AvgVarKernel.AveragedVariance directly.
+	// avgVarCrossInt is its oracle. A Meter, which evaluates every
+	// interval at one Δ, builds its kernels once instead.
 	if ps, ok := m.Shot.(PowerShot); ok && ps.closedFormB() {
 		k, err := NewAvgVarKernel(int(ps.B), delta)
 		if err != nil {

@@ -19,8 +19,8 @@ import (
 // columns and the sums consistent.
 //
 // A FlowPop is append-only between Resets and safe for concurrent reads;
-// the experiment runner pools one per measurement worker so an interval's
-// model inputs cost no population allocation in steady state.
+// a Meter pools one so an interval's model inputs cost no population
+// allocation in steady state.
 type FlowPop struct {
 	S    []float64 // flow sizes, bits
 	D    []float64 // flow durations, seconds

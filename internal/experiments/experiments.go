@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/membudget"
-	"repro/internal/timeseries"
 	"repro/internal/trace"
 	"repro/internal/trace/store"
 )
@@ -147,11 +145,6 @@ func (s IntervalStat) UtilClass() string {
 type Runner struct {
 	opts  Options
 	specs []trace.TraceSpec
-	// avKernels are the eq.(7) coefficient caches for the three suite shot
-	// shapes (b = 0, 1, 2) at the suite Δ, built once and shared read-only by
-	// every interval worker — the per-interval model evaluation then runs
-	// entirely on precomputed constants.
-	avKernels [3]*core.AvgVarKernel
 
 	// Lazily computed.
 	stats     []IntervalStat
@@ -181,15 +174,7 @@ func NewRunner(opts Options) (*Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	r := &Runner{opts: o, specs: specs}
-	for b := range r.avKernels {
-		k, err := core.NewAvgVarKernel(b, o.Delta)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		r.avKernels[b] = k
-	}
-	return r, nil
+	return &Runner{opts: o, specs: specs}, nil
 }
 
 // Specs exposes the scaled Table I suite.
@@ -315,16 +300,18 @@ func (r *Runner) measureSuite() error {
 		totalIntervals += spec.Intervals
 	}
 
-	// Per-worker measurement scratch, built (and validated) before any
-	// goroutine exists: a construction error returns here instead of being
-	// discovered by a worker that has no clean way to report it.
-	measurers := make([]*flow.Measurer, workers)
-	for w := range measurers {
-		m, err := flow.NewMeasurer(suiteDefs, flow.DefaultTimeout)
+	// One meter per worker serves every interval that worker measures
+	// (every suite trace shares one interval length), built and validated
+	// before any goroutine exists: a construction error returns here
+	// instead of being discovered by a worker that has no clean way to
+	// report it.
+	meters := make([]*core.Meter, workers)
+	for w := range meters {
+		m, err := core.NewMeter(suiteDefs, flow.DefaultTimeout, r.specs[0].IntervalSec, r.opts.Delta)
 		if err != nil {
 			return fmt.Errorf("experiments: %w", err)
 		}
-		measurers[w] = m
+		meters[w] = m
 	}
 
 	// Sized to hold every interval of the suite, so a producer's handoff
@@ -361,17 +348,10 @@ func (r *Runner) measureSuite() error {
 
 	var taskWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		meas := measurers[w]
+		meter := meters[w]
 		taskWG.Add(1)
 		go func() {
 			defer taskWG.Done()
-			// Per-worker scratch: one rate binner, one flow measurer and one
-			// columnar flow population serve every interval this worker
-			// measures (Reinit/Reset reuse bins, key tables, state slabs and
-			// the population's columns), so an interval costs no
-			// measurement-machinery allocation.
-			binner := &timeseries.Binner{}
-			pop := &core.FlowPop{}
 			for tk := range tasks {
 				func() {
 					defer func() {
@@ -394,7 +374,7 @@ func (r *Runner) measureSuite() error {
 						}
 						return
 					}
-					if err := r.measureInterval(tk.ti, tk.stream, results[tk.ti], binner, meas, pop); err != nil {
+					if err := r.measureInterval(tk.ti, tk.stream, results[tk.ti], meter); err != nil {
 						recordTaskErr(tk.ti, fmt.Errorf("interval %d: %w", tk.stream.Index, err))
 					}
 				}()
@@ -599,29 +579,22 @@ func (r *Runner) streamStored(ctx context.Context, spec trace.TraceSpec, cfg tra
 }
 
 // measureInterval is the scheduler's second level: it owns one interval
-// outright — the worker's scratch measurer (re-armed flow tables for both
-// definitions), its scratch rate binner, and the model statistics — so
-// intervals of the same trace measure concurrently. The sub-stream is
-// always drained to completion (even on error or skip), so the producing
-// trace is never left blocked.
-func (r *Runner) measureInterval(ti int, is *flow.IntervalStream, tr *traceResult, binner *timeseries.Binner, meas *flow.Measurer, pop *core.FlowPop) error {
+// outright — the worker's meter, re-armed for both definitions, and the
+// model statistics — so intervals of the same trace measure concurrently.
+// The sub-stream is always drained to completion (even on error or skip),
+// so the producing trace is never left blocked.
+func (r *Runner) measureInterval(ti int, is *flow.IntervalStream, tr *traceResult, meter *core.Meter) error {
 	spec := r.specs[ti]
-	if err := binner.Reinit(spec.IntervalSec, r.opts.Delta); err != nil {
-		for range is.Blocks() {
-		}
-		return err
-	}
-	meas.Reset()
-	// Bin in the same drain that feeds the flow tables: blocks are
-	// interval-local already, exactly what both consumers want, and each
-	// block's key columns are derived once for both definitions.
+	meter.Reset()
+	// Blocks are interval-local already, exactly what the meter's binner
+	// and flow tables want, and each block's key columns are derived once
+	// for both definitions.
 	var addErr error
 	for blk := range is.Blocks() {
 		if addErr != nil {
 			continue // keep draining so the producer is never left blocked
 		}
-		binner.AddBlock(blk)
-		addErr = meas.AddBlock(blk)
+		addErr = meter.AddBlock(blk)
 	}
 	if addErr != nil {
 		return addErr
@@ -632,26 +605,47 @@ func (r *Runner) measureInterval(ti int, is *flow.IntervalStream, tr *traceResul
 		// is skipped and the drop stays visible through ShedStats.
 		return nil
 	}
-	results := meas.Flush()
-	link := r.linkBps()
+	results := meter.Flush()
+points:
 	for di, def := range suiteDefs {
-		if len(results[di].Flows) < minIntervalFlows {
-			continue // empty or sparse interval: skip before snapshotting
+		res := results[di]
+		// An empty, sparse or degenerate interval yields no point.
+		if len(res.Flows) < minIntervalFlows {
+			continue
 		}
-		ivr := flow.IntervalResult{Index: is.Index, Start: is.Start, Result: results[di]}
-		// Each definition subtracts its own discarded packets, so it gets
-		// its own snapshot of the interval's rate series.
-		stat, err := r.intervalStat(spec, ivr, def, binner.Series(), pop)
+		iv, err := meter.Eval(res)
 		if err != nil {
-			continue // degenerate interval: skip the point
+			continue
 		}
-		stat.linkBps = link
+		stat := IntervalStat{
+			Trace:     spec.Name,
+			TargetBps: spec.TargetBps,
+			Index:     is.Index,
+			Def:       def,
+			FlowCount: len(res.Flows),
+			Discarded: len(res.Discarded),
+			MeasMean:  iv.MeasMean, MeasVar: iv.MeasVar, MeasCoV: iv.MeasCoV,
+			Lambda: iv.Lambda, MeanS: iv.MeanS, MeanS2oD: iv.MeanS2OverD,
+			ModelCoV:   map[int]float64{},
+			FittedBRaw: iv.FittedB,
+			linkBps:    r.linkBps(),
+		}
+		mu := iv.Lambda * iv.MeanS
+		for b := range 3 { // the paper's shapes: rectangular, triangular, parabolic
+			sigma, err := meter.SigmaDelta(iv, b)
+			if err != nil {
+				continue points
+			}
+			if mu > 0 {
+				stat.ModelCoV[b] = sigma / mu
+			}
+		}
 		tr.stats[is.Index][di] = &stat
 		if ti == 0 && is.Index == 0 {
 			if def == flow.By5Tuple {
-				tr.refRes5 = ivr.Result
+				tr.refRes5 = res
 			} else {
-				tr.refResP = ivr.Result
+				tr.refResP = res
 			}
 		}
 	}
@@ -661,51 +655,6 @@ func (r *Runner) measureInterval(ti int, is *flow.IntervalStream, tr *traceResul
 // minIntervalFlows is the fewest multi-packet flows an interval needs to
 // yield a meaningful scatter point.
 const minIntervalFlows = 10
-
-// intervalStat computes one scatter point from an interval's flows and its
-// binned rate series (which it owns and mutates). The flow population lands
-// in the caller's reusable columnar pop — the hottest model loop of the
-// suite then runs the prebuilt (b, Δ) kernels straight over its columns,
-// with no per-interval model construction or column allocation.
-func (r *Runner) intervalStat(spec trace.TraceSpec, iv flow.IntervalResult, def flow.Definition, series timeseries.Series, pop *core.FlowPop) (IntervalStat, error) {
-	if len(iv.Flows) < minIntervalFlows {
-		return IntervalStat{}, fmt.Errorf("experiments: interval too sparse")
-	}
-	series.Subtract(iv.Discarded)
-	in, err := core.InputFromFlowsPop(pop, iv.Flows, spec.IntervalSec)
-	if err != nil {
-		return IntervalStat{}, err
-	}
-	stat := IntervalStat{
-		Trace:     spec.Name,
-		TargetBps: spec.TargetBps,
-		Index:     iv.Index,
-		Def:       def,
-		FlowCount: len(iv.Flows),
-		Discarded: len(iv.Discarded),
-		MeasMean:  series.Mean(),
-		MeasVar:   series.Variance(),
-		MeasCoV:   series.CoV(),
-		Lambda:    in.Lambda,
-		MeanS:     in.MeanS,
-		MeanS2oD:  in.MeanS2OverD,
-		ModelCoV:  map[int]float64{},
-	}
-	mu := in.Lambda * in.MeanS
-	for b, k := range r.avKernels {
-		v, err := k.AveragedVariance(in.Lambda, pop)
-		if err != nil {
-			return IntervalStat{}, err
-		}
-		if mu > 0 {
-			stat.ModelCoV[b] = math.Sqrt(v) / mu
-		}
-	}
-	if b, _, err := core.FitPowerB(stat.MeasVar, in.Lambda, in.MeanS2OverD); err == nil {
-		stat.FittedBRaw = b
-	}
-	return stat, nil
-}
 
 // Stats returns all per-interval statistics for the given definition,
 // ordered by trace then interval.

@@ -44,32 +44,25 @@ type PredictionSetup struct {
 
 // predictionTrace generates the prediction experiment's trace: one long
 // analysis window at a mid-utilisation operating point (the paper uses one
-// 30-minute trace from Table I), streamed once through the flow measurer
-// and the rate binner.
+// 30-minute trace from Table I), streamed once through one meter.
 func (r *Runner) predictionTrace(duration float64, seed int64) (*PredictionSetup, error) {
 	spec := r.specs[4] // trace-5: 136 Mb/s on the OC-12, the paper's mid class
 	cfg := spec.Config()
 	cfg.Duration = duration
 	cfg.Warmup = 60
 	cfg.Seed = seed
-	m, err := flow.NewMeasurer([]flow.Definition{flow.By5Tuple}, flow.DefaultTimeout)
-	if err != nil {
-		return nil, err
-	}
-	binner, err := timeseries.NewBinner(duration, r.opts.Delta)
+	meter, err := core.NewMeter([]flow.Definition{flow.By5Tuple}, flow.DefaultTimeout, duration, r.opts.Delta)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: prediction trace: %w", err)
 	}
-	if _, err := trace.StreamParallelBlocksCtx(r.context(), cfg, r.opts.GenWorkers, func(blk *trace.Block) error {
-		binner.AddBlock(blk)
-		return m.AddBlock(blk)
-	}); err != nil {
+	if _, err := trace.StreamParallelBlocksCtx(r.context(), cfg, r.opts.GenWorkers, meter.AddBlock); err != nil {
 		return nil, fmt.Errorf("experiments: prediction trace: %w", err)
 	}
-	res := m.Flush()[0]
-	series := binner.Series()
-	series.Subtract(res.Discarded)
-	return &PredictionSetup{Duration: duration, Series: series, Flows: res.Flows}, nil
+	res := meter.Flush()[0]
+	// Only the measured series and the flows are needed: an interval with
+	// no usable flows fails later, on its training half.
+	iv, _ := meter.Eval(res)
+	return &PredictionSetup{Duration: duration, Series: iv.Series, Flows: res.Flows}, nil
 }
 
 // predictOne evaluates both predictor families at one sampling interval ell

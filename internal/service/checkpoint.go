@@ -118,8 +118,7 @@ func (p *Pipeline) Restore(secs []snapshot.Section) error {
 
 // resetAll returns the pipeline to its fresh state.
 func (p *Pipeline) resetAll() {
-	p.meas.Reset()
-	p.bin.Reinit(p.cfg.IntervalSec, p.cfg.Delta)
+	p.meter.Reset()
 	p.means.RestoreValues(nil)
 	p.clock.ResumeAt(0)
 	p.pktsCur = 0

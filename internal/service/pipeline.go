@@ -84,22 +84,17 @@ type Report struct {
 	HasPrediction bool
 }
 
-// Pipeline is the resident per-link measurement state of the daemon: a
-// multi-definition flow measurer, a rate binner, the eq.(7) kernel caches,
-// a sliding window of interval means, and the carried-over anomaly band and
+// Pipeline is the resident per-link measurement state of the daemon: the
+// interval meter (flow tables, rate bins, population and eq.(7) kernels), a
+// sliding window of interval means, and the carried-over anomaly band and
 // predictor. It consumes absolute-time blocks and closes analysis intervals
 // as the stream crosses their boundaries. Only the window, the band and the
 // prediction cross a boundary — flows are split there and rates are binned
 // per interval — so that is all a checkpoint holds (Snapshot), and a
 // restored pipeline re-measures the open interval from its first packet.
 type Pipeline struct {
-	cfg  PipelineConfig
-	meas *flow.Measurer
-	bin  *timeseries.Binner
-	pop  *core.FlowPop
-	// kernels are the eq.(7) coefficient caches for b = 0, 1, 2 at Δ,
-	// built once — the incremental-refit fast path.
-	kernels [3]*core.AvgVarKernel
+	cfg   PipelineConfig
+	meter *core.Meter
 
 	clock   flow.IntervalClock
 	pktsCur int64 // packets in the current interval
@@ -134,20 +129,12 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Window < predictOrder+2 {
 		return nil, fmt.Errorf("service: window must be >= %d intervals, got %d", predictOrder+2, cfg.Window)
 	}
-	p := &Pipeline{cfg: cfg, pop: &core.FlowPop{}, clock: clock, opened: -1}
-	if p.meas, err = flow.NewMeasurer(pipelineDefs, cfg.Timeout); err != nil {
-		return nil, err
-	}
-	if p.bin, err = timeseries.NewBinner(cfg.IntervalSec, cfg.Delta); err != nil {
+	p := &Pipeline{cfg: cfg, clock: clock, opened: -1}
+	if p.meter, err = core.NewMeter(pipelineDefs, cfg.Timeout, cfg.IntervalSec, cfg.Delta); err != nil {
 		return nil, err
 	}
 	if p.means, err = timeseries.NewWindow(cfg.Window); err != nil {
 		return nil, err
-	}
-	for b := range p.kernels {
-		if p.kernels[b], err = core.NewAvgVarKernel(b, cfg.Delta); err != nil {
-			return nil, err
-		}
 	}
 	return p, nil
 }
@@ -157,7 +144,7 @@ func (p *Pipeline) Interval() int { return p.clock.Index() }
 
 // ActiveFlows returns the in-progress 5-tuple flow count — the occupancy
 // the soak test bounds.
-func (p *Pipeline) ActiveFlows() int { return p.meas.ActiveFlows(0) }
+func (p *Pipeline) ActiveFlows() int { return p.meter.ActiveFlows(0) }
 
 // AddBlock consumes one absolute-time SoA block, closing analysis intervals
 // as the stream crosses their boundaries (empty intervals are emitted too —
@@ -198,10 +185,9 @@ func (p *Pipeline) AddBlock(blk *trace.Block) error {
 			}
 			sub.Times = p.rebased
 		}
-		if err := p.meas.AddBlock(&sub); err != nil {
+		if err := p.meter.AddBlock(&sub); err != nil {
 			return err
 		}
-		p.bin.AddBlock(&sub)
 		j = k
 	}
 	return nil
@@ -218,52 +204,39 @@ func (p *Pipeline) Drain() error {
 }
 
 // closeInterval finalises the current interval: flush flows, refit the
-// model off the kernel caches, scan for anomalies against the previous
-// fit, update the predictor, report, and re-arm for the next interval.
+// model through the meter, scan for anomalies against the previous fit,
+// update the predictor, report, and re-arm for the next interval.
 func (p *Pipeline) closeInterval(partial bool) error {
-	results := p.meas.Flush()
-	series := p.bin.Series()
-	series.Subtract(results[0].Discarded)
-
+	res := p.meter.Flush()[0]
+	// A sparse interval (no usable flows) skips the fit but still reports
+	// and predicts.
+	iv, sparse := p.meter.Eval(res)
 	rep := Report{
 		Index:     p.clock.Index(),
 		Start:     p.clock.Origin(),
 		Partial:   partial,
-		Flows:     len(results[0].Flows),
-		Discarded: len(results[0].Discarded),
+		Flows:     len(res.Flows),
+		Discarded: len(res.Discarded),
 		Packets:   p.pktsCur,
-		MeasMean:  series.Mean(),
-		MeasVar:   series.Variance(),
-		MeasCoV:   series.CoV(),
+		MeasMean:  iv.MeasMean, MeasVar: iv.MeasVar, MeasCoV: iv.MeasCoV,
+		Lambda: iv.Lambda, MeanS: iv.MeanS, MeanS2oD: iv.MeanS2OverD,
+		FittedB: iv.FittedB, FitOK: iv.FitOK,
 	}
 
-	// Refit off the columnar population + kernel caches. A sparse interval
-	// (no usable flows) skips the fit but still reports and predicts.
+	// Next interval's anomaly band: mean λ·E[S], σ from the eq.(7) kernel
+	// whose integer shape is nearest the fitted exponent.
 	var nextMu, nextSigma float64
-	if in, err := core.InputFromFlowsPop(p.pop, results[0].Flows, p.cfg.IntervalSec); err == nil {
-		rep.Lambda, rep.MeanS, rep.MeanS2oD = in.Lambda, in.MeanS, in.MeanS2OverD
-		if b, ok, err := core.FitPowerB(rep.MeasVar, in.Lambda, in.MeanS2OverD); err == nil {
-			rep.FittedB, rep.FitOK = b, ok
-		}
-		// Next interval's anomaly band: mean λ·E[S], σ from the eq.(7)
-		// kernel whose integer shape is nearest the fitted exponent.
-		bIdx := int(math.Round(rep.FittedB))
-		if bIdx < 0 {
-			bIdx = 0
-		}
-		if bIdx > 2 {
-			bIdx = 2
-		}
-		if v, err := p.kernels[bIdx].AveragedVariance(in.Lambda, in.Pop); err == nil && v > 0 {
-			nextMu = in.Lambda * in.MeanS
-			nextSigma = math.Sqrt(v)
+	if sparse == nil {
+		b := max(0, min(int(math.Round(rep.FittedB)), 2))
+		if sigma, err := p.meter.SigmaDelta(iv, b); err == nil && sigma > 0 {
+			nextMu, nextSigma = iv.Lambda*iv.MeanS, sigma
 		}
 	}
 
 	// Anomaly scan against the band fitted on the previous interval.
 	if p.detSigma > 0 {
 		det := anomaly.Detector{Mu: p.detMu, Sigma: p.detSigma, Z: anomalyZ, MinRun: anomalyMinRun}
-		rep.Anomalies = det.Scan(series)
+		rep.Anomalies = det.Scan(iv.Series)
 	}
 
 	// Settle the pending prediction, then predict the next interval's mean.
@@ -294,10 +267,7 @@ func (p *Pipeline) closeInterval(partial bool) error {
 	// (or panic) never leaves a half-closed interval behind.
 	p.clock.Advance()
 	p.pktsCur = 0
-	p.meas.Reset()
-	if err := p.bin.Reinit(p.cfg.IntervalSec, p.cfg.Delta); err != nil {
-		return err
-	}
+	p.meter.Reset()
 	if p.cfg.OnInterval != nil {
 		if err := p.cfg.OnInterval(rep); err != nil {
 			return fmt.Errorf("service: interval %d report: %w", rep.Index, err)

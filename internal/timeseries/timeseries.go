@@ -48,8 +48,8 @@ func NewBinner(duration, delta float64) (*Binner, error) {
 
 // Reinit re-targets the binner to a fresh [0, duration) window with bins of
 // delta, zeroing the bins and reusing their storage when it is large
-// enough — the per-worker scratch path of the measurement scheduler, which
-// bins thousands of intervals without reallocating.
+// enough — the path a core.Meter re-arms its bins through, which bins
+// thousands of intervals without reallocating.
 func (b *Binner) Reinit(duration, delta float64) error {
 	if !(delta > 0) || math.IsInf(delta, 0) {
 		return fmt.Errorf("timeseries: delta must be finite and > 0, got %g", delta)
