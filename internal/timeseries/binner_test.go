@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/flow"
 	"repro/internal/netpkt"
 	"repro/internal/trace"
 )
@@ -79,5 +80,27 @@ func TestBinnerMatchesBinAndResets(t *testing.T) {
 	b.Add(0.25, 800) // 800 bits in bin 2 of a 0.1 s grid -> 8000 bit/s
 	if got := b.Series().Rate[2]; got != 8000 {
 		t.Fatalf("rate after reuse = %g, want 8000", got)
+	}
+}
+
+// A window that is not a whole number of bins ends at its last whole bin:
+// a packet in the trailing partial bin [nΔ, duration) is ignored by Add
+// exactly as Series.Subtract ignores it, so adding and then subtracting
+// that packet leaves every bin at zero.
+func TestBinnerDropsTrailingPartialBin(t *testing.T) {
+	b, err := NewBinner(10.1, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Add(10.05, 800)
+	s := b.Series()
+	if len(s.Rate) != 50 {
+		t.Fatalf("%d bins, want 50", len(s.Rate))
+	}
+	s.Subtract([]flow.DiscardedPacket{{Time: 10.05, Bits: 800}})
+	for k, v := range s.Rate {
+		if v != 0 {
+			t.Fatalf("bin %d = %g after adding and subtracting one tail packet", k, v)
+		}
 	}
 }

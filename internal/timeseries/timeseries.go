@@ -25,7 +25,9 @@ type Series struct {
 // Binner accumulates packet volumes into rate bins as the packets stream
 // by, so the rate series of an interval is built in the same pass that
 // measures its flows — no second scan over a materialised record slice.
-// One Binner is reused across intervals via Reset.
+// One Binner is reused across intervals via Reinit. A window of duration d
+// holds n = ⌊d/Δ⌋ whole bins and ends at min(d, n·Δ): a packet in a
+// trailing partial bin is outside it, for Add as for Series.Subtract.
 type Binner struct {
 	delta    float64
 	duration float64
@@ -37,7 +39,7 @@ type Binner struct {
 // configuration error, not an allocation to attempt.
 const MaxBins = math.MaxInt32
 
-// NewBinner prepares bins of length delta across [0, duration).
+// NewBinner prepares the whole bins of length delta in [0, duration).
 func NewBinner(duration, delta float64) (*Binner, error) {
 	b := &Binner{}
 	if err := b.Reinit(duration, delta); err != nil {
@@ -67,7 +69,7 @@ func (b *Binner) Reinit(duration, delta float64) error {
 	if n == 0 {
 		return fmt.Errorf("timeseries: duration %g shorter than delta %g", duration, delta)
 	}
-	b.delta, b.duration = delta, duration
+	b.delta, b.duration = delta, min(duration, float64(n)*delta)
 	if cap(b.bits) >= n {
 		b.bits = b.bits[:n]
 		clear(b.bits)
@@ -78,7 +80,7 @@ func (b *Binner) Reinit(duration, delta float64) error {
 }
 
 // Add accounts one packet of the given size at time t (relative to the
-// window origin). Packets outside [0, duration) are ignored; bin boundaries
+// window origin). Packets outside the window are ignored; bin boundaries
 // use the convention t ∈ [kΔ, (k+1)Δ).
 //
 //repro:hotpath
@@ -87,7 +89,7 @@ func (b *Binner) Add(t, bits float64) {
 		return
 	}
 	k := int(t / b.delta)
-	if k >= len(b.bits) { // guard the t == duration-ε float edge
+	if k >= len(b.bits) { // guard the t == n·Δ-ε float edge
 		k = len(b.bits) - 1
 	}
 	b.bits[k] += bits
