@@ -225,9 +225,8 @@ type traceResult struct {
 	// workers write disjoint slots, so the merged r.stats layout is
 	// independent of scheduling.
 	stats [][]*IntervalStat
-	// Reference-interval capture (trace 1, interval 0 only).
-	refRes5 flow.Result
-	refResP flow.Result
+	// Reference-interval capture (trace 1, interval 0 only), per suiteDefs.
+	ref [2]flow.Result
 	// Load-shedding accounting, read from the producer's partitioner after
 	// it closes.
 	shedIntervals int64
@@ -454,8 +453,7 @@ func (r *Runner) measureSuite() error {
 			}
 		}
 		if ti == 0 {
-			r.refRes5 = tr.refRes5
-			r.refResP = tr.refResP
+			r.refRes5, r.refResP = tr.ref[0], tr.ref[1]
 		}
 	}
 	r.measured = true
@@ -642,11 +640,7 @@ points:
 		}
 		tr.stats[is.Index][di] = &stat
 		if ti == 0 && is.Index == 0 {
-			if def == flow.By5Tuple {
-				tr.refRes5 = res
-			} else {
-				tr.refResP = res
-			}
+			tr.ref[di] = res
 		}
 	}
 	return nil

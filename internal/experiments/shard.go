@@ -189,11 +189,9 @@ type shardTrace struct {
 	refResP flow.Result
 }
 
-func readShard(path string, nspecs int, link, intervalSec, delta float64, seed int64) (*shardData, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
+// decodeShard decodes the bytes of the shard file at path, which must have
+// been measured under the given suite geometry.
+func decodeShard(path string, raw []byte, nspecs int, link, intervalSec, delta float64, seed int64) (*shardData, error) {
 	if len(raw) < len(shardMagic) || string(raw[:len(shardMagic)]) != shardMagic {
 		return nil, fmt.Errorf("experiments: %s is not a shard export: %w", path, snapshot.ErrCorrupt)
 	}
@@ -293,7 +291,11 @@ func (r *Runner) MergeShards(paths ...string) error {
 	byTrace := map[int]*shardTrace{}
 	shardCount := -1
 	for _, path := range paths {
-		sd, err := readShard(path, len(r.specs), r.linkBps(), r.specs[0].IntervalSec, r.opts.Delta, r.opts.Suite.Seed)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("experiments: %w", err)
+		}
+		sd, err := decodeShard(path, raw, len(r.specs), r.linkBps(), r.specs[0].IntervalSec, r.opts.Delta, r.opts.Suite.Seed)
 		if err != nil {
 			return err
 		}
@@ -347,7 +349,11 @@ func (r *Runner) MergeShards(paths ...string) error {
 			s.Trace = spec.Name
 			s.TargetBps = spec.TargetBps
 			s.linkBps = link
-			slots[s.Index][defIndex(s.Def)] = &s
+			slot := &slots[s.Index][defIndex(s.Def)]
+			if *slot != nil {
+				return fmt.Errorf("experiments: shard carries interval %d of %s under %v twice: %w", s.Index, spec.Name, s.Def, snapshot.ErrCorrupt)
+			}
+			*slot = &s
 		}
 		for di := range suiteDefs {
 			for _, row := range slots {

@@ -1,0 +1,126 @@
+package experiments
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/flow"
+	"repro/internal/snapshot"
+	"repro/internal/trace"
+)
+
+// handShard returns an export of the tiny suite with the given points, as
+// if this runner had measured them, and a small reference interval.
+func handShard(t testing.TB, stats ...IntervalStat) []byte {
+	t.Helper()
+	r, err := NewRunner(tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.summaries = make([]trace.Summary, len(r.specs))
+	r.shed = make([]TraceShed, len(r.specs))
+	r.stats = stats
+	r.refRes5 = flow.Result{
+		Flows:     []flow.Flow{{Start: 0.5, End: 2, Bytes: 3000, Packets: 3}},
+		Discarded: []flow.DiscardedPacket{{Time: 1, Bits: 320}},
+	}
+	r.measured = true
+	path := filepath.Join(t.TempDir(), "hand.shard")
+	if err := r.ExportShard(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// A shard file that carries one (interval, definition) point twice is
+// corrupt: merging it must fail instead of keeping one copy silently.
+func TestMergeShardsRejectsDuplicatePoint(t *testing.T) {
+	r, err := NewRunner(tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := IntervalStat{Trace: r.specs[1].Name, Index: 1, Def: flow.ByPrefix24, FlowCount: 12, ModelCoV: map[int]float64{0: 0.1}}
+	path := filepath.Join(t.TempDir(), "dup.shard")
+	if err := os.WriteFile(path, handShard(t, pt, pt), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.MergeShards(path); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("merging a duplicated point: %v, want ErrCorrupt", err)
+	}
+}
+
+// framedShard wraps payload in the shard magic and a valid frame, so the
+// fuzzer's mutations reach the payload decoder past the frame CRC.
+func framedShard(t testing.TB, payload []byte) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(shardMagic)
+	if err := snapshot.WriteFrame(&buf, shardFrame, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzShardDecode feeds decodeShard arbitrary bytes, each both as a whole
+// file and as the payload of a valid frame. Seeds: a measured shard export,
+// a hand-made one carrying the reference interval, their payloads,
+// truncations and bit flips. Whatever the input: no panic; allocation
+// bounded by the input size; every error wraps snapshot.ErrCorrupt or
+// ErrTorn, or names a suite-geometry mismatch.
+func FuzzShardDecode(f *testing.F) {
+	o := tinyOptions()
+	o.ShardIndex, o.ShardCount = 1, 2
+	r, err := NewRunner(o)
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(f.TempDir(), "measured.shard")
+	if err := r.ExportShard(path); err != nil {
+		f.Fatal(err)
+	}
+	measured, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	hand := handShard(f, IntervalStat{Trace: r.specs[0].Name, Def: flow.By5Tuple, ModelCoV: map[int]float64{2: 0.3}})
+	for _, file := range [][]byte{measured, hand} {
+		_, _, payload, _, err := snapshot.ReadFrameAt(file, len(shardMagic))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(file)
+		raw := payload
+		f.Add(raw)
+		f.Add(raw[:len(raw)/2])
+		f.Add(raw[:len(raw)-1])
+		for _, i := range []int{2, len(raw) / 3, len(raw) - 9} {
+			c := bytes.Clone(raw)
+			c[i] ^= 0x10
+			f.Add(c)
+		}
+	}
+	link, ivl, delta, seed := r.linkBps(), r.specs[0].IntervalSec, r.opts.Delta, r.opts.Suite.Seed
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, file := range [][]byte{raw, framedShard(t, raw)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := decodeShard("fuzz.shard", file, len(r.specs), link, ivl, delta, seed)
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10+16*uint64(len(file)) {
+				t.Fatalf("decoding %d bytes allocated %d bytes", len(file), grew)
+			}
+			if err != nil && !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrTorn) &&
+				!strings.Contains(err.Error(), "measured a") {
+				t.Fatalf("untagged decode error: %v", err)
+			}
+		}
+	})
+}
