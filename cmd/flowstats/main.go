@@ -2,7 +2,10 @@
 // pcap trace (real or generated by tracegen) and prints the model inputs
 // (λ, E[S], E[S²/D]), the measured total-rate statistics, and the model's
 // CoV for the three canonical shot shapes — one scatter point of Figures
-// 9-13 per invocation.
+// 9-13 per invocation. The whole capture is one interval, measured through
+// core.Meter: its rate series holds the whole Δ bins up to the last packet
+// time, so packets in a trailing partial bin are left out of the measured
+// rate (they still count as flows).
 //
 // Usage:
 //

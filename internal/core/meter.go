@@ -79,9 +79,10 @@ func (m *Meter) Reset() {
 // ActiveFlows returns the open flow count of the i-th definition.
 func (m *Meter) ActiveFlows(i int) int { return m.meas.ActiveFlows(i) }
 
-// Eval evaluates the binned interval against one definition's flows. The
-// measured fields are always set; the error reports an interval with no
-// usable flows, whose Input stays zero.
+// Eval evaluates the binned interval against one definition's flows, on
+// its own snapshot of the bins, so each definition subtracts only its own
+// discards. The measured fields are always set; the error reports an
+// interval with no usable flows, whose Input stays zero.
 func (m *Meter) Eval(res flow.Result) (Interval, error) {
 	iv := Interval{Series: m.bin.Series()}
 	iv.Series.Subtract(res.Discarded)
