@@ -2,10 +2,9 @@
 // pcap trace (real or generated by tracegen) and prints the model inputs
 // (λ, E[S], E[S²/D]), the measured total-rate statistics, and the model's
 // CoV for the three canonical shot shapes — one scatter point of Figures
-// 9-13 per invocation. The whole capture is one interval, measured through
-// core.Meter: its rate series holds the whole Δ bins up to the last packet
-// time, so packets in a trailing partial bin are left out of the measured
-// rate (they still count as flows).
+// 9-13 per invocation. The capture is one interval, measured by core.Meter:
+// the rate series ends at the last whole Δ bin, so packets in a trailing
+// partial bin count as flows but not toward the measured rate.
 //
 // Usage:
 //

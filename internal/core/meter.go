@@ -13,7 +13,7 @@ import (
 // once: it measures flows (§III) and bins the Δ-averaged rate (§V-F) as an
 // interval's blocks stream by, and Eval turns the interval into its
 // measured moments, the model inputs of §V-G and the §V-D fit of b. The
-// suite, flowd, flowstats and the examples all measure through a Meter. It
+// suite, flowd, flowstats and four of the examples measure through it. It
 // keeps its flow tables, bins and flow population across intervals, so an
 // interval costs no measurement-machinery allocation; it is not safe for
 // concurrent use.

@@ -189,8 +189,7 @@ type shardTrace struct {
 	refResP flow.Result
 }
 
-// decodeShard decodes the bytes of the shard file at path, which must have
-// been measured under the given suite geometry.
+// decodeShard decodes the shard file at path, which must match the geometry.
 func decodeShard(path string, raw []byte, nspecs int, link, intervalSec, delta float64, seed int64) (*shardData, error) {
 	if len(raw) < len(shardMagic) || string(raw[:len(shardMagic)]) != shardMagic {
 		return nil, fmt.Errorf("experiments: %s is not a shard export: %w", path, snapshot.ErrCorrupt)
