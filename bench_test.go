@@ -28,7 +28,6 @@ import (
 	"repro/internal/mginf"
 	"repro/internal/service"
 	"repro/internal/snapshot"
-	"repro/internal/timeseries"
 	"repro/internal/trace"
 	"repro/internal/trace/store"
 )
@@ -312,10 +311,41 @@ func BenchmarkProgramsPhase1(b *testing.B) {
 	b.ReportMetric(float64(flows)/float64(b.N), "flows/op")
 }
 
+// benchBlocks synthesises the benchmark trace serially into owned blocks of
+// up to trace.BlockSize packets.
+func benchBlocks(b *testing.B) []*trace.Block {
+	b.Helper()
+	var out []*trace.Block
+	if _, err := trace.StreamParallelBlocksCtx(context.Background(), benchTraceConfig(), 1, func(blk *trace.Block) error {
+		own := &trace.Block{}
+		own.AppendRebased(blk, 0, blk.Len(), 0)
+		out = append(out, own)
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	return out
+}
+
+// benchFlows measures the benchmark trace's 5-tuple flows.
+func benchFlows(b *testing.B) flow.Result {
+	b.Helper()
+	m, err := flow.NewMeasurer([]flow.Definition{flow.By5Tuple}, flow.DefaultTimeout)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, blk := range benchBlocks(b) {
+		if err := m.AddBlock(blk); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return m.Flush()[0]
+}
+
 func BenchmarkTraceGeneration(b *testing.B) {
 	var pkts int64
 	for i := 0; i < b.N; i++ {
-		_, sum, err := trace.GenerateAll(benchTraceConfig())
+		sum, err := trace.StreamParallelBlocksCtx(context.Background(), benchTraceConfig(), 1, func(*trace.Block) error { return nil })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -358,8 +388,7 @@ func BenchmarkTraceGenerationSharded(b *testing.B) {
 }
 
 // BenchmarkWindowReplayDeepOffset measures replaying a 5 s window near the
-// end of a 300 s trace: the prefix variant regenerates everything up to the
-// window (O(prefix)), the checkpointed variant jumps to the nearest
+// end of a 300 s trace: the checkpointed replay jumps to the nearest
 // checkpoint and fast-forwards only the overlapping flows (O(window +
 // active flows)). The checkpoint index build is a one-off per trace and is
 // measured separately.
@@ -376,15 +405,6 @@ func BenchmarkWindowReplayDeepOffset(b *testing.B) {
 			b.Fatal("window empty")
 		}
 	}
-	b.Run("prefix", func(b *testing.B) {
-		w, err := trace.NewWindow(cfg, lo, hi)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			drain(b, w)
-		}
-	})
 	b.Run("checkpointed", func(b *testing.B) {
 		ck, err := trace.NewCheckpoints(cfg, 30)
 		if err != nil {
@@ -425,68 +445,18 @@ func BenchmarkStoreWrite(b *testing.B) {
 	b.ReportMetric(float64(pkts), "pkts/op")
 }
 
-func BenchmarkFlowMeasurement(b *testing.B) {
-	recs, _, err := trace.GenerateAll(benchTraceConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := flow.Measure(recs, flow.By5Tuple, flow.DefaultTimeout); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(recs)), "pkts/op")
-}
-
-// blockify packs a record slice into SoA blocks of the given size.
-func blockify(recs []trace.Record, size int) []*trace.Block {
-	var out []*trace.Block
-	for i := 0; i < len(recs); i += size {
-		end := i + size
-		if end > len(recs) {
-			end = len(recs)
-		}
-		blk := &trace.Block{}
-		for _, rec := range recs[i:end] {
-			src, dst := rec.Hdr.Packed()
-			blk.Append(rec.Time, rec.Hdr.TotalLen, src, dst)
-		}
-		out = append(out, blk)
-	}
-	return out
-}
-
 // BenchmarkAssemblerBlock isolates the flow-assembly hot path under the
-// suite's two definitions: the record-at-a-time face (one key derivation
-// and table probe per record per definition) against the block face (key
-// and hash columns derived once per block, shared across definitions).
-// ns/op is per trace pass; pkts/op records the stream length.
+// suite's two definitions: key and hash columns derived once per block,
+// shared across definitions, then one table probe per packet per
+// definition. ns/op is per trace pass; pkts/op records the stream length.
 func BenchmarkAssemblerBlock(b *testing.B) {
-	recs, _, err := trace.GenerateAll(benchTraceConfig())
-	if err != nil {
-		b.Fatal(err)
+	blocks := benchBlocks(b)
+	pkts := 0
+	for _, blk := range blocks {
+		pkts += blk.Len()
 	}
 	defs := []flow.Definition{flow.By5Tuple, flow.ByPrefix24}
-	b.Run("record", func(b *testing.B) {
-		m, err := flow.NewMeasurer(defs, flow.DefaultTimeout)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Reset()
-			for j := range recs {
-				if err := m.Add(recs[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			m.Flush()
-		}
-		b.ReportMetric(float64(len(recs)), "pkts/op")
-	})
 	b.Run("block", func(b *testing.B) {
-		blocks := blockify(recs, trace.BlockSize)
 		m, err := flow.NewMeasurer(defs, flow.DefaultTimeout)
 		if err != nil {
 			b.Fatal(err)
@@ -501,33 +471,12 @@ func BenchmarkAssemblerBlock(b *testing.B) {
 			}
 			m.Flush()
 		}
-		b.ReportMetric(float64(len(recs)), "pkts/op")
+		b.ReportMetric(float64(pkts), "pkts/op")
 	})
 }
 
-func BenchmarkRateBinning(b *testing.B) {
-	recs, _, err := trace.GenerateAll(benchTraceConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := timeseries.Bin(recs, 30, 0.2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkModelVariance(b *testing.B) {
-	recs, _, err := trace.GenerateAll(benchTraceConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := flow.Measure(recs, flow.By5Tuple, flow.DefaultTimeout)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in, err := core.InputFromFlows(res.Flows, 30)
+	in, err := core.InputFromFlows(benchFlows(b).Flows, 30)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -543,15 +492,7 @@ func BenchmarkModelVariance(b *testing.B) {
 }
 
 func BenchmarkModelAveragedVariance(b *testing.B) {
-	recs, _, err := trace.GenerateAll(benchTraceConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := flow.Measure(recs, flow.By5Tuple, flow.DefaultTimeout)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in, err := core.InputFromFlows(res.Flows, 30)
+	in, err := core.InputFromFlows(benchFlows(b).Flows, 30)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -571,14 +512,7 @@ func BenchmarkModelAveragedVariance(b *testing.B) {
 // measurement pass: columnar input assembly into a pooled population, the
 // three shot-shape eq.(7) kernels, and the §V-D exponent fit.
 func BenchmarkModelSuite(b *testing.B) {
-	recs, _, err := trace.GenerateAll(benchTraceConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := flow.Measure(recs, flow.By5Tuple, flow.DefaultTimeout)
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := benchFlows(b)
 	var kernels [3]*core.AvgVarKernel
 	for bb := range kernels {
 		k, err := core.NewAvgVarKernel(bb, 0.2)

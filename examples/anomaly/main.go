@@ -9,8 +9,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"repro/internal/anomaly"
 	"repro/internal/core"
@@ -29,45 +31,33 @@ func main() {
 	}
 	cfg := specs[4].Config()
 	cfg.Warmup = 60
-	recs, _, err := trace.GenerateAll(cfg)
+	interval := specs[4].IntervalSec
+
+	// Detector bins: Δ = 200 ms over the whole trace (both intervals).
+	const delta = 0.2
+	binner, err := timeseries.NewBinner(cfg.Duration, delta)
 	if err != nil {
 		log.Fatal(err)
 	}
-	interval := specs[4].IntervalSec
 
-	// Flood: a surge of small constant-rate flows to one /24 prefix for
-	// 20 s in the middle of the second interval, adding ~8× the model σ.
-	floodStart := 1.5 * interval
-	size := dist.Constant{V: 20000} // 20 kB zombies
-	rate := dist.Constant{V: 400e3} // 0.4 s bursts
-	flood, _, err := trace.GenerateAll(trace.Config{
-		Duration:        20,
-		Lambda:          80,
-		SizeBytes:       size,
-		RateBps:         rate,
-		ShotB:           dist.Constant{V: 0},
-		FlowsPerSession: 1,
-		Prefixes:        2, // all to the same couple of prefixes
-		PopularPrefixes: 1,
-		Seed:            13,
+	// One pass over the trace bins every packet and measures the flows of
+	// the clean first interval, the part of each block below its end.
+	meas, err := flow.NewMeasurer([]flow.Definition{flow.By5Tuple}, flow.DefaultTimeout)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
+	_, err = trace.StreamParallelBlocksCtx(ctx, cfg, 1, func(blk *trace.Block) error {
+		binner.AddBlock(blk)
+		clean := blk.Slice(0, sort.SearchFloat64s(blk.Times, interval))
+		return meas.AddBlock(&clean)
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Fit the model on the clean first interval.
-	var clean []trace.Record
-	for _, r := range recs {
-		if r.Time >= interval {
-			break
-		}
-		clean = append(clean, r)
-	}
-	res, err := flow.Measure(clean, flow.By5Tuple, flow.DefaultTimeout)
-	if err != nil {
-		log.Fatal(err)
-	}
-	in, err := core.InputFromFlows(res.Flows, interval)
+	in, err := core.InputFromFlows(meas.Flush()[0].Flows, interval)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +67,6 @@ func main() {
 	}
 
 	// Detector band from the model (σ_Δ via eq. 7), z = 4, 1 s debounce.
-	const delta = 0.2
 	det, err := anomaly.FromModel(m, delta, 4, 5)
 	if err != nil {
 		log.Fatal(err)
@@ -86,19 +75,35 @@ func main() {
 	fmt.Printf("model band (z=4): [%.2f, %.2f] Mb/s around mean %.2f Mb/s\n",
 		lo/1e6, hi/1e6, det.Mu/1e6)
 
-	// Scan the whole trace (both intervals) with the flood overlaid: bins
+	// Flood: a surge of small constant-rate flows to one /24 prefix for
+	// 20 s in the middle of the second interval, adding ~8× the model σ.
+	// Its packets land in the same bins, shifted to the flood start: bins
 	// sum integer bit counts, exact in float64, so the two streams need no
 	// merge.
-	binner, err := timeseries.NewBinner(cfg.Duration, delta)
+	floodStart := 1.5 * interval
+	size := dist.Constant{V: 20000} // 20 kB zombies
+	rate := dist.Constant{V: 400e3} // 0.4 s bursts
+	_, err = trace.StreamParallelBlocksCtx(ctx, trace.Config{
+		Duration:        20,
+		Lambda:          80,
+		SizeBytes:       size,
+		RateBps:         rate,
+		ShotB:           dist.Constant{V: 0},
+		FlowsPerSession: 1,
+		Prefixes:        2, // all to the same couple of prefixes
+		PopularPrefixes: 1,
+		Seed:            13,
+	}, 1, func(blk *trace.Block) error {
+		for j, t := range blk.Times {
+			binner.Add(t+floodStart, float64(blk.Sizes[j])*8)
+		}
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range recs {
-		binner.AddRecord(r)
-	}
-	for _, r := range flood {
-		binner.Add(r.Time+floodStart, r.Bits())
-	}
+
+	// Scan the whole trace with the flood overlaid.
 	series := binner.Series()
 	events := det.Scan(series)
 	if len(events) == 0 {

@@ -120,10 +120,19 @@ func TestFlowMeasurementConservesPackets(t *testing.T) {
 				},
 			}
 		}
-		res, err := flow.Measure(recs, flow.By5Tuple, 10)
+		m, err := flow.NewMeasurer([]flow.Definition{flow.By5Tuple}, 10)
 		if err != nil {
 			return false
 		}
+		blk := &trace.Block{}
+		for _, r := range recs {
+			src, dst := r.Hdr.Packed()
+			blk.Append(r.Time, r.Hdr.TotalLen, src, dst)
+		}
+		if err := m.AddBlock(blk); err != nil {
+			return false
+		}
+		res := m.Flush()[0]
 		var pkts int
 		var bits float64
 		for _, fl := range res.Flows {
@@ -139,7 +148,7 @@ func TestFlowMeasurementConservesPackets(t *testing.T) {
 		}
 		var wantBits float64
 		for _, r := range recs {
-			wantBits += r.Bits()
+			wantBits += float64(r.Hdr.TotalLen) * 8
 		}
 		return pkts == n && math.Abs(bits-wantBits) < 1
 	}

@@ -8,6 +8,7 @@ package core_test
 // counterpart of a rate measured over Δ-length windows.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -31,7 +32,7 @@ const (
 // Sessions are disabled (FlowsPerSession = 1) so the traffic satisfies the
 // model's iid-flow Assumption 2 exactly; the session-structured suite is
 // exercised by TestPrefixAggregationFlattensShot and the experiment runs.
-func itTrace(t *testing.T, b float64, seed int64) []trace.Record {
+func itTrace(t *testing.T, b float64, seed int64) trace.Config {
 	t.Helper()
 	size, err := dist.NewBoundedPareto(1.3, 1500, 1.5e6)
 	if err != nil {
@@ -52,25 +53,38 @@ func itTrace(t *testing.T, b float64, seed int64) []trace.Record {
 		FlowsPerSession: 1,
 		Seed:            seed,
 	}
-	recs, _, err := trace.GenerateAll(cfg)
+	return cfg
+}
+
+// measureFlows streams cfg's trace once through a measurer over defs and a
+// binner of itDelta bins, and returns the flows under each definition plus
+// the raw rate series.
+func measureFlows(t *testing.T, cfg trace.Config, defs []flow.Definition) ([]flow.Result, *timeseries.Binner) {
+	t.Helper()
+	m, err := flow.NewMeasurer(defs, flow.DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recs
+	b, err := timeseries.NewBinner(itDuration, itDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.StreamParallelBlocksCtx(context.Background(), cfg, 1, func(blk *trace.Block) error {
+		b.AddBlock(blk)
+		return m.AddBlock(blk)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return m.Flush(), b
 }
 
 // measureInterval runs the full §III pipeline and returns the measured rate
 // series plus the model input.
-func measureInterval(t *testing.T, recs []trace.Record) (timeseries.Series, core.Input) {
+func measureInterval(t *testing.T, cfg trace.Config) (timeseries.Series, core.Input) {
 	t.Helper()
-	res, err := flow.Measure(recs, flow.By5Tuple, flow.DefaultTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series, err := timeseries.Bin(recs, itDuration, itDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, b := measureFlows(t, cfg, []flow.Definition{flow.By5Tuple})
+	res := results[0]
+	series := b.Series()
 	series.Subtract(res.Discarded)
 	in, err := core.InputFromFlows(res.Flows, itDuration)
 	if err != nil {
@@ -202,7 +216,7 @@ func TestPrefixAggregationFlattensShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := trace.GenerateAll(trace.Config{
+	results, b := measureFlows(t, trace.Config{
 		Duration:  itDuration,
 		Lambda:    itLambda,
 		SizeBytes: size,
@@ -210,19 +224,9 @@ func TestPrefixAggregationFlattensShot(t *testing.T) {
 		ShotB:     dist.Uniform{Lo: 1.5, Hi: 2.5},
 		Warmup:    90,
 		Seed:      90125,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fit := func(def flow.Definition) float64 {
-		res, err := flow.Measure(recs, def, flow.DefaultTimeout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		series, err := timeseries.Bin(recs, itDuration, itDelta)
-		if err != nil {
-			t.Fatal(err)
-		}
+	}, []flow.Definition{flow.By5Tuple, flow.ByPrefix24})
+	fit := func(res flow.Result) float64 {
+		series := b.Series()
 		series.Subtract(res.Discarded)
 		in, err := core.InputFromFlows(res.Flows, itDuration)
 		if err != nil {
@@ -234,8 +238,8 @@ func TestPrefixAggregationFlattensShot(t *testing.T) {
 		}
 		return b
 	}
-	b5 := fit(flow.By5Tuple)
-	bP := fit(flow.ByPrefix24)
+	b5 := fit(results[0])
+	bP := fit(results[1])
 	if !(bP < b5) {
 		t.Fatalf("prefix aggregation should flatten the fitted shot: b̂(/24)=%g vs b̂(5-tuple)=%g", bP, b5)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -17,7 +18,7 @@ import (
 
 // refModel builds a model from the reference interval's 5-tuple flows.
 func (r *Runner) refModel(shot core.Shot) (*core.Model, core.Input, error) {
-	_, res5, _, err := r.RefInterval()
+	res5, _, err := r.RefInterval()
 	if err != nil {
 		return nil, core.Input{}, err
 	}
@@ -28,6 +29,32 @@ func (r *Runner) refModel(shot core.Shot) (*core.Model, core.Input, error) {
 	m, err := in.Model(shot)
 	return m, in, err
 }
+
+// refSeries bins the reference interval (trace 1, interval 0) into a rate
+// series over bins of delta. It synthesises trace 1 from its origin, so the
+// packets are those the suite measured, and stops after the first block
+// that passes the interval end.
+func (r *Runner) refSeries(delta float64) (timeseries.Series, error) {
+	spec := r.specs[0]
+	b, err := timeseries.NewBinner(spec.IntervalSec, delta)
+	if err != nil {
+		return timeseries.Series{}, err
+	}
+	_, err = trace.StreamParallelBlocksCtx(r.context(), suiteConfig(spec), r.opts.GenWorkers, func(blk *trace.Block) error {
+		b.AddBlock(blk)
+		if n := blk.Len(); n > 0 && blk.Times[n-1] >= spec.IntervalSec {
+			return errRefDone
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, errRefDone) {
+		return timeseries.Series{}, err
+	}
+	return b.Series(), nil
+}
+
+// errRefDone stops refSeries's stream once the reference interval is binned.
+var errRefDone = errors.New("experiments: reference interval binned")
 
 // AppA reproduces the §VII-A application: Gaussian link dimensioning and
 // the 1/√λ smoothing law. The dimensioning table gives the capacity needed
@@ -218,12 +245,11 @@ func (r *Runner) AblationDelta(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	win, res5, _, err := r.RefInterval()
+	res5, _, err := r.RefInterval()
 	if err != nil {
 		return err
 	}
-	interval := r.specs[0].IntervalSec
-	base, err := timeseries.BinStream(win.Records(), interval, 0.05)
+	base, err := r.refSeries(0.05)
 	if err != nil {
 		return err
 	}
@@ -358,12 +384,7 @@ func (r *Runner) AblationSmoothing(w io.Writer) error {
 // measured 50 ms rate series.
 func (r *Runner) AblationLRD(w io.Writer) error {
 	sep(w, "Ablation — range dependence of the generated traffic (§II)")
-	win, _, _, err := r.RefInterval()
-	if err != nil {
-		return err
-	}
-	interval := r.specs[0].IntervalSec
-	series, err := timeseries.BinStream(win.Records(), interval, 0.05)
+	series, err := r.refSeries(0.05)
 	if err != nil {
 		return err
 	}

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/flow"
+	"repro/internal/timeseries"
 	"repro/internal/trace"
 	"repro/internal/trace/store"
 )
@@ -102,16 +104,17 @@ func TestSuiteFromStoreMatchesSynthesis(t *testing.T) {
 	}
 }
 
-// The reference window is exactly the interval the suite measured: its
-// replayed packets, measured whole under each definition, give the flows
-// and discarded packets RefInterval returns — for a synthesising runner and
-// for a store-backed one, which measures from the store but replays the
-// window from the generator.
+// The reference interval is exactly the interval the suite measured: trace
+// 1's packets below the interval end, measured whole under both
+// definitions, give the flows and discarded packets RefInterval returns —
+// for a synthesising runner and for a store-backed one, which measures from
+// the store while refSeries re-synthesises. refSeries bins exactly those
+// packets, however early its stream stops.
 func TestRefIntervalMatchesSuiteMeasurement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping suite measurement in -short mode")
 	}
-	// Two intervals in trace 0, so a window running past interval 0 would
+	// Two intervals in trace 0, so a pass running past interval 0 would
 	// measure packets the suite split off.
 	synth := tinyOptions()
 	synth.Suite.IntervalsPerHour = 1
@@ -122,32 +125,46 @@ func TestRefIntervalMatchesSuiteMeasurement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := r.Specs()[0].Intervals; n < 2 {
+		spec := r.Specs()[0]
+		if n := spec.Intervals; n < 2 {
 			t.Fatalf("%s: trace 0 has %d intervals, want >= 2", name, n)
 		}
-		win, res5, resP, err := r.RefInterval()
+		res5, resP, err := r.RefInterval()
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs := slices.Collect(win.Records())
-		if len(recs) == 0 {
-			t.Fatalf("%s: reference window is empty", name)
+		m, err := flow.NewMeasurer(suiteDefs, flow.DefaultTimeout)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, c := range []struct {
-			def  flow.Definition
-			want flow.Result
-		}{{flow.By5Tuple, res5}, {flow.ByPrefix24, resP}} {
-			got, err := flow.Measure(recs, c.def, flow.DefaultTimeout)
-			if err != nil {
-				t.Fatal(err)
+		b, err := timeseries.NewBinner(spec.IntervalSec, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = trace.StreamParallelBlocksCtx(context.Background(), suiteConfig(spec), 1, func(blk *trace.Block) error {
+			sub := blk.Slice(0, sort.SearchFloat64s(blk.Times, spec.IntervalSec))
+			b.AddBlock(&sub)
+			return m.AddBlock(&sub)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.Flush()
+		for di, want := range []flow.Result{res5, resP} {
+			if len(want.Flows) == 0 {
+				t.Fatalf("%s/%s: suite kept no reference flows", name, suiteDefs[di])
 			}
-			if len(c.want.Flows) == 0 {
-				t.Fatalf("%s/%s: suite kept no reference flows", name, c.def)
+			if !slices.Equal(got[di].Flows, want.Flows) || !slices.Equal(got[di].Discarded, want.Discarded) {
+				t.Fatalf("%s/%s: interval measures %d flows / %d discarded, suite %d / %d",
+					name, suiteDefs[di], len(got[di].Flows), len(got[di].Discarded), len(want.Flows), len(want.Discarded))
 			}
-			if !slices.Equal(got.Flows, c.want.Flows) || !slices.Equal(got.Discarded, c.want.Discarded) {
-				t.Fatalf("%s/%s: window measures %d flows / %d discarded, suite %d / %d",
-					name, c.def, len(got.Flows), len(got.Discarded), len(c.want.Flows), len(c.want.Discarded))
-			}
+		}
+		series, err := r.refSeries(0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(series.Rate, b.Series().Rate) {
+			t.Fatalf("%s: refSeries differs from the interval's binned packets", name)
 		}
 	}
 }

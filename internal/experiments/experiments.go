@@ -66,8 +66,8 @@ type Options struct {
 	// StoreDir, when set, points the measurement pass at pre-generated trace
 	// stores: each suite trace streams from <StoreDir>/<name>.fstore
 	// (written by `tracegen -store` with the same suite geometry) instead of
-	// being re-synthesised; the one reference interval is still synthesised
-	// (see RefInterval). Output is byte-identical to the synthesis path:
+	// being re-synthesised; the rate series of the one reference interval
+	// is still synthesised (see refSeries). Output is byte-identical to the synthesis path:
 	// stored blocks carry the exact rebased times the generator emitted.
 	StoreDir string
 	// ShardIndex/ShardCount split the suite across processes: this runner
@@ -152,15 +152,15 @@ type Runner struct {
 	shed      []TraceShed
 	// reference holds the flow measurements of one designated interval
 	// (trace 1, interval 0) for the single-interval figures (1, 3-6, 8).
-	// Its packets are not buffered: RefInterval hands out a replayable
-	// trace.Window that regenerates them on demand.
+	// Its packets are not buffered: refSeries re-synthesises them when a
+	// figure needs the rate series.
 	refRes5  flow.Result
 	refResP  flow.Result
 	measured bool
 }
 
 // Close returns nil: the runner holds nothing open (every trace streams,
-// and reference windows replay from the generator). It is kept for
+// and the reference series re-synthesises from the generator). It is kept for
 // callers that defer it after NewRunner.
 func (r *Runner) Close() error { return nil }
 
@@ -196,9 +196,9 @@ var suiteDefs = []flow.Definition{flow.By5Tuple, flow.ByPrefix24}
 const suiteWarmup = 60
 
 // suiteConfig is the exact generator configuration the measurement pass runs
-// a trace with. RefInterval replays windows of the same configuration, so
-// every adjustment must live here — a divergence would make the replayed
-// packets disagree with the cached flow measurements.
+// a trace with. refSeries re-synthesises the reference interval from the
+// same configuration, so every adjustment must live here — a divergence
+// would make its packets disagree with the cached flow measurements.
 func suiteConfig(spec trace.TraceSpec) trace.Config {
 	cfg := spec.Config()
 	cfg.Warmup = suiteWarmup
@@ -671,22 +671,14 @@ func (r *Runner) Stats(def flow.Definition) ([]IntervalStat, error) {
 	return out, nil
 }
 
-// RefInterval returns the designated reference interval (trace 1,
-// interval 0): a replayable window over its packets plus both flow
-// measurements. The window regenerates the packets deterministically on
-// demand, so no per-interval record buffer outlives the measurement pass.
-// The interval sits at the trace start, where a plain window replays in
-// O(window), so every call — store-backed runners included — synthesises
-// just that one interval.
-func (r *Runner) RefInterval() (trace.Window, flow.Result, flow.Result, error) {
+// RefInterval returns both flow measurements of the designated reference
+// interval (trace 1, interval 0), kept by the measurement pass; refSeries
+// re-synthesises its packets when a figure needs the rate series.
+func (r *Runner) RefInterval() (flow.Result, flow.Result, error) {
 	if err := r.measureSuite(); err != nil {
-		return trace.Window{}, flow.Result{}, flow.Result{}, err
+		return flow.Result{}, flow.Result{}, err
 	}
-	win, err := trace.NewWindow(suiteConfig(r.specs[0]), 0, r.specs[0].IntervalSec)
-	if err != nil {
-		return trace.Window{}, flow.Result{}, flow.Result{}, err
-	}
-	return win, r.refRes5, r.refResP, nil
+	return r.refRes5, r.refResP, nil
 }
 
 // Summaries returns the per-trace generator summaries.

@@ -29,7 +29,7 @@ func arrivalGaps(flows []flow.Flow) []float64 {
 // progress at the interval boundary (the splitting artefact of §III).
 func (r *Runner) Fig1(w io.Writer) error {
 	sep(w, "Figure 1 — cumulative flow arrivals in one interval (/24 prefix flows)")
-	_, _, resP, err := r.RefInterval()
+	_, resP, err := r.RefInterval()
 	if err != nil {
 		return err
 	}
@@ -81,7 +81,7 @@ func (r *Runner) Fig1(w io.Writer) error {
 // figInterArrivals is the shared body of Figures 3 and 4.
 func (r *Runner) figInterArrivals(w io.Writer, def flow.Definition, title string) error {
 	sep(w, title)
-	_, res5, resP, err := r.RefInterval()
+	res5, resP, err := r.RefInterval()
 	if err != nil {
 		return err
 	}
@@ -125,7 +125,7 @@ func (r *Runner) Fig4(w io.Writer) error {
 // figSizeDuration is the shared body of Figures 5 and 6.
 func (r *Runner) figSizeDuration(w io.Writer, def flow.Definition, title string) error {
 	sep(w, title)
-	_, res5, resP, err := r.RefInterval()
+	res5, resP, err := r.RefInterval()
 	if err != nil {
 		return err
 	}
@@ -193,7 +193,7 @@ func (r *Runner) Fig7(w io.Writer) error {
 // definitions (Theorem 2 applied to the measured flow population).
 func (r *Runner) Fig8(w io.Writer) error {
 	sep(w, "Figure 8 — model autocorrelation of the total rate (Theorem 2)")
-	_, res5, resP, err := r.RefInterval()
+	res5, resP, err := r.RefInterval()
 	if err != nil {
 		return err
 	}

@@ -92,12 +92,11 @@ type flowState struct {
 
 // Assembler groups packets into flows under one definition. In-progress
 // flow states live in a slot-recycled slab indexed by an open-addressed
-// table over packed two-word keys: the per-packet path hashes its key once
-// (or receives a precomputed hash column via AddBlock) and probes flat
-// arrays — no generic map, no per-flow pointers, no allocation per flow;
+// table over packed two-word keys: AddBlock receives each packet's key and
+// hash precomputed in columns and probes flat arrays — no generic map, no per-flow pointers, no allocation per flow;
 // assembling a multi-million-flow trace costs amortised slice growth only.
 type Assembler struct {
-	def       Definition
+	def       Definition // the definition the key columns are derived under
 	timeout   float64
 	table     flowTable
 	states    []flowState
@@ -215,25 +214,10 @@ func (a *Assembler) addPacked(t float64, size uint16, h, ka, kb uint64) {
 	}
 }
 
-// Add consumes one packet. Packets must arrive in non-decreasing time order.
-//
-//repro:hotpath
-func (a *Assembler) Add(rec trace.Record) error {
-	if a.started && rec.Time < a.lastTime {
-		return errOutOfOrder(rec.Time, a.lastTime) //repro:alloc-ok error construction on the malformed-input branch only; no allocation on the in-order path
-	}
-	a.started = true
-	a.lastTime = rec.Time
-	src, dst := rec.Hdr.Packed()
-	h, ka, kb := deriveOne(a.def, src, dst)
-	a.addPacked(rec.Time, rec.Hdr.TotalLen, h, ka, kb)
-	return nil
-}
-
 // AddBlock consumes a block of packets with precomputed key columns (hash,
 // keyA, keyB index-aligned with the block; a Measurer derives them once and
 // shares the derivation across its definitions). Packets must arrive in
-// non-decreasing time order across Add/AddBlock calls.
+// non-decreasing time order across AddBlock calls.
 //
 //repro:hotpath
 func (a *Assembler) AddBlock(blk *trace.Block, hash, keyA, keyB []uint64) error {
@@ -309,21 +293,6 @@ func (a *Assembler) Flush() Result {
 		return di.Bits < dj.Bits
 	})
 	return out
-}
-
-// Measure groups recs (time-ordered) into flows under the given definition
-// with the given timeout (use DefaultTimeout for the paper's 60 s).
-func Measure(recs []trace.Record, def Definition, timeout float64) (Result, error) {
-	a, err := NewAssembler(def, timeout)
-	if err != nil {
-		return Result{}, err
-	}
-	for i := range recs {
-		if err := a.Add(recs[i]); err != nil {
-			return Result{}, err
-		}
-	}
-	return a.Flush(), nil
 }
 
 // IntervalResult is the measurement of one analysis interval.

@@ -39,7 +39,7 @@ func TestMeasureBasicFlow(t *testing.T) {
 		rec(1.5, 1, 1, 1000, 1500),
 		rec(3.0, 1, 1, 1000, 500),
 	}
-	res, err := Measure(recs, By5Tuple, DefaultTimeout)
+	res, err := measureRecords(recs, By5Tuple, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestMeasureSeparatesKeys(t *testing.T) {
 		rec(1.4, 1, 1, 2000, 100), // different source port
 		rec(1.5, 1, 1, 2000, 100),
 	}
-	res, err := Measure(recs, By5Tuple, DefaultTimeout)
+	res, err := measureRecords(recs, By5Tuple, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestPrefixAggregation(t *testing.T) {
 		rec(3, 1, 7, 1000, 100),
 		rec(4, 2, 8, 2000, 100),
 	}
-	res5, err := Measure(recs, By5Tuple, DefaultTimeout)
+	res5, err := measureRecords(recs, By5Tuple, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resP, err := Measure(recs, ByPrefix24, DefaultTimeout)
+	resP, err := measureRecords(recs, ByPrefix24, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestPrefix16And8(t *testing.T) {
 	a := rec(1, 1, 1, 1000, 100)
 	b := rec(2, 1, 1, 1000, 100)
 	b.Hdr.DstIP = netpkt.IPv4Addr{172, 16, 200, 9} // same /16, different /24
-	res24, err := Measure([]trace.Record{a, b}, ByPrefix24, DefaultTimeout)
+	res24, err := measureRecords([]trace.Record{a, b}, ByPrefix24, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res16, err := Measure([]trace.Record{a, b}, ByPrefix16, DefaultTimeout)
+	res16, err := measureRecords([]trace.Record{a, b}, ByPrefix16, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPrefix16And8(t *testing.T) {
 	}
 	c := rec(3, 1, 1, 1000, 100)
 	c.Hdr.DstIP = netpkt.IPv4Addr{172, 99, 0, 1} // same /8 only
-	res8, err := Measure([]trace.Record{a, b, c}, ByPrefix8, DefaultTimeout)
+	res8, err := measureRecords([]trace.Record{a, b, c}, ByPrefix8, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestTimeoutSplitsFlows(t *testing.T) {
 		rec(100, 1, 1, 1000, 100), // 90 s gap > 60 s timeout -> new flow
 		rec(110, 1, 1, 1000, 100),
 	}
-	res, err := Measure(recs, By5Tuple, DefaultTimeout)
+	res, err := measureRecords(recs, By5Tuple, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestGapJustUnderTimeoutKeepsFlow(t *testing.T) {
 		rec(59.9, 1, 1, 1000, 100),
 		rec(119.8, 1, 1, 1000, 100),
 	}
-	res, err := Measure(recs, By5Tuple, DefaultTimeout)
+	res, err := measureRecords(recs, By5Tuple, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSinglePacketFlowsDiscarded(t *testing.T) {
 		rec(2, 2, 2, 2000, 100),
 		rec(3, 2, 2, 2000, 100),
 	}
-	res, err := Measure(recs, By5Tuple, DefaultTimeout)
+	res, err := measureRecords(recs, By5Tuple, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestMeasureIntervalsSplitsAtBoundaries(t *testing.T) {
 	}
 	// Total split-flow count exceeds the unsplit count by the number of
 	// boundaries crossed (2): the whole-trace measurement sees one flow.
-	whole, err := Measure(recs, By5Tuple, DefaultTimeout)
+	whole, err := measureRecords(recs, By5Tuple, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestMeasureIntervalsValidation(t *testing.T) {
 	if _, err := MeasureIntervals(recordFeed(nil, 1), nil, 60, DefaultTimeout); err == nil {
 		t.Fatal("empty definition list should be rejected")
 	}
-	if _, err := Measure(nil, Definition(99), 60); err == nil {
+	if _, err := measureRecords(nil, Definition(99), 60); err == nil {
 		t.Fatal("unknown definition should be rejected")
 	}
 }
@@ -354,11 +354,11 @@ func TestMeasureSyntheticTrace(t *testing.T) {
 		Warmup:    90, // sessions spread flows ~20 s; see trace.Config
 		Seed:      42,
 	}
-	recs, sum, err := trace.GenerateAll(cfg)
+	recs, sum, err := generateRecords(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Measure(recs, By5Tuple, DefaultTimeout)
+	res, err := measureRecords(recs, By5Tuple, DefaultTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

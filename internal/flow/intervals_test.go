@@ -31,7 +31,7 @@ func bruteIntervals(t *testing.T, recs []trace.Record, def Definition, intervalS
 		for k := range window {
 			window[k].Time -= lo
 		}
-		res, err := Measure(window, def, timeout)
+		res, err := measureRecords(window, def, timeout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func syntheticRecs(t *testing.T) []trace.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := trace.GenerateAll(trace.Config{
+	recs, _, err := generateRecords(trace.Config{
 		Duration:  40,
 		Lambda:    30,
 		SizeBytes: size,

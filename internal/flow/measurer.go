@@ -109,21 +109,11 @@ func (m *Measurer) derive(blk *trace.Block) {
 
 // AddBlock consumes one SoA block: keys for every definition are derived
 // once, then each assembler runs the block through its table. Packets must
-// arrive in non-decreasing time order across Add/AddBlock calls.
+// arrive in non-decreasing time order across AddBlock calls.
 func (m *Measurer) AddBlock(blk *trace.Block) error {
 	m.derive(blk)
 	for di, a := range m.asm {
 		if err := a.AddBlock(blk, m.hash[di], m.keyA[di], m.keyB[di]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Add consumes one packet record (the record-at-a-time face).
-func (m *Measurer) Add(rec trace.Record) error {
-	for _, a := range m.asm {
-		if err := a.Add(rec); err != nil {
 			return err
 		}
 	}

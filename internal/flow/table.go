@@ -1,9 +1,5 @@
 package flow
 
-import (
-	"repro/internal/netpkt"
-)
-
 // This file is the batch-columnar key machinery of the flow assembler: a
 // packed two-word flow key per definition, a 64-bit hash computed once per
 // packet, and an open-addressed table mapping (hash, key) to a flow-state
@@ -49,20 +45,6 @@ func prefixDrop(def Definition) (drop uint64, ok bool) {
 	default:
 		return 0, false
 	}
-}
-
-// deriveOne computes the (hash, keyA, keyB) triple of one packed packet
-// under a definition — the record-at-a-time counterpart of the vector
-// derivation in Measurer.derive, kept textually tiny so both agree.
-func deriveOne(def Definition, src, dst uint64) (h, ka, kb uint64) {
-	if def == By5Tuple {
-		ka = src
-		kb = dst &^ netpkt.PackedTTLMask
-		return hashKey(ka, kb), ka, kb
-	}
-	drop, _ := prefixDrop(def)
-	kb = (dst >> netpkt.PackedAddrShift) &^ drop
-	return hashKey(0, kb), 0, kb
 }
 
 // flowTable is an open-addressed hash table mapping a packed two-word flow

@@ -106,7 +106,7 @@ func newRefAssembler(def Definition, timeout float64) *refAssembler {
 
 func (a *refAssembler) add(rec trace.Record) {
 	key := a.keyFn(rec.Hdr)
-	bits := rec.Bits()
+	bits := float64(rec.Hdr.TotalLen) * 8
 	st, ok := a.active[key]
 	switch {
 	case !ok:
@@ -242,22 +242,21 @@ func TestAssemblerMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestMeasurerBlockSizesAgree feeds the same stream through the
-// record-at-a-time face and through AddBlock at several block sizes; the
-// batch path's boundary handling must never change the measurement.
+// TestMeasurerBlockSizesAgree feeds the same stream through one
+// record-at-a-time assembler per definition and through a Measurer's
+// AddBlock at several block sizes; the batch path's shared key derivation
+// and boundary handling must never change the measurement.
 func TestMeasurerBlockSizesAgree(t *testing.T) {
 	recs := randomRecords(4000, 7)
 	defs := []Definition{By5Tuple, ByPrefix24, ByPrefix16}
-	baseM, err := NewMeasurer(defs, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := baseM.Add(rec); err != nil {
+	base := make([]Result, len(defs))
+	for di, def := range defs {
+		res, err := measureRecords(recs, def, 15)
+		if err != nil {
 			t.Fatal(err)
 		}
+		base[di] = res
 	}
-	base := baseM.Flush()
 	for _, bs := range []int{1, 64, 256, 1000} {
 		m, err := NewMeasurer(defs, 15)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netpkt"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
 	"repro/internal/trace"
@@ -16,8 +17,8 @@ import (
 func packetRecords(cfg Config, pktBytes int) ([]trace.Record, error) {
 	var recs []trace.Record
 	err := Packets(cfg, pktBytes, func(blk *trace.Block) error {
-		for j := range blk.Len() {
-			recs = append(recs, blk.Record(j))
+		for j, t := range blk.Times {
+			recs = append(recs, trace.Record{Time: t, Hdr: netpkt.HeaderFromPacked(blk.Srcs[j], blk.Dsts[j], blk.Sizes[j])})
 		}
 		return nil
 	})
@@ -189,10 +190,14 @@ func TestPacketsMatchFluid(t *testing.T) {
 	}
 	// The packetised rate matches the fluid rate to within packetisation
 	// noise: same arrivals (same seed) so bin series correlate strongly.
-	series, err := timeseries.Bin(recs, cfg.Duration, 0.2)
+	binner, err := timeseries.NewBinner(cfg.Duration, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, r := range recs {
+		binner.Add(r.Time, float64(r.Hdr.TotalLen)*8)
+	}
+	series := binner.Series()
 	fluid, err := FluidSeries(cfg, 0.2)
 	if err != nil {
 		t.Fatal(err)

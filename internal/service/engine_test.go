@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -23,15 +24,26 @@ func timesBlock(times []float64) *trace.Block {
 	return blk
 }
 
-// rechunk packs recs into owned blocks of n packets.
-func rechunk(recs []trace.Record, n int) []*trace.Block {
+// synthPackets synthesises cfg's trace serially into one unpooled block
+// holding every packet.
+func synthPackets(t *testing.T, cfg trace.Config) *trace.Block {
+	t.Helper()
+	all := &trace.Block{}
+	if _, err := trace.StreamParallelBlocksCtx(context.Background(), cfg, 1, func(blk *trace.Block) error {
+		all.AppendRebased(blk, 0, blk.Len(), 0)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return all
+}
+
+// rechunk copies all's packets into pooled blocks of n packets.
+func rechunk(all *trace.Block, n int) []*trace.Block {
 	var out []*trace.Block
-	for i := 0; i < len(recs); i += n {
+	for i := 0; i < all.Len(); i += n {
 		blk := trace.GetBlock()
-		for _, r := range recs[i:min(i+n, len(recs))] {
-			src, dst := r.Hdr.Packed()
-			blk.Append(r.Time, r.Hdr.TotalLen, src, dst)
-		}
+		blk.AppendRebased(all, i, min(i+n, all.Len()), 0)
 		out = append(out, blk)
 	}
 	return out
@@ -213,14 +225,11 @@ func TestPipelineMatchesSuiteEngine(t *testing.T) {
 	cfg.Duration = 5 * tInterval
 	cfg.Lambda = 100
 	cfg.SizeBytes, cfg.RateBps = size, rate
-	recs, _, err := trace.GenerateAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := synthPackets(t, cfg)
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, n := range []int{1, 17, trace.BlockSize} {
 		t.Run(fmt.Sprintf("block=%d", n), func(t *testing.T) {
-			blocks := rechunk(recs, n)
+			blocks := rechunk(all, n)
 			defer putAll(blocks)
 
 			var reps []Report

@@ -424,33 +424,23 @@ func TestSyntheticSourceRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// storeFromRecords writes recs into a trace store file (deliberately odd
-// segment size so resume cursors cross segment boundaries) and opens it.
-func storeFromRecords(t *testing.T, recs []trace.Record, dur float64) *tracestore.Reader {
+// storeFromPackets writes all's packets into a trace store file
+// (deliberately odd segment size so resume cursors cross segment
+// boundaries) and opens it.
+func storeFromPackets(t *testing.T, all *trace.Block, dur float64) *tracestore.Reader {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "replay.fstore")
 	w, err := tracestore.Create(path, tracestore.Meta{Duration: dur}, tracestore.Options{SegmentPackets: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk := trace.GetBlock()
-	defer trace.PutBlock(blk)
-	for _, rec := range recs {
-		if blk.Len() == trace.BlockSize {
-			if err := w.AddBlock(blk); err != nil {
-				t.Fatal(err)
-			}
-			blk.Reset()
-		}
-		src, dst := rec.Hdr.Packed()
-		blk.Append(rec.Time, rec.Hdr.TotalLen, src, dst)
-	}
-	if blk.Len() > 0 {
-		if err := w.AddBlock(blk); err != nil {
+	for i := 0; i < all.Len(); i += trace.BlockSize {
+		blk := all.Slice(i, min(i+trace.BlockSize, all.Len()))
+		if err := w.AddBlock(&blk); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(trace.Summary{Packets: int64(len(recs)), Duration: dur}); err != nil {
+	if err := w.Close(trace.Summary{Packets: int64(all.Len()), Duration: dur}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := tracestore.Open(path)
@@ -462,18 +452,16 @@ func storeFromRecords(t *testing.T, recs []trace.Record, dur float64) *tracestor
 }
 
 func TestReplaySourceResumesExactly(t *testing.T) {
-	recs, _, err := trace.GenerateAll(testBase(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := storeFromRecords(t, recs, tEpoch)
+	all := synthPackets(t, testBase(5))
+	n := int64(all.Len())
+	r := storeFromPackets(t, all, tEpoch)
 	src := &ReplaySource{Reader: r, Duration: tEpoch, Epochs: 2}
 	full := flatten(t, src, Cursor{})
-	if len(full) != 2*len(recs) {
-		t.Fatalf("replayed %d packets from %d records over 2 epochs", len(full), len(recs))
+	if int64(len(full)) != 2*n {
+		t.Fatalf("replayed %d packets from %d stored over 2 epochs", len(full), n)
 	}
-	for _, cur := range []Cursor{{0, 5}, {0, int64(len(recs))}, {1, 0}, {1, int64(len(recs)) - 1}} {
-		skip := cur.Packets + cur.Epoch*int64(len(recs))
+	for _, cur := range []Cursor{{0, 5}, {0, n}, {1, 0}, {1, n - 1}} {
+		skip := cur.Packets + cur.Epoch*n
 		if got := flatten(t, src, cur); !reflect.DeepEqual(full[skip:], got) {
 			t.Fatalf("cursor %+v: resumed replay is not the exact suffix", cur)
 		}
@@ -481,7 +469,7 @@ func TestReplaySourceResumesExactly(t *testing.T) {
 
 	// Duration 0 defaults to the store's recorded trace duration.
 	def := &ReplaySource{Reader: r, Epochs: 1}
-	if got := flatten(t, def, Cursor{}); !reflect.DeepEqual(full[:len(recs)], got) {
+	if got := flatten(t, def, Cursor{}); !reflect.DeepEqual(full[:n], got) {
 		t.Fatal("default duration does not replay the stored epoch")
 	}
 
@@ -489,16 +477,16 @@ func TestReplaySourceResumesExactly(t *testing.T) {
 	if err := noReader.Stream(context.Background(), Cursor{}, nil); !errors.Is(err, ErrPermanent) {
 		t.Fatalf("reader-less replay: %v", err)
 	}
-	empty := &ReplaySource{Reader: storeFromRecords(t, nil, 1), Duration: 1}
+	empty := &ReplaySource{Reader: storeFromPackets(t, &trace.Block{}, 1), Duration: 1}
 	if err := empty.Stream(context.Background(), Cursor{}, nil); !errors.Is(err, ErrPermanent) {
 		t.Fatalf("empty replay: %v", err)
 	}
-	short := &ReplaySource{Reader: r, Duration: recs[len(recs)-1].Time / 2}
+	short := &ReplaySource{Reader: r, Duration: all.Times[n-1] / 2}
 	if err := short.Stream(context.Background(), Cursor{}, nil); !errors.Is(err, ErrPermanent) {
 		t.Fatalf("short duration: %v", err)
 	}
 	far := &ReplaySource{Reader: r, Duration: tEpoch}
-	if err := far.Stream(context.Background(), Cursor{Packets: int64(len(recs)) + 1}, nil); !errors.Is(err, ErrPermanent) {
+	if err := far.Stream(context.Background(), Cursor{Packets: n + 1}, nil); !errors.Is(err, ErrPermanent) {
 		t.Fatalf("cursor past the epoch: %v", err)
 	}
 }
@@ -511,11 +499,8 @@ func TestReplayStoreLargerThanBudget(t *testing.T) {
 	baseBlocks, baseGoroutines := trace.LiveBlocks(), runtime.NumGoroutine()
 	cfg := testBase(29)
 	cfg.Lambda = 400
-	recs, _, err := trace.GenerateAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := storeFromRecords(t, recs, tEpoch)
+	all := synthPackets(t, cfg)
+	r := storeFromPackets(t, all, tEpoch)
 	budgetBytes := 32 * trace.BlockCost(trace.BlockSize)
 	if stored := r.Packets() * 26; stored <= budgetBytes {
 		t.Fatalf("fixture too small: %d stored bytes vs %d budget", stored, budgetBytes)
@@ -538,8 +523,8 @@ func TestReplayStoreLargerThanBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := link.Stats()
-	if st.Packets != 2*int64(len(recs)) {
-		t.Fatalf("measured %d packets, want %d", st.Packets, 2*len(recs))
+	if st.Packets != 2*int64(all.Len()) {
+		t.Fatalf("measured %d packets, want %d", st.Packets, 2*all.Len())
 	}
 	if st.ShedPackets != 0 {
 		t.Fatalf("shed %d packets without -shed", st.ShedPackets)

@@ -5,16 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/flow"
-	"repro/internal/netpkt"
 	"repro/internal/trace"
 )
 
-func binRec(t float64, bytes uint16) trace.Record {
-	return trace.Record{Time: t, Hdr: netpkt.Header{TotalLen: bytes}}
-}
-
-// The streaming binner must agree with the materialised Bin and survive
-// Reset between windows.
+// The block path must agree with per-packet Add and survive Reinit between
+// windows.
 func TestBinnerMatchesBinAndResets(t *testing.T) {
 	if _, err := NewBinner(10, 0); err == nil {
 		t.Fatal("zero delta should be rejected")
@@ -35,13 +30,13 @@ func TestBinnerMatchesBinAndResets(t *testing.T) {
 	}
 
 	recs := []trace.Record{
-		binRec(0.05, 100),
-		binRec(0.15, 200),
-		binRec(0.95, 300),
-		binRec(-1, 999), // outside the window, ignored
-		binRec(10, 999), // outside the window, ignored
+		rec(0.05, 100),
+		rec(0.15, 200),
+		rec(0.95, 300),
+		rec(-1, 999), // outside the window, ignored
+		rec(10, 999), // outside the window, ignored
 	}
-	want, err := Bin(recs, 1, 0.1)
+	want, err := bin(recs, 1, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +44,11 @@ func TestBinnerMatchesBinAndResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	blk := &trace.Block{}
 	for _, r := range recs {
-		b.AddRecord(r)
+		blk.Append(r.Time, r.Hdr.TotalLen, 0, 0)
 	}
+	b.AddBlock(blk)
 	first := b.Series()
 	if len(first.Rate) != len(want.Rate) {
 		t.Fatalf("series length %d, want %d", len(first.Rate), len(want.Rate))

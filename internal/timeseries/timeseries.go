@@ -7,7 +7,6 @@ package timeseries
 
 import (
 	"fmt"
-	"iter"
 	"math"
 
 	"repro/internal/flow"
@@ -95,9 +94,6 @@ func (b *Binner) Add(t, bits float64) {
 	b.bits[k] += bits
 }
 
-// AddRecord accounts one packet record.
-func (b *Binner) AddRecord(rec trace.Record) { b.Add(rec.Time, rec.Bits()) }
-
 // AddBlock accounts every packet of a SoA block in one pass over its time
 // and size columns — the batch face the streaming measurement pipeline
 // bins with.
@@ -118,33 +114,6 @@ func (b *Binner) Series() Series {
 		rate[k] = v / b.delta
 	}
 	return Series{Delta: b.delta, Rate: rate}
-}
-
-// Bin averages the packet volumes of recs over bins of length delta across
-// [0, duration). Packets outside the window are ignored. It is the
-// materialised-slice convenience over Binner.
-func Bin(recs []trace.Record, duration, delta float64) (Series, error) {
-	b, err := NewBinner(duration, delta)
-	if err != nil {
-		return Series{}, err
-	}
-	for i := range recs {
-		b.AddRecord(recs[i])
-	}
-	return b.Series(), nil
-}
-
-// BinStream bins a record iterator (e.g. a replayable trace.Window
-// sub-stream) without materialising it: the streaming counterpart of Bin.
-func BinStream(recs iter.Seq[trace.Record], duration, delta float64) (Series, error) {
-	b, err := NewBinner(duration, delta)
-	if err != nil {
-		return Series{}, err
-	}
-	for rec := range recs {
-		b.AddRecord(rec)
-	}
-	return b.Series(), nil
 }
 
 // Subtract removes the given discarded packets (single-packet flows, which

@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,14 +16,27 @@ func rec(t float64, bytes uint16) trace.Record {
 	return trace.Record{Time: t, Hdr: netpkt.Header{TotalLen: bytes}}
 }
 
+// bin bins recs over [0, duration) with one Add per packet: the scalar
+// reference the block path is checked against.
+func bin(recs []trace.Record, duration, delta float64) (Series, error) {
+	b, err := NewBinner(duration, delta)
+	if err != nil {
+		return Series{}, err
+	}
+	for _, r := range recs {
+		b.Add(r.Time, float64(r.Hdr.TotalLen)*8)
+	}
+	return b.Series(), nil
+}
+
 func TestBinValidation(t *testing.T) {
-	if _, err := Bin(nil, 10, 0); err == nil {
+	if _, err := bin(nil, 10, 0); err == nil {
 		t.Fatal("zero delta should be rejected")
 	}
-	if _, err := Bin(nil, 0, 1); err == nil {
+	if _, err := bin(nil, 0, 1); err == nil {
 		t.Fatal("zero duration should be rejected")
 	}
-	if _, err := Bin(nil, 0.1, 1); err == nil {
+	if _, err := bin(nil, 0.1, 1); err == nil {
 		t.Fatal("duration < delta should be rejected")
 	}
 }
@@ -35,7 +49,7 @@ func TestBinPlacesPackets(t *testing.T) {
 		rec(1.5, 100),   // outside [0,1)
 		rec(-0.5, 100),  // negative, ignored
 	}
-	s, err := Bin(recs, 1.0, 0.2)
+	s, err := bin(recs, 1.0, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +75,7 @@ func TestBinMeanEqualsThroughput(t *testing.T) {
 	// The time-average of the binned series equals total bits / duration
 	// when all packets fall inside the window.
 	recs := []trace.Record{rec(0.1, 1500), rec(3.7, 1500), rec(8.2, 700)}
-	s, err := Bin(recs, 10, 0.5)
+	s, err := bin(recs, 10, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +87,7 @@ func TestBinMeanEqualsThroughput(t *testing.T) {
 
 func TestSubtractDiscarded(t *testing.T) {
 	recs := []trace.Record{rec(0.1, 1000), rec(0.15, 500)}
-	s, err := Bin(recs, 1, 0.2)
+	s, err := bin(recs, 1, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,36 +145,6 @@ func TestSubtractEdgeCases(t *testing.T) {
 	}
 	if s.Rate[0] != 4000 || s.Rate[2] != 4000 {
 		t.Fatal("clamp leaked into neighbouring bins")
-	}
-}
-
-func TestBinStreamMatchesBin(t *testing.T) {
-	recs := []trace.Record{rec(0.1, 1000), rec(0.35, 500), rec(0.9, 700)}
-	want, err := Bin(recs, 1, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := func(yield func(trace.Record) bool) {
-		for _, r := range recs {
-			if !yield(r) {
-				return
-			}
-		}
-	}
-	got, err := BinStream(seq, 1, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rate) != len(want.Rate) {
-		t.Fatalf("bin counts differ: %d vs %d", len(got.Rate), len(want.Rate))
-	}
-	for k := range want.Rate {
-		if got.Rate[k] != want.Rate[k] {
-			t.Fatalf("bin %d: %g vs %g", k, got.Rate[k], want.Rate[k])
-		}
-	}
-	if _, err := BinStream(seq, 0, 0.2); err == nil {
-		t.Fatal("invalid duration should be rejected")
 	}
 }
 
@@ -230,14 +214,17 @@ func TestVarianceDecreasesWithDelta(t *testing.T) {
 		ShotB:     dist.Constant{V: 1},
 		Seed:      5,
 	}
-	recs, _, err := trace.GenerateAll(cfg)
+	b, err := NewBinner(60, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s50, err := Bin(recs, 60, 0.05)
-	if err != nil {
+	if _, err := trace.StreamParallelBlocksCtx(context.Background(), cfg, 1, func(blk *trace.Block) error {
+		b.AddBlock(blk)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
+	s50 := b.Series()
 	s800, err := s50.Downsample(16)
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,6 @@ package trace
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/netpkt"
 )
 
 // Block is a struct-of-arrays batch of packet records: the batch-columnar
@@ -13,7 +11,8 @@ import (
 // netpkt.Packed — so flow-key derivation, rate binning and interval
 // splitting are tight loops over plain integer/float columns instead of
 // per-record virtual calls over 44-byte headers. The packing is lossless:
-// Record reconstructs the exact header an Append of Header.Packed stored.
+// netpkt.HeaderFromPacked reconstructs the exact header an Append of
+// Header.Packed stored.
 //
 // Invariant: all four columns always have equal length.
 type Block struct {
@@ -50,11 +49,6 @@ func (b *Block) Append(t float64, size uint16, src, dst uint64) {
 	b.Sizes = append(b.Sizes, size)
 	b.Srcs = append(b.Srcs, src)
 	b.Dsts = append(b.Dsts, dst)
-}
-
-// Record unpacks packet i into a Record.
-func (b *Block) Record(i int) Record {
-	return Record{Time: b.Times[i], Hdr: netpkt.HeaderFromPacked(b.Srcs[i], b.Dsts[i], b.Sizes[i])}
 }
 
 // AppendRebased appends src's packets [lo, hi) with their times shifted by

@@ -159,13 +159,13 @@ func (c *Checkpoints) Flows() int {
 
 // Window returns a replayable window over [lo, hi) of the trace that
 // regenerates its packets from the nearest checkpoint at or before lo.
-// The records are bit-identical to those of a plain NewWindow over the same
-// config and bounds.
+// The records are bit-identical to the serial stream's packets in [lo, hi),
+// rebased to lo.
 func (c *Checkpoints) Window(lo, hi float64) (Window, error) {
 	if lo < 0 || !(hi > lo) {
 		return Window{}, fmt.Errorf("trace: window bounds must satisfy 0 <= lo < hi, got [%g, %g)", lo, hi)
 	}
-	return Window{Lo: lo, Hi: hi, cfg: c.cfg, ck: c}, nil
+	return Window{Lo: lo, Hi: hi, ck: c}, nil
 }
 
 // replay yields the window's packets from the checkpoint index: carry-over

@@ -32,11 +32,10 @@ func TestCheckpointWindowMatchesPrefixReplay(t *testing.T) {
 	}
 	for _, w := range windows {
 		lo, hi := w[0], w[1]
-		ref, err := NewWindow(cfg, lo, hi)
+		want, err := prefixWindow(cfg, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := slices.Collect(ref.Records())
 		ckw, err := ck.Window(lo, hi)
 		if err != nil {
 			t.Fatal(err)
@@ -68,11 +67,10 @@ func TestCheckpointWindowRandomized(t *testing.T) {
 		for trial := 0; trial < 12; trial++ {
 			lo := r.Float64() * cfg.Duration
 			hi := lo + 0.1 + r.Float64()*5
-			ref, err := NewWindow(cfg, lo, hi)
+			want, err := prefixWindow(cfg, lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := slices.Collect(ref.Records())
 			ckw, err := ck.Window(lo, hi)
 			if err != nil {
 				t.Fatal(err)

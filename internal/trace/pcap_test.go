@@ -82,13 +82,19 @@ func tcpHeader(srcPort uint16, size uint16) netpkt.Header {
 	}
 }
 
+// appendRecords unpacks blk's packets onto recs.
+func appendRecords(recs []trace.Record, blk *trace.Block) []trace.Record {
+	for i, t := range blk.Times {
+		recs = append(recs, trace.Record{Time: t, Hdr: netpkt.HeaderFromPacked(blk.Srcs[i], blk.Dsts[i], blk.Sizes[i])})
+	}
+	return recs
+}
+
 // streamRecords drains StreamPcap over data into records.
 func streamRecords(data []byte) ([]trace.Record, trace.Summary, error) {
 	var recs []trace.Record
 	sum, err := trace.StreamPcap(context.Background(), bytes.NewReader(data), func(blk *trace.Block) error {
-		for i := 0; i < blk.Len(); i++ {
-			recs = append(recs, blk.Record(i))
-		}
+		recs = appendRecords(recs, blk)
 		return nil
 	})
 	return recs, sum, err
@@ -112,7 +118,11 @@ func pcapConfig() trace.Config {
 // StreamPcap with identical headers and times rebased on the first packet.
 func TestPcapRoundTrip(t *testing.T) {
 	cfg := pcapConfig()
-	want, _, err := trace.GenerateAll(cfg)
+	var want []trace.Record
+	_, err := trace.StreamParallelBlocksCtx(context.Background(), cfg, 1, func(blk *trace.Block) error {
+		want = appendRecords(want, blk)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -486,8 +486,8 @@ func (pl *player) playBlocks(offset float64, fn func(*Block) error) error {
 }
 
 // estimateEvents guesses the pending-emission count for a span of trace, to
-// size the bucket grid (~8 packets per flow at the default mix, like
-// GenerateAll's capacity estimate). No correctness rides on it.
+// size the bucket grid (~8 packets per flow at the default mix). No
+// correctness rides on it.
 func estimateEvents(duration, lambda float64) int {
 	return capacityEstimate(duration * lambda * 8)
 }

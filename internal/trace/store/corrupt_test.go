@@ -49,10 +49,7 @@ func corruptFixture(t *testing.T) (raw []byte, frames []frameInfo, ref []trace.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err = trace.GenerateAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, _ = synthRecords(t, cfg)
 	return raw, walkFrames(t, raw), ref
 }
 
@@ -177,9 +174,7 @@ func TestColumnRunBitFlip(t *testing.T) {
 	_, wantPackets := prefixPackets(frames, victim)
 	var got []trace.Record
 	serr := r.Stream(context.Background(), 0, func(blk *trace.Block) error {
-		for i := 0; i < blk.Len(); i++ {
-			got = append(got, blk.Record(i))
-		}
+		got = appendRecords(got, blk)
 		return nil
 	})
 	if serr == nil || !errors.Is(serr, snapshot.ErrCorrupt) {

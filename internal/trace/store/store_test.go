@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/netpkt"
 	"repro/internal/trace"
 )
 
@@ -36,15 +37,36 @@ func buildStore(t *testing.T, cfg trace.Config, every float64, opts Options) str
 	return path
 }
 
+// appendRecords unpacks blk's packets onto recs.
+func appendRecords(recs []trace.Record, blk *trace.Block) []trace.Record {
+	for i, t := range blk.Times {
+		recs = append(recs, trace.Record{Time: t, Hdr: netpkt.HeaderFromPacked(blk.Srcs[i], blk.Dsts[i], blk.Sizes[i])})
+	}
+	return recs
+}
+
+// synthRecords synthesises cfg's trace serially into records: the
+// reference a stored stream must reproduce.
+func synthRecords(t *testing.T, cfg trace.Config) ([]trace.Record, trace.Summary) {
+	t.Helper()
+	var recs []trace.Record
+	sum, err := trace.StreamParallelBlocksCtx(context.Background(), cfg, 1, func(blk *trace.Block) error {
+		recs = appendRecords(recs, blk)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, sum
+}
+
 // streamRecords drains the reader's full packet stream from the given
 // packet offset.
 func streamRecords(t *testing.T, r *Reader, start int64) []trace.Record {
 	t.Helper()
 	var recs []trace.Record
 	err := r.Stream(context.Background(), start, func(blk *trace.Block) error {
-		for i := 0; i < blk.Len(); i++ {
-			recs = append(recs, blk.Record(i))
-		}
+		recs = appendRecords(recs, blk)
 		return nil
 	})
 	if err != nil {
@@ -70,10 +92,7 @@ func mustEqualRecords(t *testing.T, label string, got, want []trace.Record) {
 // any segment size.
 func TestGenerateRoundTripDeterminism(t *testing.T) {
 	cfg := testCfg(11)
-	ref, refSum, err := trace.GenerateAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, refSum := synthRecords(t, cfg)
 	for _, segPackets := range []int{64, 997, DefaultSegmentPackets} {
 		var golden []byte
 		for _, workers := range []int{1, 4} {
@@ -104,8 +123,8 @@ func TestGenerateRoundTripDeterminism(t *testing.T) {
 }
 
 // The stored stream cut to [lo, hi) and rebased to lo must be bit-identical
-// to trace.Window (which re-synthesises), shallow and deep: stored times are
-// the generator's exact rebased times.
+// to a window of the in-memory checkpoint index (which re-synthesises),
+// shallow and deep: stored times are the generator's exact rebased times.
 func TestWindowReplayBitIdentical(t *testing.T) {
 	cfg := testCfg(12)
 	path := buildStore(t, cfg, 4, Options{SegmentPackets: 512})
@@ -115,9 +134,13 @@ func TestWindowReplayBitIdentical(t *testing.T) {
 	}
 	defer r.Close()
 	full := streamRecords(t, r, 0)
+	ck, err := trace.NewCheckpoints(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	windows := [][2]float64{{0, 3}, {5.25, 9.75}, {cfg.Duration - 2.5, cfg.Duration}, {0, cfg.Duration}}
 	for _, b := range windows {
-		ref, err := trace.NewWindow(cfg, b[0], b[1])
+		ref, err := ck.Window(b[0], b[1])
 		if err != nil {
 			t.Fatal(err)
 		}

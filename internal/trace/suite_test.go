@@ -66,7 +66,7 @@ func TestSuiteTraceRealisesTargetRate(t *testing.T) {
 	s := specs[2]
 	cfg := s.Config()
 	cfg.Warmup = 60
-	_, sum, err := GenerateAll(cfg)
+	_, sum, err := generateAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

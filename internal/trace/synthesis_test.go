@@ -19,7 +19,7 @@ func collectParallel(t *testing.T, cfg Config, workers int) ([]Record, Summary) 
 	var recs []Record
 	sum, err := StreamParallelBlocksCtx(context.Background(), cfg, workers, func(blk *Block) error {
 		for i := 0; i < blk.Len(); i++ {
-			recs = append(recs, blk.Record(i))
+			recs = append(recs, blockRecord(blk, i))
 		}
 		return nil
 	})
@@ -47,7 +47,7 @@ func TestStreamParallelMatchesSerial(t *testing.T) {
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			want, wantSum, err := GenerateAll(cfg)
+			want, wantSum, err := generateAll(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestStreamParallelManySegments(t *testing.T) {
 		Warmup:    30,
 		Seed:      5,
 	}
-	want, wantSum, err := GenerateAll(cfg)
+	want, wantSum, err := generateAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestStreamParallelManySegments(t *testing.T) {
 	}
 }
 
-// workers <= 1 must take the serial path and agree with GenerateAll;
-// invalid configs must be rejected before any goroutine spawns.
+// workers <= 1 must take the serial path and yield exactly its packets and
+// summary; invalid configs must be rejected before any goroutine spawns.
 func TestStreamParallelFallbackAndValidation(t *testing.T) {
 	cfg := smallConfig(31, dist.Constant{V: 1})
-	want, wantSum, err := GenerateAll(cfg)
+	want, wantSum, err := generateAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,10 @@ func TestStreamParallelFallbackAndValidation(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		if _, err := StreamParallelBlocksCtx(context.Background(), Config{}, workers, func(*Block) error { return nil }); err == nil {
-			t.Fatalf("workers=%d: invalid config should be rejected", workers)
+		for _, bad := range []Config{{}, {Duration: -5, Lambda: 100}} {
+			if _, err := StreamParallelBlocksCtx(context.Background(), bad, workers, func(*Block) error { return nil }); err == nil {
+				t.Fatalf("workers=%d: invalid config %+v should be rejected", workers, bad)
+			}
 		}
 	}
 }
@@ -163,7 +165,7 @@ func TestProgramsMatchGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gsum, err := GenerateAll(cfg)
+	_, gsum, err := generateAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +264,11 @@ func packetDigest(h hash.Hash64, t float64, size uint16, src, dst uint64) {
 	h.Write(buf[:])
 }
 
-// The serial block stream and GenerateAll must keep reproducing pinned
-// packet bits: an FNV-1a digest over every column of every packet, plus the
-// summary counts. This is the in-package guard that GenerateAll, which
-// rides the serial stream, cannot give against itself.
+// The serial block stream must keep reproducing pinned packet bits: an
+// FNV-1a digest over every column of every packet, plus the summary counts.
+// The records generateAll unpacks must repack to the same digest, so the
+// record references this package's tests compare against carry the
+// stream's exact bits.
 func TestSerialStreamDigest(t *testing.T) {
 	cases := []struct {
 		name                  string
@@ -292,7 +295,7 @@ func TestSerialStreamDigest(t *testing.T) {
 				t.Errorf("stream: digest %#x, %d packets, %d bytes, %d flows; want %#x, %d, %d, %d",
 					h.Sum64(), sum.Packets, sum.Bytes, sum.Flows, c.digest, c.packets, c.bytes, c.flows)
 			}
-			recs, rsum, err := GenerateAll(c.cfg)
+			recs, rsum, err := generateAll(c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +305,7 @@ func TestSerialStreamDigest(t *testing.T) {
 				packetDigest(h, r.Time, r.Hdr.TotalLen, src, dst)
 			}
 			if h.Sum64() != c.digest || rsum != sum {
-				t.Errorf("GenerateAll: digest %#x, summary %+v; want %#x, %+v", h.Sum64(), rsum, c.digest, sum)
+				t.Errorf("generateAll: digest %#x, summary %+v; want %#x, %+v", h.Sum64(), rsum, c.digest, sum)
 			}
 		})
 	}

@@ -30,13 +30,11 @@
 // order, through a calendar queue, so arbitrarily long traces stream in
 // O(active flows) space. Packets leave phase 2 only as pooled Blocks:
 // StreamParallelBlocksCtx plays them serially or sharded across workers,
-// Checkpoints replays any sub-window from the nearest checkpoint, and
-// GenerateAll and Window unpack the serial stream into Records. Every path
-// yields the same bits.
+// and Checkpoints replays any sub-window from the nearest checkpoint as
+// Records. Every path yields the same bits.
 package trace
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -52,10 +50,6 @@ type Record struct {
 	Time float64
 	Hdr  netpkt.Header
 }
-
-// Bits returns the wire size of the packet in bits (the unit the model's
-// rates use).
-func (r Record) Bits() float64 { return float64(r.Hdr.TotalLen) * 8 }
 
 // Config parameterises the synthetic trace generator.
 type Config struct {
@@ -199,23 +193,4 @@ type Summary struct {
 	AvgRateBps  float64
 	FlowRate    float64 // realised flow arrival rate per second
 	OnePktFlows int64   // flows emitted as a single packet (discarded by the pipeline)
-}
-
-// GenerateAll materialises the whole trace in memory: the serial block
-// stream unpacked into records. Intended for tests, examples and
-// single-interval reference figures (an interval at the default scale is a
-// few hundred thousand records); long traces should consume
-// StreamParallelBlocksCtx's blocks directly.
-func GenerateAll(cfg Config) ([]Record, Summary, error) {
-	var recs []Record
-	sum, err := streamSerial(context.Background(), cfg, func(blk *Block) error {
-		for i := range blk.Len() {
-			recs = append(recs, blk.Record(i))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, Summary{}, err
-	}
-	return recs, sum, nil
 }

@@ -66,18 +66,18 @@ func TestConfigValidation(t *testing.T) {
 		set(&cfg)
 		bad = append(bad, cfg)
 	}
-	if _, _, err := GenerateAll(good); err != nil {
+	if _, _, err := generateAll(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	for i, cfg := range bad {
-		if _, _, err := GenerateAll(cfg); err == nil {
+		if _, _, err := generateAll(cfg); err == nil {
 			t.Fatalf("config %d should be rejected", i)
 		}
 	}
 }
 
 func TestGeneratorTimeOrdered(t *testing.T) {
-	recs, _, err := GenerateAll(smallConfig(1, dist.Constant{V: 1}))
+	recs, _, err := generateAll(smallConfig(1, dist.Constant{V: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestGeneratorTimeOrdered(t *testing.T) {
 }
 
 func TestGeneratorDeterministic(t *testing.T) {
-	a, sa, err := GenerateAll(smallConfig(7, dist.Constant{V: 2}))
+	a, sa, err := generateAll(smallConfig(7, dist.Constant{V: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := GenerateAll(smallConfig(7, dist.Constant{V: 2}))
+	b, sb, err := generateAll(smallConfig(7, dist.Constant{V: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 			t.Fatalf("record %d differs", i)
 		}
 	}
-	c, _, err := GenerateAll(smallConfig(8, dist.Constant{V: 2}))
+	c, _, err := generateAll(smallConfig(8, dist.Constant{V: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 func TestGeneratorFlowArrivalRate(t *testing.T) {
 	cfg := smallConfig(3, dist.Constant{V: 1})
 	cfg.Duration = 60
-	_, s, err := GenerateAll(cfg)
+	_, s, err := generateAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestGeneratorMeanRateMatchesLambdaES(t *testing.T) {
 	size, _ := dist.NewBoundedPareto(1.3, 2000, 200000)
 	cfg := smallConfig(4, dist.Constant{V: 1})
 	cfg.Duration = 120
-	_, s, err := GenerateAll(cfg)
+	_, s, err := generateAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestGeneratorMeanRateMatchesLambdaES(t *testing.T) {
 func TestGeneratorPacketSizes(t *testing.T) {
 	cfg := smallConfig(5, dist.Constant{V: 0})
 	cfg.PktBytes = 576
-	recs, _, err := GenerateAll(cfg)
+	recs, _, err := generateAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestGeneratorFlowByteConservation(t *testing.T) {
 	// (for flows fully inside the horizon). We verify total bytes match
 	// the summary and that per-flow sums are consistent across packets.
 	cfg := smallConfig(6, dist.Constant{V: 1})
-	recs, s, err := GenerateAll(cfg)
+	recs, s, err := generateAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestShotExponentControlsPacing(t *testing.T) {
 			FlowsPerSession: 1,
 			Seed:            9,
 		}
-		recs, _, err := GenerateAll(cfg)
+		recs, _, err := generateAll(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestShotExponentControlsPacing(t *testing.T) {
 func TestGeneratorPrefixConcentration(t *testing.T) {
 	cfg := smallConfig(10, dist.Constant{V: 1})
 	cfg.Prefixes = 1024
-	recs, s, err := GenerateAll(cfg)
+	recs, s, err := generateAll(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +293,6 @@ func TestGeneratorPrefixConcentration(t *testing.T) {
 	if ratio < 2 {
 		t.Fatalf("aggregation ratio %.1f too small (flows=%d prefixes=%d of %d flows generated)",
 			ratio, len(flows), len(prefixes), s.Flows)
-	}
-}
-
-func TestRecordBits(t *testing.T) {
-	r := Record{Hdr: netpkt.Header{TotalLen: 1500}}
-	if r.Bits() != 12000 {
-		t.Fatalf("Bits = %g, want 12000", r.Bits())
 	}
 }
 

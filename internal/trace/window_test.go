@@ -33,19 +33,19 @@ func windowTestConfig(t *testing.T) Config {
 // [Lo, Hi), rebased to Lo — and reproduce them again on replay.
 func TestWindowMatchesFullTrace(t *testing.T) {
 	cfg := windowTestConfig(t)
-	all, _, err := GenerateAll(cfg)
+	const lo, hi = 10.0, 20.0
+	want, err := prefixWindow(cfg, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const lo, hi = 10.0, 20.0
-	var want []Record
-	for _, r := range all {
-		if r.Time >= lo && r.Time < hi {
-			r.Time -= lo
-			want = append(want, r)
-		}
+	if len(want) == 0 {
+		t.Fatal("window unexpectedly empty")
 	}
-	w, err := NewWindow(cfg, lo, hi)
+	ck, err := NewCheckpoints(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ck.Window(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,17 +59,18 @@ func TestWindowMatchesFullTrace(t *testing.T) {
 				t.Fatalf("replay %d: record %d = %+v, want %+v", replay, i, got[i], want[i])
 			}
 		}
-		if len(got) == 0 {
-			t.Fatal("window unexpectedly empty")
-		}
 	}
 }
 
-// Breaking out of a window iteration early must leave later replays intact
-// (each call plays a fresh stream).
+// Breaking out of a window iteration at the trace origin early must leave
+// later replays intact (each call plays a fresh stream).
 func TestWindowReplayAfterEarlyBreak(t *testing.T) {
 	cfg := windowTestConfig(t)
-	w, err := NewWindow(cfg, 0, 5)
+	ck, err := NewCheckpoints(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ck.Window(0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,23 +87,19 @@ func TestWindowReplayAfterEarlyBreak(t *testing.T) {
 	}
 }
 
+// A window over an invalid config cannot be built: the checkpoint index it
+// replays from validates the config first.
 func TestWindowValidation(t *testing.T) {
 	cfg := windowTestConfig(t)
-	if _, err := NewWindow(cfg, -1, 5); err == nil {
-		t.Fatal("negative lo should be rejected")
-	}
-	if _, err := NewWindow(cfg, 5, 5); err == nil {
-		t.Fatal("empty window should be rejected")
-	}
 	bad := cfg
 	bad.Duration = 0
-	if _, err := NewWindow(bad, 0, 5); err == nil {
+	if _, err := NewCheckpoints(bad, 5); err == nil {
 		t.Fatal("invalid config should be rejected")
 	}
 	// An infinite Lambda would never finish the arrival process.
 	bad = cfg
 	bad.Lambda = math.Inf(1)
-	if _, err := NewWindow(bad, 0, 5); err == nil {
+	if _, err := NewCheckpoints(bad, 5); err == nil {
 		t.Fatal("infinite Lambda should be rejected")
 	}
 }
