@@ -542,7 +542,7 @@ func BenchmarkModelSuite(b *testing.B) {
 
 // BenchmarkServiceIngest measures the flowd daemon's steady-state ingest
 // path: one epoch of the benchmark trace streamed through a supervised
-// link — owned-block queueing, both flow definitions measured per block,
+// link — owned-block queueing, 5-tuple flows measured per block,
 // interval closing with the incremental model refit — without and with
 // per-interval checkpointing (snapshot encode + fsync + rename per
 // interval). ns/op is per epoch; pkts/op records the stream length.

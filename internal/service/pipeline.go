@@ -37,10 +37,6 @@ const (
 	predictOrder  = 2 // AR order of the one-step rate predictor
 )
 
-// pipelineDefs are the flow definitions measured side by side: the 5-tuple
-// (which drives the model refit) and the /24 destination prefix.
-var pipelineDefs = []flow.Definition{flow.By5Tuple, flow.ByPrefix24}
-
 func (c PipelineConfig) withDefaults() PipelineConfig {
 	if c.Window == 0 {
 		c.Window = 32
@@ -130,7 +126,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		return nil, fmt.Errorf("service: window must be >= %d intervals, got %d", predictOrder+2, cfg.Window)
 	}
 	p := &Pipeline{cfg: cfg, clock: clock, opened: -1}
-	if p.meter, err = core.NewMeter(pipelineDefs, cfg.Timeout, cfg.IntervalSec, cfg.Delta); err != nil {
+	if p.meter, err = core.NewMeter([]flow.Definition{flow.By5Tuple}, cfg.Timeout, cfg.IntervalSec, cfg.Delta); err != nil {
 		return nil, err
 	}
 	if p.means, err = timeseries.NewWindow(cfg.Window); err != nil {
