@@ -194,15 +194,18 @@ func parseFooter(payload []byte) (*footerIndex, error) {
 	}
 	nProgs := binary.LittleEndian.Uint64(payload[24:])
 	nb := binary.LittleEndian.Uint64(payload[32:])
-	if !(fi.every > 0) || !(fi.duration > 0) || fi.warmup < 0 {
+	if !finitePositive(fi.every) || !finitePositive(fi.duration) || !(fi.warmup >= 0) || math.IsInf(fi.warmup, 1) {
 		return bad("invalid geometry (every %g, warmup %g, duration %g)", fi.every, fi.warmup, fi.duration)
 	}
-	if nb != uint64(int(fi.duration/fi.every)+1) {
-		return bad("boundary count %d does not match duration/every", nb)
-	}
-	dirLen := int64(nb) * 24 // 16 per group entry + 8 per active entry
-	if int64(len(payload)-footerHdrLen) < dirLen+16 {
+	// Both bounds are checked before any arithmetic on them: a crafted
+	// count would wrap the directory length negative, and the int
+	// conversion of a quotient past the int range is undefined.
+	// 16 bytes per group entry, 8 per active entry, then two blob lengths.
+	if avail := len(payload) - footerHdrLen - 16; avail < 0 || nb > uint64(avail)/24 {
 		return bad("payload too short for %d directory entries", nb)
+	}
+	if q := fi.duration / fi.every; !(q < math.MaxInt64) || nb != uint64(int(q)+1) {
+		return bad("boundary count %d does not match duration/every", nb)
 	}
 	if nProgs > uint64(len(payload)) { // each program costs well over 1 byte
 		return bad("program count %d exceeds payload", nProgs)
@@ -479,3 +482,6 @@ func (fi *footerIndex) ProgramsFrom(from float64) func() (trace.FlowProgram, boo
 		}
 	}
 }
+
+// finitePositive reports whether x is finite and > 0; NaN fails it.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
