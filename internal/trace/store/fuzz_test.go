@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -19,7 +20,11 @@ import (
 // streaming must not panic, every error must wrap snapshot.ErrTorn or
 // snapshot.ErrCorrupt, a returned reader must deliver at most Packets()
 // packets, and the two backings must agree on the packet count, the error
-// class and every delivered column.
+// class and every delivered column. Opening and streaming may allocate at
+// most 32 KiB plus 4× the input size: a 30 s local run (~54k inputs of up
+// to 2.3 KB) peaked at 2× the input plus 1.4 KB, so the bound leaves 2×
+// headroom while still catching a header that sizes an allocation from a
+// count the bytes cannot back.
 func FuzzStoreOpen(f *testing.F) {
 	// A ~2 KB store: meta, three segments, a footer and the trailer.
 	cfg := testCfg(5)
@@ -45,6 +50,11 @@ func FuzzStoreOpen(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		for _, readAt := range []bool{false, true} {
+			if grew := drainAllocs(path, readAt); grew > 32<<10+4*uint64(len(data)) {
+				t.Fatalf("readAt=%v: opening and streaming %d bytes allocated %d bytes", readAt, len(data), grew)
+			}
+		}
 		mm := drainStore(t, path, false)
 		ra := drainStore(t, path, true)
 		if mm.openClass != ra.openClass || mm.streamClass != ra.streamClass {
@@ -60,6 +70,19 @@ func FuzzStoreOpen(f *testing.F) {
 			t.Fatalf("backings deliver different columns (%d vs %d packets)", len(mm.times), len(ra.times))
 		}
 	})
+}
+
+// drainAllocs opens path through one backing and streams it to the end
+// into a sink that keeps nothing, returning the bytes allocated meanwhile.
+func drainAllocs(path string, readAt bool) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if r, err := open(path, readAt); err == nil {
+		_ = r.Stream(context.Background(), 0, func(*trace.Block) error { return nil })
+		r.Close()
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // drained is what one backing made of a store file: the error class of
