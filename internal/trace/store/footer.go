@@ -194,7 +194,7 @@ func parseFooter(payload []byte) (*footerIndex, error) {
 	}
 	nProgs := binary.LittleEndian.Uint64(payload[24:])
 	nb := binary.LittleEndian.Uint64(payload[32:])
-	if !finitePositive(fi.every) || !finitePositive(fi.duration) || !(fi.warmup >= 0) || math.IsInf(fi.warmup, 1) {
+	if !(fi.every > 0) || !(fi.duration > 0) || fi.warmup < 0 {
 		return bad("invalid geometry (every %g, warmup %g, duration %g)", fi.every, fi.warmup, fi.duration)
 	}
 	// Both bounds are checked before any arithmetic on them: a crafted
@@ -482,6 +482,3 @@ func (fi *footerIndex) ProgramsFrom(from float64) func() (trace.FlowProgram, boo
 		}
 	}
 }
-
-// finitePositive reports whether x is finite and > 0; NaN fails it.
-func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }

