@@ -33,14 +33,16 @@ func (r *Runner) refModel(shot core.Shot) (*core.Model, core.Input, error) {
 // refSeries bins the reference interval (trace 1, interval 0) into a rate
 // series over bins of delta. It synthesises trace 1 from its origin, so the
 // packets are those the suite measured, and stops after the first block
-// that passes the interval end.
+// that passes the interval end. It runs serially whatever GenWorkers says:
+// a sharded producer synthesises segments past the interval ahead of the
+// stop, work the stop then throws away.
 func (r *Runner) refSeries(delta float64) (timeseries.Series, error) {
 	spec := r.specs[0]
 	b, err := timeseries.NewBinner(spec.IntervalSec, delta)
 	if err != nil {
 		return timeseries.Series{}, err
 	}
-	_, err = trace.StreamParallelBlocksCtx(r.context(), suiteConfig(spec), r.opts.GenWorkers, func(blk *trace.Block) error {
+	_, err = trace.StreamParallelBlocksCtx(r.context(), suiteConfig(spec), 1, func(blk *trace.Block) error {
 		b.AddBlock(blk)
 		if n := blk.Len(); n > 0 && blk.Times[n-1] >= spec.IntervalSec {
 			return errRefDone

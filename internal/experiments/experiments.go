@@ -67,8 +67,9 @@ type Options struct {
 	// stores: each suite trace streams from <StoreDir>/<name>.fstore
 	// (written by `tracegen -store` with the same suite geometry) instead of
 	// being re-synthesised; the rate series of the one reference interval
-	// is still synthesised (see refSeries). Output is byte-identical to the synthesis path:
-	// stored blocks carry the exact rebased times the generator emitted.
+	// is still synthesised (see refSeries). Output is byte-identical to the
+	// synthesis path: stored blocks carry the exact rebased times the
+	// generator emitted.
 	StoreDir string
 	// ShardIndex/ShardCount split the suite across processes: this runner
 	// measures only traces ti with ti % ShardCount == ShardIndex
@@ -160,8 +161,8 @@ type Runner struct {
 }
 
 // Close returns nil: the runner holds nothing open (every trace streams,
-// and the reference series re-synthesises from the generator). It is kept for
-// callers that defer it after NewRunner.
+// and the reference series re-synthesises from the generator). It is kept
+// for callers that defer it after NewRunner.
 func (r *Runner) Close() error { return nil }
 
 // NewRunner builds the scaled suite.

@@ -93,8 +93,9 @@ type flowState struct {
 // Assembler groups packets into flows under one definition. In-progress
 // flow states live in a slot-recycled slab indexed by an open-addressed
 // table over packed two-word keys: AddBlock receives each packet's key and
-// hash precomputed in columns and probes flat arrays — no generic map, no per-flow pointers, no allocation per flow;
-// assembling a multi-million-flow trace costs amortised slice growth only.
+// hash precomputed in columns and probes flat arrays — no generic map, no
+// per-flow pointers, no allocation per flow; assembling a
+// multi-million-flow trace costs amortised slice growth only.
 type Assembler struct {
 	def       Definition // the definition the key columns are derived under
 	timeout   float64

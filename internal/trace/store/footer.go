@@ -197,10 +197,11 @@ func parseFooter(payload []byte) (*footerIndex, error) {
 	if !(fi.every > 0) || !(fi.duration > 0) || fi.warmup < 0 {
 		return bad("invalid geometry (every %g, warmup %g, duration %g)", fi.every, fi.warmup, fi.duration)
 	}
-	// Both bounds are checked before any arithmetic on them: a crafted
-	// count would wrap the directory length negative, and the int
-	// conversion of a quotient past the int range is undefined.
-	// 16 bytes per group entry, 8 per active entry, then two blob lengths.
+	// The count and the quotient are bounded before any arithmetic on them
+	// (a footer frame can carry a recomputed CRC): a crafted count would
+	// wrap the directory length negative, and converting a quotient past
+	// the int range is undefined. The directory takes 16 bytes per group
+	// entry and 8 per active entry, then two blob lengths.
 	if avail := len(payload) - footerHdrLen - 16; avail < 0 || nb > uint64(avail)/24 {
 		return bad("payload too short for %d directory entries", nb)
 	}
