@@ -2,7 +2,9 @@ package trace
 
 import (
 	"context"
+	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/netpkt"
 )
 
@@ -43,4 +45,47 @@ func prefixWindow(cfg Config, lo, hi float64) ([]Record, error) {
 		}
 	}
 	return out, nil
+}
+
+// Invalid configs must surface the config validation error from the
+// serial reference too.
+func TestGenerateAllInvalidConfigErrors(t *testing.T) {
+	if _, _, err := generateAll(Config{Duration: -5, Lambda: 100}); err == nil {
+		t.Fatal("invalid config should return an error")
+	}
+}
+
+// The public block stream at one worker must yield exactly the packets and
+// summary that the serial reference generateAll materialises.
+func TestStreamMatchesGenerateAll(t *testing.T) {
+	cfg := smallConfig(31, dist.Constant{V: 2})
+	want, wantSum, err := generateAll(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("empty reference trace")
+	}
+
+	var streamed []Record
+	sum, err := StreamParallelBlocksCtx(context.Background(), cfg, 1, func(blk *Block) error {
+		for i := 0; i < blk.Len(); i++ {
+			streamed = append(streamed, blockRecord(blk, i))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed) != len(want) {
+		t.Fatalf("Stream yielded %d packets, want %d", len(streamed), len(want))
+	}
+	for i := range want {
+		if streamed[i] != want[i] {
+			t.Fatalf("Stream packet %d differs: %+v vs %+v", i, streamed[i], want[i])
+		}
+	}
+	if sum != wantSum {
+		t.Fatalf("Stream summary %+v, want %+v", sum, wantSum)
+	}
 }
