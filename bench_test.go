@@ -429,14 +429,14 @@ func BenchmarkWindowReplayDeepOffset(b *testing.B) {
 }
 
 // BenchmarkStoreWrite measures synthesising a trace straight into the store
-// format — segment frames plus checkpoint footer — per full-trace write.
+// format, per full-trace write.
 func BenchmarkStoreWrite(b *testing.B) {
 	cfg := benchTraceConfig()
 	dir := b.TempDir()
 	var pkts int64
 	for i := 0; i < b.N; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("w%d.fstore", i))
-		sum, err := store.Generate(context.Background(), path, cfg, 10, store.Options{})
+		sum, err := store.Generate(context.Background(), path, cfg, 0, store.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

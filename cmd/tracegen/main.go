@@ -3,16 +3,15 @@
 // tcpdump/wireshark can open and cmd/flowstats can analyse.
 //
 // With -store it writes the columnar trace store format instead
-// (internal/trace/store): segment frames of packed SoA columns plus a
-// checkpoint footer, the out-of-core input of `experiments -store` and
-// flowd replay.
+// (internal/trace/store): segment frames of packed SoA columns, the
+// out-of-core input of `experiments -store` and flowd replay.
 //
 // Usage:
 //
 //	tracegen -o trace1.pcap                  # trace 1 of the scaled suite
 //	tracegen -trace 4 -o quiet.pcap          # the 26 Mb/s (scaled) trace
 //	tracegen -duration 60 -lambda 200 -b 2 -o custom.pcap
-//	tracegen -store -o trace-1.fstore        # columnar store with footer
+//	tracegen -store -o trace-1.fstore        # columnar store
 package main
 
 import (
@@ -44,7 +43,6 @@ func main() {
 		warmup   = flag.Float64("warmup", 60, "stationarity warm-up in seconds")
 		genWork  = flag.Int("genworkers", 1, "packet-synthesis workers (<= 1 = serial); output is identical at any count")
 		useStore = flag.Bool("store", false, "write a columnar trace store (.fstore) instead of a pcap; the file bytes are identical at any -genworkers")
-		ckptEvr  = flag.Float64("ckpt-every", 0, "store mode: seconds between footer checkpoints (0 = the analysis interval in suite mode, no footer in custom mode)")
 	)
 	flag.Parse()
 	if *out == "" {
@@ -115,21 +113,13 @@ func main() {
 		cfg.Warmup = *warmup
 	}
 
-	if !nonNegative(*ckptEvr) {
-		fatal(fmt.Errorf("-ckpt-every must be finite and >= 0 seconds, got %g", *ckptEvr))
-	}
-
 	// SIGINT/SIGTERM abort the run cleanly: generation stops at the next
 	// block boundary and no partial output file is left behind.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if *useStore {
-		every := *ckptEvr
-		if every == 0 && *duration == 0 {
-			every = *ivl // suite mode: one footer checkpoint per analysis interval
-		}
-		sum, err := store.Generate(ctx, *out, cfg, every, store.Options{Workers: *genWork})
+		sum, err := store.Generate(ctx, *out, cfg, 0, store.Options{Workers: *genWork})
 		if err != nil {
 			fatal(err)
 		}

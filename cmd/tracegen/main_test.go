@@ -29,9 +29,9 @@ var update = flag.Bool("update", false, "rewrite testdata/contract.sha256 from t
 
 // The output contract: the files tracegen writes for a small suite-mode run
 // hash to the digests committed in testdata/contract.sha256 — the pcap
-// bytes, and the -store file bytes with its checkpoint footer. A change that
-// moves the output on purpose is a declared output move: it re-records the
-// digests with -update and says so.
+// bytes and the -store file bytes. A change that moves the output on purpose
+// is a declared output move: it re-records the digests with -update and says
+// so.
 func TestOutputContract(t *testing.T) {
 	args := []string{"-trace", "1", "-maxivl", "1", "-link", "20e6", "-interval", "30"}
 	dir := t.TempDir()

@@ -43,9 +43,8 @@ func renderSuite(t *testing.T, o Options) string {
 	return buf.String()
 }
 
-// generateSuiteStores writes every suite trace as a store file (footer
-// checkpoint per analysis interval) into a temp dir, as `tracegen -store`
-// would, and returns the dir.
+// generateSuiteStores writes every suite trace as a store file into a temp
+// dir, as `tracegen -store` would, and returns the dir.
 func generateSuiteStores(t *testing.T, o Options) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -56,7 +55,7 @@ func generateSuiteStores(t *testing.T, o Options) string {
 	for _, spec := range specs {
 		cfg := suiteConfig(spec)
 		path := filepath.Join(dir, spec.Name+".fstore")
-		if _, err := store.Generate(context.Background(), path, cfg, spec.IntervalSec, store.Options{}); err != nil {
+		if _, err := store.Generate(context.Background(), path, cfg, 0, store.Options{}); err != nil {
 			t.Fatalf("generating %s: %v", path, err)
 		}
 	}

@@ -12,9 +12,9 @@ import (
 // program list plus, every Every seconds, the set of flows still active at
 // the checkpoint boundary. A Window attached to it replays any [lo, hi)
 // sub-stream in O(window packets + flows active at the preceding
-// checkpoint), instead of regenerating the whole trace prefix the way a
-// plain Window must — the difference between O(prefix) and O(window) for
-// deep-offset replay into a multi-hour trace.
+// checkpoint), instead of regenerating the whole trace prefix — the
+// difference between O(prefix) and O(window) for deep-offset replay into a
+// multi-hour trace.
 //
 // Building the index runs phase 1 once (a few RNG draws per flow, no packet
 // work) and holds every program in memory (~100 bytes per flow), which is
@@ -22,6 +22,10 @@ import (
 // end of the Table I suite that is tens of MB — far below one materialised
 // analysis interval — but it is a per-trace cost, so share one Checkpoints
 // across windows of the same trace.
+//
+// No experiment or daemon path replays windows any more: Checkpoints,
+// Window and Record are kept for perfbench's reference-window probe and go
+// with it.
 type Checkpoints struct {
 	cfg   Config // defaulted
 	every float64
@@ -33,36 +37,6 @@ type Checkpoints struct {
 	// starting in (b_j, b_j+every] must replay in addition to the run of
 	// fresh arrivals at [b_j, hi).
 	active [][]int32
-	// idx, when non-nil, replaces progs/active entirely: programs and
-	// active lists are pulled from it on demand (the out-of-core path — a
-	// store footer streams them from disk), so no program is resident
-	// outside the ones a replay is actively playing.
-	idx ProgramIndex
-}
-
-// ProgramIndex is an out-of-core checkpoint index: the same start-sorted
-// program list and per-boundary active-flow sets a Checkpoints holds
-// resident, served on demand instead — the trace store's footer implements
-// it by delta-decoding programs straight off the file mapping. Boundary j
-// sits at Warmup + j·Every() on the generator clock, exactly like the
-// in-memory index. Implementations must be safe for concurrent use by
-// independent replays.
-type ProgramIndex interface {
-	// Every returns the checkpoint spacing in seconds.
-	Every() float64
-	// Flows returns the number of indexed flow programs.
-	Flows() int
-	// Boundaries returns the number of checkpoint boundaries
-	// (int(Duration/Every) + 1, like the in-memory index).
-	Boundaries() int
-	// ActiveAt appends the programs active at boundary j (those with
-	// Start < b_j < End) to buf and returns the extended slice, in the
-	// index's (Start, Index) program order.
-	ActiveAt(j int, buf []FlowProgram) []FlowProgram
-	// ProgramsFrom returns a fresh pull iterator over the programs with
-	// Start >= from, in (Start, Index) order; ok is false once the list is
-	// exhausted. Iterators are independent: each replay drives its own.
-	ProgramsFrom(from float64) func() (p FlowProgram, ok bool)
 }
 
 // NewCheckpoints validates cfg, runs the phase-1 program pass over the whole
@@ -116,30 +90,6 @@ func NewCheckpoints(cfg Config, everySec float64) (*Checkpoints, error) {
 	return ck, nil
 }
 
-// NewCheckpointsFromIndex builds a replay index whose programs and active
-// lists stream from idx instead of living resident — the footprint fix for
-// multi-hour traces, where the in-memory index holds ~100 B per flow. cfg
-// must be the exact configuration the indexed trace was generated with
-// (replay itself is RNG-free, but the warm-up, duration and boundary
-// arithmetic must agree with the builder's); windows replay bit-identically
-// to NewCheckpoints over the same cfg.
-func NewCheckpointsFromIndex(cfg Config, idx ProgramIndex) (*Checkpoints, error) {
-	if idx == nil {
-		return nil, fmt.Errorf("trace: nil program index")
-	}
-	if !(idx.Every() > 0) {
-		return nil, fmt.Errorf("trace: checkpoint spacing must be > 0, got %g", idx.Every())
-	}
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if nb := int(c.Duration/idx.Every()) + 1; idx.Boundaries() != nb {
-		return nil, fmt.Errorf("trace: index has %d boundaries, config needs %d", idx.Boundaries(), nb)
-	}
-	return &Checkpoints{cfg: c, every: idx.Every(), idx: idx}, nil
-}
-
 // boundary returns checkpoint j's position on the generator clock — the
 // single expression every boundary comparison goes through.
 func (c *Checkpoints) boundary(j int) float64 {
@@ -150,12 +100,7 @@ func (c *Checkpoints) boundary(j int) float64 {
 func (c *Checkpoints) Every() float64 { return c.every }
 
 // Flows returns the number of indexed flow programs.
-func (c *Checkpoints) Flows() int {
-	if c.idx != nil {
-		return c.idx.Flows()
-	}
-	return len(c.progs)
-}
+func (c *Checkpoints) Flows() int { return len(c.progs) }
 
 // Window returns a replayable window over [lo, hi) of the trace that
 // regenerates its packets from the nearest checkpoint at or before lo.
@@ -193,9 +138,6 @@ func (c *Checkpoints) replay(lo, hi float64, yield func(Record) bool) bool {
 		hiScan = math.Nextafter(math.Nextafter(hiScan, math.Inf(1)), math.Inf(1))
 	}
 	nb := len(c.active)
-	if c.idx != nil {
-		nb = c.idx.Boundaries()
-	}
 	j := int(lo / c.every)
 	if j >= nb {
 		j = nb - 1
@@ -213,32 +155,12 @@ func (c *Checkpoints) replay(lo, hi float64, yield func(Record) bool) bool {
 	// postdate the checkpoint and belong to this run, not to active[j]) —
 	// admits lazily inside the player as replay reaches each start.
 	var pl player
-	if c.idx != nil {
-		// Out-of-core: carry-over programs are materialised just for this
-		// replay, and fresh arrivals pull from the index on demand — the
-		// resident footprint is O(active flows + one decode buffer), never
-		// O(trace flows).
-		carry := c.idx.ActiveAt(j, nil)
-		next := c.idx.ProgramsFrom(bAbs)
-		feed := &pullFeed{next: func() (FlowProgram, bool) {
-			p, ok := next()
-			if !ok || p.Start >= hiScan {
-				return FlowProgram{}, false
-			}
-			return p, true
-		}}
-		pl.initPlayer(loScan, hiScan, estimateEvents(hi-lo, c.cfg.Lambda)+len(carry)*8, feed)
-		for i := range carry {
-			pl.admit(&carry[i])
-		}
-	} else {
-		first := sort.Search(len(c.progs), func(i int) bool { return c.progs[i].Start >= bAbs })
-		end := first + sort.Search(len(c.progs)-first, func(i int) bool { return c.progs[first+i].Start >= hiScan })
-		pl.initPlayer(loScan, hiScan, (end-first+len(c.active[j]))*8,
-			&sliceFeed{progs: c.progs[first:end]})
-		for _, idx := range c.active[j] {
-			pl.admit(&c.progs[idx])
-		}
+	first := sort.Search(len(c.progs), func(i int) bool { return c.progs[i].Start >= bAbs })
+	end := first + sort.Search(len(c.progs)-first, func(i int) bool { return c.progs[first+i].Start >= hiScan })
+	pl.initPlayer(loScan, hiScan, (end-first+len(c.active[j]))*8,
+		&sliceFeed{progs: c.progs[first:end]})
+	for _, idx := range c.active[j] {
+		pl.admit(&c.progs[idx])
 	}
 
 	ok := true

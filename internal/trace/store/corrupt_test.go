@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -20,7 +21,7 @@ type frameInfo struct {
 	plen int
 }
 
-func walkFrames(t *testing.T, raw []byte) []frameInfo {
+func walkFrames(t testing.TB, raw []byte) []frameInfo {
 	t.Helper()
 	var frames []frameInfo
 	off := len(fileMagic)
@@ -123,7 +124,7 @@ func TestTruncationAtEveryFrameBoundary(t *testing.T) {
 }
 
 // A clean cut just before the tail pointer loses only the tail: the scan
-// recovers segments, footer and trailer summary.
+// recovers segments and trailer summary.
 func TestTruncationOfTailOnly(t *testing.T) {
 	raw, frames, ref := corruptFixture(t)
 	r, err := Open(writeTemp(t, raw[:len(raw)-tailLen]))
@@ -137,9 +138,6 @@ func TestTruncationOfTailOnly(t *testing.T) {
 	wantSegs, wantPackets := prefixPackets(frames, len(frames))
 	if len(r.segs) != wantSegs || r.Packets() != wantPackets {
 		t.Fatalf("recovered %d segments / %d packets, want %d / %d", len(r.segs), r.Packets(), wantSegs, wantPackets)
-	}
-	if !r.HasFooter() {
-		t.Fatal("footer lost though its frame is intact")
 	}
 	if r.Summary() == (trace.Summary{}) {
 		t.Fatal("trailer summary lost though its frame is intact")
@@ -191,36 +189,64 @@ func TestColumnRunBitFlip(t *testing.T) {
 	}
 }
 
-// A bit flip in the footer frame must not take the segments down: Open
-// degrades to a footer-less reader with an ErrCorrupt-wrapping error.
-func TestFooterBitFlip(t *testing.T) {
-	raw, frames, ref := corruptFixture(t)
-	var footer frameInfo
-	for _, fr := range frames {
+// flipFooter returns a copy of a store written with a checkpoint footer,
+// with one bit flipped in the middle of the footer frame's payload.
+func flipFooter(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	for _, fr := range walkFrames(t, raw) {
 		if fr.typ == frameFooter {
-			footer = fr
+			dmg := bytes.Clone(raw)
+			dmg[fr.off+snapshot.FrameHeaderSize+int64(fr.plen)/2] ^= 0x01
+			return dmg
 		}
 	}
-	if footer.end == 0 {
-		t.Fatal("fixture has no footer frame")
+	t.Fatal("store has no footer frame")
+	return nil
+}
+
+// Readers never look at the footer frame of a store written with one, so a
+// bit flip inside it changes nothing: Open returns no error on either
+// backing and the packets and summary are a fresh synthesis's.
+func TestFooterBitFlip(t *testing.T) {
+	raw, err := os.ReadFile(footerFixture)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dmg := append([]byte(nil), raw...)
-	dmg[footer.off+snapshot.FrameHeaderSize+int64(footer.plen)/2] ^= 0x01
-	r, err := Open(writeTemp(t, dmg))
-	if err == nil || !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("flipped footer: err = %v, want ErrCorrupt", err)
+	ref, refSum := synthRecords(t, footerFixtureCfg())
+	path := writeTemp(t, flipFooter(t, raw))
+	for _, readAt := range []bool{false, true} {
+		r, err := open(path, readAt)
+		if err != nil {
+			t.Fatalf("readAt=%v: flipped footer: Open: %v", readAt, err)
+		}
+		if r.Summary() != refSum {
+			t.Fatalf("readAt=%v: summary %+v, want %+v", readAt, r.Summary(), refSum)
+		}
+		mustEqualRecords(t, "segments after footer flip", streamRecords(t, r, 0), ref)
+		r.Close()
+	}
+}
+
+// With the tail pointer gone, the forward scan steps over an intact footer
+// frame to the trailer, recovering every segment and the stored summary.
+func TestScanSkipsFooterFrame(t *testing.T) {
+	raw, err := os.ReadFile(footerFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, refSum := synthRecords(t, footerFixtureCfg())
+	r, err := Open(writeTemp(t, raw[:len(raw)-tailLen]))
+	if !errors.Is(err, snapshot.ErrTorn) {
+		t.Fatalf("tailless store: err = %v, want ErrTorn", err)
 	}
 	if r == nil {
-		t.Fatal("flipped footer: no reader")
+		t.Fatal("tailless store: no reader")
 	}
 	defer r.Close()
-	if r.HasFooter() {
-		t.Fatal("reader kept a corrupt footer")
+	if r.Summary() != refSum {
+		t.Fatalf("scan recovered summary %+v, want %+v", r.Summary(), refSum)
 	}
-	if _, perr := r.ProgramIndex(); !errors.Is(perr, ErrNoFooter) {
-		t.Fatalf("ProgramIndex: %v, want ErrNoFooter", perr)
-	}
-	mustEqualRecords(t, "segments after footer flip", streamRecords(t, r, 0), ref)
+	mustEqualRecords(t, "scanned stream", streamRecords(t, r, 0), ref)
 }
 
 // A bit flip in the trailer loses the stored summary but nothing else.
@@ -245,9 +271,6 @@ func TestTrailerBitFlip(t *testing.T) {
 	if r.Summary() != (trace.Summary{}) {
 		t.Fatal("summary survived a corrupt trailer")
 	}
-	if !r.HasFooter() {
-		t.Fatal("footer lost though its frame is intact")
-	}
 	mustEqualRecords(t, "segments after trailer flip", streamRecords(t, r, 0), ref)
 }
 
@@ -265,8 +288,8 @@ func TestTailPointerBitFlip(t *testing.T) {
 		t.Fatal("flipped tail: no reader")
 	}
 	defer r.Close()
-	if r.Summary() == (trace.Summary{}) || !r.HasFooter() {
-		t.Fatal("scan failed to recover trailer summary and footer")
+	if r.Summary() == (trace.Summary{}) {
+		t.Fatal("scan failed to recover the trailer summary")
 	}
 	mustEqualRecords(t, "after tail flip", streamRecords(t, r, 0), ref)
 }

@@ -26,11 +26,9 @@ import (
 // headroom while still catching a header that sizes an allocation from a
 // count the bytes cannot back.
 func FuzzStoreOpen(f *testing.F) {
-	// A ~2 KB store: meta, three segments, a footer and the trailer.
-	cfg := testCfg(5)
-	cfg.Duration, cfg.Lambda, cfg.Warmup = 2, 20, 1
+	// A ~2 KB store: meta, three segments and the trailer.
 	seed := filepath.Join(f.TempDir(), "seed.fstore")
-	if _, err := Generate(context.Background(), seed, cfg, 1, Options{SegmentPackets: 16}); err != nil {
+	if _, err := Generate(context.Background(), seed, footerFixtureCfg(), 0, Options{SegmentPackets: 16}); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(seed)
@@ -42,6 +40,14 @@ func FuzzStoreOpen(f *testing.F) {
 	flipped := bytes.Clone(valid)
 	flipped[len(valid)/4] ^= 0x10 // a column byte of the first segment
 	f.Add(flipped)
+	// The same trace written with a checkpoint footer frame, whole and
+	// with a bit flipped inside the footer: the frame readers must skip.
+	old, err := os.ReadFile(footerFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
+	f.Add(flipFooter(f, old))
 
 	// One scratch file per fuzz process: inputs run one at a time, and a
 	// fresh t.TempDir per input costs more than the decode under test.

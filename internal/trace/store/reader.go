@@ -49,27 +49,24 @@ func (b *fileBacking) view(off, n int64, scratch *[]byte) ([]byte, error) {
 
 func (b *fileBacking) close() error { return b.f.Close() }
 
-// Reader serves one store file: metadata, the stored summary, packet-exact
-// block streaming, and (when the file carries a footer) the out-of-core
-// checkpoint index. A Reader is immutable after Open and safe for concurrent
-// use; every Stream drives its own iterator state. Blocks handed out by a
+// Reader serves one store file: metadata, the stored summary and
+// packet-exact block streaming. A Reader is immutable after Open and safe
+// for concurrent use; every Stream drives its own iterator state. Blocks handed out by a
 // zero-copy reader alias the read-only mapping — consumers must copy, never
 // mutate (which every block consumer in this codebase already does: blocks
 // are borrowed by contract).
 type Reader struct {
-	b         backing
-	meta      Meta
-	sum       trace.Summary
-	segs      []segMeta
-	packets   int64
-	footer    *footerIndex
-	footerBuf []byte // retains the footer frame for non-mmap backings
-	zeroCopy  bool   // mmap backing on a little-endian host
+	b        backing
+	meta     Meta
+	sum      trace.Summary
+	segs     []segMeta
+	packets  int64
+	zeroCopy bool // mmap backing on a little-endian host
 }
 
 // Open maps (or, where mmap is unavailable, opens for pread) a store file.
-// On a fully valid file it returns (reader, nil). When the tail, trailer or
-// footer is damaged it falls back to a forward frame scan and — if a meta
+// On a fully valid file it returns (reader, nil). When the tail or trailer
+// is damaged it falls back to a forward frame scan and — if a meta
 // frame and zero or more whole segments validate — returns a reader over
 // that valid prefix alongside an error wrapping snapshot.ErrTorn
 // (truncation) or snapshot.ErrCorrupt (flipped bytes), mirroring
@@ -165,8 +162,9 @@ func (r *Reader) frameAt(off int64, scratch *[]byte) (typ uint32, payload []byte
 }
 
 // openFast is the O(1)-ish happy path: locate the trailer through the tail
-// pointer, load the directory, the meta frame and (when present) the footer.
-// Segment payloads are not touched — their CRCs validate on each read.
+// pointer, load the directory and the meta frame. Segment payloads are not
+// touched — their CRCs validate on each read — and neither is the retired
+// footer frame an older trailer may point at.
 func (r *Reader) openFast() error {
 	sz := r.b.size()
 	if sz < int64(len(fileMagic))+tailLen {
@@ -191,7 +189,7 @@ func (r *Reader) openFast() error {
 	if next != sz-tailLen {
 		return fmt.Errorf("store: trailer frame ends at %d, tail starts at %d: %w", next, sz-tailLen, snapshot.ErrCorrupt)
 	}
-	sum, footerOff, segs, err := decodeTrailer(payload)
+	sum, segs, err := decodeTrailer(payload)
 	if err != nil {
 		return err
 	}
@@ -215,22 +213,7 @@ func (r *Reader) openFast() error {
 	if err != nil {
 		return err
 	}
-	var footer *footerIndex
-	var footerBuf []byte
-	if footerOff != 0 {
-		ftyp, fpayload, _, err := r.frameAt(footerOff, &footerBuf)
-		if err != nil {
-			return err
-		}
-		if ftyp != frameFooter {
-			return fmt.Errorf("store: frame at footer offset %d has type %d: %w", footerOff, ftyp, snapshot.ErrCorrupt)
-		}
-		footer, err = parseFooter(fpayload)
-		if err != nil {
-			return err
-		}
-	}
-	r.meta, r.sum, r.segs, r.footer, r.footerBuf = meta, sum, segs, footer, footerBuf
+	r.meta, r.sum, r.segs = meta, sum, segs
 	if n := len(segs); n > 0 {
 		r.packets = segs[n-1].cum + segs[n-1].count
 	}
@@ -238,18 +221,16 @@ func (r *Reader) openFast() error {
 }
 
 // scan recovers a store whose tail or trailer is damaged by walking frames
-// forward from the meta frame, keeping everything that validates. If the
-// trailer frame itself is intact the stored summary and footer pointer are
-// adopted; otherwise the reader serves the segment prefix with a zero
-// summary and no footer (unless the footer frame was reached and validates).
+// forward from the meta frame, keeping every segment that validates and
+// skipping the retired footer frame. If the trailer frame itself is intact
+// the stored summary is adopted; otherwise the reader serves the segment
+// prefix with a zero summary.
 func (r *Reader) scan() error {
 	var scratch []byte
 	off := int64(len(fileMagic))
 	first := true
 	var segs []segMeta
 	var cum int64
-	var footer *footerIndex
-	var footerBuf []byte
 	var sum trace.Summary
 	haveTrailer := false
 	for off < r.b.size() {
@@ -282,13 +263,9 @@ func (r *Reader) scan() error {
 			segs = append(segs, segMeta{off: off, count: int64(n), cum: cum, tFirst: tf, tLast: tl})
 			cum += int64(n)
 		case frameFooter:
-			fb := append([]byte(nil), payload...)
-			fi, ferr := parseFooter(fb)
-			if ferr == nil {
-				footer, footerBuf = fi, fb
-			}
+			// Retired: an older file's checkpoint footer. Skip it.
 		case frameTrailer:
-			if s, _, dsegs, terr := decodeTrailer(payload); terr == nil && len(dsegs) == len(segs) {
+			if s, dsegs, terr := decodeTrailer(payload); terr == nil && len(dsegs) == len(segs) {
 				sum = s
 				haveTrailer = true
 			}
@@ -301,7 +278,7 @@ func (r *Reader) scan() error {
 	if first {
 		return fmt.Errorf("store: no meta frame: %w", snapshot.ErrTorn)
 	}
-	r.segs, r.packets, r.footer, r.footerBuf, r.sum = segs, cum, footer, footerBuf, sum
+	r.segs, r.packets, r.sum = segs, cum, sum
 	return nil
 }
 
@@ -343,31 +320,20 @@ func (r *Reader) LastTime() float64 {
 	return r.segs[len(r.segs)-1].tLast
 }
 
-// HasFooter reports whether the store carries a checkpoint footer.
-func (r *Reader) HasFooter() bool { return r.footer != nil }
-
-// ProgramIndex returns the footer's out-of-core checkpoint index, or
-// ErrNoFooter. The index aliases the reader's backing: it must not be used
-// after Close.
-func (r *Reader) ProgramIndex() (trace.ProgramIndex, error) {
-	if r.footer == nil {
-		return nil, ErrNoFooter
-	}
-	return r.footer, nil
-}
-
-// Checkpoints builds a trace.Checkpoints replaying through the store's
-// footer. cfg must be the exact configuration the trace was generated with;
-// the store cannot carry the samplers, so it cross-checks what it can.
+// Checkpoints builds the resident trace.Checkpoints index of the stored
+// trace at the spacing its meta records, by re-running phase 1 over cfg. cfg
+// must be the exact configuration the trace was generated with; the store
+// cannot carry the samplers, so it cross-checks what it can. It is kept for
+// perfbench's reference-window probe and goes with it.
 func (r *Reader) Checkpoints(cfg trace.Config) (*trace.Checkpoints, error) {
-	if r.footer == nil {
-		return nil, ErrNoFooter
+	if !(r.meta.CheckpointEvery > 0) {
+		return nil, fmt.Errorf("store: meta records no checkpoint spacing")
 	}
 	if cfg.Seed != r.meta.Seed || cfg.Duration != r.meta.Duration || cfg.Warmup != r.meta.Warmup {
 		return nil, fmt.Errorf("store: config (seed %d, duration %g, warmup %g) does not match store (seed %d, duration %g, warmup %g)",
 			cfg.Seed, cfg.Duration, cfg.Warmup, r.meta.Seed, r.meta.Duration, r.meta.Warmup)
 	}
-	return trace.NewCheckpointsFromIndex(cfg, r.footer)
+	return trace.NewCheckpoints(cfg, r.meta.CheckpointEvery)
 }
 
 // segIter is the per-iteration state of one Stream pass: the frame

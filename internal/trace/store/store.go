@@ -4,7 +4,7 @@
 // records (the exact framing of internal/snapshot, so every torn-tail and
 // bit-flip guarantee carries over):
 //
-//	magic | meta | segment* | footer? | trailer | tail pointer
+//	magic | meta | segment* | trailer | tail pointer
 //
 // Each segment frame holds up to SegmentPackets packets as four contiguous
 // little-endian column runs — Times (float64 bits), Srcs, Dsts (packed header
@@ -12,11 +12,17 @@
 // file offset. A Reader therefore serves blocks by pointing straight into an
 // mmap of the file (zero-copy; a plain os.ReadAt decode path is the fallback
 // for hosts without a usable mmap), and resuming at a packet offset is a
-// binary search of the segment directory — no re-synthesis at all. The
-// optional footer is the trace's checkpoint index (start-sorted FlowProgram
-// deltas plus active-flow lists every CheckpointEvery seconds) in a compact
-// varint encoding; it implements trace.ProgramIndex, so Checkpoints replay
-// streams programs from disk instead of holding ~100 B per flow resident.
+// binary search of the segment directory — no re-synthesis at all. Writing
+// and reading both hold one segment at a time, whatever the trace length.
+//
+// Files written before the format dropped its checkpoint footer carry one
+// more frame (type 3) between the last segment and the trailer, and a
+// trailer that points at it. Readers skip that frame and ignore the
+// pointer, so those files open unchanged.
+//
+// Damage is reported in the snapshot error classes (snapshot.ErrTorn,
+// snapshot.ErrCorrupt), so callers tell a torn final segment (valid prefix
+// still readable) from flipped bytes.
 //
 // Determinism contract: stored times are exactly the generated rebased times
 // (t − warmup), so Reader.Stream replays the generator's packet stream bit
@@ -26,8 +32,6 @@
 package store
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/snapshot"
@@ -43,6 +47,8 @@ const fileMagic = "FLOWSTO\x01"
 const (
 	frameMeta    uint32 = 1
 	frameSegment uint32 = 2
+	// frameFooter is retired: it held the checkpoint footer of older files,
+	// which readers now skip. Never reuse the type for another frame.
 	frameFooter  uint32 = 3
 	frameTrailer uint32 = 4
 )
@@ -70,15 +76,6 @@ const DefaultSegmentPackets = 1 << 16
 // writer's accumulation buffer: 8 (Times) + 8 (Srcs) + 8 (Dsts) + 2 (Sizes).
 const bytesPerPacket = 26
 
-// Tagged error classes. Framing failures reuse the snapshot taxonomy
-// (snapshot.ErrTorn, snapshot.ErrCorrupt) so callers distinguish a torn
-// final segment (valid prefix still readable) from flipped bytes.
-var (
-	// ErrNoFooter: the store has no checkpoint footer (e.g. it was converted
-	// from a pcap, or written with CheckpointEvery = 0).
-	ErrNoFooter = errors.New("store: no checkpoint footer")
-)
-
 // Meta identifies what a store holds: the generation parameters a reader
 // needs to interpret (and, with the caller's full trace.Config, re-derive)
 // the trace. Samplers cannot be serialised, so a store does not embed the
@@ -97,8 +94,9 @@ type Meta struct {
 	Warmup float64
 	// Lambda is the flow arrival rate (informational; sizes replay grids).
 	Lambda float64
-	// CheckpointEvery is the footer's checkpoint spacing in seconds
-	// (0 = the store carries no footer).
+	// CheckpointEvery is the checkpoint spacing in seconds that
+	// Reader.Checkpoints builds its index at (0 = none recorded). It is
+	// kept for perfbench's reference-window probe and goes with it.
 	CheckpointEvery float64
 	// SegmentPackets is the segment granularity the file was written at.
 	SegmentPackets int
@@ -143,8 +141,8 @@ type segMeta struct {
 }
 
 // encodeTrailer assembles the trailer payload: totals, the stored summary,
-// the footer frame offset (0 = none) and the segment directory.
-func encodeTrailer(sum trace.Summary, footerOff int64, segs []segMeta) []byte {
+// the retired footer frame offset (always 0) and the segment directory.
+func encodeTrailer(sum trace.Summary, segs []segMeta) []byte {
 	var e snapshot.Enc
 	e.I64(sum.Flows)
 	e.I64(sum.Packets)
@@ -153,7 +151,7 @@ func encodeTrailer(sum trace.Summary, footerOff int64, segs []segMeta) []byte {
 	e.F64(sum.AvgRateBps)
 	e.F64(sum.FlowRate)
 	e.I64(sum.OnePktFlows)
-	e.I64(footerOff)
+	e.I64(0) // retired footer offset
 	e.U64(uint64(len(segs)))
 	for _, s := range segs {
 		e.I64(s.off)
@@ -164,7 +162,9 @@ func encodeTrailer(sum trace.Summary, footerOff int64, segs []segMeta) []byte {
 	return e.Bytes()
 }
 
-func decodeTrailer(p []byte) (sum trace.Summary, footerOff int64, segs []segMeta, err error) {
+// decodeTrailer parses a trailer payload. The footer offset older writers
+// recorded is read past and ignored.
+func decodeTrailer(p []byte) (sum trace.Summary, segs []segMeta, err error) {
 	d := snapshot.NewDec(p)
 	sum.Flows = d.I64()
 	sum.Packets = d.I64()
@@ -173,10 +173,10 @@ func decodeTrailer(p []byte) (sum trace.Summary, footerOff int64, segs []segMeta
 	sum.AvgRateBps = d.F64()
 	sum.FlowRate = d.F64()
 	sum.OnePktFlows = d.I64()
-	footerOff = d.I64()
+	d.I64() // retired footer offset
 	n := d.U64()
 	if d.Err() == nil && n > uint64(d.Rest()/32) {
-		return sum, 0, nil, fmt.Errorf("store: trailer directory of %d segments exceeds payload: %w", n, snapshot.ErrCorrupt)
+		return sum, nil, fmt.Errorf("store: trailer directory of %d segments exceeds payload: %w", n, snapshot.ErrCorrupt)
 	}
 	var cum int64
 	for i := uint64(0); i < n; i++ {
@@ -185,9 +185,9 @@ func decodeTrailer(p []byte) (sum trace.Summary, footerOff int64, segs []segMeta
 		segs = append(segs, s)
 	}
 	if err := d.Err(); err != nil {
-		return sum, 0, nil, fmt.Errorf("store: trailer frame: %w", err)
+		return sum, nil, fmt.Errorf("store: trailer frame: %w", err)
 	}
-	return sum, footerOff, segs, nil
+	return sum, segs, nil
 }
 
 // segPad returns the zero-padding inserted between a segment payload's fixed
@@ -199,12 +199,3 @@ func segPad(frameStart int64) int64 {
 	colStart := frameStart + snapshot.FrameHeaderSize + segPrefixLen
 	return (8 - colStart%8) % 8
 }
-
-// uvarint appends v to b.
-func uvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-// zigzag maps a signed delta onto the uvarint-friendly unsigned line.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// unzigzag inverts zigzag.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

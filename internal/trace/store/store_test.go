@@ -123,8 +123,9 @@ func TestGenerateRoundTripDeterminism(t *testing.T) {
 }
 
 // The stored stream cut to [lo, hi) and rebased to lo must be bit-identical
-// to a window of the in-memory checkpoint index (which re-synthesises),
-// shallow and deep: stored times are the generator's exact rebased times.
+// to a window of the checkpoint index Reader.Checkpoints rebuilds at the
+// stored spacing (which re-synthesises), shallow and deep: stored times are
+// the generator's exact rebased times.
 func TestWindowReplayBitIdentical(t *testing.T) {
 	cfg := testCfg(12)
 	path := buildStore(t, cfg, 4, Options{SegmentPackets: 512})
@@ -134,9 +135,12 @@ func TestWindowReplayBitIdentical(t *testing.T) {
 	}
 	defer r.Close()
 	full := streamRecords(t, r, 0)
-	ck, err := trace.NewCheckpoints(cfg, 4)
+	ck, err := r.Checkpoints(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ck.Every() != 4 {
+		t.Fatalf("index spacing %g, want the stored 4", ck.Every())
 	}
 	windows := [][2]float64{{0, 3}, {5.25, 9.75}, {cfg.Duration - 2.5, cfg.Duration}, {0, cfg.Duration}}
 	for _, b := range windows {
@@ -155,43 +159,27 @@ func TestWindowReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// The footer-backed Checkpoints must replay bit-identically to the resident
-// in-memory index over the same config — the differential test for the
-// out-of-core checkpoint path.
-func TestFooterCheckpointsDifferential(t *testing.T) {
+// Reader.Checkpoints refuses a config the store was not generated from, and
+// a store whose meta records no checkpoint spacing.
+func TestReaderCheckpointsValidation(t *testing.T) {
 	cfg := testCfg(13)
-	const every = 4.0
-	path := buildStore(t, cfg, every, Options{SegmentPackets: 1024})
-	r, err := Open(path)
+	r, err := Open(buildStore(t, cfg, 4, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !r.HasFooter() {
-		t.Fatal("store has no footer")
+	other := cfg
+	other.Seed++
+	if _, err := r.Checkpoints(other); err == nil {
+		t.Fatal("Checkpoints accepted a config with another seed")
 	}
-	mem, err := trace.NewCheckpoints(cfg, every)
+	r0, err := Open(buildStore(t, cfg, 0, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ooc, err := r.Checkpoints(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem.Flows() != ooc.Flows() {
-		t.Fatalf("footer indexes %d flows, in-memory %d", ooc.Flows(), mem.Flows())
-	}
-	windows := [][2]float64{{0, 2}, {3.5, 8.5}, {4, 8}, {11.1, 12.9}, {cfg.Duration - 1, cfg.Duration}, {0, cfg.Duration}}
-	for _, b := range windows {
-		wm, err := mem.Window(b[0], b[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wo, err := ooc.Window(b[0], b[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualRecords(t, "checkpoint window", slices.Collect(wo.Records()), slices.Collect(wm.Records()))
+	defer r0.Close()
+	if _, err := r0.Checkpoints(cfg); err == nil {
+		t.Fatal("Checkpoints accepted a store with no recorded spacing")
 	}
 }
 
@@ -238,9 +226,6 @@ func TestReadAtFallbackMatchesMmap(t *testing.T) {
 	}
 	n := rm.Packets()
 	mustEqualRecords(t, "fallback resume", streamRecords(t, rf, n/2), streamRecords(t, rm, n/2))
-	if rf.HasFooter() != rm.HasFooter() {
-		t.Fatal("footer presence differs between backings")
-	}
 }
 
 // An empty store (no packets) round-trips.

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -28,16 +27,15 @@ type Options struct {
 // Writer appends one trace to a store file. The write path is append-only
 // and buffered: AddBlock copies incoming block columns into one resident
 // segment buffer and emits a CRC-framed segment each time it fills; Close
-// appends the optional checkpoint footer, the trailer directory and the tail
-// pointer, then fsyncs and renames the temp file into place — so a crash
-// mid-write leaves a *.tmp, never a half-valid store at the final path.
+// appends the trailer directory and the tail pointer, then fsyncs and
+// renames the temp file into place — so a crash mid-write leaves a *.tmp,
+// never a half-valid store at the final path.
 type Writer struct {
 	f      *os.File
 	bw     *bufio.Writer
 	path   string // final path; f writes path+".tmp"
 	off    int64  // absolute file offset of the next byte
 	seq    uint64 // frame ordinal
-	meta   Meta
 	err    error
 	closed bool
 
@@ -50,12 +48,10 @@ type Writer struct {
 
 	segs    []segMeta
 	packets int64
-	progs   []trace.FlowProgram // start-sorted footer programs, nil = no footer
 }
 
 // Create opens a store writer for path. The file is written to path+".tmp"
-// and renamed into place by Close. meta's CheckpointEvery only takes effect
-// if SetPrograms supplies the program list before Close.
+// and renamed into place by Close.
 func Create(path string, meta Meta, opts Options) (*Writer, error) {
 	segCap := opts.SegmentPackets
 	if segCap == 0 {
@@ -71,7 +67,6 @@ func Create(path string, meta Meta, opts Options) (*Writer, error) {
 	}
 	w := &Writer{
 		f: f, bw: bufio.NewWriterSize(f, 1<<16), path: path,
-		meta:   meta,
 		segCap: segCap,
 		times:  make([]float64, 0, segCap),
 		srcs:   make([]uint64, 0, segCap),
@@ -197,25 +192,8 @@ func (w *Writer) flushSegment() error {
 	return nil
 }
 
-// SetPrograms supplies the trace's phase-1 flow programs for the checkpoint
-// footer (required before Close for a footer to be written; ignored when
-// meta.CheckpointEvery is 0). The writer sorts a copy by (Start, Index) —
-// the checkpoint index order — so callers pass admission order as produced
-// by trace.Programs.
-func (w *Writer) SetPrograms(progs []trace.FlowProgram) {
-	sorted := append([]trace.FlowProgram(nil), progs...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Start != sorted[j].Start {
-			return sorted[i].Start < sorted[j].Start
-		}
-		return sorted[i].Index < sorted[j].Index
-	})
-	w.progs = sorted
-}
-
-// Close flushes the final partial segment, writes the footer (when programs
-// were supplied and CheckpointEvery > 0), the trailer and the tail pointer,
-// fsyncs and renames the file into place. sum is stored verbatim in the
+// Close flushes the final partial segment, writes the trailer and the tail
+// pointer, fsyncs and renames the file into place. sum is stored verbatim in the
 // trailer so readers reproduce Summary-derived output byte-identically.
 func (w *Writer) Close(sum trace.Summary) error {
 	if w.err != nil {
@@ -227,20 +205,8 @@ func (w *Writer) Close(sum trace.Summary) error {
 	if err := w.flushSegment(); err != nil {
 		return err
 	}
-	var footerOff int64
-	if w.progs != nil && w.meta.CheckpointEvery > 0 {
-		footerOff = w.off
-		fp, err := encodeFooter(w.meta, w.progs)
-		if err != nil {
-			w.fail(err)
-			return w.err
-		}
-		if err := w.writeFrame(frameFooter, fp); err != nil {
-			return err
-		}
-	}
 	trailerOff := w.off
-	if err := w.writeFrame(frameTrailer, encodeTrailer(sum, footerOff, w.segs)); err != nil {
+	if err := w.writeFrame(frameTrailer, encodeTrailer(sum, w.segs)); err != nil {
 		return err
 	}
 	var tail [tailLen]byte
@@ -284,11 +250,14 @@ func (w *Writer) Abort() {
 	w.fail(fmt.Errorf("aborted"))
 }
 
-// Generate writes cfg's full trace to path: phase 1 runs once for the
-// checkpoint footer (when checkpointEvery > 0), then the sharded synthesis
-// streams every block through a Writer. The file bytes are identical at any
-// opts.Workers and depend on segment size only through segment framing —
-// replay from the store is bit-identical to serial generation regardless.
+// Generate writes cfg's full trace to path: the sharded synthesis streams
+// every block through a Writer, so memory stays O(segment) whatever the
+// trace length. checkpointEvery is only recorded as Meta.CheckpointEvery,
+// the spacing Reader.Checkpoints rebuilds its index at; the parameter is
+// kept for perfbench's reference-window probe and goes with it. The file
+// bytes are identical at any opts.Workers and depend on segment size only
+// through segment framing — replay from the store is bit-identical to
+// serial generation regardless.
 func Generate(ctx context.Context, path string, cfg trace.Config, checkpointEvery float64, opts Options) (trace.Summary, error) {
 	meta := Meta{
 		Seed:            cfg.Seed,
@@ -302,13 +271,6 @@ func Generate(ctx context.Context, path string, cfg trace.Config, checkpointEver
 		return trace.Summary{}, err
 	}
 	defer w.Abort()
-	if checkpointEvery > 0 {
-		progs, _, err := trace.Programs(cfg)
-		if err != nil {
-			return trace.Summary{}, err
-		}
-		w.SetPrograms(progs)
-	}
 	sum, err := trace.StreamParallelBlocksCtx(ctx, cfg, opts.Workers, func(blk *trace.Block) error {
 		return w.AddBlock(blk)
 	})
