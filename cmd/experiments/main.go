@@ -24,9 +24,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
@@ -115,18 +117,67 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	ids := []string{
-		"table1", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-		"fig9", "fig10", "fig11", "fig12", "fig13", "table2", "fig14",
-		"appA", "appC",
-		"ablation-shots", "ablation-baseline", "ablation-delta",
-		"ablation-split", "ablation-smoothing", "ablation-lrd",
+	type experiment struct {
+		id  string
+		run func(r *experiments.Runner, w io.Writer) error
+	}
+	type runner = experiments.Runner
+	table := []experiment{ // canonical order
+		{"table1", (*runner).Table1},
+		{"fig1", (*runner).Fig1},
+		{"fig3", (*runner).Fig3},
+		{"fig4", (*runner).Fig4},
+		{"fig5", (*runner).Fig5},
+		{"fig6", (*runner).Fig6},
+		{"fig7", (*runner).Fig7},
+		{"fig8", (*runner).Fig8},
+		{"fig9", (*runner).Fig9},
+		{"fig10", (*runner).Fig10},
+		{"fig11", (*runner).Fig11},
+		{"fig12", (*runner).Fig12},
+		{"fig13", (*runner).Fig13},
+		{"table2", func(r *runner, w io.Writer) error { return r.Table2(w, *predSec, 1000+*seed) }},
+		{"fig14", func(r *runner, w io.Writer) error { return r.Fig14(w, *predSec, 1000+*seed) }},
+		{"appA", (*runner).AppA},
+		{"appC", func(r *runner, w io.Writer) error { return r.AppC(w, 2000+*seed) }},
+		{"ablation-shots", (*runner).AblationShots},
+		{"ablation-baseline", (*runner).AblationBaseline},
+		{"ablation-delta", (*runner).AblationDelta},
+		{"ablation-split", (*runner).AblationSplit},
+		{"ablation-smoothing", (*runner).AblationSmoothing},
+		{"ablation-lrd", (*runner).AblationLRD},
 	}
 	if *list {
-		for _, id := range ids {
-			fmt.Println(id)
+		for _, e := range table {
+			fmt.Println(e.id)
 		}
 		return
+	}
+
+	// Resolve -run against the table before any work, so an unknown id
+	// fails before the valid ones have run.
+	selected := table
+	if *run != "all" {
+		want := map[string]bool{}
+		for _, id := range strings.Split(*run, ",") {
+			id = strings.TrimSpace(id)
+			if id == "" {
+				continue
+			}
+			if !slices.ContainsFunc(table, func(e experiment) bool { return e.id == id }) {
+				fatal(fmt.Errorf("unknown -run id %q (use -list)", id))
+			}
+			want[id] = true
+		}
+		selected = nil
+		for _, e := range table {
+			if want[e.id] {
+				selected = append(selected, e)
+			}
+		}
+	}
+	if len(selected) == 0 && *shardOut == "" {
+		fatal(fmt.Errorf("nothing to run"))
 	}
 
 	r, err := experiments.NewRunner(experiments.Options{
@@ -166,67 +217,10 @@ func main() {
 		}
 	}
 
-	want := map[string]bool{}
-	if *run == "all" {
-		for _, id := range ids {
-			want[id] = true
+	for _, e := range selected {
+		if err := e.run(r, os.Stdout); err != nil {
+			fatal(fmt.Errorf("%s: %w", e.id, err))
 		}
-	} else {
-		for _, id := range strings.Split(*run, ",") {
-			id = strings.TrimSpace(id)
-			if id != "" {
-				want[id] = true
-			}
-		}
-	}
-
-	w := os.Stdout
-	dispatch := map[string]func() error{
-		"table1":             func() error { return r.Table1(w) },
-		"fig1":               func() error { return r.Fig1(w) },
-		"fig3":               func() error { return r.Fig3(w) },
-		"fig4":               func() error { return r.Fig4(w) },
-		"fig5":               func() error { return r.Fig5(w) },
-		"fig6":               func() error { return r.Fig6(w) },
-		"fig7":               func() error { return r.Fig7(w) },
-		"fig8":               func() error { return r.Fig8(w) },
-		"fig9":               func() error { return r.Fig9(w) },
-		"fig10":              func() error { return r.Fig10(w) },
-		"fig11":              func() error { return r.Fig11(w) },
-		"fig12":              func() error { return r.Fig12(w) },
-		"fig13":              func() error { return r.Fig13(w) },
-		"table2":             func() error { return r.Table2(w, *predSec, 1000+*seed) },
-		"fig14":              func() error { return r.Fig14(w, *predSec, 1000+*seed) },
-		"appA":               func() error { return r.AppA(w) },
-		"appC":               func() error { return r.AppC(w, 2000+*seed) },
-		"ablation-shots":     func() error { return r.AblationShots(w) },
-		"ablation-baseline":  func() error { return r.AblationBaseline(w) },
-		"ablation-delta":     func() error { return r.AblationDelta(w) },
-		"ablation-split":     func() error { return r.AblationSplit(w) },
-		"ablation-smoothing": func() error { return r.AblationSmoothing(w) },
-		"ablation-lrd":       func() error { return r.AblationLRD(w) },
-	}
-
-	ran := 0
-	for _, id := range ids { // canonical order
-		if !want[id] {
-			continue
-		}
-		fn, ok := dispatch[id]
-		if !ok {
-			fatal(fmt.Errorf("unknown experiment id %q", id))
-		}
-		if err := fn(); err != nil {
-			fatal(fmt.Errorf("%s: %w", id, err))
-		}
-		ran++
-		delete(want, id)
-	}
-	for id := range want {
-		fatal(fmt.Errorf("unknown experiment id %q (use -list)", id))
-	}
-	if ran == 0 {
-		fatal(fmt.Errorf("nothing to run"))
 	}
 	if *shed {
 		stats, err := r.ShedStats()
