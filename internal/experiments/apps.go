@@ -281,9 +281,6 @@ func (r *Runner) AblationDelta(w io.Writer) error {
 // (§III): flow counts and model inputs with and without splitting.
 func (r *Runner) AblationSplit(w io.Writer) error {
 	sep(w, "Ablation — interval-boundary flow splitting (§III)")
-	if err := r.measureSuite(); err != nil {
-		return err
-	}
 	// One block pass over trace 0 feeds both conventions: a whole-trace
 	// measurer that never splits, and the boundary-splitting interval
 	// engine.

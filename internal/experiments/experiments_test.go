@@ -148,3 +148,19 @@ func TestStatsCached(t *testing.T) {
 		}
 	}
 }
+
+// AblationSplit measures trace 1 on its own and reads nothing of the suite
+// measurement, so running it alone must leave the suite unmeasured.
+func TestAblationSplitLeavesSuiteUnmeasured(t *testing.T) {
+	r := newTestRunner(t)
+	var buf bytes.Buffer
+	if err := r.AblationSplit(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "extra") {
+		t.Fatalf("no split report:\n%s", buf.String())
+	}
+	if r.measured {
+		t.Fatal("AblationSplit measured the whole suite")
+	}
+}
