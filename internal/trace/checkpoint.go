@@ -23,9 +23,8 @@ import (
 // analysis interval — but it is a per-trace cost, so share one Checkpoints
 // across windows of the same trace.
 //
-// No experiment or daemon path replays windows any more: Checkpoints,
-// Window and Record are kept for perfbench's reference-window probe and go
-// with it.
+// No experiment or daemon path replays windows: Checkpoints, Window and
+// Record are kept for perfbench's reference-window probe and go with it.
 type Checkpoints struct {
 	cfg   Config // defaulted
 	every float64

@@ -340,8 +340,7 @@ func collectPrograms(c Config) ([]FlowProgram, *programSource, error) {
 // flow program in admission order, plus a summary whose flow-level fields
 // (Flows, OnePktFlows, FlowRate, Duration) are final. Packet-level fields
 // are zero: packets exist only once a synthesis phase runs the programs.
-// No production path calls it any more: it is kept for perfbench's phase-1
-// probe.
+// No production path calls it; it is kept for perfbench's phase-1 probe.
 func Programs(cfg Config) ([]FlowProgram, Summary, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {

@@ -51,10 +51,10 @@ func (b *fileBacking) close() error { return b.f.Close() }
 
 // Reader serves one store file: metadata, the stored summary and
 // packet-exact block streaming. A Reader is immutable after Open and safe
-// for concurrent use; every Stream drives its own iterator state. Blocks handed out by a
-// zero-copy reader alias the read-only mapping — consumers must copy, never
-// mutate (which every block consumer in this codebase already does: blocks
-// are borrowed by contract).
+// for concurrent use; every Stream drives its own iterator state. Blocks
+// handed out by a zero-copy reader alias the read-only mapping — consumers
+// must copy, never mutate (which every block consumer in this codebase
+// already does: blocks are borrowed by contract).
 type Reader struct {
 	b        backing
 	meta     Meta
@@ -66,8 +66,8 @@ type Reader struct {
 
 // Open maps (or, where mmap is unavailable, opens for pread) a store file.
 // On a fully valid file it returns (reader, nil). When the tail or trailer
-// is damaged it falls back to a forward frame scan and — if a meta
-// frame and zero or more whole segments validate — returns a reader over
+// is damaged it falls back to a forward frame scan and — if a meta frame
+// and zero or more whole segments validate — returns a reader over
 // that valid prefix alongside an error wrapping snapshot.ErrTorn
 // (truncation) or snapshot.ErrCorrupt (flipped bytes), mirroring
 // snapshot.Decode's torn-tail contract. Only an unreadable or unrecognisable

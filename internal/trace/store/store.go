@@ -95,8 +95,8 @@ type Meta struct {
 	// Lambda is the flow arrival rate (informational; sizes replay grids).
 	Lambda float64
 	// CheckpointEvery is the checkpoint spacing in seconds that
-	// Reader.Checkpoints builds its index at (0 = none recorded). It is
-	// kept for perfbench's reference-window probe and goes with it.
+	// Reader.Checkpoints builds its index at (0 = none recorded); nothing
+	// else reads it.
 	CheckpointEvery float64
 	// SegmentPackets is the segment granularity the file was written at.
 	SegmentPackets int
