@@ -193,8 +193,8 @@ func (w *Writer) flushSegment() error {
 }
 
 // Close flushes the final partial segment, writes the trailer and the tail
-// pointer, fsyncs and renames the file into place. sum is stored verbatim in the
-// trailer so readers reproduce Summary-derived output byte-identically.
+// pointer, fsyncs and renames the file into place. sum is stored verbatim in
+// the trailer so readers reproduce Summary-derived output byte-identically.
 func (w *Writer) Close(sum trace.Summary) error {
 	if w.err != nil {
 		return w.err
