@@ -12,12 +12,14 @@ package repro
 // reproduction quality.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -25,7 +27,7 @@ import (
 	"repro/internal/dist/rng"
 	"repro/internal/experiments"
 	"repro/internal/flow"
-	"repro/internal/mginf"
+	"repro/internal/netpkt"
 	"repro/internal/service"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -475,6 +477,55 @@ func BenchmarkAssemblerBlock(b *testing.B) {
 	})
 }
 
+// BenchmarkAssemblerFlush isolates one interval's flush: 6,000
+// two-packet flows starting across a 30 s interval, all still open, so
+// the flush finalises them in table order and returns them in start
+// order. ns/op and allocs/op are per flush; the measurer's storage is
+// warm after the first interval.
+func BenchmarkAssemblerFlush(b *testing.B) {
+	const flows, interval = 6000, 30.0
+	r := rng.New(1)
+	type pkt struct {
+		t        float64
+		src, dst uint64
+	}
+	pkts := make([]pkt, 0, 2*flows)
+	for k := range flows {
+		src, dst := netpkt.Header{
+			SrcIP:    netpkt.IPv4Addr{10, 0, byte(k >> 8), byte(k)},
+			DstIP:    netpkt.IPv4Addr{172, 16, 0, 1},
+			Protocol: netpkt.ProtoTCP,
+			SrcPort:  1000,
+			DstPort:  80,
+		}.Packed()
+		start := r.Float64() * interval
+		pkts = append(pkts, pkt{start, src, dst}, pkt{start + r.Float64()*(interval-start), src, dst})
+	}
+	slices.SortFunc(pkts, func(x, y pkt) int { return cmp.Compare(x.t, y.t) })
+	blk := &trace.Block{}
+	for _, p := range pkts {
+		blk.Append(p.t, 500, p.src, p.dst)
+	}
+	m, err := flow.NewMeasurer([]flow.Definition{flow.By5Tuple}, flow.DefaultTimeout)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m.Reset()
+		if err := m.AddBlock(blk); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if got := len(m.Flush()[0].Flows); got != flows {
+			b.Fatalf("flushed %d flows, want %d", got, flows)
+		}
+	}
+	b.ReportMetric(flows, "flows/op")
+}
+
 func BenchmarkModelVariance(b *testing.B) {
 	in, err := core.InputFromFlows(benchFlows(b).Flows, 30)
 	if err != nil {
@@ -578,22 +629,4 @@ func BenchmarkServiceIngest(b *testing.B) {
 		}
 		run(b, store)
 	})
-}
-
-func BenchmarkMGInfSimulation(b *testing.B) {
-	e, err := dist.NewExponential(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := mginf.New(200, e)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := rng.New(int64(i))
-		if _, err := q.Simulate(100, 0.5, r); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

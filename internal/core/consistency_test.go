@@ -15,7 +15,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/mginf"
 	"repro/internal/netpkt"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -46,21 +45,8 @@ func TestModelReducesToMGInf(t *testing.T) {
 	if got, want := m.Variance(), q.ConstantRateVariance(r); math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("variance: model %g vs r²ρ %g", got, want)
 	}
-	// The M/G/∞ simulated occupancy, scaled by r, matches too.
-	rng := rng.New(5)
-	samples, err := q.Simulate(3000, 0.5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range samples {
-		samples[i] *= r
-	}
-	if got := stats.Mean(samples); math.Abs(got-m.Mean())/m.Mean() > 0.05 {
-		t.Fatalf("simulated mean %g vs model %g", got, m.Mean())
-	}
-	if got := stats.PopVariance(samples); math.Abs(got-m.Variance())/m.Variance() > 0.15 {
-		t.Fatalf("simulated variance %g vs model %g", got, m.Variance())
-	}
+	// The queue's own tests check its simulated occupancy against ρ, a
+	// constant service time among them.
 }
 
 // Theorem 2 and the spectral density describe the same second-order

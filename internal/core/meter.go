@@ -67,7 +67,9 @@ func (m *Meter) AddBlock(blk *trace.Block) error {
 	return m.meas.AddBlock(blk)
 }
 
-// Flush finalises the open flows, one Result per definition.
+// Flush finalises the open flows, one Result per definition, ordered as
+// flow.Assembler.Flush orders them. The results are borrowed: they stay
+// valid until the next Flush or Reset.
 func (m *Meter) Flush() []flow.Result { return m.meas.Flush() }
 
 // Reset re-arms the flow tables and the bins for the next interval.

@@ -249,11 +249,12 @@ func TestChaosShedCountersExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shed, err := r.ShedStats()
+	// Summaries runs the measurement pass; ShedStats only reports on it.
+	summaries, err := r.Summaries()
 	if err != nil {
 		t.Fatal(err)
 	}
-	summaries, err := r.Summaries()
+	shed, err := r.ShedStats()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -641,7 +642,8 @@ points:
 		}
 		tr.stats[is.Index][di] = &stat
 		if ti == 0 && is.Index == 0 {
-			tr.ref[di] = res
+			// The meter's results are borrowed until its next Flush.
+			tr.ref[di] = flow.Result{Flows: slices.Clone(res.Flows), Discarded: slices.Clone(res.Discarded)}
 		}
 	}
 	return nil
@@ -692,10 +694,13 @@ func (r *Runner) Summaries() ([]trace.Summary, error) {
 
 // ShedStats returns the per-trace load-shedding report of the measurement
 // pass — which traces dropped intervals under memory pressure, and how
-// many records each drop lost. All-zero entries mean nothing was shed.
+// many records each drop lost. All-zero entries mean nothing was shed. It
+// reports only a pass that ran: while nothing has measured the suite (the
+// selected experiments streamed their own traces) it returns nil, and
+// never measures the suite for the report's sake.
 func (r *Runner) ShedStats() ([]TraceShed, error) {
-	if err := r.measureSuite(); err != nil {
-		return nil, err
+	if !r.measured {
+		return nil, nil
 	}
 	return r.shed, nil
 }

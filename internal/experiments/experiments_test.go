@@ -164,3 +164,26 @@ func TestAblationSplitLeavesSuiteUnmeasured(t *testing.T) {
 		t.Fatal("AblationSplit measured the whole suite")
 	}
 }
+
+// TestShedStatsLeavesSuiteUnmeasured pins that the -shed report covers
+// only a measurement pass that ran: asked first, it measures nothing and
+// reports nothing; after a pass it reports one entry per trace.
+func TestShedStatsLeavesSuiteUnmeasured(t *testing.T) {
+	r := newTestRunner(t)
+	shed, err := r.ShedStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shed != nil || r.measured {
+		t.Fatalf("ShedStats measured the suite (%d entries)", len(shed))
+	}
+	if _, err := r.Summaries(); err != nil {
+		t.Fatal(err)
+	}
+	if shed, err = r.ShedStats(); err != nil {
+		t.Fatal(err)
+	}
+	if len(shed) != len(r.Specs()) {
+		t.Fatalf("%d shed entries after the pass, want one per trace (%d)", len(shed), len(r.Specs()))
+	}
+}

@@ -13,7 +13,7 @@ package flow
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -72,7 +72,7 @@ type DiscardedPacket struct {
 
 // Result is the output of measuring one packet sequence.
 type Result struct {
-	// Flows holds completed multi-packet flows, ordered by completion.
+	// Flows holds completed multi-packet flows, ordered by start.
 	Flows []Flow
 	// Discarded lists the packets of single-packet flows; the paper
 	// excludes them from the variance of the measured total rate.
@@ -85,9 +85,10 @@ type flowState struct {
 	last    float64
 	bytes   int64
 	packets int
-	// firstBits remembers the only packet's size while packets == 1, so a
-	// flow that never grows can be reported as a discarded packet.
-	firstBits float64
+	// adm is the flow's admission number, counted from the last Flush or
+	// Reset: packets arrive in time order, so it is the flow's rank by
+	// start, and finish files the flow at done[adm].
+	adm int32
 }
 
 // Assembler groups packets into flows under one definition. In-progress
@@ -102,9 +103,13 @@ type Assembler struct {
 	table     flowTable
 	states    []flowState
 	freeSlots []int32
-	res       Result
-	lastTime  float64
-	started   bool
+	// done holds every flow admitted since the last Flush or Reset at its
+	// admission number; finish fills the entry in, Flush reads them in
+	// order. res is Flush's reused output storage.
+	done     []Flow
+	res      Result
+	lastTime float64
+	started  bool
 	// sweepDebt counts packets since the last expiry step; every sweepEvery
 	// packets the assembler sweeps sweepStride table positions — the
 	// incremental replacement of the old full-table periodic sweep.
@@ -149,7 +154,7 @@ func (a *Assembler) Reset() {
 	a.table.reset()
 	a.states = a.states[:0]
 	a.freeSlots = a.freeSlots[:0]
-	a.res = Result{}
+	a.done = a.done[:0]
 	a.lastTime = 0
 	a.started = false
 	a.sweepDebt = 0
@@ -164,6 +169,12 @@ func (a *Assembler) alloc() int32 {
 	}
 	a.states = append(a.states, flowState{})
 	return int32(len(a.states) - 1)
+}
+
+// admit reserves the next admission number's entry in done.
+func (a *Assembler) admit() int32 {
+	a.done = append(a.done, Flow{})
+	return int32(len(a.done) - 1)
 }
 
 // errOutOfOrder builds the out-of-order-packet error. It lives outside the
@@ -186,18 +197,19 @@ func (a *Assembler) addPacked(t float64, size uint16, h, ka, kb uint64) {
 		a.states[slot] = flowState{
 			start: t, last: t,
 			bytes: int64(size), packets: 1,
-			firstBits: float64(size) * 8,
+			adm: a.admit(),
 		}
 	} else {
 		st := &a.states[a.table.slot[pos]]
 		if t-st.last > a.timeout {
 			// The previous flow on this key timed out; finalise it and start
-			// a fresh flow with this packet, reusing the slot in place.
+			// a fresh flow with this packet, reusing the slot in place under
+			// a new admission number.
 			a.finish(st)
 			*st = flowState{
 				start: t, last: t,
 				bytes: int64(size), packets: 1,
-				firstBits: float64(size) * 8,
+				adm: a.admit(),
 			}
 		} else {
 			st.last = t
@@ -235,17 +247,9 @@ func (a *Assembler) AddBlock(blk *trace.Block, hash, keyA, keyB []uint64) error 
 	return nil
 }
 
+// finish files a completed flow under its admission number.
 func (a *Assembler) finish(st *flowState) {
-	if st.packets == 1 {
-		a.res.Discarded = append(a.res.Discarded, DiscardedPacket{Time: st.start, Bits: st.firstBits})
-		return
-	}
-	a.res.Flows = append(a.res.Flows, Flow{
-		Start:   st.start,
-		End:     st.last,
-		Bytes:   st.bytes,
-		Packets: st.packets,
-	})
+	a.done[st.adm] = Flow{Start: st.start, End: st.last, Bytes: st.bytes, Packets: st.packets}
 }
 
 // ActiveFlows returns the number of in-progress flows (the N(t) of the
@@ -259,41 +263,99 @@ func (a *Assembler) ActiveFlows() int { return a.table.n }
 // past a flush are counted again from the flush point, exactly like the
 // paper's split flows.
 //
-// Flows and discarded packets are returned sorted by start time (ties
-// broken on end time and size): finalisation order depends on table
-// eviction order (and, before the table rewrite, on Go map iteration), and
-// downstream statistics must be reproducible.
+// Flows and discarded packets are ordered by start time, ties broken on
+// end time and size (discards on size), so downstream statistics do not
+// depend on table eviction order. Packets arrive in time order, so flows
+// are admitted in start order: Flush reads them back by admission number
+// and only runs of equal start need reordering, in one insertion pass —
+// linear in the flows returned unless many flows share one timestamp
+// (settleTies). Entries tied on every compared field have equal S and D
+// and stay in admission order; they can differ only in Packets, which no
+// model sum reads (the shard encoding writes it).
+//
+// The returned slices are the assembler's own storage: they stay valid
+// until the next Flush or Reset, so a caller that keeps them copies them.
 func (a *Assembler) Flush() Result {
 	tb := &a.table
 	for i := range tb.hash {
-		if tb.hash[i] == 0 {
-			continue
+		if tb.hash[i] != 0 {
+			a.finish(&a.states[tb.slot[i]])
 		}
-		slot := tb.slot[i]
-		a.finish(&a.states[slot])
-		a.freeSlots = append(a.freeSlots, slot)
 	}
 	tb.reset()
-	out := a.res
-	a.res = Result{}
-	sort.Slice(out.Flows, func(i, j int) bool {
-		fi, fj := out.Flows[i], out.Flows[j]
-		if fi.Start != fj.Start {
-			return fi.Start < fj.Start
+	a.states = a.states[:0]
+	a.freeSlots = a.freeSlots[:0]
+	// A single-packet entry has End == Start, so the flow order ranks the
+	// discards by time and size too: one pass settles both.
+	if !settleTies(a.done) {
+		mergeSort(a.done)
+	}
+	flows, disc := a.res.Flows[:0], a.res.Discarded[:0]
+	for _, f := range a.done {
+		if f.Packets == 1 {
+			disc = append(disc, DiscardedPacket{Time: f.Start, Bits: f.SizeBits()})
+		} else {
+			flows = append(flows, f)
 		}
-		if fi.End != fj.End {
-			return fi.End < fj.End
+	}
+	a.done = a.done[:0]
+	a.res = Result{Flows: flows, Discarded: disc}
+	return a.res
+}
+
+// flowBefore is Flush's order: start, then end, then size.
+func flowBefore(x, y Flow) bool {
+	if x.Start != y.Start {
+		return x.Start < y.Start
+	}
+	if x.End != y.End {
+		return x.End < y.End
+	}
+	return x.Bytes < y.Bytes
+}
+
+// settleTies insertion-sorts s by flowBefore, stably, and reports whether
+// it finished. s arrives in admission order, which is start order, so an
+// entry moves only within its run of equal starts and the pass is linear
+// while runs are short. Runs grow long when many flows share one
+// timestamp (a capture with a coarse clock): after a few moves per entry
+// the pass stops and Flush finishes with mergeSort, so a flush stays
+// O(n log n) at worst.
+func settleTies(s []Flow) bool {
+	budget := 8 * len(s)
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && flowBefore(s[j], s[j-1]); j-- {
+			if budget--; budget < 0 {
+				return false
+			}
+			s[j], s[j-1] = s[j-1], s[j]
 		}
-		return fi.Bytes < fj.Bytes
-	})
-	sort.Slice(out.Discarded, func(i, j int) bool {
-		di, dj := out.Discarded[i], out.Discarded[j]
-		if di.Time != dj.Time {
-			return di.Time < dj.Time
+	}
+	return true
+}
+
+// mergeSort stably sorts s by flowBefore, bottom-up through one scratch
+// copy.
+func mergeSort(s []Flow) {
+	buf := make([]Flow, len(s))
+	for w := 1; w < len(s); w *= 2 {
+		for lo := 0; lo+w < len(s); lo += 2 * w {
+			mid, hi := lo+w, min(lo+2*w, len(s))
+			i, j, k := lo, mid, lo
+			for ; i < mid && j < hi; k++ {
+				if flowBefore(s[j], s[i]) {
+					buf[k] = s[j]
+					j++
+				} else {
+					buf[k] = s[i]
+					i++
+				}
+			}
+			k += copy(buf[k:], s[i:mid])
+			copy(buf[k:], s[j:hi])
+			copy(s[lo:hi], buf[lo:hi])
 		}
-		return di.Bits < dj.Bits
-	})
-	return out
+	}
 }
 
 // IntervalResult is the measurement of one analysis interval.
@@ -331,7 +393,8 @@ func MeasureIntervals(feed func(sink func(*trace.Block) error) error, defs []Def
 	closeTo := func(idx int) {
 		for clock.Index() < idx {
 			for di, res := range m.Flush() {
-				out[di] = append(out[di], IntervalResult{Index: clock.Index(), Start: clock.Origin(), Result: res})
+				kept := Result{Flows: slices.Clone(res.Flows), Discarded: slices.Clone(res.Discarded)}
+				out[di] = append(out[di], IntervalResult{Index: clock.Index(), Start: clock.Origin(), Result: kept})
 			}
 			clock.Advance()
 			m.Reset()

@@ -22,6 +22,7 @@ type Measurer struct {
 	hash [][]uint64
 	keyA [][]uint64
 	keyB [][]uint64
+	out  []Result // Flush's reused result slice
 }
 
 // NewMeasurer builds a measurer over the given definitions with the given
@@ -36,6 +37,7 @@ func NewMeasurer(defs []Definition, timeout float64) (*Measurer, error) {
 		hash: make([][]uint64, len(defs)),
 		keyA: make([][]uint64, len(defs)),
 		keyB: make([][]uint64, len(defs)),
+		out:  make([]Result, len(defs)),
 	}
 	for i, def := range m.defs {
 		a, err := NewAssembler(def, timeout)
@@ -121,15 +123,16 @@ func (m *Measurer) AddBlock(blk *trace.Block) error {
 }
 
 // Flush finalises all in-progress flows and returns one Result per
-// definition, index-aligned with the defs the measurer was built with.
-// The measurer can keep consuming packets afterwards (split flows restart
-// from the flush point).
+// definition, index-aligned with the defs the measurer was built with, in
+// Assembler.Flush's order. The measurer can keep consuming packets
+// afterwards (split flows restart from the flush point). The slice and the
+// results are the measurer's own storage, valid until the next Flush or
+// Reset.
 func (m *Measurer) Flush() []Result {
-	out := make([]Result, len(m.asm))
 	for i, a := range m.asm {
-		out[i] = a.Flush()
+		m.out[i] = a.Flush()
 	}
-	return out
+	return m.out
 }
 
 // ActiveFlows returns the in-progress flow count of the i-th definition's

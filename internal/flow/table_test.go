@@ -1,7 +1,9 @@
 package flow
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/netpkt"
@@ -77,13 +79,22 @@ func TestFlowTableDifferential(t *testing.T) {
 	}
 }
 
+// refState is the reference's in-progress flow.
+type refState struct {
+	start, last float64
+	bytes       int64
+	packets     int
+	// firstBits remembers the only packet's size while packets == 1.
+	firstBits float64
+}
+
 // refAssembler is the pre-table reference: the exact map-based assembly
 // logic the open-addressed rewrite replaced, kept here as the differential
 // oracle.
 type refAssembler struct {
 	keyFn     func(netpkt.Header) any
 	timeout   float64
-	active    map[any]*flowState
+	active    map[any]*refState
 	res       Result
 	lastSweep float64
 }
@@ -101,7 +112,7 @@ func newRefAssembler(def Definition, timeout float64) *refAssembler {
 	case ByPrefix8:
 		keyFn = func(h netpkt.Header) any { return h.DstIP.Uint32() &^ 0xFFFFFF }
 	}
-	return &refAssembler{keyFn: keyFn, timeout: timeout, active: map[any]*flowState{}}
+	return &refAssembler{keyFn: keyFn, timeout: timeout, active: map[any]*refState{}}
 }
 
 func (a *refAssembler) add(rec trace.Record) {
@@ -110,13 +121,13 @@ func (a *refAssembler) add(rec trace.Record) {
 	st, ok := a.active[key]
 	switch {
 	case !ok:
-		a.active[key] = &flowState{
+		a.active[key] = &refState{
 			start: rec.Time, last: rec.Time,
 			bytes: int64(rec.Hdr.TotalLen), packets: 1, firstBits: bits,
 		}
 	case rec.Time-st.last > a.timeout:
 		a.finish(st)
-		*st = flowState{
+		*st = refState{
 			start: rec.Time, last: rec.Time,
 			bytes: int64(rec.Hdr.TotalLen), packets: 1, firstBits: bits,
 		}
@@ -136,7 +147,7 @@ func (a *refAssembler) add(rec trace.Record) {
 	}
 }
 
-func (a *refAssembler) finish(st *flowState) {
+func (a *refAssembler) finish(st *refState) {
 	if st.packets == 1 {
 		a.res.Discarded = append(a.res.Discarded, DiscardedPacket{Time: st.start, Bits: st.firstBits})
 		return
@@ -155,11 +166,15 @@ func (a *refAssembler) flush() Result {
 	return out
 }
 
-// sortResult applies Flush's canonical ordering to a reference result.
+// sortResult applies Flush's canonical ordering to a reference result: a
+// stable sort by start, end and size (discards by time and size).
 func sortResult(r *Result) {
-	tmp := Assembler{res: *r}
-	tmp.table.reset()
-	*r = tmp.Flush()
+	slices.SortStableFunc(r.Flows, func(x, y Flow) int {
+		return cmp.Or(cmp.Compare(x.Start, y.Start), cmp.Compare(x.End, y.End), cmp.Compare(x.Bytes, y.Bytes))
+	})
+	slices.SortStableFunc(r.Discarded, func(x, y DiscardedPacket) int {
+		return cmp.Or(cmp.Compare(x.Time, y.Time), cmp.Compare(x.Bits, y.Bits))
+	})
 }
 
 // randomRecords draws a time-ordered random packet stream over a small key

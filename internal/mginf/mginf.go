@@ -6,8 +6,7 @@
 // height 1 (§IV) and the flow-count model of Ben Fredj et al. [3], which the
 // paper cites as "a very particular case of our model where all flows would
 // have exactly the same rate". It serves as the constant-rate baseline
-// whose variance under-estimation the ablation experiment quantifies, and
-// its simulated occupancy is an independent check on the model's moments.
+// whose variance under-estimation the ablation experiment quantifies.
 package mginf
 
 import (
@@ -15,7 +14,6 @@ import (
 	"math"
 
 	"repro/internal/dist"
-	"repro/internal/dist/rng"
 )
 
 // Queue is an M/G/∞ queue with arrival rate Lambda and service (flow
@@ -50,48 +48,4 @@ func (q *Queue) Load() float64 { return q.Lambda * q.ServiceTime.Mean() }
 // Theorem 3 discussion motivates.
 func (q *Queue) ConstantRateVariance(r float64) float64 {
 	return r * r * q.Load()
-}
-
-// Simulate runs the queue for the given horizon after a warm-up of several
-// mean service times, sampling N(t) every sampleEvery seconds, and returns
-// the samples. The simulation is event-driven over arrival epochs with a
-// min-heap of departures collapsed into sorted slices per sample step (the
-// sample path is only needed at the sampling grid, so exact event ordering
-// between samples is unnecessary).
-func (q *Queue) Simulate(horizon, sampleEvery float64, r *rng.Rand) ([]float64, error) {
-	if !(horizon > 0) || !(sampleEvery > 0) || sampleEvery > horizon {
-		return nil, fmt.Errorf("mginf: need 0 < sampleEvery <= horizon")
-	}
-	if r == nil {
-		return nil, fmt.Errorf("mginf: nil rng")
-	}
-	warm := 10 * q.ServiceTime.Mean()
-	pp, err := dist.NewPoissonProcess(q.Lambda, r)
-	if err != nil {
-		return nil, fmt.Errorf("mginf: %w", err)
-	}
-	total := warm + horizon
-	n := int(horizon / sampleEvery)
-	samples := make([]float64, n)
-	// Bucket departures on the sampling grid: a flow arriving at a and
-	// leaving at d contributes +1 to every sample time in [a, d).
-	for {
-		a := pp.Next()
-		if a >= total {
-			break
-		}
-		d := a + q.ServiceTime.Sample(r)
-		lo := int(math.Ceil((a - warm) / sampleEvery))
-		hi := int(math.Ceil((d - warm) / sampleEvery)) // first grid point >= d
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n {
-			hi = n
-		}
-		for k := lo; k < hi; k++ {
-			samples[k]++
-		}
-	}
-	return samples, nil
 }
