@@ -44,7 +44,7 @@ func main() {
 
 	// Fit the shot exponent to the measured variance, correcting for the
 	// Δ-averaging of the measurement (eq. 7).
-	bHat, ok, err := core.FitPowerBAveraged(iv.MeasVar, delta, iv.Input, 3000)
+	bHat, ok, err := core.FitPowerBAveraged(iv.MeasVar, delta, iv.Input)
 	if err != nil {
 		log.Fatal(err)
 	}

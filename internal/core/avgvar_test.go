@@ -5,8 +5,19 @@ import (
 	"testing"
 )
 
+// nestedAveragedVariance evaluates eq. (7) as written: an n-point outer
+// Simpson rule over τ ∈ [0, Δ] around the model's auto-covariance, which
+// for a real b is itself a 512-point rule per flow. It is the oracle of
+// the integer-b kernels and of the per-flow Campbell integral.
+func nestedAveragedVariance(m *Model, delta float64, n int) float64 {
+	f := func(tau float64) float64 {
+		return (1 - tau/delta) * m.AutoCovariance(tau)
+	}
+	return 2 / delta * simpson(f, 0, delta, n)
+}
+
 // The closed-form eq.(7) integral used for integer-b power shots must agree
-// with the generic quadrature path it replaced.
+// with the nested quadrature.
 func TestAveragedVarianceClosedFormMatchesQuadrature(t *testing.T) {
 	flows := testFlows(400, 9)
 	for _, b := range []float64{0, 1, 2, 3} {
@@ -20,15 +31,68 @@ func TestAveragedVarianceClosedFormMatchesQuadrature(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Re-derive via the quadrature definition.
-			f := func(tau float64) float64 {
-				return (1 - tau/delta) * m.AutoCovariance(tau)
-			}
-			want := 2 / delta * simpson(f, 0, delta, 2048)
+			want := nestedAveragedVariance(m, delta, 2048)
 			if math.Abs(got-want) > 1e-6*math.Abs(want) {
 				t.Fatalf("b=%g Δ=%g: closed form %g vs quadrature %g", b, delta, got, want)
 			}
 		}
+	}
+}
+
+// The per-flow Campbell integral behind real-b σ_Δ² must agree with the
+// nested eq. (7) quadrature, and with the integer-b kernels
+// where both apply: there its integrand is a polynomial of degree 2b+2
+// on each piece, which the 8-point rule integrates exactly for b ≤ 6.
+func TestAveragedVarianceIntegralMatchesOracles(t *testing.T) {
+	flows := testFlows(60, 12)
+	for _, delta := range []float64{0.05, 0.2, 1} {
+		for _, b := range []float64{0.5, 1.5, 2.7} {
+			m, err := NewModel(25, PowerShot{B: b}, flows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.AveragedVariance(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := nestedAveragedVariance(m, delta, 64)
+			if rel := relDiff(got, want); rel > 1e-4 {
+				t.Errorf("b=%g Δ=%g: integral %g vs nested quadrature %g (rel %g)", b, delta, got, want, rel)
+			}
+		}
+		for _, b := range []int{1, 2, 6, 10} {
+			k, err := NewAvgVarKernel(b, delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := k.AveragedVariance(25, flows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := averagedVariance(25, PowerShot{B: float64(b)}, flows, delta)
+			tol := 1e-9
+			if b > 6 {
+				tol = 1e-5
+			}
+			if rel := relDiff(got, want); rel > tol {
+				t.Errorf("b=%d Δ=%g: integral %g vs kernel %g (rel %g)", b, delta, got, want, rel)
+			}
+		}
+	}
+}
+
+// gaussLegendre8 must integrate every polynomial of degree up to 15
+// exactly, and an empty interval to 0.
+func TestGaussLegendre8(t *testing.T) {
+	for k := 0; k <= 15; k++ {
+		got := gaussLegendre8(func(x float64) float64 { return powi(x, k) }, 0, 2)
+		want := powi(2, k+1) / float64(k+1)
+		if rel := relDiff(got, want); rel > 1e-14 {
+			t.Errorf("∫₀² x^%d = %g, want %g (rel %g)", k, got, want, rel)
+		}
+	}
+	if got := gaussLegendre8(math.Exp, 1, 1); got != 0 {
+		t.Fatalf("empty interval = %g, want 0", got)
 	}
 }
 

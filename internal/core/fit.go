@@ -52,7 +52,7 @@ func CoVFromParams(lambda, meanS, meanS2OverD float64, shot PowerShot) float64 {
 	return math.Sqrt(VarianceFromParams(lambda, meanS2OverD, shot)) / mu
 }
 
-// maxFitB bounds the bisection of FitPowerBAveraged. Fitted exponents in
+// maxFitB bounds the root search of FitPowerBAveraged. Fitted exponents in
 // the paper's Figure 11 stay below 8; 16 leaves generous headroom.
 const maxFitB = 16.0
 
@@ -61,75 +61,48 @@ const maxFitB = 16.0
 // measured variance against the *instantaneous* model variance, which the
 // paper notes biases b̂ low when Δ is not negligible against flow durations
 // (§V-F, §VI). This variant inverts the averaged variance of eq. (7)
-// instead: it finds b such that σ_Δ²(b) matches the measurement, by
-// bisection (σ_Δ² is increasing in b).
+// instead, over every flow of the population: σ_Δ²(b) is increasing in b,
+// and a false-position search finds where it matches the measurement.
 //
-// maxSamples caps the flow subsample used for the eq. (7) quadrature
-// (deterministic stride), trading accuracy for speed; 0 means use all.
 // ok is false when the measurement falls outside [σ_Δ²(0), σ_Δ²(maxFitB)]
 // and b clamps to the nearer end.
-func FitPowerBAveraged(measuredVariance, delta float64, in Input, maxSamples int) (float64, bool, error) {
+func FitPowerBAveraged(measuredVariance, delta float64, in Input) (float64, bool, error) {
 	if !(measuredVariance >= 0) {
 		return 0, false, fmt.Errorf("core: measured variance must be >= 0, got %g", measuredVariance)
 	}
 	if !(delta > 0) {
 		return 0, false, fmt.Errorf("core: averaging interval must be > 0, got %g", delta)
 	}
-	pop := in.Pop
-	n := pop.Len()
-	if n == 0 {
+	if in.Pop.Len() == 0 {
 		return 0, false, fmt.Errorf("core: fit needs a non-empty flow population")
 	}
-	// The eq. (7) quadrature runs over every stride-th flow: all of them
-	// unless maxSamples caps the subsample.
-	stride, count := 1, n
-	// scale corrects the first-order subsampling bias: CrossCov for a power
-	// shot factors as (S²/D)·g_b(τ/D), and E[S²/D] is heavy-tailed, so a
-	// subsample can easily miss the few giant flows that carry most of it.
-	// Rescaling by the full-population E[S²/D] restores the level; only the
-	// (mild) shape dependence on the D-mix remains subject to noise.
-	scale := 1.0
-	if maxSamples > 0 && n > maxSamples {
-		stride = n / maxSamples
-		count = (n + stride - 1) / stride
-		var subS2oD float64
-		for i := 0; i < n; i += stride {
-			subS2oD += pop.S2[i] / pop.D[i]
-		}
-		subS2oD /= float64(count)
-		if subS2oD > 0 && in.MeanS2OverD > 0 {
-			scale = in.MeanS2OverD / subS2oD
-		}
+	excess := func(b float64) float64 {
+		return averagedVariance(in.Lambda, PowerShot{B: b}, in.Pop, delta) - measuredVariance
 	}
-	// Coarse-quadrature evaluation of eq. (7) for a power shot: the outer
-	// integrand is near-linear in τ for Δ ≪ D and the bisection only needs
-	// ~1e-2 accuracy in b, so 16 outer and 64 inner Simpson points suffice
-	// (validated against the full-resolution path in the tests).
-	avgVar := func(b float64) float64 {
-		p := PowerShot{B: b}
-		f := func(tau float64) float64 {
-			var sum float64
-			for i := 0; i < n; i += stride {
-				sum += p.crossCovN(pop.S[i], pop.D[i], tau, 64)
-			}
-			return (1 - tau/delta) * in.Lambda * sum / float64(count)
-		}
-		return scale * 2 / delta * simpson(f, 0, delta, 16)
-	}
-	lo, hi := 0.0, maxFitB
-	if measuredVariance <= avgVar(lo) {
+	// a and b bracket the root, b the newest estimate. Illinois step: a
+	// kept end's value halves each time it survives, so it cannot stall
+	// the search, which stops once σ_Δ²(c) matches to 1e-6 relative (well
+	// inside the integral's own accuracy) or the bracket is 1e-4 wide.
+	a, b := 0.0, maxFitB
+	fa, fb := excess(a), excess(b)
+	if fa >= 0 {
 		return 0, false, nil
 	}
-	if measuredVariance >= avgVar(hi) {
+	if fb <= 0 {
 		return maxFitB, false, nil
 	}
-	for i := 0; i < 60 && hi-lo > 1e-4; i++ {
-		mid := (lo + hi) / 2
-		if avgVar(mid) < measuredVariance {
-			lo = mid
-		} else {
-			hi = mid
+	for i := 0; i < 60 && math.Abs(b-a) > 1e-4; i++ {
+		c := (a*fb - b*fa) / (fb - fa)
+		fc := excess(c)
+		if math.Abs(fc) <= 1e-6*measuredVariance {
+			return c, true, nil
 		}
+		if fc*fb < 0 {
+			a, fa = b, fb
+		} else {
+			fa /= 2
+		}
+		b, fb = c, fc
 	}
-	return (lo + hi) / 2, true, nil
+	return (a + b) / 2, true, nil
 }

@@ -43,7 +43,7 @@ type AvgVarKernel struct {
 
 // NewAvgVarKernel builds the coefficient cache. The exponent must be in the
 // well-conditioned closed-form range 0 ≤ b ≤ 10 (see closedFormB); larger or
-// non-integer exponents keep the quadrature path in Model.AveragedVariance.
+// non-integer exponents take Model.AveragedVariance's per-flow integral.
 func NewAvgVarKernel(b int, delta float64) (*AvgVarKernel, error) {
 	if b < 0 || !(PowerShot{B: float64(b)}).closedFormB() {
 		return nil, fmt.Errorf("core: eq.(7) kernel needs an integer shot exponent in [0, 10], got %d", b)

@@ -156,10 +156,9 @@ func (m *Model) AveragedVariance(delta float64) (float64, error) {
 	}
 	// Integer-b power shots (the paper's b = 0, 1, 2 and every fitted
 	// integer exponent) evaluate through a (b, Δ) coefficient kernel: one
-	// branch-partitioned Horner pass over the population, against one pass
-	// per quadrature point below. kernel_test.go's scalar closed form
-	// avgVarCrossInt is its oracle. A Meter, which evaluates every
-	// interval at one Δ, builds its kernels once instead.
+	// branch-partitioned Horner pass over the population. kernel_test.go's
+	// scalar closed form avgVarCrossInt is its oracle. A Meter, which
+	// evaluates every interval at one Δ, builds its kernels once instead.
 	if ps, ok := m.Shot.(PowerShot); ok && ps.closedFormB() {
 		k, err := NewAvgVarKernel(int(ps.B), delta)
 		if err != nil {
@@ -167,13 +166,28 @@ func (m *Model) AveragedVariance(delta float64) (float64, error) {
 		}
 		return k.AveragedVariance(m.Lambda, m.Pop)
 	}
-	f := func(tau float64) float64 {
-		return (1 - tau/delta) * m.AutoCovariance(tau)
+	return averagedVariance(m.Lambda, m.Shot, m.Pop, delta), nil
+}
+
+// averagedVariance evaluates eq. (7) by Campbell's theorem: the rate
+// averaged over Δ is again shot noise, with shot x̄(t) = (C(t+Δ) − C(t))/Δ
+// on (−Δ, D) for C the shot's Cumulative, so σ_Δ² = λ·E[∫ x̄(t)² dt]. x̄ is
+// smooth between −Δ, 0, D−Δ and D, so each piece takes its own Gauss–
+// Legendre rule: exact to rounding for power shots at integer b ≤ 6, and
+// within 2e-5 relative of the nested eq. (7) quadrature at real b
+// (avgvar_test.go). The population must be non-empty.
+func averagedVariance(lambda float64, shot Shot, pop *FlowPop, delta float64) float64 {
+	var sum float64
+	for i, s := range pop.S {
+		d := pop.D[i]
+		f := func(t float64) float64 {
+			x := (shot.Cumulative(s, d, t+delta) - shot.Cumulative(s, d, t)) / delta
+			return x * x
+		}
+		lo, hi := min(0, d-delta), max(0, d-delta)
+		sum += gaussLegendre8(f, -delta, lo) + gaussLegendre8(f, lo, hi) + gaussLegendre8(f, hi, d)
 	}
-	// The integrand is smooth; 64 Simpson points across [0, Δ] are ample
-	// because γ varies on the scale of flow durations, which the paper's
-	// operating point (Δ = 200 ms ≪ E[D]) keeps much longer than Δ.
-	return 2 / delta * simpson(f, 0, delta, 64), nil
+	return lambda * sum / float64(pop.Len())
 }
 
 // ExceedProb returns P(R > capacity) under the Gaussian approximation: the

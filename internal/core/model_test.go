@@ -188,36 +188,42 @@ func TestAutoCovarianceDecaysAndVanishes(t *testing.T) {
 	}
 }
 
+// σ_Δ² obeys eq. (7)'s laws for every shot, through the integer kernel
+// (b = 1) and the per-flow integral (real b): it never exceeds σ², does
+// not grow with Δ, and tends to σ² as Δ → 0.
 func TestAveragedVarianceProperties(t *testing.T) {
-	m, err := NewModel(30, Triangular, testFlows(300, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := m.Variance()
-	small, err := m.AveragedVariance(1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostRel(small, v, 1e-2) {
-		t.Fatalf("σ_Δ² for tiny Δ = %g, want ≈ σ² = %g", small, v)
-	}
-	// σ_Δ² decreases with Δ (the paper's smoothing-by-averaging).
-	prev := v
-	for _, delta := range []float64{0.05, 0.2, 1, 5} {
-		got, err := m.AveragedVariance(delta)
+	flows := testFlows(300, 6)
+	for _, shot := range []PowerShot{Triangular, {B: 0.5}, {B: 2.7}} {
+		m, err := NewModel(30, shot, flows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got > prev+1e-9 {
-			t.Fatalf("σ_Δ² increased at Δ=%g", delta)
+		v := m.Variance()
+		small, err := m.AveragedVariance(1e-3)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got > v {
-			t.Fatalf("σ_Δ² = %g exceeds σ² = %g", got, v)
+		if !almostRel(small, v, 1e-2) {
+			t.Fatalf("%s: σ_Δ² for tiny Δ = %g, want ≈ σ² = %g", shot.Name(), small, v)
 		}
-		prev = got
-	}
-	if _, err := m.AveragedVariance(0); err == nil {
-		t.Fatal("Δ=0 should be rejected")
+		// σ_Δ² decreases with Δ (the paper's smoothing-by-averaging).
+		prev := v
+		for _, delta := range []float64{1e-3, 0.05, 0.2, 1, 5} {
+			got, err := m.AveragedVariance(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got > prev*(1+1e-12) {
+				t.Fatalf("%s: σ_Δ² increased at Δ=%g", shot.Name(), delta)
+			}
+			if got > v {
+				t.Fatalf("%s: σ_Δ² = %g exceeds σ² = %g", shot.Name(), got, v)
+			}
+			prev = got
+		}
+		if _, err := m.AveragedVariance(0); err == nil {
+			t.Fatal("Δ=0 should be rejected")
+		}
 	}
 }
 
@@ -627,9 +633,10 @@ func TestFitPowerBClampsBelowBound(t *testing.T) {
 	}
 }
 
-// FitPowerBAveraged reads the population columns, so an input from the
-// pooled builder must fit the same exponent as one from the allocating
-// builder — on the full population and on a strided subsample.
+// FitPowerBAveraged must invert Model.AveragedVariance: fitting a model's
+// own σ_Δ² recovers its exponent, real or integer, at every Δ. The fit
+// reads the population columns, so an input from the pooled builder must
+// fit exactly what one from the allocating builder fits.
 func TestFitPowerBAveragedPooledInput(t *testing.T) {
 	fl := testFlows(200, 21)
 	flows := make([]flow.Flow, fl.Len())
@@ -644,33 +651,34 @@ func TestFitPowerBAveragedPooledInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ref.Model(Triangular)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const delta = 0.2
-	v, err := m.AveragedVariance(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, maxSamples := range []int{0, 50} {
-		want, okW, err := FitPowerBAveraged(v, delta, ref, maxSamples)
+	for _, b := range []float64{0.5, 1, 1.5, 2, 2.7} {
+		m, err := ref.Model(PowerShot{B: b})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, okG, err := FitPowerBAveraged(v, delta, pooled, maxSamples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want || okG != okW {
-			t.Fatalf("maxSamples %d: pooled fit (%.4f, %v) != allocating fit (%.4f, %v)",
-				maxSamples, got, okG, want, okW)
-		}
-		if maxSamples == 0 && (!okW || math.Abs(want-1) > 0.05) {
-			t.Fatalf("fit of a triangular model's σ_Δ² = (%.4f, %v), want ≈ 1", want, okW)
+		for _, delta := range []float64{0.05, 0.2, 1} {
+			v, err := m.AveragedVariance(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, okW, err := FitPowerBAveraged(v, delta, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, okG, err := FitPowerBAveraged(v, delta, pooled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || okG != okW {
+				t.Fatalf("b=%g Δ=%g: pooled fit (%g, %v) != allocating fit (%g, %v)",
+					b, delta, got, okG, want, okW)
+			}
+			if !okW || math.Abs(want-b) > 2e-4 {
+				t.Errorf("b=%g Δ=%g: fit of the model's own σ_Δ² = (%g, %v)", b, delta, want, okW)
+			}
 		}
 	}
-	if _, _, err := FitPowerBAveraged(v, delta, Input{Lambda: ref.Lambda, MeanS2OverD: ref.MeanS2OverD}, 0); err == nil {
+	if _, _, err := FitPowerBAveraged(1, 0.2, Input{Lambda: ref.Lambda, MeanS2OverD: ref.MeanS2OverD}); err == nil {
 		t.Fatal("an input without a population should be rejected")
 	}
 }

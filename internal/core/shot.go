@@ -91,24 +91,6 @@ func (p PowerShot) IntegralX2(s, d float64) float64 {
 // CrossCov returns ∫₀^{D-τ} x(t)·x(t+τ) dt. For integer b it uses the
 // closed-form binomial expansion; otherwise composite Simpson quadrature.
 func (p PowerShot) CrossCov(s, d, tau float64) float64 {
-	return p.crossCovN(s, d, tau, 512)
-}
-
-// Cumulative returns s·(t/d)^(b+1), the bits transmitted by offset t.
-func (p PowerShot) Cumulative(s, d, t float64) float64 {
-	if t <= 0 || d <= 0 {
-		return 0
-	}
-	if t >= d {
-		return s
-	}
-	return s * math.Pow(t/d, p.B+1)
-}
-
-// crossCovN is CrossCov with an explicit quadrature resolution for the
-// non-integer-b path; the eq.(7) fitter uses a coarse resolution in its
-// bisection inner loop.
-func (p PowerShot) crossCovN(s, d, tau float64, n int) float64 {
 	if tau < 0 {
 		tau = -tau
 	}
@@ -118,10 +100,7 @@ func (p PowerShot) crossCovN(s, d, tau float64, n int) float64 {
 	l := d - tau
 	if b := int(p.B); float64(b) == p.B && b >= 0 && b <= 20 {
 		// Closed form: a² Σ_j C(b,j) τ^(b-j) L^(b+j+1)/(b+j+1). All powers
-		// are small integers, so binary exponentiation replaces math.Pow —
-		// this is the innermost loop of the whole experiment suite
-		// (AveragedVariance integrates AutoCovariance, which calls CrossCov
-		// once per flow per quadrature point).
+		// are small integers, so binary exponentiation replaces math.Pow.
 		a := s * (p.B + 1) / powi(d, b+1)
 		var sum float64
 		for j := 0; j <= b; j++ {
@@ -135,7 +114,18 @@ func (p PowerShot) crossCovN(s, d, tau float64, n int) float64 {
 	f := func(t float64) float64 {
 		return math.Pow(t, p.B) * math.Pow(t+tau, p.B)
 	}
-	return a * a * simpson(f, 0, l, n)
+	return a * a * simpson(f, 0, l, 512)
+}
+
+// Cumulative returns s·(t/d)^(b+1), the bits transmitted by offset t.
+func (p PowerShot) Cumulative(s, d, t float64) float64 {
+	if t <= 0 || d <= 0 {
+		return 0
+	}
+	if t >= d {
+		return s
+	}
+	return s * math.Pow(t/d, p.B+1)
 }
 
 // powi returns x^n for small non-negative integer n by binary
@@ -156,8 +146,7 @@ func powi(x float64, n int) float64 {
 // integer for which the eq.(7) binomial expansion is well-conditioned: the
 // alternating binomial sum loses precision as b grows (catastrophic
 // cancellation among C(2b+1,k) terms), so exponents above 10 — far beyond
-// the paper's b ∈ {0,1,2} — take the quadrature path instead, keeping the
-// result within ~1e-6 relative everywhere.
+// the paper's b ∈ {0,1,2} — take the per-flow integral instead.
 func (p PowerShot) closedFormB() bool {
 	b := int(p.B)
 	return float64(b) == p.B && b >= 0 && b <= 10
@@ -201,3 +190,24 @@ func simpson(f func(float64) float64, a, b float64, n int) float64 {
 	}
 	return sum * h / 3
 }
+
+// gaussLegendre8 integrates f over [a, b] with the 8-point Gauss–Legendre
+// rule: exact for polynomials of degree up to 15, in 8 evaluations.
+func gaussLegendre8(f func(float64) float64, a, b float64) float64 {
+	if b <= a {
+		return 0
+	}
+	c, h := (a+b)/2, (b-a)/2
+	var sum float64
+	for i, x := range gl8Nodes {
+		sum += gl8Weights[i] * (f(c-h*x) + f(c+h*x))
+	}
+	return sum * h
+}
+
+// The positive nodes of the 8-point Gauss–Legendre rule on [-1, 1] and
+// their weights; the rule is symmetric about 0.
+var (
+	gl8Nodes   = [4]float64{0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975363}
+	gl8Weights = [4]float64{0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763}
+)

@@ -3,9 +3,12 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,6 +124,89 @@ func FuzzShardDecode(f *testing.F) {
 				!strings.Contains(err.Error(), "measured a") {
 				t.Fatalf("untagged decode error: %v", err)
 			}
+		}
+	})
+}
+
+// mergeMismatches are the phrases of MergeShards' errors that name a
+// coverage or suite-geometry mismatch rather than damage.
+var mergeMismatches = []string{
+	"measured a",              // suite size or geometry
+	"-of-",                    // shard counts disagree
+	"outside the",             // trace index beyond the suite
+	"more than one shard",     // a trace covered twice
+	"do not cover",            // a trace covered by no shard
+	"shard point at interval", // interval index beyond the trace
+	"carries no reference",    // trace 0 without its reference interval
+}
+
+// FuzzMergeShards merges each input, written as one shard file, beside a
+// valid export of the other shard of a two-shard suite, into a fresh
+// runner. Each input is tried both as a whole file and as the payload of a
+// valid frame. Seeds: both shards of a real two-shard export, the first's
+// payload, truncations and bit flips. Whatever the input: no panic; every
+// error wraps snapshot.ErrCorrupt or ErrTorn, or names a coverage or
+// geometry mismatch; and a merge that succeeds renders Table 1.
+func FuzzMergeShards(f *testing.F) {
+	dir := f.TempDir()
+	var shards [2][]byte
+	for i := range shards {
+		o := tinyOptions()
+		o.ShardIndex, o.ShardCount = i, 2
+		r, err := NewRunner(o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("shard-%d.shard", i))
+		if err := r.ExportShard(path); err != nil {
+			f.Fatal(err)
+		}
+		if shards[i], err = os.ReadFile(path); err != nil {
+			f.Fatal(err)
+		}
+	}
+	other := filepath.Join(dir, "shard-1.shard")
+	if r, err := NewRunner(tinyOptions()); err != nil {
+		f.Fatal(err)
+	} else if err := r.MergeShards(filepath.Join(dir, "shard-0.shard"), other); err != nil {
+		f.Fatalf("the seed export does not merge: %v", err)
+	}
+	_, _, payload, _, err := snapshot.ReadFrameAt(shards[0], len(shardMagic))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(shards[0])
+	f.Add(shards[1])
+	f.Add(payload)
+	f.Add(payload[:len(payload)/2])
+	f.Add(shards[0][:len(shards[0])-1])
+	for _, i := range []int{2, len(payload) / 3, len(payload) - 9} {
+		c := bytes.Clone(payload)
+		c[i] ^= 0x10
+		f.Add(c)
+	}
+	path := filepath.Join(dir, "fuzz.shard")
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, file := range [][]byte{raw, framedShard(t, raw)} {
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewRunner(tinyOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = r.MergeShards(path, other)
+			if err == nil {
+				if err := r.Table1(io.Discard); err != nil {
+					t.Fatalf("merged shards do not render Table 1: %v", err)
+				}
+				continue
+			}
+			if errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, snapshot.ErrTorn) ||
+				slices.ContainsFunc(mergeMismatches, func(m string) bool { return strings.Contains(err.Error(), m) }) {
+				continue
+			}
+			t.Fatalf("untagged merge error: %v", err)
 		}
 	})
 }

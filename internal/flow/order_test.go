@@ -206,6 +206,40 @@ func TestFlushOrderOneClock(t *testing.T) {
 	}
 }
 
+// TestSettleTiesCostGuard pins when the insertion pass hands over to the
+// merge sort: a reversed run of equal starts would cost it quadratic
+// moves, so it must give up, while start-ordered input whose tie runs are
+// short must settle in place.
+func TestSettleTiesCostGuard(t *testing.T) {
+	const n = 10000
+	long := make([]Flow, n)
+	for i := range long {
+		long[i] = Flow{Start: 1, End: float64(n - i)}
+	}
+	if settleTies(long) {
+		t.Fatal("settleTies finished a reversed run of 10,000 equal starts")
+	}
+	short := make([]Flow, n)
+	for i := range short {
+		// Runs of 4 equal starts, each reversed by end.
+		short[i] = Flow{Start: float64(i / 4), End: float64(n - i)}
+	}
+	if !settleTies(short) {
+		t.Fatal("settleTies gave up on tie runs of 4")
+	}
+	if !slices.IsSortedFunc(short, func(x, y Flow) int {
+		if flowBefore(x, y) {
+			return -1
+		}
+		if flowBefore(y, x) {
+			return 1
+		}
+		return 0
+	}) {
+		t.Fatal("settleTies left short tie runs out of order")
+	}
+}
+
 // TestFlushRestartInPlaceTakesNewNumber pins the restart branch: a key
 // whose flow timed out before any sweep ran restarts in its slot, and
 // both flows must come out.

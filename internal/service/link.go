@@ -156,7 +156,6 @@ func (l *Link) Run(ctx context.Context) error {
 	defer icancel()
 
 	ch := make(chan item, queueLen)
-	producerDone := make(chan struct{})
 	var prodErr error
 	end := cur // the source position after its last block; the producer's until it is done
 
@@ -165,8 +164,9 @@ func (l *Link) Run(ctx context.Context) error {
 			if v := recover(); v != nil {
 				prodErr = &PanicError{Value: v, Stack: debug.Stack()}
 			}
+			// The producer's last writes (prodErr, end) happen before this
+			// close, so a consumer's range over ch ending orders them.
 			close(ch)
-			close(producerDone)
 		}()
 		prodErr = l.cfg.Source.Stream(ictx, cur, func(epoch int64, blk *trace.Block) error {
 			n := blk.Len()
@@ -210,8 +210,8 @@ func (l *Link) Run(ctx context.Context) error {
 	// Whatever way this attempt unwinds — clean stop, error return, or a
 	// panic on its way to the supervisor — stop the producer, return every
 	// queued block to the pool with its budget charge (including the one a
-	// panicking AddBlock was holding), and wait the producer out: zero
-	// goroutine/block leaks on every path.
+	// panicking AddBlock was holding), and drain ch until the producer
+	// closes it: zero goroutine/block leaks on every path.
 	var held *trace.Block
 	var heldCost int64
 	defer func() {
@@ -224,7 +224,6 @@ func (l *Link) Run(ctx context.Context) error {
 			trace.PutBlock(it.blk)
 			l.release(it.cost)
 		}
-		<-producerDone
 	}()
 
 	for it := range ch {
@@ -245,7 +244,6 @@ func (l *Link) Run(ctx context.Context) error {
 		l.blocks.Add(1)
 		l.packets.Add(int64(n))
 	}
-	<-producerDone
 
 	// The producer stopped. A clean end (source exhausted) or a
 	// cancellation drains: flush the partial interval and report the stop
