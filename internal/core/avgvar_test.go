@@ -40,14 +40,35 @@ func TestAveragedVarianceClosedFormMatchesQuadrature(t *testing.T) {
 }
 
 // The per-flow Campbell integral behind real-b σ_Δ² must agree with the
-// nested eq. (7) quadrature, and with the integer-b kernels
-// where both apply: there its integrand is a polynomial of degree 2b+2
-// on each piece, which the 8-point rule integrates exactly for b ≤ 6.
+// nested eq. (7) quadrature, for power and non-power shots and for flows
+// far longer than Δ, and with the integer-b kernels where both apply:
+// there its integrand is a polynomial of degree 2b+2 on each piece, which
+// the 8-point rule integrates exactly for b ≤ 6.
 func TestAveragedVarianceIntegralMatchesOracles(t *testing.T) {
 	flows := testFlows(60, 12)
+	expShot, err := NewFuncShot("exponential", math.Exp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, delta := range []float64{0.05, 0.2, 1} {
-		for _, b := range []float64{0.5, 1.5, 2.7} {
-			m, err := NewModel(25, PowerShot{B: b}, flows)
+		// At D ≈ 1e3·Δ, x̄² grows like t^{2b} across [0, D−Δ] from its
+		// singularity at 0, which a single rule over that piece misses.
+		long := popOf(1e6, 800*delta, 2e6, 1000*delta, 5e5, 1500*delta)
+		cases := []struct {
+			name string
+			shot Shot
+			pop  *FlowPop
+		}{
+			{"b=0.3", PowerShot{B: 0.3}, flows},
+			{"b=0.5", PowerShot{B: 0.5}, flows},
+			{"b=1.5", PowerShot{B: 1.5}, flows},
+			{"b=2.7", PowerShot{B: 2.7}, flows},
+			{"b=0.3 long", PowerShot{B: 0.3}, long},
+			{"exponential", expShot, testFlows(20, 13)},
+			{"exponential long", expShot, long},
+		}
+		for _, c := range cases {
+			m, err := NewModel(25, c.shot, c.pop)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +78,7 @@ func TestAveragedVarianceIntegralMatchesOracles(t *testing.T) {
 			}
 			want := nestedAveragedVariance(m, delta, 64)
 			if rel := relDiff(got, want); rel > 1e-4 {
-				t.Errorf("b=%g Δ=%g: integral %g vs nested quadrature %g (rel %g)", b, delta, got, want, rel)
+				t.Errorf("%s Δ=%g: integral %g vs nested quadrature %g (rel %g)", c.name, delta, got, want, rel)
 			}
 		}
 		for _, b := range []int{1, 2, 6, 10} {

@@ -213,7 +213,7 @@ func TestAveragedVarianceProperties(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got > prev*(1+1e-12) {
+			if got > prev+1e-9 {
 				t.Fatalf("%s: σ_Δ² increased at Δ=%g", shot.Name(), delta)
 			}
 			if got > v {
