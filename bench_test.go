@@ -559,6 +559,29 @@ func BenchmarkModelAveragedVariance(b *testing.B) {
 	}
 }
 
+// BenchmarkModelAutoCorrelation evaluates the Theorem 2 auto-correlation
+// at one lag, Figure 8's and the §VII-C generator's curve: b = 2 takes
+// CrossCov's closed form, b = 2.95 (the exponent examples/trafficgen fits)
+// its graded Gauss–Legendre integral per flow.
+func BenchmarkModelAutoCorrelation(b *testing.B) {
+	in, err := core.InputFromFlows(benchFlows(b).Flows, 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, exp := range []float64{2, 2.95} {
+		m, err := in.Model(core.PowerShot{B: exp})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("b=%g", exp), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = m.AutoCorrelation(0.2)
+			}
+			b.ReportMetric(float64(m.Pop.Len()), "flows/op")
+		})
+	}
+}
+
 // BenchmarkModelSuite mirrors the per-interval model work of the Table I
 // measurement pass: columnar input assembly into a pooled population, the
 // three shot-shape eq.(7) kernels, and the §V-D exponent fit.

@@ -2,14 +2,8 @@
 // determinism, hot-path allocation, trace.Block pool discipline, and core
 // kernel float discipline.
 //
-// Standalone:
-//
 //	repolint [packages]          # static analyzers (default ./...)
 //	repolint -escape [packages]  # + go build -gcflags=-m escape cross-check
-//
-// As a vet tool, so the suite runs under go vet's package graph and cache:
-//
-//	go vet -vettool=$(command -v repolint) ./...
 //
 // Exit status is non-zero when any unsuppressed finding remains; findings
 // are suppressed only by the //repro: directives documented in README
@@ -29,29 +23,11 @@ import (
 )
 
 func main() {
-	versionFlag := flag.String("V", "", "print version (go vet protocol; -V=full)")
-	flagsFlag := flag.Bool("flags", false, "print analyzer flags as JSON (go vet protocol)")
 	escapeFlag := flag.Bool("escape", false, "also run the go build -gcflags=-m escape-analysis cross-check on //repro:hotpath functions")
 	dirFlag := flag.String("C", ".", "directory to run from (module root)")
 	flag.Parse()
 
-	if *versionFlag != "" {
-		framework.VetVersion("repolint")
-		return
-	}
-	if *flagsFlag {
-		fmt.Println("[]")
-		return
-	}
-
 	args := flag.Args()
-	// go vet invokes the tool with a single *.cfg argument describing one
-	// package (cwd = the package directory).
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		framework.VetMain(args[0], analysis.Suite())
-		return
-	}
-
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}

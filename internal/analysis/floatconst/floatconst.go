@@ -44,7 +44,7 @@ var Analyzer = &framework.Analyzer{
 // against. They are allowed transcendentals and exact comparisons; kernel
 // files are not.
 var OracleFiles = map[string]bool{
-	"shot.go":   true, // scalar shot family: Rate/Cumulative closed forms and the non-integer-b CrossCov quadrature
+	"shot.go":   true, // scalar shot family: Rate/Cumulative closed forms and the real-b CrossCov integrand
 	"specfn.go": true, // gammaLowerExpM1, the log-MGF special function the Chernoff kernel calls once per flow
 }
 

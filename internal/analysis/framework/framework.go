@@ -5,14 +5,12 @@
 // The real x/tools module is deliberately not imported — the repo builds in
 // hermetic environments with no module proxy — but the surface mirrors
 // go/analysis closely enough that migrating an analyzer to the upstream
-// framework is a mechanical rename. Three pieces the upstream splits across
+// framework is a mechanical rename. Two pieces the upstream splits across
 // packages live together here:
 //
 //   - the Analyzer/Pass/Diagnostic core (this file),
 //   - a package loader driving `go list -export` + the stdlib gc importer
-//     (load.go), standing in for go/packages,
-//   - a `go vet -vettool` protocol driver (vet.go), standing in for
-//     unitchecker.
+//     (load.go), standing in for go/packages.
 //
 // Suppression is comment-directive based: a `//repro:<name> <reason>`
 // comment suppresses, for analyzers that register <name> in Suppressors,
@@ -41,6 +39,12 @@ type Analyzer struct {
 	Suppressors []string
 
 	Run func(*Pass) error
+}
+
+// Scoped pairs an analyzer with the import paths it governs.
+type Scoped struct {
+	Analyzer *Analyzer
+	Match    func(importPath string) bool
 }
 
 // Pass carries one type-checked package through an Analyzer.Run.

@@ -1,6 +1,5 @@
 // Package analysis assembles the repo's invariant suite: which analyzer
-// governs which packages. cmd/repolint (standalone and as a
-// `go vet -vettool`) is a thin shell over this table.
+// governs which packages. cmd/repolint is a thin shell over this table.
 //
 // The suite enforces three invariants the measurement pipeline's
 // correctness rests on (see README "Invariants"):

@@ -7,8 +7,8 @@ import (
 
 // nestedAveragedVariance evaluates eq. (7) as written: an n-point outer
 // Simpson rule over τ ∈ [0, Δ] around the model's auto-covariance, which
-// for a real b is itself a 512-point rule per flow. It is the oracle of
-// the integer-b kernels and of the per-flow Campbell integral.
+// for a real b is itself a graded Gauss–Legendre integral per flow. It is
+// the oracle of the integer-b kernels and of the per-flow Campbell integral.
 func nestedAveragedVariance(m *Model, delta float64, n int) float64 {
 	f := func(tau float64) float64 {
 		return (1 - tau/delta) * m.AutoCovariance(tau)

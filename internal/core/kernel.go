@@ -116,29 +116,30 @@ func (k *AvgVarKernel) AveragedVariance(lambda float64, pop *FlowPop) (float64, 
 }
 
 // mgfKernel caches the θ-dependent constants of the Theorem 1 transform's
-// log-MGF integrand ∫₀^D (e^{θx(t)}-1)dt for one (integer b, θ) pair: the
-// special-function argument is x = θ(b+1)·s/d for every b, and the
-// prefactor (1/b)·(θ(b+1))^{-1/b} is flow-independent, so gammaLowerExpM1
-// is the only per-flow transcendental (plus one math.Pow for b ≥ 3, where
-// d^{b+1}/s has no cheap root).
+// log-MGF integrand ∫₀^D (e^{θx(t)}-1)dt for one (shot exponent b ≥ 0, θ)
+// pair: the special-function argument is x = θ(b+1)·s/d for every b, and
+// the prefactor (1/b)·(θ(b+1))^{-1/b} is flow-independent, so
+// gammaLowerExpM1 is the only per-flow transcendental (plus one math.Pow
+// for b ∉ {0, 1, 2}, where the root (d/s)^{1/b} has no cheap form).
 type mgfKernel struct {
-	b   int
+	b   float64
 	tb1 float64 // θ·(b+1)
-	inv float64 // 1/b (b ≥ 1)
-	c   float64 // (1/b)·(θ(b+1))^{-1/b} (b ≥ 1)
+	inv float64 // 1/b (b > 0)
+	c   float64 // (1/b)·(θ(b+1))^{-1/b} (b > 0)
 }
 
-func newMGFKernel(b int, theta float64) mgfKernel {
-	k := mgfKernel{b: b, tb1: theta * float64(b+1)}
-	if b >= 1 {
-		k.inv = 1 / float64(b)
+func newMGFKernel(b, theta float64) mgfKernel {
+	k := mgfKernel{b: b, tb1: theta * (b + 1)}
+	if b > 0 {
+		k.inv = 1 / b
 		k.c = k.inv * math.Pow(k.tb1, -k.inv) //repro:transcendental-ok one-time kernel construction per (b, θ), hoisted off the per-flow path by design
 	}
 	return k
 }
 
-// root returns (d^{b+1}/s)^{1/b}, the flow-dependent factor of the hoisted
-// prefactor, with cheap forms for the paper's b = 1, 2.
+// root returns d·(d/s)^{1/b} = (d^{b+1}/s)^{1/b}, the flow-dependent factor
+// of the hoisted prefactor, with cheap forms for the paper's exact
+// exponents b = 1, 2.
 //
 //repro:hotpath
 func (k mgfKernel) root(s, d float64) float64 {
@@ -148,8 +149,8 @@ func (k mgfKernel) root(s, d float64) float64 {
 	case 2:
 		return d * math.Sqrt(d/s)
 	default:
-		//repro:transcendental-ok documented b ≥ 3 fallback — d^{b+1}/s has no cheap root; the paper's suite uses b ∈ {0,1,2}
-		return math.Pow(powi(d, k.b+1)/s, k.inv)
+		//repro:transcendental-ok documented fallback for b ∉ {1, 2} — (d/s)^{1/b} has no cheap root; the paper's suite uses b ∈ {0,1,2}
+		return d * math.Pow(d/s, k.inv)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Kernel-vs-scalar differentials for the coefficient-cached kernels, the
 // model-math counterpart of the flow.Measurer map-reference tests: the
-// scalar closed forms (avgVarCrossInt, IntegralXK, Simpson LogMGF) are the
+// scalar closed forms (avgVarCrossInt, IntegralXK, quadrature LogMGF) are the
 // oracles, and the kernels must track them over adversarial (s, d, Δ, θ) —
 // branch edges d ≪ Δ and d ≫ Δ, the d ≈ Δ crossover, every b ∈ {0..10},
 // and subnormal-adjacent arguments.
@@ -203,6 +203,79 @@ func TestLogMGFClosedFormMatchesQuadrature(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The log-MGF kernel's closed form holds for every real b > 0: it must
+// match a finely graded integral of the integrand, whose t^b singularity
+// at 0 Simpson cannot resolve, from a gentle θ to one deep in the tail.
+func TestLogMGFRealBMatchesGradedOracle(t *testing.T) {
+	flows := testFlows(40, 34)
+	worst := 0.0
+	for _, b := range []float64{0.1, 0.5, 1.5, 2.7, 2.95, 5.5, 12} {
+		ps := PowerShot{B: b}
+		m, err := NewModel(10, ps, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []float64{1e-3, 0.5, 2, 10} {
+			theta := k / m.Mean()
+			got, err := m.LogMGF(theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			for i, s := range flows.S {
+				d := flows.D[i]
+				sum += gradedOracle(func(u float64) float64 {
+					return math.Expm1(theta * ps.Rate(s, d, u))
+				}, d, 256)
+			}
+			want := m.Lambda * sum / float64(flows.Len())
+			rel := relDiff(got, want)
+			worst = max(worst, rel)
+			if rel > 1e-12 {
+				t.Errorf("b=%g θ·E[R]=%g: kernel %g vs graded oracle %g (rel %g)", b, k, got, want, rel)
+			}
+		}
+	}
+	t.Logf("worst rel %g", worst)
+}
+
+// Shots outside the power family integrate the log-MGF numerically; on the
+// smooth exponential shape that must match a fine Simpson rule at the θ a
+// Chernoff search visits (its Gaussian start k/σ and the doublings after).
+func TestLogMGFFuncShotMatchesSimpson(t *testing.T) {
+	expShot, err := NewFuncShot("exponential", math.Exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := testFlows(100, 22)
+	m, err := NewModel(100, expShot, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := 0.0
+	for _, k := range []float64{0.5, 1, 2, 4, 8, 16} {
+		theta := k / m.StdDev()
+		got, err := m.LogMGF(theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for i, s := range flows.S {
+			d := flows.D[i]
+			sum += simpson(func(u float64) float64 {
+				return math.Expm1(theta * expShot.Rate(s, d, u))
+			}, 0, d, 8192)
+		}
+		want := m.Lambda * sum / float64(flows.Len())
+		rel := relDiff(got, want)
+		worst = max(worst, rel)
+		if rel > 1e-8 {
+			t.Errorf("θ·σ=%g: Gauss–Legendre %g vs Simpson %g (rel %g)", k, got, want, rel)
+		}
+	}
+	t.Logf("worst rel %g", worst)
 }
 
 // gammaLowerExpM1 must overflow to +Inf exactly where the integral does,

@@ -174,11 +174,11 @@ func (m *Model) AveragedVariance(delta float64) (float64, error) {
 // (−Δ, D), C the shot's Cumulative, so σ_Δ² = λ·E[∫ x̄(t)² dt]. x̄ is smooth
 // between −Δ, 0, D−Δ and D, and each piece takes an 8-point Gauss–Legendre
 // rule, exact for power shots at integer b ≤ 6. Past t ≈ Δ, x̄² grows like
-// t^{2b} from its singularity at 0, so [0, D−Δ] is graded toward 0 by a
-// factor 8 per piece down to Δ. At real b ∈ [0.02, 5.5] and D/Δ ∈ [0.1, 1e4]
-// that is within 1.1e-5 relative of a finely graded reference, worst near
-// D = Δ (avgvar_test.go checks the nested eq. (7) quadrature). The
-// population must be non-empty.
+// t^{2b} from its singularity at 0, so [0, D−Δ] takes gradedGL8, graded
+// toward 0 by a factor 8 per piece down to Δ. At real b ∈ [0.02, 5.5] and
+// D/Δ ∈ [0.1, 1e4] that is within 1.1e-5 relative of a finely graded
+// reference, worst near D = Δ (avgvar_test.go checks the nested eq. (7)
+// quadrature). The population must be non-empty.
 func averagedVariance(lambda float64, shot Shot, pop *FlowPop, delta float64) float64 {
 	var sum float64
 	for i, s := range pop.S {
@@ -187,12 +187,11 @@ func averagedVariance(lambda float64, shot Shot, pop *FlowPop, delta float64) fl
 			x := (shot.Cumulative(s, d, t+delta) - shot.Cumulative(s, d, t)) / delta
 			return x * x
 		}
-		lo, hi := min(0, d-delta), max(0, d-delta)
-		sum += gaussLegendre8(f, -delta, lo) + gaussLegendre8(f, hi, d)
-		for ; hi > delta; hi /= 8 {
-			sum += gaussLegendre8(f, hi/8, hi)
+		if e := d - delta; e > 0 {
+			sum += gaussLegendre8(f, -delta, 0) + gradedGL8(f, e, delta) + gaussLegendre8(f, e, d)
+		} else {
+			sum += gaussLegendre8(f, -delta, e) + gaussLegendre8(f, e, 0) + gaussLegendre8(f, 0, d)
 		}
-		sum += gaussLegendre8(f, lo, hi)
 	}
 	return lambda * sum / float64(pop.Len())
 }

@@ -89,7 +89,11 @@ func (p PowerShot) IntegralX2(s, d float64) float64 {
 }
 
 // CrossCov returns ∫₀^{D-τ} x(t)·x(t+τ) dt. For integer b it uses the
-// closed-form binomial expansion; otherwise composite Simpson quadrature.
+// closed-form binomial expansion. Otherwise it integrates the factorised
+// form (S²/D)·(b+1)²·∫₀^{1−r} (v(v+r))^b dv, r = τ/D, on gradedGL8's pieces
+// toward the v^b singularity at 0: three graded by a factor 8, then
+// [0, (1−r)/512]. Against a finely graded reference that is within 1e-6
+// relative for b ∈ [0.02, 5.5] and 2e-4 up to b = 15 (shot_test.go).
 func (p PowerShot) CrossCov(s, d, tau float64) float64 {
 	if tau < 0 {
 		tau = -tau
@@ -110,11 +114,9 @@ func (p PowerShot) CrossCov(s, d, tau float64) float64 {
 		}
 		return a * a * sum
 	}
-	a := s * (p.B + 1) / math.Pow(d, p.B+1)
-	f := func(t float64) float64 {
-		return math.Pow(t, p.B) * math.Pow(t+tau, p.B)
-	}
-	return a * a * simpson(f, 0, l, 512)
+	r, hi := tau/d, l/d
+	f := func(v float64) float64 { return math.Pow(v*(v+r), p.B) }
+	return s * s * (p.B + 1) * (p.B + 1) / d * gradedGL8(f, hi, hi/512)
 }
 
 // Cumulative returns s·(t/d)^(b+1), the bits transmitted by offset t.
@@ -166,31 +168,6 @@ func binomial(n, k int) float64 {
 	return c
 }
 
-// simpson integrates f over [a, b] with n subintervals (n rounded up to
-// even) using the composite Simpson rule.
-func simpson(f func(float64) float64, a, b float64, n int) float64 {
-	if b <= a {
-		return 0
-	}
-	if n < 2 {
-		n = 2
-	}
-	if n%2 == 1 {
-		n++
-	}
-	h := (b - a) / float64(n)
-	sum := f(a) + f(b)
-	for i := 1; i < n; i++ {
-		x := a + float64(i)*h
-		if i%2 == 1 {
-			sum += 4 * f(x)
-		} else {
-			sum += 2 * f(x)
-		}
-	}
-	return sum * h / 3
-}
-
 // gaussLegendre8 integrates f from a to b with the 8-point Gauss–Legendre
 // rule: exact for polynomials of degree up to 15, in 8 evaluations.
 func gaussLegendre8(f func(float64) float64, a, b float64) float64 {
@@ -200,6 +177,20 @@ func gaussLegendre8(f func(float64) float64, a, b float64) float64 {
 		sum += gl8Weights[i] * (f(c-h*x) + f(c+h*x))
 	}
 	return sum * h
+}
+
+// gradedGL8 integrates f over [0, hi] for an integrand with a power-law
+// singularity at 0: it takes the 8-point rule on pieces graded geometrically
+// toward 0, [hi/8, hi], [hi/64, hi/8], … while the piece's top exceeds
+// floor, then one rule over what is left. Each graded piece keeps the
+// singularity a fixed fraction of its width away, so every piece is
+// integrated to the same relative accuracy.
+func gradedGL8(f func(float64) float64, hi, floor float64) float64 {
+	var sum float64
+	for ; hi > floor; hi /= 8 {
+		sum += gaussLegendre8(f, hi/8, hi)
+	}
+	return sum + gaussLegendre8(f, 0, hi)
 }
 
 // The positive nodes of the 8-point Gauss–Legendre rule on [-1, 1] and

@@ -51,38 +51,44 @@ func TestLogMGFBasics(t *testing.T) {
 	}
 }
 
+// The Chernoff tests run the integer-b kernel and, at b = 1.5, the same
+// closed form at a real exponent.
+var chernoffShots = []PowerShot{Triangular, {B: 1.5}}
+
 func TestChernoffBoundProperties(t *testing.T) {
-	m, err := NewModel(100, Triangular, testFlows(500, 22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu, sigma := m.Mean(), m.StdDev()
-	// Vacuous at and below the mean.
-	if p, err := m.ChernoffExceedProb(mu); err != nil || p != 1 {
-		t.Fatalf("at the mean: p = %g, %v; want 1", p, err)
-	}
-	// Decreasing in the capacity, within (0, 1].
-	prev := 1.0
-	for _, k := range []float64{0.5, 1, 2, 3, 4} {
-		p, err := m.ChernoffExceedProb(mu + k*sigma)
+	for _, shot := range chernoffShots {
+		m, err := NewModel(100, shot, testFlows(500, 22))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p <= 0 || p > prev+1e-12 {
-			t.Fatalf("Chernoff bound not decreasing at μ+%gσ: %g after %g", k, p, prev)
+		mu, sigma := m.Mean(), m.StdDev()
+		// Vacuous at and below the mean.
+		if p, err := m.ChernoffExceedProb(mu); err != nil || p != 1 {
+			t.Fatalf("%s: at the mean: p = %g, %v; want 1", shot.Name(), p, err)
 		}
-		prev = p
-	}
-	// Near the mean the bound approaches the Gaussian exponent
-	// exp(-k²/2) within the skew correction; at k=1 they should be within
-	// a factor of a few.
-	p1, err := m.ChernoffExceedProb(mu + sigma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gauss := math.Exp(-0.5)
-	if p1 < gauss/5 || p1 > gauss*5 {
-		t.Fatalf("Chernoff at μ+σ = %g, Gaussian exponent scale %g", p1, gauss)
+		// Decreasing in the capacity, within (0, 1].
+		prev := 1.0
+		for _, k := range []float64{0.5, 1, 2, 3, 4} {
+			p, err := m.ChernoffExceedProb(mu + k*sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p <= 0 || p > prev+1e-12 {
+				t.Fatalf("%s: Chernoff bound not decreasing at μ+%gσ: %g after %g", shot.Name(), k, p, prev)
+			}
+			prev = p
+		}
+		// Near the mean the bound approaches the Gaussian exponent
+		// exp(-k²/2) within the skew correction; at k=1 they should be within
+		// a factor of a few.
+		p1, err := m.ChernoffExceedProb(mu + sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gauss := math.Exp(-0.5)
+		if p1 < gauss/5 || p1 > gauss*5 {
+			t.Fatalf("%s: Chernoff at μ+σ = %g, Gaussian exponent scale %g", shot.Name(), p1, gauss)
+		}
 	}
 }
 
@@ -106,34 +112,36 @@ func TestChernoffHeavierThanGaussianTail(t *testing.T) {
 }
 
 func TestBandwidthChernoff(t *testing.T) {
-	m, err := NewModel(50, Triangular, testFlows(400, 24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eps := range []float64{0.05, 0.01, 1e-3} {
-		c, err := m.BandwidthChernoff(eps)
+	for _, shot := range chernoffShots {
+		m, err := NewModel(50, shot, testFlows(400, 24))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c <= m.Mean() {
-			t.Fatalf("C(%g) = %g not above the mean", eps, c)
+		for _, eps := range []float64{0.05, 0.01, 1e-3} {
+			c, err := m.BandwidthChernoff(eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c <= m.Mean() {
+				t.Fatalf("%s: C(%g) = %g not above the mean", shot.Name(), eps, c)
+			}
+			p, err := m.ChernoffExceedProb(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !almostRel(p, eps, 1e-3) {
+				t.Fatalf("%s: round trip: ChernoffExceedProb(C(%g)) = %g", shot.Name(), eps, p)
+			}
 		}
-		p, err := m.ChernoffExceedProb(c)
-		if err != nil {
-			t.Fatal(err)
+		// The Chernoff capacity exceeds the Gaussian one in the deep tail
+		// (it accounts for the positive skew).
+		cg, _ := m.Bandwidth(1e-3)
+		cc, _ := m.BandwidthChernoff(1e-3)
+		if !(cc > cg) {
+			t.Fatalf("%s: deep tail: Chernoff capacity %g should exceed Gaussian %g", shot.Name(), cc, cg)
 		}
-		if !almostRel(p, eps, 1e-3) {
-			t.Fatalf("round trip: ChernoffExceedProb(C(%g)) = %g", eps, p)
+		if _, err := m.BandwidthChernoff(0); err == nil {
+			t.Fatalf("%s: ε=0 should be rejected", shot.Name())
 		}
-	}
-	// The Chernoff capacity exceeds the Gaussian one in the deep tail
-	// (it accounts for the positive skew).
-	cg, _ := m.Bandwidth(1e-3)
-	cc, _ := m.BandwidthChernoff(1e-3)
-	if !(cc > cg) {
-		t.Fatalf("deep tail: Chernoff capacity %g should exceed Gaussian %g", cc, cg)
-	}
-	if _, err := m.BandwidthChernoff(0); err == nil {
-		t.Fatal("ε=0 should be rejected")
 	}
 }

@@ -3,12 +3,10 @@
 # job runs:
 #
 #   1. go vet              — the stock toolchain analyzers;
-#   2. go vet -vettool     — the repolint suite (determinism, hotpath,
-#                            poolcheck, floatconst) under vet's package
-#                            graph and result cache;
-#   3. repolint ./...      — the same suite standalone (belt and braces:
-#                            exercises the go-list loader path);
-#   4. repolint -escape    — the go build -gcflags=-m escape-analysis
+#   2. repolint ./...      — the repolint suite (determinism, hotpath,
+#                            poolcheck, floatconst) over the go-list
+#                            loader;
+#   3. repolint -escape    — the go build -gcflags=-m escape-analysis
 #                            cross-check over //repro:hotpath functions.
 #
 # Findings are suppressed only by //repro: directives carrying a written
@@ -25,9 +23,6 @@ go build -o "$tool" ./cmd/repolint
 
 echo "lint: go vet $pkgs"
 go vet $pkgs
-
-echo "lint: go vet -vettool=repolint $pkgs"
-go vet -vettool="$tool" $pkgs
 
 echo "lint: repolint $pkgs"
 "$tool" $pkgs
