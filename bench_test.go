@@ -447,39 +447,47 @@ func BenchmarkStoreWrite(b *testing.B) {
 	b.ReportMetric(float64(pkts), "pkts/op")
 }
 
-// BenchmarkAssemblerBlock isolates the flow-assembly hot path under the
-// suite's two definitions: key and hash columns derived once per block,
-// shared across definitions, then one table probe per packet per
-// definition. ns/op is per trace pass; pkts/op records the stream length.
+// BenchmarkAssemblerBlock isolates the flow-assembly hot path: key and
+// hash columns derived once per block, then one table probe per packet per
+// definition. block runs the suite's two definitions, sharing the
+// derivation; 5tuple runs the 5-tuple alone, as flowd measures. ns/op is
+// per trace pass; pkts/op records the stream length.
 func BenchmarkAssemblerBlock(b *testing.B) {
 	blocks := benchBlocks(b)
 	pkts := 0
 	for _, blk := range blocks {
 		pkts += blk.Len()
 	}
-	defs := []flow.Definition{flow.By5Tuple, flow.ByPrefix24}
-	b.Run("block", func(b *testing.B) {
-		m, err := flow.NewMeasurer(defs, flow.DefaultTimeout)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Reset()
-			for _, blk := range blocks {
-				if err := m.AddBlock(blk); err != nil {
-					b.Fatal(err)
-				}
+	for _, bc := range []struct {
+		name string
+		defs []flow.Definition
+	}{
+		{"block", []flow.Definition{flow.By5Tuple, flow.ByPrefix24}},
+		{"5tuple", []flow.Definition{flow.By5Tuple}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, err := flow.NewMeasurer(bc.defs, flow.DefaultTimeout)
+			if err != nil {
+				b.Fatal(err)
 			}
-			m.Flush()
-		}
-		b.ReportMetric(float64(pkts), "pkts/op")
-	})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Reset()
+				for _, blk := range blocks {
+					if err := m.AddBlock(blk); err != nil {
+						b.Fatal(err)
+					}
+				}
+				m.Flush()
+			}
+			b.ReportMetric(float64(pkts), "pkts/op")
+		})
+	}
 }
 
 // BenchmarkAssemblerFlush isolates one interval's flush: 6,000
 // two-packet flows starting across a 30 s interval, all still open, so
-// the flush finalises them in table order and returns them in start
+// the flush finalises them in slab order and returns them in start
 // order. ns/op and allocs/op are per flush; the measurer's storage is
 // warm after the first interval.
 func BenchmarkAssemblerFlush(b *testing.B) {

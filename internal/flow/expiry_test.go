@@ -3,6 +3,9 @@ package flow
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/netpkt"
+	"repro/internal/trace"
 )
 
 // TestSweepExpiredDifferential drives flowTable insert/update/delete churn
@@ -180,5 +183,100 @@ func TestAssemblerExpiryInterleavedWithChurn(t *testing.T) {
 			t.Fatalf("seed %d: expiry-churn stream diverged from reference (%d/%d vs %d/%d)",
 				seed, len(got.Flows), len(got.Discarded), len(want.Flows), len(want.Discarded))
 		}
+	}
+}
+
+// keyedPacket is a 5-tuple packet of flow k at time t.
+func keyedPacket(blk *trace.Block, t float64, k int) {
+	src, dst := netpkt.Header{
+		SrcIP:    netpkt.IPv4Addr{10, byte(k >> 16), byte(k >> 8), byte(k)},
+		DstIP:    netpkt.IPv4Addr{172, 16, 0, 1},
+		Protocol: netpkt.ProtoTCP,
+		SrcPort:  1000,
+		DstPort:  80,
+	}.Packed()
+	blk.Append(t, 100, src, dst)
+}
+
+// TestSweepBoundsIdleByStreamTime checks the paced sweep's contract: after
+// every block, no table entry was last seen more than 1.5 × timeout of
+// stream time before the block's last packet. The streams cover steady
+// churn, gaps of 1e6 s and 1e300 s (whose rotation budgets must clamp to
+// the table size), and a packet rate that triples mid-stream, so the table
+// doubles partway through a rotation while idle flows near the bound.
+func TestSweepBoundsIdleByStreamTime(t *testing.T) {
+	const timeout = 5.0
+	type step struct {
+		dt   float64 // stream time since the previous packet
+		keys int     // the packet's flow is drawn from [0, keys)
+	}
+	for _, tc := range []struct {
+		name   string
+		stream func(i int, rng *rand.Rand) step
+		grows  bool // the table must double after the first timeout
+	}{
+		{"steady", func(i int, rng *rand.Rand) step {
+			return step{rng.Float64() * 0.01, 5000}
+		}, false},
+		{"gaps", func(i int, rng *rand.Rand) step {
+			switch i {
+			case 20000:
+				return step{1e6, 5000}
+			case 40000:
+				return step{1e300, 5000}
+			}
+			return step{rng.Float64() * 0.01, 5000}
+		}, false},
+		{"doubling", func(i int, rng *rand.Rand) step {
+			// Fresh keys at about 200/s hold the table steady below its load
+			// limit, with idle entries of every age up to the bound. From
+			// t ≈ 50 s the rate triples, and the table doubles twice while
+			// the oldest entries are a quarter timeout from the bound.
+			if i < 10000 {
+				return step{rng.Float64() * 0.01, 1 << 22}
+			}
+			return step{rng.Float64() * 0.003, 1 << 22}
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(28))
+			m, err := NewMeasurer([]Definition{By5Tuple}, timeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := m.asm[0]
+			evicted, evict := 0, a.evict
+			a.evict = func(slot int32) { evicted++; evict(slot) }
+			grewIdle := false
+			blk := &trace.Block{}
+			now := 0.0
+			for i := 0; i < 60000; {
+				blk.Reset()
+				for n := 1 + rng.Intn(300); n > 0 && i < 60000; n, i = n-1, i+1 {
+					st := tc.stream(i, rng)
+					now += st.dt
+					keyedPacket(blk, now, rng.Intn(st.keys))
+				}
+				size := len(a.table.hash)
+				if err := m.AddBlock(blk); err != nil {
+					t.Fatal(err)
+				}
+				if len(a.table.hash) > size && now >= a.idleAt {
+					grewIdle = true
+				}
+				last := blk.Times[blk.Len()-1]
+				for pos, h := range a.table.hash {
+					if h != 0 && last-a.table.last[pos] > 1.5*timeout {
+						t.Fatalf("packet %d (t=%g): entry last seen at %g outlived 1.5 × timeout", i, last, a.table.last[pos])
+					}
+				}
+			}
+			if evicted == 0 {
+				t.Fatal("the stream evicted nothing")
+			}
+			if tc.grows && !grewIdle {
+				t.Fatal("the table never doubled once flows could be idle")
+			}
+		})
 	}
 }

@@ -7,12 +7,15 @@
 //
 // The assembler consumes packets in timestamp order (what a passive monitor
 // sees) and runs in O(active flows) memory, evicting idle flows with an
-// incremental expiry sweep amortised over the packet stream, so multi-hour
-// traces stream through it without periodic full-table pauses.
+// incremental expiry sweep paced by stream time: the table rotates once
+// per half timeout, whatever the packet rate, so a flow idle past the
+// timeout is gone within 1.5 timeouts and multi-hour traces stream through
+// without periodic full-table pauses.
 package flow
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/trace"
@@ -108,26 +111,18 @@ type Assembler struct {
 	// order. res is Flush's reused output storage.
 	done     []Flow
 	res      Result
-	lastTime float64
-	started  bool
-	// sweepDebt counts packets since the last expiry step; every sweepEvery
-	// packets the assembler sweeps sweepStride table positions — the
-	// incremental replacement of the old full-table periodic sweep.
-	sweepDebt int
+	lastTime float64 // the last packet's time; -Inf before the first
+	// sweepAt is the stream time at which the next idle-expiry step is
+	// due, and idleAt the first packet time plus the timeout: no flow can
+	// be idle before it, so no step runs earlier. Reset sets sweepAt to
+	// -Inf, which makes the first packet arm both.
+	sweepAt float64
+	idleAt  float64
 	// evict finalises one idle flow during a sweep step. Built once at
 	// construction so the hot path passes a stored func value instead of
 	// allocating a closure per call.
 	evict func(slot int32)
 }
-
-// Incremental expiry tuning: one sweepStride-position step per sweepEvery
-// packets is 2 positions of sweep work per packet amortised, which rotates
-// the whole table well inside a timeout window at any realistic packet rate
-// while keeping each step's latency trivially small.
-const (
-	sweepEvery  = 64
-	sweepStride = 128
-)
 
 // NewAssembler returns a streaming assembler for one flow definition;
 // timeout must be positive (use DefaultTimeout for the paper's 60 s).
@@ -139,7 +134,7 @@ func NewAssembler(def Definition, timeout float64) (*Assembler, error) {
 		return nil, fmt.Errorf("flow: timeout must be > 0, got %g", timeout)
 	}
 	a := &Assembler{def: def, timeout: timeout}
-	a.table.reset()
+	a.Reset()
 	a.evict = func(slot int32) {
 		a.finish(&a.states[slot])
 		a.freeSlots = append(a.freeSlots, slot)
@@ -155,26 +150,28 @@ func (a *Assembler) Reset() {
 	a.states = a.states[:0]
 	a.freeSlots = a.freeSlots[:0]
 	a.done = a.done[:0]
-	a.lastTime = 0
-	a.started = false
-	a.sweepDebt = 0
+	a.lastTime = math.Inf(-1)
+	a.sweepAt = math.Inf(-1)
+	a.idleAt = math.Inf(1)
 }
 
-// alloc returns a free slab slot.
-func (a *Assembler) alloc() int32 {
+// alloc stores st in a free slab slot and returns the slot.
+func (a *Assembler) alloc(st flowState) int32 {
 	if n := len(a.freeSlots); n > 0 {
 		slot := a.freeSlots[n-1]
 		a.freeSlots = a.freeSlots[:n-1]
+		a.states[slot] = st
 		return slot
 	}
-	a.states = append(a.states, flowState{})
+	a.states = append(a.states, st)
 	return int32(len(a.states) - 1)
 }
 
-// admit reserves the next admission number's entry in done.
-func (a *Assembler) admit() int32 {
+// open starts a flow with one packet of size bytes at t, under the next
+// admission number, whose entry in done it reserves.
+func (a *Assembler) open(t float64, size uint16) flowState {
 	a.done = append(a.done, Flow{})
-	return int32(len(a.done) - 1)
+	return flowState{start: t, last: t, bytes: int64(size), packets: 1, adm: int32(len(a.done) - 1)}
 }
 
 // errOutOfOrder builds the out-of-order-packet error. It lives outside the
@@ -190,40 +187,75 @@ func errOutOfOrder(t, last float64) error {
 //
 //repro:hotpath
 func (a *Assembler) addPacked(t float64, size uint16, h, ka, kb uint64) {
-	pos, ok := a.table.find(h, ka, kb)
-	if !ok {
-		slot := a.alloc()
-		pos = a.table.insert(pos, h, ka, kb, slot)
-		a.states[slot] = flowState{
-			start: t, last: t,
-			bytes: int64(size), packets: 1,
-			adm: a.admit(),
+	tb := &a.table
+	pos, ok := tb.find(h, ka, kb)
+	switch {
+	case !ok:
+		if tb.n >= tb.grow {
+			a.grow(t)
+			pos, _ = tb.find(h, ka, kb)
 		}
-	} else {
-		st := &a.states[a.table.slot[pos]]
-		if t-st.last > a.timeout {
-			// The previous flow on this key timed out; finalise it and start
-			// a fresh flow with this packet, reusing the slot in place under
-			// a new admission number.
-			a.finish(st)
-			*st = flowState{
-				start: t, last: t,
-				bytes: int64(size), packets: 1,
-				adm: a.admit(),
-			}
-		} else {
-			st.last = t
-			st.bytes += int64(size)
-			st.packets++
-		}
+		pos = tb.insert(pos, h, ka, kb, a.alloc(a.open(t, size)))
+	case t-tb.last[pos] > a.timeout:
+		// The previous flow on this key timed out; finalise it and start a
+		// fresh flow with this packet, reusing the slot in place under a new
+		// admission number. The timeout test reads the table's last-seen
+		// column, so the slab is touched only to be written.
+		st := &a.states[tb.slot[pos]]
+		a.finish(st)
+		*st = a.open(t, size)
+	default:
+		st := &a.states[tb.slot[pos]]
+		st.last = t
+		st.bytes += int64(size)
+		st.packets++
 	}
-	a.table.last[pos] = t
-	// Incremental expiry: a bounded sweep step every sweepEvery packets
-	// keeps memory bounded by the genuinely active flows without the
-	// latency spike of a full-table pass.
-	if a.sweepDebt++; a.sweepDebt >= sweepEvery {
-		a.sweepDebt = 0
-		a.table.sweepExpired(t-a.timeout, sweepStride, a.evict)
+	tb.last[pos] = t
+	if t >= a.sweepAt {
+		a.sweep(t, false)
+	}
+}
+
+// sweep runs the idle-expiry step due at stream time t, or examines the
+// whole table when all is set. The table rotates once per timeout/2 of
+// stream time: position j of the rotation falls due timeout/(2·size) after
+// position j−1, and a step examines every position due by t. A flow last
+// seen at L can be evicted from L+timeout on, and every position falls due
+// once in (L+timeout, L+1.5·timeout], so by stream time L+1.5·timeout the
+// flow is gone. The work is the table size per half timeout of stream
+// time, whatever the packet rate, and no step runs before the first
+// packet plus the timeout.
+func (a *Assembler) sweep(t float64, all bool) {
+	if math.IsInf(a.sweepAt, -1) { // the first packet since Reset
+		a.idleAt = t + a.timeout
+		a.sweepAt = a.idleAt
+		return
+	}
+	size := len(a.table.hash)
+	gap := a.timeout / 2 / float64(size)
+	// The test runs in float64 before the conversion, so a stream-time gap
+	// of any length (or an Inf quotient) clamps to one rotation.
+	k := size
+	if x := (t - a.sweepAt) / gap; !all && x < float64(size) {
+		k = int(x) + 1
+		a.sweepAt += float64(k) * gap
+	}
+	if k == size || !(a.sweepAt > t) {
+		// The whole table is examined at t (or t is too coarse for the
+		// schedule's spacing): the rotation starts over from t.
+		a.sweepAt = max(t+gap, math.Nextafter(t, math.Inf(1)))
+	}
+	a.table.sweepExpired(t-a.timeout, k, a.evict)
+}
+
+// grow doubles the table before an insert at stream time t would pass its
+// load limit. The rehash moves entries out of rotation order, so once
+// flows can be idle the doubled table is swept whole and the rotation
+// starts over from t, which keeps the 1.5·timeout bound across growth.
+func (a *Assembler) grow(t float64) {
+	a.table.rehash()
+	if t >= a.idleAt {
+		a.sweep(t, true)
 	}
 }
 
@@ -234,15 +266,25 @@ func (a *Assembler) addPacked(t float64, size uint16, h, ka, kb uint64) {
 //
 //repro:hotpath
 func (a *Assembler) AddBlock(blk *trace.Block, hash, keyA, keyB []uint64) error {
-	n := blk.Len()
-	for j := 0; j < n; j++ {
-		t := blk.Times[j]
-		if a.started && t < a.lastTime {
-			return errOutOfOrder(t, a.lastTime) //repro:alloc-ok error construction on the malformed-input branch only; no allocation on the in-order path
+	// Time order is checked in one pass ahead of the table work; the
+	// packets before an out-of-order one are still consumed.
+	times, last := blk.Times, a.lastTime
+	n := len(times)
+	for j, t := range times {
+		if t < last {
+			n = j
+			break
 		}
-		a.started = true
-		a.lastTime = t
-		a.addPacked(t, blk.Sizes[j], hash[j], keyA[j], keyB[j])
+		last = t
+	}
+	a.lastTime = last
+	times = times[:n]
+	sizes, hash, keyA, keyB := blk.Sizes[:n], hash[:n], keyA[:n], keyB[:n]
+	for j, t := range times {
+		a.addPacked(t, sizes[j], hash[j], keyA[j], keyB[j])
+	}
+	if n < blk.Len() {
+		return errOutOfOrder(blk.Times[n], a.lastTime) //repro:alloc-ok error construction on the malformed-input branch only; no allocation on the in-order path
 	}
 	return nil
 }
@@ -254,7 +296,8 @@ func (a *Assembler) finish(st *flowState) {
 
 // ActiveFlows returns the number of in-progress flows (the N(t) of the
 // M/G/∞ view, §V-A, sampled at the last packet time). Flows idle past the
-// timeout but not yet swept are still counted, as before the slab rewrite.
+// timeout but not yet swept are still counted, for up to 1.5 × timeout of
+// stream time after their last packet.
 func (a *Assembler) ActiveFlows() int { return a.table.n }
 
 // Flush finalises all in-progress flows (end of trace or of an analysis
@@ -276,13 +319,14 @@ func (a *Assembler) ActiveFlows() int { return a.table.n }
 // The returned slices are the assembler's own storage: they stay valid
 // until the next Flush or Reset, so a caller that keeps them copies them.
 func (a *Assembler) Flush() Result {
-	tb := &a.table
-	for i := range tb.hash {
-		if tb.hash[i] != 0 {
-			a.finish(&a.states[tb.slot[i]])
-		}
+	// Every slab slot holds either an open flow or an evicted one whose
+	// entry finish already filed and nothing has changed since, so one
+	// sequential pass over the slab files the open flows and rewrites the
+	// evicted ones' entries unchanged, without a probe of the table.
+	for i := range a.states {
+		a.finish(&a.states[i])
 	}
-	tb.reset()
+	a.table.reset()
 	a.states = a.states[:0]
 	a.freeSlots = a.freeSlots[:0]
 	// A single-packet entry has End == Start, so the flow order ranks the

@@ -10,19 +10,20 @@ import (
 // Measurer measures one packet stream under several flow definitions at
 // once over shared key derivation: each block's per-definition key and hash
 // columns are derived from the packed Src/Dst columns in vector passes —
-// the 5-tuple in one pass over both columns, every prefix definition in one
-// shared pass over the dst column — so adding a definition costs a mask and
-// a mix per packet, never a re-extraction or a re-hash of the header.
+// the 5-tuple in one pass over both columns, each prefix definition in one
+// pass over the dst column — so adding a definition costs a mask and a mix
+// per packet, never a re-extraction or a re-hash of the header.
 type Measurer struct {
-	defs    []Definition
-	asm     []*Assembler
-	prefixy []int    // indexes into defs of the prefix definitions
-	drops   []uint64 // prefix low-bit masks, index-aligned with prefixy
+	defs []Definition
+	asm  []*Assembler
 	// Per-definition derived columns, index-aligned with the current block.
-	hash [][]uint64
-	keyA [][]uint64
-	keyB [][]uint64
-	out  []Result // Flush's reused result slice
+	// The key's first word needs no column of its own: the 5-tuple's is
+	// the block's Srcs column, read in place, and every prefix
+	// definition's is zero, read from zeros.
+	hash  [][]uint64
+	keyB  [][]uint64
+	zeros []uint64 // all zero; grows only when a longer block arrives
+	out   []Result // Flush's reused result slice
 }
 
 // NewMeasurer builds a measurer over the given definitions with the given
@@ -35,7 +36,6 @@ func NewMeasurer(defs []Definition, timeout float64) (*Measurer, error) {
 		defs: append([]Definition(nil), defs...),
 		asm:  make([]*Assembler, len(defs)),
 		hash: make([][]uint64, len(defs)),
-		keyA: make([][]uint64, len(defs)),
 		keyB: make([][]uint64, len(defs)),
 		out:  make([]Result, len(defs)),
 	}
@@ -45,11 +45,6 @@ func NewMeasurer(defs []Definition, timeout float64) (*Measurer, error) {
 			return nil, err
 		}
 		m.asm[i] = a
-		if def != By5Tuple {
-			drop, _ := prefixDrop(def)
-			m.prefixy = append(m.prefixy, i)
-			m.drops = append(m.drops, drop)
-		}
 	}
 	return m, nil
 }
@@ -71,51 +66,47 @@ func growCols(cols [][]uint64, di, n int) {
 	}
 }
 
-// derive fills the per-definition key and hash columns for blk.
+// derive fills the per-definition hash and keyB columns for blk, one pass
+// per definition: the block's columns stay in cache across them.
 func (m *Measurer) derive(blk *trace.Block) {
 	n := blk.Len()
-	for di := range m.defs {
-		growCols(m.hash, di, n)
-		growCols(m.keyA, di, n)
-		growCols(m.keyB, di, n)
-	}
+	srcs, dsts := blk.Srcs[:n], blk.Dsts[:n]
 	for di, def := range m.defs {
-		if def != By5Tuple {
+		growCols(m.hash, di, n)
+		growCols(m.keyB, di, n)
+		ha, kb := m.hash[di][:n], m.keyB[di][:n]
+		if def == By5Tuple {
+			for j, a := range srcs {
+				b := dsts[j] &^ netpkt.PackedTTLMask
+				kb[j] = b
+				ha[j] = hashKey(a, b)
+			}
 			continue
 		}
-		ha, ka, kb := m.hash[di], m.keyA[di], m.keyB[di]
-		for j := 0; j < n; j++ {
-			a := blk.Srcs[j]
-			b := blk.Dsts[j] &^ netpkt.PackedTTLMask
-			ka[j] = a
-			kb[j] = b
-			ha[j] = hashKey(a, b)
+		if len(m.zeros) < n {
+			m.zeros = make([]uint64, n)
 		}
-	}
-	if len(m.prefixy) == 0 {
-		return
-	}
-	// All prefix definitions come off the dst column in one shared pass.
-	for _, di := range m.prefixy {
-		clear(m.keyA[di])
-	}
-	for j := 0; j < n; j++ {
-		ip := blk.Dsts[j] >> netpkt.PackedAddrShift
-		for pi, di := range m.prefixy {
-			kb := ip &^ m.drops[pi]
-			m.keyB[di][j] = kb
-			m.hash[di][j] = hashKey(0, kb)
+		drop, _ := prefixDrop(def)
+		for j, d := range dsts {
+			b := d >> netpkt.PackedAddrShift &^ drop
+			kb[j] = b
+			ha[j] = hashKey(0, b)
 		}
 	}
 }
 
 // AddBlock consumes one SoA block: keys for every definition are derived
 // once, then each assembler runs the block through its table. Packets must
-// arrive in non-decreasing time order across AddBlock calls.
+// arrive in non-decreasing time order across AddBlock calls. The block is
+// only read, so borrowed (read-only) store blocks can feed it.
 func (m *Measurer) AddBlock(blk *trace.Block) error {
 	m.derive(blk)
 	for di, a := range m.asm {
-		if err := a.AddBlock(blk, m.hash[di], m.keyA[di], m.keyB[di]); err != nil {
+		keyA := blk.Srcs
+		if m.defs[di] != By5Tuple {
+			keyA = m.zeros
+		}
+		if err := a.AddBlock(blk, m.hash[di], keyA, m.keyB[di]); err != nil {
 			return err
 		}
 	}

@@ -15,10 +15,9 @@ import (
 // Add consumes one packet record. Packets must arrive in non-decreasing
 // time order.
 func (a *Assembler) Add(rec trace.Record) error {
-	if a.started && rec.Time < a.lastTime {
+	if rec.Time < a.lastTime {
 		return errOutOfOrder(rec.Time, a.lastTime)
 	}
-	a.started = true
 	a.lastTime = rec.Time
 	src, dst := rec.Hdr.Packed()
 	h, ka, kb := deriveOne(a.def, src, dst)

@@ -6,9 +6,8 @@ package flow
 // slot. It replaces the generic Go map the assembler used to probe per
 // packet per definition: key columns are derived from a block's packed
 // Src/Dst columns in vector passes (the /24, /16 and /8 prefix keys all
-// come off the same dst column in one pass), and the table probe is a
-// linear scan over flat arrays with no per-lookup hashing of a 13-byte
-// struct.
+// come off the same dst column), and the table probe is a linear scan over
+// flat arrays with no per-lookup hashing of a 13-byte struct.
 
 // mix64 is the splitmix64 finalizer: a cheap full-avalanche 64-bit mixer.
 func mix64(x uint64) uint64 {
@@ -54,8 +53,9 @@ func prefixDrop(def Definition) (drop uint64, ok bool) {
 // resize), so the table itself never hashes.
 type flowTable struct {
 	hash []uint64
-	keyA []uint64
-	keyB []uint64
+	// key holds each occupied position's two key words side by side, so a
+	// probe that matches the hash reads the whole key in one load.
+	key  []flowKey
 	slot []int32
 	// last holds each occupied position's last-seen timestamp — a copy of
 	// the flow state's `last` field kept columnar so the idle-expiry sweep
@@ -65,18 +65,20 @@ type flowTable struct {
 	n    int // occupied positions
 	grow int // occupancy that triggers a doubling
 	// sweepPos is the rotating cursor of sweepExpired: each call resumes
-	// where the previous one stopped, so expiry cost is spread across the
-	// packet stream instead of paid in one full-table pass.
+	// where the previous one stopped, so expiry cost is spread across
+	// stream time instead of paid in one full-table pass.
 	sweepPos uint64
 }
+
+// flowKey is a packed two-word flow key.
+type flowKey struct{ a, b uint64 }
 
 // flowTableMinCap is the initial capacity (power of two).
 const flowTableMinCap = 256
 
 func (t *flowTable) alloc(c int) {
 	t.hash = make([]uint64, c)
-	t.keyA = make([]uint64, c)
-	t.keyB = make([]uint64, c)
+	t.key = make([]flowKey, c)
 	t.slot = make([]int32, c)
 	t.last = make([]float64, c)
 	t.mask = uint64(c - 1)
@@ -104,7 +106,7 @@ func (t *flowTable) find(h, a, b uint64) (pos uint64, found bool) {
 		if hh == 0 {
 			return i, false
 		}
-		if hh == h && t.keyA[i] == a && t.keyB[i] == b {
+		if hh == h && t.key[i] == (flowKey{a, b}) {
 			return i, true
 		}
 		i = (i + 1) & t.mask
@@ -120,8 +122,7 @@ func (t *flowTable) insert(pos uint64, h, a, b uint64, s int32) uint64 {
 		pos, _ = t.find(h, a, b)
 	}
 	t.hash[pos] = h
-	t.keyA[pos] = a
-	t.keyB[pos] = b
+	t.key[pos] = flowKey{a, b}
 	t.slot[pos] = s
 	t.n++
 	return pos
@@ -130,7 +131,7 @@ func (t *flowTable) insert(pos uint64, h, a, b uint64, s int32) uint64 {
 // rehash doubles capacity and reinserts every occupied position using its
 // stored hash (keys are distinct, so each lands at its first empty probe).
 func (t *flowTable) rehash() {
-	oh, oa, ob, os, ol := t.hash, t.keyA, t.keyB, t.slot, t.last
+	oh, ok, os, ol := t.hash, t.key, t.slot, t.last
 	t.alloc(2 * len(oh))
 	for i, h := range oh {
 		if h == 0 {
@@ -141,8 +142,7 @@ func (t *flowTable) rehash() {
 			j = (j + 1) & t.mask
 		}
 		t.hash[j] = h
-		t.keyA[j] = oa[i]
-		t.keyB[j] = ob[i]
+		t.key[j] = ok[i]
 		t.slot[j] = os[i]
 		t.last[j] = ol[i]
 		t.n++
@@ -170,8 +170,7 @@ func (t *flowTable) del(pos uint64) {
 			home := h & t.mask
 			if (j-home)&t.mask >= (j-i)&t.mask {
 				t.hash[i] = h
-				t.keyA[i] = t.keyA[j]
-				t.keyB[i] = t.keyB[j]
+				t.key[i] = t.key[j]
 				t.slot[i] = t.slot[j]
 				t.last[i] = t.last[j]
 				i = j
@@ -181,30 +180,31 @@ func (t *flowTable) del(pos uint64) {
 	}
 }
 
-// sweepExpired examines up to k positions starting at the rotating cursor,
+// sweepExpired examines k positions starting at the rotating cursor,
 // evicting entries whose last-seen timestamp is before deadline: evict
 // receives the entry's slot, then the position is deleted. Backward-shift
 // deletion can move a not-yet-visited entry into the examined position, so
-// a deleting step re-examines the position without advancing (the step
-// still counts toward k, bounding the call's work). Successive calls
-// rotate through the whole table, so any idle entry is found within one
-// full rotation — expiry timing affects only the memory bound, never
-// results, because eviction runs the same finalisation a Flush would.
+// a deleting step re-examines the position without advancing, and only
+// advancing steps count toward k: k = len(hash) examines the whole table.
+// Deletions are paid for by the inserts that made the entries, so a call
+// costs k positions plus its evictions. Entries move only toward the
+// cursor, never past it, so successive calls rotate through the whole
+// table and any idle entry is found within one full rotation. Expiry
+// timing affects only the memory bound, never results, because eviction
+// runs the same finalisation a Flush would.
 func (t *flowTable) sweepExpired(deadline float64, k int, evict func(slot int32)) {
 	if t.n == 0 {
 		return
 	}
-	if size := len(t.hash); k > size {
-		k = size
-	}
 	i := t.sweepPos & t.mask
-	for step := 0; step < k; step++ {
+	for step := 0; step < k; {
 		if t.hash[i] != 0 && t.last[i] < deadline {
 			evict(t.slot[i])
 			t.del(i)
 			continue
 		}
 		i = (i + 1) & t.mask
+		step++
 	}
 	t.sweepPos = i
 }
