@@ -101,8 +101,11 @@ func main() {
 	// Correlation structure carried by the shots (Theorem 2).
 	fmt.Printf("\n%10s %10s %12s\n", "tau(ms)", "model ρ", "generated ρ")
 	acf := fluid.AutoCorrelation(4)
-	for k := 0; k <= 4; k++ {
-		tau := float64(k) * delta
-		fmt.Printf("%10.0f %10.3f %12.3f\n", tau*1e3, m.AutoCorrelation(tau), acf[k])
+	taus := make([]float64, len(acf))
+	for k := range taus {
+		taus[k] = float64(k) * delta
+	}
+	for k, rho := range m.AutoCorrelations(taus) {
+		fmt.Printf("%10.0f %10.3f %12.3f\n", taus[k]*1e3, rho, acf[k])
 	}
 }

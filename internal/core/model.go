@@ -139,6 +139,20 @@ func (m *Model) AutoCorrelation(tau float64) float64 {
 	return m.AutoCovariance(tau) / v
 }
 
+// AutoCorrelations returns AutoCorrelation at each lag in taus, bit for
+// bit, computing γ(0) once for the whole curve instead of once per lag.
+func (m *Model) AutoCorrelations(taus []float64) []float64 {
+	out := make([]float64, len(taus))
+	v := m.Variance()
+	if v == 0 {
+		return out
+	}
+	for i, tau := range taus {
+		out[i] = m.AutoCovariance(tau) / v
+	}
+	return out
+}
+
 // AveragedVariance returns σ_Δ², the variance of the rate averaged over
 // windows of length Δ (the measured rate of §V-F, eq. 7):
 //

@@ -165,6 +165,35 @@ func TestAutoCovarianceAtZeroIsVariance(t *testing.T) {
 	}
 }
 
+// AutoCorrelations computes γ(0) once per curve; every lag must equal the
+// per-lag AutoCorrelation bit for bit, through CrossCov's closed forms
+// (b = 0, 1, 2), its graded integral (b = 2.95), and the zero-variance
+// guard of a hand-built model over an empty population.
+func TestAutoCorrelationsMatchPerLag(t *testing.T) {
+	fl := testFlows(400, 8)
+	taus := []float64{0, 0.025, 0.1, 0.4, 1, slices.Max(fl.D), 1e9}
+	var models []*Model
+	for _, b := range []float64{0, 1, 2, 2.95} {
+		m, err := NewModel(30, PowerShot{B: b}, fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+	}
+	models = append(models, &Model{Lambda: 30, Shot: Triangular, Pop: &FlowPop{}})
+	for _, m := range models {
+		got := m.AutoCorrelations(taus)
+		if len(got) != len(taus) {
+			t.Fatalf("%v: %d values for %d lags", m.Shot, len(got), len(taus))
+		}
+		for i, tau := range taus {
+			if want := m.AutoCorrelation(tau); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%v, λ %g, pop %d: ρ(%g) = %v, per-lag %v", m.Shot, m.Lambda, m.Pop.Len(), tau, got[i], want)
+			}
+		}
+	}
+}
+
 func TestAutoCovarianceDecaysAndVanishes(t *testing.T) {
 	fl := testFlows(500, 5)
 	maxD := slices.Max(fl.D)

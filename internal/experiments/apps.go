@@ -151,9 +151,12 @@ func (r *Runner) AppC(w io.Writer, seed int64) error {
 	// Correlation structure: generated ACF vs Theorem 2.
 	fmt.Fprintf(w, "%10s %12s %12s\n", "tau(ms)", "model ρ", "generated ρ")
 	acf := fluid.AutoCorrelation(5)
-	for k := 0; k <= 5; k++ {
-		tau := float64(k) * r.opts.Delta
-		fmt.Fprintf(w, "%10.0f %12.3f %12.3f\n", tau*1e3, m.AutoCorrelation(tau), acf[k])
+	taus := make([]float64, len(acf))
+	for k := range taus {
+		taus[k] = float64(k) * r.opts.Delta
+	}
+	for k, rho := range m.AutoCorrelations(taus) {
+		fmt.Fprintf(w, "%10.0f %12.3f %12.3f\n", taus[k]*1e3, rho, acf[k])
 	}
 	_ = in
 	return nil

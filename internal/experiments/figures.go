@@ -198,6 +198,10 @@ func (r *Runner) Fig8(w io.Writer) error {
 		return err
 	}
 	interval := r.specs[0].IntervalSec
+	var taus []float64
+	for tau := 0.0; tau <= 0.4001; tau += 0.025 {
+		taus = append(taus, tau)
+	}
 	for _, defCase := range []struct {
 		name string
 		res  flow.Result
@@ -210,18 +214,18 @@ func (r *Runner) Fig8(w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "%s:\n%8s %8s %8s %8s\n", defCase.name, "tau(ms)", "b=0", "b=1", "b=2")
-		models := make([]*core.Model, 0, 3)
+		curves := make([][]float64, 0, 3)
 		for _, b := range []float64{0, 1, 2} {
 			m, err := in.Model(core.PowerShot{B: b})
 			if err != nil {
 				return err
 			}
-			models = append(models, m)
+			curves = append(curves, m.AutoCorrelations(taus))
 		}
-		for tau := 0.0; tau <= 0.4001; tau += 0.025 {
+		for i, tau := range taus {
 			fmt.Fprintf(w, "%8.0f", tau*1e3)
-			for _, m := range models {
-				fmt.Fprintf(w, " %8.4f", m.AutoCorrelation(tau))
+			for _, rho := range curves {
+				fmt.Fprintf(w, " %8.4f", rho[i])
 			}
 			fmt.Fprintln(w)
 		}

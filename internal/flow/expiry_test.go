@@ -10,36 +10,29 @@ import (
 
 // TestSweepExpiredDifferential drives flowTable insert/update/delete churn
 // interleaved with incremental sweepExpired steps against a map+timestamp
-// reference. The degenerate hash collapses the whole table onto one probe
-// chain, so expiry deletions constantly backward-shift entries through the
-// sweep cursor — the exact interleaving the incremental sweep must survive.
+// reference, over each of tableKeySpaces. On the degenerate key space the
+// whole table is one probe chain, so expiry deletions constantly
+// backward-shift entries through the sweep cursor — the exact interleaving
+// the incremental sweep must survive.
 func TestSweepExpiredDifferential(t *testing.T) {
-	type key struct{ a, b uint64 }
 	type refEntry struct {
-		slot int32
+		adm  int32
 		last float64
+		seen int // the last sweep op that found the key live
 	}
-	for _, tc := range []struct {
-		name string
-		hash func(a, b uint64) uint64
-	}{
-		{"real-hash", hashKey},
-		{"degenerate-hash", func(a, b uint64) uint64 { return 7 }},
-		{"paired-hash", func(a, b uint64) uint64 { return hashKey(a/2, b) }},
-	} {
+	for _, tc := range tableKeySpaces(1200) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
 			var tab flowTable
 			tab.reset()
-			ref := map[key]refEntry{}
-			slotKey := map[int32]key{}
+			ref := map[flowKey]*refEntry{}
 			now := 0.0
-			nextSlot := int32(0)
+			var chain uint64
 			const timeout = 30.0
 			for op := 0; op < 30000; op++ {
 				now += rng.Float64() * 0.5
-				k := key{uint64(rng.Intn(300)), uint64(rng.Intn(4))}
-				h := tc.hash(k.a, k.b)
+				k := tc.keys[rng.Intn(len(tc.keys))]
+				h := hashKey(k.a, k.b)
 				switch {
 				case rng.Intn(10) < 7: // touch: insert or refresh last-seen
 					pos, found := tab.find(h, k.a, k.b)
@@ -48,16 +41,12 @@ func TestSweepExpiredDifferential(t *testing.T) {
 						t.Fatalf("op %d: find(%v) = %v, reference %v", op, k, found, refFound)
 					}
 					if !found {
-						slot := nextSlot
-						nextSlot++
-						pos = tab.insert(pos, h, k.a, k.b, slot)
-						ref[k] = refEntry{slot: slot, last: now}
-						slotKey[slot] = k
+						tab.insert(pos, h, k.a, k.b, now, int32(op))
+						ref[k] = &refEntry{adm: int32(op), last: now}
 					} else {
 						re.last = now
-						ref[k] = re
+						tab.ent[pos].last = now
 					}
-					tab.last[pos] = now
 				case len(ref) > 0 && rng.Intn(4) == 0: // explicit delete
 					pos, found := tab.find(h, k.a, k.b)
 					_, refFound := ref[k]
@@ -65,44 +54,55 @@ func TestSweepExpiredDifferential(t *testing.T) {
 						t.Fatalf("op %d: pre-delete find(%v) = %v, reference %v", op, k, found, refFound)
 					}
 					if found {
-						delete(slotKey, tab.slot[pos])
 						tab.del(pos)
 						delete(ref, k)
 					}
 				default: // incremental expiry step
 					deadline := now - timeout
-					tab.sweepExpired(deadline, 32, func(slot int32) {
-						kk, ok := slotKey[slot]
-						if !ok {
-							t.Fatalf("op %d: sweep evicted unknown slot %d", op, slot)
+					tab.sweepExpired(deadline, 32)
+					// Every entry still live must be a reference key under
+					// its own admission number; every reference key the
+					// step removed must have been idle past the deadline.
+					for i := range tab.ent {
+						e := &tab.ent[i]
+						if e.epoch != tab.epoch {
+							continue
 						}
-						re := ref[kk]
+						re, ok := ref[e.key]
+						if !ok || re.adm != e.adm {
+							t.Fatalf("op %d: live entry %v (adm %d) not in the reference", op, e.key, e.adm)
+						}
+						re.seen = op
+					}
+					for kk, re := range ref {
+						if re.seen == op {
+							continue
+						}
 						if !(re.last < deadline) {
 							t.Fatalf("op %d: sweep evicted live key %v (last %g, deadline %g)",
 								op, kk, re.last, deadline)
 						}
 						delete(ref, kk)
-						delete(slotKey, slot)
-					})
+					}
+					chain = max(chain, maxProbe(&tab))
 				}
 				if tab.n != len(ref) {
 					t.Fatalf("op %d: table holds %d entries, reference %d", op, tab.n, len(ref))
 				}
 			}
 			// Lookup parity over the full key space at the end.
-			for a := uint64(0); a < 300; a++ {
-				for b := uint64(0); b < 4; b++ {
-					k := key{a, b}
-					h := tc.hash(k.a, k.b)
-					pos, found := tab.find(h, k.a, k.b)
-					re, refFound := ref[k]
-					if found != refFound {
-						t.Fatalf("final find(%v) = %v, reference %v", k, found, refFound)
-					}
-					if found && tab.slot[pos] != re.slot {
-						t.Fatalf("final slot(%v) = %d, reference %d", k, tab.slot[pos], re.slot)
-					}
+			for _, k := range tc.keys {
+				pos, found := tab.find(hashKey(k.a, k.b), k.a, k.b)
+				re, refFound := ref[k]
+				if found != refFound {
+					t.Fatalf("final find(%v) = %v, reference %v", k, found, refFound)
 				}
+				if found && tab.ent[pos].adm != re.adm {
+					t.Fatalf("final adm(%v) = %d, reference %d", k, tab.ent[pos].adm, re.adm)
+				}
+			}
+			if chain < tc.minChain {
+				t.Fatalf("longest probe displacement %d, want at least %d", chain, tc.minChain)
 			}
 		})
 	}
@@ -114,7 +114,8 @@ func TestSweepExpiredDifferential(t *testing.T) {
 func TestSweepExpiredFullRotationFindsAllIdle(t *testing.T) {
 	var tab flowTable
 	tab.reset()
-	// 100 idle entries (last = 1) and 50 live ones (last = 100).
+	// 100 idle entries (last = 1) and 50 live ones (last = 100), each under
+	// its index as admission number.
 	for i := 0; i < 150; i++ {
 		a, b := uint64(i), uint64(0)
 		h := hashKey(a, b)
@@ -122,37 +123,32 @@ func TestSweepExpiredFullRotationFindsAllIdle(t *testing.T) {
 		if found {
 			t.Fatal("duplicate key in setup")
 		}
-		pos = tab.insert(pos, h, a, b, int32(i))
+		last := 100.0
 		if i < 100 {
-			tab.last[pos] = 1
-		} else {
-			tab.last[pos] = 100
+			last = 1
 		}
+		tab.insert(pos, h, a, b, last, int32(i))
 	}
-	evicted := map[int32]bool{}
 	deadline := 50.0
 	// Steps of 16 positions; 2*size/16 steps guarantee a full rotation even
 	// with deleting steps not advancing the cursor (each delete shrinks the
 	// remaining work).
-	steps := 2 * len(tab.hash) / 16
+	steps := 2 * len(tab.ent) / 16
 	for s := 0; s < steps; s++ {
-		tab.sweepExpired(deadline, 16, func(slot int32) {
-			if evicted[slot] {
-				t.Fatalf("slot %d evicted twice", slot)
-			}
-			evicted[slot] = true
-		})
-	}
-	if len(evicted) != 100 {
-		t.Fatalf("full rotation evicted %d idle entries, want 100", len(evicted))
-	}
-	for slot := range evicted {
-		if slot >= 100 {
-			t.Fatalf("live slot %d evicted", slot)
-		}
+		tab.sweepExpired(deadline, 16)
 	}
 	if tab.n != 50 {
 		t.Fatalf("table holds %d entries after expiry, want 50", tab.n)
+	}
+	for i := 0; i < 150; i++ {
+		a, b := uint64(i), uint64(0)
+		pos, found := tab.find(hashKey(a, b), a, b)
+		if found != (i >= 100) {
+			t.Fatalf("entry %d live = %v after a full rotation", i, found)
+		}
+		if found && tab.ent[pos].adm != int32(i) {
+			t.Fatalf("entry %d moved under admission number %d", i, tab.ent[pos].adm)
+		}
 	}
 }
 
@@ -245,8 +241,9 @@ func TestSweepBoundsIdleByStreamTime(t *testing.T) {
 				t.Fatal(err)
 			}
 			a := m.asm[0]
-			evicted, evict := 0, a.evict
-			a.evict = func(slot int32) { evicted++; evict(slot) }
+			// Nothing but a sweep removes entries from this stream, so the
+			// sweep has evicted once fewer entries are live than keys seen.
+			seen, evicted := map[int]bool{}, 0
 			grewIdle := false
 			blk := &trace.Block{}
 			now := 0.0
@@ -255,19 +252,24 @@ func TestSweepBoundsIdleByStreamTime(t *testing.T) {
 				for n := 1 + rng.Intn(300); n > 0 && i < 60000; n, i = n-1, i+1 {
 					st := tc.stream(i, rng)
 					now += st.dt
-					keyedPacket(blk, now, rng.Intn(st.keys))
+					k := rng.Intn(st.keys)
+					seen[k] = true
+					keyedPacket(blk, now, k)
 				}
-				size := len(a.table.hash)
+				size := len(a.table.ent)
 				if err := m.AddBlock(blk); err != nil {
 					t.Fatal(err)
 				}
-				if len(a.table.hash) > size && now >= a.idleAt {
+				if len(a.table.ent) > size && now >= a.idleAt {
 					grewIdle = true
 				}
+				if a.ActiveFlows() < len(seen) {
+					evicted++
+				}
 				last := blk.Times[blk.Len()-1]
-				for pos, h := range a.table.hash {
-					if h != 0 && last-a.table.last[pos] > 1.5*timeout {
-						t.Fatalf("packet %d (t=%g): entry last seen at %g outlived 1.5 × timeout", i, last, a.table.last[pos])
+				for _, e := range a.table.ent {
+					if e.epoch == a.table.epoch && last-e.last > 1.5*timeout {
+						t.Fatalf("packet %d (t=%g): entry last seen at %g outlived 1.5 × timeout", i, last, e.last)
 					}
 				}
 			}

@@ -6,11 +6,12 @@
 // and flows are split at analysis-interval boundaries.
 //
 // The assembler consumes packets in timestamp order (what a passive monitor
-// sees) and runs in O(active flows) memory, evicting idle flows with an
-// incremental expiry sweep paced by stream time: the table rotates once
-// per half timeout, whatever the packet rate, so a flow idle past the
-// timeout is gone within 1.5 timeouts and multi-hour traces stream through
-// without periodic full-table pauses.
+// sees). It keeps one 32-byte table entry per open flow and one record per
+// flow since the last flush, the records it returns, and evicts idle flows
+// from the table with an incremental expiry sweep paced by stream time:
+// the table rotates once per half timeout, whatever the packet rate, so a
+// flow idle past the timeout is gone within 1.5 timeouts and multi-hour
+// traces stream through without periodic full-table pauses.
 package flow
 
 import (
@@ -82,33 +83,23 @@ type Result struct {
 	Discarded []DiscardedPacket
 }
 
-// flowState is an in-progress flow.
-type flowState struct {
-	start   float64
-	last    float64
-	bytes   int64
-	packets int
-	// adm is the flow's admission number, counted from the last Flush or
-	// Reset: packets arrive in time order, so it is the flow's rank by
-	// start, and finish files the flow at done[adm].
-	adm int32
-}
-
-// Assembler groups packets into flows under one definition. In-progress
-// flow states live in a slot-recycled slab indexed by an open-addressed
-// table over packed two-word keys: AddBlock receives each packet's key and
-// hash precomputed in columns and probes flat arrays — no generic map, no
-// per-flow pointers, no allocation per flow; assembling a
-// multi-million-flow trace costs amortised slice growth only.
+// Assembler groups packets into flows under one definition. Every flow
+// admitted since the last Flush or Reset is one record in a flow store,
+// kept current packet by packet, and an open-addressed table over packed
+// two-word keys maps each open flow's key to its record: AddBlock receives
+// each packet's key and hash precomputed in columns and probes one flat
+// column of entries — no generic map, no per-flow pointers, no allocation
+// per flow; assembling a multi-million-flow trace costs amortised slice
+// growth only. A flow's record is complete after each of its packets, so
+// closing a flow (timeout, eviction, flush) finalises nothing.
 type Assembler struct {
-	def       Definition // the definition the key columns are derived under
-	timeout   float64
-	table     flowTable
-	states    []flowState
-	freeSlots []int32
-	// done holds every flow admitted since the last Flush or Reset at its
-	// admission number; finish fills the entry in, Flush reads them in
-	// order. res is Flush's reused output storage.
+	def     Definition // the definition the key columns are derived under
+	timeout float64
+	table   flowTable
+	// done is the flow store: every flow admitted since the last Flush or
+	// Reset, at its admission number. Packets arrive in time order, so the
+	// admission number is the flow's rank by start, and Flush reads the
+	// store in order. res is Flush's reused output storage.
 	done     []Flow
 	res      Result
 	lastTime float64 // the last packet's time; -Inf before the first
@@ -118,10 +109,6 @@ type Assembler struct {
 	// -Inf, which makes the first packet arm both.
 	sweepAt float64
 	idleAt  float64
-	// evict finalises one idle flow during a sweep step. Built once at
-	// construction so the hot path passes a stored func value instead of
-	// allocating a closure per call.
-	evict func(slot int32)
 }
 
 // NewAssembler returns a streaming assembler for one flow definition;
@@ -135,43 +122,26 @@ func NewAssembler(def Definition, timeout float64) (*Assembler, error) {
 	}
 	a := &Assembler{def: def, timeout: timeout}
 	a.Reset()
-	a.evict = func(slot int32) {
-		a.finish(&a.states[slot])
-		a.freeSlots = append(a.freeSlots, slot)
-	}
 	return a, nil
 }
 
-// Reset returns the assembler to its fresh state, keeping table and slab
-// storage — the per-interval re-arm of the measurement scheduler, which
-// measures thousands of intervals without reallocating its tables.
+// Reset returns the assembler to its fresh state in O(1), keeping table
+// and store storage — the per-interval re-arm of the measurement
+// scheduler, which measures thousands of intervals without reallocating
+// or clearing its tables.
 func (a *Assembler) Reset() {
 	a.table.reset()
-	a.states = a.states[:0]
-	a.freeSlots = a.freeSlots[:0]
 	a.done = a.done[:0]
 	a.lastTime = math.Inf(-1)
 	a.sweepAt = math.Inf(-1)
 	a.idleAt = math.Inf(1)
 }
 
-// alloc stores st in a free slab slot and returns the slot.
-func (a *Assembler) alloc(st flowState) int32 {
-	if n := len(a.freeSlots); n > 0 {
-		slot := a.freeSlots[n-1]
-		a.freeSlots = a.freeSlots[:n-1]
-		a.states[slot] = st
-		return slot
-	}
-	a.states = append(a.states, st)
-	return int32(len(a.states) - 1)
-}
-
-// open starts a flow with one packet of size bytes at t, under the next
-// admission number, whose entry in done it reserves.
-func (a *Assembler) open(t float64, size uint16) flowState {
-	a.done = append(a.done, Flow{})
-	return flowState{start: t, last: t, bytes: int64(size), packets: 1, adm: int32(len(a.done) - 1)}
+// open starts a flow with one packet of size bytes at t in the store and
+// returns its admission number.
+func (a *Assembler) open(t float64, size uint16) int32 {
+	a.done = append(a.done, Flow{Start: t, End: t, Bytes: int64(size), Packets: 1})
+	return int32(len(a.done) - 1)
 }
 
 // errOutOfOrder builds the out-of-order-packet error. It lives outside the
@@ -189,28 +159,24 @@ func errOutOfOrder(t, last float64) error {
 func (a *Assembler) addPacked(t float64, size uint16, h, ka, kb uint64) {
 	tb := &a.table
 	pos, ok := tb.find(h, ka, kb)
-	switch {
-	case !ok:
+	if !ok {
 		if tb.n >= tb.grow {
 			a.grow(t)
 			pos, _ = tb.find(h, ka, kb)
 		}
-		pos = tb.insert(pos, h, ka, kb, a.alloc(a.open(t, size)))
-	case t-tb.last[pos] > a.timeout:
-		// The previous flow on this key timed out; finalise it and start a
-		// fresh flow with this packet, reusing the slot in place under a new
-		// admission number. The timeout test reads the table's last-seen
-		// column, so the slab is touched only to be written.
-		st := &a.states[tb.slot[pos]]
-		a.finish(st)
-		*st = a.open(t, size)
-	default:
-		st := &a.states[tb.slot[pos]]
-		st.last = t
-		st.bytes += int64(size)
-		st.packets++
+		tb.insert(pos, h, ka, kb, t, a.open(t, size))
+	} else if e := &tb.ent[pos]; t-e.last > a.timeout {
+		// The previous flow on this key timed out, and its record is
+		// complete: this packet opens a fresh flow in the same entry, under
+		// a new admission number.
+		e.last, e.adm = t, a.open(t, size)
+	} else {
+		e.last = t
+		f := &a.done[e.adm]
+		f.End = t
+		f.Bytes += int64(size)
+		f.Packets++
 	}
-	tb.last[pos] = t
 	if t >= a.sweepAt {
 		a.sweep(t, false)
 	}
@@ -231,7 +197,7 @@ func (a *Assembler) sweep(t float64, all bool) {
 		a.sweepAt = a.idleAt
 		return
 	}
-	size := len(a.table.hash)
+	size := len(a.table.ent)
 	gap := a.timeout / 2 / float64(size)
 	// The test runs in float64 before the conversion, so a stream-time gap
 	// of any length (or an Inf quotient) clamps to one rotation.
@@ -245,7 +211,7 @@ func (a *Assembler) sweep(t float64, all bool) {
 		// schedule's spacing): the rotation starts over from t.
 		a.sweepAt = max(t+gap, math.Nextafter(t, math.Inf(1)))
 	}
-	a.table.sweepExpired(t-a.timeout, k, a.evict)
+	a.table.sweepExpired(t-a.timeout, k)
 }
 
 // grow doubles the table before an insert at stream time t would pass its
@@ -260,8 +226,10 @@ func (a *Assembler) grow(t float64) {
 }
 
 // AddBlock consumes a block of packets with precomputed key columns (hash,
-// keyA, keyB index-aligned with the block; a Measurer derives them once and
-// shares the derivation across its definitions). Packets must arrive in
+// keyA, keyB index-aligned with the block; a Measurer, the only caller,
+// derives them once and shares the derivation across its definitions).
+// Every hash[j] must equal hashKey(keyA[j], keyB[j]): the table recomputes
+// it from stored keys when entries move. Packets must arrive in
 // non-decreasing time order across AddBlock calls.
 //
 //repro:hotpath
@@ -289,11 +257,6 @@ func (a *Assembler) AddBlock(blk *trace.Block, hash, keyA, keyB []uint64) error 
 	return nil
 }
 
-// finish files a completed flow under its admission number.
-func (a *Assembler) finish(st *flowState) {
-	a.done[st.adm] = Flow{Start: st.start, End: st.last, Bytes: st.bytes, Packets: st.packets}
-}
-
 // ActiveFlows returns the number of in-progress flows (the N(t) of the
 // M/G/∞ view, §V-A, sampled at the last packet time). Flows idle past the
 // timeout but not yet swept are still counted, for up to 1.5 × timeout of
@@ -301,7 +264,9 @@ func (a *Assembler) finish(st *flowState) {
 func (a *Assembler) ActiveFlows() int { return a.table.n }
 
 // Flush finalises all in-progress flows (end of trace or of an analysis
-// interval — the paper's boundary splitting) and returns the result.
+// interval — the paper's boundary splitting) and returns the result. The
+// store's records are already complete, so Flush only empties the table and
+// orders the store.
 // The assembler can keep consuming packets afterwards; flows that continue
 // past a flush are counted again from the flush point, exactly like the
 // paper's split flows.
@@ -309,7 +274,7 @@ func (a *Assembler) ActiveFlows() int { return a.table.n }
 // Flows and discarded packets are ordered by start time, ties broken on
 // end time and size (discards on size), so downstream statistics do not
 // depend on table eviction order. Packets arrive in time order, so flows
-// are admitted in start order: Flush reads them back by admission number
+// are admitted in start order: the store holds them by admission number
 // and only runs of equal start need reordering, in one insertion pass —
 // linear in the flows returned unless many flows share one timestamp
 // (settleTies). Entries tied on every compared field have equal S and D
@@ -319,16 +284,7 @@ func (a *Assembler) ActiveFlows() int { return a.table.n }
 // The returned slices are the assembler's own storage: they stay valid
 // until the next Flush or Reset, so a caller that keeps them copies them.
 func (a *Assembler) Flush() Result {
-	// Every slab slot holds either an open flow or an evicted one whose
-	// entry finish already filed and nothing has changed since, so one
-	// sequential pass over the slab files the open flows and rewrites the
-	// evicted ones' entries unchanged, without a probe of the table.
-	for i := range a.states {
-		a.finish(&a.states[i])
-	}
 	a.table.reset()
-	a.states = a.states[:0]
-	a.freeSlots = a.freeSlots[:0]
 	// A single-packet entry has End == Start, so the flow order ranks the
 	// discards by time and size too: one pass settles both.
 	if !settleTies(a.done) {

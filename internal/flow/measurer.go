@@ -50,7 +50,7 @@ func NewMeasurer(defs []Definition, timeout float64) (*Measurer, error) {
 }
 
 // Reset re-arms every assembler with empty flow state (the paper's interval
-// boundary split), keeping all table, slab and column storage.
+// boundary split), keeping all table, store and column storage.
 func (m *Measurer) Reset() {
 	for _, a := range m.asm {
 		a.Reset()

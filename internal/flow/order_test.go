@@ -12,7 +12,7 @@ import (
 
 // admissionRef is the order oracle of Flush: it keeps every flow in
 // admission order (a new key, or a key whose previous flow timed out) with
-// no table, slab or sweep, and orders a flush by a stable sort of those
+// no table or sweep, and orders a flush by a stable sort of those
 // entries under sortResult's comparator.
 type admissionRef struct {
 	keyFn   func(netpkt.Header) any
@@ -93,9 +93,9 @@ func tiedRecords(n int, seed int64, timeout float64) []trace.Record {
 // TestFlushOrderMatchesStableSort checks Flush's admission-order placement
 // and tie pass against a stable sort of the same entries, across forced
 // equal-start ties, timed-out keys restarting in place, sweep evictions
-// with slot reuse, mid-stream flushes and Resets between them. It also
-// requires every admitted flow to come out exactly once, and that the
-// stream exercised each of those paths.
+// whose vacated table positions new flows reuse, mid-stream flushes and
+// Resets between them. It also requires every admitted flow to come out
+// exactly once, and that the stream exercised each of those paths.
 func TestFlushOrderMatchesStableSort(t *testing.T) {
 	const timeout = 5
 	for _, def := range []Definition{By5Tuple, ByPrefix24} {
@@ -124,19 +124,24 @@ func TestFlushOrderMatchesStableSort(t *testing.T) {
 			for i, rec := range tiedRecords(6000, seed, timeout) {
 				src, dst := rec.Hdr.Packed()
 				h, ka, kb := deriveOne(def, src, dst)
-				if pos, ok := a.table.find(h, ka, kb); ok && rec.Time-a.states[a.table.slot[pos]].last > timeout {
+				pos, ok := a.table.find(h, ka, kb)
+				switch e := a.table.ent[pos]; {
+				case ok && rec.Time-e.last > timeout:
 					inPlace++
+				case !ok && e.epoch == 0 && e != (flowEntry{}):
+					// The new flow takes a position a deletion vacated.
+					reused++
 				}
-				free := len(a.freeSlots)
+				live := a.ActiveFlows()
+				if !ok {
+					live++
+				}
 				if err := a.Add(rec); err != nil {
 					t.Fatal(err)
 				}
 				ref.add(rec)
-				switch {
-				case len(a.freeSlots) > free:
+				if a.ActiveFlows() < live {
 					evicted++
-				case len(a.freeSlots) < free:
-					reused++
 				}
 				switch {
 				case i%1500 == 1499:
@@ -148,7 +153,7 @@ func TestFlushOrderMatchesStableSort(t *testing.T) {
 			}
 			check(-1)
 			if inPlace == 0 || evicted == 0 || reused == 0 || moved == 0 {
-				t.Fatalf("def %v seed %d: stream missed a path (in-place restarts %d, evictions %d, slot reuses %d, reordered flushes %d of %d)",
+				t.Fatalf("def %v seed %d: stream missed a path (in-place restarts %d, evictions %d, position reuses %d, reordered flushes %d of %d)",
 					def, seed, inPlace, evicted, reused, moved, flushes)
 			}
 		}

@@ -2,12 +2,14 @@ package flow
 
 // This file is the batch-columnar key machinery of the flow assembler: a
 // packed two-word flow key per definition, a 64-bit hash computed once per
-// packet, and an open-addressed table mapping (hash, key) to a flow-state
-// slot. It replaces the generic Go map the assembler used to probe per
-// packet per definition: key columns are derived from a block's packed
-// Src/Dst columns in vector passes (the /24, /16 and /8 prefix keys all
-// come off the same dst column), and the table probe is a linear scan over
-// flat arrays with no per-lookup hashing of a 13-byte struct.
+// packet, and an open-addressed table of 32-byte entries, each mapping a
+// key to its flow's admission number (the flow's index in the assembler's
+// flow store) beside the flow's last-seen time. It replaces the generic Go
+// map the assembler used to probe per packet per definition: key columns
+// are derived from a block's packed Src/Dst columns in vector passes (the
+// /24, /16 and /8 prefix keys all come off the same dst column), and a
+// probe that finds an open flow reads one entry, so a packet touches the
+// entry's cache line and its flow's record in the store, nothing else.
 
 // mix64 is the splitmix64 finalizer: a cheap full-avalanche 64-bit mixer.
 func mix64(x uint64) uint64 {
@@ -19,17 +21,12 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hashKey compresses a two-word flow key into the nonzero 64-bit hash the
-// open-addressed table probes with. Zero is the table's empty marker, so a
-// zero mix is nudged to 1; key equality is always settled on the full
-// (a, b) pair, never the hash alone.
-func hashKey(a, b uint64) uint64 {
-	h := mix64(a ^ b*0x9e3779b97f4a7c15)
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
+// hashKey compresses a two-word flow key into the 64-bit hash whose low
+// bits are the key's home position in the open-addressed table. The table
+// stores no hash: deletion and growth recompute it from the entry's key,
+// so every probe must be given exactly hashKey of its key. Key equality is
+// always settled on the full (a, b) pair, never the hash alone.
+func hashKey(a, b uint64) uint64 { return mix64(a ^ b*0x9e3779b97f4a7c15) }
 
 // prefixDrop returns the low-bit mask to clear from the destination IP for
 // a prefix definition (ok=false for By5Tuple or unknown definitions).
@@ -46,24 +43,19 @@ func prefixDrop(def Definition) (drop uint64, ok bool) {
 	}
 }
 
-// flowTable is an open-addressed hash table mapping a packed two-word flow
-// key to an int32 flow-state slot: flat columns, power-of-two capacity,
-// linear probing, hash 0 marking an empty position. The caller supplies
-// the hash (computed once per packet, shared across every probe and the
-// resize), so the table itself never hashes.
+// flowTable is an open-addressed hash table over packed two-word flow
+// keys: one column of 32-byte entries, power-of-two capacity, linear
+// probing. An entry is live while its epoch equals the table's; any other
+// epoch marks an empty position, so reset empties the table in O(1) by
+// advancing the epoch. The caller supplies each probe's hash (computed once
+// per packet, in columns), and the table recomputes it from stored keys
+// only when an entry moves: on backward-shift deletion and on growth.
 type flowTable struct {
-	hash []uint64
-	// key holds each occupied position's two key words side by side, so a
-	// probe that matches the hash reads the whole key in one load.
-	key  []flowKey
-	slot []int32
-	// last holds each occupied position's last-seen timestamp — a copy of
-	// the flow state's `last` field kept columnar so the idle-expiry sweep
-	// scans one flat float64 array instead of chasing slab slots.
-	last []float64
-	mask uint64
-	n    int // occupied positions
-	grow int // occupancy that triggers a doubling
+	ent   []flowEntry
+	epoch uint32 // the live epoch; never 0
+	mask  uint64
+	n     int // live entries
+	grow  int // occupancy that triggers a doubling
 	// sweepPos is the rotating cursor of sweepExpired: each call resumes
 	// where the previous one stopped, so expiry cost is spread across
 	// stream time instead of paid in one full-table pass.
@@ -73,78 +65,93 @@ type flowTable struct {
 // flowKey is a packed two-word flow key.
 type flowKey struct{ a, b uint64 }
 
+// flowEntry is one table position: 32 bytes, so two share a cache line,
+// and the table's power-of-two allocations leave none straddling one.
+type flowEntry struct {
+	key   flowKey
+	last  float64 // the flow's last-seen time, the idle timeout's operand
+	adm   int32   // the flow's admission number: its index in the store
+	epoch uint32  // live iff equal to the table's epoch
+}
+
 // flowTableMinCap is the initial capacity (power of two).
 const flowTableMinCap = 256
 
+// alloc replaces the storage with c empty positions.
 func (t *flowTable) alloc(c int) {
-	t.hash = make([]uint64, c)
-	t.key = make([]flowKey, c)
-	t.slot = make([]int32, c)
-	t.last = make([]float64, c)
+	t.ent = make([]flowEntry, c)
 	t.mask = uint64(c - 1)
 	t.n = 0
 	t.grow = c * 3 / 4
 }
 
-// reset empties the table, keeping (and clearing) its storage.
+// reset empties the table, keeping its storage: advancing the epoch
+// retires every entry at once. Positions are cleared only when the epoch
+// wraps, since an entry left from 2³² resets ago would otherwise come back
+// to life.
 func (t *flowTable) reset() {
-	if t.hash == nil {
-		t.alloc(flowTableMinCap)
-		return
-	}
-	clear(t.hash)
 	t.n = 0
 	t.sweepPos = 0
+	if t.ent == nil {
+		t.alloc(flowTableMinCap)
+		t.epoch = 1
+		return
+	}
+	if t.epoch++; t.epoch == 0 {
+		clear(t.ent)
+		t.epoch = 1
+	}
 }
 
-// find probes for (h, a, b): it returns the key's position when found, or
-// the empty position an insert of that key must use.
+// find probes for the key (a, b), whose hash is h: it returns the key's
+// position when found, or the empty position an insert of that key must
+// use.
 func (t *flowTable) find(h, a, b uint64) (pos uint64, found bool) {
 	i := h & t.mask
 	for {
-		hh := t.hash[i]
-		if hh == 0 {
+		e := &t.ent[i]
+		if e.epoch != t.epoch {
 			return i, false
 		}
-		if hh == h && t.key[i] == (flowKey{a, b}) {
+		if e.key == (flowKey{a, b}) {
 			return i, true
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-// insert places a new key at the position a failed find returned, growing
-// (and then re-probing) first when the table is at its load limit. It
-// returns the key's final position.
-func (t *flowTable) insert(pos uint64, h, a, b uint64, s int32) uint64 {
+// insert places a new entry for key (a, b), whose hash is h, at the
+// position a failed find returned, growing (and then re-probing) first
+// when the table is at its load limit. It returns the entry's position.
+func (t *flowTable) insert(pos, h, a, b uint64, last float64, adm int32) uint64 {
 	if t.n >= t.grow {
 		t.rehash()
 		pos, _ = t.find(h, a, b)
 	}
-	t.hash[pos] = h
-	t.key[pos] = flowKey{a, b}
-	t.slot[pos] = s
+	t.ent[pos] = flowEntry{key: flowKey{a, b}, last: last, adm: adm, epoch: t.epoch}
 	t.n++
 	return pos
 }
 
-// rehash doubles capacity and reinserts every occupied position using its
-// stored hash (keys are distinct, so each lands at its first empty probe).
+// home returns the position probing for e's key starts at.
+func (t *flowTable) home(e *flowEntry) uint64 { return hashKey(e.key.a, e.key.b) & t.mask }
+
+// rehash doubles capacity and reinserts every live entry at the first
+// empty position from its home (keys are distinct, so no compare is
+// needed).
 func (t *flowTable) rehash() {
-	oh, ok, os, ol := t.hash, t.key, t.slot, t.last
-	t.alloc(2 * len(oh))
-	for i, h := range oh {
-		if h == 0 {
+	old, epoch := t.ent, t.epoch
+	t.alloc(2 * len(old))
+	for i := range old {
+		e := &old[i]
+		if e.epoch != epoch {
 			continue
 		}
-		j := h & t.mask
-		for t.hash[j] != 0 {
+		j := t.home(e)
+		for t.ent[j].epoch == epoch {
 			j = (j + 1) & t.mask
 		}
-		t.hash[j] = h
-		t.key[j] = ok[i]
-		t.slot[j] = os[i]
-		t.last[j] = ol[i]
+		t.ent[j] = *e
 		t.n++
 	}
 }
@@ -156,23 +163,20 @@ func (t *flowTable) del(pos uint64) {
 	t.n--
 	i := pos
 	for {
-		t.hash[i] = 0
+		t.ent[i].epoch = 0
 		j := i
 		for {
 			j = (j + 1) & t.mask
-			h := t.hash[j]
-			if h == 0 {
+			e := &t.ent[j]
+			if e.epoch != t.epoch {
 				return
 			}
 			// Move j's entry into the hole at i iff its home position lies
 			// cyclically at or before i — i.e. probing from home would pass
 			// through i before reaching j.
-			home := h & t.mask
+			home := t.home(e)
 			if (j-home)&t.mask >= (j-i)&t.mask {
-				t.hash[i] = h
-				t.key[i] = t.key[j]
-				t.slot[i] = t.slot[j]
-				t.last[i] = t.last[j]
+				t.ent[i] = *e
 				i = j
 				break
 			}
@@ -180,26 +184,25 @@ func (t *flowTable) del(pos uint64) {
 	}
 }
 
-// sweepExpired examines k positions starting at the rotating cursor,
-// evicting entries whose last-seen timestamp is before deadline: evict
-// receives the entry's slot, then the position is deleted. Backward-shift
-// deletion can move a not-yet-visited entry into the examined position, so
-// a deleting step re-examines the position without advancing, and only
-// advancing steps count toward k: k = len(hash) examines the whole table.
-// Deletions are paid for by the inserts that made the entries, so a call
-// costs k positions plus its evictions. Entries move only toward the
-// cursor, never past it, so successive calls rotate through the whole
-// table and any idle entry is found within one full rotation. Expiry
-// timing affects only the memory bound, never results, because eviction
-// runs the same finalisation a Flush would.
-func (t *flowTable) sweepExpired(deadline float64, k int, evict func(slot int32)) {
+// sweepExpired examines k positions starting at the rotating cursor and
+// deletes every entry whose last-seen time is before deadline.
+// Backward-shift deletion can move a not-yet-visited
+// entry into the examined position, so a deleting step re-examines the
+// position without advancing, and only advancing steps count toward k:
+// k = len(ent) examines the whole table. Deletions are paid for by the
+// inserts that made the entries, so a call costs k positions plus its
+// deletions. Entries move only toward the cursor, never past it, so
+// successive calls rotate through the whole table and any idle entry is
+// found within one full rotation. A deleted flow's record in the store is
+// already complete, so expiry timing affects only the memory bound, never
+// results.
+func (t *flowTable) sweepExpired(deadline float64, k int) {
 	if t.n == 0 {
 		return
 	}
 	i := t.sweepPos & t.mask
 	for step := 0; step < k; {
-		if t.hash[i] != 0 && t.last[i] < deadline {
-			evict(t.slot[i])
+		if e := &t.ent[i]; e.epoch == t.epoch && e.last < deadline {
 			t.del(i)
 			continue
 		}

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,32 +11,90 @@ import (
 	"repro/internal/trace"
 )
 
+// tableKeySpace is a key space the table tests draw from, with the probe
+// displacement (how far some entry sits past its home position) a run over
+// it must reach, so that its collision coverage cannot silently vanish.
+type tableKeySpace struct {
+	name     string
+	keys     []flowKey
+	minChain uint64
+}
+
+// tableKeySpaces returns three spaces of n keys each: every (a, b) with
+// b < 8 under the real hash; keys whose hashKey values agree in their low
+// 12 bits, so at every capacity up to 4096 they share one home position
+// and the whole table is one probe chain (full-key comparisons and
+// backward-shift deletion are then the only things keeping lookups
+// correct); and keys that share home positions in pairs, collisions
+// without a single mega-chain. Homes come from hashKey itself, because the
+// table recomputes it from stored keys whenever an entry moves.
+func tableKeySpaces(n int) []tableKeySpace {
+	real := make([]flowKey, n)
+	for i := range real {
+		real[i] = flowKey{uint64(i / 8), uint64(i % 8)}
+	}
+	return []tableKeySpace{
+		{"real-hash", real, 1},
+		{"degenerate-hash", collidingKeys(n, n, 12), 64},
+		{"paired-hash", collidingKeys(n, 2, 12), 1},
+	}
+}
+
+// collidingKeys returns n distinct keys in groups of group whose hashKey
+// values agree in their low bits bits, each group on a home no other key
+// of the set uses.
+func collidingKeys(n, group int, bits uint) []flowKey {
+	mask := uint64(1)<<bits - 1
+	key := func(a uint64) flowKey { return flowKey{a, a * 0x2545f4914f6cdd1d} }
+	home := func(k flowKey) uint64 { return hashKey(k.a, k.b) & mask }
+	used := map[uint64]bool{}
+	out := make([]flowKey, 0, n)
+	for next := uint64(1); len(out) < n; next++ {
+		// A group starts on the next key whose home no group has taken.
+		for used[home(key(next))] {
+			next++
+		}
+		h := home(key(next))
+		used[h] = true
+		out = append(out, key(next))
+		for a, m := next+1, 1; m < group && len(out) < n; a++ {
+			if k := key(a); home(k) == h {
+				out = append(out, k)
+				m++
+			}
+		}
+	}
+	return out
+}
+
+// maxProbe returns the largest distance, in positions, between a live
+// entry and its home position.
+func maxProbe(tab *flowTable) uint64 {
+	var m uint64
+	for i := range tab.ent {
+		if e := &tab.ent[i]; e.epoch == tab.epoch {
+			m = max(m, (uint64(i)-tab.home(e))&tab.mask)
+		}
+	}
+	return m
+}
+
 // TestFlowTableDifferential drives the open-addressed table against a map
-// reference through a random insert/lookup/delete workload. The adversarial
-// variant gives every key the same hash, so the whole table is one probe
-// chain: full-key comparisons and backward-shift deletion are then the only
-// things keeping lookups correct.
+// reference through a random insert/lookup/delete workload over each of
+// tableKeySpaces, checking every key's admission number survives the
+// entry moves of deletion and growth.
 func TestFlowTableDifferential(t *testing.T) {
-	type key struct{ a, b uint64 }
-	for _, tc := range []struct {
-		name string
-		hash func(a, b uint64) uint64
-	}{
-		{"real-hash", hashKey},
-		// All keys collide onto one chain (hash 7 everywhere).
-		{"degenerate-hash", func(a, b uint64) uint64 { return 7 }},
-		// Pairs of keys share a hash: collisions without a single mega-chain.
-		{"paired-hash", func(a, b uint64) uint64 { return hashKey(a/2, b) }},
-	} {
+	for _, tc := range tableKeySpaces(1600) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			var tab flowTable
 			tab.reset()
-			ref := map[key]int32{}
-			keys := make([]key, 0, 512)
+			ref := map[flowKey]int32{}
+			keys := make([]flowKey, 0, 512)
+			var chain uint64
 			for op := 0; op < 20000; op++ {
-				k := key{uint64(rng.Intn(200)), uint64(rng.Intn(8))}
-				h := tc.hash(k.a, k.b)
+				k := tc.keys[rng.Intn(len(tc.keys))]
+				h := hashKey(k.a, k.b)
 				switch {
 				case rng.Intn(10) < 6: // insert or update-check
 					pos, found := tab.find(h, k.a, k.b)
@@ -44,14 +103,14 @@ func TestFlowTableDifferential(t *testing.T) {
 						t.Fatalf("op %d: find(%v) = %v, reference %v", op, k, found, refFound)
 					}
 					if !found {
-						slot := int32(len(ref))
-						tab.insert(pos, h, k.a, k.b, slot)
-						ref[k] = slot
+						adm := int32(op)
+						tab.insert(pos, h, k.a, k.b, 0, adm)
+						ref[k] = adm
 						keys = append(keys, k)
 					}
 				case len(ref) > 0 && rng.Intn(10) < 5: // delete a known key
 					k = keys[rng.Intn(len(keys))]
-					h = tc.hash(k.a, k.b)
+					h = hashKey(k.a, k.b)
 					pos, found := tab.find(h, k.a, k.b)
 					_, refFound := ref[k]
 					if found != refFound {
@@ -61,21 +120,111 @@ func TestFlowTableDifferential(t *testing.T) {
 						tab.del(pos)
 						delete(ref, k)
 					}
-				default: // lookup parity, including slot values
+				default: // lookup parity, including admission numbers
 					pos, found := tab.find(h, k.a, k.b)
-					slot, refFound := ref[k]
+					adm, refFound := ref[k]
 					if found != refFound {
 						t.Fatalf("op %d: find(%v) = %v, reference %v", op, k, found, refFound)
 					}
-					if found && tab.slot[pos] != slot {
-						t.Fatalf("op %d: slot(%v) = %d, reference %d", op, k, tab.slot[pos], slot)
+					if found && tab.ent[pos].adm != adm {
+						t.Fatalf("op %d: adm(%v) = %d, reference %d", op, k, tab.ent[pos].adm, adm)
 					}
 				}
 				if tab.n != len(ref) {
 					t.Fatalf("op %d: table holds %d entries, reference %d", op, tab.n, len(ref))
 				}
+				if op%500 == 0 {
+					chain = max(chain, maxProbe(&tab))
+				}
+			}
+			if chain < tc.minChain {
+				t.Fatalf("longest probe displacement %d, want at least %d", chain, tc.minChain)
 			}
 		})
+	}
+}
+
+// TestTableResetAcrossEpochWrap resets a table whose epoch is at its last
+// value while entries are live. The wrap must clear every position: else
+// the entries written in epoch 1 would come back to life when the counter
+// returns to 1. An assembler driven across the same wrap must still equal
+// the map reference.
+func TestTableResetAcrossEpochWrap(t *testing.T) {
+	var tab flowTable
+	tab.reset()
+	keys := collidingKeys(100, 4, 8)
+	insert := func(keys []flowKey) {
+		for i, k := range keys {
+			h := hashKey(k.a, k.b)
+			pos, found := tab.find(h, k.a, k.b)
+			if found {
+				t.Fatalf("key %v live before its insert", k)
+			}
+			tab.insert(pos, h, k.a, k.b, 1, int32(i))
+		}
+	}
+	insert(keys)
+	// As if 2³² − 2 resets had passed since: epoch 1's entries are stale,
+	// and half the keys are live again in the last epoch.
+	tab.n, tab.epoch = 0, math.MaxUint32
+	insert(keys[:50])
+	tab.reset()
+	if tab.epoch == 0 {
+		t.Fatal("the wrapping reset made epoch 0 live")
+	}
+	for _, k := range keys {
+		if _, found := tab.find(hashKey(k.a, k.b), k.a, k.b); found {
+			t.Fatalf("key %v live after the wrapping reset", k)
+		}
+	}
+	if tab.n != 0 || maxProbe(&tab) != 0 {
+		t.Fatalf("%d entries live after the wrapping reset", tab.n)
+	}
+
+	// The assembler measures stream A in epoch 1, then stream B, over
+	// other keys, in the last epoch, and is Reset with B's flows open. It
+	// then measures A again from the start: were A's epoch-1 entries live
+	// again, its packets would hit flows of the first pass.
+	recsA, recsB := randomRecords(1500, 4), randomRecords(1500, 5)
+	for i := range recsB {
+		recsB[i].Hdr.SrcIP[2] = 1
+	}
+	a, err := NewAssembler(By5Tuple, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(recs []trace.Record) Result {
+		ref := newRefAssembler(By5Tuple, 20)
+		for _, rec := range recs {
+			if err := a.Add(rec); err != nil {
+				t.Fatal(err)
+			}
+			ref.add(rec)
+		}
+		want := ref.flush()
+		if got := a.Flush(); !resultsEqual(got, want) {
+			t.Fatalf("epoch %d: flush diverged from the reference (%d/%d vs %d/%d)", a.table.epoch,
+				len(got.Flows), len(got.Discarded), len(want.Flows), len(want.Discarded))
+		}
+		return want
+	}
+	first := measure(recsA)
+	a.Reset()
+	a.table.epoch = math.MaxUint32
+	for _, rec := range recsB {
+		if err := a.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.ActiveFlows() == 0 {
+		t.Fatal("no flow open at the wrapping Reset")
+	}
+	a.Reset()
+	if a.table.epoch != 1 {
+		t.Fatalf("epoch %d after the wrap, want 1", a.table.epoch)
+	}
+	if again := measure(recsA); !resultsEqual(again, first) {
+		t.Fatal("stream A measured differently after the wrap")
 	}
 }
 
