@@ -459,20 +459,20 @@ func BenchmarkStoreWrite(b *testing.B) {
 func BenchmarkAssemblerBlock(b *testing.B) {
 	wide := benchTraceConfig()
 	wide.Duration, wide.Lambda = 60, 700
+	base, wideBlocks := benchBlocks(b, benchTraceConfig()), benchBlocks(b, wide)
 	suite := []flow.Definition{flow.By5Tuple, flow.ByPrefix24}
 	for _, bc := range []struct {
-		name string
-		defs []flow.Definition
-		cfg  trace.Config
+		name   string
+		defs   []flow.Definition
+		blocks []*trace.Block
 	}{
-		{"block", suite, benchTraceConfig()},
-		{"5tuple", []flow.Definition{flow.By5Tuple}, benchTraceConfig()},
-		{"wide", suite, wide},
+		{"block", suite, base},
+		{"5tuple", []flow.Definition{flow.By5Tuple}, base},
+		{"wide", suite, wideBlocks},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			blocks := benchBlocks(b, bc.cfg)
 			pkts := 0
-			for _, blk := range blocks {
+			for _, blk := range bc.blocks {
 				pkts += blk.Len()
 			}
 			m, err := flow.NewMeasurer(bc.defs, flow.DefaultTimeout)
@@ -483,7 +483,7 @@ func BenchmarkAssemblerBlock(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Reset()
-				for _, blk := range blocks {
+				for _, blk := range bc.blocks {
 					if err := m.AddBlock(blk); err != nil {
 						b.Fatal(err)
 					}

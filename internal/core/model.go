@@ -132,15 +132,11 @@ func (m *Model) AutoCovariance(tau float64) float64 {
 
 // AutoCorrelation returns γ(τ)/γ(0), the curve of the paper's Figure 8.
 func (m *Model) AutoCorrelation(tau float64) float64 {
-	v := m.Variance()
-	if v == 0 {
-		return 0
-	}
-	return m.AutoCovariance(tau) / v
+	return m.AutoCorrelations([]float64{tau})[0]
 }
 
-// AutoCorrelations returns AutoCorrelation at each lag in taus, bit for
-// bit, computing γ(0) once for the whole curve instead of once per lag.
+// AutoCorrelations returns γ(τ)/γ(0) at each lag in taus (0 everywhere when
+// γ(0) = 0), computing γ(0) once for the whole curve instead of once per lag.
 func (m *Model) AutoCorrelations(taus []float64) []float64 {
 	out := make([]float64, len(taus))
 	v := m.Variance()

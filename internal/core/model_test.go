@@ -165,11 +165,11 @@ func TestAutoCovarianceAtZeroIsVariance(t *testing.T) {
 	}
 }
 
-// AutoCorrelations computes γ(0) once per curve; every lag must equal the
-// per-lag AutoCorrelation bit for bit, through CrossCov's closed forms
-// (b = 0, 1, 2), its graded integral (b = 2.95), and the zero-variance
-// guard of a hand-built model over an empty population.
-func TestAutoCorrelationsMatchPerLag(t *testing.T) {
+// AutoCorrelations computes γ(0) once per curve; every lag must equal
+// γ(τ)/γ(0) bit for bit, through CrossCov's closed forms (b = 0, 1, 2), its
+// graded integral (b = 2.95), and the zero-variance guard of a hand-built
+// model over an empty population.
+func TestAutoCorrelationsMatchDefinition(t *testing.T) {
 	fl := testFlows(400, 8)
 	taus := []float64{0, 0.025, 0.1, 0.4, 1, slices.Max(fl.D), 1e9}
 	var models []*Model
@@ -187,8 +187,12 @@ func TestAutoCorrelationsMatchPerLag(t *testing.T) {
 			t.Fatalf("%v: %d values for %d lags", m.Shot, len(got), len(taus))
 		}
 		for i, tau := range taus {
-			if want := m.AutoCorrelation(tau); math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("%v, λ %g, pop %d: ρ(%g) = %v, per-lag %v", m.Shot, m.Lambda, m.Pop.Len(), tau, got[i], want)
+			want := 0.0
+			if v := m.Variance(); v != 0 {
+				want = m.AutoCovariance(tau) / v
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%v, λ %g, pop %d: ρ(%g) = %v, γ(τ)/γ(0) = %v", m.Shot, m.Lambda, m.Pop.Len(), tau, got[i], want)
 			}
 		}
 	}

@@ -125,10 +125,9 @@ func NewAssembler(def Definition, timeout float64) (*Assembler, error) {
 	return a, nil
 }
 
-// Reset returns the assembler to its fresh state in O(1), keeping table
-// and store storage — the per-interval re-arm of the measurement
-// scheduler, which measures thousands of intervals without reallocating
-// or clearing its tables.
+// Reset returns the assembler to its fresh state, keeping table and store
+// storage — the per-interval re-arm of the measurement scheduler, which
+// measures thousands of intervals without reallocating its tables.
 func (a *Assembler) Reset() {
 	a.table.reset()
 	a.done = a.done[:0]

@@ -128,7 +128,7 @@ func TestFlushOrderMatchesStableSort(t *testing.T) {
 				switch e := a.table.ent[pos]; {
 				case ok && rec.Time-e.last > timeout:
 					inPlace++
-				case !ok && e.epoch == 0 && e != (flowEntry{}):
+				case !ok && e != (flowEntry{}):
 					// The new flow takes a position a deletion vacated.
 					reused++
 				}

@@ -45,14 +45,12 @@ func prefixDrop(def Definition) (drop uint64, ok bool) {
 
 // flowTable is an open-addressed hash table over packed two-word flow
 // keys: one column of 32-byte entries, power-of-two capacity, linear
-// probing. An entry is live while its epoch equals the table's; any other
-// epoch marks an empty position, so reset empties the table in O(1) by
-// advancing the epoch. The caller supplies each probe's hash (computed once
+// probing. An entry is live while its live flag is set; deletion and reset
+// clear the flag. The caller supplies each probe's hash (computed once
 // per packet, in columns), and the table recomputes it from stored keys
 // only when an entry moves: on backward-shift deletion and on growth.
 type flowTable struct {
 	ent   []flowEntry
-	epoch uint32 // the live epoch; never 0
 	mask  uint64
 	n     int // live entries
 	grow  int // occupancy that triggers a doubling
@@ -71,7 +69,7 @@ type flowEntry struct {
 	key   flowKey
 	last  float64 // the flow's last-seen time, the idle timeout's operand
 	adm   int32   // the flow's admission number: its index in the store
-	epoch uint32  // live iff equal to the table's epoch
+	live  uint32  // 1 iff the position holds an entry
 }
 
 // flowTableMinCap is the initial capacity (power of two).
@@ -85,22 +83,15 @@ func (t *flowTable) alloc(c int) {
 	t.grow = c * 3 / 4
 }
 
-// reset empties the table, keeping its storage: advancing the epoch
-// retires every entry at once. Positions are cleared only when the epoch
-// wraps, since an entry left from 2³² resets ago would otherwise come back
-// to life.
+// reset empties the table, keeping its storage.
 func (t *flowTable) reset() {
 	t.n = 0
 	t.sweepPos = 0
 	if t.ent == nil {
 		t.alloc(flowTableMinCap)
-		t.epoch = 1
 		return
 	}
-	if t.epoch++; t.epoch == 0 {
-		clear(t.ent)
-		t.epoch = 1
-	}
+	clear(t.ent)
 }
 
 // find probes for the key (a, b), whose hash is h: it returns the key's
@@ -110,7 +101,7 @@ func (t *flowTable) find(h, a, b uint64) (pos uint64, found bool) {
 	i := h & t.mask
 	for {
 		e := &t.ent[i]
-		if e.epoch != t.epoch {
+		if e.live == 0 {
 			return i, false
 		}
 		if e.key == (flowKey{a, b}) {
@@ -128,7 +119,7 @@ func (t *flowTable) insert(pos, h, a, b uint64, last float64, adm int32) uint64 
 		t.rehash()
 		pos, _ = t.find(h, a, b)
 	}
-	t.ent[pos] = flowEntry{key: flowKey{a, b}, last: last, adm: adm, epoch: t.epoch}
+	t.ent[pos] = flowEntry{key: flowKey{a, b}, last: last, adm: adm, live: 1}
 	t.n++
 	return pos
 }
@@ -140,15 +131,15 @@ func (t *flowTable) home(e *flowEntry) uint64 { return hashKey(e.key.a, e.key.b)
 // empty position from its home (keys are distinct, so no compare is
 // needed).
 func (t *flowTable) rehash() {
-	old, epoch := t.ent, t.epoch
+	old := t.ent
 	t.alloc(2 * len(old))
 	for i := range old {
 		e := &old[i]
-		if e.epoch != epoch {
+		if e.live == 0 {
 			continue
 		}
 		j := t.home(e)
-		for t.ent[j].epoch == epoch {
+		for t.ent[j].live != 0 {
 			j = (j + 1) & t.mask
 		}
 		t.ent[j] = *e
@@ -163,12 +154,12 @@ func (t *flowTable) del(pos uint64) {
 	t.n--
 	i := pos
 	for {
-		t.ent[i].epoch = 0
+		t.ent[i].live = 0
 		j := i
 		for {
 			j = (j + 1) & t.mask
 			e := &t.ent[j]
-			if e.epoch != t.epoch {
+			if e.live == 0 {
 				return
 			}
 			// Move j's entry into the hole at i iff its home position lies
@@ -202,7 +193,7 @@ func (t *flowTable) sweepExpired(deadline float64, k int) {
 	}
 	i := t.sweepPos & t.mask
 	for step := 0; step < k; {
-		if e := &t.ent[i]; e.epoch == t.epoch && e.last < deadline {
+		if e := &t.ent[i]; e.live != 0 && e.last < deadline {
 			t.del(i)
 			continue
 		}

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"cmp"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -72,7 +71,7 @@ func collidingKeys(n, group int, bits uint) []flowKey {
 func maxProbe(tab *flowTable) uint64 {
 	var m uint64
 	for i := range tab.ent {
-		if e := &tab.ent[i]; e.epoch == tab.epoch {
+		if e := &tab.ent[i]; e.live != 0 {
 			m = max(m, (uint64(i)-tab.home(e))&tab.mask)
 		}
 	}
@@ -141,90 +140,6 @@ func TestFlowTableDifferential(t *testing.T) {
 				t.Fatalf("longest probe displacement %d, want at least %d", chain, tc.minChain)
 			}
 		})
-	}
-}
-
-// TestTableResetAcrossEpochWrap resets a table whose epoch is at its last
-// value while entries are live. The wrap must clear every position: else
-// the entries written in epoch 1 would come back to life when the counter
-// returns to 1. An assembler driven across the same wrap must still equal
-// the map reference.
-func TestTableResetAcrossEpochWrap(t *testing.T) {
-	var tab flowTable
-	tab.reset()
-	keys := collidingKeys(100, 4, 8)
-	insert := func(keys []flowKey) {
-		for i, k := range keys {
-			h := hashKey(k.a, k.b)
-			pos, found := tab.find(h, k.a, k.b)
-			if found {
-				t.Fatalf("key %v live before its insert", k)
-			}
-			tab.insert(pos, h, k.a, k.b, 1, int32(i))
-		}
-	}
-	insert(keys)
-	// As if 2³² − 2 resets had passed since: epoch 1's entries are stale,
-	// and half the keys are live again in the last epoch.
-	tab.n, tab.epoch = 0, math.MaxUint32
-	insert(keys[:50])
-	tab.reset()
-	if tab.epoch == 0 {
-		t.Fatal("the wrapping reset made epoch 0 live")
-	}
-	for _, k := range keys {
-		if _, found := tab.find(hashKey(k.a, k.b), k.a, k.b); found {
-			t.Fatalf("key %v live after the wrapping reset", k)
-		}
-	}
-	if tab.n != 0 || maxProbe(&tab) != 0 {
-		t.Fatalf("%d entries live after the wrapping reset", tab.n)
-	}
-
-	// The assembler measures stream A in epoch 1, then stream B, over
-	// other keys, in the last epoch, and is Reset with B's flows open. It
-	// then measures A again from the start: were A's epoch-1 entries live
-	// again, its packets would hit flows of the first pass.
-	recsA, recsB := randomRecords(1500, 4), randomRecords(1500, 5)
-	for i := range recsB {
-		recsB[i].Hdr.SrcIP[2] = 1
-	}
-	a, err := NewAssembler(By5Tuple, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(recs []trace.Record) Result {
-		ref := newRefAssembler(By5Tuple, 20)
-		for _, rec := range recs {
-			if err := a.Add(rec); err != nil {
-				t.Fatal(err)
-			}
-			ref.add(rec)
-		}
-		want := ref.flush()
-		if got := a.Flush(); !resultsEqual(got, want) {
-			t.Fatalf("epoch %d: flush diverged from the reference (%d/%d vs %d/%d)", a.table.epoch,
-				len(got.Flows), len(got.Discarded), len(want.Flows), len(want.Discarded))
-		}
-		return want
-	}
-	first := measure(recsA)
-	a.Reset()
-	a.table.epoch = math.MaxUint32
-	for _, rec := range recsB {
-		if err := a.Add(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.ActiveFlows() == 0 {
-		t.Fatal("no flow open at the wrapping Reset")
-	}
-	a.Reset()
-	if a.table.epoch != 1 {
-		t.Fatalf("epoch %d after the wrap, want 1", a.table.epoch)
-	}
-	if again := measure(recsA); !resultsEqual(again, first) {
-		t.Fatal("stream A measured differently after the wrap")
 	}
 }
 
