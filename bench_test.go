@@ -637,17 +637,32 @@ func BenchmarkModelSuite(b *testing.B) {
 // BenchmarkServiceIngest measures the flowd daemon's steady-state ingest
 // path: one epoch of the benchmark trace streamed through a supervised
 // link — owned-block queueing, 5-tuple flows measured per block,
-// interval closing with the incremental model refit — without and with
-// per-interval checkpointing (snapshot encode + fsync + rename per
-// interval). ns/op is per epoch; pkts/op records the stream length.
+// interval closing with the incremental model refit. plain and
+// checkpointed synthesise the epoch as the link's producer, without and
+// with per-interval checkpointing (snapshot encode + fsync + rename per
+// interval); synthesis costs several times the measurement, so the
+// consumer never waits on them. replay reads the epoch from a trace store,
+// a producer far cheaper than the measurement, so it shows the cost of
+// handing blocks across the queue. ns/op is per epoch; pkts/op records the
+// stream length.
 func BenchmarkServiceIngest(b *testing.B) {
 	base := benchTraceConfig()
-	run := func(b *testing.B, store *snapshot.Store) {
+	// ckptDir, when set, gets a fresh checkpoint store per run: a run
+	// resumed from its predecessor's end-of-stream checkpoint measures
+	// nothing.
+	run := func(b *testing.B, src service.BlockSource, ckptDir string) {
 		var pkts int64
 		for i := 0; i < b.N; i++ {
+			var store *snapshot.Store
+			if ckptDir != "" {
+				var err error
+				if store, err = snapshot.OpenStore(filepath.Join(ckptDir, fmt.Sprint(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
 			link, err := service.NewLink(service.LinkConfig{
 				Name:   "bench",
-				Source: &service.SyntheticSource{Base: base, Epochs: 1},
+				Source: src,
 				Pipeline: service.PipelineConfig{
 					IntervalSec: 10,
 					Delta:       0.2,
@@ -664,12 +679,20 @@ func BenchmarkServiceIngest(b *testing.B) {
 		}
 		b.ReportMetric(float64(pkts)/float64(b.N), "pkts/op")
 	}
-	b.Run("plain", func(b *testing.B) { run(b, nil) })
-	b.Run("checkpointed", func(b *testing.B) {
-		store, err := snapshot.OpenStore(b.TempDir())
+	synth := &service.SyntheticSource{Base: base, Epochs: 1}
+	b.Run("plain", func(b *testing.B) { run(b, synth, "") })
+	b.Run("checkpointed", func(b *testing.B) { run(b, synth, b.TempDir()) })
+	b.Run("replay", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "epoch.fstore")
+		if _, err := store.Generate(context.Background(), path, base, 0, store.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		rd, err := store.Open(path)
 		if err != nil {
 			b.Fatal(err)
 		}
-		run(b, store)
+		defer rd.Close()
+		b.ResetTimer()
+		run(b, &service.ReplaySource{Reader: rd, Epochs: 1}, "")
 	})
 }

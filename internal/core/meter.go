@@ -22,6 +22,7 @@ type Meter struct {
 	meas               *flow.Measurer
 	bin                *timeseries.Binner
 	pop                FlowPop
+	rate               []float64 // Eval's series storage, reused every interval
 	// kernels are the eq.(7) caches of the paper's shapes b = 0, 1, 2 at Δ.
 	kernels [3]*AvgVarKernel
 }
@@ -29,6 +30,7 @@ type Meter struct {
 // Interval is one evaluated interval under one flow definition.
 type Interval struct {
 	// Series is the Δ-binned rate with the single-packet flows subtracted.
+	// Its storage is the meter's own and holds until the next Eval.
 	Series                     timeseries.Series
 	MeasMean, MeasVar, MeasCoV float64
 	// Input is zero when the interval has no usable flows. Its population
@@ -84,9 +86,12 @@ func (m *Meter) ActiveFlows(i int) int { return m.meas.ActiveFlows(i) }
 // Eval evaluates the binned interval against one definition's flows, on
 // its own snapshot of the bins, so each definition subtracts only its own
 // discards. The measured fields are always set; the error reports an
-// interval with no usable flows, whose Input stays zero.
+// interval with no usable flows, whose Input stays zero. The series and
+// the population are borrowed, like Flush's results: both stay valid until
+// the next Eval.
 func (m *Meter) Eval(res flow.Result) (Interval, error) {
-	iv := Interval{Series: m.bin.Series()}
+	iv := Interval{Series: m.bin.SeriesInto(m.rate)}
+	m.rate = iv.Series.Rate
 	iv.Series.Subtract(res.Discarded)
 	iv.MeasMean, iv.MeasVar, iv.MeasCoV = iv.Series.Mean(), iv.Series.Variance(), iv.Series.CoV()
 	in, err := InputFromFlowsPop(&m.pop, res.Flows, m.intervalSec)

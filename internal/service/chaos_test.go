@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -289,17 +290,29 @@ func TestChaosCancelMidIntervalRestartKeepsContinuity(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	blocksSeen := 0 // the producer goroutine alone counts
+	var link1 *Link
 	src := &hookSource{
 		inner: &SyntheticSource{Base: testBase(47), Epochs: epochs},
 		hook: func(int64, *trace.Block) error {
 			if blocksSeen++; blocksSeen == 10 {
+				// The link stops at the next block after a cancel, and the
+				// queue lets the source run far ahead: wait until the link
+				// has measured into the stream, so the cancel lands inside
+				// an interval.
+				deadline := time.Now().Add(5 * time.Second)
+				for link1.Stats().Blocks < 5 {
+					if time.Now().After(deadline) {
+						return fmt.Errorf("the link measured %d blocks in 5 s", link1.Stats().Blocks)
+					}
+					time.Sleep(time.Millisecond)
+				}
 				cancel()
 			}
 			return nil
 		},
 	}
 	var reps1 []Report
-	link1, err := NewLink(LinkConfig{Name: "term", Source: src, Pipeline: testPipeCfg(&reps1), Store: store})
+	link1, err = NewLink(LinkConfig{Name: "term", Source: src, Pipeline: testPipeCfg(&reps1), Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

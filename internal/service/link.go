@@ -21,9 +21,10 @@ type LinkConfig struct {
 	Pipeline PipelineConfig
 	// Store persists checkpoints (nil = no checkpointing: a restart loses
 	// all resident state). The link writes one at every interval close —
-	// the carried state plus the cursor of the open interval's first packet
-	// — and one at the end of a bounded source, so a restart re-ingests at
-	// most the interval that was open.
+	// the carried state plus the cursor of the next interval's first packet,
+	// one per close even when a block closes several — and one at the end
+	// of a bounded source, so a restart re-ingests at most the interval that
+	// was open.
 	Store *snapshot.Store
 	// Budget bounds the resident bytes of queued ingest blocks (nil =
 	// unlimited). Producers block when it fills (backpressure)…
@@ -33,8 +34,21 @@ type LinkConfig struct {
 	Shed bool
 }
 
-// queueLen is the ingest queue depth in blocks.
-const queueLen = 4
+// queuePackets bounds the packets queued between a link's source and its
+// measurement: queueLen full blocks, ~212 KB. The queued work must outlast
+// a wake-up of the producer, or the measuring goroutine idles on an empty
+// queue. At 1 Ki packets (4 blocks, ~52 µs of measurement at ~50 ns a
+// packet) a runtime trace of perfbench's flowd-replay on a 2-core KVM host
+// showed the consumer blocked on the queue for ~18 ms of a ~260 ms run,
+// slower than measuring from one goroutine; at 8 Ki it never blocked, and
+// packets/s rose 19% (medians of 10 alternating pairs). The price is close
+// lag, since a saturated source queues its backlog ahead of each boundary:
+// p99 went from ~0.2 to ~0.8 ms. 16 Ki packets ran faster still but put
+// the p99 past 1.5 ms.
+const (
+	queuePackets = 8 << 10
+	queueLen     = queuePackets / trace.BlockSize
+)
 
 // LinkStats are a link's ingest counters, readable while it runs.
 type LinkStats struct {
@@ -50,9 +64,9 @@ type LinkStats struct {
 // Link runs one supervised ingest-measure pipeline attempt per Run call:
 // restore from the last checkpoint, stream blocks through the pipeline with
 // budget-bounded queueing, checkpoint at every interval close, and on
-// cancellation drain — flush the partial interval, which the next run
-// re-measures from the last checkpoint. Run is the function handed to
-// Supervisor.Run.
+// cancellation stop at the next block and drain — return the queued blocks
+// unmeasured and flush the partial interval, which the next run re-measures
+// from the last checkpoint. Run is the function handed to Supervisor.Run.
 type Link struct {
 	cfg LinkConfig
 
@@ -207,27 +221,47 @@ func (l *Link) Run(ctx context.Context) error {
 		})
 	}()
 
-	// Whatever way this attempt unwinds — clean stop, error return, or a
-	// panic on its way to the supervisor — stop the producer, return every
-	// queued block to the pool with its budget charge (including the one a
-	// panicking AddBlock was holding), and drain ch until the producer
-	// closes it: zero goroutine/block leaks on every path.
-	var held *trace.Block
-	var heldCost int64
-	defer func() {
+	// discard stops the producer and returns every queued block to the pool
+	// with its budget charge until the producer closes ch. After it the
+	// producer's last writes (prodErr, end) are visible.
+	discard := func() {
 		icancel()
-		if held != nil {
-			trace.PutBlock(held)
-			l.release(heldCost)
-		}
 		for it := range ch {
 			trace.PutBlock(it.blk)
 			l.release(it.cost)
 		}
+	}
+	// Whatever way this attempt unwinds — clean stop, error return, or a
+	// panic on its way to the supervisor — return the block a panicking
+	// AddBlock was holding and discard the queue: zero goroutine/block leaks
+	// on every path.
+	var held *trace.Block
+	var heldCost int64
+	defer func() {
+		if held != nil {
+			trace.PutBlock(held)
+			l.release(heldCost)
+		}
+		discard()
 	}()
 
+	var at Cursor // the source position of the block being measured
+	p.onClose = func(opened int) error {
+		return l.checkpoint(p, Cursor{Epoch: at.Epoch, Packets: at.Packets + int64(opened)})
+	}
+	cut := false
 	for it := range ch {
+		if ctx.Err() != nil {
+			// Cancelled: stop at this block boundary. The queue may hold
+			// thousands of packets; they go back unmeasured, and the next
+			// run re-ingests them from the last checkpoint.
+			trace.PutBlock(it.blk)
+			l.release(it.cost)
+			cut = true
+			break
+		}
 		held, heldCost = it.blk, it.cost
+		at = Cursor{Epoch: it.epoch, Packets: it.pos}
 		err := p.AddBlock(it.blk)
 		n := it.blk.Len()
 		held = nil
@@ -236,13 +270,13 @@ func (l *Link) Run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if p.opened >= 0 {
-			if err := l.checkpoint(p, Cursor{Epoch: it.epoch, Packets: it.pos + int64(p.opened)}); err != nil {
-				return err
-			}
-		}
 		l.blocks.Add(1)
 		l.packets.Add(int64(n))
+	}
+	discard()
+	if cut && prodErr == nil {
+		// The source ended while the queue still held blocks.
+		prodErr = fmt.Errorf("service: link %q ingest: %w", l.cfg.Name, ctx.Err())
 	}
 
 	// The producer stopped. A clean end (source exhausted) or a

@@ -94,10 +94,11 @@ type Pipeline struct {
 
 	clock   flow.IntervalClock
 	pktsCur int64 // packets in the current interval
-	// opened is the in-block offset of the packet that opened the current
-	// interval during the last AddBlock, -1 when that call closed none: the
-	// resume point a boundary checkpoint pairs with the state.
-	opened int
+	// onClose, when set, runs after each boundary close in AddBlock with
+	// the in-block offset of the packet that opens the next interval: the
+	// resume point a checkpoint pairs with the state. Its error fails the
+	// call. A Link installs it to checkpoint at every close.
+	onClose func(opened int) error
 
 	means *timeseries.Window // per-interval mean rates (prediction history)
 
@@ -125,7 +126,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Window < predictOrder+2 {
 		return nil, fmt.Errorf("service: window must be >= %d intervals, got %d", predictOrder+2, cfg.Window)
 	}
-	p := &Pipeline{cfg: cfg, clock: clock, opened: -1}
+	p := &Pipeline{cfg: cfg, clock: clock}
 	if p.meter, err = core.NewMeter([]flow.Definition{flow.By5Tuple}, cfg.Timeout, cfg.IntervalSec, cfg.Delta); err != nil {
 		return nil, err
 	}
@@ -151,7 +152,6 @@ func (p *Pipeline) ActiveFlows() int { return p.meter.ActiveFlows(0) }
 // restart would resume at the same position. The block is read, never
 // retained.
 func (p *Pipeline) AddBlock(blk *trace.Block) error {
-	p.opened = -1
 	n := blk.Len()
 	j := 0
 	for j < n {
@@ -167,7 +167,11 @@ func (p *Pipeline) AddBlock(blk *trace.Block) error {
 			if err := p.closeInterval(false); err != nil {
 				return err
 			}
-			p.opened = j
+			if p.onClose != nil {
+				if err := p.onClose(j); err != nil {
+					return err
+				}
+			}
 		}
 		p.pktsCur += int64(k - j)
 		sub := blk.Slice(j, k)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,27 +208,34 @@ func TestPipelineSnapshotDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cuts []cut
+	var bi int
+	closed := false
+	pg.onClose = func(opened int) error {
+		closed = true
+		var buf bytes.Buffer
+		if err := snapshot.Encode(&buf, uint64(len(cuts)), pg.Snapshot()); err != nil {
+			return err
+		}
+		secs, _, err := snapshot.Decode(buf.Bytes())
+		if err != nil {
+			return err
+		}
+		cuts = append(cuts, cut{secs, bi, opened, len(golden)})
+		return nil
+	}
 	last := pg.Snapshot()
-	for bi, b := range blocks {
-		if err := pg.AddBlock(b); err != nil {
+	for bi = range blocks {
+		closed = false
+		if err := pg.AddBlock(blocks[bi]); err != nil {
 			t.Fatal(err)
 		}
-		if pg.opened < 0 {
+		if !closed {
 			if !reflect.DeepEqual(pg.Snapshot(), last) {
 				t.Fatalf("block %d closed no interval but moved the checkpoint", bi)
 			}
 			continue
 		}
 		last = pg.Snapshot()
-		var buf bytes.Buffer
-		if err := snapshot.Encode(&buf, uint64(bi), last); err != nil {
-			t.Fatal(err)
-		}
-		secs, _, err := snapshot.Decode(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cuts = append(cuts, cut{secs, bi, pg.opened, len(golden)})
 	}
 	if err := pg.Drain(); err != nil {
 		t.Fatal(err)
@@ -767,6 +776,169 @@ func TestLinkCancellationDrainsAndCheckpoints(t *testing.T) {
 		t.Fatalf("supervisor turned cancellation into %v", err)
 	}
 	checkNoLeaks(t, baseBlocks, baseGoroutines)
+}
+
+// errKilled stops a test run at a chosen report, as a SIGKILL would: no
+// drain, no further checkpoint.
+var errKilled = errors.New("test: killed after a report")
+
+// A sparse link crosses several interval boundaries inside one block. Each
+// close still writes its own checkpoint, so a run killed right after report
+// k resumes with interval k, never earlier.
+func TestLinkCheckpointsEveryClose(t *testing.T) {
+	src := &SyntheticSource{Base: trace.Config{
+		Duration:  600,
+		Lambda:    0.5,
+		SizeBytes: dist.Constant{V: 20000},
+		RateBps:   dist.Constant{V: 1e6},
+		ShotB:     dist.Constant{V: 1},
+		Seed:      5,
+	}, Epochs: 1}
+	pipeCfg := func(reps *[]Report, killAt int) PipelineConfig {
+		c := testPipeCfg(reps)
+		c.IntervalSec = 5
+		inner := c.OnInterval
+		c.OnInterval = func(r Report) error {
+			if err := inner(r); err != nil {
+				return err
+			}
+			if r.Index == killAt {
+				return MarkPermanent(errKilled)
+			}
+			return nil
+		}
+		return c
+	}
+	run := func(store *snapshot.Store, killAt int) ([]Report, LinkStats) {
+		t.Helper()
+		var reps []Report
+		link, err := NewLink(LinkConfig{Name: "sparse", Source: src, Pipeline: pipeCfg(&reps, killAt), Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := link.Run(context.Background()); err != nil && !errors.Is(err, errKilled) {
+			t.Fatal(err)
+		}
+		return reps, link.Stats()
+	}
+
+	store, err := snapshot.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, st := run(store, -1)
+	closes := 0
+	for _, r := range golden {
+		if !r.Partial {
+			closes++
+		}
+	}
+	if st.Blocks >= int64(closes) {
+		t.Fatalf("fixture too dense: %d blocks for %d closes, so no block closes several intervals", st.Blocks, closes)
+	}
+	// One checkpoint per close plus the end of the bounded source.
+	if st.Checkpoints != int64(closes)+1 {
+		t.Fatalf("%d checkpoints for %d closes and one end of stream", st.Checkpoints, closes)
+	}
+
+	for k := 0; k < len(golden); k += 13 {
+		store, err := snapshot.OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reps, _ := run(store, k); len(reps) != k+1 {
+			t.Fatalf("kill after report %d: the run emitted %d reports", k, len(reps))
+		}
+		reps, _ := run(store, k)
+		if len(reps) == 0 {
+			t.Fatalf("killed after report %d, the restart reported nothing", k)
+		}
+		if !reflect.DeepEqual(reps[0], golden[k]) {
+			t.Fatalf("killed after report %d, the restart resumed with interval %d, want interval %d again", k, reps[0].Index, k)
+		}
+	}
+}
+
+// After a cancel the link stops at the next block, even with its whole
+// queue full: the queued blocks go back unmeasured with their budget, and
+// the drained partial interval is exactly a direct feed of the blocks
+// measured before the stop.
+func TestLinkCancelStopsAtBlockBoundary(t *testing.T) {
+	baseBlocks, baseGoroutines := trace.LiveBlocks(), runtime.NumGoroutine()
+	const seed, epochs, cancelAt = 23, 10, 2
+	blocks := ownedBlocks(t, &SyntheticSource{Base: testBase(seed), Epochs: epochs})
+	defer putAll(blocks)
+	budget, err := membudget.New(1 << 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var delivered atomic.Int64 // blocks the source started to hand over
+	var link *Link
+	measured := int64(-1) // blocks measured when the cancel came, the current one included
+	var reps []Report
+	cfg := testPipeCfg(&reps)
+	inner := cfg.OnInterval
+	cfg.OnInterval = func(r Report) error {
+		if r.Index == cancelAt {
+			// The current block is the measured ones' successor. Once the
+			// source starts the block past a full queue, every queued
+			// block has been sent.
+			measured = link.Stats().Blocks + 1
+			deadline := time.Now().Add(5 * time.Second)
+			for delivered.Load() < measured+queueLen+1 {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("queue did not fill: %d blocks delivered, %d measured", delivered.Load(), measured)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+		}
+		return inner(r)
+	}
+	link, err = NewLink(LinkConfig{
+		Name: "cut",
+		Source: &hookSource{
+			inner: &SyntheticSource{Base: testBase(seed), Epochs: epochs},
+			hook:  func(int64, *trace.Block) error { delivered.Add(1); return nil },
+		},
+		Pipeline: cfg,
+		Budget:   budget,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := link.Run(ctx); Classify(err) != Canceled || err == nil {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	if measured < 0 {
+		t.Fatal("the run never reached the cancel")
+	}
+	if st := link.Stats(); st.Blocks != measured {
+		t.Fatalf("measured %d blocks, %d before the cancel: queued blocks were measured", st.Blocks, measured)
+	}
+
+	var golden []Report
+	pg, err := NewPipeline(testPipeCfg(&golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedAll(t, pg, blocks[:measured])
+	if err := pg.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if last := reps[len(reps)-1]; !last.Partial || last.Index <= cancelAt {
+		t.Fatalf("the drain flushed %+v, want a partial interval after %d", last, cancelAt)
+	}
+	if !reflect.DeepEqual(reps, golden) {
+		t.Fatal("link reports differ from a direct feed of the blocks measured before the cancel")
+	}
+	if used := budget.Used(); used != 0 {
+		t.Fatalf("budget holds %d bytes after the cancel", used)
+	}
+	checkNoLeaks(t, baseBlocks+int64(len(blocks)), baseGoroutines)
 }
 
 // newTestSupervisorReal builds a supervisor on the real clock with

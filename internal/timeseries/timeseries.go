@@ -8,6 +8,7 @@ package timeseries
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/flow"
 	"repro/internal/stats"
@@ -108,8 +109,13 @@ func (b *Binner) AddBlock(blk *trace.Block) {
 // Series snapshots the accumulated volumes as a rate series. The returned
 // series owns its storage, so the binner can be re-initialised and reused
 // (and the series mutated, e.g. by Subtract) independently.
-func (b *Binner) Series() Series {
-	rate := make([]float64, len(b.bits))
+func (b *Binner) Series() Series { return b.SeriesInto(nil) }
+
+// SeriesInto is Series written into dst's storage, grown only when it is
+// too small: a caller that snapshots every interval reuses one slice. The
+// series aliases dst, never the binner.
+func (b *Binner) SeriesInto(dst []float64) Series {
+	rate := slices.Grow(dst[:0], len(b.bits))[:len(b.bits)]
 	for k, v := range b.bits {
 		rate[k] = v / b.delta
 	}
