@@ -50,8 +50,6 @@ func main() {
 		workers = flag.Int("workers", 0, "interval measurement workers, shared across traces (0 = GOMAXPROCS); output is identical at any count")
 		genWork = flag.Int("genworkers", 1, "packet-synthesis workers per trace producer (<= 1 = serial); output is identical at any count")
 		quiet   = flag.Bool("quiet", false, "summaries only, no per-point output")
-		budget  = flag.Int64("membudget", 0, "cap resident bytes of in-flight measurement blocks (0 = unlimited); producers block when it fills")
-		shed    = flag.Bool("shed", false, "with -membudget: drop intervals under memory pressure instead of blocking the producer (drops are reported)")
 
 		storeDir   = flag.String("store", "", "read pre-generated trace stores (<dir>/<name>.fstore from tracegen -store, matching suite geometry) instead of synthesising")
 		shard      = flag.String("shard", "", "measure only shard i of N traces, written i/N (e.g. 0/2); requires -shard-out")
@@ -88,12 +86,6 @@ func main() {
 	}
 	if *genWork < 0 {
 		fatal(fmt.Errorf("-genworkers must be >= 0 (<= 1 = serial), got %d", *genWork))
-	}
-	if *budget < 0 {
-		fatal(fmt.Errorf("-membudget must be >= 0 bytes (0 = unlimited), got %d", *budget))
-	}
-	if *shed && *budget == 0 {
-		fatal(fmt.Errorf("-shed needs a -membudget to shed against"))
 	}
 	shardIndex, shardCount := 0, 0
 	if *shard != "" {
@@ -188,16 +180,14 @@ func main() {
 			MaxIntervals:     *maxIvl,
 			Seed:             *seed,
 		},
-		Delta:          *delta,
-		Workers:        *workers,
-		GenWorkers:     *genWork,
-		Quiet:          *quiet,
-		Context:        ctx,
-		MemBudgetBytes: *budget,
-		Shed:           *shed,
-		StoreDir:       *storeDir,
-		ShardIndex:     shardIndex,
-		ShardCount:     shardCount,
+		Delta:      *delta,
+		Workers:    *workers,
+		GenWorkers: *genWork,
+		Quiet:      *quiet,
+		Context:    ctx,
+		StoreDir:   *storeDir,
+		ShardIndex: shardIndex,
+		ShardCount: shardCount,
 	})
 	if err != nil {
 		fatal(err)
@@ -220,18 +210,6 @@ func main() {
 	for _, e := range selected {
 		if err := e.run(r, os.Stdout); err != nil {
 			fatal(fmt.Errorf("%s: %w", e.id, err))
-		}
-	}
-	if *shed {
-		stats, err := r.ShedStats()
-		if err != nil {
-			fatal(err)
-		}
-		for _, s := range stats {
-			if s.Intervals > 0 {
-				fmt.Fprintf(os.Stderr, "experiments: %s: shed %d intervals (%d records) under memory pressure\n",
-					s.Trace, s.Intervals, s.Records)
-			}
 		}
 	}
 }

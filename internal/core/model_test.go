@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"slices"
 	"testing"
@@ -775,8 +776,9 @@ func (m *Model) Skewness() (float64, error) {
 
 // SpectralDensity returns the power spectral density Γ(ω) of the centred
 // total rate at angular frequency ω (rad/s): Γ(ω) = λ/(2π)·E[|X̂(ω)|²]
-// where X̂ is the Fourier transform of the shot (§V-B). The transform is
-// evaluated by quadrature per flow sample.
+// where X̂ is the Fourier transform of the shot (§V-B). Integer-b
+// PowerShots take the closed form (powerShotFT); other shots are evaluated
+// by quadrature per flow sample.
 func (m *Model) SpectralDensity(omega float64) float64 {
 	pop := m.Pop
 	n := pop.Len()
@@ -784,6 +786,14 @@ func (m *Model) SpectralDensity(omega float64) float64 {
 		return 0
 	}
 	var sum float64
+	if ps, ok := m.Shot.(PowerShot); ok && ps.B >= 0 && ps.B == math.Trunc(ps.B) {
+		// X̂(ω) = s·(b+1)·∫₀¹ u^b e^{iωdu} du for X(t) = s(b+1)/d^{b+1}·t^b.
+		for i := 0; i < n; i++ {
+			x := complex(pop.S[i]*(ps.B+1), 0) * powerShotFT(int(ps.B), omega*pop.D[i])
+			sum += real(x)*real(x) + imag(x)*imag(x)
+		}
+		return m.Lambda / (2 * math.Pi) * sum / float64(n)
+	}
 	for i := 0; i < n; i++ {
 		s, d := pop.S[i], pop.D[i]
 		re := simpson(func(t float64) float64 { return m.Shot.Rate(s, d, t) * math.Cos(omega*t) }, 0, d, 256)
@@ -791,4 +801,27 @@ func (m *Model) SpectralDensity(omega float64) float64 {
 		sum += re*re + im*im
 	}
 	return m.Lambda / (2 * math.Pi) * sum / float64(n)
+}
+
+// powerShotFT returns ∫₀¹ u^b e^{iθu} du for an integer b >= 0: its power
+// series Σ (iθ)ⁿ/(n!·(b+n+1)) when |θ| < 1, where the recurrence below
+// would cancel, else integration by parts, I_k = (e^{iθ} − k·I_{k−1})/(iθ)
+// from I_0 = (e^{iθ} − 1)/(iθ).
+func powerShotFT(b int, theta float64) complex128 {
+	ith := complex(0, theta)
+	if math.Abs(theta) < 1 {
+		var sum complex128
+		term := complex(1, 0) // (iθ)ⁿ/n!
+		for n := 0; n < 24; n++ {
+			sum += term / complex(float64(b+n+1), 0)
+			term *= ith / complex(float64(n+1), 0)
+		}
+		return sum
+	}
+	e := cmplx.Exp(ith)
+	in := (e - 1) / ith
+	for k := 1; k <= b; k++ {
+		in = (e - complex(float64(k), 0)*in) / ith
+	}
+	return in
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/membudget"
 	"repro/internal/trace"
 )
 
@@ -61,9 +60,9 @@ type stringsBuilder struct{ b []byte }
 func (s *stringsBuilder) Write(p []byte) (int, error) { s.b = append(s.b, p...); return len(p), nil }
 func (s *stringsBuilder) String() string              { return string(s.b) }
 
-// Zero injected faults — with the harness fully wired (block hook, memory
-// budget, cancellable context) — must be byte-identical to the plain run
-// at every workers/genworkers/block-size combination. Delay-only faults
+// Zero injected faults — with the harness fully wired (block hook,
+// cancellable context) — must be byte-identical to the plain run at every
+// workers/genworkers/block-size combination. Delay-only faults
 // ride along in one combo: scheduler jitter must never change the science.
 func TestChaosZeroFaultOutputIdenticalToGolden(t *testing.T) {
 	if testing.Short() {
@@ -82,13 +81,12 @@ func TestChaosZeroFaultOutputIdenticalToGolden(t *testing.T) {
 		workers    int
 		genWorkers int
 		blockSize  int
-		budget     int64
 		delay      bool
 	}{
-		{"wired-sequential", 1, 0, 0, 1 << 20, false},
-		{"parallel-budget", 4, 4, 17, 1 << 16, false},
-		{"one-block-budget", 2, 2, 1, 1, false},
-		{"delay-jitter", 4, 2, 64, 1 << 20, true},
+		{"wired-sequential", 1, 0, 0, false},
+		{"parallel-odd-blocks", 4, 4, 17, false},
+		{"one-record-blocks", 2, 2, 1, false},
+		{"delay-jitter", 4, 2, 64, true},
 	}
 	for _, c := range combos {
 		t.Run(c.name, func(t *testing.T) {
@@ -105,7 +103,6 @@ func TestChaosZeroFaultOutputIdenticalToGolden(t *testing.T) {
 			o.Workers = c.workers
 			o.GenWorkers = c.genWorkers
 			o.blockSize = c.blockSize
-			o.MemBudgetBytes = c.budget
 			o.Context = context.Background()
 			o.wrapBlocks = in.WrapBlockFn
 			got, err := runSuite(o)
@@ -175,7 +172,6 @@ func TestChaosRandomFaultStormNeverPanics(t *testing.T) {
 		o := tinyOptions()
 		o.Workers = 4
 		o.GenWorkers = 2
-		o.MemBudgetBytes = 1 << 16
 		o.wrapBlocks = in.WrapBlockFn
 		if _, err := runSuite(o); err != nil && !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("seed %d: non-injected failure %v", seed, err)
@@ -219,66 +215,6 @@ func TestChaosCancellationMidRun(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelAt=%d: error %v does not wrap context.Canceled", cancelAt, err)
 		}
-	}
-	checkNoLeaks(t, baseBlocks, baseGoroutines)
-}
-
-// Load shedding with a budget that refuses every reservation: all
-// record-bearing intervals must be dropped, counted exactly — per trace,
-// both intervals shed, and the shed record totals must equal the packets
-// the generators produced (nothing dropped silently, nothing double
-// counted). The pass itself succeeds: shedding is visible degradation,
-// not failure.
-func TestChaosShedCountersExact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping chaos suite in -short mode")
-	}
-	baseBlocks, baseGoroutines := trace.LiveBlocks(), runtime.NumGoroutine()
-	in, err := faultinject.New(faultinject.Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := tinyOptions()
-	o.Workers = 3
-	o.Shed = true
-	// Every reservation refused from the first on: maximal shedding.
-	o.wrapBudget = func(inner membudget.Reserver) membudget.Reserver {
-		return in.WrapBudget(inner, 1)
-	}
-	r, err := NewRunner(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Summaries runs the measurement pass; ShedStats only reports on it.
-	summaries, err := r.Summaries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shed, err := r.ShedStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shed) != len(summaries) {
-		t.Fatalf("%d shed entries for %d traces", len(shed), len(summaries))
-	}
-	for i, s := range shed {
-		// Every interval of every trace carries records at this link rate,
-		// so with all reservations refused every interval must be shed.
-		if want := int64(r.Specs()[i].Intervals); s.Intervals != want {
-			t.Fatalf("trace %s: %d intervals shed, want all %d", s.Trace, s.Intervals, want)
-		}
-		if s.Records != summaries[i].Packets {
-			t.Fatalf("trace %s: %d records shed, generator produced %d", s.Trace, s.Records, summaries[i].Packets)
-		}
-	}
-	// Every interval shed means no scatter points anywhere.
-	if stats, err := r.Stats(suiteDefs[0]); err != nil {
-		t.Fatal(err)
-	} else if len(stats) != 0 {
-		t.Fatalf("%d scatter points survived a fully-shed pass", len(stats))
-	}
-	if fails := in.Stats().AllocFailures; fails == 0 {
-		t.Fatal("budget faulter recorded no allocation failures")
 	}
 	checkNoLeaks(t, baseBlocks, baseGoroutines)
 }

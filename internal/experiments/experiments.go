@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flow"
-	"repro/internal/membudget"
 	"repro/internal/trace"
 	"repro/internal/trace/store"
 )
@@ -60,10 +59,6 @@ type Options struct {
 	// their in-flight blocks, and the pass returns an error wrapping the
 	// context's error. nil means run to completion.
 	Context context.Context
-	// MemBudgetBytes, when positive, caps the resident bytes of in-flight
-	// partitioned blocks across the whole pass. Producers block when the
-	// budget is full (backpressure; output is unchanged) unless Shed is set.
-	MemBudgetBytes int64
 	// StoreDir, when set, points the measurement pass at pre-generated trace
 	// stores: each suite trace streams from <StoreDir>/<name>.fstore
 	// (written by `tracegen -store` with the same suite geometry) instead of
@@ -79,12 +74,6 @@ type Options struct {
 	// MergeShards can reassemble the full suite byte-identically elsewhere.
 	ShardIndex int
 	ShardCount int
-	// Shed switches the memory budget from backpressure to load shedding:
-	// a producer that cannot reserve a block drops the rest of that
-	// interval, the interval's stream is flagged, its statistics are
-	// skipped, and the drop is counted in ShedStats — output is explicitly
-	// missing rather than silently wrong.
-	Shed bool
 	// blockSize overrides the record count of the SoA blocks the interval
 	// partitioner emits (0 = trace.BlockSize). Output is byte-identical at
 	// any size; the determinism tests set it to stress block-boundary
@@ -94,9 +83,6 @@ type Options struct {
 	// stream (stage name = trace name) — the fault-injection hook of the
 	// chaos tests. Must preserve the callback's contract when it forwards.
 	wrapBlocks func(stage string, fn func(*trace.Block) error) func(*trace.Block) error
-	// wrapBudget, when set, interposes on the pass's memory budget — the
-	// allocation-failure hook of the chaos tests.
-	wrapBudget func(membudget.Reserver) membudget.Reserver
 }
 
 func (o Options) withDefaults() Options {
@@ -151,7 +137,6 @@ type Runner struct {
 	// Lazily computed.
 	stats     []IntervalStat
 	summaries []trace.Summary
-	shed      []TraceShed
 	// reference holds the flow measurements of one designated interval
 	// (trace 1, interval 0) for the single-interval figures (1, 3-6, 8).
 	// Its packets are not buffered: refSeries re-synthesises them when a
@@ -229,20 +214,6 @@ type traceResult struct {
 	stats [][]*IntervalStat
 	// Reference-interval capture (trace 1, interval 0 only), per suiteDefs.
 	ref [2]flow.Result
-	// Load-shedding accounting, read from the producer's partitioner after
-	// it closes.
-	shedIntervals int64
-	shedRecords   int64
-}
-
-// TraceShed is one trace's load-shedding report: how many of its intervals
-// were dropped (wholly or partially) under memory pressure, and how many
-// records those drops lost. All zeros unless Options.Shed was set and the
-// budget actually filled.
-type TraceShed struct {
-	Trace     string
-	Intervals int64
-	Records   int64
 }
 
 // intervalTask is one (trace, interval) unit of the two-level scheduler.
@@ -261,8 +232,10 @@ type intervalTask struct {
 // worker, and the suite scales past one worker per trace. No trace is ever
 // materialised: producers back-pressure on their current interval's bounded
 // sub-stream buffer, and an in-flight cap stops a producer from queueing an
-// unbounded run of small completed intervals, so resident records stay
-// O((workers + producers) · buffer) however long the traces are. Results
+// unbounded run of small completed intervals. That structure alone bounds
+// the resident blocks — at most 2·(workers + producers) streams, each with
+// buffer/blockSize sent blocks plus one pending — however long the traces
+// are, and no interval is ever dropped to stay under it. Results
 // land in per-(trace, interval) slots and are merged in (trace, definition,
 // interval) order, so the cached statistics are byte-identical at any
 // worker count.
@@ -271,17 +244,6 @@ func (r *Runner) measureSuite() error {
 		return nil
 	}
 	parent := r.context()
-	var budget membudget.Reserver
-	if r.opts.MemBudgetBytes > 0 {
-		b, err := membudget.New(r.opts.MemBudgetBytes)
-		if err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-		budget = b
-	}
-	if r.opts.wrapBudget != nil {
-		budget = r.opts.wrapBudget(budget)
-	}
 	workers := r.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -333,8 +295,7 @@ func (r *Runner) measureSuite() error {
 	// One context carries both the caller's cancellation and the pass's own
 	// abort: the first failure cancels it with errAborted as its cause.
 	// Producers and workers check it between units, and the blocking points
-	// inside a unit (generator sends, partitioner sends, budget
-	// reservations) watch it directly.
+	// inside a unit (generator sends, partitioner sends) watch it directly.
 	ctx, abort := context.WithCancelCause(parent)
 	defer abort(nil)
 
@@ -398,7 +359,7 @@ func (r *Runner) measureSuite() error {
 				if ctx.Err() != nil {
 					continue
 				}
-				summary, err := r.produceTrace(ctx, ti, r.specs[ti], budget, tasks, inflight, results[ti])
+				summary, err := r.produceTrace(ctx, ti, r.specs[ti], tasks, inflight)
 				results[ti].summary = summary
 				if err != nil {
 					prodErrs[ti] = err
@@ -442,11 +403,6 @@ func (r *Runner) measureSuite() error {
 	}
 	for ti, tr := range results {
 		r.summaries = append(r.summaries, tr.summary)
-		r.shed = append(r.shed, TraceShed{
-			Trace:     r.specs[ti].Name,
-			Intervals: tr.shedIntervals,
-			Records:   tr.shedRecords,
-		})
 		for di := range suiteDefs {
 			for _, slots := range tr.stats {
 				if s := slots[di]; s != nil {
@@ -467,7 +423,7 @@ func (r *Runner) measureSuite() error {
 // sub-stream as a task the moment it opens. It blocks when its current
 // interval's buffer fills, so generation never outruns measurement by more
 // than the buffer.
-func (r *Runner) produceTrace(ctx context.Context, ti int, spec trace.TraceSpec, budget membudget.Reserver, tasks chan<- intervalTask, inflight chan struct{}, tr *traceResult) (sum trace.Summary, err error) {
+func (r *Runner) produceTrace(ctx context.Context, ti int, spec trace.TraceSpec, tasks chan<- intervalTask, inflight chan struct{}) (sum trace.Summary, err error) {
 	cfg := suiteConfig(spec)
 	var part *flow.IntervalPartitioner
 	// A panic anywhere in this producer (generator, partitioner, a faulty
@@ -478,7 +434,6 @@ func (r *Runner) produceTrace(ctx context.Context, ti int, spec trace.TraceSpec,
 		if rec := recover(); rec != nil {
 			if part != nil {
 				part.Abort()
-				tr.shedIntervals, tr.shedRecords = part.ShedStats()
 			}
 			err = fmt.Errorf("producing trace: panic: %v", rec)
 		}
@@ -505,11 +460,6 @@ func (r *Runner) produceTrace(ctx context.Context, ti int, spec trace.TraceSpec,
 	if err := part.SetContext(ctx); err != nil {
 		return trace.Summary{}, err
 	}
-	if budget != nil {
-		if err := part.SetBudget(budget, r.opts.Shed); err != nil {
-			return trace.Summary{}, err
-		}
-	}
 	sink := part.AddBlock
 	if r.opts.wrapBlocks != nil {
 		sink = r.opts.wrapBlocks(spec.Name, sink)
@@ -527,15 +477,9 @@ func (r *Runner) produceTrace(ctx context.Context, ti int, spec trace.TraceSpec,
 	}
 	if err != nil {
 		part.Abort()
-		tr.shedIntervals, tr.shedRecords = part.ShedStats()
 		return sum, err
 	}
-	if err := part.Close(); err != nil {
-		tr.shedIntervals, tr.shedRecords = part.ShedStats()
-		return sum, err
-	}
-	tr.shedIntervals, tr.shedRecords = part.ShedStats()
-	return sum, nil
+	return sum, part.Close()
 }
 
 // context returns the caller's bound on the runner's passes (Options.Context,
@@ -598,12 +542,6 @@ func (r *Runner) measureInterval(ti int, is *flow.IntervalStream, tr *traceResul
 	}
 	if addErr != nil {
 		return addErr
-	}
-	if is.Shed() {
-		// The producer dropped part (or all) of this interval under memory
-		// pressure: its measurements would be silently wrong, so the point
-		// is skipped and the drop stays visible through ShedStats.
-		return nil
 	}
 	results := meter.Flush()
 points:
@@ -692,18 +630,13 @@ func (r *Runner) Summaries() ([]trace.Summary, error) {
 	return r.summaries, nil
 }
 
-// ShedStats returns the per-trace load-shedding report of the measurement
-// pass — which traces dropped intervals under memory pressure, and how
-// many records each drop lost. All-zero entries mean nothing was shed. It
-// reports only a pass that ran: while nothing has measured the suite (the
-// selected experiments streamed their own traces) it returns nil, and
-// never measures the suite for the report's sake.
-func (r *Runner) ShedStats() ([]TraceShed, error) {
-	if !r.measured {
-		return nil, nil
-	}
-	return r.shed, nil
-}
+// TraceShed and ShedStats are a compatibility stub for the benchmark
+// module: the measurement pass never drops an interval, so there is
+// nothing to report and ShedStats always returns nil.
+type TraceShed struct{ Intervals int64 }
+
+// ShedStats returns nil; see TraceShed.
+func (r *Runner) ShedStats() ([]TraceShed, error) { return nil, nil }
 
 // sep prints a section separator.
 func sep(w io.Writer, title string) {

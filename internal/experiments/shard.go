@@ -1,8 +1,8 @@
 // Cross-process suite sharding. A shard runner (Options.ShardIndex/
 // ShardCount) measures a disjoint subset of the suite's traces; ExportShard
-// persists its measurements — per-trace summaries, shed accounting, every
-// scatter point, and the reference-interval flow results when the shard owns
-// trace 0 — as one CRC-framed file, and MergeShards reassembles a full
+// persists its measurements — per-trace summaries, every scatter point,
+// and the reference-interval flow results when the shard owns trace 0 —
+// as one CRC-framed file, and MergeShards reassembles a full
 // runner from the shard files of all N processes. The merged runner renders
 // byte-identical output to a single-process pass: the measurement slots are
 // refilled in exactly the order measureSuite merges them, and everything a
@@ -121,8 +121,10 @@ func (r *Runner) ExportShard(path string) error {
 		e.F64(sum.AvgRateBps)
 		e.F64(sum.FlowRate)
 		e.I64(sum.OnePktFlows)
-		e.I64(r.shed[ti].Intervals)
-		e.I64(r.shed[ti].Records)
+		// Two per-trace slots of the file layout held shed interval and
+		// record counts; the suite never sheds, so they are written as 0.
+		e.I64(0)
+		e.I64(0)
 		stats := byTrace[r.specs[ti].Name]
 		e.U64(uint64(len(stats)))
 		for _, s := range stats {
@@ -182,7 +184,6 @@ type shardData struct {
 
 type shardTrace struct {
 	summary trace.Summary
-	shed    TraceShed
 	stats   []IntervalStat // Trace/TargetBps/linkBps filled by the merger
 	hasRef  bool
 	refRes5 flow.Result
@@ -223,7 +224,11 @@ func decodeShard(path string, raw []byte, nspecs int, link, intervalSec, delta f
 			FlowRate:    d.F64(),
 			OnePktFlows: d.I64(),
 		}
-		st.shed = TraceShed{Intervals: d.I64(), Records: d.I64()}
+		// A shard that shed intervals is missing points: refuse it rather
+		// than render a partial figure.
+		if ivs, recs := d.I64(), d.I64(); ivs != 0 || recs != 0 {
+			return nil, fmt.Errorf("experiments: %s: trace %d shed %d intervals (%d records): %w", path, ti, ivs, recs, snapshot.ErrCorrupt)
+		}
 		nStats := d.U64()
 		if d.Err() != nil || nStats > uint64(d.Rest()/96) {
 			return nil, fmt.Errorf("experiments: %s truncated: %w", path, snapshot.ErrCorrupt)
@@ -333,9 +338,6 @@ func (r *Runner) MergeShards(paths ...string) error {
 		st := byTrace[ti]
 		spec := r.specs[ti]
 		r.summaries = append(r.summaries, st.summary)
-		shed := st.shed
-		shed.Trace = spec.Name
-		r.shed = append(r.shed, shed)
 		slots := make([][]*IntervalStat, spec.Intervals)
 		for i := range slots {
 			slots[i] = make([]*IntervalStat, len(suiteDefs))

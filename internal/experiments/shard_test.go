@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -26,7 +27,6 @@ func handShard(t testing.TB, stats ...IntervalStat) []byte {
 		t.Fatal(err)
 	}
 	r.summaries = make([]trace.Summary, len(r.specs))
-	r.shed = make([]TraceShed, len(r.specs))
 	r.stats = stats
 	r.refRes5 = flow.Result{
 		Flows:     []flow.Flow{{Start: 0.5, End: 2, Bytes: 3000, Packets: 3}},
@@ -44,20 +44,41 @@ func handShard(t testing.TB, stats ...IntervalStat) []byte {
 	return raw
 }
 
-// A shard file that carries one (interval, definition) point twice is
-// corrupt: merging it must fail instead of keeping one copy silently.
+// A shard file that carries one (interval, definition) point twice, or
+// that reports shed intervals, is corrupt: merging it must fail instead of
+// keeping one copy silently or rendering a figure with missing points.
 func TestMergeShardsRejectsDuplicatePoint(t *testing.T) {
 	r, err := NewRunner(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pt := IntervalStat{Trace: r.specs[1].Name, Index: 1, Def: flow.ByPrefix24, FlowCount: 12, ModelCoV: map[int]float64{0: 0.1}}
-	path := filepath.Join(t.TempDir(), "dup.shard")
-	if err := os.WriteFile(path, handShard(t, pt, pt), 0o644); err != nil {
+	_, _, payload, _, err := snapshot.ReadFrameAt(handShard(t), len(shardMagic))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.MergeShards(path); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("merging a duplicated point: %v, want ErrCorrupt", err)
+	// Eight header words, then trace 0's index and seven summary words:
+	// its shed-interval slot starts at byte 128.
+	shed := bytes.Clone(payload)
+	binary.LittleEndian.PutUint64(shed[128:], 1)
+	for _, c := range []struct {
+		name string
+		file []byte
+	}{
+		{"duplicated point", handShard(t, pt, pt)},
+		{"shed interval", framedShard(t, shed)},
+	} {
+		path := filepath.Join(t.TempDir(), "bad.shard")
+		if err := os.WriteFile(path, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(tinyOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.MergeShards(path); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("merging a shard with a %s: %v, want ErrCorrupt", c.name, err)
+		}
 	}
 }
 

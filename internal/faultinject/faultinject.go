@@ -1,9 +1,8 @@
 // Package faultinject is the chaos harness of the streaming pipeline: it
-// wraps block-stream callbacks and memory budgets with deterministic,
-// seed-driven faults — injected errors, block truncation, delays, and
-// allocation failures — so the robustness tests can drive the real
-// unwinding paths (cancellation, panic recovery, load shedding) on demand
-// instead of waiting for production to find them.
+// wraps block-stream callbacks with deterministic, seed-driven faults —
+// injected errors, block truncation and delays — so the robustness tests
+// can drive the real unwinding paths (cancellation, panic recovery) on
+// demand instead of waiting for production to find them.
 //
 // Determinism contract: an Injector is a pure function of (Config, stage
 // names, call order). Each wrapped stage draws from its own rng sub-stream
@@ -22,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/dist/rng"
-	"repro/internal/membudget"
 	"repro/internal/trace"
 )
 
@@ -56,11 +54,10 @@ type Config struct {
 // Stats counts the faults an Injector dealt, readable while a chaos run is
 // still in flight.
 type Stats struct {
-	Blocks        int64 // wrapped block calls observed
-	Errors        int64 // injected errors
-	Truncations   int64 // truncated blocks
-	Delays        int64 // injected delays
-	AllocFailures int64 // injected budget-reservation failures
+	Blocks      int64 // wrapped block calls observed
+	Errors      int64 // injected errors
+	Truncations int64 // truncated blocks
+	Delays      int64 // injected delays
 }
 
 // Injector wraps pipeline stages with the configured faults. Safe for
@@ -69,11 +66,10 @@ type Stats struct {
 type Injector struct {
 	cfg Config
 
-	blocks        atomic.Int64
-	errors        atomic.Int64
-	truncations   atomic.Int64
-	delays        atomic.Int64
-	allocFailures atomic.Int64
+	blocks      atomic.Int64
+	errors      atomic.Int64
+	truncations atomic.Int64
+	delays      atomic.Int64
 }
 
 // New returns an injector dealing cfg's faults. Probabilities must lie in
@@ -102,11 +98,10 @@ func (in *Injector) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Blocks:        in.blocks.Load(),
-		Errors:        in.errors.Load(),
-		Truncations:   in.truncations.Load(),
-		Delays:        in.delays.Load(),
-		AllocFailures: in.allocFailures.Load(),
+		Blocks:      in.blocks.Load(),
+		Errors:      in.errors.Load(),
+		Truncations: in.truncations.Load(),
+		Delays:      in.delays.Load(),
 	}
 }
 
@@ -204,59 +199,5 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// budgetFaulter interposes allocation failures on a memory budget.
-type budgetFaulter struct {
-	in        *Injector
-	inner     membudget.Reserver
-	failAfter int64
-	calls     atomic.Int64
-}
-
-// WrapBudget returns a Reserver that forwards to inner but fails every
-// reservation from the failAfter-th on (1-based) with a wrapped
-// ErrInjected — the "allocator starts refusing" fault. TryReserve failures
-// are reported as shed pressure (false), matching how a genuinely
-// exhausted budget presents. failAfter <= 0 disables the fault.
-func (in *Injector) WrapBudget(inner membudget.Reserver, failAfter int64) membudget.Reserver {
-	return &budgetFaulter{in: in, inner: inner, failAfter: failAfter}
-}
-
-func (b *budgetFaulter) fault() bool {
-	if b.failAfter <= 0 {
-		return false
-	}
-	if b.calls.Add(1) < b.failAfter {
-		return false
-	}
-	b.in.allocFailures.Add(1)
-	return true
-}
-
-func (b *budgetFaulter) Reserve(ctx context.Context, n int64) error {
-	if b.fault() {
-		return fmt.Errorf("faultinject: budget reservation of %d bytes refused: %w", n, ErrInjected)
-	}
-	if b.inner == nil {
-		return nil
-	}
-	return b.inner.Reserve(ctx, n)
-}
-
-func (b *budgetFaulter) TryReserve(n int64) bool {
-	if b.fault() {
-		return false
-	}
-	if b.inner == nil {
-		return true
-	}
-	return b.inner.TryReserve(n)
-}
-
-func (b *budgetFaulter) Release(n int64) {
-	if b.inner != nil {
-		b.inner.Release(n)
 	}
 }

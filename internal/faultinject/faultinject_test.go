@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/membudget"
 	"repro/internal/trace"
 )
 
@@ -193,48 +192,6 @@ func TestDelayFaultSleeps(t *testing.T) {
 	}
 	if s := in.Stats(); s.Delays != 5 {
 		t.Fatalf("Delays = %d, want 5", s.Delays)
-	}
-}
-
-func TestWrapBudgetFailsAfterN(t *testing.T) {
-	in, err := New(Config{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := membudget.New(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := in.WrapBudget(inner, 3)
-	ctx := context.Background()
-	for i := 1; i <= 2; i++ {
-		if err := r.Reserve(ctx, 100); err != nil {
-			t.Fatalf("reservation %d failed early: %v", i, err)
-		}
-	}
-	err = r.Reserve(ctx, 100)
-	if err == nil || !errors.Is(err, ErrInjected) {
-		t.Fatalf("3rd reservation: err %v, want wrapped ErrInjected", err)
-	}
-	if r.TryReserve(100) {
-		t.Fatal("TryReserve succeeded after the fault point")
-	}
-	// Releases still forward so the books stay balanced.
-	r.Release(100)
-	r.Release(100)
-	if got := inner.Used(); got != 0 {
-		t.Fatalf("inner budget holds %d bytes after releases", got)
-	}
-	if s := in.Stats(); s.AllocFailures != 2 {
-		t.Fatalf("AllocFailures = %d, want 2", s.AllocFailures)
-	}
-	// failAfter <= 0 never faults, nil inner always admits.
-	free := in.WrapBudget(nil, 0)
-	if err := free.Reserve(ctx, 1<<40); err != nil {
-		t.Fatal(err)
-	}
-	if !free.TryReserve(1 << 40) {
-		t.Fatal("pass-through TryReserve failed")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 
-	"repro/internal/membudget"
 	"repro/internal/trace"
 )
 
@@ -18,31 +17,7 @@ type IntervalStream struct {
 	Index  int
 	Start  float64
 	blocks chan *trace.Block
-	// budget/blockBytes mirror the producing partitioner's accounting: the
-	// consumer releases each block's reservation when it recycles the block.
-	budget     membudget.Reserver
-	blockBytes int64
-	// shed is set by the producer before the stream closes when the
-	// interval was dropped (fully or from some point on) under memory
-	// pressure; the channel close orders the write before any consumer
-	// read through Shed.
-	shed bool
 }
-
-// put recycles one delivered block and releases its budget reservation.
-func (is *IntervalStream) put(b *trace.Block) {
-	trace.PutBlock(b)
-	if is.budget != nil {
-		is.budget.Release(is.blockBytes)
-	}
-}
-
-// Shed reports whether the producer dropped this interval (wholly, or from
-// some record on) under load-shedding. Only valid after the stream has been
-// fully drained — a consumer must discard the interval's measurements when
-// it returns true, and account the interval as dropped, so shed output is
-// explicitly missing rather than silently wrong.
-func (is *IntervalStream) Shed() bool { return is.shed }
 
 // Blocks returns the interval's packets in time order, interval-local, one
 // SoA block at a time. The sequence is single-use and must be ranged to
@@ -62,17 +37,17 @@ func (is *IntervalStream) Blocks() iter.Seq[*trace.Block] {
 			// in-hand block and drain the remainder so the producer is
 			// never left blocked mid-send.
 			if cur != nil {
-				is.put(cur)
+				trace.PutBlock(cur)
 			}
 			for b := range is.blocks {
-				is.put(b)
+				trace.PutBlock(b)
 			}
 		}()
 		for blk := range is.blocks {
 			cur = blk
 			ok := yield(blk)
 			cur = nil
-			is.put(blk)
+			trace.PutBlock(blk)
 			if !ok {
 				return
 			}
@@ -105,24 +80,11 @@ type IntervalPartitioner struct {
 	pend      *trace.Block // current interval's not-yet-sent block
 	closed    bool
 
-	// ctx, when set, bounds every blocking point (stream sends, budget
-	// reservations) so a cancelled pipeline unwinds instead of wedging on a
-	// vanished consumer. done caches ctx.Done() for the send fast path.
+	// ctx, when set, bounds the blocking stream sends so a cancelled
+	// pipeline unwinds instead of wedging on a vanished consumer. done
+	// caches ctx.Done() for the send fast path.
 	ctx  context.Context
 	done <-chan struct{}
-
-	// budget, when set, charges blockBytes per in-flight block: reserved
-	// when a pending block is taken from the pool, released by the consumer
-	// on recycle (ownership of the reservation travels with the block).
-	budget     membudget.Reserver
-	blockBytes int64
-	// shedMode picks the under-pressure policy: false blocks the producer
-	// (backpressure, exact output), true drops the rest of the current
-	// interval and accounts for it.
-	shedMode      bool
-	curShed       bool // current interval has dropped records
-	shedIntervals int64
-	shedRecords   int64
 }
 
 // NewIntervalPartitioner builds a partitioner over intervals of intervalSec.
@@ -167,15 +129,12 @@ func (p *IntervalPartitioner) SetBlockSize(n int) error {
 		return fmt.Errorf("flow: block size must be set before the first packet")
 	}
 	p.blockSize = n
-	if p.budget != nil {
-		p.blockBytes = trace.BlockCost(n)
-	}
 	return nil
 }
 
-// SetContext bounds the partitioner's blocking points (full-stream sends,
-// budget reservations) by ctx: once ctx is cancelled they fail with a
-// wrapped ctx error instead of blocking on a consumer that may never drain.
+// SetContext bounds the partitioner's blocking full-stream sends by ctx:
+// once ctx is cancelled they fail with a wrapped ctx error instead of
+// blocking on a consumer that may never drain.
 // Must be called before the first packet.
 func (p *IntervalPartitioner) SetContext(ctx context.Context) error {
 	if p.cur != nil || p.closed {
@@ -189,29 +148,6 @@ func (p *IntervalPartitioner) SetContext(ctx context.Context) error {
 	return nil
 }
 
-// SetBudget charges each in-flight block's byte cost against r. With shed
-// false the producer blocks in Reserve until the consumer frees room —
-// bounded memory, exact output. With shed true a failed TryReserve drops
-// the rest of the current interval, marks its stream Shed, and counts the
-// drop (ShedStats) — bounded memory and bounded producer latency, at the
-// price of explicitly-missing intervals. Must be called before the first
-// packet.
-func (p *IntervalPartitioner) SetBudget(r membudget.Reserver, shed bool) error {
-	if p.cur != nil || p.closed {
-		return fmt.Errorf("flow: budget must be set before the first packet")
-	}
-	p.budget = r
-	p.shedMode = shed
-	p.blockBytes = trace.BlockCost(p.blockSize)
-	return nil
-}
-
-// ShedStats reports how many intervals were marked shed and how many
-// records were dropped in them. Only meaningful after Close or Abort.
-func (p *IntervalPartitioner) ShedStats() (intervals, records int64) {
-	return p.shedIntervals, p.shedRecords
-}
-
 // open starts the stream of the clock's current interval and hands it off.
 func (p *IntervalPartitioner) open() error {
 	cap := p.buffer / p.blockSize
@@ -219,21 +155,18 @@ func (p *IntervalPartitioner) open() error {
 		cap = 1
 	}
 	s := &IntervalStream{
-		Index:      p.clock.Index(),
-		Start:      p.clock.Origin(),
-		blocks:     make(chan *trace.Block, cap),
-		budget:     p.budget,
-		blockBytes: p.blockBytes,
+		Index:  p.clock.Index(),
+		Start:  p.clock.Origin(),
+		blocks: make(chan *trace.Block, cap),
 	}
 	p.cur = s
 	return p.handoff(s)
 }
 
 // ship sends blk into the current interval's stream, honouring
-// cancellation: a blocked send unblocks (recycling blk and its
-// reservation) when the partitioner's context is cancelled. Ownership of
-// the block — and of its budget reservation — transfers to the consumer
-// on success.
+// cancellation: a blocked send unblocks (recycling blk) when the
+// partitioner's context is cancelled. Ownership of the block transfers to
+// the consumer on success.
 func (p *IntervalPartitioner) ship(blk *trace.Block) error {
 	if p.done == nil {
 		p.cur.blocks <- blk
@@ -248,45 +181,9 @@ func (p *IntervalPartitioner) ship(blk *trace.Block) error {
 	case p.cur.blocks <- blk:
 		return nil
 	case <-p.done:
-		p.dropPendBlock(blk)
+		trace.PutBlock(blk)
 		return fmt.Errorf("flow: partition of interval %d cancelled: %w", p.clock.Index(), p.ctx.Err())
 	}
-}
-
-// dropPendBlock recycles an unsent block along with its reservation.
-func (p *IntervalPartitioner) dropPendBlock(blk *trace.Block) {
-	trace.PutBlock(blk)
-	if p.budget != nil {
-		p.budget.Release(p.blockBytes)
-	}
-}
-
-// takePend ensures a pending block exists, reserving its byte cost first.
-// In shed mode a failed reservation marks the interval shed and returns
-// false — the caller drops the record; errors only arise from cancellation
-// while blocked in Reserve.
-func (p *IntervalPartitioner) takePend() (bool, error) {
-	if p.pend != nil {
-		return true, nil
-	}
-	if p.budget != nil {
-		if p.shedMode {
-			if !p.budget.TryReserve(p.blockBytes) {
-				p.curShed = true
-				return false, nil
-			}
-		} else {
-			ctx := p.ctx
-			if ctx == nil {
-				ctx = context.Background()
-			}
-			if err := p.budget.Reserve(ctx, p.blockBytes); err != nil {
-				return false, fmt.Errorf("flow: partition of interval %d: %w", p.clock.Index(), err)
-			}
-		}
-	}
-	p.pend = trace.GetBlock()
-	return true, nil
 }
 
 // flushPend sends the current interval's pending block; the consumer owns
@@ -298,22 +195,15 @@ func (p *IntervalPartitioner) flushPend() error {
 		return p.ship(blk)
 	}
 	if p.pend != nil {
-		p.dropPendBlock(p.pend)
+		trace.PutBlock(p.pend)
 		p.pend = nil
 	}
 	return nil
 }
 
-// advance closes the current interval's stream and opens the next,
-// finalising the closing interval's shed mark first (the close orders the
-// mark before any consumer's post-drain read).
+// advance closes the current interval's stream and opens the next.
 func (p *IntervalPartitioner) advance() error {
 	err := p.flushPend()
-	if p.curShed {
-		p.cur.shed = true
-		p.shedIntervals++
-		p.curShed = false
-	}
 	close(p.cur.blocks)
 	if err != nil {
 		// The stream is already closed; clear cur so the caller's Abort
@@ -354,17 +244,8 @@ func (p *IntervalPartitioner) AddBlock(blk *trace.Block) error {
 		}
 		origin := p.clock.Origin()
 		for i := j; i < k; {
-			if p.curShed {
-				p.shedRecords += int64(k - i)
-				break
-			}
-			ok, err := p.takePend()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				p.shedRecords += int64(k - i)
-				break
+			if p.pend == nil {
+				p.pend = trace.GetBlock()
 			}
 			take := p.blockSize - p.pend.Len()
 			if rem := k - i; rem < take {
@@ -411,11 +292,6 @@ func (p *IntervalPartitioner) Close() error {
 		}
 	}
 	err := p.flushPend()
-	if p.curShed {
-		p.cur.shed = true
-		p.shedIntervals++
-		p.curShed = false
-	}
 	close(p.cur.blocks)
 	p.cur = nil
 	p.closed = true
@@ -433,18 +309,13 @@ func (p *IntervalPartitioner) Abort() {
 	}
 	if p.cur != nil {
 		// Best-effort delivery of the trailing partial block; under
-		// cancellation ship drops it (recycled, reservation released)
-		// rather than blocking on a consumer that may be unwinding too.
+		// cancellation ship drops it (recycled) rather than blocking on a
+		// consumer that may be unwinding too.
 		_ = p.flushPend()
-		if p.curShed {
-			p.cur.shed = true
-			p.shedIntervals++
-			p.curShed = false
-		}
 		close(p.cur.blocks)
 		p.cur = nil
 	} else if p.pend != nil {
-		p.dropPendBlock(p.pend)
+		trace.PutBlock(p.pend)
 		p.pend = nil
 	}
 	p.closed = true

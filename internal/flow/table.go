@@ -50,10 +50,10 @@ func prefixDrop(def Definition) (drop uint64, ok bool) {
 // per packet, in columns), and the table recomputes it from stored keys
 // only when an entry moves: on backward-shift deletion and on growth.
 type flowTable struct {
-	ent   []flowEntry
-	mask  uint64
-	n     int // live entries
-	grow  int // occupancy that triggers a doubling
+	ent  []flowEntry
+	mask uint64
+	n    int // live entries
+	grow int // occupancy that triggers a doubling
 	// sweepPos is the rotating cursor of sweepExpired: each call resumes
 	// where the previous one stopped, so expiry cost is spread across
 	// stream time instead of paid in one full-table pass.
@@ -66,10 +66,10 @@ type flowKey struct{ a, b uint64 }
 // flowEntry is one table position: 32 bytes, so two share a cache line,
 // and the table's power-of-two allocations leave none straddling one.
 type flowEntry struct {
-	key   flowKey
-	last  float64 // the flow's last-seen time, the idle timeout's operand
-	adm   int32   // the flow's admission number: its index in the store
-	live  uint32  // 1 iff the position holds an entry
+	key  flowKey
+	last float64 // the flow's last-seen time, the idle timeout's operand
+	adm  int32   // the flow's admission number: its index in the store
+	live uint32  // 1 iff the position holds an entry
 }
 
 // flowTableMinCap is the initial capacity (power of two).

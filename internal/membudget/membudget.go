@@ -1,11 +1,12 @@
-// Package membudget provides a byte-accounted memory budget for the
-// streaming pipeline: stages that buffer pooled blocks reserve their byte
-// cost against a shared budget before allocating and release it when the
-// consumer recycles the block. Under pressure a producer either blocks
+// Package membudget provides a byte-accounted memory budget for flowd's
+// ingest queue (flowd -membudget): the link reserves each queued block's
+// byte cost before it enqueues the block and releases it when the
+// measurement recycles the block. Under pressure the link either blocks
 // (backpressure, the default — memory is bounded and output is exact) or,
-// in load-shedding mode, fails fast via TryReserve so the stage can drop
-// work explicitly and account for the drop, instead of letting resident
-// memory grow with the backlog.
+// with flowd -shed, fails fast via TryReserve and drops the block with
+// exact accounting, so a live source never stalls. The batch suite needs
+// no budget: its memory is bounded by its structure (see README, "Bounded
+// memory").
 //
 // The budget is a counting semaphore over bytes, not an allocator: it
 // never touches the memory it accounts for, so a stage can charge any
@@ -20,15 +21,15 @@ import (
 	"sync/atomic"
 )
 
-// Reserver is the reservation face of a Budget. Pipeline stages hold this
-// interface so a fault-injection harness can interpose allocation failures
-// without the stage knowing.
+// Reserver is the reservation face of a Budget. The link holds this
+// interface so tests can substitute budgets that refuse or alternate
+// reservations without the link knowing.
 type Reserver interface {
 	// Reserve blocks until n bytes fit under the limit, then charges them.
 	// It returns ctx's error (wrapped) if the context is cancelled first.
 	Reserve(ctx context.Context, n int64) error
 	// TryReserve charges n bytes if they fit under the limit right now and
-	// reports whether it did. It never blocks — the load-shedding probe.
+	// reports whether it did. It never blocks — the probe of flowd -shed.
 	TryReserve(n int64) bool
 	// Release returns n bytes charged by a successful Reserve/TryReserve.
 	Release(n int64)

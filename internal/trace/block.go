@@ -124,8 +124,8 @@ func PutBlock(b *Block) {
 }
 
 // BlockCost returns the approximate resident bytes of one pooled block whose
-// columns hold up to n records — the unit a membudget reservation charges
-// for an in-flight block. Pool blocks never shrink below BlockSize capacity,
+// columns hold up to n records — the unit flowd's ingest budget charges
+// for a queued block. Pool blocks never shrink below BlockSize capacity,
 // so smaller n still costs a full block; the constant covers the four slice
 // headers and the Block itself.
 func BlockCost(n int) int64 {
