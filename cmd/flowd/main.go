@@ -13,7 +13,7 @@
 //
 //	flowd -interval 60 -ckpt /var/lib/flowd            # synthetic ingest
 //	flowd -source pcap -in trace.pcap -ckpt ./ckpt     # loop a real trace
-//	flowd -membudget 33554432 -shed                    # degrade, don't stall
+//	flowd -shed                                        # degrade, don't stall
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/flow"
-	"repro/internal/membudget"
 	"repro/internal/service"
 	"repro/internal/snapshot"
 	"repro/internal/timeseries"
@@ -54,8 +53,7 @@ func main() {
 
 		ckptDir = flag.String("ckpt", "", "checkpoint directory, written at every interval close (empty = no checkpointing: a crash loses all state)")
 
-		budgetBytes = flag.Int64("membudget", 0, "ingest-queue memory budget in bytes (0 = unlimited)")
-		shed        = flag.Bool("shed", false, "drop ingest blocks (with exact accounting) instead of blocking when the budget is full")
+		shed = flag.Bool("shed", false, "drop ingest blocks (with exact accounting) instead of blocking when the ingest queue is full")
 
 		maxRestarts = flag.Int("max-restarts", 10, "restarts allowed inside -restart-window before giving up")
 		restartWin  = flag.Duration("restart-window", 10*time.Minute, "circuit-breaker window")
@@ -80,12 +78,6 @@ func main() {
 	}
 	if *epochs < 0 {
 		fatal(fmt.Errorf("-epochs must be >= 0 (0 = unbounded), got %d", *epochs))
-	}
-	if *budgetBytes < 0 {
-		fatal(fmt.Errorf("-membudget must be >= 0 bytes, got %d", *budgetBytes))
-	}
-	if *shed && *budgetBytes == 0 {
-		fatal(fmt.Errorf("-shed needs a -membudget to shed against"))
 	}
 	if *maxRestarts < 1 {
 		fatal(fmt.Errorf("-max-restarts must be >= 1, got %d", *maxRestarts))
@@ -126,13 +118,6 @@ func main() {
 	}
 	if !*quiet {
 		cfg.Pipeline.OnInterval = printReport
-	}
-	if *budgetBytes > 0 {
-		budget, err := membudget.New(*budgetBytes)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Budget = budget
 	}
 	link, err := service.NewLink(cfg)
 	if err != nil {

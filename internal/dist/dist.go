@@ -130,53 +130,11 @@ func (e Exponential) SampleN(dst []float64, r *rng.Rand) {
 // Mean returns 1/Rate.
 func (e Exponential) Mean() float64 { return 1 / e.Rate }
 
-// Pareto is the (unbounded) Pareto distribution with shape Alpha and scale
-// Xm: P(X > x) = (Xm/x)^Alpha for x >= Xm. The mean is infinite for
-// Alpha <= 1, which is exactly what stability checks downstream test for.
-type Pareto struct {
-	Alpha, Xm float64
-}
-
-// NewPareto validates shape and scale.
-func NewPareto(alpha, xm float64) (Pareto, error) {
-	if !(alpha > 0) {
-		return Pareto{}, fmt.Errorf("dist: pareto shape must be > 0, got %g", alpha)
-	}
-	if !(xm > 0) {
-		return Pareto{}, fmt.Errorf("dist: pareto scale must be > 0, got %g", xm)
-	}
-	return Pareto{Alpha: alpha, Xm: xm}, nil
-}
-
 // invPow computes x^(-e) for x in (0, 1] via the exp∘log identity: the
-// Pareto inverse-CDF hot path never needs math.Pow's generality (negative
-// bases, huge exponents), and exp∘log is about twice as fast.
+// bounded Pareto inverse-CDF hot path never needs math.Pow's generality
+// (negative bases, huge exponents), and exp∘log is about twice as fast.
 func invPow(x, e float64) float64 {
 	return math.Exp(-e * math.Log(x))
-}
-
-// Sample draws by inverting the CDF.
-func (p Pareto) Sample(r *rng.Rand) float64 {
-	// 1-U avoids u == 0 (Float64 is in [0, 1)), which would blow up the
-	// inverse CDF.
-	return p.Xm * invPow(1-r.Float64(), 1/p.Alpha)
-}
-
-// SampleN fills dst by inverting the CDF per draw.
-//
-//repro:hotpath
-func (p Pareto) SampleN(dst []float64, r *rng.Rand) {
-	for i := range dst {
-		dst[i] = p.Xm * invPow(1-r.Float64(), 1/p.Alpha)
-	}
-}
-
-// Mean returns α·Xm/(α-1), or +Inf when α <= 1.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
 }
 
 // BoundedPareto is the Pareto distribution truncated to [L, H]: the flow
@@ -435,14 +393,4 @@ func (p *PoissonProcess) Next() float64 {
 	}
 	p.t = t
 	return t
-}
-
-// NextN fills dst with the next len(dst) arrival epochs, equivalent to
-// len(dst) successive Next calls.
-//
-//repro:hotpath
-func (p *PoissonProcess) NextN(dst []float64) {
-	for i := range dst {
-		dst[i] = p.Next()
-	}
 }

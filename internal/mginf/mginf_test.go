@@ -10,6 +10,12 @@ import (
 	"repro/internal/stats"
 )
 
+// infiniteMean is a heavy-tailed service law whose mean is +Inf.
+type infiniteMean struct{}
+
+func (infiniteMean) Sample(*rng.Rand) float64 { return 1 }
+func (infiniteMean) Mean() float64            { return math.Inf(1) }
+
 func TestNewValidation(t *testing.T) {
 	e, _ := dist.NewExponential(1)
 	if _, err := New(0, e); err == nil {
@@ -18,8 +24,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(1, nil); err == nil {
 		t.Fatal("nil service should be rejected")
 	}
-	p, _ := dist.NewPareto(0.9, 1) // infinite mean
-	if _, err := New(1, p); err == nil {
+	if _, err := New(1, infiniteMean{}); err == nil {
 		t.Fatal("infinite-mean service should be rejected (stability condition)")
 	}
 }

@@ -6,12 +6,11 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 
-	"repro/internal/membudget"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
-// LinkConfig wires one link's ingest, pipeline, budget and checkpointing.
+// LinkConfig wires one link's ingest, pipeline and checkpointing.
 type LinkConfig struct {
 	// Name labels the link in events and errors.
 	Name string
@@ -26,25 +25,23 @@ type LinkConfig struct {
 	// of a bounded source, so a restart re-ingests at most the interval that
 	// was open.
 	Store *snapshot.Store
-	// Budget bounds the resident bytes of queued ingest blocks (nil =
-	// unlimited). Producers block when it fills (backpressure)…
-	Budget membudget.Reserver
-	// …unless Shed is set, in which case blocks that do not fit are dropped
-	// with exact accounting instead of stalling the source.
+	// Shed drops a block the full ingest queue cannot take, with exact
+	// accounting, instead of stalling the source (default: the source
+	// blocks until the measurement frees a slot).
 	Shed bool
 }
 
 // queuePackets bounds the packets queued between a link's source and its
-// measurement: queueLen full blocks, ~212 KB. The queued work must outlast
-// a wake-up of the producer, or the measuring goroutine idles on an empty
-// queue. At 1 Ki packets (4 blocks, ~52 µs of measurement at ~50 ns a
-// packet) a runtime trace of perfbench's flowd-replay on a 2-core KVM host
-// showed the consumer blocked on the queue for ~18 ms of a ~260 ms run,
-// slower than measuring from one goroutine; at 8 Ki it never blocked, and
-// packets/s rose 19% (medians of 10 alternating pairs). The price is close
-// lag, since a saturated source queues its backlog ahead of each boundary:
-// p99 went from ~0.2 to ~0.8 ms. 16 Ki packets ran faster still but put
-// the p99 past 1.5 ms.
+// measurement: queueLen full blocks, ~212 KB, the one bound on a link's
+// ingest memory. The queued work must outlast a wake-up of the producer, or
+// the measuring goroutine idles on an empty queue. At 1 Ki packets (4
+// blocks, ~52 µs of measurement at ~50 ns a packet) a runtime trace of
+// perfbench's flowd-replay on a 2-core KVM host showed the consumer blocked
+// on the queue for ~18 ms of a ~260 ms run, slower than measuring from one
+// goroutine; at 8 Ki it never blocked, and packets/s rose 19% (medians of 10
+// alternating pairs). The price is close lag, since a saturated source
+// queues its backlog ahead of each boundary: p99 went from ~0.2 to ~0.8 ms.
+// 16 Ki packets ran faster still but put the p99 past 1.5 ms.
 const (
 	queuePackets = 8 << 10
 	queueLen     = queuePackets / trace.BlockSize
@@ -54,16 +51,16 @@ const (
 type LinkStats struct {
 	Blocks      int64 // blocks measured
 	Packets     int64 // packets measured
-	ShedBlocks  int64 // blocks dropped under memory pressure
-	ShedPackets int64 // packets dropped under memory pressure
+	ShedBlocks  int64 // blocks dropped on a full queue (Shed)
+	ShedPackets int64 // packets dropped on a full queue (Shed)
 	Checkpoints int64 // checkpoints written
 	Restores    int64 // runs resumed from a checkpoint
 	FreshStarts int64 // runs started without usable checkpoint state
 }
 
 // Link runs one supervised ingest-measure pipeline attempt per Run call:
-// restore from the last checkpoint, stream blocks through the pipeline with
-// budget-bounded queueing, checkpoint at every interval close, and on
+// restore from the last checkpoint, stream blocks through the pipeline over
+// a bounded queue, checkpoint at every interval close, and on
 // cancellation stop at the next block and drain — return the queued blocks
 // unmeasured and flush the partial interval, which the next run re-measures
 // from the last checkpoint. Run is the function handed to Supervisor.Run.
@@ -84,9 +81,6 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("service: link %q needs a source", cfg.Name)
 	}
-	if cfg.Shed && cfg.Budget == nil {
-		return nil, fmt.Errorf("service: link %q sheds without a budget", cfg.Name)
-	}
 	return &Link{cfg: cfg}, nil
 }
 
@@ -103,18 +97,11 @@ func (l *Link) Stats() LinkStats {
 	}
 }
 
-func (l *Link) release(cost int64) {
-	if l.cfg.Budget != nil {
-		l.cfg.Budget.Release(cost)
-	}
-}
-
-// item is one owned, budget-charged block in the ingest queue.
+// item is one owned block in the ingest queue.
 type item struct {
 	epoch int64
 	pos   int64 // packets of the epoch the source delivered before blk, shed ones included
 	blk   *trace.Block
-	cost  int64
 }
 
 // restore loads the newest checkpoint into p and returns the ingest cursor.
@@ -192,43 +179,36 @@ func (l *Link) Run(ctx context.Context) error {
 			}
 			pos := end.Packets
 			end.Packets += int64(n)
-			cost := trace.BlockCost(n)
-			if l.cfg.Budget != nil {
-				if l.cfg.Shed {
-					if !l.cfg.Budget.TryReserve(cost) {
-						// Graceful degradation: drop the block with exact
-						// accounting instead of stalling the source.
-						l.shedBlocks.Add(1)
-						l.shedPackets.Add(int64(n))
-						return nil
-					}
-				} else if err := l.cfg.Budget.Reserve(ictx, cost); err != nil {
-					return err
-				}
+			if l.cfg.Shed && len(ch) == cap(ch) {
+				// Graceful degradation: drop the block with exact
+				// accounting instead of stalling the source. The producer
+				// is the only sender, so a queue with room takes the send
+				// below without blocking.
+				l.shedBlocks.Add(1)
+				l.shedPackets.Add(int64(n))
+				return nil
 			}
 			// Copy into an owned block: the source recycles blk after this
 			// call, but the queue outlives it.
 			ob := trace.GetBlock()
 			ob.AppendRebased(blk, 0, n, 0)
 			select {
-			case ch <- item{epoch: epoch, pos: pos, blk: ob, cost: cost}:
+			case ch <- item{epoch: epoch, pos: pos, blk: ob}:
 				return nil
 			case <-ictx.Done():
 				trace.PutBlock(ob)
-				l.release(cost)
 				return fmt.Errorf("service: link %q ingest: %w", l.cfg.Name, ictx.Err())
 			}
 		})
 	}()
 
 	// discard stops the producer and returns every queued block to the pool
-	// with its budget charge until the producer closes ch. After it the
-	// producer's last writes (prodErr, end) are visible.
+	// until the producer closes ch. After it the producer's last writes
+	// (prodErr, end) are visible.
 	discard := func() {
 		icancel()
 		for it := range ch {
 			trace.PutBlock(it.blk)
-			l.release(it.cost)
 		}
 	}
 	// Whatever way this attempt unwinds — clean stop, error return, or a
@@ -236,11 +216,9 @@ func (l *Link) Run(ctx context.Context) error {
 	// AddBlock was holding and discard the queue: zero goroutine/block leaks
 	// on every path.
 	var held *trace.Block
-	var heldCost int64
 	defer func() {
 		if held != nil {
 			trace.PutBlock(held)
-			l.release(heldCost)
 		}
 		discard()
 	}()
@@ -256,17 +234,15 @@ func (l *Link) Run(ctx context.Context) error {
 			// thousands of packets; they go back unmeasured, and the next
 			// run re-ingests them from the last checkpoint.
 			trace.PutBlock(it.blk)
-			l.release(it.cost)
 			cut = true
 			break
 		}
-		held, heldCost = it.blk, it.cost
+		held = it.blk
 		at = Cursor{Epoch: it.epoch, Packets: it.pos}
 		err := p.AddBlock(it.blk)
 		n := it.blk.Len()
 		held = nil
 		trace.PutBlock(it.blk)
-		l.release(it.cost)
 		if err != nil {
 			return err
 		}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/membudget"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 	tracestore "repro/internal/trace/store"
@@ -500,30 +499,63 @@ func TestReplaySourceResumesExactly(t *testing.T) {
 	}
 }
 
-// A stored trace far larger than the ingest budget must replay to completion
-// under backpressure: the source's resident state is one block plus one
-// segment of the mapping, not the trace, so a 32-block budget never
-// deadlocks, and every charged byte and pooled block is returned by the end.
-func TestReplayStoreLargerThanBudget(t *testing.T) {
+// waitQueueFull waits, with the measurement stalled after measured blocks,
+// until the source has started the block past a full queue: delivered
+// counts the blocks it started, and once it starts that one, every queued
+// block has been sent.
+func waitQueueFull(delivered *atomic.Int64, measured int64) error {
+	deadline := time.Now().Add(5 * time.Second)
+	for delivered.Load() < measured+queueLen+1 {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("queue did not fill: %d blocks delivered, %d measured", delivered.Load(), measured)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
+}
+
+// A stored trace far larger than the ingest queue must replay to
+// completion with its blocks bounded by the queue's structure: the source
+// holds one block of its own, the queue at most queueLen, and the
+// measurement the one it is consuming. A consumer stalled at the first
+// close lets the producer fill the queue, so the bound is also reached.
+func TestReplayStoreLargerThanQueue(t *testing.T) {
 	baseBlocks, baseGoroutines := trace.LiveBlocks(), runtime.NumGoroutine()
 	cfg := testBase(29)
 	cfg.Lambda = 400
 	all := synthPackets(t, cfg)
 	r := storeFromPackets(t, all, tEpoch)
-	budgetBytes := 32 * trace.BlockCost(trace.BlockSize)
-	if stored := r.Packets() * 26; stored <= budgetBytes {
-		t.Fatalf("fixture too small: %d stored bytes vs %d budget", stored, budgetBytes)
+	if stored := r.Packets(); stored <= queuePackets {
+		t.Fatalf("fixture too small: %d stored packets vs a %d-packet queue", stored, queuePackets)
 	}
-	budget, err := membudget.New(budgetBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// 2: the source's own block and the block the measurement holds.
+	bound := baseBlocks + queueLen + 2
+	var delivered, peak atomic.Int64
+	var link *Link
 	var reps []Report
+	pipe := testPipeCfg(&reps)
+	inner := pipe.OnInterval
+	pipe.OnInterval = func(r Report) error {
+		if r.Index == 0 {
+			if err := waitQueueFull(&delivered, link.Stats().Blocks+1); err != nil {
+				return err
+			}
+		}
+		return inner(r)
+	}
 	link, err := NewLink(LinkConfig{
-		Name:     "bounded-replay",
-		Source:   &ReplaySource{Reader: r, Duration: tEpoch, Epochs: 2},
-		Pipeline: testPipeCfg(&reps),
-		Budget:   budget,
+		Name: "bounded-replay",
+		Source: &hookSource{
+			inner: &ReplaySource{Reader: r, Duration: tEpoch, Epochs: 2},
+			hook: func(int64, *trace.Block) error {
+				delivered.Add(1)
+				if live := trace.LiveBlocks(); live > peak.Load() {
+					peak.Store(live)
+				}
+				return nil
+			},
+		},
+		Pipeline: pipe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -531,18 +563,11 @@ func TestReplayStoreLargerThanBudget(t *testing.T) {
 	if err := link.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st := link.Stats()
-	if st.Packets != 2*int64(all.Len()) {
-		t.Fatalf("measured %d packets, want %d", st.Packets, 2*all.Len())
+	if st := link.Stats(); st.Packets != 2*int64(all.Len()) || st.ShedPackets != 0 {
+		t.Fatalf("measured %d packets and shed %d, want %d and none", st.Packets, st.ShedPackets, 2*all.Len())
 	}
-	if st.ShedPackets != 0 {
-		t.Fatalf("shed %d packets without -shed", st.ShedPackets)
-	}
-	if got := budget.Used(); got != 0 {
-		t.Fatalf("budget holds %d bytes after a clean run", got)
-	}
-	if budget.Peak() == 0 || budget.Peak() > budgetBytes {
-		t.Fatalf("budget peak %d outside (0, %d]", budget.Peak(), budgetBytes)
+	if got := peak.Load(); got != bound {
+		t.Fatalf("live blocks peaked at %d, structural bound is %d", got, bound)
 	}
 	checkNoLeaks(t, baseBlocks, baseGoroutines)
 }
@@ -609,26 +634,56 @@ func TestLinkBoundedRunDrainsAndCheckpoints(t *testing.T) {
 	checkNoLeaks(t, baseBlocks, baseGoroutines)
 }
 
-// denyBudget refuses every TryReserve — the maximal-shedding harness.
-type denyBudget struct{}
+// endSource closes done when the wrapped source's Stream returns.
+type endSource struct {
+	inner BlockSource
+	done  chan struct{}
+}
 
-func (denyBudget) Reserve(context.Context, int64) error { return nil }
-func (denyBudget) TryReserve(int64) bool                { return false }
-func (denyBudget) Release(int64)                        {}
+func (s *endSource) Stream(ctx context.Context, cur Cursor, fn func(int64, *trace.Block) error) error {
+	defer close(s.done)
+	return s.inner.Stream(ctx, cur, fn)
+}
+
+// stallFirstClose returns cfg with its first interval close blocked until
+// src has delivered its whole stream, and where it records the blocks
+// measured at that stall, the one being measured included. The stalled
+// measurement holds one block, the queue fills, and every later block meets
+// a full queue: with Shed it is dropped, without it the source blocks and
+// the stall times out.
+func stallFirstClose(cfg PipelineConfig, src *endSource, link **Link) (PipelineConfig, *int64) {
+	measured := int64(-1)
+	inner := cfg.OnInterval
+	cfg.OnInterval = func(r Report) error {
+		if measured < 0 {
+			measured = (*link).Stats().Blocks + 1
+			select {
+			case <-src.done:
+			case <-time.After(5 * time.Second):
+				return fmt.Errorf("the source did not finish while the measurement stalled")
+			}
+		}
+		return inner(r)
+	}
+	return cfg, &measured
+}
 
 func TestLinkShedAccountingIsExact(t *testing.T) {
 	baseBlocks, baseGoroutines := trace.LiveBlocks(), runtime.NumGoroutine()
-	blocks := ownedBlocks(t, &SyntheticSource{Base: testBase(9), Epochs: 1})
+	const seed, epochs = 9, 10
+	blocks := ownedBlocks(t, &SyntheticSource{Base: testBase(seed), Epochs: epochs})
 	total := countPackets(blocks)
 	nBlocks := int64(len(blocks))
 	putAll(blocks)
 
 	var reps []Report
+	var link *Link
+	src := &endSource{inner: &SyntheticSource{Base: testBase(seed), Epochs: epochs}, done: make(chan struct{})}
+	cfg, measured := stallFirstClose(testPipeCfg(&reps), src, &link)
 	link, err := NewLink(LinkConfig{
 		Name:     "shed",
-		Source:   &SyntheticSource{Base: testBase(9), Epochs: 1},
-		Pipeline: testPipeCfg(&reps),
-		Budget:   denyBudget{},
+		Source:   src,
+		Pipeline: cfg,
 		Shed:     true,
 	})
 	if err != nil {
@@ -638,21 +693,18 @@ func TestLinkShedAccountingIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := link.Stats()
-	if st.Packets != 0 || len(reps) != 0 {
-		t.Fatalf("fully-shed run still measured: %+v, %d reports", st, len(reps))
+	want := nBlocks - *measured - queueLen
+	if want <= 0 {
+		t.Fatalf("fixture too small: %d blocks, %d measured at the stall", nBlocks, *measured)
 	}
-	if st.ShedPackets != total || st.ShedBlocks != nBlocks {
-		t.Fatalf("shed %d packets / %d blocks, produced %d / %d", st.ShedPackets, st.ShedBlocks, total, nBlocks)
+	if st.ShedBlocks != want {
+		t.Fatalf("shed %d blocks, want %d of %d (%d measured at the stall, %d queued)", st.ShedBlocks, want, nBlocks, *measured, queueLen)
+	}
+	if st.Packets+st.ShedPackets != total {
+		t.Fatalf("measured %d + shed %d packets, stream had %d", st.Packets, st.ShedPackets, total)
 	}
 	checkNoLeaks(t, baseBlocks, baseGoroutines)
 }
-
-// alternateBudget sheds every other block — deterministic partial shedding.
-type alternateBudget struct{ calls int }
-
-func (*alternateBudget) Reserve(context.Context, int64) error { return nil }
-func (b *alternateBudget) TryReserve(int64) bool              { b.calls++; return b.calls%2 == 0 }
-func (*alternateBudget) Release(int64)                        {}
 
 // Shed packets still advance the source, so checkpoint cursors count them:
 // a link stopped mid-stream resumes at the boundary it checkpointed, and a
@@ -663,13 +715,16 @@ func TestLinkShedCursorCountsShedPackets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(ctx context.Context, epochs int64, cfg PipelineConfig) *Link {
+	const epochs = 10
+	run := func(ctx context.Context, cfg PipelineConfig) LinkStats {
+		var link *Link
+		src := &endSource{inner: &SyntheticSource{Base: testBase(71), Epochs: epochs}, done: make(chan struct{})}
+		cfg, _ = stallFirstClose(cfg, src, &link)
 		link, err := NewLink(LinkConfig{
 			Name:     "shed-ckpt",
-			Source:   &SyntheticSource{Base: testBase(71), Epochs: epochs},
+			Source:   src,
 			Pipeline: cfg,
 			Store:    store,
-			Budget:   &alternateBudget{},
 			Shed:     true,
 		})
 		if err != nil {
@@ -678,7 +733,7 @@ func TestLinkShedCursorCountsShedPackets(t *testing.T) {
 		if err := link.Run(ctx); err != nil && Classify(err) != Canceled {
 			t.Fatalf("run ended with %v", err)
 		}
-		return link
+		return link.Stats()
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -692,16 +747,18 @@ func TestLinkShedCursorCountsShedPackets(t *testing.T) {
 		}
 		return inner(r)
 	}
-	if st := run(ctx, 0, cfg).Stats(); st.ShedPackets == 0 {
+	if st := run(ctx, cfg); st.ShedPackets == 0 {
 		t.Fatalf("the first run shed nothing: %+v", st)
 	}
 	var reps2 []Report
-	run(context.Background(), 3, testPipeCfg(&reps2))
+	if st := run(context.Background(), testPipeCfg(&reps2)); st.ShedPackets == 0 {
+		t.Fatalf("the resumed run shed nothing: %+v", st)
+	}
 	if drained := reps1[len(reps1)-1]; len(reps2) == 0 || reps2[0].Index != drained.Index {
 		t.Fatalf("resumed at %+v, want the drained interval %d", reps2, drained.Index)
 	}
 	var reps3 []Report
-	run(context.Background(), 3, testPipeCfg(&reps3))
+	run(context.Background(), testPipeCfg(&reps3))
 	if len(reps3) != 0 {
 		t.Fatalf("re-run of a finished stream emitted %d reports", len(reps3))
 	}
@@ -860,18 +917,14 @@ func TestLinkCheckpointsEveryClose(t *testing.T) {
 }
 
 // After a cancel the link stops at the next block, even with its whole
-// queue full: the queued blocks go back unmeasured with their budget, and
-// the drained partial interval is exactly a direct feed of the blocks
-// measured before the stop.
+// queue full: the queued blocks go back unmeasured, and the drained
+// partial interval is exactly a direct feed of the blocks measured before
+// the stop.
 func TestLinkCancelStopsAtBlockBoundary(t *testing.T) {
 	baseBlocks, baseGoroutines := trace.LiveBlocks(), runtime.NumGoroutine()
 	const seed, epochs, cancelAt = 23, 10, 2
 	blocks := ownedBlocks(t, &SyntheticSource{Base: testBase(seed), Epochs: epochs})
 	defer putAll(blocks)
-	budget, err := membudget.New(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -883,29 +936,22 @@ func TestLinkCancelStopsAtBlockBoundary(t *testing.T) {
 	inner := cfg.OnInterval
 	cfg.OnInterval = func(r Report) error {
 		if r.Index == cancelAt {
-			// The current block is the measured ones' successor. Once the
-			// source starts the block past a full queue, every queued
-			// block has been sent.
+			// The current block is the measured ones' successor.
 			measured = link.Stats().Blocks + 1
-			deadline := time.Now().Add(5 * time.Second)
-			for delivered.Load() < measured+queueLen+1 {
-				if time.Now().After(deadline) {
-					return fmt.Errorf("queue did not fill: %d blocks delivered, %d measured", delivered.Load(), measured)
-				}
-				time.Sleep(time.Millisecond)
+			if err := waitQueueFull(&delivered, measured); err != nil {
+				return err
 			}
 			cancel()
 		}
 		return inner(r)
 	}
-	link, err = NewLink(LinkConfig{
+	link, err := NewLink(LinkConfig{
 		Name: "cut",
 		Source: &hookSource{
 			inner: &SyntheticSource{Base: testBase(seed), Epochs: epochs},
 			hook:  func(int64, *trace.Block) error { delivered.Add(1); return nil },
 		},
 		Pipeline: cfg,
-		Budget:   budget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -934,9 +980,6 @@ func TestLinkCancelStopsAtBlockBoundary(t *testing.T) {
 	}
 	if !reflect.DeepEqual(reps, golden) {
 		t.Fatal("link reports differ from a direct feed of the blocks measured before the cancel")
-	}
-	if used := budget.Used(); used != 0 {
-		t.Fatalf("budget holds %d bytes after the cancel", used)
 	}
 	checkNoLeaks(t, baseBlocks+int64(len(blocks)), baseGoroutines)
 }

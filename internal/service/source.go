@@ -96,7 +96,7 @@ func (s *SyntheticSource) Stream(ctx context.Context, cur Cursor, fn func(int64,
 // packets with times shifted by e·Duration. The trace never lives in memory
 // — the reader serves one segment at a time (pages of the file mapping on
 // the zero-copy path), so flowd replays traces far larger than its memory
-// budget at O(segment) resident cost, with exact Cursor resume.
+// at O(segment) resident cost, with exact Cursor resume.
 type ReplaySource struct {
 	// Reader is the opened trace store (required). The source borrows it;
 	// the caller owns Close.

@@ -122,16 +122,3 @@ func PutBlock(b *Block) {
 	}
 	blockPool.Put(b)
 }
-
-// BlockCost returns the approximate resident bytes of one pooled block whose
-// columns hold up to n records — the unit flowd's ingest budget charges
-// for a queued block. Pool blocks never shrink below BlockSize capacity,
-// so smaller n still costs a full block; the constant covers the four slice
-// headers and the Block itself.
-func BlockCost(n int) int64 {
-	if n < BlockSize {
-		n = BlockSize
-	}
-	// 8 (Times) + 2 (Sizes) + 8 (Srcs) + 8 (Dsts) bytes per record.
-	return int64(n)*26 + 128
-}
