@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -37,8 +36,8 @@ type Options struct {
 	// size) while Workers measurement workers consume the per-interval
 	// sub-streams those producers partition off — intervals are independent
 	// after the boundary split, so a long trace's intervals measure in
-	// parallel and the suite scales past one worker per trace. Results are
-	// reassembled in (trace, definition, interval) order, so output is
+	// parallel and the suite scales past one worker per trace. Results land
+	// in a table indexed by trace, interval and definition, so output is
 	// identical at any worker count. 0 means GOMAXPROCS; 1 is sequential.
 	Workers int
 	// GenWorkers sizes each trace producer's packet-synthesis pool
@@ -134,16 +133,9 @@ type Runner struct {
 	opts  Options
 	specs []trace.TraceSpec
 
-	// Lazily computed.
-	stats     []IntervalStat
-	summaries []trace.Summary
-	// reference holds the flow measurements of one designated interval
-	// (trace 1, interval 0) for the single-interval figures (1, 3-6, 8).
-	// Its packets are not buffered: refSeries re-synthesises them when a
-	// figure needs the rate series.
-	refRes5  flow.Result
-	refResP  flow.Result
-	measured bool
+	// results is the suite measurement, one entry per suite trace: nil until
+	// measureSuite or MergeShards fills it, and never filled twice.
+	results []*traceResult
 }
 
 // Close returns nil: the runner holds nothing open (every trace streams,
@@ -202,18 +194,23 @@ const intervalStreamBuffer = 4096
 // earlier failure; work it cuts short never surfaces as the pass's error.
 var errAborted = fmt.Errorf("aborted after earlier measurement failure")
 
-// traceResult is one trace's contribution to the suite measurement,
-// assembled by the scheduler's workers and merged in trace order by
-// measureSuite.
+// traceResult is one trace's share of the suite measurement: the table
+// every accessor reads. Interval workers write disjoint slots of a
+// measuring runner's table; a merging runner decodes shard files into it.
+// Its layout alone fixes the order Stats reports points in, so that order is
+// independent of scheduling and of how the suite was split across shards.
 type traceResult struct {
 	summary trace.Summary
 	// stats[idx][di] is interval idx's scatter point under suiteDefs[di]
-	// (nil when the interval was empty, sparse or degenerate). Interval
-	// workers write disjoint slots, so the merged r.stats layout is
-	// independent of scheduling.
-	stats [][]*IntervalStat
+	// (nil when the interval was empty, sparse or degenerate).
+	stats [][2]*IntervalStat
 	// Reference-interval capture (trace 1, interval 0 only), per suiteDefs.
 	ref [2]flow.Result
+}
+
+// newTraceResult returns an empty table entry for a trace of n intervals.
+func newTraceResult(n int) *traceResult {
+	return &traceResult{stats: make([][2]*IntervalStat, n)}
 }
 
 // intervalTask is one (trace, interval) unit of the two-level scheduler.
@@ -236,11 +233,10 @@ type intervalTask struct {
 // the resident blocks — at most 2·(workers + producers) streams, each with
 // buffer/blockSize sent blocks plus one pending — however long the traces
 // are, and no interval is ever dropped to stay under it. Results
-// land in per-(trace, interval) slots and are merged in (trace, definition,
-// interval) order, so the cached statistics are byte-identical at any
-// worker count.
+// land in per-(trace, interval, definition) slots of the result table, so
+// what Stats reads is byte-identical at any worker count.
 func (r *Runner) measureSuite() error {
-	if r.measured {
+	if r.results != nil {
 		return nil
 	}
 	parent := r.context()
@@ -255,11 +251,7 @@ func (r *Runner) measureSuite() error {
 	results := make([]*traceResult, len(r.specs))
 	totalIntervals := 0
 	for ti, spec := range r.specs {
-		stats := make([][]*IntervalStat, spec.Intervals)
-		for i := range stats {
-			stats[i] = make([]*IntervalStat, len(suiteDefs))
-		}
-		results[ti] = &traceResult{stats: stats}
+		results[ti] = newTraceResult(spec.Intervals)
 		totalIntervals += spec.Intervals
 	}
 
@@ -401,20 +393,7 @@ func (r *Runner) measureSuite() error {
 	if err := parent.Err(); err != nil {
 		return fmt.Errorf("experiments: measurement pass cancelled: %w", err)
 	}
-	for ti, tr := range results {
-		r.summaries = append(r.summaries, tr.summary)
-		for di := range suiteDefs {
-			for _, slots := range tr.stats {
-				if s := slots[di]; s != nil {
-					r.stats = append(r.stats, *s)
-				}
-			}
-		}
-		if ti == 0 {
-			r.refRes5, r.refResP = tr.ref[0], tr.ref[1]
-		}
-	}
-	r.measured = true
+	r.results = results
 	return nil
 }
 
@@ -525,23 +504,19 @@ func (r *Runner) streamStored(ctx context.Context, spec trace.TraceSpec, cfg tra
 // measureInterval is the scheduler's second level: it owns one interval
 // outright — the worker's meter, re-armed for both definitions, and the
 // model statistics — so intervals of the same trace measure concurrently.
-// The sub-stream is always drained to completion (even on error or skip),
-// so the producing trace is never left blocked.
+// The sub-stream is always drained to completion (even on error), so the
+// producing trace is never left blocked.
 func (r *Runner) measureInterval(ti int, is *flow.IntervalStream, tr *traceResult, meter *core.Meter) error {
 	spec := r.specs[ti]
 	meter.Reset()
 	// Blocks are interval-local already, exactly what the meter's binner
 	// and flow tables want, and each block's key columns are derived once
-	// for both definitions.
-	var addErr error
+	// for both definitions. An early return still drains the stream (see
+	// IntervalStream.Blocks).
 	for blk := range is.Blocks() {
-		if addErr != nil {
-			continue // keep draining so the producer is never left blocked
+		if err := meter.AddBlock(blk); err != nil {
+			return err
 		}
-		addErr = meter.AddBlock(blk)
-	}
-	if addErr != nil {
-		return addErr
 	}
 	results := meter.Flush()
 points:
@@ -592,23 +567,20 @@ points:
 const minIntervalFlows = 10
 
 // Stats returns all per-interval statistics for the given definition,
-// ordered by trace then interval.
+// ordered by trace (in suite order) then interval.
 func (r *Runner) Stats(def flow.Definition) ([]IntervalStat, error) {
 	if err := r.measureSuite(); err != nil {
 		return nil, err
 	}
+	di := defIndex(def)
 	var out []IntervalStat
-	for _, s := range r.stats {
-		if s.Def == def {
-			out = append(out, s)
+	for _, tr := range r.results {
+		for _, slots := range tr.stats {
+			if di >= 0 && slots[di] != nil {
+				out = append(out, *slots[di])
+			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Trace != out[j].Trace {
-			return out[i].Trace < out[j].Trace
-		}
-		return out[i].Index < out[j].Index
-	})
 	return out, nil
 }
 
@@ -619,15 +591,20 @@ func (r *Runner) RefInterval() (flow.Result, flow.Result, error) {
 	if err := r.measureSuite(); err != nil {
 		return flow.Result{}, flow.Result{}, err
 	}
-	return r.refRes5, r.refResP, nil
+	ref := r.results[0].ref
+	return ref[0], ref[1], nil
 }
 
-// Summaries returns the per-trace generator summaries.
+// Summaries returns the per-trace generator summaries, in suite order.
 func (r *Runner) Summaries() ([]trace.Summary, error) {
 	if err := r.measureSuite(); err != nil {
 		return nil, err
 	}
-	return r.summaries, nil
+	sums := make([]trace.Summary, len(r.results))
+	for ti, tr := range r.results {
+		sums[ti] = tr.summary
+	}
+	return sums, nil
 }
 
 // TraceShed and ShedStats are a compatibility stub for the benchmark

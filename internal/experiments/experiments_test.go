@@ -160,7 +160,7 @@ func TestAblationSplitLeavesSuiteUnmeasured(t *testing.T) {
 	if !strings.Contains(buf.String(), "extra") {
 		t.Fatalf("no split report:\n%s", buf.String())
 	}
-	if r.measured {
+	if r.results != nil {
 		t.Fatal("AblationSplit measured the whole suite")
 	}
 }

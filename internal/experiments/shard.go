@@ -1,13 +1,14 @@
 // Cross-process suite sharding. A shard runner (Options.ShardIndex/
 // ShardCount) measures a disjoint subset of the suite's traces; ExportShard
-// persists its measurements — per-trace summaries, every scatter point,
-// and the reference-interval flow results when the shard owns trace 0 —
-// as one CRC-framed file, and MergeShards reassembles a full
+// persists its entries of the result table — per-trace summaries, every
+// scatter point, and the reference-interval flow results when the shard
+// owns trace 0 — as one CRC-framed file, and MergeShards reassembles a full
 // runner from the shard files of all N processes. The merged runner renders
-// byte-identical output to a single-process pass: the measurement slots are
-// refilled in exactly the order measureSuite merges them, and everything a
-// shard cannot know locally (trace names, target rates, link capacity) is
-// re-derived from the suite specs instead of trusted from the file.
+// byte-identical output to a single-process pass: each point is decoded
+// into its own (trace, interval, definition) slot of the same table, and
+// everything a shard cannot know locally (trace names, target rates, link
+// capacity) is re-derived from the suite specs instead of trusted from the
+// file.
 //
 // Rendering is what forces a merge step: the scatter figures draw aggregate
 // model lines across *all* traces, so concatenating per-shard rendered
@@ -89,11 +90,6 @@ func (r *Runner) ExportShard(path string) error {
 	if err := r.measureSuite(); err != nil {
 		return err
 	}
-	// Regroup the flattened stats cache by trace.
-	byTrace := map[string][]IntervalStat{}
-	for _, s := range r.stats {
-		byTrace[s.Trace] = append(byTrace[s.Trace], s)
-	}
 	e := &snapshot.Enc{}
 	e.U64(uint64(r.opts.ShardIndex))
 	e.U64(uint64(r.opts.ShardCount))
@@ -112,8 +108,9 @@ func (r *Runner) ExportShard(path string) error {
 	}
 	e.U64(uint64(len(owned)))
 	for _, ti := range owned {
+		tr := r.results[ti]
 		e.U64(uint64(ti))
-		sum := r.summaries[ti]
+		sum := tr.summary
 		e.I64(sum.Flows)
 		e.I64(sum.Packets)
 		e.I64(sum.Bytes)
@@ -125,38 +122,26 @@ func (r *Runner) ExportShard(path string) error {
 		// record counts; the suite never sheds, so they are written as 0.
 		e.I64(0)
 		e.I64(0)
-		stats := byTrace[r.specs[ti].Name]
-		e.U64(uint64(len(stats)))
-		for _, s := range stats {
-			e.U64(uint64(s.Index))
-			e.U64(uint64(defIndex(s.Def)))
-			e.I64(int64(s.FlowCount))
-			e.I64(int64(s.Discarded))
-			e.F64(s.MeasMean)
-			e.F64(s.MeasVar)
-			e.F64(s.MeasCoV)
-			e.F64(s.Lambda)
-			e.F64(s.MeanS)
-			e.F64(s.MeanS2oD)
-			e.F64(s.FittedBRaw)
-			bs := make([]int, 0, len(s.ModelCoV))
-			//repro:nondeterminism-ok keys are collected then sorted before any byte is encoded
-			for b := range s.ModelCoV {
-				bs = append(bs, b)
-			}
-			sort.Ints(bs)
-			e.U64(uint64(len(bs)))
-			for _, b := range bs {
-				e.I64(int64(b))
-				e.F64(s.ModelCoV[b])
+		n := 0
+		for _, slots := range tr.stats {
+			for _, s := range slots {
+				if s != nil {
+					n++
+				}
 			}
 		}
+		e.U64(uint64(n))
+		for di := range suiteDefs {
+			for _, slots := range tr.stats {
+				if s := slots[di]; s != nil {
+					encodePoint(e, di, s)
+				}
+			}
+		}
+		e.Bool(ti == 0)
 		if ti == 0 {
-			e.Bool(true)
-			encodeResult(e, r.refRes5)
-			encodeResult(e, r.refResP)
-		} else {
-			e.Bool(false)
+			encodeResult(e, tr.ref[0])
+			encodeResult(e, tr.ref[1])
 		}
 	}
 	var buf bytes.Buffer
@@ -175,47 +160,84 @@ func (r *Runner) ExportShard(path string) error {
 	return nil
 }
 
+// encodePoint writes one scatter point measured under suiteDefs[di]. The
+// trace's name, target rate and link capacity are not written: the merging
+// runner re-derives them from its own suite.
+func encodePoint(e *snapshot.Enc, di int, s *IntervalStat) {
+	e.U64(uint64(s.Index))
+	e.U64(uint64(di))
+	e.I64(int64(s.FlowCount))
+	e.I64(int64(s.Discarded))
+	e.F64(s.MeasMean)
+	e.F64(s.MeasVar)
+	e.F64(s.MeasCoV)
+	e.F64(s.Lambda)
+	e.F64(s.MeanS)
+	e.F64(s.MeanS2oD)
+	e.F64(s.FittedBRaw)
+	bs := make([]int, 0, len(s.ModelCoV))
+	//repro:nondeterminism-ok keys are collected then sorted before any byte is encoded
+	for b := range s.ModelCoV {
+		bs = append(bs, b)
+	}
+	sort.Ints(bs)
+	e.U64(uint64(len(bs)))
+	for _, b := range bs {
+		e.I64(int64(b))
+		e.F64(s.ModelCoV[b])
+	}
+}
+
 // shardData is one decoded shard file.
 type shardData struct {
-	path       string
 	shardCount int
-	traces     map[int]*shardTrace
+	// traces holds the file's result-table entries by suite position (nil
+	// for the traces the shard does not carry), every point already
+	// labelled with its trace's name, target rate and link capacity.
+	traces []*traceResult
 }
 
-type shardTrace struct {
-	summary trace.Summary
-	stats   []IntervalStat // Trace/TargetBps/linkBps filled by the merger
-	hasRef  bool
-	refRes5 flow.Result
-	refResP flow.Result
-}
-
-// decodeShard decodes the shard file at path, which must match the geometry.
-func decodeShard(path string, raw []byte, nspecs int, link, intervalSec, delta float64, seed int64) (*shardData, error) {
+// decodeShard decodes the shard file at path, which must match the suite
+// geometry. Anything a well-formed export cannot hold — a trace or interval
+// outside the suite, a table slot filled twice, trace 0 without the
+// reference interval — is damage, and wraps snapshot.ErrCorrupt.
+func decodeShard(path string, raw []byte, specs []trace.TraceSpec, link, delta float64, seed int64) (*shardData, error) {
+	corrupt := func(format string, a ...any) error {
+		return fmt.Errorf("experiments: %s %s: %w", path, fmt.Sprintf(format, a...), snapshot.ErrCorrupt)
+	}
 	if len(raw) < len(shardMagic) || string(raw[:len(shardMagic)]) != shardMagic {
-		return nil, fmt.Errorf("experiments: %s is not a shard export: %w", path, snapshot.ErrCorrupt)
+		return nil, corrupt("is not a shard export")
 	}
 	typ, _, payload, _, err := snapshot.ReadFrameAt(raw, len(shardMagic))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", path, err)
 	}
 	if typ != shardFrame {
-		return nil, fmt.Errorf("experiments: %s holds frame type %d: %w", path, typ, snapshot.ErrCorrupt)
+		return nil, corrupt("holds frame type %d", typ)
 	}
 	d := snapshot.NewDec(payload)
 	d.U64() // shard index (informational; coverage is checked per trace)
-	sd := &shardData{path: path, shardCount: int(d.U64()), traces: map[int]*shardTrace{}}
-	if n := d.U64(); int(n) != nspecs {
-		return nil, fmt.Errorf("experiments: %s measured a %d-trace suite, this one has %d", path, n, nspecs)
+	sd := &shardData{shardCount: int(d.U64()), traces: make([]*traceResult, len(specs))}
+	if n := d.U64(); int(n) != len(specs) {
+		return nil, fmt.Errorf("experiments: %s measured a %d-trace suite, this one has %d", path, n, len(specs))
 	}
-	if l, iv, dl, sd2 := d.F64(), d.F64(), d.F64(), d.I64(); l != link || iv != intervalSec || dl != delta || sd2 != seed {
+	if l, iv, dl, sd2 := d.F64(), d.F64(), d.F64(), d.I64(); l != link || iv != specs[0].IntervalSec || dl != delta || sd2 != seed {
 		return nil, fmt.Errorf("experiments: %s measured a different suite geometry (link %g, interval %g, delta %g, seed %d)", path, l, iv, dl, sd2)
 	}
 	nOwned := d.U64()
-	for i := uint64(0); i < nOwned && d.Err() == nil; i++ {
-		ti := int(d.U64())
-		st := &shardTrace{}
-		st.summary = trace.Summary{
+	for i := uint64(0); i < nOwned; i++ {
+		ti := d.U64()
+		switch {
+		case d.Err() != nil:
+			return nil, corrupt("truncated")
+		case ti >= uint64(len(specs)):
+			return nil, corrupt("carries trace index %d outside the %d-trace suite", ti, len(specs))
+		case sd.traces[ti] != nil:
+			return nil, corrupt("carries trace %d twice", ti)
+		}
+		spec := specs[ti]
+		tr := newTraceResult(spec.Intervals)
+		tr.summary = trace.Summary{
 			Flows:       d.I64(),
 			Packets:     d.I64(),
 			Bytes:       d.I64(),
@@ -227,19 +249,25 @@ func decodeShard(path string, raw []byte, nspecs int, link, intervalSec, delta f
 		// A shard that shed intervals is missing points: refuse it rather
 		// than render a partial figure.
 		if ivs, recs := d.I64(), d.I64(); ivs != 0 || recs != 0 {
-			return nil, fmt.Errorf("experiments: %s: trace %d shed %d intervals (%d records): %w", path, ti, ivs, recs, snapshot.ErrCorrupt)
+			return nil, corrupt("reports trace %d shed %d intervals (%d records)", ti, ivs, recs)
 		}
 		nStats := d.U64()
 		if d.Err() != nil || nStats > uint64(d.Rest()/96) {
-			return nil, fmt.Errorf("experiments: %s truncated: %w", path, snapshot.ErrCorrupt)
+			return nil, corrupt("truncated")
 		}
 		for j := uint64(0); j < nStats; j++ {
-			s := IntervalStat{Index: int(d.U64())}
-			di := int(d.U64())
-			if di < 0 || di >= len(suiteDefs) {
-				return nil, fmt.Errorf("experiments: %s names unknown flow definition %d: %w", path, di, snapshot.ErrCorrupt)
+			idx, di := d.U64(), d.U64()
+			switch {
+			case d.Err() != nil:
+				return nil, corrupt("truncated")
+			case di >= uint64(len(suiteDefs)):
+				return nil, corrupt("names unknown flow definition %d", di)
+			case idx >= uint64(spec.Intervals):
+				return nil, corrupt("carries a point at interval %d of %d-interval trace %s", idx, spec.Intervals, spec.Name)
+			case tr.stats[idx][di] != nil:
+				return nil, corrupt("carries interval %d of %s under %v twice", idx, spec.Name, suiteDefs[di])
 			}
-			s.Def = suiteDefs[di]
+			s := &IntervalStat{Trace: spec.Name, TargetBps: spec.TargetBps, Index: int(idx), Def: suiteDefs[di], linkBps: link}
 			s.FlowCount = int(d.I64())
 			s.Discarded = int(d.I64())
 			s.MeasMean = d.F64()
@@ -252,29 +280,28 @@ func decodeShard(path string, raw []byte, nspecs int, link, intervalSec, delta f
 			s.ModelCoV = map[int]float64{}
 			nm := d.U64()
 			if d.Err() != nil || nm > uint64(d.Rest()/16) {
-				return nil, fmt.Errorf("experiments: %s truncated: %w", path, snapshot.ErrCorrupt)
+				return nil, corrupt("truncated")
 			}
 			for k := uint64(0); k < nm; k++ {
 				b := int(d.I64())
 				s.ModelCoV[b] = d.F64()
 			}
-			st.stats = append(st.stats, s)
+			tr.stats[idx][di] = s
 		}
-		if d.Bool() {
-			st.hasRef = true
-			st.refRes5 = decodeResult(d)
-			st.refResP = decodeResult(d)
+		if hasRef := d.Bool(); d.Err() == nil && hasRef != (ti == 0) {
+			return nil, corrupt("sets trace %d's reference-interval flag to %v (trace 0 alone carries it)", ti, hasRef)
 		}
-		if _, dup := sd.traces[ti]; dup {
-			return nil, fmt.Errorf("experiments: %s carries trace %d twice: %w", path, ti, snapshot.ErrCorrupt)
+		if ti == 0 {
+			tr.ref[0] = decodeResult(d)
+			tr.ref[1] = decodeResult(d)
 		}
-		sd.traces[ti] = st
+		sd.traces[ti] = tr
 	}
 	if d.Err() != nil {
-		return nil, fmt.Errorf("experiments: %s truncated: %w", path, snapshot.ErrCorrupt)
+		return nil, corrupt("truncated")
 	}
 	if d.Rest() != 0 {
-		return nil, fmt.Errorf("experiments: %s has %d trailing bytes: %w", path, d.Rest(), snapshot.ErrCorrupt)
+		return nil, corrupt("has %d trailing bytes", d.Rest())
 	}
 	return sd, nil
 }
@@ -282,24 +309,24 @@ func decodeShard(path string, raw []byte, nspecs int, link, intervalSec, delta f
 // MergeShards loads shard export files into this (unmeasured) runner,
 // reassembling the full suite measurement. The shards must jointly cover
 // every trace exactly once and have been measured under this runner's suite
-// geometry. After a successful merge the runner behaves exactly as if it had
-// measured the whole suite itself — every table and figure renders
-// byte-identically to a single-process pass.
+// geometry. After a successful merge the runner holds the very table a
+// single-process pass would have filled, so every table and figure renders
+// byte-identically to that pass.
 func (r *Runner) MergeShards(paths ...string) error {
-	if r.measured {
+	if r.results != nil {
 		return fmt.Errorf("experiments: runner already measured; merge needs a fresh runner")
 	}
 	if len(paths) == 0 {
 		return fmt.Errorf("experiments: no shard files to merge")
 	}
-	byTrace := map[int]*shardTrace{}
+	results := make([]*traceResult, len(r.specs))
 	shardCount := -1
 	for _, path := range paths {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("experiments: %w", err)
 		}
-		sd, err := decodeShard(path, raw, len(r.specs), r.linkBps(), r.specs[0].IntervalSec, r.opts.Delta, r.opts.Suite.Seed)
+		sd, err := decodeShard(path, raw, r.specs, r.linkBps(), r.opts.Delta, r.opts.Suite.Seed)
 		if err != nil {
 			return err
 		}
@@ -308,69 +335,21 @@ func (r *Runner) MergeShards(paths ...string) error {
 		} else if sd.shardCount != shardCount {
 			return fmt.Errorf("experiments: %s is a 1-of-%d shard, earlier files were 1-of-%d", path, sd.shardCount, shardCount)
 		}
-		// Sorted keys: a malformed file's first error is then deterministic.
-		tis := make([]int, 0, len(sd.traces))
-		//repro:nondeterminism-ok keys are collected then sorted before use
-		for ti := range sd.traces {
-			tis = append(tis, ti)
-		}
-		sort.Ints(tis)
-		for _, ti := range tis {
-			if ti < 0 || ti >= len(r.specs) {
-				return fmt.Errorf("experiments: %s carries trace index %d outside the %d-trace suite", path, ti, len(r.specs))
+		for ti, tr := range sd.traces {
+			if tr == nil {
+				continue
 			}
-			if _, dup := byTrace[ti]; dup {
+			if results[ti] != nil {
 				return fmt.Errorf("experiments: trace %d (%s) appears in more than one shard", ti, r.specs[ti].Name)
 			}
-			byTrace[ti] = sd.traces[ti]
+			results[ti] = tr
 		}
 	}
-	for ti := range r.specs {
-		if _, ok := byTrace[ti]; !ok {
+	for ti, tr := range results {
+		if tr == nil {
 			return fmt.Errorf("experiments: shards do not cover trace %d (%s)", ti, r.specs[ti].Name)
 		}
 	}
-	// Refill the measurement cache in exactly measureSuite's merge order:
-	// traces in suite order, each trace's points definition-major then
-	// interval-ascending.
-	link := r.linkBps()
-	for ti := range r.specs {
-		st := byTrace[ti]
-		spec := r.specs[ti]
-		r.summaries = append(r.summaries, st.summary)
-		slots := make([][]*IntervalStat, spec.Intervals)
-		for i := range slots {
-			slots[i] = make([]*IntervalStat, len(suiteDefs))
-		}
-		for i := range st.stats {
-			s := st.stats[i]
-			if s.Index < 0 || s.Index >= spec.Intervals {
-				return fmt.Errorf("experiments: shard point at interval %d of %d-interval trace %s", s.Index, spec.Intervals, spec.Name)
-			}
-			s.Trace = spec.Name
-			s.TargetBps = spec.TargetBps
-			s.linkBps = link
-			slot := &slots[s.Index][defIndex(s.Def)]
-			if *slot != nil {
-				return fmt.Errorf("experiments: shard carries interval %d of %s under %v twice: %w", s.Index, spec.Name, s.Def, snapshot.ErrCorrupt)
-			}
-			*slot = &s
-		}
-		for di := range suiteDefs {
-			for _, row := range slots {
-				if s := row[di]; s != nil {
-					r.stats = append(r.stats, *s)
-				}
-			}
-		}
-		if ti == 0 {
-			if !st.hasRef {
-				return fmt.Errorf("experiments: the shard owning trace 0 carries no reference interval")
-			}
-			r.refRes5 = st.refRes5
-			r.refResP = st.refResP
-		}
-	}
-	r.measured = true
+	r.results = results
 	return nil
 }

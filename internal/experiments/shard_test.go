@@ -19,20 +19,26 @@ import (
 )
 
 // handShard returns an export of the tiny suite with the given points, as
-// if this runner had measured them, and a small reference interval.
+// if this runner had measured them, and a small reference interval. Each
+// point lands in the slot its Trace, Index and Def name.
 func handShard(t testing.TB, stats ...IntervalStat) []byte {
 	t.Helper()
 	r, err := NewRunner(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.summaries = make([]trace.Summary, len(r.specs))
-	r.stats = stats
-	r.refRes5 = flow.Result{
+	r.results = make([]*traceResult, len(r.specs))
+	for ti, spec := range r.specs {
+		r.results[ti] = newTraceResult(spec.Intervals)
+	}
+	for _, s := range stats {
+		ti := slices.IndexFunc(r.specs, func(spec trace.TraceSpec) bool { return spec.Name == s.Trace })
+		r.results[ti].stats[s.Index][defIndex(s.Def)] = &s
+	}
+	r.results[0].ref[0] = flow.Result{
 		Flows:     []flow.Flow{{Start: 0.5, End: 2, Bytes: 3000, Packets: 3}},
 		Discarded: []flow.DiscardedPacket{{Time: 1, Bits: 320}},
 	}
-	r.measured = true
 	path := filepath.Join(t.TempDir(), "hand.shard")
 	if err := r.ExportShard(path); err != nil {
 		t.Fatal(err)
@@ -46,17 +52,29 @@ func handShard(t testing.TB, stats ...IntervalStat) []byte {
 
 // A shard file that carries one (interval, definition) point twice, or
 // that reports shed intervals, is corrupt: merging it must fail instead of
-// keeping one copy silently or rendering a figure with missing points.
+// keeping one copy silently or rendering a figure with missing points. The
+// result table cannot hold a duplicate, so the test splices one into the
+// bytes of a hand-made export.
 func TestMergeShardsRejectsDuplicatePoint(t *testing.T) {
 	r, err := NewRunner(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pt := IntervalStat{Trace: r.specs[1].Name, Index: 1, Def: flow.ByPrefix24, FlowCount: 12, ModelCoV: map[int]float64{0: 0.1}}
-	_, _, payload, _, err := snapshot.ReadFrameAt(handShard(t), len(shardMagic))
+	_, _, payload, _, err := snapshot.ReadFrameAt(handShard(t, pt), len(shardMagic))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var point snapshot.Enc
+	encodePoint(&point, defIndex(pt.Def), &pt)
+	at := bytes.Index(payload, point.Bytes())
+	if at < 8 || binary.LittleEndian.Uint64(payload[at-8:]) != 1 {
+		t.Fatalf("the point's encoding is not the sole point of its trace (offset %d)", at)
+	}
+	// The trace's point count precedes its points: count 2, then the point
+	// twice.
+	dup := slices.Concat(payload[:at-8], binary.LittleEndian.AppendUint64(nil, 2), point.Bytes(), payload[at:])
+
 	// Eight header words, then trace 0's index and seven summary words:
 	// its shed-interval slot starts at byte 128.
 	shed := bytes.Clone(payload)
@@ -64,9 +82,10 @@ func TestMergeShardsRejectsDuplicatePoint(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		file []byte
+		want string
 	}{
-		{"duplicated point", handShard(t, pt, pt)},
-		{"shed interval", framedShard(t, shed)},
+		{"duplicated point", framedShard(t, dup), "interval 1 of " + pt.Trace + " under " + pt.Def.String() + " twice"},
+		{"shed interval", framedShard(t, shed), "shed 1 intervals"},
 	} {
 		path := filepath.Join(t.TempDir(), "bad.shard")
 		if err := os.WriteFile(path, c.file, 0o644); err != nil {
@@ -76,8 +95,8 @@ func TestMergeShardsRejectsDuplicatePoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.MergeShards(path); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("merging a shard with a %s: %v, want ErrCorrupt", c.name, err)
+		if err := r.MergeShards(path); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("merging a shard with a %s: %v, want ErrCorrupt naming %q", c.name, err, c.want)
 		}
 	}
 }
@@ -131,12 +150,12 @@ func FuzzShardDecode(f *testing.F) {
 			f.Add(c)
 		}
 	}
-	link, ivl, delta, seed := r.linkBps(), r.specs[0].IntervalSec, r.opts.Delta, r.opts.Suite.Seed
+	link, delta, seed := r.linkBps(), r.opts.Delta, r.opts.Suite.Seed
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		for _, file := range [][]byte{raw, framedShard(t, raw)} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := decodeShard("fuzz.shard", file, len(r.specs), link, ivl, delta, seed)
+			_, err := decodeShard("fuzz.shard", file, r.specs, link, delta, seed)
 			runtime.ReadMemStats(&after)
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10+16*uint64(len(file)) {
 				t.Fatalf("decoding %d bytes allocated %d bytes", len(file), grew)
@@ -152,13 +171,10 @@ func FuzzShardDecode(f *testing.F) {
 // mergeMismatches are the phrases of MergeShards' errors that name a
 // coverage or suite-geometry mismatch rather than damage.
 var mergeMismatches = []string{
-	"measured a",              // suite size or geometry
-	"-of-",                    // shard counts disagree
-	"outside the",             // trace index beyond the suite
-	"more than one shard",     // a trace covered twice
-	"do not cover",            // a trace covered by no shard
-	"shard point at interval", // interval index beyond the trace
-	"carries no reference",    // trace 0 without its reference interval
+	"measured a",          // suite size or geometry
+	"-of-",                // shard counts disagree
+	"more than one shard", // a trace covered twice
+	"do not cover",        // a trace covered by no shard
 }
 
 // FuzzMergeShards merges each input, written as one shard file, beside a

@@ -65,6 +65,44 @@ func (r *Runner) predictionTrace(duration float64, seed int64) (*PredictionSetup
 	return &PredictionSetup{Duration: duration, Series: iv.Series, Flows: res.Flows}, nil
 }
 
+// maxPredictOrder is the highest MA order SelectOrder may choose.
+const maxPredictOrder = 8
+
+// predictorPair fits both predictor families on train, the first half of
+// the rate series sampled every ell seconds: one from the training samples'
+// own ACF, one from the Theorem 2 ACF of the triangular-shot model over the
+// flows that start in the training half.
+func (ps *PredictionSetup) predictorPair(ell float64, train []float64) (meas, model *predict.Centered, err error) {
+	maxLag := max(1, min(maxPredictOrder, len(train)/2))
+	meas, _, err = predict.SelectOrder(predict.MeasuredACF(train, maxLag), train, maxPredictOrder)
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: measured predictor: %w", err)
+	}
+	var trainFlows []flow.Flow
+	for _, f := range ps.Flows {
+		if f.Start < ps.Duration/2 {
+			trainFlows = append(trainFlows, f)
+		}
+	}
+	in, err := core.InputFromFlows(trainFlows, ps.Duration/2)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := in.Model(core.Triangular)
+	if err != nil {
+		return nil, nil, err
+	}
+	rhoModel, err := predict.ModelACF(m, ell, maxPredictOrder)
+	if err != nil {
+		return nil, nil, err
+	}
+	model, _, err = predict.SelectOrder(rhoModel, train, maxPredictOrder)
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: model predictor: %w", err)
+	}
+	return meas, model, nil
+}
+
 // predictOne evaluates both predictor families at one sampling interval ell
 // and returns (order, test error) for the measured-ACF and the model-ACF
 // approaches.
@@ -81,50 +119,14 @@ func predictOne(ps *PredictionSetup, delta float64, ell float64) (mMeas int, err
 	if n < 12 {
 		return 0, 0, 0, 0, fmt.Errorf("experiments: only %d samples at ell=%g", n, ell)
 	}
-	half := n / 2
-	train, test := sampled.Rate[:half], sampled.Rate[half:]
-	const maxM = 8
-
-	// Measured approach: ACF from the training samples themselves.
-	maxLag := maxM
-	if maxLag > half/2 {
-		maxLag = half / 2
-	}
-	if maxLag < 1 {
-		maxLag = 1
-	}
-	rhoMeas := predict.MeasuredACF(train, maxLag)
-	pm, _, err := predict.SelectOrder(rhoMeas, train, maxM)
+	train, test := sampled.Rate[:n/2], sampled.Rate[n/2:]
+	pm, pM, err := ps.predictorPair(ell, train)
 	if err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("experiments: measured predictor: %w", err)
+		return 0, 0, 0, 0, err
 	}
 	em, err := pm.Evaluate(test)
 	if err != nil {
 		return 0, 0, 0, 0, err
-	}
-
-	// Model approach: ACF from Theorem 2 on the flows of the training half.
-	var trainFlows []flow.Flow
-	for _, f := range ps.Flows {
-		if f.Start < ps.Duration/2 {
-			trainFlows = append(trainFlows, f)
-		}
-	}
-	in, err := core.InputFromFlows(trainFlows, ps.Duration/2)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	model, err := in.Model(core.Triangular)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	rhoModel, err := predict.ModelACF(model, ell, maxM)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	pM, _, err := predict.SelectOrder(rhoModel, train, maxM)
-	if err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("experiments: model predictor: %w", err)
 	}
 	eM, err := pM.Evaluate(test)
 	if err != nil {
@@ -181,31 +183,7 @@ func (r *Runner) Fig14(w io.Writer, duration float64, seed int64) error {
 	}
 	series := sampled.Rate
 	half := len(series) / 2
-	// Model-based predictor trained on the first half.
-	var trainFlows []flow.Flow
-	for _, f := range ps.Flows {
-		if f.Start < ps.Duration/2 {
-			trainFlows = append(trainFlows, f)
-		}
-	}
-	in, err := core.InputFromFlows(trainFlows, ps.Duration/2)
-	if err != nil {
-		return err
-	}
-	model, err := in.Model(core.Triangular)
-	if err != nil {
-		return err
-	}
-	rhoModel, err := predict.ModelACF(model, ell, 8)
-	if err != nil {
-		return err
-	}
-	pModel, _, err := predict.SelectOrder(rhoModel, series[:half], 8)
-	if err != nil {
-		return err
-	}
-	rhoMeas := predict.MeasuredACF(series[:half], 8)
-	pMeas, _, err := predict.SelectOrder(rhoMeas, series[:half], 8)
+	pMeas, pModel, err := ps.predictorPair(ell, series[:half])
 	if err != nil {
 		return err
 	}

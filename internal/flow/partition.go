@@ -165,13 +165,10 @@ func (p *IntervalPartitioner) open() error {
 
 // ship sends blk into the current interval's stream, honouring
 // cancellation: a blocked send unblocks (recycling blk) when the
-// partitioner's context is cancelled. Ownership of the block transfers to
+// partitioner's context is cancelled. Without a context done is nil and
+// never fires, so the send just blocks. Ownership of the block transfers to
 // the consumer on success.
 func (p *IntervalPartitioner) ship(blk *trace.Block) error {
-	if p.done == nil {
-		p.cur.blocks <- blk
-		return nil
-	}
 	select {
 	case p.cur.blocks <- blk:
 		return nil

@@ -42,7 +42,7 @@ func (p *Pipeline) Snapshot() []snapshot.Section {
 	st.Bool(p.predHas)
 
 	var means snapshot.Enc
-	means.F64s(p.means.Values())
+	means.F64s(p.hist)
 
 	return []snapshot.Section{
 		{Type: secMeta, Data: meta.Bytes()},
@@ -106,10 +106,11 @@ func (p *Pipeline) Restore(secs []snapshot.Section) error {
 	if means.Err() != nil {
 		return fmt.Errorf("service: checkpoint means section: %w", means.Err())
 	}
-	if err := p.means.RestoreValues(meanVals); err != nil {
-		return fmt.Errorf("service: checkpoint means section: %w: %w", err, snapshot.ErrCorrupt)
+	if len(meanVals) > p.cfg.Window {
+		return fmt.Errorf("service: checkpoint holds %d interval means, more than the window of %d: %w", len(meanVals), p.cfg.Window, snapshot.ErrCorrupt)
 	}
 
+	p.hist = append(p.hist, meanVals...)
 	p.clock.ResumeAt(int(cur))
 	p.detMu, p.detSigma = detMu, detSigma
 	p.predNext, p.predHas = predNext, predHas
@@ -119,7 +120,7 @@ func (p *Pipeline) Restore(secs []snapshot.Section) error {
 // resetAll returns the pipeline to its fresh state.
 func (p *Pipeline) resetAll() {
 	p.meter.Reset()
-	p.means.RestoreValues(nil)
+	p.hist = p.hist[:0]
 	p.clock.ResumeAt(0)
 	p.pktsCur = 0
 	p.detMu, p.detSigma = 0, 0

@@ -89,6 +89,53 @@ func TestPipelineRejectsResumeBeforeOpenInterval(t *testing.T) {
 	}
 }
 
+// The predictor history is the last Window interval means, oldest first:
+// after Window+3 closes the means section holds exactly the last Window
+// reported means. A checkpoint with more means than the window is damage,
+// and restoring it leaves a fresh pipeline.
+func TestPipelineMeansHistory(t *testing.T) {
+	var reps []Report
+	cfg := testPipeCfg(&reps)
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closes := cfg.Window + 3
+	blk := trace.GetBlock()
+	defer trace.PutBlock(blk)
+	for i := 0; i <= closes; i++ {
+		for k := 0; k <= i; k++ { // i+1 packets: every interval has its own mean
+			blk.Append(float64(i)*tInterval+0.1*float64(k+1), 1000, 1, 2)
+		}
+	}
+	if err := p.AddBlock(blk); err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != closes {
+		t.Fatalf("%d intervals closed, want %d", len(reps), closes)
+	}
+	var want []float64
+	for _, r := range reps[closes-cfg.Window:] {
+		want = append(want, r.MeasMean)
+	}
+	secs := p.Snapshot()
+	means := snapshot.NewDec(sectionByType(secs, secMeans))
+	if got := means.F64s(); means.Err() != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("means section after %d closes = %v (%v), want %v", closes, got, means.Err(), want)
+	}
+
+	var long snapshot.Enc
+	long.F64s(make([]float64, cfg.Window+1))
+	secs[2] = snapshot.Section{Type: secMeans, Data: long.Bytes()}
+	if err := p.Restore(secs); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("restoring %d means into a window of %d: %v, want ErrCorrupt", cfg.Window+1, cfg.Window, err)
+	}
+	fresh := snapshot.NewDec(sectionByType(p.Snapshot(), secMeans))
+	if got := fresh.F64s(); len(got) != 0 || p.Interval() != 0 || p.ActiveFlows() != 0 {
+		t.Fatalf("failed restore left %d means, interval %d, %d active flows", len(got), p.Interval(), p.ActiveFlows())
+	}
+}
+
 // FuzzPipelineRestore feeds Restore and DecodeCursor checkpoint sections
 // decoded from arbitrary bytes, seeded with a real boundary checkpoint, its
 // truncations and bit flips. Whatever the input: no panic; allocation

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/predict"
-	"repro/internal/timeseries"
 	"repro/internal/trace"
 )
 
@@ -100,7 +99,9 @@ type Pipeline struct {
 	// call. A Link installs it to checkpoint at every close.
 	onClose func(opened int) error
 
-	means *timeseries.Window // per-interval mean rates (prediction history)
+	// hist holds the last cfg.Window interval means, oldest first: the
+	// predictor's history, and the one series a checkpoint carries.
+	hist []float64
 
 	// Carried across intervals: the anomaly band fitted on the previous
 	// interval (sigma 0 = no fit yet) and the pending one-step prediction.
@@ -108,9 +109,7 @@ type Pipeline struct {
 	predNext        float64
 	predHas         bool
 
-	// scratch
-	rebased []float64
-	hist    []float64
+	rebased []float64 // scratch
 }
 
 // NewPipeline validates the configuration and builds the resident state.
@@ -130,9 +129,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if p.meter, err = core.NewMeter([]flow.Definition{flow.By5Tuple}, cfg.Timeout, cfg.IntervalSec, cfg.Delta); err != nil {
 		return nil, err
 	}
-	if p.means, err = timeseries.NewWindow(cfg.Window); err != nil {
-		return nil, err
-	}
+	p.hist = make([]float64, 0, cfg.Window)
 	return p, nil
 }
 
@@ -243,9 +240,11 @@ func (p *Pipeline) closeInterval(partial bool) error {
 	if p.predHas {
 		rep.Predicted, rep.HasPrediction = p.predNext, true
 	}
-	p.means.Push(rep.MeasMean)
+	if len(p.hist) == p.cfg.Window {
+		p.hist = append(p.hist[:0], p.hist[1:]...)
+	}
+	p.hist = append(p.hist, rep.MeasMean)
 	p.predHas = false
-	p.hist = p.means.AppendValues(p.hist[:0])
 	if len(p.hist) >= predictOrder+2 {
 		rho := predict.MeasuredACF(p.hist, predictOrder)
 		if pr, err := predict.FromACF(rho, predictOrder); err == nil {

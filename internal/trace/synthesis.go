@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/netpkt"
 )
@@ -67,14 +66,14 @@ type segment struct {
 // program player and sends the packets with emission time in [loAbs, hiAbs)
 // to the segment's block channel, which it closes when done. pl is the
 // calling worker's reusable player (queue and arena storage persist across
-// the segments a worker runs). The skip flag short-circuits the work (the
-// channel is still closed) once an abort means nobody will read the
-// packets. The segment's program list returns to the shared pool either
-// way. A panic anywhere in the replay is converted to an error through
-// onPanic (never propagated past the worker boundary): the in-hand block
-// returns to the pool, the channel still closes, and the merger reports the
-// wrapped error instead of the process dying mid-pipeline.
-func (sg *segment) synthesize(pl *player, warmup float64, skip *atomic.Bool, onPanic func(any)) {
+// the segments a worker runs). A cancelled ctx short-circuits the work (the
+// channel is still closed), since nobody will read the packets. The
+// segment's program list returns to the shared pool either way. A panic
+// anywhere in the replay is converted to an error through onPanic (never
+// propagated past the worker boundary), which cancels ctx: the in-hand
+// block returns to the pool, the channel still closes, and the merger
+// reports the wrapped error instead of the process dying mid-pipeline.
+func (sg *segment) synthesize(ctx context.Context, pl *player, warmup float64, onPanic func(any)) {
 	// blk is the block under construction, shared with the deferred recovery
 	// below so the in-hand block returns to the pool no matter where inside
 	// pl.play a panic unwound from.
@@ -87,11 +86,10 @@ func (sg *segment) synthesize(pl *player, warmup float64, skip *atomic.Bool, onP
 	defer func() {
 		if r := recover(); r != nil {
 			PutBlock(blk)
-			skip.Store(true)
 			onPanic(r)
 		}
 	}()
-	if skip.Load() {
+	if ctx.Err() != nil {
 		return
 	}
 	// Eager admission: the queue's (time, index) ordering does not depend
@@ -108,7 +106,7 @@ func (sg *segment) synthesize(pl *player, warmup float64, skip *atomic.Bool, onP
 		if blk.Len() == BlockSize {
 			sg.blocks <- blk
 			blk = GetBlock()
-			return !skip.Load()
+			return ctx.Err() == nil
 		}
 		return true
 	})
@@ -208,7 +206,7 @@ func (s Summary) finish(c Config, src *programSource, err error) (Summary, error
 // streamParallelCore is the sharded synthesis engine. Its summary counts
 // the blocks handed to fn and finishes through Summary.finish, exactly like
 // the serial path.
-func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*Block) error) (Summary, error) {
+func streamParallelCore(parent context.Context, cfg Config, workers int, fn func(*Block) error) (Summary, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return Summary{}, err
@@ -255,25 +253,16 @@ func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*B
 		return j
 	}
 
-	var aborted atomic.Bool
-	// Panic recovery at the goroutine boundaries: the first recovered panic
-	// becomes the run's error (workers and the dispatcher keep unwinding
-	// cleanly — channels close, blocks drain — so the merger can report it).
-	var panicMu sync.Mutex
-	var panicErr error
-	recordPanic := func(r any) {
-		panicMu.Lock()
-		if panicErr == nil {
-			panicErr = fmt.Errorf("trace: synthesis panicked: %v", r)
-		}
-		panicMu.Unlock()
-		aborted.Store(true)
-	}
-	// Cancellation folds into the existing abort machinery: workers
+	// One context stops the run. The caller's cancellation, the first fn
+	// error and the first recovered panic all cancel it: workers
 	// short-circuit at their next block boundary, the dispatcher stops
-	// sealing, and the merger stops delivering.
-	stopWatch := context.AfterFunc(ctx, func() { aborted.Store(true) })
-	defer stopWatch()
+	// sealing, and the merger stops delivering. The run's own causes are
+	// marked as such, so a caller's cancellation is told apart from them
+	// whatever cause the caller gave it.
+	ctx, cancel := context.WithCancelCause(parent)
+	defer cancel(nil)
+	stop := func(err error) { cancel(ownCause{err}) }
+	recordPanic := func(r any) { stop(fmt.Errorf("trace: synthesis panicked: %v", r)) }
 	// Sized to hold every segment so worker handoff never blocks on the
 	// queue itself — ordering and back-pressure come from inflight and the
 	// per-segment buffers (the PR-2 discipline).
@@ -302,7 +291,7 @@ func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*B
 		}()
 		seal := func(limit int) bool {
 			for next < limit {
-				if aborted.Load() {
+				if ctx.Err() != nil {
 					return false
 				}
 				sg := &segs[next]
@@ -364,7 +353,7 @@ func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*B
 			defer workerWG.Done()
 			var pl player // reused across this worker's segments
 			for sg := range tasks {
-				sg.synthesize(&pl, c.Warmup, &aborted, recordPanic)
+				sg.synthesize(ctx, &pl, c.Warmup, recordPanic)
 			}
 		}()
 	}
@@ -373,21 +362,13 @@ func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*B
 	// channel is drained even after an error or cancellation so no worker
 	// stays blocked and every block returns to the pool.
 	var sum Summary
-	var firstErr error
 	for j := range segs {
 		sg := &segs[j]
 		for blk := range sg.blocks {
-			if firstErr == nil {
-				if err := ctx.Err(); err != nil {
-					firstErr = fmt.Errorf("trace: generation cancelled: %w", err)
-					aborted.Store(true)
-				}
-			}
-			if firstErr == nil {
+			if ctx.Err() == nil {
 				sum.addBlock(blk)
 				if err := fn(blk); err != nil {
-					firstErr = err
-					aborted.Store(true)
+					stop(err)
 				}
 			}
 			PutBlock(blk)
@@ -396,20 +377,20 @@ func streamParallelCore(ctx context.Context, cfg Config, workers int, fn func(*B
 			<-inflight
 		}
 	}
+	// Every goroutine has unwound (workerWG), so the cause is final; fn
+	// never saw the stopped tail, so the summary snapshot is still exact.
 	workerWG.Wait()
-
-	if firstErr == nil {
-		// A recovered worker/dispatcher panic is only authoritative once
-		// every goroutine has unwound (workerWG above); fn never saw the
-		// aborted tail, so the summary snapshot is still exact.
-		panicMu.Lock()
-		firstErr = panicErr
-		panicMu.Unlock()
+	if ctx.Err() == nil {
+		return sum.finish(c, src, nil)
 	}
-	if firstErr == nil {
-		if err := ctx.Err(); err != nil {
-			firstErr = fmt.Errorf("trace: generation cancelled: %w", err)
-		}
+	if own, ok := context.Cause(ctx).(ownCause); ok {
+		return sum.finish(c, src, own.err)
 	}
-	return sum.finish(c, src, firstErr)
+	return sum.finish(c, src, fmt.Errorf("trace: generation cancelled: %w", parent.Err()))
 }
+
+// ownCause marks a cause a sharded synthesis run cancelled its own context
+// with: the first fn error or recovered panic, returned as is.
+type ownCause struct{ err error }
+
+func (c ownCause) Error() string { return c.err.Error() }

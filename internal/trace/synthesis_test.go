@@ -8,9 +8,14 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
+	"repro/internal/dist/rng"
 )
 
 // collectParallel drains StreamParallelBlocksCtx into a record slice.
@@ -250,6 +255,70 @@ func TestStreamCancelSummaryCountsDelivered(t *testing.T) {
 		if sum.Packets != pkts || sum.Bytes != bytes {
 			t.Fatalf("workers=%d: summary %d packets / %d bytes, fn received %d / %d",
 				workers, sum.Packets, sum.Bytes, pkts, bytes)
+		}
+	}
+}
+
+// panicShot is a shot-exponent sampler that panics on its n-th draw. Phase
+// 1 draws it, so in a sharded run the panic unwinds the dispatcher.
+type panicShot struct {
+	draws *atomic.Int64
+	n     int64
+}
+
+func (p panicShot) Sample(*rng.Rand) float64 {
+	if p.draws.Add(1) == p.n {
+		panic("shot sampler exhausted")
+	}
+	return 1
+}
+
+func (panicShot) Mean() float64 { return 1 }
+
+// A panic on the dispatcher must come back as an error, not crash the
+// process: the call reports the panic, every pool block taken by the run is
+// returned, and no goroutine outlives it. The panic strikes about 16 s
+// into the 30 s window, past the segments the in-flight cap lets the
+// dispatcher seal ahead of the merger, so blocks are in flight by then.
+func TestStreamParallelDispatcherPanic(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		baseBlocks, baseGoroutines := LiveBlocks(), runtime.NumGoroutine()
+		cfg := smallConfig(34, panicShot{draws: new(atomic.Int64), n: 8500})
+		var delivered int64
+		sum, err := StreamParallelBlocksCtx(context.Background(), cfg, workers, func(blk *Block) error {
+			delivered += int64(blk.Len())
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "synthesis panicked") {
+			t.Fatalf("workers=%d: err = %v, want a synthesis panic", workers, err)
+		}
+		if delivered == 0 || sum.Packets != delivered {
+			t.Fatalf("workers=%d: summary counted %d packets, fn received %d", workers, sum.Packets, delivered)
+		}
+		if got := LiveBlocks(); got != baseBlocks {
+			t.Fatalf("workers=%d: %d pool blocks still checked out", workers, got-baseBlocks)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseGoroutines; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines now, %d before", workers, runtime.NumGoroutine(), baseGoroutines)
+			}
+		}
+	}
+}
+
+// A caller that cancels with a cause of its own still gets an error
+// wrapping context.Canceled from both paths, as from a plain cancel.
+func TestStreamCancelWithCause(t *testing.T) {
+	cfg := smallConfig(35, dist.Constant{V: 1})
+	cause := errors.New("caller's own cause")
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancelCause(context.Background())
+		_, err := StreamParallelBlocksCtx(ctx, cfg, workers, func(*Block) error {
+			cancel(cause)
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 	}
 }
