@@ -447,10 +447,11 @@ func BenchmarkStoreWrite(b *testing.B) {
 	b.ReportMetric(float64(pkts), "pkts/op")
 }
 
-// BenchmarkAssemblerBlock isolates the flow-assembly hot path: key and
-// hash columns derived once per block, then one table probe per packet per
-// definition. block runs the suite's two definitions, sharing the
-// derivation; 5tuple runs the 5-tuple alone, as flowd measures. Both keep
+// BenchmarkAssemblerBlock isolates the flow-assembly hot path: a hash
+// column derived once per block, then one table probe per packet under the
+// finest definition. block runs the suite's two definitions, the /24 flows
+// merged from the 5-tuple flows at flush; 5tuple runs the 5-tuple alone,
+// as flowd measures. Both keep
 // the table small enough for a 2 MB L2 cache; wide runs the two
 // definitions over a 60 s trace at λ = 700 flows/s, like the suite's
 // trace 1, whose 5-tuple table peaks above 40,000 open flows. ns/op is per

@@ -80,7 +80,8 @@ func (m *Meter) Reset() {
 	m.bin.Reinit(m.intervalSec, m.delta) // cannot fail: NewMeter accepted this window
 }
 
-// ActiveFlows returns the open flow count of the i-th definition.
+// ActiveFlows returns the open flow count behind the i-th definition: the
+// finest definition's table occupancy (flow.Measurer.ActiveFlows).
 func (m *Meter) ActiveFlows(i int) int { return m.meas.ActiveFlows(i) }
 
 // Eval evaluates the binned interval against one definition's flows, on

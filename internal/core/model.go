@@ -137,16 +137,66 @@ func (m *Model) AutoCorrelation(tau float64) float64 {
 
 // AutoCorrelations returns γ(τ)/γ(0) at each lag in taus (0 everywhere when
 // γ(0) = 0), computing γ(0) once for the whole curve instead of once per lag.
+// Closed-form integer-b power shots take every lag in one population pass
+// (powerCrossCovSums); each value is bit-identical to AutoCovariance's.
 func (m *Model) AutoCorrelations(taus []float64) []float64 {
 	out := make([]float64, len(taus))
 	v := m.Variance()
 	if v == 0 {
 		return out
 	}
+	if ps, ok := m.Shot.(PowerShot); ok && ps.closedFormB() {
+		n := float64(m.Pop.Len())
+		for i, sum := range powerCrossCovSums(int(ps.B), m.Pop, taus) {
+			out[i] = m.Lambda * sum / n / v
+		}
+		return out
+	}
 	for i, tau := range taus {
 		out[i] = m.AutoCovariance(tau) / v
 	}
 	return out
+}
+
+// powerCrossCovSums returns, for each lag, the sum over the population of
+// PowerShot{B: b}.CrossCov's closed form, in one pass over the flows. The
+// per-lag coefficients C(b,j)·τ^(b−j) and the per-flow a² are hoisted out
+// of the inner loops; every flow's expression and every lag's summation
+// order are CrossCov's and AutoCovariance's, so the sums are bit-identical.
+func powerCrossCovSums(b int, pop *FlowPop, taus []float64) []float64 {
+	lags := make([]float64, len(taus))
+	coef := make([]float64, len(taus)*(b+1))
+	for k, tau := range taus {
+		if tau < 0 {
+			tau = -tau
+		}
+		lags[k] = tau
+		for j := 0; j <= b; j++ {
+			coef[k*(b+1)+j] = binomial(b, j) * powi(tau, b-j)
+		}
+	}
+	sums := make([]float64, len(taus))
+	for i, s := range pop.S {
+		d := pop.D[i]
+		if d <= 0 {
+			continue
+		}
+		a := s * float64(b+1) / powi(d, b+1)
+		a2 := a * a
+		for k, tau := range lags {
+			if tau >= d {
+				continue
+			}
+			l := d - tau
+			c := coef[k*(b+1) : (k+1)*(b+1)]
+			var sum float64
+			for j, cj := range c {
+				sum += cj * powi(l, b+j+1) / float64(b+j+1)
+			}
+			sums[k] += a2 * sum
+		}
+	}
+	return sums
 }
 
 // AveragedVariance returns σ_Δ², the variance of the rate averaged over

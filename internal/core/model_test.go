@@ -167,14 +167,14 @@ func TestAutoCovarianceAtZeroIsVariance(t *testing.T) {
 }
 
 // AutoCorrelations computes γ(0) once per curve; every lag must equal
-// γ(τ)/γ(0) bit for bit, through CrossCov's closed forms (b = 0, 1, 2), its
-// graded integral (b = 2.95), and the zero-variance guard of a hand-built
-// model over an empty population.
+// γ(τ)/γ(0) bit for bit, through the one-pass closed form (b = 0, 1, 2, 7,
+// negative lags included), CrossCov's graded integral (b = 2.95), and the
+// zero-variance guard of a hand-built model over an empty population.
 func TestAutoCorrelationsMatchDefinition(t *testing.T) {
 	fl := testFlows(400, 8)
-	taus := []float64{0, 0.025, 0.1, 0.4, 1, slices.Max(fl.D), 1e9}
+	taus := []float64{0, 0.025, 0.1, -0.1, 0.4, 1, slices.Max(fl.D), 1e9}
 	var models []*Model
-	for _, b := range []float64{0, 1, 2, 2.95} {
+	for _, b := range []float64{0, 1, 2, 7, 2.95} {
 		m, err := NewModel(30, PowerShot{B: b}, fl)
 		if err != nil {
 			t.Fatal(err)

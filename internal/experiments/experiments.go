@@ -510,8 +510,9 @@ func (r *Runner) measureInterval(ti int, is *flow.IntervalStream, tr *traceResul
 	spec := r.specs[ti]
 	meter.Reset()
 	// Blocks are interval-local already, exactly what the meter's binner
-	// and flow tables want, and each block's key columns are derived once
-	// for both definitions. An early return still drains the stream (see
+	// and flow tables want; each packet probes the 5-tuple table only, and
+	// the /24 flows are merged from the 5-tuple flows at flush. An early
+	// return still drains the stream (see
 	// IntervalStream.Blocks).
 	for blk := range is.Blocks() {
 		if err := meter.AddBlock(blk); err != nil {

@@ -6,8 +6,9 @@
 // and flows are split at analysis-interval boundaries.
 //
 // The assembler consumes packets in timestamp order (what a passive monitor
-// sees). It keeps one 32-byte table entry per open flow and one record per
-// flow since the last flush, the records it returns, and evicts idle flows
+// sees). It keeps one 32-byte table entry per open flow and one record and
+// one 4-byte destination address per flow since the last flush, the
+// records it returns, and evicts idle flows
 // from the table with an incremental expiry sweep paced by stream time:
 // the table rotates once per half timeout, whatever the packet rate, so a
 // flow idle past the timeout is gone within 1.5 timeouts and multi-hour
@@ -19,6 +20,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/netpkt"
 	"repro/internal/trace"
 )
 
@@ -86,22 +88,28 @@ type Result struct {
 // Assembler groups packets into flows under one definition. Every flow
 // admitted since the last Flush or Reset is one record in a flow store,
 // kept current packet by packet, and an open-addressed table over packed
-// two-word keys maps each open flow's key to its record: AddBlock receives
-// each packet's key and hash precomputed in columns and probes one flat
-// column of entries — no generic map, no per-flow pointers, no allocation
-// per flow; assembling a multi-million-flow trace costs amortised slice
-// growth only. A flow's record is complete after each of its packets, so
-// closing a flow (timeout, eviction, flush) finalises nothing.
+// two-word keys maps each open flow's key to its record: AddBlock hashes
+// each packet's key in one pass over the block's packed header columns and
+// probes one flat column of entries — no generic map, no per-flow pointers,
+// no allocation per flow; assembling a multi-million-flow trace costs
+// amortised slice growth only. A flow's record is complete after each of
+// its packets, so closing a flow (timeout, eviction, flush) finalises
+// nothing.
 type Assembler struct {
-	def     Definition // the definition the key columns are derived under
+	am, bm  uint64 // the definition's key masks (keyMasks)
 	timeout float64
 	table   flowTable
 	// done is the flow store: every flow admitted since the last Flush or
 	// Reset, at its admission number. Packets arrive in time order, so the
 	// admission number is the flow's rank by start, and Flush reads the
-	// store in order. res is Flush's reused output storage.
+	// store in order. addr holds each admitted flow's destination address
+	// (under a prefix definition, its prefix) at the same index: the
+	// column a coarser prefix definition merges the store by. res is
+	// Flush's reused output storage and hash AddBlock's key hash column.
 	done     []Flow
+	addr     []uint32
 	res      Result
+	hash     []uint64
 	lastTime float64 // the last packet's time; -Inf before the first
 	// sweepAt is the stream time at which the next idle-expiry step is
 	// due, and idleAt the first packet time plus the timeout: no flow can
@@ -114,13 +122,14 @@ type Assembler struct {
 // NewAssembler returns a streaming assembler for one flow definition;
 // timeout must be positive (use DefaultTimeout for the paper's 60 s).
 func NewAssembler(def Definition, timeout float64) (*Assembler, error) {
-	if _, ok := prefixDrop(def); !ok && def != By5Tuple {
+	am, bm, ok := keyMasks(def)
+	if !ok {
 		return nil, fmt.Errorf("flow: unknown definition %d", int(def))
 	}
 	if !(timeout > 0) {
 		return nil, fmt.Errorf("flow: timeout must be > 0, got %g", timeout)
 	}
-	a := &Assembler{def: def, timeout: timeout}
+	a := &Assembler{am: am, bm: bm, timeout: timeout}
 	a.Reset()
 	return a, nil
 }
@@ -130,16 +139,17 @@ func NewAssembler(def Definition, timeout float64) (*Assembler, error) {
 // measures thousands of intervals without reallocating its tables.
 func (a *Assembler) Reset() {
 	a.table.reset()
-	a.done = a.done[:0]
+	a.done, a.addr = a.done[:0], a.addr[:0]
 	a.lastTime = math.Inf(-1)
 	a.sweepAt = math.Inf(-1)
 	a.idleAt = math.Inf(1)
 }
 
-// open starts a flow with one packet of size bytes at t in the store and
-// returns its admission number.
-func (a *Assembler) open(t float64, size uint16) int32 {
+// open starts a flow with one packet of size bytes at t, keyed by second
+// key word kb, in the store and returns its admission number.
+func (a *Assembler) open(t float64, size uint16, kb uint64) int32 {
 	a.done = append(a.done, Flow{Start: t, End: t, Bytes: int64(size), Packets: 1})
+	a.addr = append(a.addr, uint32(kb>>netpkt.PackedAddrShift))
 	return int32(len(a.done) - 1)
 }
 
@@ -163,12 +173,12 @@ func (a *Assembler) addPacked(t float64, size uint16, h, ka, kb uint64) {
 			a.grow(t)
 			pos, _ = tb.find(h, ka, kb)
 		}
-		tb.insert(pos, h, ka, kb, t, a.open(t, size))
+		tb.insert(pos, h, ka, kb, t, a.open(t, size, kb))
 	} else if e := &tb.ent[pos]; t-e.last > a.timeout {
 		// The previous flow on this key timed out, and its record is
 		// complete: this packet opens a fresh flow in the same entry, under
 		// a new admission number.
-		e.last, e.adm = t, a.open(t, size)
+		e.last, e.adm = t, a.open(t, size, kb)
 	} else {
 		e.last = t
 		f := &a.done[e.adm]
@@ -224,15 +234,14 @@ func (a *Assembler) grow(t float64) {
 	}
 }
 
-// AddBlock consumes a block of packets with precomputed key columns (hash,
-// keyA, keyB index-aligned with the block; a Measurer, the only caller,
-// derives them once and shares the derivation across its definitions).
-// Every hash[j] must equal hashKey(keyA[j], keyB[j]): the table recomputes
-// it from stored keys when entries move. Packets must arrive in
-// non-decreasing time order across AddBlock calls.
+// AddBlock consumes a block of packets: one pass over the block's packed
+// header columns hashes every packet's key into a column, then each packet
+// probes the table. Packets must arrive in non-decreasing time order
+// across AddBlock calls. The block is only read, so borrowed (read-only)
+// store blocks can feed it.
 //
 //repro:hotpath
-func (a *Assembler) AddBlock(blk *trace.Block, hash, keyA, keyB []uint64) error {
+func (a *Assembler) AddBlock(blk *trace.Block) error {
 	// Time order is checked in one pass ahead of the table work; the
 	// packets before an out-of-order one are still consumed.
 	times, last := blk.Times, a.lastTime
@@ -246,14 +255,60 @@ func (a *Assembler) AddBlock(blk *trace.Block, hash, keyA, keyB []uint64) error 
 	}
 	a.lastTime = last
 	times = times[:n]
-	sizes, hash, keyA, keyB := blk.Sizes[:n], hash[:n], keyA[:n], keyB[:n]
+	sizes, srcs, dsts := blk.Sizes[:n], blk.Srcs[:n], blk.Dsts[:n]
+	hash, am, bm := a.hashCol(n), a.am, a.bm //repro:alloc-ok the column grows only when a block longer than any before arrives, then is reused
+	for j, s := range srcs {
+		hash[j] = hashKey(s&am, dsts[j]&bm)
+	}
 	for j, t := range times {
-		a.addPacked(t, sizes[j], hash[j], keyA[j], keyB[j])
+		a.addPacked(t, sizes[j], hash[j], srcs[j]&am, dsts[j]&bm)
 	}
 	if n < blk.Len() {
 		return errOutOfOrder(blk.Times[n], a.lastTime) //repro:alloc-ok error construction on the malformed-input branch only; no allocation on the in-order path
 	}
 	return nil
+}
+
+// hashCol returns AddBlock's hash column at length n, reusing its storage.
+func (a *Assembler) hashCol(n int) []uint64 {
+	if cap(a.hash) < n {
+		a.hash = make([]uint64, n)
+	}
+	return a.hash[:n]
+}
+
+// merge admits the flows of a finer definition's store (fine, in its
+// admission order, with their destination addresses) as this prefix
+// definition's flows. A prefix flow is the finer flows under its prefix,
+// merged wherever the gap between them is at most the timeout, so each
+// record either extends its prefix's open group or, when its start is more
+// than the timeout after the group's latest end, opens a new group under a
+// new admission number. That splits exactly where the per-packet test
+// does: a gap between consecutive packets of the prefix exceeds the
+// timeout only where no finer flow spans it, and there the group's latest
+// end is the very packet time the per-packet test compares with. A group
+// is admitted with its earliest member, so admission order, ties and
+// single-packet discards come out as per-packet assembly's.
+func (a *Assembler) merge(fine []Flow, addr []uint32) {
+	tb := &a.table
+	for i, r := range fine {
+		kb := uint64(addr[i]) << netpkt.PackedAddrShift & a.bm
+		h := hashKey(0, kb)
+		pos, ok := tb.find(h, 0, kb)
+		if !ok {
+			a.done = append(a.done, r)
+			tb.insert(pos, h, 0, kb, r.End, int32(len(a.done)-1))
+		} else if e := &tb.ent[pos]; r.Start-e.last > a.timeout {
+			a.done = append(a.done, r)
+			e.last, e.adm = r.End, int32(len(a.done)-1)
+		} else {
+			e.last = max(e.last, r.End)
+			f := &a.done[e.adm]
+			f.End = e.last
+			f.Bytes += r.Bytes
+			f.Packets += r.Packets
+		}
+	}
 }
 
 // ActiveFlows returns the number of in-progress flows (the N(t) of the
@@ -264,8 +319,9 @@ func (a *Assembler) ActiveFlows() int { return a.table.n }
 
 // Flush finalises all in-progress flows (end of trace or of an analysis
 // interval — the paper's boundary splitting) and returns the result. The
-// store's records are already complete, so Flush only empties the table and
-// orders the store.
+// store's records are already complete, whether packets or a merge (a
+// Measurer's coarser definitions) filled it, so Flush only empties the
+// table, the store and its address column and orders the result.
 // The assembler can keep consuming packets afterwards; flows that continue
 // past a flush are counted again from the flush point, exactly like the
 // paper's split flows.
@@ -297,7 +353,7 @@ func (a *Assembler) Flush() Result {
 			flows = append(flows, f)
 		}
 	}
-	a.done = a.done[:0]
+	a.done, a.addr = a.done[:0], a.addr[:0]
 	a.res = Result{Flows: flows, Discarded: disc}
 	return a.res
 }

@@ -122,8 +122,7 @@ func TestFlushOrderMatchesStableSort(t *testing.T) {
 				flushes++
 			}
 			for i, rec := range tiedRecords(6000, seed, timeout) {
-				src, dst := rec.Hdr.Packed()
-				h, ka, kb := deriveOne(def, src, dst)
+				h, ka, kb := a.key(rec.Hdr.Packed())
 				pos, ok := a.table.find(h, ka, kb)
 				switch e := a.table.ent[pos]; {
 				case ok && rec.Time-e.last > timeout:

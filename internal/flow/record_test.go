@@ -9,8 +9,7 @@ import (
 
 // This file is the record-at-a-time face of the assembler, kept as the
 // per-packet reference the block paths are checked against: one header
-// decoded, keyed and hashed per packet, with none of Measurer's shared
-// column derivation.
+// decoded, keyed and hashed per packet, with no column pass.
 
 // Add consumes one packet record. Packets must arrive in non-decreasing
 // time order.
@@ -19,24 +18,17 @@ func (a *Assembler) Add(rec trace.Record) error {
 		return errOutOfOrder(rec.Time, a.lastTime)
 	}
 	a.lastTime = rec.Time
-	src, dst := rec.Hdr.Packed()
-	h, ka, kb := deriveOne(a.def, src, dst)
+	h, ka, kb := a.key(rec.Hdr.Packed())
 	a.addPacked(rec.Time, rec.Hdr.TotalLen, h, ka, kb)
 	return nil
 }
 
-// deriveOne computes the (hash, keyA, keyB) triple of one packed packet
-// under a definition — the scalar counterpart of Measurer.derive, kept
-// textually tiny so both agree.
-func deriveOne(def Definition, src, dst uint64) (h, ka, kb uint64) {
-	if def == By5Tuple {
-		ka = src
-		kb = dst &^ netpkt.PackedTTLMask
-		return hashKey(ka, kb), ka, kb
-	}
-	drop, _ := prefixDrop(def)
-	kb = (dst >> netpkt.PackedAddrShift) &^ drop
-	return hashKey(0, kb), 0, kb
+// key computes the (hash, keyA, keyB) triple of one packed packet under
+// the assembler's definition — the scalar counterpart of AddBlock's column
+// pass, kept textually tiny so both agree.
+func (a *Assembler) key(src, dst uint64) (h, ka, kb uint64) {
+	ka, kb = src&a.am, dst&a.bm
+	return hashKey(ka, kb), ka, kb
 }
 
 // measureRecords groups recs (time-ordered) into flows under def with the

@@ -1,15 +1,16 @@
 package flow
 
+import "repro/internal/netpkt"
+
 // This file is the batch-columnar key machinery of the flow assembler: a
-// packed two-word flow key per definition, a 64-bit hash computed once per
-// packet, and an open-addressed table of 32-byte entries, each mapping a
-// key to its flow's admission number (the flow's index in the assembler's
-// flow store) beside the flow's last-seen time. It replaces the generic Go
-// map the assembler used to probe per packet per definition: key columns
-// are derived from a block's packed Src/Dst columns in vector passes (the
-// /24, /16 and /8 prefix keys all come off the same dst column), and a
-// probe that finds an open flow reads one entry, so a packet touches the
-// entry's cache line and its flow's record in the store, nothing else.
+// packed two-word flow key, a 64-bit hash computed once per packet, and an
+// open-addressed table of 32-byte entries, each mapping a key to its flow's
+// admission number (the flow's index in the assembler's flow store) beside
+// the flow's last-seen time. It replaces the generic Go map the assembler
+// used to probe per packet per definition: a definition's key is two masks
+// over a block's packed Src/Dst columns, and a probe that finds an open
+// flow reads one entry, so a packet touches the entry's cache line and its
+// flow's record in the store, nothing else.
 
 // mix64 is the splitmix64 finalizer: a cheap full-avalanche 64-bit mixer.
 func mix64(x uint64) uint64 {
@@ -28,19 +29,26 @@ func mix64(x uint64) uint64 {
 // always settled on the full (a, b) pair, never the hash alone.
 func hashKey(a, b uint64) uint64 { return mix64(a ^ b*0x9e3779b97f4a7c15) }
 
-// prefixDrop returns the low-bit mask to clear from the destination IP for
-// a prefix definition (ok=false for By5Tuple or unknown definitions).
-func prefixDrop(def Definition) (drop uint64, ok bool) {
+// keyMasks returns the masks that cut a definition's key out of a packet's
+// packed Src/Dst words: the key is (src & am, dst & bm). Every definition
+// keeps the destination address where the packing puts it, so the address
+// of any key is its second word >> PackedAddrShift, and a coarser prefix
+// key is a further mask of it. ok is false for an unknown definition.
+func keyMasks(def Definition) (am, bm uint64, ok bool) {
+	var drop uint64
 	switch def {
+	case By5Tuple:
+		return ^uint64(0), ^uint64(netpkt.PackedTTLMask), true
 	case ByPrefix24:
-		return 0xFF, true
+		drop = 0xFF
 	case ByPrefix16:
-		return 0xFFFF, true
+		drop = 0xFFFF
 	case ByPrefix8:
-		return 0xFFFFFF, true
+		drop = 0xFFFFFF
 	default:
-		return 0, false
+		return 0, 0, false
 	}
+	return 0, (0xFFFFFFFF &^ drop) << netpkt.PackedAddrShift, true
 }
 
 // flowTable is an open-addressed hash table over packed two-word flow

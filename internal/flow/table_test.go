@@ -323,8 +323,9 @@ func TestAssemblerMatchesMapReference(t *testing.T) {
 
 // TestMeasurerBlockSizesAgree feeds the same stream through one
 // record-at-a-time assembler per definition and through a Measurer's
-// AddBlock at several block sizes; the batch path's shared key derivation
-// and boundary handling must never change the measurement.
+// AddBlock at several block sizes; the batch path's column derivation, its
+// flush-time prefix merge and its boundary handling must never change the
+// measurement.
 func TestMeasurerBlockSizesAgree(t *testing.T) {
 	recs := randomRecords(4000, 7)
 	defs := []Definition{By5Tuple, ByPrefix24, ByPrefix16}

@@ -77,7 +77,7 @@ type Header struct {
 // packing is lossless — together with the wire length it round-trips the
 // whole Header — and places the fields so every flow definition is a cheap
 // mask: the 5-tuple is (src, dst &^ PackedTTLMask), a destination /n prefix
-// is high bits of dst >> PackedAddrShift.
+// the top n bits of dst.
 const (
 	// PackedAddrShift positions the IPv4 address in a packed word.
 	PackedAddrShift = 32
