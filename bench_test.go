@@ -151,8 +151,20 @@ func BenchmarkFig7ShotShapes(b *testing.B) {
 	runExperiment(b, func(r *experiments.Runner) error { return r.Fig7(io.Discard) })
 }
 
+// BenchmarkFig8AutoCorrelation times Fig 8's model alone: the runner and
+// its reference interval are built and measured before the timer starts,
+// so an iteration is the population passes of the autocorrelation curves.
 func BenchmarkFig8AutoCorrelation(b *testing.B) {
-	runExperiment(b, func(r *experiments.Runner) error { return r.Fig8(io.Discard) })
+	r := newBenchRunner(b)
+	if _, _, err := r.RefInterval(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.Fig8(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // scatterBench runs a CoV scatter figure and reports the share of intervals

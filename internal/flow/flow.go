@@ -6,13 +6,14 @@
 // and flows are split at analysis-interval boundaries.
 //
 // The assembler consumes packets in timestamp order (what a passive monitor
-// sees). It keeps one 32-byte table entry per open flow and one record and
-// one 4-byte destination address per flow since the last flush, the
-// records it returns, and evicts idle flows
-// from the table with an incremental expiry sweep paced by stream time:
-// the table rotates once per half timeout, whatever the packet rate, so a
-// flow idle past the timeout is gone within 1.5 timeouts and multi-hour
-// traces stream through without periodic full-table pauses.
+// sees). It keeps one 32-byte table entry per open flow and one record per
+// flow since the last flush (plus a 4-byte destination address when a
+// Measurer merges coarser definitions from it), the records it returns,
+// and evicts idle flows from the table with an incremental expiry sweep
+// paced by stream time: the table rotates once per half timeout, whatever
+// the packet rate, so a flow idle past the timeout is gone within 1.5
+// timeouts and multi-hour traces stream through without periodic
+// full-table pauses.
 package flow
 
 import (
@@ -102,12 +103,15 @@ type Assembler struct {
 	// done is the flow store: every flow admitted since the last Flush or
 	// Reset, at its admission number. Packets arrive in time order, so the
 	// admission number is the flow's rank by start, and Flush reads the
-	// store in order. addr holds each admitted flow's destination address
-	// (under a prefix definition, its prefix) at the same index: the
-	// column a coarser prefix definition merges the store by. res is
-	// Flush's reused output storage and hash AddBlock's key hash column.
+	// store in order. When keepAddr is set (the finest assembler of a
+	// Measurer with coarser definitions), addr holds each admitted flow's
+	// destination address (under a prefix definition, its prefix) at the
+	// same index: the column a coarser prefix definition merges the store
+	// by. res is Flush's reused output storage and hash AddBlock's key
+	// hash column.
 	done     []Flow
 	addr     []uint32
+	keepAddr bool
 	res      Result
 	hash     []uint64
 	lastTime float64 // the last packet's time; -Inf before the first
@@ -149,7 +153,9 @@ func (a *Assembler) Reset() {
 // key word kb, in the store and returns its admission number.
 func (a *Assembler) open(t float64, size uint16, kb uint64) int32 {
 	a.done = append(a.done, Flow{Start: t, End: t, Bytes: int64(size), Packets: 1})
-	a.addr = append(a.addr, uint32(kb>>netpkt.PackedAddrShift))
+	if a.keepAddr {
+		a.addr = append(a.addr, uint32(kb>>netpkt.PackedAddrShift))
+	}
 	return int32(len(a.done) - 1)
 }
 

@@ -45,6 +45,8 @@ func NewMeasurer(defs []Definition, timeout float64) (*Measurer, error) {
 		}
 		m.asm[i] = a
 	}
+	// Only a coarser definition reads the finest store's address column.
+	m.asm[m.fine].keepAddr = len(defs) > 1
 	return m, nil
 }
 

@@ -155,3 +155,38 @@ func TestNewMeasurerRejectsRepeatedDefinition(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasurerKeepsAddressesOnlyToMerge: the finest store's address column
+// exists for the coarser definitions' merge, so a one-definition measurer
+// (flowd's 5-tuple link) writes none, and a measurer with a coarser
+// definition keeps one address per admitted flow.
+func TestMeasurerKeepsAddressesOnlyToMerge(t *testing.T) {
+	x, z := netpkt.IPv4Addr{172, 16, 1, 1}, netpkt.IPv4Addr{172, 16, 2, 1}
+	for _, tc := range []struct {
+		defs  []Definition
+		addrs int
+	}{
+		{[]Definition{By5Tuple}, 0},
+		{[]Definition{ByPrefix24}, 0},
+		{[]Definition{By5Tuple, ByPrefix24}, 3},
+		{[]Definition{ByPrefix8, ByPrefix24}, 2},
+	} {
+		m, err := NewMeasurer(tc.defs, DefaultTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := trace.GetBlock()
+		for _, r := range records([]pkt{{0, 1, x, 100}, {1, 2, x, 100}, {2, 1, z, 100}}) {
+			src, dst := r.Hdr.Packed()
+			blk.Append(r.Time, r.Hdr.TotalLen, src, dst)
+		}
+		err = m.AddBlock(blk)
+		trace.PutBlock(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(m.asm[m.fine].addr); got != tc.addrs {
+			t.Errorf("%v: %d addresses kept, want %d", tc.defs, got, tc.addrs)
+		}
+	}
+}

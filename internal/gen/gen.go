@@ -178,15 +178,16 @@ func Packets(cfg Config, pktBytes int, fn func(*trace.Block) error) error {
 			if sizeBytes < 40 {
 				sizeBytes = 40
 			}
-			return trace.FlowProgram{
+			p := trace.FlowProgram{
 				Index:    flowID,
 				Start:    t,
 				Duration: d,
 				SizeB:    sizeBytes,
 				InvBp1:   invBp1,
 				PktBytes: pktBytes,
-				Hdr:      synthHeader(flowID),
-			}, true
+			}
+			p.Src, p.Dst = synthHeader(flowID)
+			return p, true
 		}
 	}
 	// ~8 packets per flow sizes the player's bucket grid (which caps it).
@@ -194,8 +195,9 @@ func Packets(cfg Config, pktBytes int, fn func(*trace.Block) error) error {
 	return trace.PlayPrograms(cfg.Warmup, horizon, est, next, fn)
 }
 
-// synthHeader builds a distinct 5-tuple per generated flow.
-func synthHeader(id uint32) netpkt.Header {
+// synthHeader builds a distinct 5-tuple per generated flow, packed into the
+// two header words its packets carry.
+func synthHeader(id uint32) (src, dst uint64) {
 	return netpkt.Header{
 		SrcIP:    netpkt.AddrFromUint32(0x0A00_0000 | (id*2654435761)>>8),
 		DstIP:    netpkt.AddrFromUint32(0xAC10_0000 | (id % 65536 << 8) | (id%253 + 1)),
@@ -203,5 +205,5 @@ func synthHeader(id uint32) netpkt.Header {
 		SrcPort:  uint16(1024 + id%60000),
 		DstPort:  443,
 		TTL:      64,
-	}
+	}.Packed()
 }

@@ -17,7 +17,7 @@ import (
 // multi-hour trace.
 //
 // Building the index runs phase 1 once (a few RNG draws per flow, no packet
-// work) and holds every program in memory (~100 bytes per flow), which is
+// work) and holds every program in memory (64 bytes per flow), which is
 // what buys the O(1) jump: replay never re-runs the RNG. For the multi-hour
 // end of the Table I suite that is tens of MB — far below one materialised
 // analysis interval — but it is a per-trace cost, so share one Checkpoints
@@ -127,15 +127,12 @@ func (c *Checkpoints) replay(lo, hi float64, yield func(Record) bool) bool {
 	// bounds below locate candidates on the absolute clock; warmup+lo and
 	// (t-warmup) >= lo can disagree by an ulp when the sum rounds, so the
 	// scan is widened by two ulps each way and each packet is settled by the
-	// exact membership test.
+	// exact membership test. The widened upper bound is capped at the
+	// horizon (serial truncation: no packet reaches it), so every packet the
+	// player emits precedes the horizon.
 	loScan := c.cfg.Warmup + lo
 	loScan = math.Nextafter(math.Nextafter(loScan, math.Inf(-1)), math.Inf(-1))
-	hiScan := warmup + hi
-	if hiScan > horizon {
-		hiScan = horizon // serial truncation: no packet reaches the horizon
-	} else {
-		hiScan = math.Nextafter(math.Nextafter(hiScan, math.Inf(1)), math.Inf(1))
-	}
+	hiScan := min(math.Nextafter(math.Nextafter(warmup+hi, math.Inf(1)), math.Inf(1)), horizon)
 	nb := len(c.active)
 	j := int(lo / c.every)
 	if j >= nb {
@@ -162,17 +159,22 @@ func (c *Checkpoints) replay(lo, hi float64, yield func(Record) bool) bool {
 		pl.admit(&c.progs[idx])
 	}
 
-	ok := true
-	pl.play(func(t float64, pkt int, hdr netpkt.Header) bool {
-		// Exact membership: rebase first (bit-identical to the serial
-		// record time), then apply the window bounds to the rebased time.
-		rel := t - warmup
-		if rel < lo || rel >= hi || t >= horizon {
-			return true
+	// Rebasing by warmup yields each packet's trace-relative time, the
+	// serial record time bit for bit; the membership test applies the
+	// window bounds to it.
+	blk := GetBlock()
+	defer PutBlock(blk)
+	for more := true; more; {
+		blk.Reset()
+		more = pl.fill(blk, warmup)
+		for i, rel := range blk.Times {
+			if rel < lo || rel >= hi {
+				continue
+			}
+			if !yield(Record{Time: rel - lo, Hdr: netpkt.HeaderFromPacked(blk.Srcs[i], blk.Dsts[i], blk.Sizes[i])}) {
+				return false
+			}
 		}
-		hdr.TotalLen = uint16(pkt)
-		ok = yield(Record{Time: rel - lo, Hdr: hdr})
-		return ok
-	})
-	return ok
+	}
+	return true
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/dist/rng"
+	"repro/internal/netpkt"
 )
 
 // Checkpointed replay must be record-for-record identical to prefix replay
@@ -155,10 +156,11 @@ func TestFlowDstAddressStaysInPrefix(t *testing.T) {
 	n := 0
 	src.run(cfg.Warmup+cfg.Duration, func(p FlowProgram) {
 		n++
-		addr := p.Hdr.DstIP.Uint32()
+		dstIP := netpkt.HeaderFromPacked(p.Src, p.Dst, 0).DstIP
+		addr := dstIP.Uint32()
 		host := addr & 0xFF
 		if host < 1 || host > 253 {
-			t.Fatalf("flow %d: host byte %d outside [1, 253] (addr %v)", p.Index, host, p.Hdr.DstIP)
+			t.Fatalf("flow %d: host byte %d outside [1, 253] (addr %v)", p.Index, host, dstIP)
 		}
 		// The host byte is a pure function of the flow id; anything else
 		// means the +1 leaked outside the parenthesised host expression.
@@ -169,7 +171,7 @@ func TestFlowDstAddressStaysInPrefix(t *testing.T) {
 		// exactly the 172.16.0.0 base — a carry into the prefix bits would
 		// perturb it.
 		if addr>>16 != 0xAC10 {
-			t.Fatalf("flow %d: address %v carried into the prefix bits", p.Index, p.Hdr.DstIP)
+			t.Fatalf("flow %d: address %v carried into the prefix bits", p.Index, dstIP)
 		}
 	})
 	if n == 0 {

@@ -1,17 +1,14 @@
 package trace
 
-import (
-	"slices"
-
-	"repro/internal/netpkt"
-)
+import "slices"
 
 // This file is the shared RNG-free event loop of phase 2: the player turns
 // flow programs into packets over a window [lo, hi) of the generator clock,
 // in the canonical (time, flow admission index) emission order every
-// synthesis path shares. The serial block stream, the sharded segment
-// workers and checkpointed window replay all drive the same player, so their
-// packet streams are bit-identical by construction.
+// synthesis path shares, and appends them straight into pooled blocks. The
+// serial block stream, the sharded segment workers and checkpointed window
+// replay all drive the same fill loop, so their packet streams are
+// bit-identical by construction.
 //
 // Pending packets live in a bucket (calendar) queue rather than a binary
 // heap: the window is cut into uniform time buckets sized for a handful of
@@ -25,10 +22,12 @@ import (
 // bucket-locally is sorting globally.
 //
 // Events are 24 bytes — a time, a byte cursor and an arena slot — not the
-// ~100-byte program itself: active programs live in a slot-recycled arena,
+// 64-byte program itself: active programs live in a slot-recycled arena,
 // so queue traffic never memmoves programs and the player makes no per-flow
 // allocation at all (the arena high-water mark is the maximum number of
-// concurrently active flows).
+// concurrently active flows). A program carries its header as the two
+// packed block words phase 1 computed once, so a packet costs its pacing
+// time and four column stores, nothing per header.
 
 // pkEvent is one pending packet emission: the flow's byte cursor plus its
 // program's arena slot. index duplicates the program's admission index so
@@ -45,6 +44,14 @@ func eventLess(a, b *pkEvent) bool {
 		return a.time < b.time
 	}
 	return a.index < b.index
+}
+
+// cmpEvents is eventLess as a three-way comparison for the slices sorts.
+func cmpEvents(a, b pkEvent) int {
+	if eventLess(&a, &b) {
+		return -1
+	}
+	return 1
 }
 
 // bqNode is an arena slot of the bucket queue's per-bucket lists.
@@ -257,6 +264,8 @@ func (q *bucketQueue) insertSorted(ev pkEvent) {
 
 // collect flattens bucket b's list into scratch, sorted, recycling the
 // nodes. Returns false when the bucket was empty.
+//
+//repro:hotpath
 func (q *bucketQueue) collect(b int) bool {
 	h := q.heads[b]
 	if h == 0 {
@@ -274,13 +283,30 @@ func (q *bucketQueue) collect(b int) bool {
 		q.free = h
 		h = next
 	}
-	slices.SortFunc(q.scratch, func(a, b pkEvent) int {
-		if eventLess(&a, &b) {
-			return -1
-		}
-		return 1
-	})
+	sortEvents(q.scratch)
 	return true
+}
+
+// sortEvents sorts a bucket's events by (time, index). Pending events never
+// tie on both (a flow has one pending event at a time), so the order is
+// total and every sort produces it. The grid is sized for ~4 events per
+// bucket, so nearly every bucket takes the insertion sort; one past 24
+// events takes pdqsort.
+//
+//repro:hotpath
+func sortEvents(s []pkEvent) {
+	if len(s) > 24 {
+		slices.SortFunc(s, cmpEvents)
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		ev := s[i]
+		j := i
+		for ; j > 0 && eventLess(&ev, &s[j-1]); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = ev
+	}
 }
 
 // pop returns the next event of the current bucket, if any.
@@ -346,9 +372,10 @@ func (f *sourceFeed) admitThrough(b int, pl *player) {
 
 // player emits the packets of a program population with time in [lo, hi),
 // in (time, index) order. Admission is lazy through the feed (or eager via
-// admit before play); each admitted flow fast-forwards in O(1) to its first
-// packet at or after lo via the closed-form shot inverse — packets before
-// the window (a warm-up, a segment's past) are never synthesised.
+// admit before the first fill); each admitted flow fast-forwards in O(1)
+// to its first packet at or after lo via the closed-form shot inverse —
+// packets before the window (a warm-up, a segment's past) are never
+// synthesised.
 type player struct {
 	lo, hi float64
 	q      bucketQueue
@@ -423,17 +450,20 @@ func (pl *player) advance() bool {
 	return false
 }
 
-// play drains the window, handing each packet — its generator-clock time,
-// wire size and flow header — to emit in (time, index) order; emit
-// returning false stops early.
+// fill appends the window's next packets to blk in (time, index) order,
+// each with its generator-clock time rebased by -offset, until blk holds
+// BlockSize packets or the window is drained. It reports whether packets
+// may remain: false means the window is drained, and a later call appends
+// nothing. A block that fills on the window's last packet reports true,
+// and the next call returns false with nothing appended.
 //
 //repro:hotpath
-func (pl *player) play(emit func(t float64, pkt int, hdr netpkt.Header) bool) {
-	for {
+func (pl *player) fill(blk *Block, offset float64) bool {
+	for blk.Len() < BlockSize {
 		ev, have := pl.q.pop()
 		if !have {
 			if !pl.advance() {
-				return
+				return false
 			}
 			continue
 		}
@@ -442,47 +472,37 @@ func (pl *player) play(emit func(t float64, pkt int, hdr netpkt.Header) bool) {
 		if rem := prog.SizeB - int(ev.sentB); rem < pkt {
 			pkt = rem
 		}
-		hdr := prog.Hdr
-		live := false
+		blk.Append(ev.time-offset, uint16(pkt), prog.Src, prog.Dst)
 		if next := int(ev.sentB) + pkt; next < prog.SizeB {
 			if nt := prog.Start + prog.offsetAt(next); nt < pl.hi {
 				pl.q.push(pkEvent{time: nt, sentB: int64(next), index: ev.index, prog: ev.prog})
-				live = true
+				continue
 			}
 		}
-		if !live {
-			// Flow finished (or its next packet is past the window): recycle
-			// its arena slot.
-			pl.free = append(pl.free, ev.prog)
-		}
-		if !emit(ev.time, pkt, hdr) {
-			return
-		}
+		// Flow finished (or its next packet is past the window): recycle its
+		// arena slot.
+		pl.free = append(pl.free, ev.prog)
 	}
+	return true
 }
 
-// playBlocks drives play into one pooled block, packing each packet with
-// its time rebased by -offset. The block goes to fn each time it fills and
-// once more for the last partial block; fn borrows it until it returns, and
-// its error stops the replay and is returned.
+// playBlocks drains the window through one pooled block, with times rebased
+// by -offset. The block goes to fn each time it fills and once more for a
+// last partial block, never empty; fn borrows it until it returns, and its
+// error stops the replay and is returned.
 func (pl *player) playBlocks(offset float64, fn func(*Block) error) error {
 	blk := GetBlock()
 	defer PutBlock(blk)
-	var err error
-	pl.play(func(t float64, pkt int, hdr netpkt.Header) bool {
-		src, dst := hdr.Packed()
-		blk.Append(t-offset, uint16(pkt), src, dst)
-		if blk.Len() < BlockSize {
-			return true
+	for {
+		more := pl.fill(blk, offset)
+		if blk.Len() == 0 {
+			return nil
 		}
-		err = fn(blk)
+		if err := fn(blk); err != nil || !more {
+			return err
+		}
 		blk.Reset()
-		return err == nil
-	})
-	if err == nil && blk.Len() > 0 {
-		err = fn(blk)
 	}
-	return err
 }
 
 // estimateEvents guesses the pending-emission count for a span of trace, to
@@ -529,11 +549,11 @@ func (f *pullFeed) admitThrough(b int, pl *player) {
 // many programs the sequence holds. estEvents sizes the bucket grid (a
 // mis-estimate costs constants, never correctness: the grid refines itself
 // on hot buckets). Packets travel to fn in one pooled block, handed over
-// each time it fills and once more for the last partial block; fn borrows
-// the block until it returns, and its error stops the replay and is
-// returned. This is the face external packet generators (e.g. the §VII-C
-// model-driven generator in gen) ride so they share the trace pipeline's
-// player instead of materialising and sorting.
+// each time it fills and once more for a last partial block, never empty;
+// fn borrows the block until it returns, and its error stops the replay and
+// is returned. This is the face external packet generators (e.g. the
+// §VII-C model-driven generator in gen) ride so they share the trace
+// pipeline's player instead of materialising and sorting.
 func PlayPrograms(lo, hi float64, estEvents int, next func() (FlowProgram, bool), fn func(*Block) error) error {
 	var pl player
 	pl.initPlayer(lo, hi, estEvents, &pullFeed{next: next})

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -12,7 +13,24 @@ import (
 type playerEmission struct {
 	t     float64
 	pkt   int
-	index uint32 // recovered via SrcPort, which the test sets to the flow index
+	index uint32 // recovered via the source port, which the test sets to the flow index
+}
+
+// portTag packs a flow index into the source-port field of a program's
+// header word, so a test recovers the flow from an emitted packet.
+func portTag(idx uint32) uint64 { return uint64(uint16(idx)) << netpkt.PackedPortShift }
+
+// emissions unpacks block packets [from, Len) as player emissions.
+func emissions(blk *Block, from int) []playerEmission {
+	var out []playerEmission
+	for i := from; i < blk.Len(); i++ {
+		out = append(out, playerEmission{
+			t:     blk.Times[i],
+			pkt:   int(blk.Sizes[i]),
+			index: uint32(uint16(blk.Srcs[i] >> netpkt.PackedPortShift)),
+		})
+	}
+	return out
 }
 
 // PacketSize returns the wire size in bytes of packet k (0-based): full MTU
@@ -48,12 +66,17 @@ func bruteForce(progs []FlowProgram, lo, hi float64) []playerEmission {
 	return out
 }
 
+// collectPlayer drains the player's window through fill, one block at a
+// time, at offset 0.
 func collectPlayer(pl *player) []playerEmission {
 	var out []playerEmission
-	pl.play(func(t float64, pkt int, hdr netpkt.Header) bool {
-		out = append(out, playerEmission{t: t, pkt: pkt, index: uint32(hdr.SrcPort)})
-		return true
-	})
+	blk := GetBlock()
+	defer PutBlock(blk)
+	for more := true; more; {
+		blk.Reset()
+		more = pl.fill(blk, 0)
+		out = append(out, emissions(blk, 0)...)
+	}
 	return out
 }
 
@@ -72,8 +95,8 @@ func comparePlayer(t *testing.T, label string, got, want []playerEmission) {
 // adversarialPrograms builds a population designed to stress the bucket
 // queue's ordering: random overlapping flows, plus runs of exact clones
 // (identical Start and packet times, distinct indices — only the admission
-// index separates their emissions), all tagged with SrcPort = index so the
-// test can recover the flow from the emitted header.
+// index separates their emissions), all tagged with the index as source
+// port so the test can recover the flow from the emitted header.
 func adversarialPrograms(seed int64, n int) []FlowProgram {
 	r := rng.New(seed)
 	var progs []FlowProgram
@@ -87,7 +110,7 @@ func adversarialPrograms(seed int64, n int) []FlowProgram {
 			SizeB:    size,
 			InvBp1:   invBp1,
 			PktBytes: 1500,
-			Hdr:      netpkt.Header{SrcPort: uint16(idx)},
+			Src:      portTag(idx),
 		})
 	}
 	for i := 0; i < n; i++ {
@@ -150,7 +173,11 @@ func TestPlayerMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Early stop from the consumer must not wedge or disorder the player.
+// Draining a window through repeated fill calls must resume exactly where
+// each call stopped: blocks pre-padded to leave 1, 2, 17 or BlockSize free
+// slots cut the stream at arbitrary packets, and the packets appended after
+// the padding, concatenated, are the brute-force sequence. fill never
+// touches the padding, and it rebases by its offset.
 func TestPlayerEarlyStop(t *testing.T) {
 	progs := adversarialPrograms(13, 60)
 	want := bruteForce(progs, 0, 50)
@@ -159,18 +186,90 @@ func TestPlayerEarlyStop(t *testing.T) {
 	for i := range progs {
 		pl.admit(&progs[i])
 	}
+	const offset = 0.25
+	blk := GetBlock()
+	defer PutBlock(blk)
 	var got []playerEmission
-	pl.play(func(tm float64, pkt int, hdr netpkt.Header) bool {
-		got = append(got, playerEmission{t: tm, pkt: pkt, index: uint32(hdr.SrcPort)})
-		return len(got) < 17
-	})
-	if len(got) != 17 && len(got) != len(want) {
-		t.Fatalf("early stop emitted %d packets", len(got))
+	rooms := []int{1, 17, 2, BlockSize, 1}
+	for i, more := 0, true; more; i++ {
+		blk.Reset()
+		pad := BlockSize - rooms[i%len(rooms)]
+		for range pad {
+			blk.Append(-1, 0, 0, 0)
+		}
+		more = pl.fill(blk, offset)
+		if more && blk.Len() != BlockSize {
+			t.Fatalf("fill %d: reported more with %d of %d slots filled", i, blk.Len(), BlockSize)
+		}
+		for j := range pad {
+			if blk.Times[j] != -1 || blk.Srcs[j] != 0 {
+				t.Fatalf("fill %d overwrote padding slot %d", i, j)
+			}
+		}
+		got = append(got, emissions(blk, pad)...)
 	}
-	comparePlayer(t, "prefix", got, want[:len(got)])
-	// Resuming after the stop continues the exact sequence.
-	rest := collectPlayer(&pl)
-	comparePlayer(t, "resume", rest, want[len(got):])
+	for i := range want {
+		want[i].t -= offset
+	}
+	comparePlayer(t, "resume", got, want)
+	blk.Reset()
+	if pl.fill(blk, offset) || blk.Len() != 0 {
+		t.Fatalf("fill after the drain appended %d packets", blk.Len())
+	}
+}
+
+// A window whose packet count is an exact multiple of BlockSize fills its
+// last block on its last packet: playBlocks must not hand fn an empty block
+// after it, and a segment must not send one.
+func TestPlayerExactBlockMultiple(t *testing.T) {
+	// 2·BlockSize/8 flows of 8 packets each, all inside [0, 10).
+	progs := make([]FlowProgram, 2*BlockSize/8)
+	for i := range progs {
+		progs[i] = FlowProgram{
+			Index:    uint32(i + 1),
+			Start:    float64(i) * 0.01,
+			Duration: 5,
+			SizeB:    8 * 1500,
+			InvBp1:   0.5,
+			PktBytes: 1500,
+			Src:      portTag(uint32(i + 1)),
+		}
+	}
+	want := bruteForce(progs, 0, 10)
+	if len(want) != 2*BlockSize {
+		t.Fatalf("fixture has %d packets, want %d", len(want), 2*BlockSize)
+	}
+	live := LiveBlocks()
+
+	var pl player
+	pl.initPlayer(0, 10, len(want), &sliceFeed{progs: progs})
+	var got []playerEmission
+	err := pl.playBlocks(0, func(blk *Block) error {
+		if blk.Len() != BlockSize {
+			t.Errorf("playBlocks handed fn a block of %d packets", blk.Len())
+		}
+		got = append(got, emissions(blk, 0)...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comparePlayer(t, "playBlocks", got, want)
+
+	sg := segment{loAbs: 0, hiAbs: 10, progs: append([]FlowProgram(nil), progs...), blocks: make(chan *Block, 4)}
+	sg.synthesize(context.Background(), &pl, 0, func(r any) { t.Fatalf("segment panicked: %v", r) })
+	got = got[:0]
+	for blk := range sg.blocks {
+		if blk.Len() != BlockSize {
+			t.Errorf("segment sent a block of %d packets", blk.Len())
+		}
+		got = append(got, emissions(blk, 0)...)
+		PutBlock(blk)
+	}
+	comparePlayer(t, "segment", got, want)
+	if d := LiveBlocks() - live; d != 0 {
+		t.Fatalf("%d pooled blocks not returned", d)
+	}
 }
 
 // A degenerate load — thousands of events clustered into a sliver of a long
@@ -191,7 +290,7 @@ func TestPlayerRefinesHotBuckets(t *testing.T) {
 			SizeB:    40 + r.Intn(9000),
 			InvBp1:   1 / (1 + r.Float64()),
 			PktBytes: 1500,
-			Hdr:      netpkt.Header{SrcPort: uint16(i + 1)},
+			Src:      portTag(uint32(i + 1)),
 		})
 	}
 	want := bruteForce(progs, 0, 4000)

@@ -45,8 +45,10 @@ type FlowProgram struct {
 	InvBp1 float64
 	// PktBytes is the wire MTU the flow is chopped into.
 	PktBytes int
-	// Hdr is the constant per-flow header (TotalLen is set per packet).
-	Hdr netpkt.Header
+	// Src and Dst are the flow's constant header, packed once as the two
+	// words of netpkt.Header.Packed that every packet of the flow carries
+	// into a Block (the wire length travels in the block's size column).
+	Src, Dst uint64
 }
 
 // End returns Start + Duration, an upper bound on the flow's packet times
@@ -272,8 +274,8 @@ func (s *programSource) newProgram(t float64, prefix uint32) FlowProgram {
 		SizeB:    sizeB,
 		InvBp1:   1 / (b + 1),
 		PktBytes: c.PktBytes,
-		Hdr:      hdr,
 	}
+	p.Src, p.Dst = hdr.Packed()
 	if t >= c.Warmup {
 		s.flows++
 		if p.SizeB <= p.PktBytes {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"repro/internal/netpkt"
 )
 
 // This file is the sharded phase 2: RNG-free packet synthesis from flow
@@ -76,7 +74,7 @@ type segment struct {
 func (sg *segment) synthesize(ctx context.Context, pl *player, warmup float64, onPanic func(any)) {
 	// blk is the block under construction, shared with the deferred recovery
 	// below so the in-hand block returns to the pool no matter where inside
-	// pl.play a panic unwound from.
+	// pl.fill a panic unwound from.
 	var blk *Block
 	defer close(sg.blocks)
 	defer func() {
@@ -99,22 +97,16 @@ func (sg *segment) synthesize(ctx context.Context, pl *player, warmup float64, o
 	for i := range sg.progs {
 		pl.admit(&sg.progs[i])
 	}
-	blk = GetBlock()
-	pl.play(func(t float64, pkt int, hdr netpkt.Header) bool {
-		src, dst := hdr.Packed()
-		blk.Append(t-warmup, uint16(pkt), src, dst)
-		if blk.Len() == BlockSize {
-			sg.blocks <- blk
-			blk = GetBlock()
-			return ctx.Err() == nil
+	for more := true; more && ctx.Err() == nil; {
+		blk = GetBlock()
+		more = pl.fill(blk, warmup)
+		if blk.Len() == 0 {
+			break
 		}
-		return true
-	})
-	if blk.Len() > 0 {
 		sg.blocks <- blk
-	} else {
-		PutBlock(blk)
+		blk = nil
 	}
+	PutBlock(blk)
 	blk = nil
 }
 

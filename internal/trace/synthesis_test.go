@@ -351,14 +351,26 @@ func TestSerialStreamDigest(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			h := fnv.New64a()
+			var sizes []int
 			sum, err := StreamParallelBlocksCtx(context.Background(), c.cfg, 1, func(blk *Block) error {
 				for i := range blk.Len() {
 					packetDigest(h, blk.Times[i], blk.Sizes[i], blk.Srcs[i], blk.Dsts[i])
 				}
+				sizes = append(sizes, blk.Len())
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The block boundaries are part of the stream: every block is
+			// full but the last, which is not empty.
+			for i, n := range sizes {
+				if n != BlockSize && (i < len(sizes)-1 || n == 0) {
+					t.Fatalf("block %d of %d holds %d packets", i, len(sizes), n)
+				}
+			}
+			if want := (c.packets + BlockSize - 1) / BlockSize; int64(len(sizes)) != want {
+				t.Errorf("stream: %d blocks, want %d", len(sizes), want)
 			}
 			if h.Sum64() != c.digest || sum.Packets != c.packets || sum.Bytes != c.bytes || sum.Flows != c.flows {
 				t.Errorf("stream: digest %#x, %d packets, %d bytes, %d flows; want %#x, %d, %d, %d",
