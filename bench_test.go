@@ -592,6 +592,32 @@ func BenchmarkModelAveragedVariance(b *testing.B) {
 	}
 }
 
+// BenchmarkFitPowerBAveraged fits the shot exponent to the σ_Δ² of
+// b = 2.95 (the exponent examples/trafficgen fits) at Δ = 0.2 over the bench
+// population. Every step of the search evaluates eq. (7) at a real b, whose
+// per-flow quadrature is most of the fit's time.
+func BenchmarkFitPowerBAveraged(b *testing.B) {
+	in, err := core.InputFromFlows(benchFlows(b).Flows, 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := in.Model(core.PowerShot{B: 2.95})
+	if err != nil {
+		b.Fatal(err)
+	}
+	target, err := m.AveragedVariance(0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.FitPowerBAveraged(target, 0.2, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(m.Pop.Len()), "flows/op")
+}
+
 // BenchmarkModelAutoCorrelation evaluates the Theorem 2 auto-correlation
 // at one lag, Figure 8's and the §VII-C generator's curve: b = 2 takes
 // CrossCov's closed form, b = 2.95 (the exponent examples/trafficgen fits)
@@ -608,7 +634,7 @@ func BenchmarkModelAutoCorrelation(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("b=%g", exp), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = m.AutoCorrelation(0.2)
+				_ = m.AutoCorrelations([]float64{0.2})
 			}
 			b.ReportMetric(float64(m.Pop.Len()), "flows/op")
 		})

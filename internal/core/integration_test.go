@@ -110,7 +110,7 @@ func TestModelMatchesMeasuredCoV(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		b    float64
-		shot core.Shot
+		shot core.PowerShot
 	}{
 		{"rectangular", 0, core.Rectangular},
 		{"triangular", 1, core.Triangular},

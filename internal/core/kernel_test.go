@@ -241,43 +241,6 @@ func TestLogMGFRealBMatchesGradedOracle(t *testing.T) {
 	t.Logf("worst rel %g", worst)
 }
 
-// Shots outside the power family integrate the log-MGF numerically; on the
-// smooth exponential shape that must match a fine Simpson rule at the θ a
-// Chernoff search visits (its Gaussian start k/σ and the doublings after).
-func TestLogMGFFuncShotMatchesSimpson(t *testing.T) {
-	expShot, err := NewFuncShot("exponential", math.Exp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows := testFlows(100, 22)
-	m, err := NewModel(100, expShot, flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := 0.0
-	for _, k := range []float64{0.5, 1, 2, 4, 8, 16} {
-		theta := k / m.StdDev()
-		got, err := m.LogMGF(theta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum float64
-		for i, s := range flows.S {
-			d := flows.D[i]
-			sum += simpson(func(u float64) float64 {
-				return math.Expm1(theta * expShot.Rate(s, d, u))
-			}, 0, d, 8192)
-		}
-		want := m.Lambda * sum / float64(flows.Len())
-		rel := relDiff(got, want)
-		worst = max(worst, rel)
-		if rel > 1e-8 {
-			t.Errorf("θ·σ=%g: Gauss–Legendre %g vs Simpson %g (rel %g)", k, got, want, rel)
-		}
-	}
-	t.Logf("worst rel %g", worst)
-}
-
 // gammaLowerExpM1 must overflow to +Inf exactly where the integral does,
 // and agree with the complementary small-x series region smoothly.
 func TestGammaLowerExpM1Extremes(t *testing.T) {

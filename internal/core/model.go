@@ -13,7 +13,7 @@ import (
 // each transmitting with the Shot rate function.
 type Model struct {
 	Lambda float64
-	Shot   Shot
+	Shot   PowerShot
 	// Pop is the (S, D) flow population every moment, kernel and
 	// population loop evaluates over. Input.Model shares one population
 	// across shot shapes, and WithLambda copies share it across λ.
@@ -21,15 +21,16 @@ type Model struct {
 }
 
 // NewModel validates its inputs and builds a model over the population,
-// which must be non-empty with positive sizes and durations. The model
-// shares pop; the caller must not Reset or Append to it while the model is
-// in use.
-func NewModel(lambda float64, shot Shot, pop *FlowPop) (*Model, error) {
+// which must be non-empty with positive sizes and durations. The shot
+// exponent must be finite and ≥ 0, the domain of the θ-kernel and of the
+// §V-D fits. The model shares pop; the caller must not Reset or Append to
+// it while the model is in use.
+func NewModel(lambda float64, shot PowerShot, pop *FlowPop) (*Model, error) {
 	if !(lambda > 0) {
 		return nil, fmt.Errorf("core: lambda must be > 0, got %g", lambda)
 	}
-	if shot == nil {
-		return nil, fmt.Errorf("core: nil shot")
+	if !(shot.B >= 0) || math.IsInf(shot.B, 1) {
+		return nil, fmt.Errorf("core: shot exponent must be finite and >= 0, got %g", shot.B)
 	}
 	if pop.Len() == 0 {
 		return nil, fmt.Errorf("core: empty flow population")
@@ -73,7 +74,7 @@ func InputFromFlows(flows []flow.Flow, intervalSec float64) (Input, error) {
 
 // Model builds a model from the input with the given shot shape, sharing
 // the input's population.
-func (in Input) Model(shot Shot) (*Model, error) {
+func (in Input) Model(shot PowerShot) (*Model, error) {
 	return NewModel(in.Lambda, shot, in.Pop)
 }
 
@@ -130,24 +131,20 @@ func (m *Model) AutoCovariance(tau float64) float64 {
 	return m.Lambda * sum / float64(n)
 }
 
-// AutoCorrelation returns γ(τ)/γ(0), the curve of the paper's Figure 8.
-func (m *Model) AutoCorrelation(tau float64) float64 {
-	return m.AutoCorrelations([]float64{tau})[0]
-}
-
 // AutoCorrelations returns γ(τ)/γ(0) at each lag in taus (0 everywhere when
-// γ(0) = 0), computing γ(0) once for the whole curve instead of once per lag.
-// Closed-form integer-b power shots take every lag in one population pass
-// (powerCrossCovSums); each value is bit-identical to AutoCovariance's.
+// γ(0) = 0), the curve of the paper's Figure 8, computing γ(0) once for the
+// whole curve instead of once per lag. Closed-form integer b takes every
+// lag in one population pass (powerCrossCovSums); each value is
+// bit-identical to AutoCovariance's.
 func (m *Model) AutoCorrelations(taus []float64) []float64 {
 	out := make([]float64, len(taus))
 	v := m.Variance()
 	if v == 0 {
 		return out
 	}
-	if ps, ok := m.Shot.(PowerShot); ok && ps.closedFormB() {
+	if m.Shot.closedFormB() {
 		n := float64(m.Pop.Len())
-		for i, sum := range powerCrossCovSums(int(ps.B), m.Pop, taus) {
+		for i, sum := range powerCrossCovSums(int(m.Shot.B), m.Pop, taus) {
 			out[i] = m.Lambda * sum / n / v
 		}
 		return out
@@ -214,13 +211,13 @@ func (m *Model) AveragedVariance(delta float64) (float64, error) {
 	if m.Pop.Len() == 0 {
 		return 0, fmt.Errorf("core: averaged variance needs a non-empty flow population")
 	}
-	// Integer-b power shots (the paper's b = 0, 1, 2 and every fitted
-	// integer exponent) evaluate through a (b, Δ) coefficient kernel: one
+	// Integer b (the paper's b = 0, 1, 2 and every fitted integer
+	// exponent) evaluates through a (b, Δ) coefficient kernel: one
 	// branch-partitioned Horner pass over the population. kernel_test.go's
 	// scalar closed form avgVarCrossInt is its oracle. A Meter, which
 	// evaluates every interval at one Δ, builds its kernels once instead.
-	if ps, ok := m.Shot.(PowerShot); ok && ps.closedFormB() {
-		k, err := NewAvgVarKernel(int(ps.B), delta)
+	if m.Shot.closedFormB() {
+		k, err := NewAvgVarKernel(int(m.Shot.B), delta)
 		if err != nil {
 			return 0, err
 		}
@@ -233,13 +230,13 @@ func (m *Model) AveragedVariance(delta float64) (float64, error) {
 // averaged over Δ is shot noise with shot x̄(t) = (C(t+Δ) − C(t))/Δ on
 // (−Δ, D), C the shot's Cumulative, so σ_Δ² = λ·E[∫ x̄(t)² dt]. x̄ is smooth
 // between −Δ, 0, D−Δ and D, and each piece takes an 8-point Gauss–Legendre
-// rule, exact for power shots at integer b ≤ 6. Past t ≈ Δ, x̄² grows like
+// rule, exact at integer b ≤ 6. Past t ≈ Δ, x̄² grows like
 // t^{2b} from its singularity at 0, so [0, D−Δ] takes gradedGL8, graded
 // toward 0 by a factor 8 per piece down to Δ. At real b ∈ [0.02, 5.5] and
 // D/Δ ∈ [0.1, 1e4] that is within 1.1e-5 relative of a finely graded
 // reference, worst near D = Δ (avgvar_test.go checks the nested eq. (7)
 // quadrature). The population must be non-empty.
-func averagedVariance(lambda float64, shot Shot, pop *FlowPop, delta float64) float64 {
+func averagedVariance(lambda float64, shot PowerShot, pop *FlowPop, delta float64) float64 {
 	var sum float64
 	for i, s := range pop.S {
 		d := pop.D[i]

@@ -39,8 +39,10 @@ func TestNewModelValidation(t *testing.T) {
 	if _, err := NewModel(0, Triangular, fl); err == nil {
 		t.Fatal("lambda 0 should be rejected")
 	}
-	if _, err := NewModel(10, nil, fl); err == nil {
-		t.Fatal("nil shot should be rejected")
+	for _, b := range []float64{-0.5, math.NaN(), math.Inf(1)} {
+		if _, err := NewModel(10, PowerShot{B: b}, fl); err == nil {
+			t.Fatalf("shot exponent %g should be rejected", b)
+		}
 	}
 	if _, err := NewModel(10, Triangular, nil); err == nil {
 		t.Fatal("nil population should be rejected")
@@ -127,7 +129,8 @@ func TestTheorem3Property(t *testing.T) {
 	}
 }
 
-// Theorem 3 also holds for arbitrary (non-power) shapes.
+// Theorem 3 also holds for arbitrary (non-power) shapes: the variance
+// λ·E[∫x²] is at least the rectangular shot's λ·E[S²/D] (λ cancels).
 func TestTheorem3ForFuncShots(t *testing.T) {
 	shapes := map[string]func(float64) float64{
 		"sqrt":       math.Sqrt,
@@ -138,17 +141,17 @@ func TestTheorem3ForFuncShots(t *testing.T) {
 	}
 	fl := testFlows(500, 7)
 	for name, phi := range shapes {
-		fs, err := NewFuncShot(name, phi)
+		fs, err := NewFuncShot(phi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := NewModel(25, fs, fl)
-		if err != nil {
-			t.Fatal(err)
+		var sum float64
+		for i, s := range fl.S {
+			sum += fs.IntegralX2(s, fl.D[i])
 		}
-		if m.Variance() < m.VarianceLowerBound()*(1-1e-9) {
-			t.Fatalf("shape %q violates Theorem 3: var %g < bound %g",
-				name, m.Variance(), m.VarianceLowerBound())
+		meanX2, bound := sum/float64(fl.Len()), fl.MeanS2OverD()
+		if meanX2 < bound*(1-1e-9) {
+			t.Fatalf("shape %q violates Theorem 3: E[∫x²] %g < E[S²/D] %g", name, meanX2, bound)
 		}
 	}
 }
@@ -161,8 +164,8 @@ func TestAutoCovarianceAtZeroIsVariance(t *testing.T) {
 	if !almostRel(m.AutoCovariance(0), m.Variance(), 1e-9) {
 		t.Fatalf("γ(0) = %g, variance %g", m.AutoCovariance(0), m.Variance())
 	}
-	if !almostRel(m.AutoCorrelation(0), 1, 1e-9) {
-		t.Fatalf("ρ(0) = %g, want 1", m.AutoCorrelation(0))
+	if rho := m.AutoCorrelations([]float64{0})[0]; !almostRel(rho, 1, 1e-9) {
+		t.Fatalf("ρ(0) = %g, want 1", rho)
 	}
 }
 
@@ -293,15 +296,12 @@ func TestCumulantsMatchMoments(t *testing.T) {
 }
 
 // NewModel rejects an empty population, but a hand-built Model can carry
-// one; the closed-form and quadrature paths of AveragedVariance and the
-// Cumulant oracle must return an error rather than the NaN their
-// divide-by-len would produce (mirrors the Cumulant(0) rejection above).
+// one; the closed-form (integer b) and quadrature (real b) paths of
+// AveragedVariance and the Cumulant oracle must return an error rather
+// than the NaN their divide-by-len would produce (mirrors the Cumulant(0)
+// rejection above).
 func TestEmptyPopulationRejected(t *testing.T) {
-	fs, err := NewFuncShot("flat", func(u float64) float64 { return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shot := range []Shot{Parabolic, fs} {
+	for _, shot := range []PowerShot{Parabolic, {B: 0.5}} {
 		m := &Model{Lambda: 10, Shot: shot}
 		if v, err := m.AveragedVariance(0.2); err == nil {
 			t.Fatalf("%s: AveragedVariance on empty population = %g, want error", shot.Name(), v)
@@ -447,33 +447,6 @@ func TestInputFromFlowsPopMatchesAllocating(t *testing.T) {
 	}
 	if _, err := InputFromFlowsPop(pop, flows, 0); err == nil {
 		t.Fatal("zero interval should be rejected")
-	}
-}
-
-func TestCumulantFuncShotNumericPath(t *testing.T) {
-	fs, err := NewFuncShot("flat", func(u float64) float64 { return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := testFlows(100, 10)
-	mf, err := NewModel(15, fs, fl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := NewModel(15, Rectangular, fl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kf, err := mf.Cumulant(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kr, err := mr.Cumulant(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostRel(kf, kr, 1e-6) {
-		t.Fatalf("numeric cumulant %g vs closed form %g", kf, kr)
 	}
 }
 
@@ -722,8 +695,7 @@ func TestFitPowerBAveragedPooledInput(t *testing.T) {
 
 // Cumulant returns the k-th cumulant of R(t), κ_k = λ·E[∫₀^D X(u)^k du]
 // (Campbell's theorem; Corollary 3 in LST form): κ₁ is the Mean, κ₂ the
-// Variance, κ₃ drives the skewness. PowerShots take the closed form; other
-// shots are integrated numerically through Rate.
+// Variance, κ₃ drives the skewness. Every power shot takes the closed form.
 func (m *Model) Cumulant(k int) (float64, error) {
 	if k < 1 {
 		return 0, fmt.Errorf("core: cumulant order must be >= 1, got %d", k)
@@ -733,28 +705,16 @@ func (m *Model) Cumulant(k int) (float64, error) {
 	if n == 0 {
 		return 0, fmt.Errorf("core: cumulant needs a non-empty flow population")
 	}
+	// ∫X^k = s^k·(b+1)^k / (d^{k-1}·(kb+1)): the (b+1)^k/(kb+1) factor is
+	// flow-independent, and the flow powers are small-integer, so the loop
+	// is pure powi (kernel_test.go's IntegralXK is the per-flow form).
+	kk := float64(k)
+	c := math.Pow(m.Shot.B+1, kk) / (kk*m.Shot.B + 1)
 	var sum float64
-	if ps, ok := m.Shot.(PowerShot); ok {
-		// ∫X^k = s^k·(b+1)^k / (d^{k-1}·(kb+1)): the (b+1)^k/(kb+1) factor
-		// is flow-independent, and the flow powers are small-integer, so the
-		// loop is pure powi (kernel_test.go's IntegralXK is the per-flow
-		// form).
-		kk := float64(k)
-		c := math.Pow(ps.B+1, kk) / (kk*ps.B + 1)
-		for i := 0; i < n; i++ {
-			sum += powi(pop.S[i], k) * powi(pop.InvD[i], k-1)
-		}
-		sum *= c
-	} else {
-		for i := 0; i < n; i++ {
-			s, d := pop.S[i], pop.D[i]
-			g := func(u float64) float64 {
-				return math.Pow(m.Shot.Rate(s, d, u), float64(k))
-			}
-			sum += simpson(g, 0, d, 256)
-		}
+	for i := 0; i < n; i++ {
+		sum += powi(pop.S[i], k) * powi(pop.InvD[i], k-1)
 	}
-	return m.Lambda * sum / float64(n), nil
+	return m.Lambda * c * sum / float64(n), nil
 }
 
 // Skewness returns κ₃/κ₂^(3/2) of the total rate, a check on how far the
@@ -776,9 +736,9 @@ func (m *Model) Skewness() (float64, error) {
 
 // SpectralDensity returns the power spectral density Γ(ω) of the centred
 // total rate at angular frequency ω (rad/s): Γ(ω) = λ/(2π)·E[|X̂(ω)|²]
-// where X̂ is the Fourier transform of the shot (§V-B). Integer-b
-// PowerShots take the closed form (powerShotFT); other shots are evaluated
-// by quadrature per flow sample.
+// where X̂ is the Fourier transform of the shot (§V-B). Integer b takes the
+// closed form (powerShotFT); real b is evaluated by quadrature per flow
+// sample.
 func (m *Model) SpectralDensity(omega float64) float64 {
 	pop := m.Pop
 	n := pop.Len()
@@ -786,7 +746,7 @@ func (m *Model) SpectralDensity(omega float64) float64 {
 		return 0
 	}
 	var sum float64
-	if ps, ok := m.Shot.(PowerShot); ok && ps.B >= 0 && ps.B == math.Trunc(ps.B) {
+	if ps := m.Shot; ps.B == math.Trunc(ps.B) {
 		// X̂(ω) = s·(b+1)·∫₀¹ u^b e^{iωdu} du for X(t) = s(b+1)/d^{b+1}·t^b.
 		for i := 0; i < n; i++ {
 			x := complex(pop.S[i]*(ps.B+1), 0) * powerShotFT(int(ps.B), omega*pop.D[i])

@@ -6,10 +6,14 @@
 // a duration D_n with a flow rate function ("shot") X_n(t-T_n), and the
 // total rate is R(t) = Σ_n X_n(t-T_n). The model computes the mean and
 // variance of R(t) from three measurable inputs, λ, E[S] and E[S²/D], plus
-// a choice of shot shape; the auto-covariance (Theorem 2), the Δ-averaged
+// the shot's shape; the auto-covariance (Theorem 2), the Δ-averaged
 // variance of eq. (7) and the Chernoff tail bound average over the measured
 // (S, D) flow population. Link dimensioning uses the Gaussian approximation
 // (§V-E) or the tail bound.
+//
+// The paper states the model for any shot, but every figure, fit and
+// generator uses the power family x(t) = a·t^b of §V-D, so the model's shot
+// is a PowerShot; other shapes live in the tests as oracles.
 package core
 
 import (
@@ -17,30 +21,12 @@ import (
 	"math"
 )
 
-// Shot describes the flow rate function x(t) on [0, D] for a flow of size
-// s bits and duration d seconds, normalised so that ∫₀^D x(t) dt = S
-// (the flow transmits exactly its size, eq. 5 of the paper).
-type Shot interface {
-	// Rate returns x(t) in bit/s at offset t ∈ [0, d]. Zero outside.
-	Rate(s, d, t float64) float64
-	// IntegralX2 returns ∫₀^D x(t)² dt, the per-flow contribution to the
-	// variance (Corollary 2).
-	IntegralX2(s, d float64) float64
-	// CrossCov returns ∫₀^{D-τ} x(t)·x(t+τ) dt for τ ≥ 0 (0 for τ ≥ D),
-	// the per-flow contribution to the auto-covariance (Theorem 2).
-	CrossCov(s, d, tau float64) float64
-	// Cumulative returns ∫₀^t x(u) du, the bits transmitted by offset t
-	// (clamped to [0, s]). The §VII-C traffic generator integrates shots
-	// over rate bins with it.
-	Cumulative(s, d, t float64) float64
-	// Name identifies the shape in reports.
-	Name() string
-}
-
-// PowerShot is the paper's parametric family x(t) = a·t^b (§V-D, Figure 7):
-// b = 0 is the rectangular shot (constant rate), b = 1 the triangular shot
-// (linear TCP-like ramp), b = 2 the parabolic shot. The normalisation
-// constraint gives a = S(b+1)/D^(b+1).
+// PowerShot is the paper's parametric family x(t) = a·t^b on [0, D] (§V-D,
+// Figure 7): b = 0 is the rectangular shot (constant rate), b = 1 the
+// triangular shot (linear TCP-like ramp), b = 2 the parabolic shot. The
+// normalisation constraint ∫₀^D x(t) dt = S (the flow transmits exactly its
+// size, eq. 5) gives a = S(b+1)/D^(b+1). The exponent is finite and ≥ 0
+// (NewModel checks it).
 type PowerShot struct{ B float64 }
 
 // Predefined shapes used throughout the paper's evaluation.

@@ -232,7 +232,7 @@ func TestCrossCovProperties(t *testing.T) {
 }
 
 func TestFuncShotConstantMatchesRectangular(t *testing.T) {
-	fs, err := NewFuncShot("flat", func(u float64) float64 { return 1 })
+	fs, err := NewFuncShot(func(u float64) float64 { return 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestFuncShotConstantMatchesRectangular(t *testing.T) {
 }
 
 func TestFuncShotLinearMatchesTriangular(t *testing.T) {
-	fs, err := NewFuncShot("linear", func(u float64) float64 { return u })
+	fs, err := NewFuncShot(func(u float64) float64 { return u })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +264,10 @@ func TestFuncShotLinearMatchesTriangular(t *testing.T) {
 }
 
 func TestFuncShotValidation(t *testing.T) {
-	if _, err := NewFuncShot("nil", nil); err == nil {
+	if _, err := NewFuncShot(nil); err == nil {
 		t.Fatal("nil shape should be rejected")
 	}
-	if _, err := NewFuncShot("zero", func(u float64) float64 { return 0 }); err == nil {
+	if _, err := NewFuncShot(func(u float64) float64 { return 0 }); err == nil {
 		t.Fatal("zero-integral shape should be rejected")
 	}
 }
@@ -325,21 +325,20 @@ func simpson(f func(float64) float64, a, b float64, n int) float64 {
 	return sum * h / 3
 }
 
-// FuncShot is a measurement-driven shot built from an arbitrary shape
-// function φ(u) ≥ 0 on [0,1] (§V-D suggests log, square-root, exponential
-// alternatives). The flow rate is x(t) = (S/D)·φ(t/D)/∫₀¹φ, which satisfies
-// the size constraint for any φ. The tests pin it against the closed-form
-// power shots and use it to drive the model's non-PowerShot (quadrature)
-// paths.
+// FuncShot is a shot built from an arbitrary shape function φ(u) ≥ 0 on
+// [0,1] (§V-D suggests log, square-root, exponential alternatives). The
+// flow rate is x(t) = (S/D)·φ(t/D)/∫₀¹φ, which satisfies the size
+// constraint for any φ. The tests pin it against the closed-form power
+// shots and check on it the laws the paper states for any shot
+// (Theorem 3).
 type FuncShot struct {
-	ShapeName string
-	Phi       func(u float64) float64
-	norm      float64 // ∫₀¹ φ
-	norm2     float64 // ∫₀¹ φ²
+	Phi   func(u float64) float64
+	norm  float64 // ∫₀¹ φ
+	norm2 float64 // ∫₀¹ φ²
 }
 
 // NewFuncShot validates φ and precomputes its normalisation integrals.
-func NewFuncShot(name string, phi func(float64) float64) (*FuncShot, error) {
+func NewFuncShot(phi func(float64) float64) (*FuncShot, error) {
 	if phi == nil {
 		return nil, fmt.Errorf("core: nil shape function")
 	}
@@ -348,11 +347,8 @@ func NewFuncShot(name string, phi func(float64) float64) (*FuncShot, error) {
 		return nil, fmt.Errorf("core: shape function must have positive finite integral, got %g", norm)
 	}
 	norm2 := simpson(func(u float64) float64 { v := phi(u); return v * v }, 0, 1, 1024)
-	return &FuncShot{ShapeName: name, Phi: phi, norm: norm, norm2: norm2}, nil
+	return &FuncShot{Phi: phi, norm: norm, norm2: norm2}, nil
 }
-
-// Name identifies the shape.
-func (f *FuncShot) Name() string { return f.ShapeName }
 
 // Rate returns (s/d)·φ(t/d)/∫φ.
 func (f *FuncShot) Rate(s, d, t float64) float64 {
@@ -368,17 +364,6 @@ func (f *FuncShot) IntegralX2(s, d float64) float64 {
 		return 0
 	}
 	return s * s / d * f.norm2 / (f.norm * f.norm)
-}
-
-// Cumulative integrates the normalised shape numerically: s·∫₀^{t/d}φ/∫φ.
-func (f *FuncShot) Cumulative(s, d, t float64) float64 {
-	if t <= 0 || d <= 0 {
-		return 0
-	}
-	if t >= d {
-		return s
-	}
-	return s * simpson(f.Phi, 0, t/d, 256) / f.norm
 }
 
 // CrossCov integrates numerically over the normalised shape.

@@ -20,11 +20,9 @@ import (
 // respects the positivity and the skew of the rate, so it does not
 // under-provision for small congestion probabilities.
 
-// LogMGF returns ψ(θ) for θ ≥ 0. Power shots with b ≥ 0 evaluate the inner
-// integral in closed form through the hoisted θ-kernel (gammaLowerExpM1 is
-// the only per-flow transcendental — this is what the Chernoff θ search
-// runs on); other shots integrate per flow sample with the 8-point
-// Gauss–Legendre rule on 16 equal pieces of [0, D].
+// LogMGF returns ψ(θ) for θ ≥ 0. The inner integral of each flow takes its
+// closed form through the hoisted θ-kernel (gammaLowerExpM1 is the only
+// per-flow transcendental — this is what the Chernoff θ search runs on).
 // ψ(0) = 0, ψ'(0) = E[R], ψ”(0) = Var(R).
 func (m *Model) LogMGF(theta float64) (float64, error) {
 	if theta < 0 {
@@ -39,25 +37,9 @@ func (m *Model) LogMGF(theta float64) (float64, error) {
 		return 0, fmt.Errorf("core: log-MGF needs a non-empty flow population")
 	}
 	var sum float64
-	if ps, ok := m.Shot.(PowerShot); ok && ps.B >= 0 {
-		k := newMGFKernel(ps.B, theta)
-		for i := 0; i < n; i++ {
-			sum += k.expM1(pop.S[i], pop.D[i], pop.InvD[i])
-			if math.IsInf(sum, 0) {
-				return math.Inf(1), nil
-			}
-		}
-		return m.Lambda * sum / float64(n), nil
-	}
+	k := newMGFKernel(m.Shot.B, theta)
 	for i := 0; i < n; i++ {
-		s, d := pop.S[i], pop.D[i]
-		g := func(u float64) float64 {
-			return math.Expm1(theta * m.Shot.Rate(s, d, u))
-		}
-		h := d / 16
-		for j := range 16 {
-			sum += gaussLegendre8(g, float64(j)*h, float64(j+1)*h)
-		}
+		sum += k.expM1(pop.S[i], pop.D[i], pop.InvD[i])
 		if math.IsInf(sum, 0) {
 			return math.Inf(1), nil
 		}

@@ -17,7 +17,7 @@ import (
 )
 
 // refModel builds a model from the reference interval's 5-tuple flows.
-func (r *Runner) refModel(shot core.Shot) (*core.Model, core.Input, error) {
+func (r *Runner) refModel(shot core.PowerShot) (*core.Model, core.Input, error) {
 	res5, _, err := r.RefInterval()
 	if err != nil {
 		return nil, core.Input{}, err
@@ -109,7 +109,7 @@ func (r *Runner) AppA(w io.Writer) error {
 // constant-rate generator) under-estimates the variance.
 func (r *Runner) AppC(w io.Writer, seed int64) error {
 	sep(w, "Application C (§VII-C) — backbone traffic generation")
-	m, in, err := r.refModel(core.Parabolic)
+	m, _, err := r.refModel(core.Parabolic)
 	if err != nil {
 		return err
 	}
@@ -158,7 +158,6 @@ func (r *Runner) AppC(w io.Writer, seed int64) error {
 	for k, rho := range m.AutoCorrelations(taus) {
 		fmt.Fprintf(w, "%10.0f %12.3f %12.3f\n", taus[k]*1e3, rho, acf[k])
 	}
-	_ = in
 	return nil
 }
 

@@ -165,7 +165,7 @@ func (r *Runner) Fig6(w io.Writer) error {
 // unit flow (S = 1, D = 1), so their normalisation is visible.
 func (r *Runner) Fig7(w io.Writer) error {
 	sep(w, "Figure 7 — shot shapes x(t) for a unit flow (S=1, D=1)")
-	shots := []core.Shot{
+	shots := []core.PowerShot{
 		core.Rectangular,
 		core.Triangular,
 		core.PowerShot{B: 0.5},

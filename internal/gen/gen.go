@@ -26,8 +26,9 @@ import (
 type Config struct {
 	// Lambda is the flow arrival rate (flows/s).
 	Lambda float64
-	// Shot is the flow rate function to transmit with.
-	Shot core.Shot
+	// Shot is the flow rate function to transmit with: the §V-D power
+	// shot the model is fitted with, exponent finite and >= 0.
+	Shot core.PowerShot
 	// Pop is the empirical (S, D) population to bootstrap from.
 	Pop *core.FlowPop
 	// Duration of the generated window in seconds.
@@ -54,13 +55,15 @@ func FromModel(m *core.Model, duration, warmup float64, seed int64) Config {
 
 // validate rejects a config the generation loops cannot finish: a NaN or
 // infinite Lambda, Duration or Warmup would spin the arrival loop forever or
-// size the rate series past any allocation.
+// size the rate series past any allocation. The shot exponent takes
+// core.NewModel's domain, finite and >= 0 (a NaN one would pace every
+// packet at a NaN time).
 func (c *Config) validate() error {
 	if !(c.Lambda > 0) || math.IsInf(c.Lambda, 0) {
 		return fmt.Errorf("gen: Lambda must be finite and > 0, got %g", c.Lambda)
 	}
-	if c.Shot == nil {
-		return fmt.Errorf("gen: nil Shot")
+	if !(c.Shot.B >= 0) || math.IsInf(c.Shot.B, 1) {
+		return fmt.Errorf("gen: Shot exponent must be finite and >= 0, got %g", c.Shot.B)
 	}
 	if c.Pop.Len() == 0 {
 		return fmt.Errorf("gen: empty flow population")
@@ -129,11 +132,10 @@ func FluidSeries(cfg Config, delta float64) (timeseries.Series, error) {
 
 // Packets generates a packet-level trace: flow arrivals and (S, D) as in
 // FluidSeries, with each flow's bytes chopped into pktBytes-sized packets
-// paced on the shot's inverse cumulative curve. The shot must be a
-// core.PowerShot (the family §V-D fits); general shots would need numeric
-// inversion. Packets reach fn in timestamp order as pooled blocks that fn
-// borrows until it returns (trace.PlayPrograms' contract); an fn error
-// stops generation and is returned.
+// paced on the shot's inverse cumulative curve, the power shot's closed
+// form D·u^{1/(b+1)}. Packets reach fn in timestamp order as pooled blocks
+// that fn borrows until it returns (trace.PlayPrograms' contract); an fn
+// error stops generation and is returned.
 //
 // Generation rides the trace package's shared program player: each arrival
 // becomes a compact trace.FlowProgram pulled on demand, and the player
@@ -145,10 +147,6 @@ func Packets(cfg Config, pktBytes int, fn func(*trace.Block) error) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	ps, ok := cfg.Shot.(core.PowerShot)
-	if !ok {
-		return fmt.Errorf("gen: packet generation requires a PowerShot, got %T", cfg.Shot)
-	}
 	if pktBytes < 40 {
 		return fmt.Errorf("gen: pktBytes must be >= 40, got %d", pktBytes)
 	}
@@ -158,7 +156,7 @@ func Packets(cfg Config, pktBytes int, fn func(*trace.Block) error) error {
 		return fmt.Errorf("gen: %w", err)
 	}
 	horizon := cfg.Warmup + cfg.Duration
-	invBp1 := 1 / (ps.B + 1)
+	invBp1 := 1 / (cfg.Shot.B + 1)
 	var flowID uint32
 	// next draws arrivals lazily in Start order (a plain Poisson process, so
 	// arrival order is Start order — the player feed's one requirement).

@@ -37,7 +37,7 @@ func testPopulation(n int, seed int64) *core.FlowPop {
 	return p
 }
 
-func testModel(t *testing.T, shot core.Shot, lambda float64) *core.Model {
+func testModel(t *testing.T, shot core.PowerShot, lambda float64) *core.Model {
 	t.Helper()
 	m, err := core.NewModel(lambda, shot, testPopulation(3000, 1))
 	if err != nil {
@@ -63,6 +63,10 @@ func TestConfigValidation(t *testing.T) {
 		{Lambda: 1, Shot: core.Triangular, Pop: pop, Duration: inf},
 		{Lambda: inf, Shot: core.Triangular, Pop: pop, Duration: 10},
 		{Lambda: nan, Shot: core.Triangular, Pop: pop, Duration: 10},
+		// The power shot's exponent must be finite and >= 0.
+		{Lambda: 1, Shot: core.PowerShot{B: -0.5}, Pop: pop, Duration: 10},
+		{Lambda: 1, Shot: core.PowerShot{B: nan}, Pop: pop, Duration: 10},
+		{Lambda: 1, Shot: core.PowerShot{B: inf}, Pop: pop, Duration: 10},
 	}
 	for i, cfg := range bad {
 		if err := cfg.validate(); err == nil {
@@ -85,17 +89,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := packetRecords(good, 10); err == nil {
 		t.Fatal("tiny pktBytes should be rejected")
 	}
-	// Rectangular's shape under a type that is not a PowerShot.
-	good.Shot = struct{ core.PowerShot }{core.Rectangular}
-	if _, err := packetRecords(good, 1500); err == nil {
-		t.Fatal("non-power shot for packets should be rejected")
-	}
 }
 
 // The generated fluid traffic must reproduce the model's first two moments
 // — this is the validation loop of §VII-C.
 func TestFluidSeriesMatchesModelMoments(t *testing.T) {
-	for _, shot := range []core.Shot{core.Rectangular, core.Parabolic} {
+	for _, shot := range []core.PowerShot{core.Rectangular, core.Parabolic} {
 		m := testModel(t, shot, 120)
 		cfg := FromModel(m, 400, 30, 9)
 		series, err := FluidSeries(cfg, 0.1)

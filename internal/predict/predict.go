@@ -140,16 +140,14 @@ func ModelACF(m *core.Model, ell float64, maxLag int) ([]float64, error) {
 	if maxLag < 1 {
 		return nil, fmt.Errorf("predict: need at least one lag")
 	}
-	v := m.Variance()
-	if !(v > 0) {
+	if !(m.Variance() > 0) {
 		return nil, fmt.Errorf("predict: model variance is zero")
 	}
-	rho := make([]float64, maxLag+1)
-	rho[0] = 1
-	for k := 1; k <= maxLag; k++ {
-		rho[k] = m.AutoCovariance(float64(k)*ell) / v
+	taus := make([]float64, maxLag)
+	for k := range taus {
+		taus[k] = float64(k+1) * ell
 	}
-	return rho, nil
+	return append([]float64{1}, m.AutoCorrelations(taus)...), nil
 }
 
 // SelectOrder implements the paper's order-selection rule: start from
