@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/flow"
 	"repro/internal/service"
 	"repro/internal/snapshot"
@@ -166,23 +165,12 @@ func buildSource(ctx context.Context, kind, in string, epoch float64, epochs int
 		if !(b >= 0) || math.IsInf(b, 1) {
 			return nil, fmt.Errorf("-b must be finite and >= 0, got %g", b)
 		}
-		size, err := trace.FlowSizeDist()
-		if err != nil {
-			return nil, err
-		}
-		rate, err := trace.FlowRateDist(283e3)
+		base, err := trace.CustomConfig(epoch, lambda, b, seed)
 		if err != nil {
 			return nil, err
 		}
 		return &service.SyntheticSource{
-			Base: trace.Config{
-				Duration:  epoch,
-				Lambda:    lambda,
-				SizeBytes: size,
-				RateBps:   rate,
-				ShotB:     dist.Constant{V: b},
-				Seed:      seed,
-			},
+			Base:       base,
 			Epochs:     epochs,
 			GenWorkers: genWork,
 		}, nil

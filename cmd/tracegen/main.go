@@ -23,7 +23,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/dist"
 	"repro/internal/trace"
 	"repro/internal/trace/store"
 )
@@ -78,23 +77,12 @@ func main() {
 
 	var cfg trace.Config
 	if *duration > 0 {
-		size, err := trace.FlowSizeDist()
+		var err error
+		cfg, err = trace.CustomConfig(*duration, *lambda, *b, *seed)
 		if err != nil {
 			fatal(err)
 		}
-		rate, err := trace.FlowRateDist(283e3)
-		if err != nil {
-			fatal(err)
-		}
-		cfg = trace.Config{
-			Duration:  *duration,
-			Lambda:    *lambda,
-			SizeBytes: size,
-			RateBps:   rate,
-			ShotB:     dist.Constant{V: *b},
-			Seed:      *seed,
-			Warmup:    *warmup,
-		}
+		cfg.Warmup = *warmup
 	} else {
 		specs, err := trace.DefaultSuite(trace.SuiteOptions{
 			LinkBps:          *link,

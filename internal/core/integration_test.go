@@ -26,9 +26,8 @@ const (
 )
 
 // itTrace generates one synthetic interval with per-flow shot exponent b.
-// Mean flow rate 150 kb/s keeps durations (≈1 s typical) above Δ, 500-byte
-// packets keep the in-flow shot realisation fine-grained, and a 60 s
-// warm-up puts the link in stationary regime before the window opens.
+// Mean flow rate 150 kb/s keeps durations (≈1 s typical) above Δ, and a
+// 60 s warm-up puts the link in stationary regime before the window opens.
 // Sessions are disabled (FlowsPerSession = 1) so the traffic satisfies the
 // model's iid-flow Assumption 2 exactly; the session-structured suite is
 // exercised by TestPrefixAggregationFlattensShot and the experiment runs.
@@ -48,7 +47,6 @@ func itTrace(t *testing.T, b float64, seed int64) trace.Config {
 		SizeBytes:       size,
 		RateBps:         rate,
 		ShotB:           dist.Constant{V: b},
-		PktBytes:        500,
 		Warmup:          60,
 		FlowsPerSession: 1,
 		Seed:            seed,

@@ -80,22 +80,14 @@ func (in Input) Model(shot PowerShot) (*Model, error) {
 
 // Mean returns E[R(t)] = λ·E[S] (Corollary 1). Note it is independent of
 // the shot shape and of the duration distribution.
-func (m *Model) Mean() float64 { return m.Lambda * m.Pop.MeanS() }
+func (m *Model) Mean() float64 { return MeanFromParams(m.Lambda, m.Pop.MeanS()) }
 
-// Variance returns Var(R) = λ·E[∫₀^D X²(u) du] (Corollary 2). An empty
-// population has zero variance (NewModel rejects one; only hand-built
-// models reach this).
+// Variance returns Var(R) = λ·E[∫₀^D X²(u) du] (Corollary 2), which for a
+// power shot is λ·K(b)·E[S²/D]: O(1) over the population's running sums.
+// An empty population has zero variance (NewModel rejects one; only
+// hand-built models reach this).
 func (m *Model) Variance() float64 {
-	pop := m.Pop
-	n := pop.Len()
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += m.Shot.IntegralX2(pop.S[i], pop.D[i])
-	}
-	return m.Lambda * sum / float64(n)
+	return VarianceFromParams(m.Lambda, m.Pop.MeanS2OverD(), m.Shot)
 }
 
 // StdDev returns the standard deviation of the total rate.
@@ -104,11 +96,7 @@ func (m *Model) StdDev() float64 { return math.Sqrt(m.Variance()) }
 // CoV returns the coefficient of variation σ/μ of the total rate, the
 // quantity the paper's validation compares against measurements.
 func (m *Model) CoV() float64 {
-	mu := m.Mean()
-	if mu == 0 {
-		return 0
-	}
-	return m.StdDev() / mu
+	return CoVFromParams(m.Lambda, m.Pop.MeanS(), m.Pop.MeanS2OverD(), m.Shot)
 }
 
 // VarianceLowerBound returns λ·E[S²/D], the variance under rectangular
@@ -132,10 +120,9 @@ func (m *Model) AutoCovariance(tau float64) float64 {
 }
 
 // AutoCorrelations returns γ(τ)/γ(0) at each lag in taus (0 everywhere when
-// γ(0) = 0), the curve of the paper's Figure 8, computing γ(0) once for the
-// whole curve instead of once per lag. Closed-form integer b takes every
-// lag in one population pass (powerCrossCovSums); each value is
-// bit-identical to AutoCovariance's.
+// γ(0) = 0), the curve of the paper's Figure 8; γ(0) is the O(1) Variance.
+// Closed-form integer b takes every lag in one population pass
+// (powerCrossCovSums); each γ(τ) is bit-identical to AutoCovariance's.
 func (m *Model) AutoCorrelations(taus []float64) []float64 {
 	out := make([]float64, len(taus))
 	v := m.Variance()

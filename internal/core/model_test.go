@@ -264,34 +264,44 @@ func TestAveragedVarianceProperties(t *testing.T) {
 	}
 }
 
+// The per-flow Campbell sums of Cumulant are the oracle of the O(1)
+// moments Mean and Variance take from the population's running sums, at
+// the paper's integer shots and at real exponents.
 func TestCumulantsMatchMoments(t *testing.T) {
-	m, err := NewModel(15, Parabolic, testFlows(300, 9))
+	pop := testFlows(300, 9)
+	for _, b := range []float64{0, 0.5, 1, 2, 2.95, 7} {
+		m, err := NewModel(15, PowerShot{B: b}, pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k1, err := m.Cumulant(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !almostRel(k1, m.Mean(), 1e-12) {
+			t.Fatalf("b=%g: κ₁ = %g, mean %g", b, k1, m.Mean())
+		}
+		k2, err := m.Cumulant(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !almostRel(k2, m.Variance(), 1e-12) {
+			t.Fatalf("b=%g: κ₂ = %g, variance %g", b, k2, m.Variance())
+		}
+		sk, err := m.Skewness()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sk <= 0 {
+			t.Fatalf("b=%g: skewness = %g, want > 0 for positive shots", b, sk)
+		}
+	}
+	m, err := NewModel(15, Parabolic, pop)
 	if err != nil {
 		t.Fatal(err)
-	}
-	k1, err := m.Cumulant(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostRel(k1, m.Mean(), 1e-12) {
-		t.Fatalf("κ₁ = %g, mean %g", k1, m.Mean())
-	}
-	k2, err := m.Cumulant(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostRel(k2, m.Variance(), 1e-12) {
-		t.Fatalf("κ₂ = %g, variance %g", k2, m.Variance())
 	}
 	if _, err := m.Cumulant(0); err == nil {
 		t.Fatal("order 0 should be rejected")
-	}
-	sk, err := m.Skewness()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sk <= 0 {
-		t.Fatalf("skewness = %g, want > 0 for positive shots", sk)
 	}
 }
 

@@ -66,14 +66,6 @@ func (p PowerShot) Rate(s, d, t float64) float64 {
 	return a * math.Pow(t, p.B)
 }
 
-// IntegralX2 returns K(b)·s²/d.
-func (p PowerShot) IntegralX2(s, d float64) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return p.VarianceFactor() * s * s / d
-}
-
 // CrossCov returns ∫₀^{D-τ} x(t)·x(t+τ) dt. For integer b it uses the
 // closed-form binomial expansion. Otherwise it integrates the factorised
 // form (S²/D)·(b+1)²·∫₀^{1−r} (v(v+r))^b dv, r = τ/D, on gradedGL8's pieces

@@ -71,9 +71,9 @@ func TestIntegralX2MatchesQuadrature(t *testing.T) {
 		d := 0.1 + rng.Float64()*20
 		p := PowerShot{B: b}
 		want := simpson(func(t float64) float64 { v := p.Rate(s, d, t); return v * v }, 0, d, 8192)
-		got := p.IntegralX2(s, d)
+		got := p.VarianceFactor() * s * s / d
 		if !almostRel(got, want, 5e-3) {
-			t.Fatalf("b=%g s=%g d=%g: IntegralX2 = %g, quadrature %g", b, s, d, got, want)
+			t.Fatalf("b=%g s=%g d=%g: K(b)·s²/d = %g, quadrature %g", b, s, d, got, want)
 		}
 	}
 }
@@ -89,13 +89,13 @@ func TestIntegralXK(t *testing.T) {
 	if !almostRel(v1, s, 1e-12) {
 		t.Fatalf("∫x = %g, want %g", v1, s)
 	}
-	// k=2 must agree with IntegralX2.
+	// k=2 must agree with K(b)·s²/d.
 	v2, err := p.IntegralXK(s, d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostRel(v2, p.IntegralX2(s, d), 1e-12) {
-		t.Fatalf("∫x² = %g, want %g", v2, p.IntegralX2(s, d))
+	if want := p.VarianceFactor() * s * s / d; !almostRel(v2, want, 1e-12) {
+		t.Fatalf("∫x² = %g, want %g", v2, want)
 	}
 	// k=3 vs quadrature.
 	v3, err := p.IntegralXK(s, d, 3)
@@ -124,7 +124,7 @@ func TestCrossCovAtZeroEqualsIntegralX2(t *testing.T) {
 	} {
 		p := PowerShot{B: c.b}
 		s, d := 2e5, 4.0
-		if got, want := p.CrossCov(s, d, 0), p.IntegralX2(s, d); !almostRel(got, want, c.tol) {
+		if got, want := p.CrossCov(s, d, 0), p.VarianceFactor()*s*s/d; !almostRel(got, want, c.tol) {
 			t.Fatalf("b=%g: CrossCov(0) = %g, want %g", c.b, got, want)
 		}
 	}
@@ -240,7 +240,7 @@ func TestFuncShotConstantMatchesRectangular(t *testing.T) {
 	if !almostRel(fs.Rate(s, d, 1.0), Rectangular.Rate(s, d, 1.0), 1e-9) {
 		t.Fatalf("flat FuncShot rate %g vs rectangular %g", fs.Rate(s, d, 1.0), Rectangular.Rate(s, d, 1.0))
 	}
-	if !almostRel(fs.IntegralX2(s, d), Rectangular.IntegralX2(s, d), 1e-9) {
+	if !almostRel(fs.IntegralX2(s, d), s*s/d, 1e-9) {
 		t.Fatal("flat FuncShot ∫x² differs from rectangular")
 	}
 	for _, tau := range []float64{0, 0.7, 2.0} {
@@ -257,9 +257,8 @@ func TestFuncShotLinearMatchesTriangular(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, d := 1e5, 4.0
-	if !almostRel(fs.IntegralX2(s, d), Triangular.IntegralX2(s, d), 1e-6) {
-		t.Fatalf("linear FuncShot ∫x² = %g vs triangular %g",
-			fs.IntegralX2(s, d), Triangular.IntegralX2(s, d))
+	if want := Triangular.VarianceFactor() * s * s / d; !almostRel(fs.IntegralX2(s, d), want, 1e-6) {
+		t.Fatalf("linear FuncShot ∫x² = %g vs triangular %g", fs.IntegralX2(s, d), want)
 	}
 }
 

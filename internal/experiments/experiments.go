@@ -573,7 +573,7 @@ func (r *Runner) Stats(def flow.Definition) ([]IntervalStat, error) {
 	if err := r.measureSuite(); err != nil {
 		return nil, err
 	}
-	di := defIndex(def)
+	di := slices.Index(suiteDefs, def)
 	var out []IntervalStat
 	for _, tr := range r.results {
 		for _, slots := range tr.stats {

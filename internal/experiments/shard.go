@@ -34,16 +34,6 @@ const shardMagic = "FLOWSHD\x01"
 // shardFrame is the single frame type of a shard file.
 const shardFrame = 1
 
-// defIndex maps a flow definition back to its suiteDefs slot.
-func defIndex(def flow.Definition) int {
-	for di, d := range suiteDefs {
-		if d == def {
-			return di
-		}
-	}
-	return -1
-}
-
 func encodeResult(e *snapshot.Enc, res flow.Result) {
 	e.U64(uint64(len(res.Flows)))
 	for _, f := range res.Flows {

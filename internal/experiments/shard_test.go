@@ -33,7 +33,7 @@ func handShard(t testing.TB, stats ...IntervalStat) []byte {
 	}
 	for _, s := range stats {
 		ti := slices.IndexFunc(r.specs, func(spec trace.TraceSpec) bool { return spec.Name == s.Trace })
-		r.results[ti].stats[s.Index][defIndex(s.Def)] = &s
+		r.results[ti].stats[s.Index][slices.Index(suiteDefs, s.Def)] = &s
 	}
 	r.results[0].ref[0] = flow.Result{
 		Flows:     []flow.Flow{{Start: 0.5, End: 2, Bytes: 3000, Packets: 3}},
@@ -66,7 +66,7 @@ func TestMergeShardsRejectsDuplicatePoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var point snapshot.Enc
-	encodePoint(&point, defIndex(pt.Def), &pt)
+	encodePoint(&point, slices.Index(suiteDefs, pt.Def), &pt)
 	at := bytes.Index(payload, point.Bytes())
 	if at < 8 || binary.LittleEndian.Uint64(payload[at-8:]) != 1 {
 		t.Fatalf("the point's encoding is not the sole point of its trace (offset %d)", at)

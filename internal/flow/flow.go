@@ -349,7 +349,7 @@ func (a *Assembler) Flush() Result {
 	// A single-packet entry has End == Start, so the flow order ranks the
 	// discards by time and size too: one pass settles both.
 	if !settleTies(a.done) {
-		mergeSort(a.done)
+		slices.SortStableFunc(a.done, cmpFlow)
 	}
 	flows, disc := a.res.Flows[:0], a.res.Discarded[:0]
 	for _, f := range a.done {
@@ -380,8 +380,8 @@ func flowBefore(x, y Flow) bool {
 // entry moves only within its run of equal starts and the pass is linear
 // while runs are short. Runs grow long when many flows share one
 // timestamp (a capture with a coarse clock): after a few moves per entry
-// the pass stops and Flush finishes with mergeSort, so a flush stays
-// O(n log n) at worst.
+// the pass stops and Flush finishes with a stable sort, so a flush stays
+// at O(n log n) comparisons and O(n log² n) moves at worst.
 func settleTies(s []Flow) bool {
 	budget := 8 * len(s)
 	for i := 1; i < len(s); i++ {
@@ -395,28 +395,15 @@ func settleTies(s []Flow) bool {
 	return true
 }
 
-// mergeSort stably sorts s by flowBefore, bottom-up through one scratch
-// copy.
-func mergeSort(s []Flow) {
-	buf := make([]Flow, len(s))
-	for w := 1; w < len(s); w *= 2 {
-		for lo := 0; lo+w < len(s); lo += 2 * w {
-			mid, hi := lo+w, min(lo+2*w, len(s))
-			i, j, k := lo, mid, lo
-			for ; i < mid && j < hi; k++ {
-				if flowBefore(s[j], s[i]) {
-					buf[k] = s[j]
-					j++
-				} else {
-					buf[k] = s[i]
-					i++
-				}
-			}
-			k += copy(buf[k:], s[i:mid])
-			copy(buf[k:], s[j:hi])
-			copy(s[lo:hi], buf[lo:hi])
-		}
+// cmpFlow is flowBefore as a three-way comparison.
+func cmpFlow(x, y Flow) int {
+	if flowBefore(x, y) {
+		return -1
 	}
+	if flowBefore(y, x) {
+		return 1
+	}
+	return 0
 }
 
 // IntervalResult is the measurement of one analysis interval.

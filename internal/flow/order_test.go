@@ -231,15 +231,7 @@ func TestSettleTiesCostGuard(t *testing.T) {
 	if !settleTies(short) {
 		t.Fatal("settleTies gave up on tie runs of 4")
 	}
-	if !slices.IsSortedFunc(short, func(x, y Flow) int {
-		if flowBefore(x, y) {
-			return -1
-		}
-		if flowBefore(y, x) {
-			return 1
-		}
-		return 0
-	}) {
+	if !slices.IsSortedFunc(short, cmpFlow) {
 		t.Fatal("settleTies left short tie runs out of order")
 	}
 }

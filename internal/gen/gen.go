@@ -147,8 +147,10 @@ func Packets(cfg Config, pktBytes int, fn func(*trace.Block) error) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	if pktBytes < 40 {
-		return fmt.Errorf("gen: pktBytes must be >= 40, got %d", pktBytes)
+	if pktBytes < 40 || pktBytes > 65535 {
+		// The IPv4 TotalLen field is 16-bit: a larger MTU would truncate
+		// every emitted packet size.
+		return fmt.Errorf("gen: pktBytes must be in [40, 65535], got %d", pktBytes)
 	}
 	r := rng.New(cfg.Seed)
 	pp, err := dist.NewPoissonProcess(cfg.Lambda, r)

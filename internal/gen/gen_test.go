@@ -89,6 +89,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := packetRecords(good, 10); err == nil {
 		t.Fatal("tiny pktBytes should be rejected")
 	}
+	if _, err := packetRecords(good, 65536); err == nil {
+		t.Fatal("pktBytes past the 16-bit IPv4 length should be rejected")
+	}
 }
 
 // The generated fluid traffic must reproduce the model's first two moments

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"runtime/debug"
 	"time"
 
@@ -142,12 +143,9 @@ func (b *Backoff) Reset() { b.cur = b.base }
 
 // hashName folds a supervised entity's name into an rng stream id (FNV-1a).
 func hashName(name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return h.Sum64()
 }
 
 // Breaker is a restart-intensity circuit breaker: it permits at most max

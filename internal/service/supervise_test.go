@@ -126,6 +126,16 @@ func TestSupervisorBackoffIsDeterministic(t *testing.T) {
 	}
 }
 
+// hashName picks each entity's jitter stream: pinning it to the FNV-1a-64
+// test vectors keeps every backoff sequence from moving silently.
+func TestHashNameIsFNV1a64(t *testing.T) {
+	for name, want := range map[string]uint64{"": 0xcbf29ce484222325, "a": 0xaf63dc4c8601ec8c} {
+		if got := hashName(name); got != want {
+			t.Fatalf("hashName(%q) = %#x, want %#x", name, got, want)
+		}
+	}
+}
+
 func TestSupervisorContainsPanics(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	s := newTestSupervisor(t, clk, 10, time.Hour)

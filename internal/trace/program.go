@@ -191,6 +191,29 @@ func (b *attrBuf) next() float64 {
 	return v
 }
 
+// The generator's fixed constants.
+const (
+	// pktBytes is the wire MTU: flows are chopped into packets of this
+	// size with a final partial packet.
+	pktBytes = 1500
+	// sessionFlowGapSec is the mean (exponential) gap between consecutive
+	// flow starts within a session. It stays well below the 60 s flow
+	// timeout, so a session's flows merge into one /24-prefix flow (§VI-A).
+	sessionFlowGapSec = 1.0
+	// popularFraction is the share of sessions addressed to the tier of
+	// Config.PopularPrefixes popular destination prefixes. Every real
+	// backbone link carries a few /24s (CDNs, large sites) that stay
+	// continuously active; under the prefix flow definition they form
+	// large, nearly constant-rate aggregates whose S²/D dominates the model
+	// inputs, which is what makes the rectangular shot fit prefix flows in
+	// the paper's Figure 12.
+	popularFraction = 0.45
+	// minDuration clamps pathologically short flows (an extremely high rate
+	// drawn for a tiny flow), which would otherwise put all their packets
+	// in one burst.
+	minDuration = 0.01
+)
+
 // programSource is the phase-1 state: the session arrival process plus the
 // per-flow draws, consumed strictly in admission order. The serial
 // generator, the sharded synthesiser and the checkpoint index all sit on
@@ -238,8 +261,8 @@ func (s *programSource) newProgram(t float64, prefix uint32) FlowProgram {
 	}
 	rate := s.rate.next()
 	d := float64(sizeB) * 8 / rate
-	if d < c.MinDuration {
-		d = c.MinDuration
+	if d < minDuration {
+		d = minDuration
 	}
 	b := s.shot.next()
 	if b < 0 {
@@ -273,12 +296,12 @@ func (s *programSource) newProgram(t float64, prefix uint32) FlowProgram {
 		Duration: d,
 		SizeB:    sizeB,
 		InvBp1:   1 / (b + 1),
-		PktBytes: c.PktBytes,
+		PktBytes: pktBytes,
 	}
 	p.Src, p.Dst = hdr.Packed()
 	if t >= c.Warmup {
 		s.flows++
-		if p.SizeB <= p.PktBytes {
+		if p.SizeB <= pktBytes {
 			s.onePkt++
 		}
 	}
@@ -296,7 +319,7 @@ func (s *programSource) nextSession(horizon float64, emit func(FlowProgram)) boo
 	t := s.nextArr
 	c := &s.cfg
 	var prefix uint32
-	if s.rng.Float64() < c.PopularFraction {
+	if s.rng.Float64() < popularFraction {
 		prefix = uint32(s.rng.Intn(c.PopularPrefixes))
 	} else {
 		prefix = uint32(c.PopularPrefixes + s.rng.Intn(c.Prefixes-c.PopularPrefixes))
@@ -304,8 +327,8 @@ func (s *programSource) nextSession(horizon float64, emit func(FlowProgram)) boo
 	n := geometric(c.FlowsPerSession, s.rng)
 	start := t
 	for i := 0; i < n; i++ {
-		if i > 0 && c.SessionFlowGapSec > 0 {
-			start += s.rng.Exp() * c.SessionFlowGapSec
+		if i > 0 {
+			start += s.rng.Exp() * sessionFlowGapSec
 		}
 		if start >= horizon {
 			break

@@ -100,7 +100,7 @@ func open(path string, forceReadAt bool) (*Reader, error) {
 		r.zeroCopy = false
 	}
 	var scratch []byte
-	magic, err := b.view(0, min64(sz, int64(len(fileMagic))), &scratch)
+	magic, err := b.view(0, min(sz, int64(len(fileMagic))), &scratch)
 	if err != nil || string(magic) != fileMagic {
 		b.close()
 		return nil, fmt.Errorf("store: %s: bad file magic: %w", path, snapshot.ErrCorrupt)
@@ -116,13 +116,6 @@ func open(path string, forceReadAt bool) (*Reader, error) {
 	}
 	return r, fmt.Errorf("store: %s recovered as valid prefix (%d segments, %d packets): %w",
 		path, len(r.segs), r.packets, fastErr)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // frameAt reads and validates the frame at off. The returned payload aliases

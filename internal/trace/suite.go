@@ -55,14 +55,6 @@ type SuiteOptions struct {
 	// MaxIntervals caps the per-trace interval count (0 = no cap). The
 	// 39.5 h trace dominates run time otherwise.
 	MaxIntervals int
-	// MeanFlowRateBps is the mean of the per-flow average-rate distribution
-	// (default 80 kb/s, chosen so flow durations sit well above the 200 ms
-	// averaging interval while the lowest-utilisation trace keeps a high CoV).
-	MeanFlowRateBps float64
-	// ShotB overrides the per-flow shot-exponent distribution. Default:
-	// Uniform[1.5, 2.5) — TCP-like super-linear ramp-ups whose fitted
-	// power b̂ centres near 2, matching the paper's Figure 11.
-	ShotB dist.Sampler
 	// Seed offsets all per-trace seeds, so independent replications of the
 	// whole suite are possible.
 	Seed int64
@@ -79,14 +71,18 @@ func (o *SuiteOptions) withDefaults() SuiteOptions {
 	if out.IntervalsPerHour == 0 {
 		out.IntervalsPerHour = 2
 	}
-	if out.MeanFlowRateBps == 0 {
-		out.MeanFlowRateBps = 80e3
-	}
-	if out.ShotB == nil {
-		out.ShotB = dist.Uniform{Lo: 1.5, Hi: 2.5}
-	}
 	return out
 }
+
+// suiteMeanFlowRateBps is the mean of the suite's per-flow average-rate
+// distribution, chosen so flow durations sit well above the 200 ms
+// averaging interval while the lowest-utilisation trace keeps a high CoV.
+const suiteMeanFlowRateBps = 80e3
+
+// suiteShotB is the suite's per-flow shot-exponent distribution:
+// TCP-like super-linear ramp-ups whose fitted power b̂ centres near 2,
+// matching the paper's Figure 11.
+var suiteShotB dist.Sampler = dist.Uniform{Lo: 1.5, Hi: 2.5}
 
 // TraceSpec is one scaled trace of the suite, ready to generate.
 type TraceSpec struct {
@@ -127,6 +123,32 @@ func FlowRateDist(meanBps float64) (dist.Sampler, error) {
 	return dist.LognormalFromMoments(meanBps, 1.5)
 }
 
+// customMeanFlowRateBps is the mean per-flow rate of CustomConfig's traces.
+const customMeanFlowRateBps = 283e3
+
+// CustomConfig returns the generator configuration of a trace outside the
+// suite: the suite's flow sizes, lognormal flow rates of mean 283 kb/s, and
+// the same shot exponent b for every flow. Validation is left to the
+// generator.
+func CustomConfig(duration, lambda, b float64, seed int64) (Config, error) {
+	size, err := FlowSizeDist()
+	if err != nil {
+		return Config{}, err
+	}
+	rate, err := FlowRateDist(customMeanFlowRateBps)
+	if err != nil {
+		return Config{}, err
+	}
+	return Config{
+		Duration:  duration,
+		Lambda:    lambda,
+		SizeBytes: size,
+		RateBps:   rate,
+		ShotB:     dist.Constant{V: b},
+		Seed:      seed,
+	}, nil
+}
+
 // DefaultSuite builds the seven scaled traces of Table I.
 func DefaultSuite(opts SuiteOptions) ([]TraceSpec, error) {
 	o := opts.withDefaults()
@@ -134,7 +156,7 @@ func DefaultSuite(opts SuiteOptions) ([]TraceSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: suite size distribution: %w", err)
 	}
-	rateDist, err := FlowRateDist(o.MeanFlowRateBps)
+	rateDist, err := FlowRateDist(suiteMeanFlowRateBps)
 	if err != nil {
 		return nil, fmt.Errorf("trace: suite rate distribution: %w", err)
 	}
@@ -178,7 +200,7 @@ func DefaultSuite(opts SuiteOptions) ([]TraceSpec, error) {
 				Lambda:          lambda,
 				SizeBytes:       sizeDist,
 				RateBps:         rateDist,
-				ShotB:           o.ShotB,
+				ShotB:           suiteShotB,
 				UDPFraction:     0.1,
 				PopularPrefixes: popular,
 				Seed:            e.SeedBase + o.Seed,

@@ -65,10 +65,6 @@ type Config struct {
 	// ShotB samples the power-shot exponent b per flow. Use dist.Constant
 	// for a pure shape (0 rectangular, 1 triangular, 2 parabolic).
 	ShotB dist.Sampler
-	// PktBytes is the maximum packet payload+header size in bytes (wire
-	// MTU); flows are chopped into packets of this size with a final
-	// partial packet. Default 1500.
-	PktBytes int
 	// Prefixes is the number of distinct /24 destination prefixes sessions
 	// draw from (uniformly). Default 65536 — a backbone link sees a huge
 	// destination diversity, so no single /24 stays continuously active.
@@ -80,28 +76,13 @@ type Config struct {
 	// prefix flow, giving the order-of-magnitude flow-count reduction the
 	// paper reports (§VI-A). Set to 1 for plain independent flows.
 	FlowsPerSession float64
-	// SessionFlowGapSec is the mean (exponential) gap between consecutive
-	// flow starts within a session (default 1 s; must stay below the flow
-	// timeout for aggregation to happen).
-	SessionFlowGapSec float64
-	// PopularFraction is the share of sessions addressed to a small tier
-	// of popular destination prefixes (default 0.45). Every real backbone
-	// link carries a few /24s — CDNs, large sites — that stay continuously
-	// active; under the prefix flow definition they form large, nearly
-	// constant-rate aggregates whose S²/D dominates the model inputs, which
-	// is what makes the rectangular shot fit prefix flows in the paper's
-	// Figure 12. Set to 0 to disable the tier.
-	PopularFraction float64
-	// PopularPrefixes is the size of the popular tier (default 32).
+	// PopularPrefixes is the size of the tier of popular destination
+	// prefixes that popularFraction of the sessions address (default 32).
 	PopularPrefixes int
 	// UDPFraction is the fraction of flows labelled UDP; the rest are TCP.
 	// The label only affects the protocol byte (the model is protocol
 	// agnostic, which is the point of the paper), not the pacing.
 	UDPFraction float64
-	// MinDuration clamps pathologically short flows (extremely high rate
-	// draw on a tiny flow), which would otherwise put all packets in one
-	// burst. Default 10 ms.
-	MinDuration float64
 	// Warmup runs the arrival process for this many seconds before the
 	// trace window opens, so flows already in progress at t=0 are present
 	// and the link is in its stationary regime (the model's standing
@@ -127,17 +108,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.SizeBytes == nil || out.RateBps == nil || out.ShotB == nil {
 		return out, fmt.Errorf("trace: SizeBytes, RateBps and ShotB samplers are required")
 	}
-	if out.PktBytes == 0 {
-		out.PktBytes = 1500
-	}
-	if out.PktBytes < 40 {
-		return out, fmt.Errorf("trace: PktBytes must be >= 40, got %d", out.PktBytes)
-	}
-	if out.PktBytes > 65535 {
-		// The IPv4 TotalLen field is 16-bit; a larger MTU would silently
-		// truncate every emitted header (and the byte accounting with it).
-		return out, fmt.Errorf("trace: PktBytes must be <= 65535, got %d", out.PktBytes)
-	}
 	if out.Prefixes == 0 {
 		out.Prefixes = 65536
 	}
@@ -150,18 +120,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if !(out.FlowsPerSession >= 1) || math.IsInf(out.FlowsPerSession, 0) {
 		return out, fmt.Errorf("trace: FlowsPerSession must be finite and >= 1, got %g", out.FlowsPerSession)
 	}
-	if out.SessionFlowGapSec == 0 {
-		out.SessionFlowGapSec = 1
-	}
-	if !(out.SessionFlowGapSec >= 0) || math.IsInf(out.SessionFlowGapSec, 0) {
-		return out, fmt.Errorf("trace: SessionFlowGapSec must be finite and >= 0, got %g", out.SessionFlowGapSec)
-	}
-	if out.PopularFraction == 0 {
-		out.PopularFraction = 0.45
-	}
-	if !(out.PopularFraction >= 0 && out.PopularFraction <= 1) {
-		return out, fmt.Errorf("trace: PopularFraction must be in [0,1], got %g", out.PopularFraction)
-	}
 	if out.PopularPrefixes == 0 {
 		out.PopularPrefixes = 32
 	}
@@ -170,12 +128,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if !(out.UDPFraction >= 0 && out.UDPFraction <= 1) {
 		return out, fmt.Errorf("trace: UDPFraction must be in [0,1], got %g", out.UDPFraction)
-	}
-	if out.MinDuration == 0 {
-		out.MinDuration = 0.01
-	}
-	if !(out.MinDuration >= 0) || math.IsInf(out.MinDuration, 0) {
-		return out, fmt.Errorf("trace: MinDuration must be finite and >= 0, got %g", out.MinDuration)
 	}
 	if !(out.Warmup >= 0) || math.IsInf(out.Warmup, 0) {
 		return out, fmt.Errorf("trace: Warmup must be finite and >= 0, got %g", out.Warmup)

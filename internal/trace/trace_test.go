@@ -35,10 +35,7 @@ func TestConfigValidation(t *testing.T) {
 		{},
 		{Duration: 10},
 		{Duration: 10, Lambda: 5},
-		{Duration: 10, Lambda: 5, SizeBytes: size, RateBps: rate, ShotB: dist.Constant{V: 1}, PktBytes: 10},
-		{Duration: 10, Lambda: 5, SizeBytes: size, RateBps: rate, ShotB: dist.Constant{V: 1}, PktBytes: 70000},
 		{Duration: 10, Lambda: 5, SizeBytes: size, RateBps: rate, ShotB: dist.Constant{V: 1}, FlowsPerSession: 0.5},
-		{Duration: 10, Lambda: 5, SizeBytes: size, RateBps: rate, ShotB: dist.Constant{V: 1}, SessionFlowGapSec: -1},
 		{Duration: 10, Lambda: 5, SizeBytes: size, RateBps: rate, ShotB: dist.Constant{V: 1}, UDPFraction: 1.5},
 		{Duration: 10, Lambda: 5, SizeBytes: size, RateBps: rate, ShotB: dist.Constant{V: 1}, Prefixes: -1},
 	}
@@ -55,12 +52,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Warmup = inf },
 		func(c *Config) { c.FlowsPerSession = nan },
 		func(c *Config) { c.FlowsPerSession = inf },
-		func(c *Config) { c.SessionFlowGapSec = nan },
-		func(c *Config) { c.SessionFlowGapSec = inf },
-		func(c *Config) { c.PopularFraction = nan },
 		func(c *Config) { c.UDPFraction = nan },
-		func(c *Config) { c.MinDuration = nan },
-		func(c *Config) { c.MinDuration = inf },
 	} {
 		cfg := good
 		set(&cfg)
@@ -161,15 +153,13 @@ func TestGeneratorMeanRateMatchesLambdaES(t *testing.T) {
 }
 
 func TestGeneratorPacketSizes(t *testing.T) {
-	cfg := smallConfig(5, dist.Constant{V: 0})
-	cfg.PktBytes = 576
-	recs, _, err := generateAll(cfg)
+	recs, _, err := generateAll(smallConfig(5, dist.Constant{V: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range recs {
-		if r.Hdr.TotalLen == 0 || r.Hdr.TotalLen > 576 {
-			t.Fatalf("record %d has size %d, want (0,576]", i, r.Hdr.TotalLen)
+		if r.Hdr.TotalLen == 0 || r.Hdr.TotalLen > pktBytes {
+			t.Fatalf("record %d has size %d, want (0,%d]", i, r.Hdr.TotalLen, pktBytes)
 		}
 	}
 }
